@@ -28,6 +28,7 @@ from .jetcore import (
     map_to_json,
     matrix_determinant,
 )
+from .rational import frac_str
 
 
 class ArrowError(ValueError):
@@ -179,8 +180,8 @@ def schwarzian_defect(a: G3Jet) -> Fraction:
 
 def arrow_to_json(a: Arrow) -> dict:
     return {
-        "source": [f"{x.numerator}/{x.denominator}" for x in a.source],
-        "target": [f"{x.numerator}/{x.denominator}" for x in a.target],
+        "source": [frac_str(x) for x in a.source],
+        "target": [frac_str(x) for x in a.target],
         "jet": map_to_json(a.jet),
     }
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .frames import ChartError, FrameChart
 from .liepair import LieAlgebra, LiePairError, Subalgebra
-from .rational import Poly, RationalFunc
+from .rational import Poly, RationalFunc, solve_in_basis
 
 
 def _rf(p: Poly) -> RationalFunc:
@@ -190,8 +190,6 @@ def _matrix_algebra(basis: List[List[List[Fraction]]]):
     dim = len(basis)
     flat = [[m[i][j] for i in range(size) for j in range(size)] for m in basis]
 
-    from .liepair import _solve_in_basis
-
     def bracket(a, b):
         return [[sum(a[i][t] * b[t][j] for t in range(size))
                  - sum(b[i][t] * a[t][j] for t in range(size))
@@ -201,7 +199,7 @@ def _matrix_algebra(basis: List[List[List[Fraction]]]):
     for i in range(dim):
         for j in range(i + 1, dim):
             m = bracket(basis[i], basis[j])
-            coords = _solve_in_basis(flat, [m[r][c] for r in range(size) for c in range(size)])
+            coords = solve_in_basis(flat, [m[r][c] for r in range(size) for c in range(size)])
             if any(coords):
                 brackets[(i, j)] = coords
     return LieAlgebra(dim, brackets)

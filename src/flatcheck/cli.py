@@ -41,6 +41,7 @@ from .forms import (
 from .frames import ChartError
 from .jetcore import JetError, map_from_json, map_to_json
 from .liepair import LiePairError, filtration_of, order_of, pair_from_json
+from .rational import frac_str
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -91,10 +92,6 @@ def _frac(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -184,16 +181,16 @@ def cmd_groupoid_g3(args) -> int:
             a = G3Jet(*args.a)
             b = G3Jet(*args.b)
             result = g3_compose(a, b)
-            doc = {"op": "compose", "result": [_frac_str(x) for x in result.as_tuple()]}
+            doc = {"op": "compose", "result": [frac_str(x) for x in result.as_tuple()]}
         elif args.g3_op == "invert":
             result = g3_invert(G3Jet(*args.a))
-            doc = {"op": "invert", "result": [_frac_str(x) for x in result.as_tuple()]}
+            doc = {"op": "invert", "result": [frac_str(x) for x in result.as_tuple()]}
         elif args.g3_op == "split":
             result = mobius_split(args.a[0], args.a[1])
-            doc = {"op": "split", "result": [_frac_str(x) for x in result.as_tuple()]}
+            doc = {"op": "split", "result": [frac_str(x) for x in result.as_tuple()]}
         else:
             s = schwarzian_defect(G3Jet(*args.a))
-            doc = {"op": "schwarzian", "result": _frac_str(s)}
+            doc = {"op": "schwarzian", "result": frac_str(s)}
     except ArrowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -225,7 +222,7 @@ def cmd_liepair_order(args) -> int:
         "pair": name,
         "ambient_dim": g.dim,
         "filtration_dims": [stage.dim for stage in chain],
-        "filtration_bases": [[[_frac_str(x) for x in vec] for vec in stage.basis]
+        "filtration_bases": [[[frac_str(x) for x in vec] for vec in stage.basis]
                              for stage in chain],
         "order": order,
         "effective": order != "ineffective",

@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
+from .catalog import get_chart
 from .frames import (
     ChartError,
     ConnectionField,
@@ -412,20 +413,11 @@ def scalars_residual(fields: Sequence[ScalarField], backend: str, points) -> flo
 _GLOBAL_SIGN: int | None = None
 
 
-def _deformed_reference_chart() -> FrameChart:
-    n = 2
-    one = RationalFunc(Poly.const(n, 1))
-    zero = RationalFunc(Poly.zero(n))
-    x = Poly.var(n, 0)
-    entries = [[one, zero], [zero, RationalFunc(Poly.const(n, 1) + x * x)]]
-    return FrameChart("deformed2", n, [(-1, 1), (-1, 1)], entries=entries)
-
-
 def global_structure_sign() -> int:
     """The sign s with d~T + T^T = s.R, fixed once on the reference chart."""
     global _GLOBAL_SIGN
     if _GLOBAL_SIGN is None:
-        chart = _deformed_reference_chart()
+        chart = get_chart("deformed2")
         conn = gamma_from_frame(chart)
         t = torsion_form(conn)
         r = curvature_form(conn)

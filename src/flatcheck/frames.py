@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .rational import Poly, RationalFunc, rf_matrix_inverse
+from .rational import Poly, RationalFunc, matrix_determinant, rf_matrix_inverse
 
 
 class ChartError(ValueError):
@@ -142,7 +142,7 @@ class FrameChart:
             self.entries = [list(row) for row in entries]
             if len(self.entries) != n or any(len(r) != n for r in self.entries):
                 raise ChartError(f"frame must be an {n}x{n} matrix of fields")
-            self._det = _rf_det(self.entries)
+            self._det = matrix_determinant(self.entries)
             if self._det.is_zero():
                 raise ChartError(f"frame of chart '{name}' is singular as a matrix of functions")
             self._memo = None
@@ -179,10 +179,14 @@ class FrameChart:
         return [tuple(p) for p in iproduct(*axes)]
 
     def validate_invertible(self, points_per_axis: int = 5) -> None:
-        """Check det e != 0 on the evaluation grid (and exactly, when exact)."""
+        """Check det e is finite and nonzero on the evaluation grid (exactly, when exact)."""
         if self.backend == "exact":
             for p in self.rational_grid(points_per_axis):
-                if self._det.eval(p) == 0:
+                try:
+                    det = self._det.eval(p)
+                except ZeroDivisionError:
+                    raise ChartError(f"frame of chart '{self.name}' has a pole at {p}") from None
+                if det == 0:
                     raise ChartError(f"frame of chart '{self.name}' is singular at {p}")
         else:
             for p in self.grid(points_per_axis):
@@ -201,19 +205,6 @@ class FrameChart:
 
     def __repr__(self):
         return f"FrameChart({self.name!r}, n={self.n}, backend={self.backend})"
-
-
-def _rf_det(entries: List[List[RationalFunc]]) -> RationalFunc:
-    size = len(entries)
-    if size == 1:
-        return entries[0][0]
-    n = entries[0][0].n
-    det = RationalFunc(Poly.zero(n))
-    for j in range(size):
-        minor = [row[:j] + row[j + 1:] for row in entries[1:]]
-        term = entries[0][j] * _rf_det(minor)
-        det = det + (term if j % 2 == 0 else term.scale(-1))
-    return det
 
 
 @dataclass

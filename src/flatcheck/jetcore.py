@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
-from .rational import grlex_key
+from .rational import matrix_determinant  # noqa: F401 - re-exported for arrows
+from .rational import grlex_key, rf_matrix_inverse
 
 MultiIndex = Tuple[int, ...]
 
@@ -293,8 +294,10 @@ def invert_truncated(f: TruncatedMap) -> TruncatedMap:
     compose_truncated(result, f) is the identity through order k.
     """
     n, k = f.n, f.k
-    lin = f.linear_part()
-    lin_inv = _invert_matrix(lin)
+    try:
+        lin_inv = rf_matrix_inverse(f.linear_part())
+    except ZeroDivisionError:
+        raise JetError("linear part is singular (determinant 0)") from None
 
     # H = displacement part of f minus its linear part
     zero_mono = (0,) * n
@@ -335,50 +338,6 @@ def project_order(f: TruncatedMap, r: int) -> TruncatedMap:
     return TruncatedMap([c.truncate(r) for c in f.components])
 
 
-def _invert_matrix(mat: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Exact inverse of a rational matrix; raises JetError when singular."""
-    size = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(size)] +
-           [Fraction(1 if i == j else 0) for j in range(size)]
-           for i in range(size)]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise JetError("linear part is singular (determinant 0)")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
-
-
-def matrix_determinant(mat: List[List[Fraction]]) -> Fraction:
-    size = len(mat)
-    work = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, size):
-            if work[r][col] != 0:
-                factor = work[r][col] * inv
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det
-
-
 # --- jet exchange documents -------------------------------------------------
 
 def map_to_json(f: TruncatedMap) -> dict:
@@ -409,12 +368,15 @@ def map_from_json(doc: dict) -> TruncatedMap:
     for entries in raw_components:
         p = TruncatedPoly(n, k)
         for entry in entries:
-            mono = tuple(int(e) for e in entry["multiindex"])
+            try:
+                mono = tuple(int(e) for e in entry["multiindex"])
+                value = Fraction(int(entry["num"]), int(entry["den"]))
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise JetError(f"malformed jet document entry: {exc}") from None
             if len(mono) != n:
                 raise JetError(f"multi-index {mono} has wrong length in jet document")
             if sum(mono) > k:
                 raise JetError(f"multi-index {mono} exceeds order k={k} in jet document")
-            value = Fraction(int(entry["num"]), int(entry["den"]))
             p.set_coeff(mono, value)
         comps.append(p)
     return TruncatedMap(comps)

@@ -20,6 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+from .rational import frac_str, nullspace, rank, row_echelon, solve_in_basis
+
 Vector = Tuple[Fraction, ...]
 
 
@@ -31,59 +33,12 @@ def _frac_rows(rows: Sequence[Sequence]) -> List[List[Fraction]]:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def row_echelon(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Reduced row echelon form; returns only the nonzero rows."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [row for row in mat[:r]]
-
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(row_echelon(rows))
-
-
 def in_span(vector: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]) -> bool:
     if all(x == 0 for x in vector):
         return True
     if not basis:
         return False
     return rank(list(basis) + [list(vector)]) == rank(basis)
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Basis of the solution space of rows . x = 0 (exact)."""
-    ech = row_echelon(rows)
-    pivots = []
-    for row in ech:
-        pivots.append(next(i for i, x in enumerate(row) if x != 0))
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, p in zip(ech, pivots):
-            vec[p] = -row[f]
-        basis.append(vec)
-    return basis
 
 
 class LieAlgebra:
@@ -247,19 +202,18 @@ def filtration_of(g: LieAlgebra, h: Subalgebra) -> List[Subalgebra]:
 
 def _stabilizer_step(g: LieAlgebra, stage: Subalgebra) -> Subalgebra:
     """{ v in stage : [v, x] in stage for all x in g }, by exact kernels."""
-    span_rows = row_echelon(stage.basis)
-    # quotient test: [v, e_b] must lie in span(stage). Build the linear
-    # conditions on the coefficients of v in stage's basis.
+    # u lies in span(stage) iff every w with stage . w = 0 has w . u = 0, so
+    # each such w and each e_b give one linear condition on the coefficients
+    # of v in stage's basis: sum_t coef_t w . [s_t, e_b] = 0.  The images
+    # [s_t, e_b] are kept as their few nonzero entries.
+    annihilator = nullspace(stage.basis, g.dim)
     conditions: List[List[Fraction]] = []
     dim = g.dim
     for b in range(dim):
         eb = g.basis_vector(b)
-        images = [g.bracket(vec, eb) for vec in stage.basis]
-        # residues mod stage span: reduce each image against span_rows; the
-        # leftover coordinates give linear conditions sum_t coef_t * res_t = 0.
-        reduced = [_reduce_mod(span_rows, img) for img in images]
-        for coord in range(dim):
-            row = [reduced[t][coord] for t in range(stage.dim)]
+        images = [[(i, y) for i, y in enumerate(g.bracket(vec, eb)) if y] for vec in stage.basis]
+        for w in annihilator:
+            row = [sum(w[i] * y for i, y in img) for img in images]
             if any(row):
                 conditions.append(row)
     if not conditions:
@@ -274,16 +228,6 @@ def _stabilizer_step(g: LieAlgebra, stage: Subalgebra) -> Subalgebra:
                     vec[t] += coeff * base_vec[t]
         new_basis.append(vec)
     return Subalgebra(g, row_echelon(new_basis) if new_basis else [], validate=False)
-
-
-def _reduce_mod(echelon_rows: List[List[Fraction]], vector: Sequence[Fraction]) -> List[Fraction]:
-    vec = list(vector)
-    for row in echelon_rows:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        if vec[p] != 0:
-            f = vec[p] / row[p]
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return vec
 
 
 def order_of(g: LieAlgebra, h: Subalgebra) -> int | str:
@@ -332,14 +276,14 @@ def relative_adjoint(g: LieAlgebra, h: Subalgebra) -> tuple["LieAlgebra", Repres
     hdim, wdim = h.dim, len(comp)
     # abstract copy of h: structure constants in h's own basis
     habs = _abstract_subalgebra(g, h)
-    span_rows = row_echelon(list(h.basis) + [list(g.basis_vector(i)) for i in comp]) \
-        if h.dim else row_echelon([list(g.basis_vector(i)) for i in comp])
+    # coordinates mod h: solve in h's basis followed by the complement
+    basis_rows = h.basis + [g.basis_vector(i) for i in comp]
     matrices = []
     for bvec in h.basis:
         mat = [[Fraction(0)] * wdim for _ in range(wdim)]
         for col, amb in enumerate(comp):
             img = g.bracket(bvec, g.basis_vector(amb))
-            coords = _coordinates(g, h, comp, img)
+            coords = _coordinates(basis_rows, img)[hdim:]
             for row in range(wdim):
                 mat[row][col] = coords[row]
         matrices.append(mat)
@@ -352,36 +296,18 @@ def _abstract_subalgebra(g: LieAlgebra, h: Subalgebra) -> LieAlgebra:
     for i in range(h.dim):
         for j in range(i + 1, h.dim):
             img = g.bracket(h.basis[i], h.basis[j])
-            coeffs = _h_coordinates(g, h, img)
+            coeffs = _coordinates(h.basis, img)
             if any(coeffs):
                 brackets[(i, j)] = coeffs
     return LieAlgebra(h.dim, brackets)
 
 
-def _solve_in_basis(basis_rows: List[List[Fraction]], vector: Sequence[Fraction]) -> List[Fraction]:
+def _coordinates(basis_rows: List[List[Fraction]], vector: Sequence[Fraction]) -> List[Fraction]:
     """Coordinates of ``vector`` in the given basis (must be solvable)."""
-    ncols = len(basis_rows)
-    dim = len(vector)
-    aug = [[basis_rows[c][r] for c in range(ncols)] + [Fraction(vector[r])] for r in range(dim)]
-    ech = row_echelon(aug)
-    coords = [Fraction(0)] * ncols
-    for row in ech:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        if p == ncols:
-            raise LiePairError("vector does not lie in the span of the basis")
-        coords[p] = row[ncols]
+    coords = solve_in_basis(basis_rows, vector)
+    if coords is None:
+        raise LiePairError("vector does not lie in the span of the basis")
     return coords
-
-
-def _h_coordinates(g, h, vector):
-    return _solve_in_basis([list(v) for v in h.basis], vector)
-
-
-def _coordinates(g, h, comp, vector):
-    """Coordinates of vector mod h in the complement basis."""
-    basis_rows = [list(v) for v in h.basis] + [list(g.basis_vector(i)) for i in comp]
-    coords = _solve_in_basis(basis_rows, vector)
-    return coords[h.dim:]
 
 
 def semidirect_from_rep(h: LieAlgebra, rho: Representation) -> tuple[LieAlgebra, Subalgebra]:
@@ -418,35 +344,28 @@ def semidirect_from_rep(h: LieAlgebra, rho: Representation) -> tuple[LieAlgebra,
 
 # --- exchange documents -------------------------------------------------------
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def pair_to_json(g: LieAlgebra, h: Subalgebra) -> dict:
     brackets = []
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             coeffs = [g.c[i][j][k] for k in range(g.dim)]
             if any(coeffs):
-                brackets.append({"i": i, "j": j, "coeffs": [_frac_str(c) for c in coeffs]})
+                brackets.append({"i": i, "j": j, "coeffs": [frac_str(c) for c in coeffs]})
     return {
         "dim": g.dim,
         "brackets": brackets,
-        "subalgebra": [[_frac_str(x) for x in vec] for vec in h.basis],
+        "subalgebra": [[frac_str(x) for x in vec] for vec in h.basis],
     }
 
 
 def pair_from_json(doc: dict) -> tuple[LieAlgebra, Subalgebra]:
     try:
         dim = int(doc["dim"])
-        raw_brackets = doc["brackets"]
-        raw_sub = doc["subalgebra"]
-    except (KeyError, TypeError) as exc:
+        brackets = {(int(e["i"]), int(e["j"])): [Fraction(str(x)) for x in e["coeffs"]]
+                    for e in doc["brackets"]}
+        sub = [[Fraction(str(x)) for x in vec] for vec in doc["subalgebra"]]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise LiePairError(f"malformed Lie pair document: {exc}") from None
-    brackets = {}
-    for entry in raw_brackets:
-        i, j = int(entry["i"]), int(entry["j"])
-        brackets[(i, j)] = [Fraction(str(x)) for x in entry["coeffs"]]
     g = LieAlgebra(dim, brackets)
-    h = Subalgebra(g, [[Fraction(str(x)) for x in vec] for vec in raw_sub])
+    h = Subalgebra(g, sub)
     return g, h

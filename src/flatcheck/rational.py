@@ -256,8 +256,8 @@ class RationalFunc:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __hash__(self):  # pragma: no cover - not used as dict key
-        return hash(self.n)
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
 
     def _den_poly(self) -> Poly:
         d = Poly.const(self.n, 1)
@@ -319,6 +319,10 @@ class RationalFunc:
     def __truediv__(self, other: RationalFunc) -> RationalFunc:
         return self * other.inverse()
 
+    def __rtruediv__(self, other) -> RationalFunc:
+        """``c / f`` for a rational number ``c``."""
+        return self.inverse().scale(other)
+
     def diff(self, idx: int) -> RationalFunc:
         """Partial derivative via the quotient rule, factor by factor."""
         # d(N / prod f^e) = dN / prod f^e - sum_i e_i dfi N / (f_i * prod f^e)
@@ -353,22 +357,118 @@ class RationalFunc:
         return f"RationalFunc({self.num!r} / {self.den!r})"
 
 
-def rf_matrix_inverse(m: list[list[RationalFunc]]) -> list[list[RationalFunc]]:
-    """Exact matrix inverse via Gauss-Jordan elimination over the field."""
-    size = len(m)
-    n = m[0][0].n
-    aug = [[m[i][j] for j in range(size)] +
-           [RationalFunc.const(n, 1 if i == j else 0) for j in range(size)]
-           for i in range(size)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if not aug[r][col].is_zero()), None)
+def frac_str(x: Fraction) -> str:
+    """An exact rational as the "num/den" string of the exchange documents."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+# --- exact linear algebra over Q and Q(x) ------------------------------------
+#
+# The one elimination kernel.  Entries are Fractions (Lie pairs, jet linear
+# parts) or RationalFuncs (frames); the code uses only +, -, *, ONE / x and
+# truth tests, which both fields provide.  The pivot is always the first
+# nonzero entry of its column, so results keep reproducible normal forms.
+
+Matrix = list  # rows of Fraction or of RationalFunc
+
+
+def _zero_one(rows: Matrix) -> tuple:
+    """The 0 and 1 of the field the entries of ``rows`` lie in."""
+    x = rows[0][0] if rows and rows[0] else ONE
+    if isinstance(x, RationalFunc):
+        return RationalFunc.const(x.n, 0), RationalFunc.const(x.n, 1)
+    return ZERO, ONE
+
+
+def _pivot(row) -> int:
+    return next(i for i, x in enumerate(row) if x)
+
+
+def row_echelon(rows: Matrix) -> Matrix:
+    """Reduced row echelon form by Gauss-Jordan; returns only the nonzero rows."""
+    mat = [list(r) for r in rows]
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        if r == len(mat):
+            break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
-            raise ZeroDivisionError("singular matrix over the function field")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(size):
-            if r != col and not aug[r][col].is_zero():
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = ONE / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                f = row[c]
+                mat[i] = [a - f * b for a, b in zip(row, mat[r])]
+        r += 1
+    return mat[:r]
+
+
+def rank(rows: Matrix) -> int:
+    return len(row_echelon(rows))
+
+
+def nullspace(rows: Matrix, ncols: int) -> Matrix:
+    """Basis of the solutions x of rows . x = 0, one vector per free column."""
+    zero, one = _zero_one(rows)
+    ech = row_echelon(rows)
+    pivots = [_pivot(row) for row in ech]
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[free] = one
+        for row, p in zip(ech, pivots):
+            vec[p] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def solve_in_basis(basis_rows: Matrix, vector) -> list | None:
+    """Coordinates of ``vector`` in the independent ``basis_rows``, or None
+    when it lies outside their span."""
+    ncols = len(basis_rows)
+    aug = [[b[r] for b in basis_rows] + [x] for r, x in enumerate(vector)]
+    zero, _ = _zero_one([vector])
+    coords = [zero] * ncols
+    for row in row_echelon(aug):
+        p = _pivot(row)
+        if p == ncols:
+            return None
+        coords[p] = row[ncols]
+    return coords
+
+
+def rf_matrix_inverse(m: Matrix) -> Matrix:
+    """Exact inverse by Gauss-Jordan on [m | I]; ZeroDivisionError when singular."""
+    size = len(m)
+    zero, one = _zero_one(m)
+    aug = [list(row) + [one if i == j else zero for j in range(size)]
+           for i, row in enumerate(m)]
+    ech = row_echelon(aug)
+    if not all(row[i] for i, row in enumerate(ech)):
+        raise ZeroDivisionError("singular matrix")
+    return [row[size:] for row in ech]
+
+
+def matrix_determinant(mat: Matrix):
+    """Determinant by forward elimination: the signed product of the pivots."""
+    work = [list(row) for row in mat]
+    size = len(work)
+    zero, det = _zero_one(work)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if work[r][col]), None)
+        if pivot is None:
+            return zero
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det = det * work[col][col]
+        inv = ONE / work[col][col]
+        for r in range(col + 1, size):
+            if work[r][col]:
+                factor = work[r][col] * inv
+                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return det

@@ -32,7 +32,7 @@ from .jetcore import (
     multi_indices,
     project_order,
 )
-from .rational import Poly, RationalFunc, grlex_key
+from .rational import Poly, RationalFunc, frac_str, grlex_key
 
 
 def _unit(n: int, r: int) -> MultiIndex:
@@ -450,8 +450,7 @@ def jet_field_to_json(xi: JetField) -> dict:
             components[",".join(map(str, alpha))] = entries
     return {
         "n": xi.n, "k": xi.k,
-        "domain": [[f"{lo.numerator}/{lo.denominator}", f"{hi.numerator}/{hi.denominator}"]
-                   for lo, hi in xi.domain],
+        "domain": [[frac_str(lo), frac_str(hi)] for lo, hi in xi.domain],
         "components": components,
     }
 

@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from flatcheck.cli import main
 
 
@@ -93,6 +95,31 @@ def test_geom_report_malformed_json_exits_one(tmp_path):
     path.write_text("{not json")
     code, _ = run_cli(["geom", "report", "--chart", str(path)])
     assert code == 1
+
+
+MALFORMED = {
+    "pole-chart": (["geom", "report", "--chart"], {
+        "name": "pole", "n": 2, "domain": [[-1, 1], [-1, 1]],
+        "frame": [["1/x1", "0"], ["0", "1"]]}),  # det = 1/x1 has a pole on the grid
+    "jet-num": (["jet", "invert"], {
+        "n": 1, "k": 2,
+        "components": [[{"multiindex": [1], "num": "abc", "den": "1"}]]}),
+    "pair-coeffs": (["liepair", "order", "--pair"], {
+        "dim": 3, "brackets": [{"i": 0, "j": 1}], "subalgebra": []}),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_document_exits_one_with_one_line(tmp_path, name):
+    argv, doc = MALFORMED[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "flatcheck.cli", *argv, str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_geom_report_numeric_chart_file(tmp_path):

@@ -1,0 +1,192 @@
+"""The exact elimination kernel in ``flatcheck.rational`` against sympy.
+
+sympy is a test-only oracle that shares no code with flatcheck.  Every
+check runs over both fields the kernel serves: random Fraction matrices
+(Q) and random 3x3 matrices of polynomial RationalFuncs (Q(x1, x2, x3)).
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
+
+from flatcheck.rational import (
+    Poly,
+    RationalFunc,
+    matrix_determinant,
+    nullspace,
+    rank,
+    rf_matrix_inverse,
+    solve_in_basis,
+)
+
+NVARS = 3
+K = sympy.QQ.frac_field(*sympy.symbols(f"x1:{NVARS + 1}"))  # sympy's own Q(x1, x2, x3)
+SEEDS = range(4)
+
+
+def to_field(value):
+    if isinstance(value, Fraction):
+        return K(sympy.QQ(value.numerator, value.denominator))
+
+    def poly(p: Poly):
+        out = K.zero
+        for mono, c in p.coeffs.items():
+            term = K(sympy.QQ(c.numerator, c.denominator))
+            for g, e in zip(K.gens, mono):
+                term *= g ** e
+            out += term
+        return out
+
+    den = K.one
+    for f, e in value.den.items():
+        den *= poly(f) ** e
+    return poly(value.num) / den
+
+
+def domain_matrix(rows):
+    return DomainMatrix([[to_field(x) for x in row] for row in rows],
+                        (len(rows), len(rows[0])), K)
+
+
+def sympy_det(rows):
+    return domain_matrix(rows).det()
+
+
+def dot(u, v):
+    """u . v computed in sympy's field."""
+    return sum((to_field(a) * to_field(b) for a, b in zip(u, v)), K.zero)
+
+
+def rand_frac(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def rand_rf(rng: random.Random) -> RationalFunc:
+    """A random polynomial of degree <= 2 in three variables."""
+    coeffs = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = [0] * NVARS
+        for _ in range(rng.randint(0, 2)):
+            mono[rng.randrange(NVARS)] += 1
+        coeffs[tuple(mono)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return RationalFunc(Poly(NVARS, coeffs))
+
+
+def frac_matrix(rng, nrows, ncols):
+    return [[rand_frac(rng) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def rf_matrix(rng, nrows, ncols):
+    return [[rand_rf(rng) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def combine(coeffs, rows):
+    """sum_t coeffs[t] * rows[t], in the field of the entries."""
+    out = [coeffs[0] * x for x in rows[0]]
+    for c, row in zip(coeffs[1:], rows[1:]):
+        out = [a + c * x for a, x in zip(out, row)]
+    return out
+
+
+def low_rank(rng, make, nrows, ncols, r):
+    """An nrows x ncols product of random nrows x r and r x ncols factors."""
+    left, right = make(rng, nrows, r), make(rng, r, ncols)
+    return [combine(row, right) for row in left]
+
+
+FIELDS = {
+    "Q": (frac_matrix, rand_frac),
+    "Q(x)": (rf_matrix, rand_rf),
+}
+
+
+# --- determinant -----------------------------------------------------------
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_determinant_matches_sympy_over_q(seed):
+    rng = random.Random(seed)
+    for size in range(1, 6):
+        m = frac_matrix(rng, size, size)
+        assert to_field(matrix_determinant(m)) == sympy_det(m)
+        singular = low_rank(rng, frac_matrix, size, size, size - 1) if size > 1 else [[Fraction(0)]]
+        assert matrix_determinant(singular) == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_determinant_matches_sympy_over_qx(seed):
+    rng = random.Random(seed)
+    m = rf_matrix(rng, 3, 3)
+    det = matrix_determinant(m)
+    assert isinstance(det, RationalFunc)
+    assert to_field(det) == sympy_det(m)
+    assert not matrix_determinant(low_rank(rng, rf_matrix, 3, 3, 2))
+
+
+# --- inverse ---------------------------------------------------------------
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_inverse_times_matrix_is_identity(field, seed):
+    rng = random.Random(seed)
+    make, _ = FIELDS[field]
+    for size in range(1, 6 if field == "Q" else 4):
+        m = make(rng, size, size)
+        if sympy_det(m) == 0:
+            continue
+        inv = rf_matrix_inverse(m)
+        cols = list(zip(*m))
+        for i, row in enumerate(inv):
+            assert [dot(row, col) for col in cols] == [K.one if j == i else K.zero
+                                                       for j in range(size)]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_singular_inverse_raises(field, seed):
+    make, _ = FIELDS[field]
+    m = low_rank(random.Random(seed), make, 3, 3, 2)
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        rf_matrix_inverse(m)
+
+
+# --- rank and nullspace ------------------------------------------------------
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_nullspace_dimension_and_annihilation(field, seed):
+    rng = random.Random(seed)
+    make, _ = FIELDS[field]
+    shape = (4, 5) if field == "Q" else (3, 3)
+    for r in range(1, shape[0] + 1):
+        m = low_rank(rng, make, shape[0], shape[1], r)
+        rk = rank(m)
+        if field == "Q":
+            assert rk == domain_matrix(m).rank()
+        kernel = nullspace(m, shape[1])
+        assert len(kernel) == shape[1] - rk
+        for vec in kernel:
+            assert all(dot(row, vec) == 0 for row in m)
+
+
+# --- solving in a basis --------------------------------------------------------
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_solve_in_basis(field, seed):
+    rng = random.Random(seed)
+    make, scalar = FIELDS[field]
+    basis = make(rng, 2, 3)
+    assert rank(basis) == 2
+    coeffs = [scalar(rng), scalar(rng)]
+    got = solve_in_basis(basis, combine(coeffs, basis))
+    assert got is not None
+    assert [to_field(x) for x in got] == [to_field(x) for x in coeffs]
+    outside = make(rng, 1, 3)[0]
+    # outside the span exactly when [basis; outside] is nonsingular
+    assert sympy_det(basis + [outside]) != 0
+    assert solve_in_basis(basis, outside) is None
