@@ -5,8 +5,13 @@ A chart document is either {"builtin": name} or
     { "name": str, "n": int, "domain": [[lo, hi], ...],
       "frame": [[expr, ...], ...] }
 
-with entries written in a small expression grammar: variables x1..xn,
-rational literals, + - * /, integer powers (** or ^), and sin/cos/exp.
+with entries written in one expression grammar for both backends:
+variables x1..xn, integer and decimal literals, + - * /, powers (** or ^)
+whose exponent is an integer literal of absolute value at most
+MAX_EXPONENT, and sin/cos/exp of one argument.
+
+One interpreter walks the syntax tree of an entry and builds its value in
+a scalar algebra: exact RationalFuncs, or numeric closures of the point.
 Entries that stay inside the rational fragment parse onto the exact
 backend; sin/cos/exp force the numeric backend.  The FLATCHECK_BACKEND
 environment variable (exact | numeric | auto) overrides the choice, where
@@ -18,6 +23,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import operator
 import os
 import re
 from fractions import Fraction
@@ -26,126 +32,132 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .frames import ChartError, FrameChart
-from .rational import Poly, RationalFunc
+from .rational import RationalFunc
 
 _NUMERIC_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv}
 _VAR_RE = re.compile(r"^x([1-9]\d*)$")
-
-
-class _ExactBuilder(ast.NodeVisitor):
-    def __init__(self, n: int):
-        self.n = n
-
-    def build(self, node) -> RationalFunc:
-        if isinstance(node, ast.Expression):
-            return self.build(node.body)
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, int):
-                return RationalFunc(Poly.const(self.n, node.value))
-            if isinstance(node.value, float):
-                return RationalFunc(Poly.const(self.n, Fraction(str(node.value))))
-            raise ChartError(f"unsupported literal {node.value!r}")
-        if isinstance(node, ast.Name):
-            m = _VAR_RE.match(node.id)
-            if not m:
-                raise ChartError(f"unknown symbol '{node.id}' (variables are x1..x{self.n})")
-            idx = int(m.group(1)) - 1
-            if idx >= self.n:
-                raise ChartError(f"variable {node.id} out of range for n={self.n}")
-            return RationalFunc(Poly.var(self.n, idx))
-        if isinstance(node, ast.UnaryOp):
-            val = self.build(node.operand)
-            if isinstance(node.op, ast.USub):
-                return val.scale(-1)
-            if isinstance(node.op, ast.UAdd):
-                return val
-            raise ChartError("unsupported unary operator")
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Pow):
-                base = self.build(node.left)
-                try:
-                    exp = ast.literal_eval(node.right)
-                except ValueError:
-                    raise ChartError("exponents must be integer literals") from None
-                if not isinstance(exp, int):
-                    raise ChartError("exponents must be integer literals")
-                out = RationalFunc(Poly.const(self.n, 1))
-                for _ in range(abs(exp)):
-                    out = out * base
-                return out.inverse() if exp < 0 else out
-            left, right = self.build(node.left), self.build(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.Div):
-                return left / right
-            raise ChartError("unsupported binary operator")
-        if isinstance(node, ast.Call):
-            raise _NeedsNumeric(node.func.id if isinstance(node.func, ast.Name) else "?")
-        raise ChartError(f"unsupported syntax: {ast.dump(node)}")
+# an exact power costs |exponent| multiplications
+MAX_EXPONENT = 64
 
 
 class _NeedsNumeric(Exception):
     pass
 
 
-def parse_exact_expr(src: str, n: int) -> RationalFunc:
+class _ExactAlgebra:
+    """Entries as exact RationalFuncs; a transcendental call cannot be
+    represented and raises ``_NeedsNumeric``."""
+
+    @staticmethod
+    def const(n: int, value) -> RationalFunc:
+        return RationalFunc.const(n, Fraction(str(value)) if isinstance(value, float) else value)
+
+    @staticmethod
+    def var(n: int, idx: int) -> RationalFunc:
+        return RationalFunc.var(n, idx)
+
+    @staticmethod
+    def apply(op, *args) -> RationalFunc:
+        return op(*args)
+
+    @staticmethod
+    def call(name: str, arg):
+        raise _NeedsNumeric(name)
+
+
+class _NumericAlgebra:
+    """Entries as closures of the point, built once per entry."""
+
+    @staticmethod
+    def const(n: int, value):
+        return lambda x: value
+
+    @staticmethod
+    def var(n: int, idx: int):
+        return lambda x: float(x[idx])
+
+    @staticmethod
+    def apply(op, *args):
+        if len(args) == 1:
+            (a,) = args
+            return lambda x: op(a(x))
+        a, b = args
+        return lambda x: op(a(x), b(x))
+
+    @staticmethod
+    def call(name: str, arg):
+        return _NumericAlgebra.apply(_NUMERIC_FUNCS[name], arg)
+
+
+def _interpret(node, n: int, algebra):
+    """Walk an entry's syntax tree, checking the grammar and building its
+    value in ``algebra``."""
+    if isinstance(node, ast.Expression):
+        return _interpret(node.body, n, algebra)
+    if isinstance(node, ast.Constant):
+        if not isinstance(node.value, (int, float)):
+            raise ChartError(f"unsupported literal {node.value!r}")
+        return algebra.const(n, node.value)
+    if isinstance(node, ast.Name):
+        m = _VAR_RE.match(node.id)
+        if not m:
+            raise ChartError(f"unknown symbol '{node.id}' (variables are x1..x{n})")
+        idx = int(m.group(1)) - 1
+        if idx >= n:
+            raise ChartError(f"variable {node.id} out of range for n={n}")
+        return algebra.var(n, idx)
+    if isinstance(node, ast.UnaryOp):
+        val = _interpret(node.operand, n, algebra)
+        if isinstance(node.op, ast.USub):
+            return algebra.apply(operator.neg, val)
+        if isinstance(node.op, ast.UAdd):
+            return val
+        raise ChartError("unsupported unary operator")
+    if isinstance(node, ast.BinOp):
+        if isinstance(node.op, ast.Pow):
+            base = _interpret(node.left, n, algebra)
+            sign, lit = 1, node.right
+            if isinstance(lit, ast.UnaryOp) and isinstance(lit.op, (ast.UAdd, ast.USub)):
+                sign, lit = (-1 if isinstance(lit.op, ast.USub) else 1), lit.operand
+            if not (isinstance(lit, ast.Constant) and type(lit.value) is int):
+                raise ChartError("exponents must be integer literals")
+            exp = sign * lit.value
+            if abs(exp) > MAX_EXPONENT:
+                raise ChartError(f"exponent {exp} exceeds the limit of {MAX_EXPONENT}")
+            return algebra.apply(lambda b: b ** exp, base)
+        op = _BINARY_OPS.get(type(node.op))
+        if op is None:
+            raise ChartError("unsupported binary operator")
+        return algebra.apply(op, _interpret(node.left, n, algebra),
+                             _interpret(node.right, n, algebra))
+    if isinstance(node, ast.Call):
+        if not (isinstance(node.func, ast.Name) and node.func.id in _NUMERIC_FUNCS):
+            raise ChartError("only sin, cos, exp calls are allowed")
+        if len(node.args) != 1 or node.keywords:
+            raise ChartError("transcendental calls take exactly one argument")
+        return algebra.call(node.func.id, _interpret(node.args[0], n, algebra))
+    raise ChartError(f"unsupported syntax: {type(node).__name__}")
+
+
+def _parse(src: str) -> ast.Expression:
     try:
-        tree = ast.parse(src.replace("^", "**"), mode="eval")
+        return ast.parse(src.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
         raise ChartError(f"cannot parse expression {src!r}: {exc.msg} (offset {exc.offset})") from None
-    return _ExactBuilder(n).build(tree)
+
+
+def parse_exact_expr(src: str, n: int) -> RationalFunc:
+    try:
+        return _interpret(_parse(src), n, _ExactAlgebra)
+    except ZeroDivisionError:
+        raise ChartError(f"expression {src!r} divides by zero") from None
 
 
 def parse_numeric_expr(src: str, n: int) -> Callable[[Sequence[float]], float]:
-    try:
-        tree = ast.parse(src.replace("^", "**"), mode="eval")
-    except SyntaxError as exc:
-        raise ChartError(f"cannot parse expression {src!r}: {exc.msg} (offset {exc.offset})") from None
-
-    def check(node) -> None:
-        if isinstance(node, (ast.Expression, ast.Load)):
-            pass
-        elif isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
-                raise ChartError(f"unsupported literal {node.value!r}")
-        elif isinstance(node, ast.Name):
-            m = _VAR_RE.match(node.id)
-            if not m or int(m.group(1)) > n:
-                raise ChartError(f"unknown symbol '{node.id}' (variables are x1..x{n})")
-        elif isinstance(node, ast.UnaryOp):
-            if not isinstance(node.op, (ast.USub, ast.UAdd)):
-                raise ChartError("unsupported unary operator")
-        elif isinstance(node, ast.BinOp):
-            if not isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
-                raise ChartError("unsupported binary operator")
-        elif isinstance(node, ast.Call):
-            if not (isinstance(node.func, ast.Name) and node.func.id in _NUMERIC_FUNCS):
-                raise ChartError("only sin, cos, exp calls are allowed")
-            if len(node.args) != 1 or node.keywords:
-                raise ChartError("transcendental calls take exactly one argument")
-            check(node.args[0])
-            return
-        elif isinstance(node, (ast.operator, ast.unaryop)):
-            pass
-        else:
-            raise ChartError(f"unsupported syntax: {type(node).__name__}")
-        for child in ast.iter_child_nodes(node):
-            check(child)
-
-    check(tree)
-    code = compile(tree, "<chart-entry>", "eval")
-
-    def fn(point: Sequence[float]) -> float:
-        scope = dict(_NUMERIC_FUNCS)
-        for i, v in enumerate(point):
-            scope[f"x{i + 1}"] = float(v)
-        return float(eval(code, {"__builtins__": {}}, scope))
-
-    return fn
+    fn = _interpret(_parse(src), n, _NumericAlgebra)
+    return lambda point: float(fn(point))
 
 
 def _parse_bound(v) -> Fraction:

@@ -132,7 +132,7 @@ def cmd_geom_report(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        report = identity_report(chart, tol=cfg.tol, tol2=cfg.tol2, grid_points=cfg.grid)
+        report = identity_report(chart, tol=cfg.tol, grid_points=cfg.grid)
     except CalibrationError as exc:
         emit({
             "chart": chart.name,
@@ -245,7 +245,7 @@ def cmd_chern_simons(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        report = identity_report(chart, tol=cfg.tol, tol2=cfg.tol2, grid_points=cfg.grid)
+        report = identity_report(chart, tol=cfg.tol, grid_points=cfg.grid)
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL

@@ -2,16 +2,18 @@
 that decides local homogeneity.
 
 Forms of degree p store one scalar field per strictly increasing index
-tuple; access with an arbitrary tuple resolves the sign.  The wedge is
-the shuffle sum
+tuple and value entry; access with an arbitrary tuple resolves the sign.
+One form type carries both Hom(T,T) values and the plain values of a
+trace.  The wedge is the shuffle sum
 
     (w ^ s)(X_1 .. X_{p+q}) = sum over (p,q)-shuffles of
         sgn . w(block 1) o s(block 2),
 
 composition taken in Hom(T,T), which matches the 1/(p!q!)-normalized
-alternation of the componentwise product.  The two differentials d~ and d
-extend the two covariant derivatives of ``frames`` by the alternation
-"leading term minus single transpositions".
+alternation of the componentwise product.  The differential d~ extends
+the covariant derivative of ``frames`` by the alternation "leading term
+minus single transpositions"; d is d~ of the opposite connection, and the
+de Rham differential is the same alternation of partial derivatives.
 
 Sign calibration: transcribing the curvature, torsion and wedge
 conventions by hand leaves one global sign ambiguous in the structure
@@ -24,7 +26,7 @@ sign works raises ``CalibrationError`` carrying both residual tables.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product as iproduct
 from typing import Dict, List, Sequence, Tuple
 
 from .catalog import get_chart
@@ -32,19 +34,16 @@ from .frames import (
     ChartError,
     ConnectionField,
     FrameChart,
-    NumericScalar,
     ScalarField,
     curvature_components,
     curvature_tilde_components,
-    dl_scalar,
     dt_scalar,
+    field_const,
     field_is_exactly_zero,
-    field_zero,
     gamma_from_frame,
     nabla_tensor12,
     torsion_components,
 )
-from .rational import Poly, RationalFunc
 
 IndexTuple = Tuple[int, ...]
 
@@ -92,131 +91,82 @@ def _merge_sign(a: IndexTuple, b: IndexTuple) -> int:
 
 
 class HomForm:
-    """Alternating p-form with Hom(T,T) values over an n-dim chart."""
+    """Alternating p-form over an n-dim chart with Hom(T,T) or plain values.
 
-    __slots__ = ("n", "degree", "backend", "steps", "components")
+    A component is keyed ``(idx, *value)``: ``value`` is the Hom(T,T) entry
+    (i, j) when ``value_slots`` is 2, and empty for a plain form (the image
+    of the trace), which has ``value_slots`` 0.
+    """
+
+    __slots__ = ("n", "degree", "backend", "steps", "value_slots", "components")
 
     def __init__(self, n: int, degree: int, backend: str, steps=None,
-                 components: Dict[Tuple[IndexTuple, int, int], ScalarField] | None = None):
+                 components: Dict[tuple, ScalarField] | None = None, value_slots: int = 2):
         self.n = n
         self.degree = degree
         self.backend = backend
         self.steps = steps
-        self.components: Dict[Tuple[IndexTuple, int, int], ScalarField] = {}
+        self.value_slots = value_slots
+        self.components: Dict[tuple, ScalarField] = {}
         if components:
-            for (idx, i, j), f in components.items():
+            for (idx, *value), f in components.items():
                 idx = tuple(idx)
                 if len(idx) != degree or list(idx) != sorted(idx) or len(set(idx)) != len(idx):
                     raise ChartError(f"component key {idx} is not a canonical {degree}-tuple")
-                self.components[(idx, i, j)] = f
+                self.components[(idx, *value)] = f
 
-    def zero_scalar(self) -> ScalarField:
-        return field_zero(self.backend, self.n, self.steps)
-
-    def comp(self, idx: IndexTuple, i: int, j: int) -> ScalarField:
+    def comp(self, idx: IndexTuple, *value: int) -> ScalarField:
         canon, sign = _sort_with_sign(tuple(idx))
-        if sign == 0:
-            return self.zero_scalar()
-        f = self.components.get((canon, i, j))
+        f = self.components.get((canon, *value)) if sign else None
         if f is None:
-            return self.zero_scalar()
+            return field_const(self.backend, self.n, 0, self.steps)
         return f if sign == 1 else f.scale(-1)
 
-    def canonical_indices(self) -> List[IndexTuple]:
-        return [tuple(c) for c in combinations(range(self.n), self.degree)]
+    def _like(self, degree: int, components=None) -> HomForm:
+        """A form on the same chart, backend and value type."""
+        return HomForm(self.n, degree, self.backend, self.steps, components, self.value_slots)
 
     def __add__(self, other: HomForm) -> HomForm:
         self._check(other)
         out = dict(self.components)
         for key, f in other.components.items():
             out[key] = f if key not in out else out[key] + f
-        return HomForm(self.n, self.degree, self.backend, self.steps, out)
+        return self._like(self.degree, out)
 
     def __sub__(self, other: HomForm) -> HomForm:
         return self + other.scale(-1)
 
     def scale(self, value) -> HomForm:
-        return HomForm(self.n, self.degree, self.backend, self.steps,
-                       {k: f.scale(value) for k, f in self.components.items()})
+        return self._like(self.degree, {k: f.scale(value) for k, f in self.components.items()})
 
     def _check(self, other: HomForm) -> None:
-        if self.n != other.n or self.degree != other.degree or self.backend != other.backend:
-            raise ChartError("forms must share dimension, degree and backend")
+        if (self.n != other.n or self.degree != other.degree or self.backend != other.backend
+                or self.value_slots != other.value_slots):
+            raise ChartError("forms must share dimension, degree, backend and value type")
 
     def is_exactly_zero(self) -> bool:
         return all(field_is_exactly_zero(f) for f in self.components.values())
 
     def max_abs(self, points: Sequence[Tuple[float, ...]]) -> float:
-        worst = 0.0
-        for key, f in self.components.items():
-            for p in points:
-                worst = max(worst, abs(f.eval_float(p)))
-        return worst
+        return _grid_max(self.components.values(), points)
 
     def __repr__(self):
         return f"HomForm(n={self.n}, degree={self.degree}, backend={self.backend})"
 
 
-class ScalarForm:
-    """Plain alternating p-form (the image of the trace)."""
-
-    __slots__ = ("n", "degree", "backend", "steps", "components")
-
-    def __init__(self, n: int, degree: int, backend: str, steps=None,
-                 components: Dict[IndexTuple, ScalarField] | None = None):
-        self.n = n
-        self.degree = degree
-        self.backend = backend
-        self.steps = steps
-        self.components = dict(components) if components else {}
-
-    def zero_scalar(self) -> ScalarField:
-        return field_zero(self.backend, self.n, self.steps)
-
-    def comp(self, idx: IndexTuple) -> ScalarField:
-        canon, sign = _sort_with_sign(tuple(idx))
-        if sign == 0:
-            return self.zero_scalar()
-        f = self.components.get(canon)
-        if f is None:
-            return self.zero_scalar()
-        return f if sign == 1 else f.scale(-1)
-
-    def is_exactly_zero(self) -> bool:
-        return all(field_is_exactly_zero(f) for f in self.components.values())
-
-    def max_abs(self, points: Sequence[Tuple[float, ...]]) -> float:
-        worst = 0.0
-        for f in self.components.values():
-            for p in points:
-                worst = max(worst, abs(f.eval_float(p)))
-        return worst
-
-    def __sub__(self, other: ScalarForm) -> ScalarForm:
-        out = dict(self.components)
-        for key, f in other.components.items():
-            neg = f.scale(-1)
-            out[key] = neg if key not in out else out[key] + neg
-        return ScalarForm(self.n, self.degree, self.backend, self.steps, out)
-
-    def __repr__(self):
-        return f"ScalarForm(n={self.n}, degree={self.degree}, backend={self.backend})"
+def _grid_max(fields, points) -> float:
+    worst = 0.0
+    for f in fields:
+        for p in points:
+            worst = max(worst, abs(f.eval_float(p)))
+    return worst
 
 
 # --- basic constructions ------------------------------------------------------
 
-def hom_zero(n: int, degree: int, backend: str, steps=None) -> HomForm:
-    return HomForm(n, degree, backend, steps)
-
-
 def identity_hom_form(n: int, backend: str = "exact", steps=None) -> HomForm:
-    comps = {}
-    for i in range(n):
-        if backend == "exact":
-            comps[((), i, i)] = RationalFunc(Poly.const(n, 1))
-        else:
-            comps[((), i, i)] = NumericScalar.const(n, 1.0)
-    return HomForm(n, 0, backend, steps, comps)
+    one = field_const(backend, n, 1, steps)
+    return HomForm(n, 0, backend, steps, {((), i, i): one for i in range(n)})
 
 
 def torsion_form(conn: ConnectionField) -> HomForm:
@@ -272,46 +222,34 @@ def d_tilde(conn: ConnectionField, omega: HomForm) -> HomForm:
 
 
 def d_lower(conn: ConnectionField, omega: HomForm) -> HomForm:
-    """The companion differential built from the transposed contractions;
-    does not square to zero in general."""
-    return _alternated_differential(conn, omega, dl_scalar)
+    """The companion differential: d~ of the opposite connection; does not
+    square to zero in general."""
+    return _alternated_differential(conn.transposed(), omega, dt_scalar)
 
 
 def _alternated_differential(conn, omega: HomForm, scalar_op) -> HomForm:
+    """Sum over the out positions m of (-1)^m ``scalar_op`` in direction r_m
+    of omega with r_m left out; the value slots of omega pass through."""
     n, p = omega.n, omega.degree
     if p >= n:
-        return hom_zero(n, p + 1, omega.backend, omega.steps)
+        return omega._like(p + 1)
     comps = {}
     for out_idx in combinations(range(n), p + 1):
-        for i in range(n):
-            for j in range(n):
-                acc = None
-                for m, r in enumerate(out_idx):
-                    rest = out_idx[:m] + out_idx[m + 1:]
-                    term = scalar_op(conn, lambda a, b, rest=rest: omega.comp(rest, a, b), r, i, j)
-                    if m % 2 == 1:
-                        term = term.scale(-1)
-                    acc = term if acc is None else acc + term
-                comps[(tuple(out_idx), i, j)] = acc
-    return HomForm(n, p + 1, omega.backend, omega.steps, comps)
+        for value in iproduct(range(n), repeat=omega.value_slots):
+            acc = None
+            for m, r in enumerate(out_idx):
+                rest = out_idx[:m] + out_idx[m + 1:]
+                term = scalar_op(conn, lambda *v, rest=rest: omega.comp(rest, *v), r, *value)
+                if m % 2 == 1:
+                    term = term.scale(-1)
+                acc = term if acc is None else acc + term
+            comps[(tuple(out_idx), *value)] = acc
+    return omega._like(p + 1, comps)
 
 
-def de_rham(phi: ScalarForm) -> ScalarForm:
+def de_rham(phi: HomForm) -> HomForm:
     """Exterior derivative on plain forms, same alternation convention."""
-    n, p = phi.n, phi.degree
-    if p >= n:
-        return ScalarForm(n, p + 1, phi.backend, phi.steps)
-    comps = {}
-    for out_idx in combinations(range(n), p + 1):
-        acc = None
-        for m, r in enumerate(out_idx):
-            rest = out_idx[:m] + out_idx[m + 1:]
-            term = phi.comp(rest).diff(r)
-            if m % 2 == 1:
-                term = term.scale(-1)
-            acc = term if acc is None else acc + term
-        comps[tuple(out_idx)] = acc
-    return ScalarForm(n, p + 1, phi.backend, phi.steps, comps)
+    return _alternated_differential(None, phi, lambda conn, get, r: get().diff(r))
 
 
 def wedge(a: HomForm, b: HomForm) -> HomForm:
@@ -321,7 +259,7 @@ def wedge(a: HomForm, b: HomForm) -> HomForm:
     n = a.n
     p, q = a.degree, b.degree
     if p + q > n:
-        return hom_zero(n, p + q, a.backend, a.steps or b.steps)
+        return HomForm(n, p + q, a.backend, a.steps or b.steps)
     comps = {}
     for out_idx in combinations(range(n), p + q):
         for i in range(n):
@@ -342,7 +280,7 @@ def wedge(a: HomForm, b: HomForm) -> HomForm:
     return HomForm(n, p + q, a.backend, a.steps or b.steps, comps)
 
 
-def trace_form(omega: HomForm) -> ScalarForm:
+def trace_form(omega: HomForm) -> HomForm:
     """Contract the Hom value: (Tr w)_I = w^a_{I,a}."""
     comps = {}
     for idx in combinations(range(omega.n), omega.degree):
@@ -350,8 +288,8 @@ def trace_form(omega: HomForm) -> ScalarForm:
         for a in range(omega.n):
             term = omega.comp(tuple(idx), a, a)
             acc = term if acc is None else acc + term
-        comps[tuple(idx)] = acc
-    return ScalarForm(omega.n, omega.degree, omega.backend, omega.steps, comps)
+        comps[(tuple(idx),)] = acc
+    return HomForm(omega.n, omega.degree, omega.backend, omega.steps, comps, value_slots=0)
 
 
 def wedge_power(omega: HomForm, i: int) -> HomForm:
@@ -363,7 +301,7 @@ def wedge_power(omega: HomForm, i: int) -> HomForm:
 
 # --- residual machinery -------------------------------------------------------
 
-def form_residual(form: HomForm | ScalarForm, points) -> float:
+def form_residual(form: HomForm, points) -> float:
     """0.0 for literal zero on the exact backend, else a grid max-abs."""
     if form.backend == "exact" and form.is_exactly_zero():
         return 0.0
@@ -403,11 +341,7 @@ def nabla_torsion_minus_curvature(conn: ConnectionField, sign: int,
 def scalars_residual(fields: Sequence[ScalarField], backend: str, points) -> float:
     if backend == "exact" and all(field_is_exactly_zero(f) for f in fields):
         return 0.0
-    worst = 0.0
-    for f in fields:
-        for p in points:
-            worst = max(worst, abs(f.eval_float(p)))
-    return worst
+    return _grid_max(fields, points)
 
 
 _GLOBAL_SIGN: int | None = None
@@ -431,15 +365,14 @@ def global_structure_sign() -> int:
     return _GLOBAL_SIGN
 
 
-def identity_report(chart: FrameChart, tol: float = 1e-6, tol2: float = 1e-4,
-                    grid_points: int = 5) -> dict:
+def identity_report(chart: FrameChart, tol: float = 1e-6, grid_points: int = 5) -> dict:
     """Compute the full residual table for one chart.
 
     Returns the report dictionary; raises CalibrationError when the
-    structure equation fails for both signs (a reportable finding).
-    Identity residuals are gated by ``tol`` (single covariant derivative)
-    or ``tol2`` (nested derivatives); the homogeneity verdict compares
-    max |R| against ``tol`` and is data, never an error.
+    structure equation fails for both signs (a reportable finding), where
+    a sign passes when its structure residual is at most ``tol``.  The
+    homogeneity verdict compares max |R| against ``tol`` and is data,
+    never an error; ``identity_residuals_pass`` gates the residuals.
     """
     chart.validate_invertible(grid_points)
     conn = gamma_from_frame(chart)
@@ -460,10 +393,8 @@ def identity_report(chart: FrameChart, tol: float = 1e-6, tol2: float = 1e-4,
     sign = global_structure_sign()
     candidates = {1: res_plus, -1: res_minus}
     passing = {s for s, res in candidates.items() if res <= tol}
-    if not passing:
-        raise CalibrationError(chart.name, {"structure": res_plus}, {"structure": res_minus})
     if sign not in passing:
-        # a sign works here but disagrees with the global calibration
+        # no sign works here, or only the one the global calibration rejects
         raise CalibrationError(chart.name, {"structure": res_plus}, {"structure": res_minus})
     res_structure = candidates[sign]
 
@@ -537,7 +468,7 @@ def trace_powers(chart: FrameChart, max_i: int, sign: int | None = None) -> dict
 
 
 def secondary_class_check(chart: FrameChart, i: int, tol: float = 1e-6,
-                          tol2: float = 1e-4, grid_points: int = 5) -> tuple[ScalarForm, bool | None]:
+                          tol2: float = 1e-4, grid_points: int = 5) -> tuple[HomForm, bool | None]:
     """Tr(T^{2i+1}) and, on homogeneous charts, whether it is closed.
 
     On charts that are not locally homogeneous the form is still returned

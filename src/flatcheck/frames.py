@@ -7,10 +7,12 @@ the connection
     Gamma^i_{jk}(x) = sum_a d_j e^i_a(x) . (e(x)^-1)^a_k,
 
 with j the derivative slot and k the frame slot.  From Gamma come the
-torsion, the covariant derivative, and the two curvatures: the "flat" one
-that vanishes identically for every frame-derived connection (that
-vanishing pins the index conventions above), and the one whose vanishing
-is equivalent to local homogeneity of the chart.
+torsion, the covariant derivative, and the curvature.  Applied to Gamma
+itself the curvature is "flat": it vanishes identically for every
+frame-derived connection, and that vanishing pins the index conventions
+above.  The same formula applied to the opposite connection Gamma^i_{kj}
+gives the obstruction, whose vanishing is equivalent to local homogeneity
+of the chart.
 
 Two scalar-field backends implement the same operations:
 
@@ -111,10 +113,10 @@ class NumericScalar:
 ScalarField = RationalFunc | NumericScalar
 
 
-def field_zero(backend: str, n: int, steps=None) -> ScalarField:
+def field_const(backend: str, n: int, value, steps=None) -> ScalarField:
     if backend == "exact":
-        return RationalFunc(Poly.zero(n))
-    return NumericScalar.const(n, 0.0, steps or (DEFAULT_FD_STEP, DEFAULT_FD_STEP2))
+        return RationalFunc.const(n, value)
+    return NumericScalar.const(n, value, steps or (DEFAULT_FD_STEP, DEFAULT_FD_STEP2))
 
 
 def field_is_exactly_zero(f: ScalarField) -> bool:
@@ -145,7 +147,10 @@ class FrameChart:
             self._det = matrix_determinant(self.entries)
             if self._det.is_zero():
                 raise ChartError(f"frame of chart '{name}' is singular as a matrix of functions")
-            self._memo = None
+            # the distinct denominator factors of det e and of the entries:
+            # an entry can have a pole where det e has none
+            fields = [self._det] + [e for row in self.entries for e in row]
+            self._den_factors = list(dict.fromkeys(f for e in fields for f in e.den))
         else:
             self.backend = "numeric"
             raw = evaluator
@@ -159,7 +164,6 @@ class FrameChart:
                 return got
 
             self.evaluator = cached
-            self._memo = memo
 
     def grid(self, points_per_axis: int = 5) -> List[Tuple[float, ...]]:
         if points_per_axis < 2:
@@ -179,18 +183,21 @@ class FrameChart:
         return [tuple(p) for p in iproduct(*axes)]
 
     def validate_invertible(self, points_per_axis: int = 5) -> None:
-        """Check det e is finite and nonzero on the evaluation grid (exactly, when exact)."""
+        """Check e is finite and det e nonzero on the evaluation grid (exactly, when exact)."""
         if self.backend == "exact":
             for p in self.rational_grid(points_per_axis):
-                try:
-                    det = self._det.eval(p)
-                except ZeroDivisionError:
-                    raise ChartError(f"frame of chart '{self.name}' has a pole at {p}") from None
-                if det == 0:
+                if any(f.eval(p) == 0 for f in self._den_factors):
+                    raise ChartError(f"frame of chart '{self.name}' has a pole at {p}")
+                if self._det.eval(p) == 0:
                     raise ChartError(f"frame of chart '{self.name}' is singular at {p}")
         else:
             for p in self.grid(points_per_axis):
-                if abs(np.linalg.det(self.evaluator(p))) < 1e-12:
+                try:
+                    det = np.linalg.det(self.evaluator(p))
+                except (ZeroDivisionError, OverflowError) as exc:
+                    raise ChartError(
+                        f"frame of chart '{self.name}' cannot be evaluated at {p}: {exc}") from None
+                if abs(det) < 1e-12:
                     raise ChartError(f"frame of chart '{self.name}' is singular at {p}")
 
     def rescaled_by_constant(self, matrix: Sequence[Sequence]) -> FrameChart:
@@ -218,6 +225,14 @@ class ConnectionField:
 
     def comp(self, i: int, j: int, k: int) -> ScalarField:
         return self.gamma[i][j][k]
+
+    def transposed(self) -> ConnectionField:
+        """The opposite connection Gamma^i_{kj}, sharing the scalar objects
+        (and so the numeric evaluation caches) of this one."""
+        gamma = [[[self.gamma[i][k][j] for k in range(self.n)] for j in range(self.n)]
+                 for i in range(self.n)]
+        return ConnectionField(self.n, self.backend, gamma, self.fd_steps)
+
 
 def gamma_from_frame(chart: FrameChart) -> ConnectionField:
     """The connection of the parallelism: Gamma^i_{jk} = d_j e . e^-1."""
@@ -282,12 +297,8 @@ def dt_scalar(conn: ConnectionField, get: Callable[[int, int], ScalarField],
 
 def dl_scalar(conn: ConnectionField, get: Callable[[int, int], ScalarField],
               r: int, i: int, j: int) -> ScalarField:
-    """The companion derivative with transposed connection slots."""
-    acc = get(i, j).diff(r)
-    for a in range(conn.n):
-        acc = acc - conn.comp(i, a, r) * get(a, j)
-        acc = acc + conn.comp(a, j, r) * get(i, a)
-    return acc
+    """The companion derivative: ``dt_scalar`` of the opposite connection."""
+    return dt_scalar(conn.transposed(), get, r, i, j)
 
 
 def nabla_vector(conn: ConnectionField, xi: Sequence[ScalarField], r: int) -> List[ScalarField]:
@@ -354,20 +365,9 @@ def curvature_tilde_components(conn: ConnectionField) -> Dict[Tuple[int, int, in
 def curvature_components(conn: ConnectionField) -> Dict[Tuple[int, int, int, int], ScalarField]:
     """The homogeneity obstruction, keyed (i, r, j, k) with form pair (r, j).
 
-    Componentwise [d_r Gamma^i_{kj} + Gamma^a_{kr} Gamma^i_{aj}]
-    antisymmetrized in (r, j); vanishes exactly when the chart is locally
-    a Lie group.
+    The formula of ``curvature_tilde_components`` (flat on Gamma itself)
+    applied to the opposite connection: componentwise
+    [d_r Gamma^i_{kj} + Gamma^a_{kr} Gamma^i_{aj}] antisymmetrized in
+    (r, j); vanishes exactly when the chart is locally a Lie group.
     """
-    n = conn.n
-    out = {}
-    for i in range(n):
-        for r in range(n):
-            for j in range(n):
-                for k in range(n):
-                    def half(rr, jj):
-                        acc = conn.comp(i, k, jj).diff(rr)
-                        for a in range(n):
-                            acc = acc + conn.comp(a, k, rr) * conn.comp(i, a, jj)
-                        return acc
-                    out[(i, r, j, k)] = half(r, j) - half(j, r)
-    return out
+    return curvature_tilde_components(conn.transposed())

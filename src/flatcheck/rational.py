@@ -221,10 +221,6 @@ class RationalFunc:
         self._reduce()
 
     @staticmethod
-    def from_poly(p: Poly) -> RationalFunc:
-        return RationalFunc(p)
-
-    @staticmethod
     def const(n: int, value) -> RationalFunc:
         return RationalFunc(Poly.const(n, value))
 
@@ -315,6 +311,13 @@ class RationalFunc:
         if monic.is_const():
             return RationalFunc(num.scale(1 / lc))
         return RationalFunc(num.scale(1 / lc), {monic: 1})
+
+    def __pow__(self, exp: int) -> RationalFunc:
+        """Integer power by |exp| multiplications, inverted when exp < 0."""
+        out = RationalFunc.const(self.n, 1)
+        for _ in range(abs(exp)):
+            out = out * self
+        return out.inverse() if exp < 0 else out
 
     def __truediv__(self, other: RationalFunc) -> RationalFunc:
         return self * other.inverse()

@@ -132,7 +132,7 @@ def algebraic_bracket(a: PointJet, b: PointJet) -> PointJet:
         raise JetError("jets must share dimension and order")
     if a.k < 1:
         raise JetError("the algebraic bracket needs order k >= 1")
-    bracket = _poly_bracket(a.taylor_polys(), b.taylor_polys())
+    bracket = vector_field_bracket(a.taylor_polys(), b.taylor_polys())
     return point_jet_from_polys(bracket, a.k - 1, a.point)
 
 
@@ -147,16 +147,17 @@ def kernel_bracket(a: PointJet, b: PointJet) -> PointJet:
         raise JetError("kernel_bracket requires jets with vanishing order-0 part")
     if a.point != b.point or a.n != b.n or a.k != b.k:
         raise JetError("jets must share base point, dimension and order")
-    bracket = _poly_bracket(a.taylor_polys(), b.taylor_polys())
+    bracket = vector_field_bracket(a.taylor_polys(), b.taylor_polys())
     return point_jet_from_polys(bracket, a.k, a.point)
 
 
-def _poly_bracket(v: Sequence[Poly], w: Sequence[Poly]) -> List[Poly]:
-    n = v[0].n
+def vector_field_bracket(v: Sequence[Poly | RationalFunc],
+                         w: Sequence[Poly | RationalFunc]) -> list:
+    """[v, w]^i = v^c d_c w^i - w^c d_c v^i, over Poly or RationalFunc components."""
     out = []
-    for i in range(n):
-        acc = Poly.zero(n)
-        for c in range(n):
+    for i in range(len(v)):
+        acc = v[i].scale(0)
+        for c in range(len(v)):
             acc = acc + v[c] * w[i].diff(c) - w[c] * v[i].diff(c)
         out.append(acc)
     return out

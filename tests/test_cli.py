@@ -101,6 +101,28 @@ MALFORMED = {
     "pole-chart": (["geom", "report", "--chart"], {
         "name": "pole", "n": 2, "domain": [[-1, 1], [-1, 1]],
         "frame": [["1/x1", "0"], ["0", "1"]]}),  # det = 1/x1 has a pole on the grid
+    "entry-pole": (["geom", "report", "--chart"], {
+        "name": "pole", "n": 2, "domain": [[-1, 1], [-1, 1]],
+        "frame": [["1/x1", "0"], ["0", "x1"]]}),  # det = 1, but an entry has a pole
+    "numeric-entry-pole": (["geom", "report", "--chart"], {
+        "name": "pole", "n": 2, "domain": [[-1, 1], [1, 2]],
+        "frame": [["sin(x2)/x1", "0"], ["0", "x1"]]}),
+    "zero-divisor": (["geom", "report", "--chart"], {
+        "name": "zero", "n": 2, "domain": [[1, 2], [1, 2]],
+        "frame": [["1/(x1 - x1)", "0"], ["0", "1"]]}),
+    # the exponent rules hold on the numeric backend too, also after a call
+    "fractional-exponent": (["geom", "report", "--chart"], {
+        "name": "root", "n": 2, "domain": [[1, 2], [1, 2]],
+        "frame": [["sin(x2) + x1**0.5", "0"], ["0", "1"]]}),
+    "variable-exponent": (["geom", "report", "--chart"], {
+        "name": "power", "n": 2, "domain": [[1, 2], [1, 2]],
+        "frame": [["sin(x2)*x1**x2", "0"], ["0", "1"]]}),
+    "unhashable-exponent": (["geom", "report", "--chart"], {
+        "name": "power", "n": 2, "domain": [[1, 2], [1, 2]],
+        "frame": [["x1**{[]: 1}", "0"], ["0", "1"]]}),
+    "huge-exponent": (["geom", "report", "--chart"], {
+        "name": "power", "n": 2, "domain": [[1, 2], [1, 2]],
+        "frame": [["x1^2000000", "0"], ["0", "1"]]}),
     "jet-num": (["jet", "invert"], {
         "n": 1, "k": 2,
         "components": [[{"multiindex": [1], "num": "abc", "den": "1"}]]}),
@@ -115,11 +137,21 @@ def test_malformed_document_exits_one_with_one_line(tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
     proc = subprocess.run([sys.executable, "-m", "flatcheck.cli", *argv, str(path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=30)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_exponent_cap_is_inclusive_on_both_backends():
+    from flatcheck.charts_io import MAX_EXPONENT, parse_exact_expr, parse_numeric_expr
+    from flatcheck.frames import ChartError
+    assert parse_exact_expr(f"x1^{MAX_EXPONENT}", 1).num.degree() == MAX_EXPONENT
+    assert parse_numeric_expr(f"x1^-{MAX_EXPONENT}", 1)((2.0,)) == 2.0 ** -MAX_EXPONENT
+    for parse in (parse_exact_expr, parse_numeric_expr):
+        with pytest.raises(ChartError):
+            parse(f"x1^{MAX_EXPONENT + 1}", 1)
 
 
 def test_geom_report_numeric_chart_file(tmp_path):
@@ -302,7 +334,7 @@ def test_calibration_failure_exit_code(monkeypatch):
     from flatcheck import cli as cli_mod
     from flatcheck.forms import CalibrationError
 
-    def boom(chart, tol, tol2, grid_points):
+    def boom(chart, tol, grid_points):
         raise CalibrationError(chart.name, {"structure": 1.0}, {"structure": 2.0})
 
     monkeypatch.setattr(cli_mod, "identity_report", boom)
@@ -318,8 +350,8 @@ def test_residual_failure_exit_code(monkeypatch):
 
     real = cli_mod.identity_report
 
-    def tampered(chart, tol, tol2, grid_points):
-        rep = real(chart, tol=tol, tol2=tol2, grid_points=grid_points)
+    def tampered(chart, tol, grid_points):
+        rep = real(chart, tol=tol, grid_points=grid_points)
         rep["residuals"]["bianchi"] = 1.0
         return rep
 

@@ -283,3 +283,15 @@ def test_numeric_scalar_derivative_accuracy():
     assert abs(df.eval_float((0.3, 0.7)) - math.cos(0.3) * math.cos(0.7)) < 1e-10
     d2f = df.diff(1)
     assert abs(d2f.eval_float((0.3, 0.7)) + math.cos(0.3) * math.sin(0.7)) < 1e-7
+
+
+def test_transposed_connection_swaps_lower_slots_and_shares_fields():
+    # the same scalar objects, so numeric evaluation caches stay shared
+    for conn in (gamma_from_frame(make_unipotent4()),
+                 gamma_from_frame(get_chart("su2-euler"))):
+        opp = conn.transposed()
+        n = conn.n
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    assert opp.comp(i, j, k) is conn.comp(i, k, j)
