@@ -26,9 +26,8 @@ from .jetcore import (
     invert_truncated,
     map_from_json,
     map_to_json,
-    matrix_determinant,
 )
-from .rational import frac_str
+from .rational import frac_str, matrix_determinant
 
 
 class ArrowError(ValueError):

@@ -8,7 +8,9 @@ A chart document is either {"builtin": name} or
 with entries written in one expression grammar for both backends:
 variables x1..xn, integer and decimal literals, + - * /, powers (** or ^)
 whose exponent is an integer literal of absolute value at most
-MAX_EXPONENT, and sin/cos/exp of one argument.
+MAX_EXPONENT, and sin/cos/exp of one argument.  On the exact backend no
+numerator or denominator factor may grow past MAX_TERMS terms, checked as
+each product is formed.
 
 One interpreter walks the syntax tree of an entry and builds its value in
 a scalar algebra: exact RationalFuncs, or numeric closures of the point.
@@ -40,6 +42,8 @@ _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
 _VAR_RE = re.compile(r"^x([1-9]\d*)$")
 # an exact power costs |exponent| multiplications
 MAX_EXPONENT = 64
+# and an exact product of two factors up to MAX_TERMS**2 coefficient products
+MAX_TERMS = 256
 
 
 class _NeedsNumeric(Exception):
@@ -60,7 +64,17 @@ class _ExactAlgebra:
 
     @staticmethod
     def apply(op, *args) -> RationalFunc:
-        return op(*args)
+        f = op(*args)
+        if any(len(p.coeffs) > MAX_TERMS for p in (f.num, *f.den)):
+            raise ChartError(f"an exact entry has a factor of more than {MAX_TERMS} terms")
+        return f
+
+    @staticmethod
+    def power(base: RationalFunc, exp: int) -> RationalFunc:
+        out = RationalFunc.const(base.n, 1)
+        for _ in range(abs(exp)):
+            out = _ExactAlgebra.apply(operator.mul, out, base)
+        return out.inverse() if exp < 0 else out
 
     @staticmethod
     def call(name: str, arg):
@@ -85,6 +99,10 @@ class _NumericAlgebra:
             return lambda x: op(a(x))
         a, b = args
         return lambda x: op(a(x), b(x))
+
+    @staticmethod
+    def power(base, exp: int):
+        return _NumericAlgebra.apply(lambda b: b ** exp, base)
 
     @staticmethod
     def call(name: str, arg):
@@ -126,7 +144,7 @@ def _interpret(node, n: int, algebra):
             exp = sign * lit.value
             if abs(exp) > MAX_EXPONENT:
                 raise ChartError(f"exponent {exp} exceeds the limit of {MAX_EXPONENT}")
-            return algebra.apply(lambda b: b ** exp, base)
+            return algebra.power(base, exp)
         op = _BINARY_OPS.get(type(node.op))
         if op is None:
             raise ChartError("unsupported binary operator")

@@ -133,6 +133,9 @@ def cmd_geom_report(args) -> int:
         return EXIT_INPUT
     try:
         report = identity_report(chart, tol=cfg.tol, grid_points=cfg.grid)
+    except ChartError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except CalibrationError as exc:
         emit({
             "chart": chart.name,
@@ -246,19 +249,23 @@ def cmd_chern_simons(args) -> int:
         return EXIT_INPUT
     try:
         report = identity_report(chart, tol=cfg.tol, grid_points=cfg.grid)
+        form, closed = secondary_class_check(chart, 1, tol=cfg.tol, tol2=cfg.tol2,
+                                             grid_points=cfg.grid)
+        points = chart.rational_grid(cfg.grid) if chart.backend == "exact" else chart.grid(cfg.grid)
+        form_max = form_residual(form, points)
+    except ChartError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
-    form, closed = secondary_class_check(chart, 1, tol=cfg.tol, tol2=cfg.tol2,
-                                         grid_points=cfg.grid)
-    points = chart.rational_grid(cfg.grid) if chart.backend == "exact" else chart.grid(cfg.grid)
     doc = {
         "chart": chart.name,
         "backend": report["backend"],
         "sign": report["sign"],
         "chern_simons_residual": report["residuals"]["chern_simons"],
         "secondary_class_degree": form.degree,
-        "secondary_class_max_abs": form_residual(form, points),
+        "secondary_class_max_abs": form_max,
         "secondary_class_closed": closed,
         "locally_homogeneous": report["locally_homogeneous"],
     }

@@ -25,6 +25,7 @@ sign works raises ``CalibrationError`` carrying both residual tables.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 from typing import Dict, List, Sequence, Tuple
@@ -155,10 +156,15 @@ class HomForm:
 
 
 def _grid_max(fields, points) -> float:
+    """Max |f| over the grid.  A value that is not finite is a ChartError:
+    max() would drop a NaN and a residual of inf says nothing."""
     worst = 0.0
     for f in fields:
         for p in points:
-            worst = max(worst, abs(f.eval_float(p)))
+            v = abs(f.eval_float(p))
+            if not math.isfinite(v):
+                raise ChartError(f"a field is not finite at {tuple(map(float, p))}")
+            worst = max(worst, v)
     return worst
 
 

@@ -135,7 +135,7 @@ class FrameChart:
             raise ChartError("provide exactly one of exact entries or a numeric evaluator")
         self.name = name
         self.n = n
-        self.domain = [(float(lo), float(hi)) for lo, hi in domain]
+        self.domain = [(Fraction(lo), Fraction(hi)) for lo, hi in domain]
         if len(self.domain) != n or any(lo >= hi for lo, hi in self.domain):
             raise ChartError(f"domain must be {n} nonempty intervals")
         self.fd_steps = fd_steps
@@ -170,6 +170,7 @@ class FrameChart:
             raise ChartError("need at least 2 grid points per axis")
         axes = []
         for lo, hi in self.domain:
+            lo, hi = float(lo), float(hi)
             axes.append([lo + (hi - lo) * t / (points_per_axis - 1)
                          for t in range(points_per_axis)])
         return [tuple(p) for p in iproduct(*axes)]
@@ -177,8 +178,7 @@ class FrameChart:
     def rational_grid(self, points_per_axis: int = 5) -> List[Tuple[Fraction, ...]]:
         axes = []
         for lo, hi in self.domain:
-            flo, fhi = Fraction(lo).limit_denominator(10 ** 6), Fraction(hi).limit_denominator(10 ** 6)
-            axes.append([flo + (fhi - flo) * Fraction(t, points_per_axis - 1)
+            axes.append([lo + (hi - lo) * Fraction(t, points_per_axis - 1)
                          for t in range(points_per_axis)])
         return [tuple(p) for p in iproduct(*axes)]
 
@@ -193,11 +193,13 @@ class FrameChart:
         else:
             for p in self.grid(points_per_axis):
                 try:
-                    det = np.linalg.det(self.evaluator(p))
+                    e = self.evaluator(p)
                 except (ZeroDivisionError, OverflowError) as exc:
                     raise ChartError(
                         f"frame of chart '{self.name}' cannot be evaluated at {p}: {exc}") from None
-                if abs(det) < 1e-12:
+                if not np.isfinite(e).all():
+                    raise ChartError(f"frame of chart '{self.name}' is not finite at {p}")
+                if abs(np.linalg.det(e)) < 1e-12:
                     raise ChartError(f"frame of chart '{self.name}' is singular at {p}")
 
     def rescaled_by_constant(self, matrix: Sequence[Sequence]) -> FrameChart:

@@ -1,11 +1,11 @@
 """Truncated multivariate polynomial maps with exact rational coefficients.
 
-A ``TruncatedPoly`` stores Taylor coefficients (not derivative components)
-keyed by multi-index, truncated at a fixed order ``k``; a ``TruncatedMap``
-bundles ``n`` of them into a polynomial map of R^n.  Composition, inversion
-and projection re-truncate at every step, so the classes model finite jets
-rather than honest polynomials: two maps that agree through order ``k``
-are equal objects.
+A ``TruncatedPoly`` is a ``Poly`` of Taylor coefficients (not derivative
+components) keyed by multi-index that drops every term above a fixed order
+``k``; a ``TruncatedMap`` bundles ``n`` of them into a polynomial map of
+R^n.  Products, composition, inversion and projection re-truncate at every
+step, so the classes model finite jets rather than honest polynomials: two
+maps that agree through order ``k`` are equal objects.
 
 Conversion between Taylor coefficients and derivative components is the
 multi-index factorial; ``derivative_component`` / ``from_derivatives`` fix
@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
-from .rational import matrix_determinant  # noqa: F401 - re-exported for arrows
-from .rational import grlex_key, rf_matrix_inverse
+from .rational import matrix_determinant  # noqa: F401 - re-exported for the tests
+from .rational import Poly, grlex_key, rf_matrix_inverse, unit_mono
 
 MultiIndex = Tuple[int, ...]
 
@@ -58,35 +58,31 @@ def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(x + y for x, y in zip(a, b))
 
 
-class TruncatedPoly:
-    """One scalar component of a jet: Taylor coefficients up to order k."""
+class TruncatedPoly(Poly):
+    """One scalar component of a jet: a Poly of Taylor coefficients up to
+    order k, whose products and derivatives re-truncate."""
 
-    __slots__ = ("n", "k", "coeffs")
+    __slots__ = ("k",)
 
     def __init__(self, n: int, k: int, coeffs: Dict[MultiIndex, Fraction] | None = None):
         if n < 1:
             raise JetError(f"dimension must be >= 1, got {n}")
         if k < 0:
             raise JetError(f"truncation order must be >= 0, got {k}")
-        self.n = n
+        kept = {}
+        for mono, c in (coeffs or {}).items():
+            mono = tuple(mono)
+            if len(mono) != n:
+                raise JetError(f"multi-index {mono} has wrong length for n={n}")
+            if sum(mono) <= k:
+                kept[mono] = c
+        super().__init__(n, kept)
         self.k = k
-        self.coeffs: Dict[MultiIndex, Fraction] = {}
-        if coeffs:
-            for mono, c in coeffs.items():
-                mono = tuple(mono)
-                if len(mono) != n:
-                    raise JetError(f"multi-index {mono} has wrong length for n={n}")
-                if sum(mono) > k:
-                    continue
-                c = Fraction(c)
-                if c:
-                    self.coeffs[mono] = c
 
-    def copy(self) -> TruncatedPoly:
-        return TruncatedPoly(self.n, self.k, self.coeffs)
-
-    def coeff(self, mono: MultiIndex) -> Fraction:
-        return self.coeffs.get(tuple(mono), Fraction(0))
+    def _like(self, coeffs: Dict[MultiIndex, Fraction]) -> TruncatedPoly:
+        res = super()._like(coeffs)
+        res.k = self.k
+        return res
 
     def derivative_component(self, mono: MultiIndex) -> Fraction:
         """The value of the |mono|-th partial derivative at the base point."""
@@ -103,25 +99,11 @@ class TruncatedPoly:
             self.coeffs.pop(mono, None)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, TruncatedPoly) and self.n == other.n
-                and self.k == other.k and self.coeffs == other.coeffs)
+        return isinstance(other, TruncatedPoly) and self.k == other.k and super().__eq__(other)
 
     def __add__(self, other: TruncatedPoly) -> TruncatedPoly:
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return TruncatedPoly(self.n, self.k, out)
-
-    def __neg__(self) -> TruncatedPoly:
-        return TruncatedPoly(self.n, self.k, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other: TruncatedPoly) -> TruncatedPoly:
-        return self + (-other)
+        return super().__add__(other)
 
     def __mul__(self, other: TruncatedPoly) -> TruncatedPoly:
         self._check_compatible(other)
@@ -137,38 +119,22 @@ class TruncatedPoly:
                     out[mono] = s
                 else:
                     out.pop(mono, None)
-        return TruncatedPoly(self.n, self.k, out)
-
-    def scale(self, value) -> TruncatedPoly:
-        c = Fraction(value)
-        return TruncatedPoly(self.n, self.k, {m: c * v for m, v in self.coeffs.items()})
+        return self._like(out)
 
     def diff(self, idx: int) -> TruncatedPoly:
         """Formal partial derivative; the order drops by one."""
-        if self.k == 0:
-            return TruncatedPoly(self.n, 0)
-        out: Dict[MultiIndex, Fraction] = {}
-        for mono, c in self.coeffs.items():
-            e = mono[idx]
-            if e == 0:
-                continue
-            m = list(mono)
-            m[idx] = e - 1
-            out[tuple(m)] = c * e
-        return TruncatedPoly(self.n, self.k - 1, out)
+        out = super().diff(idx)
+        out.k = max(self.k - 1, 0)
+        return out
 
     def truncate(self, r: int) -> TruncatedPoly:
-        return TruncatedPoly(self.n, r, {m: c for m, c in self.coeffs.items() if sum(m) <= r})
+        return TruncatedPoly(self.n, r, self.coeffs)
 
     def _check_compatible(self, other: TruncatedPoly) -> None:
         if self.n != other.n or self.k != other.k:
             raise JetError(
                 f"incompatible truncated polynomials: (n={self.n}, k={self.k}) "
                 f"vs (n={other.n}, k={other.k})")
-
-    def __repr__(self):
-        items = ", ".join(f"{m}: {c}" for m, c in sorted(self.coeffs.items(), key=lambda t: grlex_key(t[0])))
-        return f"TruncatedPoly(n={self.n}, k={self.k}, {{{items}}})"
 
 
 class TruncatedMap:
@@ -192,15 +158,7 @@ class TruncatedMap:
 
     @staticmethod
     def identity(n: int, k: int) -> TruncatedMap:
-        comps = []
-        for i in range(n):
-            p = TruncatedPoly(n, k)
-            if k >= 1:
-                mono = [0] * n
-                mono[i] = 1
-                p.set_coeff(tuple(mono), 1)
-            comps.append(p)
-        return TruncatedMap(comps)
+        return TruncatedMap([TruncatedPoly(n, k, {unit_mono(n, i): 1}) for i in range(n)])
 
     @staticmethod
     def from_derivatives(n: int, k: int, derivs: Dict[Tuple[int, MultiIndex], Fraction]) -> TruncatedMap:
@@ -217,18 +175,11 @@ class TruncatedMap:
         return tuple(self.components[0].derivative_component((r,)) for r in range(1, self.k + 1))
 
     def constant_term(self) -> List[Fraction]:
-        return [c.coeff((0,) * self.n) for c in self.components]
+        return [c.const_value() for c in self.components]
 
     def linear_part(self) -> List[List[Fraction]]:
-        mat = []
-        for comp in self.components:
-            row = []
-            for j in range(self.n):
-                mono = [0] * self.n
-                mono[j] = 1
-                row.append(comp.coeff(tuple(mono)))
-            mat.append(row)
-        return mat
+        return [[comp.coeff(unit_mono(self.n, j)) for j in range(self.n)]
+                for comp in self.components]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TruncatedMap) and self.n == other.n
@@ -238,27 +189,17 @@ class TruncatedMap:
         return f"TruncatedMap(n={self.n}, k={self.k}, {self.components})"
 
 
-def compose_truncated(outer: TruncatedMap, inner: TruncatedMap) -> TruncatedMap:
-    """Order-k truncation of outer o inner (inner applied first).
+def substitute(polys: Sequence[Poly], g: TruncatedMap) -> List[TruncatedPoly]:
+    """The order-``g.k`` truncation of p o g for each polynomial p.
 
-    ``outer`` is read as an expansion about ``inner``'s constant term, so the
-    substitution uses only the displacement part of ``inner``.  Horner-free
-    but with cached monomial powers and per-step truncation.
+    Each p is read as an expansion about g's constant term, so only the
+    displacement part of g is substituted.  Powers of its components are
+    cached across all of ``polys``, and every product truncates.
     """
-    if outer.n != inner.n or outer.k != inner.k:
-        raise JetError(
-            f"cannot compose maps with (n={outer.n}, k={outer.k}) and "
-            f"(n={inner.n}, k={inner.k})")
-    n, k = outer.n, outer.k
-    zero_mono = (0,) * n
-    # displacement part of inner (drop constant term)
-    disp = []
-    for comp in inner.components:
-        d = comp.copy()
-        d.coeffs.pop(zero_mono, None)
-        disp.append(d)
-
-    one = TruncatedPoly(n, k, {zero_mono: Fraction(1)})
+    n, k = g.n, g.k
+    one = TruncatedPoly(n, k, {(0,) * n: 1})
+    disp = [TruncatedPoly(n, k, {m: c for m, c in comp.coeffs.items() if any(m)})
+            for comp in g.components]
     power_cache: Dict[Tuple[int, int], TruncatedPoly] = {}
 
     def var_power(j: int, e: int) -> TruncatedPoly:
@@ -270,10 +211,10 @@ def compose_truncated(outer: TruncatedMap, inner: TruncatedMap) -> TruncatedMap:
             power_cache[(j, e)] = got
         return got
 
-    out_comps = []
-    for comp in outer.components:
+    out = []
+    for p in polys:
         acc = TruncatedPoly(n, k)
-        for mono, c in comp.coeffs.items():
+        for mono, c in p.coeffs.items():
             if sum(mono) > k:
                 continue
             term = one
@@ -281,8 +222,18 @@ def compose_truncated(outer: TruncatedMap, inner: TruncatedMap) -> TruncatedMap:
                 if e:
                     term = term * var_power(j, e)
             acc = acc + term.scale(c)
-        out_comps.append(acc)
-    return TruncatedMap(out_comps)
+        out.append(acc)
+    return out
+
+
+def compose_truncated(outer: TruncatedMap, inner: TruncatedMap) -> TruncatedMap:
+    """Order-k truncation of outer o inner (inner applied first), with
+    ``outer`` read as an expansion about ``inner``'s constant term."""
+    if outer.n != inner.n or outer.k != inner.k:
+        raise JetError(
+            f"cannot compose maps with (n={outer.n}, k={outer.k}) and "
+            f"(n={inner.n}, k={inner.k})")
+    return TruncatedMap(substitute(outer.components, inner))
 
 
 def invert_truncated(f: TruncatedMap) -> TruncatedMap:
@@ -298,21 +249,10 @@ def invert_truncated(f: TruncatedMap) -> TruncatedMap:
         lin_inv = rf_matrix_inverse(f.linear_part())
     except ZeroDivisionError:
         raise JetError("linear part is singular (determinant 0)") from None
+    higher = TruncatedMap([TruncatedPoly(n, k, {m: c for m, c in p.coeffs.items() if sum(m) >= 2})
+                           for p in f.components])
 
-    # H = displacement part of f minus its linear part
-    zero_mono = (0,) * n
-    higher = []
-    for i, comp in enumerate(f.components):
-        h = comp.copy()
-        h.coeffs.pop(zero_mono, None)
-        for j in range(n):
-            mono = [0] * n
-            mono[j] = 1
-            h.set_coeff(tuple(mono), 0)
-        higher.append(h)
-    h_map_comps = higher
-
-    def apply_lin_inv(comps: List[TruncatedPoly]) -> List[TruncatedPoly]:
+    def apply_lin_inv(comps: List[TruncatedPoly]) -> TruncatedMap:
         out = []
         for i in range(n):
             acc = TruncatedPoly(n, k)
@@ -320,14 +260,13 @@ def invert_truncated(f: TruncatedMap) -> TruncatedMap:
                 if lin_inv[i][j]:
                     acc = acc + comps[j].scale(lin_inv[i][j])
             out.append(acc)
-        return out
+        return TruncatedMap(out)
 
-    ident = TruncatedMap.identity(n, k)
-    g = TruncatedMap(apply_lin_inv(ident.components))
+    ident = TruncatedMap.identity(n, k).components
+    g = apply_lin_inv(ident)
     for _ in range(max(k - 1, 0)):
-        h_of_g = compose_truncated(TruncatedMap(h_map_comps), g)
-        corrected = [ident.components[i] - h_of_g.components[i] for i in range(n)]
-        g = TruncatedMap(apply_lin_inv(corrected))
+        h_of_g = compose_truncated(higher, g)
+        g = apply_lin_inv([a - b for a, b in zip(ident, h_of_g.components)])
     return g
 
 
@@ -340,19 +279,36 @@ def project_order(f: TruncatedMap, r: int) -> TruncatedMap:
 
 # --- jet exchange documents -------------------------------------------------
 
+def poly_to_json(p: Poly) -> list:
+    """A polynomial as the grlex-sorted {"multiindex", "num", "den"} entries
+    of the exchange documents."""
+    return [{"multiindex": list(mono), "num": str(c.numerator), "den": str(c.denominator)}
+            for mono, c in sorted(p.coeffs.items(), key=lambda t: grlex_key(t[0]))]
+
+
+def poly_from_json(entries, n: int, k: int | None = None) -> Poly:
+    """Read ``poly_to_json`` entries back into a Poly, or into a
+    TruncatedPoly of order ``k``; JetError on a malformed entry."""
+    out = Poly(n) if k is None else TruncatedPoly(n, k)
+    if not isinstance(entries, list):
+        raise JetError(f"malformed jet document: expected a list of entries, got {entries!r}")
+    coeffs = {}
+    for entry in entries:
+        try:
+            mono = tuple(int(e) for e in entry["multiindex"])
+            coeffs[mono] = Fraction(int(entry["num"]), int(entry["den"]))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise JetError(f"malformed jet document entry: {exc}") from None
+        if len(mono) != n:
+            raise JetError(f"multi-index {mono} has wrong length in jet document")
+        if k is not None and sum(mono) > k:
+            raise JetError(f"multi-index {mono} exceeds order k={k} in jet document")
+    out.coeffs = {mono: c for mono, c in coeffs.items() if c}
+    return out
+
+
 def map_to_json(f: TruncatedMap) -> dict:
-    components = []
-    for comp in f.components:
-        entries = []
-        for mono in sorted(comp.coeffs, key=grlex_key):
-            c = comp.coeffs[mono]
-            entries.append({
-                "multiindex": list(mono),
-                "num": str(c.numerator),
-                "den": str(c.denominator),
-            })
-        components.append(entries)
-    return {"n": f.n, "k": f.k, "components": components}
+    return {"n": f.n, "k": f.k, "components": [poly_to_json(c) for c in f.components]}
 
 
 def map_from_json(doc: dict) -> TruncatedMap:
@@ -362,21 +318,8 @@ def map_from_json(doc: dict) -> TruncatedMap:
         raw_components = doc["components"]
     except (KeyError, TypeError) as exc:
         raise JetError(f"malformed jet document: missing field {exc}") from None
+    if not isinstance(raw_components, list):
+        raise JetError("malformed jet document: 'components' must be a list")
     if len(raw_components) != n:
         raise JetError(f"jet document announces n={n} but has {len(raw_components)} components")
-    comps = []
-    for entries in raw_components:
-        p = TruncatedPoly(n, k)
-        for entry in entries:
-            try:
-                mono = tuple(int(e) for e in entry["multiindex"])
-                value = Fraction(int(entry["num"]), int(entry["den"]))
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-                raise JetError(f"malformed jet document entry: {exc}") from None
-            if len(mono) != n:
-                raise JetError(f"multi-index {mono} has wrong length in jet document")
-            if sum(mono) > k:
-                raise JetError(f"multi-index {mono} exceeds order k={k} in jet document")
-            p.set_coeff(mono, value)
-        comps.append(p)
-    return TruncatedMap(comps)
+    return TruncatedMap([poly_from_json(entries, n, k) for entries in raw_components])

@@ -29,8 +29,20 @@ def grlex_key(mono: Monomial) -> tuple:
     return (sum(mono), mono)
 
 
+def unit_mono(n: int, idx: int) -> Monomial:
+    """The exponent tuple of the variable ``x_(idx+1)``."""
+    if not 0 <= idx < n:
+        raise ValueError(f"variable index {idx} out of range for n={n}")
+    return tuple(int(t == idx) for t in range(n))
+
+
 class Poly:
-    """Sparse exact polynomial in ``n`` variables."""
+    """Sparse exact polynomial in ``n`` variables.
+
+    Results of the arithmetic are built by ``_like``, so a subclass that
+    carries more state (the truncation order of a jet component) gets
+    results of its own kind.
+    """
 
     __slots__ = ("n", "coeffs")
 
@@ -41,6 +53,14 @@ class Poly:
             for mono, c in coeffs.items():
                 if c != 0:
                     self.coeffs[tuple(mono)] = Fraction(c)
+
+    def _like(self, coeffs: PolyDict) -> Poly:
+        """A polynomial of this one's kind holding ``coeffs``, which must
+        already be normal (Fraction values, no zeros)."""
+        res = object.__new__(type(self))
+        res.n = self.n
+        res.coeffs = coeffs
+        return res
 
     @staticmethod
     def zero(n: int) -> Poly:
@@ -53,11 +73,13 @@ class Poly:
 
     @staticmethod
     def var(n: int, idx: int) -> Poly:
-        if not 0 <= idx < n:
-            raise ValueError(f"variable index {idx} out of range for n={n}")
-        mono = [0] * n
-        mono[idx] = 1
-        return Poly(n, {tuple(mono): ONE})
+        return Poly(n, {unit_mono(n, idx): ONE})
+
+    def copy(self) -> Poly:
+        return self._like(dict(self.coeffs))
+
+    def coeff(self, mono: Monomial) -> Fraction:
+        return self.coeffs.get(tuple(mono), ZERO)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -85,14 +107,10 @@ class Poly:
                 out[mono] = s
             else:
                 out.pop(mono, None)
-        res = Poly(self.n)
-        res.coeffs = out
-        return res
+        return self._like(out)
 
     def __neg__(self) -> Poly:
-        res = Poly(self.n)
-        res.coeffs = {m: -c for m, c in self.coeffs.items()}
-        return res
+        return self._like({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
@@ -107,17 +125,11 @@ class Poly:
                     out[mono] = s
                 else:
                     out.pop(mono, None)
-        res = Poly(self.n)
-        res.coeffs = out
-        return res
+        return self._like(out)
 
     def scale(self, value) -> Poly:
         c = Fraction(value)
-        if not c:
-            return Poly(self.n)
-        res = Poly(self.n)
-        res.coeffs = {m: c * v for m, v in self.coeffs.items()}
-        return res
+        return self._like({m: c * v for m, v in self.coeffs.items()} if c else {})
 
     def diff(self, idx: int) -> Poly:
         out: PolyDict = {}
@@ -128,9 +140,7 @@ class Poly:
             m = list(mono)
             m[idx] = e - 1
             out[tuple(m)] = c * e
-        res = Poly(self.n)
-        res.coeffs = out
-        return res
+        return self._like(out)
 
     def eval(self, point: Iterable) -> Fraction:
         pt = [Fraction(x) for x in point]
@@ -162,7 +172,7 @@ class Poly:
         if self.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if other.is_zero():
-            return Poly(self.n)
+            return other._like({})
         if self.is_const():
             return other.scale(1 / self.const_value())
         lead_m, lead_c = self.leading()
@@ -176,9 +186,7 @@ class Poly:
             qc = rc / lead_c
             quot[qm] = qc
             rem = rem - self * Poly(self.n, {qm: qc})
-        res = Poly(self.n)
-        res.coeffs = quot
-        return res
+        return other._like(quot)
 
     def monic(self) -> tuple[Poly, Fraction]:
         """Scale so the grlex-leading coefficient is 1; returns (monic, factor)."""
@@ -189,7 +197,7 @@ class Poly:
 
     def __repr__(self):
         if self.is_zero():
-            return "Poly(0)"
+            return f"{type(self).__name__}(0)"
         terms = []
         for mono in sorted(self.coeffs, key=grlex_key):
             c = self.coeffs[mono]
@@ -198,7 +206,7 @@ class Poly:
                 for i, e in enumerate(mono) if e
             )
             terms.append(f"{c}" + (f"*{vars_part}" if vars_part else ""))
-        return "Poly(" + " + ".join(terms) + ")"
+        return f"{type(self).__name__}(" + " + ".join(terms) + ")"
 
 
 class RationalFunc:
@@ -311,13 +319,6 @@ class RationalFunc:
         if monic.is_const():
             return RationalFunc(num.scale(1 / lc))
         return RationalFunc(num.scale(1 / lc), {monic: 1})
-
-    def __pow__(self, exp: int) -> RationalFunc:
-        """Integer power by |exp| multiplications, inverted when exp < 0."""
-        out = RationalFunc.const(self.n, 1)
-        for _ in range(abs(exp)):
-            out = out * self
-        return out.inverse() if exp < 0 else out
 
     def __truediv__(self, other: RationalFunc) -> RationalFunc:
         return self * other.inverse()

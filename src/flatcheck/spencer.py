@@ -23,22 +23,17 @@ from .arrows import Arrow
 from .jetcore import (
     JetError,
     MultiIndex,
-    TruncatedMap,
     TruncatedPoly,
-    compose_truncated,
     invert_truncated,
     mi_add,
     mi_factorial,
     multi_indices,
+    poly_from_json,
+    poly_to_json,
     project_order,
+    substitute,
 )
-from .rational import Poly, RationalFunc, frac_str, grlex_key
-
-
-def _unit(n: int, r: int) -> MultiIndex:
-    e = [0] * n
-    e[r] = 1
-    return tuple(e)
+from .rational import Poly, RationalFunc, frac_str, unit_mono
 
 
 def _binom(alpha: MultiIndex, beta: MultiIndex) -> int:
@@ -292,7 +287,7 @@ def spencer_operator(xi: JetField) -> JetOneForm:
     for alpha in multi_indices(n, xi.k - 1):
         for i in range(n):
             for r in range(n):
-                val = xi.comp(i, alpha).diff(r) - xi.comp(i, mi_add(alpha, _unit(n, r)))
+                val = xi.comp(i, alpha).diff(r) - xi.comp(i, mi_add(alpha, unit_mono(n, r)))
                 if not val.is_zero():
                     comps[(r, i, alpha)] = val
     return JetOneForm(n, xi.k - 1, comps)
@@ -318,7 +313,7 @@ def algebraic_bracket_fields(a: JetField, b: JetField) -> JetField:
                 cg = _binom(gamma, beta)
                 rest = tuple(g - bt for g, bt in zip(gamma, beta))
                 for c in range(n):
-                    shifted = mi_add(rest, _unit(n, c))
+                    shifted = mi_add(rest, unit_mono(n, c))
                     term = a.comp(c, beta) * b.comp(i, shifted) \
                         - b.comp(c, beta) * a.comp(i, shifted)
                     if cg != 1:
@@ -380,67 +375,28 @@ def jet_pushforward(arrow: Arrow, v: PointJet) -> PointJet:
         raise JetError(f"jet at {v.point} but arrow starts at {arrow.source}")
     n, k = v.n, v.k
     f = arrow.jet
-    g = project_order(invert_truncated(f), k) if k < f.k else invert_truncated(f)
-
-    # component polynomials of v as order-k truncated polys (Taylor coeffs)
-    v_comps = []
-    for i in range(n):
-        p = TruncatedPoly(n, k)
-        for alpha in multi_indices(n, k):
-            c = v.coeff(i, alpha)
-            if c:
-                p.set_coeff(alpha, c / mi_factorial(alpha))
-        v_comps.append(p)
-
-    out_coeffs: Dict[Tuple[int, MultiIndex], Fraction] = {}
-    for i in range(n):
-        acc = TruncatedPoly(n, k)
-        for a in range(n):
-            df_ia = f.components[i].diff(a).truncate(k)
-            term = _compose_scalar(df_ia, g) * _compose_scalar(v_comps[a], g)
-            acc = acc + term
-        for alpha in multi_indices(n, k):
-            c = acc.coeff(alpha)
-            if c:
-                out_coeffs[(i, alpha)] = c * mi_factorial(alpha)
-    return PointJet(n, k, arrow.target, out_coeffs)
-
-
-def _compose_scalar(p: TruncatedPoly, g: TruncatedMap) -> TruncatedPoly:
-    """p o g for a scalar truncated polynomial; piggybacks on map composition."""
-    comps = [p] + [TruncatedPoly(p.n, p.k) for _ in range(p.n - 1)]
-    stacked = TruncatedMap(comps)
-    return compose_truncated(stacked, project_order(g, p.k)).components[0]
+    g = project_order(invert_truncated(f), k)
+    # Df has order f.k - 1 = k; pull Df and v back along g in one pass
+    pulled = substitute([f.components[i].diff(a) for i in range(n) for a in range(n)]
+                        + v.taylor_polys(), g)
+    dfg, vg = pulled[:n * n], pulled[n * n:]
+    out = [sum((dfg[i * n + a] * vg[a] for a in range(n)), TruncatedPoly(n, k))
+           for i in range(n)]
+    return point_jet_from_polys(out, k, arrow.target)
 
 
 # --- exchange documents -------------------------------------------------------
 
 def _rf_to_json(f: RationalFunc) -> dict:
-    def poly_entries(p: Poly):
-        out = []
-        for mono in sorted(p.coeffs, key=grlex_key):
-            c = p.coeffs[mono]
-            out.append({"multiindex": list(mono),
-                        "num": str(c.numerator), "den": str(c.denominator)})
-        return out
-    den = []
-    for factor, e in f.den.items():
-        den.append({"power": e, "poly": poly_entries(factor)})
-    return {"num": poly_entries(f.num), "den": den}
+    return {"num": poly_to_json(f.num),
+            "den": [{"power": e, "poly": poly_to_json(factor)} for factor, e in f.den.items()]}
 
 
 def _rf_from_json(doc: dict, n: int) -> RationalFunc:
-    def poly_from(entries) -> Poly:
-        coeffs = {}
-        for entry in entries:
-            mono = tuple(int(x) for x in entry["multiindex"])
-            coeffs[mono] = Fraction(int(entry["num"]), int(entry["den"]))
-        return Poly(n, coeffs)
-    num = poly_from(doc["num"])
-    den = {}
-    for fac in doc.get("den", []):
-        den[poly_from(fac["poly"])] = int(fac["power"])
-    return RationalFunc(num, den)
+    den = {poly_from_json(fac["poly"], n): int(fac["power"]) for fac in doc.get("den", [])}
+    if any(e < 1 for e in den.values()):
+        raise JetError("denominator powers must be positive")
+    return RationalFunc(poly_from_json(doc["num"], n), den)
 
 
 def jet_field_to_json(xi: JetField) -> dict:
@@ -459,16 +415,12 @@ def jet_field_to_json(xi: JetField) -> dict:
 def jet_field_from_json(doc: dict) -> JetField:
     try:
         n = int(doc["n"])
-        k = int(doc["k"])
-        raw = doc["components"]
-    except (KeyError, TypeError) as exc:
+        domain = [(Fraction(lo), Fraction(hi)) for lo, hi in doc.get("domain", [])] or None
+        comps = {}
+        for key, entries in doc["components"].items():
+            alpha = tuple(int(x) for x in key.split(","))
+            for i, entry in enumerate(entries):
+                comps[(i, alpha)] = _rf_from_json(entry, n)
+        return JetField(n, int(doc["k"]), comps, domain)
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise JetError(f"malformed jet field document: {exc}") from None
-    domain = [(Fraction(lo), Fraction(hi)) for lo, hi in doc.get("domain", [])] or None
-    comps = {}
-    for key, entries in raw.items():
-        alpha = tuple(int(x) for x in key.split(","))
-        for i, entry in enumerate(entries):
-            f = _rf_from_json(entry, n)
-            if not f.is_zero():
-                comps[(i, alpha)] = f
-    return JetField(n, k, comps, domain)

@@ -123,9 +123,24 @@ MALFORMED = {
     "huge-exponent": (["geom", "report", "--chart"], {
         "name": "power", "n": 2, "domain": [[1, 2], [1, 2]],
         "frame": [["x1^2000000", "0"], ["0", "1"]]}),
+    # overflows to inf on the grid without raising
+    "non-finite": (["geom", "report", "--chart"], {
+        "name": "overflow", "n": 2, "domain": [[1, 2], [1, 2]],
+        "frame": [["1e308*x1*10 + 0*sin(x1)", "0"], ["0", "1"]]}),
+    # each exponent is within the cap, but the exact entries would be huge
+    "nested-power": (["geom", "report", "--chart"], {
+        "name": "nested", "n": 4, "domain": [[-1, 1]] * 4,
+        "frame": [["((1 + x1)^64)^64", "0", "0", "0"], ["0", "1", "0", "0"],
+                  ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}),
+    "wide-power": (["geom", "report", "--chart"], {
+        "name": "wide", "n": 4, "domain": [[-1, 1]] * 4,
+        "frame": [["(1 + x1 + x2 + x3 + x4)^64", "0", "0", "0"], ["0", "1", "0", "0"],
+                  ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}),
     "jet-num": (["jet", "invert"], {
         "n": 1, "k": 2,
         "components": [[{"multiindex": [1], "num": "abc", "den": "1"}]]}),
+    "jet-components": (["jet", "invert"], {"n": 1, "k": 2, "components": 5}),
+    "jet-component-entries": (["jet", "invert"], {"n": 1, "k": 2, "components": [5]}),
     "pair-coeffs": (["liepair", "order", "--pair"], {
         "dim": 3, "brackets": [{"i": 0, "j": 1}], "subalgebra": []}),
 }
@@ -152,6 +167,18 @@ def test_exponent_cap_is_inclusive_on_both_backends():
     for parse in (parse_exact_expr, parse_numeric_expr):
         with pytest.raises(ChartError):
             parse(f"x1^{MAX_EXPONENT + 1}", 1)
+
+
+def test_domain_bounds_stay_exact(tmp_path):
+    # a bound with a large denominator used to be rounded to 0, a pole of 1/x1
+    from fractions import Fraction
+    from flatcheck.charts_io import chart_from_json
+    doc = {"name": "near-zero", "n": 1, "domain": [["1/3000007", "1"]], "frame": [["1/x1"]]}
+    path = tmp_path / "near-zero.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run_cli(["geom", "report", "--chart", str(path)])
+    assert code == 0
+    assert chart_from_json(doc).rational_grid(5)[0] == (Fraction(1, 3000007),)
 
 
 def test_geom_report_numeric_chart_file(tmp_path):

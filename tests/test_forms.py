@@ -394,3 +394,13 @@ def test_secondary_class_sl2_nontrivial():
     assert not form.is_exactly_zero()
     # the torsion cube traces to a nonzero multiple of the volume form
     assert form.comp((0, 1, 2)).eval((1, 0, 0)) != 0
+
+
+def test_residual_of_non_finite_field_raises():
+    # max() drops a NaN, so a NaN residual used to read as 0.0
+    import pytest
+    from flatcheck.forms import form_residual
+    from flatcheck.frames import ChartError, NumericScalar
+    form = HomForm(2, 0, "numeric", None, {((), 0, 0): NumericScalar(lambda x: float("nan"), 2)})
+    with pytest.raises(ChartError, match="not finite"):
+        form_residual(form, [(0.0, 0.0)])

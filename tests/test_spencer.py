@@ -390,3 +390,24 @@ def test_jet_field_json_with_denominators():
     f = RationalFunc(Poly.const(n, 1), {den: 1})
     xi = JetField(n, 1, {(0, (1, 0)): f})
     assert jet_field_from_json(jet_field_to_json(xi)) == xi
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 1, "k": 1},  # no components
+    {"n": 1, "k": 1, "components": {"0": [{"den": []}]}},  # no numerator
+    {"n": 1, "k": 1, "components": {"a": [{"num": []}]}},  # bad multi-index key
+    {"n": 1, "k": 1, "components": {"0": [{"num": [{"multiindex": [0], "num": "x", "den": "1"}]}]}},
+    {"n": 1, "k": 1, "components": {"0": [{"num": [{"multiindex": [0, 0], "num": "1", "den": "1"}]}]}},
+    {"n": 1, "k": 1, "components": {"0": [{"num": [], "den": [{"power": "two", "poly": []}]}]}},
+    {"n": 1, "k": 1, "components": {"0": [{"num": [{"multiindex": [0], "num": "1", "den": "1"}],
+                                           "den": [{"power": 1, "poly": []}]}]}},  # zero factor
+    {"n": 1, "k": 1, "components": {"2": [{"num": [{"multiindex": [0], "num": "1", "den": "1"}]}]}},
+    {"n": 1, "k": 1, "components": []},
+    {"n": 1, "k": 1, "components": {"0": [{"num": [{"multiindex": [1], "num": "1", "den": "1"}],
+                                           "den": [{"power": -1, "poly": [
+                                               {"multiindex": [0], "num": "1", "den": "1"},
+                                               {"multiindex": [1], "num": "1", "den": "1"}]}]}]}},
+])
+def test_jet_field_json_malformed(doc):
+    with pytest.raises(JetError, match="malformed jet field document"):
+        jet_field_from_json(doc)
