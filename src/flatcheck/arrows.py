@@ -171,7 +171,8 @@ def schwarzian_defect(a: G3Jet) -> Fraction:
     vanishes exactly on the image of mobius_split.
     """
     quotient = g3_compose(g3_invert(mobius_split(a.a1, a.a2)), a)
-    assert quotient.a1 == 1 and quotient.a2 == 0
+    if quotient.a1 != 1 or quotient.a2 != 0:
+        raise ArrowError(f"quotient by the Mobius lift is {quotient.as_tuple()}, not (1, 0, S)")
     return quotient.a3
 
 
@@ -189,7 +190,7 @@ def arrow_from_json(doc: dict) -> Arrow:
     try:
         source = [Fraction(s) for s in doc["source"]]
         target = [Fraction(s) for s in doc["target"]]
-        jet = map_from_json(doc["jet"])
-    except (KeyError, TypeError) as exc:
+        jet_doc = doc["jet"]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise JetError(f"malformed arrow document: {exc}") from None
-    return Arrow(source, target, jet)
+    return Arrow(source, target, map_from_json(jet_doc))

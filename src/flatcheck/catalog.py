@@ -15,8 +15,6 @@ import re
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence
 
-import numpy as np
-
 from .frames import ChartError, FrameChart
 from .liepair import LieAlgebra, LiePairError, Subalgebra
 from .rational import Poly, RationalFunc, solve_in_basis
@@ -68,7 +66,7 @@ def _deformed2() -> FrameChart:
 def _affine_exp2() -> FrameChart:
     def evaluator(p):
         x = p[0]
-        return np.array([[1.0, 0.0], [0.0, math.exp(x)]])
+        return [[1.0, 0.0], [0.0, math.exp(x)]]
     return FrameChart("affine-exp2", 2, [(-1, 1), (-1, 1)], evaluator=evaluator)
 
 
@@ -83,11 +81,11 @@ def _su2_euler() -> FrameChart:
         st, ct = math.sin(theta), math.cos(theta)
         sp, cp = math.sin(psi), math.cos(psi)
         cot = ct / st
-        return np.array([
+        return [
             [sp / st, cp / st, 0.0],
             [cp, -sp, 0.0],
             [-sp * cot, -cp * cot, 1.0],
-        ])
+        ]
     return FrameChart("su2-euler", 3,
                       [(0.3, 2.8), (0.2, math.pi - 0.2), (0.3, 2.8)],
                       evaluator=evaluator)

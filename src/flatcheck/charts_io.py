@@ -31,8 +31,6 @@ import re
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .frames import ChartError, FrameChart
 from .rational import RationalFunc
 
@@ -228,7 +226,7 @@ def chart_from_json(doc: dict, backend: str | None = None) -> FrameChart:
     fns = [[parse_numeric_expr(str(e), n) for e in row] for row in frame]
 
     def evaluator(point):
-        return np.array([[fns[i][a](point) for a in range(n)] for i in range(n)])
+        return [[fns[i][a](point) for a in range(n)] for i in range(n)]
 
     return FrameChart(name, n, domain, evaluator=evaluator)
 
@@ -237,8 +235,8 @@ def _exact_to_numeric(chart: FrameChart) -> FrameChart:
     entries = chart.entries
 
     def evaluator(point):
-        return np.array([[entries[i][a].eval_float(point) for a in range(chart.n)]
-                         for i in range(chart.n)])
+        return [[entries[i][a].eval_float(point) for a in range(chart.n)]
+                for i in range(chart.n)]
 
     return FrameChart(chart.name, chart.n, chart.domain, evaluator=evaluator)
 

@@ -33,10 +33,9 @@ from .catalog import CHART_NAMES, catalog_entries, get_chart, get_lie_pair
 from .charts_io import load_chart_file
 from .forms import (
     CalibrationError,
-    form_residual,
+    chern_simons_report,
     identity_report,
     identity_residuals_pass,
-    secondary_class_check,
 )
 from .frames import ChartError
 from .jetcore import JetError, map_from_json, map_to_json
@@ -248,30 +247,15 @@ def cmd_chern_simons(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        report = identity_report(chart, tol=cfg.tol, grid_points=cfg.grid)
-        form, closed = secondary_class_check(chart, 1, tol=cfg.tol, tol2=cfg.tol2,
-                                             grid_points=cfg.grid)
-        points = chart.rational_grid(cfg.grid) if chart.backend == "exact" else chart.grid(cfg.grid)
-        form_max = form_residual(form, points)
+        doc = chern_simons_report(chart, tol=cfg.tol, tol2=cfg.tol2, grid_points=cfg.grid)
     except ChartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
-    doc = {
-        "chart": chart.name,
-        "backend": report["backend"],
-        "sign": report["sign"],
-        "chern_simons_residual": report["residuals"]["chern_simons"],
-        "secondary_class_degree": form.degree,
-        "secondary_class_max_abs": form_max,
-        "secondary_class_closed": closed,
-        "locally_homogeneous": report["locally_homogeneous"],
-    }
     emit(doc, cfg.out)
-    ok = report["residuals"]["chern_simons"] <= cfg.tol2
-    return EXIT_OK if ok else EXIT_RESIDUAL
+    return EXIT_OK if doc["chern_simons_residual"] <= cfg.tol2 else EXIT_RESIDUAL
 
 
 def build_parser() -> argparse.ArgumentParser:

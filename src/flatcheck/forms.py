@@ -19,8 +19,8 @@ Sign calibration: transcribing the curvature, torsion and wedge
 conventions by hand leaves one global sign ambiguous in the structure
 equation d~T + T^T = s.R.  The module determines s once, on the deformed
 reference chart with exact arithmetic, and every report asserts that the
-same s closes the whole identity suite on its chart; a chart where no
-sign works raises ``CalibrationError`` carrying both residual tables.
+same s closes the whole identity suite on its chart; a chart where it
+does not raises ``CalibrationError`` carrying the residuals of both signs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .catalog import get_chart
 from .frames import (
@@ -45,6 +45,7 @@ from .frames import (
     nabla_tensor12,
     torsion_components,
 )
+from .rational import RationalGrid
 
 IndexTuple = Tuple[int, ...]
 
@@ -156,12 +157,14 @@ class HomForm:
 
 
 def _grid_max(fields, points) -> float:
-    """Max |f| over the grid.  A value that is not finite is a ChartError:
-    max() would drop a NaN and a residual of inf says nothing."""
+    """Max |f| over the grid: float points, or a ``RationalGrid`` for exact
+    fields.  A value that is not finite is a ChartError: max() would drop
+    a NaN and a residual of inf says nothing."""
     worst = 0.0
     for f in fields:
-        for p in points:
-            v = abs(f.eval_float(p))
+        values = points.values(f) if isinstance(points, RationalGrid) else map(f.eval_float, points)
+        for p, v in zip(points, values):
+            v = abs(v)
             if not math.isfinite(v):
                 raise ChartError(f"a field is not finite at {tuple(map(float, p))}")
             worst = max(worst, v)
@@ -371,19 +374,20 @@ def global_structure_sign() -> int:
     return _GLOBAL_SIGN
 
 
-def identity_report(chart: FrameChart, tol: float = 1e-6, grid_points: int = 5) -> dict:
-    """Compute the full residual table for one chart.
+class _Geometry(NamedTuple):
+    report: dict
+    torsion: HomForm
+    torsion_cube: HomForm  # T^T^T, shared by the transgression and Tr(T^3)
+    points: Sequence
 
-    Returns the report dictionary; raises CalibrationError when the
-    structure equation fails for both signs (a reportable finding), where
-    a sign passes when its structure residual is at most ``tol``.  The
-    homogeneity verdict compares max |R| against ``tol`` and is data,
-    never an error; ``identity_residuals_pass`` gates the residuals.
-    """
+
+def _geometry(chart: FrameChart, tol: float, grid_points: int) -> _Geometry:
+    """The one pipeline behind every report: the connection, torsion and
+    curvature of the chart, each wedge built once, and the residual table."""
     chart.validate_invertible(grid_points)
     conn = gamma_from_frame(chart)
     exact = conn.backend == "exact"
-    points = chart.rational_grid(grid_points) if exact else chart.grid(grid_points)
+    points = RationalGrid(chart.rational_grid(grid_points)) if exact else chart.grid(grid_points)
 
     tor_raw = torsion_components(conn)
     curv_raw = curvature_components(conn)
@@ -393,28 +397,33 @@ def identity_report(chart: FrameChart, tol: float = 1e-6, grid_points: int = 5) 
 
     res_rtilde = form_residual(rt, points)
 
-    lhs = d_tilde(conn, t) + wedge(t, t)
-    res_plus = form_residual(lhs - r, points)
-    res_minus = form_residual(lhs + r, points)
+    tt = wedge(t, t)
+    lhs = d_tilde(conn, t) + tt
+
+    def structure_residual(s: int) -> float:
+        return form_residual(lhs - r if s == 1 else lhs + r, points)
+
     sign = global_structure_sign()
-    candidates = {1: res_plus, -1: res_minus}
-    passing = {s for s, res in candidates.items() if res <= tol}
-    if sign not in passing:
-        # no sign works here, or only the one the global calibration rejects
-        raise CalibrationError(chart.name, {"structure": res_plus}, {"structure": res_minus})
-    res_structure = candidates[sign]
+    res_structure = structure_residual(sign)
+    if res_structure > tol:
+        # the calibrated sign fails here; the other one only fills the report
+        res_other = structure_residual(-sign)
+        plus, minus = (res_structure, res_other) if sign == 1 else (res_other, res_structure)
+        raise CalibrationError(chart.name, {"structure": plus}, {"structure": minus})
 
     sr = r if sign == 1 else r.scale(-1)
+    sr_t = wedge(sr, t)
+    t3 = wedge(tt, t)
 
     # d~(sR) = (sR)^T - T^(sR)
-    dtr_identity = d_tilde(conn, sr) - (wedge(sr, t) - wedge(t, sr))
+    dtr_identity = d_tilde(conn, sr) - (sr_t - wedge(t, sr))
     res_dtilde_r = form_residual(dtr_identity, points)
 
     # exterior-covariant closure of the curvature
     res_bianchi = form_residual(d_lower(conn, sr), points)
 
     # secondary transgression: d Tr(sR ^ T - T^3/3) = Tr(sR ^ sR)
-    cs_primitive = trace_form(wedge(sr, t) - wedge_power(t, 3).scale(Fraction(1, 3)))
+    cs_primitive = trace_form(sr_t - t3.scale(Fraction(1, 3)))
     cs_lhs = de_rham(cs_primitive)
     cs_rhs = trace_form(wedge(sr, sr))
     res_cs = form_residual(cs_lhs - cs_rhs, points)
@@ -425,7 +434,7 @@ def identity_report(chart: FrameChart, tol: float = 1e-6, grid_points: int = 5) 
     max_r = form_residual(r, points)
     homogeneous = max_r <= tol
 
-    return {
+    report = {
         "chart": chart.name,
         "backend": conn.backend,
         "sign": sign,
@@ -442,6 +451,19 @@ def identity_report(chart: FrameChart, tol: float = 1e-6, grid_points: int = 5) 
         "tolerance": tol,
         "grid": [grid_points] * chart.n,
     }
+    return _Geometry(report, t, t3, points)
+
+
+def identity_report(chart: FrameChart, tol: float = 1e-6, grid_points: int = 5) -> dict:
+    """Compute the full residual table for one chart.
+
+    Returns the report dictionary; raises CalibrationError when the
+    calibrated sign does not close the structure equation on this chart,
+    where a sign passes when its structure residual is at most ``tol``.
+    The homogeneity verdict compares max |R| against ``tol`` and is data,
+    never an error; ``identity_residuals_pass`` gates the residuals.
+    """
+    return _geometry(chart, tol, grid_points).report
 
 
 def identity_residuals_pass(report: dict, tol: float, tol2: float) -> bool:
@@ -473,20 +495,40 @@ def trace_powers(chart: FrameChart, max_i: int, sign: int | None = None) -> dict
     return out
 
 
+def _secondary_class(geo: _Geometry, i: int, tol2: float) -> tuple[HomForm, bool | None]:
+    power = geo.torsion_cube if i == 1 else wedge_power(geo.torsion, 2 * i + 1)
+    form = trace_form(power)
+    if not geo.report["locally_homogeneous"]:
+        return form, None
+    return form, form_residual(de_rham(form), geo.points) <= tol2
+
+
 def secondary_class_check(chart: FrameChart, i: int, tol: float = 1e-6,
                           tol2: float = 1e-4, grid_points: int = 5) -> tuple[HomForm, bool | None]:
     """Tr(T^{2i+1}) and, on homogeneous charts, whether it is closed.
 
     On charts that are not locally homogeneous the form is still returned
     but the closedness flag stays unset (None): the secondary classes are
-    only classes when the curvature vanishes.
+    only classes when the curvature vanishes.  This runs the pipeline of
+    ``identity_report``, so it raises what that raises.
     """
-    conn = gamma_from_frame(chart)
-    points = chart.rational_grid(grid_points) if conn.backend == "exact" else chart.grid(grid_points)
-    t = torsion_form(conn)
-    form = trace_form(wedge_power(t, 2 * i + 1))
-    homogeneous = form_residual(curvature_form(conn), points) <= tol
-    if not homogeneous:
-        return form, None
-    d = de_rham(form)
-    return form, form_residual(d, points) <= tol2
+    return _secondary_class(_geometry(chart, tol, grid_points), i, tol2)
+
+
+def chern_simons_report(chart: FrameChart, tol: float = 1e-6, tol2: float = 1e-4,
+                        grid_points: int = 5) -> dict:
+    """The transgression residual and the first secondary class Tr(T^3),
+    taken from one run of the identity pipeline."""
+    geo = _geometry(chart, tol, grid_points)
+    form, closed = _secondary_class(geo, 1, tol2)
+    report = geo.report
+    return {
+        "chart": chart.name,
+        "backend": report["backend"],
+        "sign": report["sign"],
+        "chern_simons_residual": report["residuals"]["chern_simons"],
+        "secondary_class_degree": form.degree,
+        "secondary_class_max_abs": form_residual(form, geo.points),
+        "secondary_class_closed": closed,
+        "locally_homogeneous": report["locally_homogeneous"],
+    }

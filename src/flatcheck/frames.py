@@ -28,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from .rational import Poly, RationalFunc, matrix_determinant, rf_matrix_inverse
+
+if TYPE_CHECKING:  # numpy is imported by the numeric backend only
+    import numpy as np
 
 
 class ChartError(ValueError):
@@ -129,7 +130,7 @@ class FrameChart:
 
     def __init__(self, name: str, n: int, domain: Sequence[Tuple],
                  entries: Sequence[Sequence[RationalFunc]] | None = None,
-                 evaluator: Callable[[Tuple[float, ...]], np.ndarray] | None = None,
+                 evaluator: Callable[[Tuple[float, ...]], Sequence] | None = None,
                  fd_steps: Tuple[float, float] = (DEFAULT_FD_STEP, DEFAULT_FD_STEP2)):
         if (entries is None) == (evaluator is None):
             raise ChartError("provide exactly one of exact entries or a numeric evaluator")
@@ -152,6 +153,8 @@ class FrameChart:
             fields = [self._det] + [e for row in self.entries for e in row]
             self._den_factors = list(dict.fromkeys(f for e in fields for f in e.den))
         else:
+            import numpy as np
+
             self.backend = "numeric"
             raw = evaluator
             memo: Dict[Tuple[float, ...], np.ndarray] = {}
@@ -191,6 +194,8 @@ class FrameChart:
                 if self._det.eval(p) == 0:
                     raise ChartError(f"frame of chart '{self.name}' is singular at {p}")
         else:
+            import numpy as np
+
             for p in self.grid(points_per_axis):
                 try:
                     e = self.evaluator(p)
@@ -252,6 +257,8 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
                         acc = acc + chart.entries[i][a].diff(j) * einv[a][k]
                     gamma[i][j][k] = acc
         return ConnectionField(n, "exact", gamma, chart.fd_steps)
+
+    import numpy as np
 
     chart.validate_invertible()
     ev = chart.evaluator

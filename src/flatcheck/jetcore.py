@@ -316,8 +316,9 @@ def map_from_json(doc: dict) -> TruncatedMap:
         n = int(doc["n"])
         k = int(doc["k"])
         raw_components = doc["components"]
-    except (KeyError, TypeError) as exc:
-        raise JetError(f"malformed jet document: missing field {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise JetError("malformed jet document: missing field or a field that is not "
+                       f"an integer ({exc})") from None
     if not isinstance(raw_components, list):
         raise JetError("malformed jet document: 'components' must be a list")
     if len(raw_components) != n:

@@ -361,6 +361,67 @@ class RationalFunc:
         return f"RationalFunc({self.num!r} / {self.den!r})"
 
 
+class RationalGrid:
+    """A grid of rational points on which exact fields are evaluated in floats.
+
+    ``values(f)`` yields ``f.eval_float(p)`` for each point ``p`` in order,
+    bit for bit: the float operations are the same and run in the same
+    order, because ``float * Fraction`` is ``float * float(Fraction)``.
+    The work that ``eval_float`` repeats is done once: each coordinate
+    power ``float(x_t ** e)`` once per point, the coefficients of a
+    polynomial once, and each denominator factor once per point for every
+    field that shares it.  Factors are keyed by identity, which is cheap
+    where ``Poly.__hash__`` is not; the grid holds them, so ids stay unique.
+    """
+
+    __slots__ = ("points", "_powers", "_factors")
+
+    def __init__(self, points):
+        self.points = [tuple(p) for p in points]
+        self._powers = [{} for _ in self.points]  # per point: (t, e) -> float(x_t ** e)
+        self._factors: Dict[int, tuple] = {}  # id(factor) -> (factor, terms, values by point)
+
+    def __iter__(self):
+        return iter(self.points)
+
+    @staticmethod
+    def _terms(p: Poly) -> list:
+        return [(float(c), [(t, e) for t, e in enumerate(mono) if e])
+                for mono, c in p.coeffs.items()]
+
+    def _poly_value(self, terms: list, k: int) -> float:
+        powers = self._powers[k]
+        total = 0.0
+        for c, vars_ in terms:
+            term = c
+            for key in vars_:
+                x = powers.get(key)
+                if x is None:
+                    t, e = key
+                    x = powers[key] = float(self.points[k][t] ** e)
+                term *= x
+            total += term
+        return total
+
+    def _factor(self, f: Poly) -> tuple:
+        got = self._factors.get(id(f))
+        if got is None:
+            got = self._factors[id(f)] = (f, self._terms(f), [None] * len(self.points))
+        return got
+
+    def values(self, f: RationalFunc):
+        num = self._terms(f.num)
+        den = [(self._factor(g), e) for g, e in f.den.items()]
+        for k in range(len(self.points)):
+            v = self._poly_value(num, k)
+            for (_, terms, cache), e in den:
+                d = cache[k]
+                if d is None:
+                    d = cache[k] = self._poly_value(terms, k)
+                v /= d ** e
+            yield v
+
+
 def frac_str(x: Fraction) -> str:
     """An exact rational as the "num/den" string of the exchange documents."""
     return f"{x.numerator}/{x.denominator}"

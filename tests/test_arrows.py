@@ -27,7 +27,7 @@ from flatcheck.arrows import (
     mobius_split,
     schwarzian_defect,
 )
-from flatcheck.jetcore import TruncatedMap, compose_truncated
+from flatcheck.jetcore import JetError, TruncatedMap, compose_truncated
 
 from test_jetcore import random_map
 
@@ -216,3 +216,19 @@ def test_arrow_json_round_trip():
     for _ in range(10):
         a = random_arrow(2, 3, rng)
         assert arrow_from_json(arrow_to_json(a)) == a
+
+
+@pytest.mark.parametrize("field, value", [("source", ["abc"]), ("target", ["1/0"])])
+def test_arrow_json_bad_endpoint_is_jet_error(field, value):
+    doc = arrow_to_json(random_arrow(1, 2, random.Random(3)))
+    doc[field] = value
+    with pytest.raises(JetError, match="malformed arrow document"):
+        arrow_from_json(doc)
+
+
+def test_schwarzian_defect_checks_its_quotient(monkeypatch):
+    # the invariant must hold under python -O too, so it is not an assert
+    import flatcheck.arrows as arrows_mod
+    monkeypatch.setattr(arrows_mod, "g3_compose", lambda a, b: G3Jet(1, 1, 0))
+    with pytest.raises(ArrowError, match="not \\(1, 0, S\\)"):
+        schwarzian_defect(G3Jet(1, 0, 6))

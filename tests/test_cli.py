@@ -141,6 +141,7 @@ MALFORMED = {
         "components": [[{"multiindex": [1], "num": "abc", "den": "1"}]]}),
     "jet-components": (["jet", "invert"], {"n": 1, "k": 2, "components": 5}),
     "jet-component-entries": (["jet", "invert"], {"n": 1, "k": 2, "components": [5]}),
+    "jet-order": (["jet", "invert"], {"n": 1, "k": "x", "components": [[]]}),
     "pair-coeffs": (["liepair", "order", "--pair"], {
         "dim": 3, "brackets": [{"i": 0, "j": 1}], "subalgebra": []}),
 }
@@ -385,3 +386,16 @@ def test_residual_failure_exit_code(monkeypatch):
     monkeypatch.setattr(cli_mod, "identity_report", tampered)
     code, _ = run_cli(["geom", "report", "--builtin", "abelian2"])
     assert code == 3
+
+
+def test_exact_commands_do_not_import_numpy():
+    # numpy is loaded by the numeric backend only, so exact commands do not
+    # pay for its import
+    code = ("import sys, flatcheck.cli as cli\n"
+            "print('numpy' in sys.modules)\n"
+            "cli.main(['geom', 'report', '--builtin', 'heisenberg3'])\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "False")

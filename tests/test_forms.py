@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from flatcheck.catalog import get_chart
 from flatcheck.forms import (
     CalibrationError,
@@ -29,10 +31,17 @@ from flatcheck.forms import (
     wedge,
     wedge_power,
 )
-from flatcheck.frames import ConnectionField, gamma_from_frame, dl_scalar, dt_scalar, torsion_components
-from flatcheck.rational import Poly
+from flatcheck.frames import (
+    ConnectionField,
+    curvature_components,
+    dl_scalar,
+    dt_scalar,
+    gamma_from_frame,
+    torsion_components,
+)
+from flatcheck.rational import Poly, RationalGrid
 
-from conftest import make_sl2rational, make_unipotent4, random_poly, rf
+from conftest import make_sl2mix4, make_sl2rational, make_unipotent4, random_poly, rf
 
 
 def random_hom_form(n, degree, rng, deg=1):
@@ -404,3 +413,60 @@ def test_residual_of_non_finite_field_raises():
     form = HomForm(2, 0, "numeric", None, {((), 0, 0): NumericScalar(lambda x: float("nan"), 2)})
     with pytest.raises(ChartError, match="not finite"):
         form_residual(form, [(0.0, 0.0)])
+
+
+def test_calibration_failure_reports_both_signs(monkeypatch):
+    # with the calibrated sign flipped the structure equation fails on a
+    # curved chart; the error still carries the residual of each sign
+    import flatcheck.forms as forms_mod
+    chart = get_chart("deformed2")
+    max_r = identity_report(chart)["max_R"]
+    sign = global_structure_sign()
+    monkeypatch.setattr(forms_mod, "global_structure_sign", lambda: -sign)
+    with pytest.raises(CalibrationError) as info:
+        identity_report(chart)
+    by_sign = {1: info.value.residual_plus, -1: info.value.residual_minus}
+    assert by_sign[sign] == {"structure": 0.0}
+    assert by_sign[-sign]["structure"] == pytest.approx(2 * max_r, rel=1e-12)
+
+
+# --- grid evaluation of exact fields ------------------------------------------
+
+def _connection_and_curvature_fields(chart):
+    conn = gamma_from_frame(chart)
+    return ([f for plane in conn.gamma for row in plane for f in row]
+            + list(curvature_components(conn).values()))
+
+
+# four points per axis put non-dyadic coordinates such as 11/12 on the grid,
+# where products taken in another order would round differently
+@pytest.mark.parametrize("make, grid_points", [
+    (make_sl2rational, 4), (make_unipotent4, 4), (make_sl2mix4, 4)])
+def test_rational_grid_matches_eval_float_bit_for_bit(make, grid_points):
+    chart = make()
+    fields = _connection_and_curvature_fields(chart)
+    grid = RationalGrid(chart.rational_grid(grid_points))
+    for f in fields:  # one grid for all fields: shared factors come from its cache
+        assert [v.hex() for v in grid.values(f)] == [f.eval_float(p).hex() for p in grid]
+
+
+def test_stress_charts_share_denominator_factors():
+    # the bit-for-bit test above exercises the factor cache only if fields
+    # share factor objects, as they do on sl2mix4
+    ids = [id(g) for f in _connection_and_curvature_fields(make_sl2mix4()) for g in f.den]
+    assert len(set(ids)) < len(ids)
+
+
+def test_rational_grid_non_finite_raises_at_the_first_point():
+    from fractions import Fraction
+    from flatcheck.forms import form_residual
+    from flatcheck.frames import ChartError
+    n = 1
+    x = Poly.var(n, 0)
+    finite = rf(x)
+    huge = rf((x * x).scale(10 ** 300))  # 1e300 * x^2 overflows to inf at x = 1e5
+    form = HomForm(n, 0, "exact", None, {((), 0, 0): finite, ((), 0, 1): huge})
+    points = [(Fraction(1),), (Fraction(10 ** 5),), (Fraction(10 ** 6),)]
+    for grid in (points, RationalGrid(points)):
+        with pytest.raises(ChartError, match=r"not finite at \(100000\.0,\)"):
+            form_residual(form, grid)

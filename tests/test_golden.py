@@ -48,6 +48,12 @@ CASES.update({f"liepair-{name.replace('/', '-')}": ["liepair", "order", "--built
 for _chart in EXACT_CHARTS:
     CASES[f"report-{_chart}"] = ["geom", "report", "--builtin", _chart]
     CASES[f"chern-simons-{_chart}"] = ["chern-simons", "--builtin", _chart]
+# the conftest stress charts as chart documents; sl2mix4 on a coarser grid,
+# which keeps its two cases under a second each
+for _chart, _grid in (("sl2rational", "5"), ("unipotent4", "5"), ("sl2mix4", "3")):
+    _doc = f"chart-{_chart}.json"
+    CASES[f"report-{_chart}"] = ["geom", "report", "--chart", _doc, "--grid", _grid]
+    CASES[f"chern-simons-{_chart}"] = ["chern-simons", "--chart", _doc, "--grid", _grid]
 
 
 def run_case(name: str) -> tuple[int, str]:
@@ -63,6 +69,16 @@ def test_cli_output_matches_golden(name):
     code, out = run_case(name)
     assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["sl2rational", "unipotent4", "sl2mix4"])
+def test_golden_chart_documents_are_the_conftest_charts(name):
+    import conftest
+    from flatcheck.charts_io import load_chart_file
+    chart = load_chart_file(str(GOLDEN / f"chart-{name}.json"), backend="exact")
+    expected = getattr(conftest, f"make_{name}")()
+    assert chart.domain == expected.domain
+    assert chart.entries == expected.entries
 
 
 if __name__ == "__main__":
