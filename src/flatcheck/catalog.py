@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence
 
-from .frames import ChartError, FrameChart
+from .frames import ChartError, FrameChart, check_dim
 from .liepair import LieAlgebra, LiePairError, Subalgebra
 from .rational import Poly, RationalFunc, solve_in_basis
 
@@ -132,7 +132,9 @@ def get_chart(name: str) -> FrameChart:
     """Build a catalog chart by name; unknown names list the alternatives."""
     m = _ABELIAN_RE.match(name)
     if m:
-        return _abelian(int(m.group(1)))
+        n = int(m.group(1))
+        check_dim(n)
+        return _abelian(n)
     builder = _CHART_BUILDERS.get(name)
     if builder is None:
         raise ChartError(

@@ -31,7 +31,7 @@ import re
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .frames import ChartError, FrameChart
+from .frames import ChartError, FrameChart, check_dim
 from .rational import RationalFunc
 
 _NUMERIC_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
@@ -210,6 +210,7 @@ def chart_from_json(doc: dict, backend: str | None = None) -> FrameChart:
         frame = doc["frame"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ChartError(f"malformed chart document (field: {exc})") from None
+    check_dim(n)
     if len(frame) != n or any(len(row) != n for row in frame):
         raise ChartError(f"chart 'frame' must be an {n}x{n} array of expressions")
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrows import ArrowError, G3Jet, g3_compose, g3_invert, mobius_split, schwarzian_defect
@@ -39,31 +39,12 @@ from .forms import (
 )
 from .frames import ChartError
 from .jetcore import JetError, map_from_json, map_to_json
-from .liepair import LiePairError, filtration_of, order_of, pair_from_json
+from .liepair import LiePairError, filtration_of, order_of_chain, pair_from_json
 from .rational import frac_str
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_RESIDUAL = 3
-
-
-@dataclass
-class RunConfig:
-    """Tolerances, grid resolution, finite-difference steps, seed, output."""
-
-    tol: float = 1e-6
-    tol2: float = 1e-4
-    grid: int = 5
-    fd_step: float = 1e-4
-    fd_step2: float = 1e-3
-    seed: int = 0
-    out: str | None = None
-
-    def validate(self) -> None:
-        if self.tol <= 0 or self.tol2 <= 0 or self.fd_step <= 0 or self.fd_step2 <= 0:
-            raise ValueError("tolerances and steps must be positive")
-        if self.grid < 2:
-            raise ValueError("need at least 2 grid points per axis")
 
 
 def _normalize(value):
@@ -99,40 +80,26 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol2", type=float, default=1e-4,
                    help="tolerance for nested-derivative identities")
     p.add_argument("--grid", type=int, default=5, help="grid points per axis")
-    p.add_argument("--fd-step", type=float, default=1e-4, help="first-level finite-difference step")
-    p.add_argument("--fd-step2", type=float, default=1e-3, help="nested finite-difference step")
     p.add_argument("--seed", type=int, default=0, help="random seed for sampled checks")
     p.add_argument("--out", default=None, help="write the JSON report to this path")
 
 
-def _config_from(args) -> RunConfig:
-    cfg = RunConfig(tol=args.tol, tol2=args.tol2, grid=args.grid,
-                    fd_step=args.fd_step, fd_step2=args.fd_step2,
-                    seed=args.seed, out=args.out)
-    cfg.validate()
-    return cfg
-
-
-def _load_chart(args, cfg: RunConfig):
+def _load_chart(args):
+    """Check the tolerances, then load the chart; the grid is checked with
+    the chart by the report pipeline."""
+    for flag, value in (("--tol", args.tol), ("--tol2", args.tol2)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be a finite positive number, not {value}")
     if args.builtin:
-        chart = get_chart(args.builtin)
-    else:
-        chart = load_chart_file(args.chart)
-    chart.fd_steps = (cfg.fd_step, cfg.fd_step2)
-    return chart
+        return get_chart(args.builtin)
+    return load_chart_file(args.chart)
 
 
 def cmd_geom_report(args) -> int:
     try:
-        cfg = _config_from(args)
-        chart = _load_chart(args, cfg)
-        chart.validate_invertible(cfg.grid)
+        chart = _load_chart(args)
+        report = identity_report(chart, tol=args.tol, grid_points=args.grid)
     except (ChartError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = identity_report(chart, tol=cfg.tol, grid_points=cfg.grid)
-    except ChartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CalibrationError as exc:
@@ -141,10 +108,10 @@ def cmd_geom_report(args) -> int:
             "error": "sign-calibration-failure",
             "residuals_plus": exc.residual_plus,
             "residuals_minus": exc.residual_minus,
-        }, cfg.out)
+        }, args.out)
         return EXIT_RESIDUAL
-    emit(report, cfg.out)
-    return EXIT_OK if identity_residuals_pass(report, cfg.tol, cfg.tol2) else EXIT_RESIDUAL
+    emit(report, args.out)
+    return EXIT_OK if identity_residuals_pass(report, args.tol, args.tol2) else EXIT_RESIDUAL
 
 
 def _read_json(path: str):
@@ -219,7 +186,7 @@ def cmd_liepair_order(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     chain = filtration_of(g, h)
-    order = order_of(g, h)
+    order = order_of_chain(chain)
     doc = {
         "pair": name,
         "ambient_dim": g.dim,
@@ -240,22 +207,16 @@ def cmd_catalog_list(args) -> int:
 
 def cmd_chern_simons(args) -> int:
     try:
-        cfg = _config_from(args)
-        chart = _load_chart(args, cfg)
-        chart.validate_invertible(cfg.grid)
+        chart = _load_chart(args)
+        doc = chern_simons_report(chart, tol=args.tol, tol2=args.tol2, grid_points=args.grid)
     except (ChartError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        doc = chern_simons_report(chart, tol=cfg.tol, tol2=cfg.tol2, grid_points=cfg.grid)
-    except ChartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
-    emit(doc, cfg.out)
-    return EXIT_OK if doc["chern_simons_residual"] <= cfg.tol2 else EXIT_RESIDUAL
+    emit(doc, args.out)
+    return EXIT_OK if doc["chern_simons_residual"] <= args.tol2 else EXIT_RESIDUAL
 
 
 def build_parser() -> argparse.ArgumentParser:

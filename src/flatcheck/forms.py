@@ -100,14 +100,13 @@ class HomForm:
     of the trace), which has ``value_slots`` 0.
     """
 
-    __slots__ = ("n", "degree", "backend", "steps", "value_slots", "components")
+    __slots__ = ("n", "degree", "backend", "value_slots", "components")
 
-    def __init__(self, n: int, degree: int, backend: str, steps=None,
+    def __init__(self, n: int, degree: int, backend: str,
                  components: Dict[tuple, ScalarField] | None = None, value_slots: int = 2):
         self.n = n
         self.degree = degree
         self.backend = backend
-        self.steps = steps
         self.value_slots = value_slots
         self.components: Dict[tuple, ScalarField] = {}
         if components:
@@ -121,12 +120,12 @@ class HomForm:
         canon, sign = _sort_with_sign(tuple(idx))
         f = self.components.get((canon, *value)) if sign else None
         if f is None:
-            return field_const(self.backend, self.n, 0, self.steps)
+            return field_const(self.backend, self.n, 0)
         return f if sign == 1 else f.scale(-1)
 
     def _like(self, degree: int, components=None) -> HomForm:
         """A form on the same chart, backend and value type."""
-        return HomForm(self.n, degree, self.backend, self.steps, components, self.value_slots)
+        return HomForm(self.n, degree, self.backend, components, self.value_slots)
 
     def __add__(self, other: HomForm) -> HomForm:
         self._check(other)
@@ -173,20 +172,14 @@ def _grid_max(fields, points) -> float:
 
 # --- basic constructions ------------------------------------------------------
 
-def identity_hom_form(n: int, backend: str = "exact", steps=None) -> HomForm:
-    one = field_const(backend, n, 1, steps)
-    return HomForm(n, 0, backend, steps, {((), i, i): one for i in range(n)})
+def identity_hom_form(n: int, backend: str = "exact") -> HomForm:
+    one = field_const(backend, n, 1)
+    return HomForm(n, 0, backend, {((), i, i): one for i in range(n)})
 
 
 def torsion_form(conn: ConnectionField) -> HomForm:
-    return _torsion_form_from(conn, torsion_components(conn))
-
-
-def _torsion_form_from(conn: ConnectionField, raw) -> HomForm:
-    comps = {}
-    for (i, k, j), f in raw.items():
-        comps[((k,), i, j)] = f
-    return HomForm(conn.n, 1, conn.backend, conn.fd_steps, comps)
+    comps = {((k,), i, j): f for (i, k, j), f in torsion_components(conn).items()}
+    return HomForm(conn.n, 1, conn.backend, comps)
 
 
 def _curvature_like_form(conn: ConnectionField, raw) -> HomForm:
@@ -194,7 +187,7 @@ def _curvature_like_form(conn: ConnectionField, raw) -> HomForm:
     for (i, r, j, k), f in raw.items():
         if r < j:
             comps[((r, j), i, k)] = f
-    return HomForm(conn.n, 2, conn.backend, conn.fd_steps, comps)
+    return HomForm(conn.n, 2, conn.backend, comps)
 
 
 def curvature_form(conn: ConnectionField) -> HomForm:
@@ -221,7 +214,7 @@ def nabla_tilde(conn: ConnectionField, omega: HomForm, r: int) -> HomForm:
             for j in range(omega.n):
                 comps[(tuple(idx), i, j)] = dt_scalar(
                     conn, lambda a, b, idx=idx: omega.comp(idx, a, b), r, i, j)
-    return HomForm(omega.n, omega.degree, omega.backend, omega.steps, comps)
+    return HomForm(omega.n, omega.degree, omega.backend, comps)
 
 
 def d_tilde(conn: ConnectionField, omega: HomForm) -> HomForm:
@@ -268,7 +261,7 @@ def wedge(a: HomForm, b: HomForm) -> HomForm:
     n = a.n
     p, q = a.degree, b.degree
     if p + q > n:
-        return HomForm(n, p + q, a.backend, a.steps or b.steps)
+        return HomForm(n, p + q, a.backend)
     comps = {}
     for out_idx in combinations(range(n), p + q):
         for i in range(n):
@@ -286,7 +279,7 @@ def wedge(a: HomForm, b: HomForm) -> HomForm:
                         term = term.scale(-1)
                     acc = term if acc is None else acc + term
                 comps[(tuple(out_idx), i, j)] = acc
-    return HomForm(n, p + q, a.backend, a.steps or b.steps, comps)
+    return HomForm(n, p + q, a.backend, comps)
 
 
 def trace_form(omega: HomForm) -> HomForm:
@@ -298,7 +291,7 @@ def trace_form(omega: HomForm) -> HomForm:
             term = omega.comp(tuple(idx), a, a)
             acc = term if acc is None else acc + term
         comps[(tuple(idx),)] = acc
-    return HomForm(omega.n, omega.degree, omega.backend, omega.steps, comps, value_slots=0)
+    return HomForm(omega.n, omega.degree, omega.backend, comps, value_slots=0)
 
 
 def wedge_power(omega: HomForm, i: int) -> HomForm:
@@ -318,31 +311,28 @@ def form_residual(form: HomForm, points) -> float:
 
 
 def nabla_torsion_minus_curvature(conn: ConnectionField, sign: int,
-                                  tor=None, curv=None) -> List[ScalarField]:
-    """Components of (covariant derivative of torsion) - sign * curvature.
+                                  t: HomForm, r: HomForm) -> List[ScalarField]:
+    """Components of (covariant derivative of torsion) - sign * curvature,
+    read from the torsion form ``t`` and curvature form ``r`` of ``conn``.
 
     The torsion is differentiated as a full (1,2)-tensor.  The curvature
-    component paired with direction r and torsion slots (j, k) is the one
-    with form pair (k, j) and value slot r, which is the arrangement that
+    component paired with direction d and torsion slots (j, k) is the one
+    with form pair (k, j) and value slot d, which is the arrangement that
     the calibrated sign closes exactly; with the opposite pairing the two
     sides agree up to the global sign instead.
     """
     n = conn.n
-    if tor is None:
-        tor = torsion_components(conn)
-    if curv is None:
-        curv = curvature_components(conn)
 
     def t_get(i, j, k):
-        return tor[(i, j, k)]
+        return t.comp((j,), i, k)
 
     out = []
-    for r in range(n):
+    for d in range(n):
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = nabla_tensor12(conn, t_get, r, i, j, k)
-                    rhs = curv[(i, k, j, r)]
+                    lhs = nabla_tensor12(conn, t_get, d, i, j, k)
+                    rhs = r.comp((k, j), i, d)
                     out.append(lhs - (rhs if sign == 1 else rhs.scale(-1)))
     return out
 
@@ -389,10 +379,8 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int) -> _Geometry:
     exact = conn.backend == "exact"
     points = RationalGrid(chart.rational_grid(grid_points)) if exact else chart.grid(grid_points)
 
-    tor_raw = torsion_components(conn)
-    curv_raw = curvature_components(conn)
-    t = _torsion_form_from(conn, tor_raw)
-    r = _curvature_like_form(conn, curv_raw)
+    t = torsion_form(conn)
+    r = curvature_form(conn)
     rt = curvature_tilde_form(conn)
 
     res_rtilde = form_residual(rt, points)
@@ -428,7 +416,7 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int) -> _Geometry:
     cs_rhs = trace_form(wedge(sr, sr))
     res_cs = form_residual(cs_lhs - cs_rhs, points)
 
-    nabla_res = nabla_torsion_minus_curvature(conn, sign, tor=tor_raw, curv=curv_raw)
+    nabla_res = nabla_torsion_minus_curvature(conn, sign, t, r)
     res_nabla = scalars_residual(nabla_res, conn.backend, points)
 
     max_r = form_residual(r, points)

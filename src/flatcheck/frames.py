@@ -18,9 +18,12 @@ Two scalar-field backends implement the same operations:
 
 * exact  - RationalFunc components; identities are literal zeros.
 * numeric - black-box evaluators differentiated by five-point central
-  stencils (step ``fd_step`` at the first level, ``fd_step2`` for nested
+  stencils (step ``FD_STEP`` at the first level, ``FD_STEP2`` for nested
   levels), for charts with entries like exp or sin that have no rational
   form.
+
+Charts are bounded: at most ``MAX_DIM`` dimensions, and at most
+``MAX_GRID_POINTS`` points on an evaluation grid.
 """
 
 from __future__ import annotations
@@ -40,8 +43,15 @@ class ChartError(ValueError):
     """Invalid frame chart: wrong shape, singular frame, bad domain."""
 
 
-DEFAULT_FD_STEP = 1e-4
-DEFAULT_FD_STEP2 = 1e-3
+FD_STEP = 1e-4
+FD_STEP2 = 1e-3
+MAX_DIM = 6
+MAX_GRID_POINTS = 4096
+
+
+def check_dim(n: int) -> None:
+    if not 1 <= n <= MAX_DIM:
+        raise ChartError(f"chart dimension {n} is outside 1..{MAX_DIM}")
 
 
 class NumericScalar:
@@ -58,39 +68,37 @@ class NumericScalar:
     of nested stencils into one evaluation per distinct point.
     """
 
-    __slots__ = ("fn", "n", "depth", "steps", "_cache")
+    __slots__ = ("fn", "n", "depth", "_cache")
 
-    def __init__(self, fn: Callable[[Tuple[float, ...]], float], n: int,
-                 depth: int = 0, steps: Tuple[float, float] = (DEFAULT_FD_STEP, DEFAULT_FD_STEP2)):
+    def __init__(self, fn: Callable[[Tuple[float, ...]], float], n: int, depth: int = 0):
         self.fn = fn
         self.n = n
         self.depth = depth
-        self.steps = steps
         self._cache: Dict[Tuple[float, ...], float] = {}
 
     @staticmethod
-    def const(n: int, value: float, steps=(DEFAULT_FD_STEP, DEFAULT_FD_STEP2)) -> NumericScalar:
+    def const(n: int, value: float) -> NumericScalar:
         v = float(value)
-        return NumericScalar(lambda x: v, n, 0, steps)
+        return NumericScalar(lambda x: v, n)
 
     def __add__(self, other: NumericScalar) -> NumericScalar:
         return NumericScalar(lambda x: self.eval_float(x) + other.eval_float(x), self.n,
-                             max(self.depth, other.depth), self.steps)
+                             max(self.depth, other.depth))
 
     def __sub__(self, other: NumericScalar) -> NumericScalar:
         return NumericScalar(lambda x: self.eval_float(x) - other.eval_float(x), self.n,
-                             max(self.depth, other.depth), self.steps)
+                             max(self.depth, other.depth))
 
     def __mul__(self, other: NumericScalar) -> NumericScalar:
         return NumericScalar(lambda x: self.eval_float(x) * other.eval_float(x), self.n,
-                             max(self.depth, other.depth), self.steps)
+                             max(self.depth, other.depth))
 
     def scale(self, value) -> NumericScalar:
         v = float(value)
-        return NumericScalar(lambda x: v * self.eval_float(x), self.n, self.depth, self.steps)
+        return NumericScalar(lambda x: v * self.eval_float(x), self.n, self.depth)
 
     def diff(self, r: int) -> NumericScalar:
-        h = self.steps[0] if self.depth == 0 else self.steps[1]
+        h = FD_STEP if self.depth == 0 else FD_STEP2
 
         def deriv(x: Tuple[float, ...]) -> float:
             def shifted(t: float) -> float:
@@ -100,7 +108,7 @@ class NumericScalar:
             return (-shifted(2 * h) + 8 * shifted(h)
                     - 8 * shifted(-h) + shifted(-2 * h)) / (12 * h)
 
-        return NumericScalar(deriv, self.n, self.depth + 1, self.steps)
+        return NumericScalar(deriv, self.n, self.depth + 1)
 
     def eval_float(self, point) -> float:
         key = tuple(float(x) for x in point)
@@ -114,10 +122,10 @@ class NumericScalar:
 ScalarField = RationalFunc | NumericScalar
 
 
-def field_const(backend: str, n: int, value, steps=None) -> ScalarField:
+def field_const(backend: str, n: int, value) -> ScalarField:
     if backend == "exact":
         return RationalFunc.const(n, value)
-    return NumericScalar.const(n, value, steps or (DEFAULT_FD_STEP, DEFAULT_FD_STEP2))
+    return NumericScalar.const(n, value)
 
 
 def field_is_exactly_zero(f: ScalarField) -> bool:
@@ -130,16 +138,15 @@ class FrameChart:
 
     def __init__(self, name: str, n: int, domain: Sequence[Tuple],
                  entries: Sequence[Sequence[RationalFunc]] | None = None,
-                 evaluator: Callable[[Tuple[float, ...]], Sequence] | None = None,
-                 fd_steps: Tuple[float, float] = (DEFAULT_FD_STEP, DEFAULT_FD_STEP2)):
+                 evaluator: Callable[[Tuple[float, ...]], Sequence] | None = None):
         if (entries is None) == (evaluator is None):
             raise ChartError("provide exactly one of exact entries or a numeric evaluator")
+        check_dim(n)
         self.name = name
         self.n = n
         self.domain = [(Fraction(lo), Fraction(hi)) for lo, hi in domain]
         if len(self.domain) != n or any(lo >= hi for lo, hi in self.domain):
             raise ChartError(f"domain must be {n} nonempty intervals")
-        self.fd_steps = fd_steps
         if entries is not None:
             self.backend = "exact"
             self.entries = [list(row) for row in entries]
@@ -169,8 +176,6 @@ class FrameChart:
             self.evaluator = cached
 
     def grid(self, points_per_axis: int = 5) -> List[Tuple[float, ...]]:
-        if points_per_axis < 2:
-            raise ChartError("need at least 2 grid points per axis")
         axes = []
         for lo, hi in self.domain:
             lo, hi = float(lo), float(hi)
@@ -186,13 +191,23 @@ class FrameChart:
         return [tuple(p) for p in iproduct(*axes)]
 
     def validate_invertible(self, points_per_axis: int = 5) -> None:
-        """Check e is finite and det e nonzero on the evaluation grid (exactly, when exact)."""
+        """Check the evaluation grid is within bounds, and that e is finite
+        and det e nonzero on it (exactly, when exact)."""
+        if points_per_axis < 2:
+            raise ChartError("need at least 2 grid points per axis")
+        if points_per_axis ** self.n > MAX_GRID_POINTS:
+            raise ChartError(f"a grid of {points_per_axis}^{self.n} points exceeds "
+                             f"the limit of {MAX_GRID_POINTS}")
         if self.backend == "exact":
             for p in self.rational_grid(points_per_axis):
                 if any(f.eval(p) == 0 for f in self._den_factors):
-                    raise ChartError(f"frame of chart '{self.name}' has a pole at {p}")
-                if self._det.eval(p) == 0:
-                    raise ChartError(f"frame of chart '{self.name}' is singular at {p}")
+                    problem = "has a pole"
+                elif self._det.eval(p) == 0:
+                    problem = "is singular"
+                else:
+                    continue
+                at = ", ".join(map(str, p))
+                raise ChartError(f"frame of chart '{self.name}' {problem} at ({at})")
         else:
             import numpy as np
 
@@ -228,7 +243,6 @@ class ConnectionField:
     n: int
     backend: str
     gamma: List[List[List[ScalarField]]]
-    fd_steps: Tuple[float, float] = (DEFAULT_FD_STEP, DEFAULT_FD_STEP2)
 
     def comp(self, i: int, j: int, k: int) -> ScalarField:
         return self.gamma[i][j][k]
@@ -238,14 +252,13 @@ class ConnectionField:
         (and so the numeric evaluation caches) of this one."""
         gamma = [[[self.gamma[i][k][j] for k in range(self.n)] for j in range(self.n)]
                  for i in range(self.n)]
-        return ConnectionField(self.n, self.backend, gamma, self.fd_steps)
+        return ConnectionField(self.n, self.backend, gamma)
 
 
 def gamma_from_frame(chart: FrameChart) -> ConnectionField:
     """The connection of the parallelism: Gamma^i_{jk} = d_j e . e^-1."""
     n = chart.n
     if chart.backend == "exact":
-        chart.validate_invertible()
         einv = rf_matrix_inverse(chart.entries)
         gamma = [[[RationalFunc(Poly.zero(n)) for _ in range(n)] for _ in range(n)]
                  for _ in range(n)]
@@ -256,13 +269,12 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
                     for a in range(n):
                         acc = acc + chart.entries[i][a].diff(j) * einv[a][k]
                     gamma[i][j][k] = acc
-        return ConnectionField(n, "exact", gamma, chart.fd_steps)
+        return ConnectionField(n, "exact", gamma)
 
     import numpy as np
 
-    chart.validate_invertible()
     ev = chart.evaluator
-    h = chart.fd_steps[0]
+    h = FD_STEP
     tensor_cache: Dict[Tuple[float, ...], np.ndarray] = {}
 
     def gamma_tensor(x: Tuple[float, ...]) -> np.ndarray:
@@ -282,10 +294,10 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
         return got
 
     def gamma_entry(i: int, j: int, k: int) -> NumericScalar:
-        return NumericScalar(lambda x: float(gamma_tensor(x)[i, j, k]), n, 1, chart.fd_steps)
+        return NumericScalar(lambda x: float(gamma_tensor(x)[i, j, k]), n, 1)
 
     gamma = [[[gamma_entry(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
-    return ConnectionField(n, "numeric", gamma, chart.fd_steps)
+    return ConnectionField(n, "numeric", gamma)
 
 
 # --- covariant derivative and curvature components ---------------------------

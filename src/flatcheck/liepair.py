@@ -232,7 +232,11 @@ def _stabilizer_step(g: LieAlgebra, stage: Subalgebra) -> Subalgebra:
 
 def order_of(g: LieAlgebra, h: Subalgebra) -> int | str:
     """Number of steps for the filtration to die, or "ineffective"."""
-    chain = filtration_of(g, h)
+    return order_of_chain(filtration_of(g, h))
+
+
+def order_of_chain(chain: List[Subalgebra]) -> int | str:
+    """``order_of`` read from a chain that ``filtration_of`` returned."""
     if chain[-1].dim == 0:
         return len(chain) - 1
     return "ineffective"

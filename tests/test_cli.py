@@ -144,6 +144,14 @@ MALFORMED = {
     "jet-order": (["jet", "invert"], {"n": 1, "k": "x", "components": [[]]}),
     "pair-coeffs": (["liepair", "order", "--pair"], {
         "dim": 3, "brackets": [{"i": 0, "j": 1}], "subalgebra": []}),
+    # dimension and grid size are capped, so these are refused at once
+    "zero-dim": (["geom", "report", "--chart"], {
+        "name": "empty", "n": 0, "domain": [], "frame": []}),
+    "huge-dim": (["geom", "report", "--chart"], {
+        "name": "identity9", "n": 9, "domain": [[-1, 1]] * 9,
+        "frame": [["1" if i == j else "0" for j in range(9)] for i in range(9)]}),
+    "huge-builtin": (["geom", "report", "--chart"], {"builtin": "abelian40"}),
+    "huge-grid": (["geom", "report", "--grid", "3000", "--chart"], {"builtin": "abelian2"}),
 }
 
 
@@ -356,6 +364,76 @@ def test_console_entry_point():
 def test_invalid_config_rejected():
     code, _ = run_cli(["geom", "report", "--builtin", "abelian2", "--grid", "1"])
     assert code == 1
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--tol2"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_non_finite_or_zero_tolerance_rejected(capsys, flag, value):
+    for command in (["geom", "report"], ["chern-simons"]):
+        code, out = run_cli([*command, "--builtin", "abelian2", flag, value])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag} ") and len(err.splitlines()) == 1, err
+
+
+def test_grid_cap_is_inclusive():
+    from flatcheck.frames import MAX_GRID_POINTS
+    assert MAX_GRID_POINTS == 64 ** 2
+    code, _ = run_cli(["geom", "report", "--builtin", "abelian2", "--grid", "64"])
+    assert code == 0
+    code, _ = run_cli(["geom", "report", "--builtin", "abelian2", "--grid", "65"])
+    assert code == 1
+
+
+def test_chart_is_validated_on_the_requested_grid(tmp_path, capsys):
+    # the pole at x1 = 1/2 lies on the 5-point grid but not on the 3-point one
+    path = tmp_path / "half-pole.json"
+    path.write_text(json.dumps({
+        "name": "half-pole", "n": 2, "domain": [[-1, 1], [-1, 1]],
+        "frame": [["1/(x1 - 1/2)", "0"], ["0", "1"]]}))
+    for command in (["geom", "report"], ["chern-simons"]):
+        code, out = run_cli([*command, "--chart", str(path), "--grid", "3"])
+        assert code == 0
+        assert json.loads(out)["locally_homogeneous"] is True
+        capsys.readouterr()
+        code, out = run_cli([*command, "--chart", str(path), "--grid", "5"])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: frame of chart 'half-pole' has a pole at (1/2, -1)\n")
+
+
+def test_one_validation_per_command(monkeypatch):
+    from flatcheck.frames import FrameChart
+    real = FrameChart.validate_invertible
+    calls = []
+
+    def counted(chart, points_per_axis=5):
+        calls.append(points_per_axis)
+        return real(chart, points_per_axis)
+
+    monkeypatch.setattr(FrameChart, "validate_invertible", counted)
+    for command in (["geom", "report"], ["chern-simons"]):
+        calls.clear()
+        code, _ = run_cli([*command, "--builtin", "heisenberg3", "--grid", "3"])
+        assert code == 0
+        assert calls == [3]
+
+
+def test_liepair_order_computes_the_filtration_once(monkeypatch):
+    from flatcheck import cli as cli_mod, liepair
+    real = liepair.filtration_of
+    calls = []
+
+    def counted(g, h):
+        calls.append(1)
+        return real(g, h)
+
+    monkeypatch.setattr(liepair, "filtration_of", counted)
+    monkeypatch.setattr(cli_mod, "filtration_of", counted)
+    code, out = run_cli(["liepair", "order", "--builtin", "sl2/borel"])
+    assert code == 0
+    assert json.loads(out)["order"] == 2
+    assert len(calls) == 1
 
 
 def test_calibration_failure_exit_code(monkeypatch):

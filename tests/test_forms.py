@@ -51,7 +51,7 @@ def random_hom_form(n, degree, rng, deg=1):
         for i in range(n):
             for j in range(n):
                 comps[(idx, i, j)] = rf(random_poly(n, deg, rng, span=2))
-    return HomForm(n, degree, "exact", None, comps)
+    return HomForm(n, degree, "exact", comps)
 
 
 # --- form plumbing ------------------------------------------------------------
@@ -62,7 +62,7 @@ def test_component_access_antisymmetry():
     assert (w.comp((0, 1), 0, 0) + w.comp((1, 0), 0, 0)).is_zero()
     assert w.comp((1, 1), 0, 0).is_zero()
     # canonicalizing twice is the same as once: storage already canonical
-    again = HomForm(w.n, w.degree, w.backend, None, w.components)
+    again = HomForm(w.n, w.degree, w.backend, w.components)
     for key, f in w.components.items():
         assert (again.components[key] - f).is_zero()
 
@@ -410,7 +410,7 @@ def test_residual_of_non_finite_field_raises():
     import pytest
     from flatcheck.forms import form_residual
     from flatcheck.frames import ChartError, NumericScalar
-    form = HomForm(2, 0, "numeric", None, {((), 0, 0): NumericScalar(lambda x: float("nan"), 2)})
+    form = HomForm(2, 0, "numeric", {((), 0, 0): NumericScalar(lambda x: float("nan"), 2)})
     with pytest.raises(ChartError, match="not finite"):
         form_residual(form, [(0.0, 0.0)])
 
@@ -465,7 +465,7 @@ def test_rational_grid_non_finite_raises_at_the_first_point():
     x = Poly.var(n, 0)
     finite = rf(x)
     huge = rf((x * x).scale(10 ** 300))  # 1e300 * x^2 overflows to inf at x = 1e5
-    form = HomForm(n, 0, "exact", None, {((), 0, 0): finite, ((), 0, 1): huge})
+    form = HomForm(n, 0, "exact", {((), 0, 0): finite, ((), 0, 1): huge})
     points = [(Fraction(1),), (Fraction(10 ** 5),), (Fraction(10 ** 6),)]
     for grid in (points, RationalGrid(points)):
         with pytest.raises(ChartError, match=r"not finite at \(100000\.0,\)"):
