@@ -115,6 +115,8 @@ def _interpret(node, n: int, algebra):
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ChartError(f"unsupported literal {node.value!r}")
+        if isinstance(node.value, float) and not math.isfinite(node.value):
+            raise ChartError(f"a literal overflows to {node.value!r}: numbers must be finite")
         return algebra.const(n, node.value)
     if isinstance(node, ast.Name):
         m = _VAR_RE.match(node.id)

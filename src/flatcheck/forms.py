@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product as iproduct
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
@@ -66,6 +67,7 @@ class CalibrationError(RuntimeError):
             f"+1 -> {residual_plus}, -1 -> {residual_minus}")
 
 
+@cache
 def _sort_with_sign(idx: IndexTuple) -> Tuple[IndexTuple, int]:
     if len(set(idx)) != len(idx):
         return tuple(sorted(idx)), 0

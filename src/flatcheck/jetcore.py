@@ -19,7 +19,7 @@ from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
 from .rational import matrix_determinant  # noqa: F401 - re-exported for the tests
-from .rational import Poly, grlex_key, rf_matrix_inverse, unit_mono
+from .rational import ZERO, Poly, grlex_key, rf_matrix_inverse, unit_mono
 
 MultiIndex = Tuple[int, ...]
 
@@ -97,6 +97,7 @@ class TruncatedPoly(Poly):
             self.coeffs[mono] = c
         else:
             self.coeffs.pop(mono, None)
+        self._coeffs_changed()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TruncatedPoly) and self.k == other.k and super().__eq__(other)
@@ -114,7 +115,7 @@ class TruncatedPoly(Poly):
                 if da + sum(mb) > self.k:
                     continue
                 mono = mi_add(ma, mb)
-                s = out.get(mono, Fraction(0)) + ca * cb
+                s = out.get(mono, ZERO) + ca * cb
                 if s:
                     out[mono] = s
                 else:
@@ -289,7 +290,8 @@ def poly_to_json(p: Poly) -> list:
 def poly_from_json(entries, n: int, k: int | None = None) -> Poly:
     """Read ``poly_to_json`` entries back into a Poly, or into a
     TruncatedPoly of order ``k``; JetError on a malformed entry."""
-    out = Poly(n) if k is None else TruncatedPoly(n, k)
+    if k is not None:
+        TruncatedPoly(n, k)  # a bad n or k is reported before any entry
     if not isinstance(entries, list):
         raise JetError(f"malformed jet document: expected a list of entries, got {entries!r}")
     coeffs = {}
@@ -303,8 +305,7 @@ def poly_from_json(entries, n: int, k: int | None = None) -> Poly:
             raise JetError(f"multi-index {mono} has wrong length in jet document")
         if k is not None and sum(mono) > k:
             raise JetError(f"multi-index {mono} exceeds order k={k} in jet document")
-    out.coeffs = {mono: c for mono, c in coeffs.items() if c}
-    return out
+    return Poly(n, coeffs) if k is None else TruncatedPoly(n, k, coeffs)
 
 
 def map_to_json(f: TruncatedMap) -> dict:

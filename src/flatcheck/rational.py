@@ -15,6 +15,8 @@ of normal forms: ``is_zero`` is decidable and exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, gt, neg, sub
 from typing import Dict, Iterable, Mapping, Tuple
 
 Monomial = Tuple[int, ...]
@@ -42,9 +44,14 @@ class Poly:
     Results of the arithmetic are built by ``_like``, so a subclass that
     carries more state (the truncation order of a jet component) gets
     results of its own kind.
+
+    The hash and the shape (see ``shape``) are computed on first use and
+    kept in slots that stay unset until then, so building a polynomial
+    costs nothing extra.  Code that changes ``coeffs`` in place must call
+    ``_coeffs_changed`` afterwards.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "coeffs", "_hash", "_shape")
 
     def __init__(self, n: int, coeffs: Mapping[Monomial, Fraction] | None = None):
         self.n = n
@@ -97,7 +104,29 @@ class Poly:
         return isinstance(other, Poly) and self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.coeffs.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((self.n, frozenset(self.coeffs.items())))
+            return h
+
+    def shape(self) -> tuple:
+        """(leading monomial, its coefficient, grlex-least monomial, degree
+        in each variable) of a nonzero polynomial."""
+        try:
+            return self._shape
+        except AttributeError:
+            keys = [(sum(m), m) for m in self.coeffs]  # grlex keys
+            lead = max(keys)[1]
+            s = self._shape = (lead, self.coeffs[lead], min(keys)[1],
+                               tuple(map(max, zip(*self.coeffs))))
+            return s
+
+    def _coeffs_changed(self) -> None:
+        """Drop the cached hash and shape after an in-place change to ``coeffs``."""
+        for slot in ("_hash", "_shape"):
+            if hasattr(self, slot):
+                delattr(self, slot)
 
     def __add__(self, other: Poly) -> Poly:
         out = dict(self.coeffs)
@@ -163,36 +192,59 @@ class Poly:
             total += term
         return total
 
-    def leading(self) -> tuple[Monomial, Fraction]:
-        mono = max(self.coeffs, key=grlex_key)
-        return mono, self.coeffs[mono]
-
     def divides(self, other: Poly) -> Poly | None:
-        """Exact division other / self; None if self does not divide other."""
+        """Exact division other / self; None if self does not divide other.
+
+        If self divides other, the grlex-least monomial of self divides
+        that of other, and no variable has a higher degree in self than in
+        other (both follow from other = self * q); a pair that fails either
+        test is refused without dividing.  Otherwise long division runs on
+        one remainder dict, whose leading monomial a heap of negated grlex
+        keys finds.  Quotient terms come out in descending grlex order.
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if other.is_zero():
             return other._like({})
-        if self.is_const():
-            return other.scale(1 / self.const_value())
-        lead_m, lead_c = self.leading()
-        rem = other
+        lead_m, lead_c, low, degs = self.shape()
+        if not any(lead_m):
+            return other.scale(1 / lead_c)
+        _, _, other_low, other_degs = other.shape()
+        if any(map(gt, low, other_low)) or any(map(gt, degs, other_degs)):
+            return None
+        rem = dict(other.coeffs)
+        heap = [(-sum(m), tuple(map(neg, m)), m) for m in rem]
+        heapify(heap)
         quot: PolyDict = {}
-        while not rem.is_zero():
-            rm, rc = rem.leading()
-            qm = tuple(a - b for a, b in zip(rm, lead_m))
-            if any(e < 0 for e in qm):
+        while heap:
+            rm = heappop(heap)[2]
+            rc = rem.pop(rm, None)
+            if rc is None:  # a stale entry of a term that cancelled
+                continue
+            qm = tuple(map(sub, rm, lead_m))
+            if min(qm) < 0:
                 return None
-            qc = rc / lead_c
+            qc = rc if lead_c == 1 else rc / lead_c
             quot[qm] = qc
-            rem = rem - self * Poly(self.n, {qm: qc})
+            # every term of self * qc x^qm other than the leading one lies below rm
+            for m, c in self.coeffs.items():
+                if m == lead_m:
+                    continue
+                mono = tuple(map(add, m, qm))
+                s = rem.get(mono, ZERO) - c * qc
+                if s:
+                    if mono not in rem:
+                        heappush(heap, (-sum(mono), tuple(map(neg, mono)), mono))
+                    rem[mono] = s
+                else:
+                    rem.pop(mono, None)
         return other._like(quot)
 
     def monic(self) -> tuple[Poly, Fraction]:
         """Scale so the grlex-leading coefficient is 1; returns (monic, factor)."""
         if self.is_zero():
             return self, ONE
-        _, lc = self.leading()
+        lc = self.shape()[1]
         return self.scale(1 / lc), lc
 
     def __repr__(self):
@@ -271,9 +323,9 @@ class RationalFunc:
         return d
 
     def __add__(self, other: RationalFunc) -> RationalFunc:
-        if self.is_zero():
+        if not self.num.coeffs:
             return other
-        if other.is_zero():
+        if not other.num.coeffs:
             return self
         # common denominator: factorwise max exponent
         common: Dict[Poly, int] = dict(self.den)
@@ -300,15 +352,26 @@ class RationalFunc:
         return self + (-other)
 
     def __mul__(self, other: RationalFunc) -> RationalFunc:
-        if self.is_zero() or other.is_zero():
-            return RationalFunc(Poly.zero(self.n))
+        # fields are never changed after they are built, so a zero is shared
+        if not self.num.coeffs:
+            return self
+        if not other.num.coeffs:
+            return other
         den: Dict[Poly, int] = dict(self.den)
         for f, e in other.den.items():
             den[f] = den.get(f, 0) + e
         return RationalFunc(self.num * other.num, den)
 
     def scale(self, value) -> RationalFunc:
-        return RationalFunc(self.num.scale(value), self.den)
+        c = Fraction(value)
+        if not c:
+            return RationalFunc(Poly.zero(self.n))
+        # no factor divides num, so none divides c * num: nothing to reduce
+        res = RationalFunc.__new__(RationalFunc)
+        res.n = self.n
+        res.num = self.num.scale(c)
+        res.den = dict(self.den)
+        return res
 
     def inverse(self) -> RationalFunc:
         """Reciprocal; the (monic) numerator becomes a new denominator atom."""
@@ -370,8 +433,10 @@ class RationalGrid:
     The work that ``eval_float`` repeats is done once: each coordinate
     power ``float(x_t ** e)`` once per point, the coefficients of a
     polynomial once, and each denominator factor once per point for every
-    field that shares it.  Factors are keyed by identity, which is cheap
-    where ``Poly.__hash__`` is not; the grid holds them, so ids stay unique.
+    field that shares it.  Factors are keyed by identity, not by equality:
+    two equal factors may hold their terms in different orders, and their
+    float values could then differ in the last bit.  The grid holds them,
+    so ids stay unique.
     """
 
     __slots__ = ("points", "_powers", "_factors")

@@ -33,7 +33,7 @@ from .jetcore import (
     project_order,
     substitute,
 )
-from .rational import Poly, RationalFunc, frac_str, unit_mono
+from .rational import ZERO, Poly, RationalFunc, frac_str, unit_mono
 
 
 def _binom(alpha: MultiIndex, beta: MultiIndex) -> int:
@@ -75,7 +75,7 @@ class PointJet:
                     self.coeffs[(i, alpha)] = c
 
     def coeff(self, i: int, alpha: MultiIndex) -> Fraction:
-        return self.coeffs.get((i, tuple(alpha)), Fraction(0))
+        return self.coeffs.get((i, tuple(alpha)), ZERO)
 
     def order_zero(self) -> List[Fraction]:
         zero = (0,) * self.n

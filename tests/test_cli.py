@@ -152,6 +152,13 @@ MALFORMED = {
         "frame": [["1" if i == j else "0" for j in range(9)] for i in range(9)]}),
     "huge-builtin": (["geom", "report", "--chart"], {"builtin": "abelian40"}),
     "huge-grid": (["geom", "report", "--grid", "3000", "--chart"], {"builtin": "abelian2"}),
+    # a float literal that overflows to inf, on the exact and the auto backend
+    "inf-literal": (["geom", "report", "--chart"], {
+        "name": "inf", "n": 2, "domain": [[1, 2], [1, 2]],
+        "frame": [["1e999*x1", "0"], ["0", "1"]]}),
+    "inf-literal-auto": (["geom", "report", "--chart"], {
+        "name": "inf", "n": 2, "domain": [[1, 2], [1, 2]],
+        "frame": [["1e999 + 0*sin(x1)", "0"], ["0", "1"]]}),
 }
 
 
@@ -166,6 +173,26 @@ def test_malformed_document_exits_one_with_one_line(tmp_path, name):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["inf-literal", "inf-literal-auto"])
+def test_non_finite_literal_is_named(tmp_path, name):
+    # exit 1 with one line is checked with the rest of MALFORMED; this checks the line
+    argv, doc = MALFORMED[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "flatcheck.cli", *argv, str(path)],
+                          capture_output=True, text=True, timeout=30)
+    assert "1e999" in proc.stderr or "inf" in proc.stderr
+    assert "Fraction" not in proc.stderr  # not the bare ValueError of the parser
+
+
+def test_non_finite_literal_is_refused_on_both_backends():
+    from flatcheck.charts_io import parse_exact_expr, parse_numeric_expr
+    from flatcheck.frames import ChartError
+    for parse in (parse_exact_expr, parse_numeric_expr):
+        with pytest.raises(ChartError, match="inf"):
+            parse("2 * 1e999", 1)
 
 
 def test_exponent_cap_is_inclusive_on_both_backends():

@@ -1,0 +1,197 @@
+"""Exact trial division and the normal forms of ``flatcheck.rational``.
+
+``Poly.divides`` is checked two ways on random sparse polynomials in at
+most three variables: against ``reference_divides`` below, a copy of the
+plain long division it replaced (one new Poly per step), which pins the
+order of the quotient's terms; and against sympy's ``div``, a test-only
+oracle that shares no code with flatcheck.  The normal-form pins use the
+connection components of the conftest charts: polynomial on unipotent4,
+with one to three denominator factors on sl2rational and sl2mix4.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from conftest import make_sl2mix4, make_sl2rational, make_unipotent4
+from flatcheck import rational
+from flatcheck.frames import gamma_from_frame
+from flatcheck.jetcore import TruncatedPoly
+from flatcheck.rational import Poly, RationalFunc, RationalGrid, grlex_key
+
+SEEDS = range(8)
+CASES_PER_SEED = 40
+
+
+def reference_divides(f: Poly, h: Poly) -> Poly | None:
+    """h / f by long division on whole polynomials, or None."""
+    if f.is_const():
+        return h.scale(1 / f.const_value())
+    lead_m = max(f.coeffs, key=grlex_key)
+    lead_c = f.coeffs[lead_m]
+    rem, quot = h, {}
+    while not rem.is_zero():
+        rm = max(rem.coeffs, key=grlex_key)
+        qm = tuple(a - b for a, b in zip(rm, lead_m))
+        if any(e < 0 for e in qm):
+            return None
+        qc = rem.coeffs[rm] / lead_c
+        quot[qm] = qc
+        rem = rem - f * Poly(f.n, {qm: qc})
+    return Poly(h.n, quot)
+
+
+def rand_poly(rng: random.Random, n: int, terms: int, max_deg: int = 3) -> Poly:
+    coeffs = {}
+    for _ in range(terms):
+        mono = [0] * n
+        for _ in range(rng.randint(0, max_deg)):
+            mono[rng.randrange(n)] += 1
+        coeffs[tuple(mono)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    return Poly(n, coeffs)
+
+
+def rand_nonzero(rng: random.Random, n: int, terms: int) -> Poly:
+    while True:
+        p = rand_poly(rng, n, terms)
+        if not p.is_zero():
+            return p
+
+
+def sympy_divisible(f: Poly, h: Poly) -> bool:
+    gens = sympy.symbols(f"x1:{f.n + 1}")
+
+    def to_sympy(p: Poly):
+        return sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator)
+                                     for m, c in p.coeffs.items()}, *gens, domain=sympy.QQ)
+
+    _, r = sympy.div(to_sympy(h), to_sympy(f))
+    return r.is_zero
+
+
+def division_cases(seed: int):
+    rng = random.Random(seed)
+    for _ in range(CASES_PER_SEED):
+        n = rng.randint(1, 3)
+        f = rand_nonzero(rng, n, rng.randint(1, 4))
+        if rng.random() < 0.5:
+            f = f.monic()[0]  # denominator factors are monic
+        g = rand_nonzero(rng, n, rng.randint(1, 4))
+        yield n, f, g, rng
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_exact_quotient_matches_reference_division(seed):
+    for _, f, g, _ in division_cases(seed):
+        h = f * g
+        q = f.divides(h)
+        assert q == g
+        assert list(q.coeffs.items()) == list(reference_divides(f, h).coeffs.items())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_divisibility_agrees_with_sympy(seed):
+    refused = 0
+    for n, f, g, rng in division_cases(seed):
+        # a multiple of f disturbed by one term, often still passing the early tests
+        h = f * g + rand_poly(rng, n, 1)
+        if h.is_zero():
+            continue
+        q = f.divides(h)
+        assert (q is not None) == sympy_divisible(f, h)
+        ref = reference_divides(f, h)
+        assert (q is None) == (ref is None)
+        if q is not None:
+            assert list(q.coeffs.items()) == list(ref.coeffs.items())
+        refused += q is None
+    assert refused > CASES_PER_SEED // 2
+
+
+def _no_long_division(monkeypatch):
+    def fail(heap):
+        raise AssertionError("long division ran")
+    monkeypatch.setattr(rational, "heapify", fail)
+
+
+def test_least_monomial_rejects_before_dividing(monkeypatch):
+    f = Poly(1, {(2,): 1, (1,): 1})  # x1^2 + x1: least monomial x1
+    h = Poly(1, {(3,): 1, (0,): 1})  # x1^3 + 1: least monomial 1, degree 3 >= 2
+    assert reference_divides(f, h) is None
+    _no_long_division(monkeypatch)
+    assert f.divides(h) is None
+
+
+def test_variable_degree_rejects_before_dividing(monkeypatch):
+    f = Poly(2, {(0, 2): 1, (1, 0): 1})  # x2^2 + x1: least monomial x1, degrees (1, 2)
+    h = Poly(2, {(2, 1): 1, (1, 0): 1})  # x1^2 x2 + x1: least monomial x1, degrees (2, 1)
+    assert reference_divides(f, h) is None
+    _no_long_division(monkeypatch)
+    assert f.divides(h) is None
+
+
+def test_set_coeff_drops_the_cached_hash_and_shape():
+    p = TruncatedPoly(2, 4, {(1, 0): 1, (0, 0): 1})  # x1 + 1
+    h = Poly(2, {(2, 0): 1, (1, 0): 2, (0, 0): 1})  # (x1 + 1)^2
+    assert p.divides(h) == Poly(2, {(1, 0): 1, (0, 0): 1})
+    old_hash = Poly.__hash__(p)
+    assert p.shape()[0] == (1, 0)
+    p.set_coeff((1, 1), 5)  # x1 + 1 + 5 x1 x2
+    fresh = TruncatedPoly(2, 4, {(1, 0): 1, (0, 0): 1, (1, 1): 5})
+    assert Poly.__hash__(p) == Poly.__hash__(fresh) != old_hash
+    assert p.shape() == fresh.shape()
+    assert p.divides(h) is None
+    assert p.divides(h * Poly(2, {(1, 1): 5, (1, 0): 1, (0, 0): 1})) == h
+
+
+# --- normal forms of connection components --------------------------------------
+
+CHARTS = {"sl2rational": make_sl2rational, "unipotent4": make_unipotent4,
+          "sl2mix4": make_sl2mix4}
+
+
+@pytest.fixture(scope="module", params=sorted(CHARTS))
+def chart_and_gamma(request):
+    chart = CHARTS[request.param]()
+    conn = gamma_from_frame(chart)
+    fields = [f for plane in conn.gamma for row in plane for f in row]
+    assert any(fields)
+    return chart, fields
+
+
+@pytest.mark.parametrize("c", [Fraction(-1), Fraction(3, 7), 2, Fraction(-5, 2)])
+def test_scale_is_the_reduced_normal_form(chart_and_gamma, c):
+    _, fields = chart_and_gamma
+    for f in fields:
+        got = f.scale(c)
+        ref = RationalFunc(f.num.scale(c), f.den)
+        assert list(got.num.coeffs.items()) == list(ref.num.coeffs.items())
+        assert list(got.den.items()) == list(ref.den.items())
+    assert all(f.scale(0).is_zero() and not f.scale(0).den for f in fields)
+
+
+def test_zero_products_do_not_reduce(chart_and_gamma, monkeypatch):
+    _, fields = chart_and_gamma
+    zero = RationalFunc(Poly.zero(fields[0].n))
+    calls = []
+    original = RationalFunc._reduce
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(RationalFunc, "_reduce", counted)
+    for f in fields:
+        assert (zero * f).is_zero() and (f * zero).is_zero()
+    assert calls == []
+
+
+def test_grid_values_are_bit_identical_to_eval_float(chart_and_gamma):
+    chart, fields = chart_and_gamma
+    grid = RationalGrid(chart.rational_grid(3))
+    for f in fields:
+        got = [v.hex() for v in grid.values(f)]
+        assert got == [f.eval_float(p).hex() for p in grid.points]
