@@ -3,7 +3,9 @@
 Each case runs one flatcheck command line in process and compares its
 stdout and exit code with ``tests/golden/<case>.out`` and
 ``tests/golden/exit_codes.json``, which were written by an earlier
-version of the CLI.  A refactor that changes any byte of these reports
+version of the CLI.  Commands run inside ``tests/golden``, so a document
+argument is a bare file name there, and a report that echoes it (``liepair
+order --pair``) does not depend on where the repository lives.  A refactor that changes any byte of these reports
 fails here.  Numeric charts are left out: their last digits depend on the
 platform's libm.
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 import io
 import json
 import sys
-from contextlib import redirect_stdout
+from contextlib import chdir, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,14 @@ CASES = {
 }
 CASES.update({f"liepair-{name.replace('/', '-')}": ["liepair", "order", "--builtin", name]
               for name in PAIRS})
+# the heavy algebra inputs: dense n = 3 jets whose inversion needs several
+# sweeps, sl(n) over its Borel and filiform pairs whose filtrations are long
+for _k in (5, 6):
+    _f, _g = f"jet-n3k{_k}-f.json", f"jet-n3k{_k}-g.json"
+    CASES[f"jet-compose-n3k{_k}"] = ["jet", "compose", _f, _g]
+    CASES[f"jet-invert-n3k{_k}"] = ["jet", "invert", _f]
+for _pair in ("sl4-borel", "sl5-borel", "sl6-borel", "filiform8", "filiform16"):
+    CASES[f"liepair-doc-{_pair}"] = ["liepair", "order", "--pair", f"pair-{_pair}.json"]
 for _chart in EXACT_CHARTS:
     CASES[f"report-{_chart}"] = ["geom", "report", "--builtin", _chart]
     CASES[f"chern-simons-{_chart}"] = ["chern-simons", "--builtin", _chart]
@@ -57,10 +67,9 @@ for _chart, _grid in (("sl2rational", "5"), ("unipotent4", "5"), ("sl2mix4", "3"
 
 
 def run_case(name: str) -> tuple[int, str]:
-    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in CASES[name]]
     buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(argv)
+    with chdir(GOLDEN), redirect_stdout(buf):
+        code = main(CASES[name])
     return code, buf.getvalue()
 
 
