@@ -46,6 +46,8 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_RESIDUAL = 3
 
+MAX_TRIALS = 1000  # spencer check --trials; a run at the cap takes tens of seconds
+
 
 def _normalize(value):
     """Round floats to 17 significant digits so output is byte-stable."""
@@ -80,7 +82,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol2", type=float, default=1e-4,
                    help="tolerance for nested-derivative identities")
     p.add_argument("--grid", type=int, default=5, help="grid points per axis")
-    p.add_argument("--seed", type=int, default=0, help="random seed for sampled checks")
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for compatibility; it does not change the report")
     p.add_argument("--out", default=None, help="write the JSON report to this path")
 
 
@@ -168,6 +171,9 @@ def cmd_groupoid_g3(args) -> int:
 
 
 def cmd_spencer_check(args) -> int:
+    if not 0 <= args.trials <= MAX_TRIALS:
+        print(f"error: --trials must be in 0..{MAX_TRIALS}, not {args.trials}", file=sys.stderr)
+        return EXIT_INPUT
     from .spencer_suite import run_spencer_suite
     summary = run_spencer_suite(seed=args.seed, trials=args.trials)
     emit(summary, args.out)

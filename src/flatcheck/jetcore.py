@@ -16,12 +16,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import add
 from typing import Dict, List, Sequence, Tuple
 
+from .frames import MAX_DIM
 from .rational import matrix_determinant  # noqa: F401 - re-exported for the tests
 from .rational import ZERO, Poly, grlex_key, rf_matrix_inverse, unit_mono
 
 MultiIndex = Tuple[int, ...]
+
+# the largest truncation order a jet document may declare
+MAX_ORDER = 12
 
 
 class JetError(ValueError):
@@ -55,7 +60,7 @@ def mi_factorial(mono: MultiIndex) -> int:
 
 
 def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 class TruncatedPoly(Poly):
@@ -108,12 +113,15 @@ class TruncatedPoly(Poly):
 
     def __mul__(self, other: TruncatedPoly) -> TruncatedPoly:
         self._check_compatible(other)
+        k = self.k
+        right = sorted(((sum(mb), mb, cb) for mb, cb in other.coeffs.items()),
+                       key=lambda term: term[0])
         out: Dict[MultiIndex, Fraction] = {}
         for ma, ca in self.coeffs.items():
-            da = sum(ma)
-            for mb, cb in other.coeffs.items():
-                if da + sum(mb) > self.k:
-                    continue
+            room = k - sum(ma)
+            for db, mb, cb in right:
+                if db > room:
+                    break
                 mono = mi_add(ma, mb)
                 s = out.get(mono, ZERO) + ca * cb
                 if s:
@@ -241,9 +249,11 @@ def invert_truncated(f: TruncatedMap) -> TruncatedMap:
     """Compositional inverse of the displacement part of ``f``.
 
     Fixed-point iteration on g = L^-1 (id - H o g) where f = L + H splits
-    off the linear part; each sweep fixes one more order, so k-1 sweeps
-    terminate exactly.  The result has zero constant term, and
-    compose_truncated(result, f) is the identity through order k.
+    off the linear part; sweep r = 2..k fixes order r and composes at
+    order r only, so k-1 sweeps terminate exactly (the first step of Brent
+    & Kung's power-series reversion, J. ACM 25, 1978).  The result has
+    zero constant term, and compose_truncated(result, f) is the identity
+    through order k.
     """
     n, k = f.n, f.k
     try:
@@ -265,9 +275,11 @@ def invert_truncated(f: TruncatedMap) -> TruncatedMap:
 
     ident = TruncatedMap.identity(n, k).components
     g = apply_lin_inv(ident)
-    for _ in range(max(k - 1, 0)):
-        h_of_g = compose_truncated(higher, g)
-        g = apply_lin_inv([a - b for a, b in zip(ident, h_of_g.components)])
+    for r in range(2, k + 1):
+        # the order-r terms of H o g need only the terms of g below order r,
+        # which earlier sweeps have fixed, so this sweep works at order r
+        h_of_g = compose_truncated(project_order(higher, r), project_order(g, r))
+        g = apply_lin_inv([a - b.truncate(k) for a, b in zip(ident, h_of_g.components)])
     return g
 
 
@@ -320,6 +332,9 @@ def map_from_json(doc: dict) -> TruncatedMap:
     except (KeyError, TypeError, ValueError) as exc:
         raise JetError("malformed jet document: missing field or a field that is not "
                        f"an integer ({exc})") from None
+    if n > MAX_DIM or k > MAX_ORDER:
+        raise JetError(f"jet document has n={n}, k={k}; the caps are n <= {MAX_DIM} "
+                       f"and k <= {MAX_ORDER}")
     if not isinstance(raw_components, list):
         raise JetError("malformed jet document: 'components' must be a list")
     if len(raw_components) != n:

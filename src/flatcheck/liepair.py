@@ -1,10 +1,11 @@
 """Lie algebra pairs over the rationals: filtrations, order, effectiveness.
 
 Structure constants c^k_{ij} are exact Fractions with [x_i, x_j] =
-sum_k c^k_{ij} x_k; the Jacobi identity is validated at construction so a
-``LieAlgebra`` is trustworthy downstream.  All rank decisions use exact
-Gaussian elimination, never floating point, because the order of a pair is
-a small integer that must not depend on a rank tolerance.
+sum_k c^k_{ij} x_k, kept as a table of their nonzero entries; the Jacobi
+identity is validated at construction so a ``LieAlgebra`` is trustworthy
+downstream.  All rank decisions use exact Gaussian elimination, never
+floating point, because the order of a pair is a small integer that must
+not depend on a rank tolerance.
 
 The descending chain attached to a subalgebra h starts at h_0 = h and
 
@@ -20,9 +21,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .rational import frac_str, nullspace, rank, row_echelon, solve_in_basis
+from .rational import frac_str, nullspace, pivot, rank, row_echelon, solve_in_basis
 
 Vector = Tuple[Fraction, ...]
+
+# the largest ambient dimension a pair document may declare; sl(6), the
+# largest catalog-style input, has dimension 35
+MAX_PAIR_DIM = 64
 
 
 class LiePairError(ValueError):
@@ -34,21 +39,38 @@ def _frac_rows(rows: Sequence[Sequence]) -> List[List[Fraction]]:
 
 
 def in_span(vector: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]) -> bool:
-    if all(x == 0 for x in vector):
-        return True
-    if not basis:
-        return False
-    return rank(list(basis) + [list(vector)]) == rank(basis)
+    echelon = row_echelon(basis)
+    return _reduces_to_zero(vector, echelon, [pivot(row) for row in echelon])
+
+
+def _reduces_to_zero(vector: Sequence[Fraction], echelon: List[List[Fraction]],
+                     pivots: List[int]) -> bool:
+    """Whether ``vector`` lies in the span of reduced echelon rows.
+
+    Each row is 1 at its own pivot and 0 at every other pivot, so one pass
+    clears every pivot coordinate; what is left is zero exactly on the span.
+    """
+    rest = list(vector)
+    for row, p in zip(echelon, pivots):
+        f = rest[p]
+        if f:
+            rest = [a - f * b for a, b in zip(rest, row)]
+    return not any(rest)
 
 
 class LieAlgebra:
-    """Finite-dimensional Lie algebra given by exact structure constants."""
+    """Finite-dimensional Lie algebra given by exact structure constants.
+
+    ``c[(i, j)]`` lists the nonzero (k, c^k_{ij}) of [x_i, x_j] by
+    increasing k, for both orders of i != j; a pair that commutes has no
+    entry.
+    """
 
     def __init__(self, dim: int, brackets: dict[tuple[int, int], Sequence] | None = None,
                  validate: bool = True):
         """``brackets[(i, j)]`` holds [x_i, x_j] as a coefficient vector, i < j."""
         self.dim = dim
-        self.c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        self.c: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         if brackets:
             for (i, j), coeffs in brackets.items():
                 if not 0 <= i < j < dim:
@@ -56,25 +78,25 @@ class LieAlgebra:
                 vec = [Fraction(x) for x in coeffs]
                 if len(vec) != dim:
                     raise LiePairError(f"bracket ({i}, {j}) has {len(vec)} coefficients, expected {dim}")
-                for k in range(dim):
-                    self.c[i][j][k] = vec[k]
-                    self.c[j][i][k] = -vec[k]
+                entries = tuple((k, x) for k, x in enumerate(vec) if x)
+                if entries:
+                    self.c[(i, j)] = entries
+                    self.c[(j, i)] = tuple((k, -x) for k, x in entries)
         if validate:
             self._validate_jacobi()
 
     def bracket(self, v: Sequence[Fraction], w: Sequence[Fraction]) -> List[Fraction]:
         out = [Fraction(0)] * self.dim
+        w_support = [(j, wj) for j, wj in enumerate(w) if wj]
         for i, vi in enumerate(v):
             if vi == 0:
                 continue
-            for j, wj in enumerate(w):
-                if wj == 0:
-                    continue
-                cij = self.c[i][j]
-                coeff = vi * wj
-                for k in range(self.dim):
-                    if cij[k]:
-                        out[k] += coeff * cij[k]
+            for j, wj in w_support:
+                entries = self.c.get((i, j))
+                if entries:
+                    coeff = vi * wj
+                    for k, x in entries:
+                        out[k] += coeff * x
         return out
 
     def basis_vector(self, i: int) -> List[Fraction]:
@@ -82,22 +104,31 @@ class LieAlgebra:
         v[i] = Fraction(1)
         return v
 
+    def _double_bracket(self, i: int, j: int, k: int, total: dict[int, Fraction]) -> None:
+        """Add [[x_i, x_j], x_k] to ``total`` by contracting the table."""
+        for m, x in self.c.get((i, j), ()):
+            for t, y in self.c.get((m, k), ()):
+                total[t] = total.get(t, 0) + x * y
+
     def _validate_jacobi(self) -> None:
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):
-                    ei, ej, ek = (self.basis_vector(t) for t in (i, j, k))
-                    total = [a + b + c for a, b, c in zip(
-                        self.bracket(self.bracket(ei, ej), ek),
-                        self.bracket(self.bracket(ej, ek), ei),
-                        self.bracket(self.bracket(ek, ei), ej))]
-                    if any(total):
+                    total: dict[int, Fraction] = {}
+                    self._double_bracket(i, j, k, total)
+                    self._double_bracket(j, k, i, total)
+                    self._double_bracket(k, i, j, total)
+                    if any(total.values()):
                         raise LiePairError(
                             f"Jacobi identity fails on basis triple ({i}, {j}, {k})")
 
 
 class Subalgebra:
-    """A subalgebra presented by a linearly independent basis in coordinates."""
+    """A subalgebra presented by a linearly independent basis in coordinates.
+
+    The basis is kept exactly as given; membership is decided against its
+    reduced row echelon form, computed once.
+    """
 
     def __init__(self, algebra: LieAlgebra, basis: Sequence[Sequence], validate: bool = True):
         self.algebra = algebra
@@ -105,8 +136,10 @@ class Subalgebra:
         for row in self.basis:
             if len(row) != algebra.dim:
                 raise LiePairError("subalgebra basis vectors must have ambient dimension")
-        if self.basis and rank(self.basis) != len(self.basis):
+        self._echelon = row_echelon(self.basis)
+        if len(self._echelon) != len(self.basis):
             raise LiePairError("subalgebra basis is linearly dependent")
+        self._pivots = [pivot(row) for row in self._echelon]
         if validate:
             self._validate_closed()
 
@@ -115,11 +148,12 @@ class Subalgebra:
         return len(self.basis)
 
     def contains(self, vector: Sequence[Fraction]) -> bool:
-        return in_span(vector, self.basis)
+        return _reduces_to_zero(vector, self._echelon, self._pivots)
 
     def _validate_closed(self) -> None:
-        for a in self.basis:
-            for b in self.basis:
+        # [b, a] = -[a, b] and [a, a] = 0, so the pairs a before b suffice
+        for t, a in enumerate(self.basis):
+            for b in self.basis[t + 1:]:
                 if not self.contains(self.algebra.bracket(a, b)):
                     raise LiePairError("subalgebra basis is not closed under the bracket")
 
@@ -350,11 +384,12 @@ def semidirect_from_rep(h: LieAlgebra, rho: Representation) -> tuple[LieAlgebra,
 
 def pair_to_json(g: LieAlgebra, h: Subalgebra) -> dict:
     brackets = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            coeffs = [g.c[i][j][k] for k in range(g.dim)]
-            if any(coeffs):
-                brackets.append({"i": i, "j": j, "coeffs": [frac_str(c) for c in coeffs]})
+    for (i, j), entries in sorted(g.c.items()):
+        if i < j:
+            coeffs = [Fraction(0)] * g.dim
+            for k, x in entries:
+                coeffs[k] = x
+            brackets.append({"i": i, "j": j, "coeffs": [frac_str(c) for c in coeffs]})
     return {
         "dim": g.dim,
         "brackets": brackets,
@@ -370,6 +405,8 @@ def pair_from_json(doc: dict) -> tuple[LieAlgebra, Subalgebra]:
         sub = [[Fraction(str(x)) for x in vec] for vec in doc["subalgebra"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise LiePairError(f"malformed Lie pair document: {exc}") from None
+    if not 0 <= dim <= MAX_PAIR_DIM:
+        raise LiePairError(f"Lie pair dimension {dim} is outside 0..{MAX_PAIR_DIM}")
     g = LieAlgebra(dim, brackets)
     h = Subalgebra(g, sub)
     return g, h

@@ -510,7 +510,8 @@ def _zero_one(rows: Matrix) -> tuple:
     return ZERO, ONE
 
 
-def _pivot(row) -> int:
+def pivot(row) -> int:
+    """Column of the first nonzero entry of a nonzero row."""
     return next(i for i, x in enumerate(row) if x)
 
 
@@ -543,7 +544,7 @@ def nullspace(rows: Matrix, ncols: int) -> Matrix:
     """Basis of the solutions x of rows . x = 0, one vector per free column."""
     zero, one = _zero_one(rows)
     ech = row_echelon(rows)
-    pivots = [_pivot(row) for row in ech]
+    pivots = [pivot(row) for row in ech]
     basis = []
     for free in range(ncols):
         if free in pivots:
@@ -564,7 +565,7 @@ def solve_in_basis(basis_rows: Matrix, vector) -> list | None:
     zero, _ = _zero_one([vector])
     coords = [zero] * ncols
     for row in row_echelon(aug):
-        p = _pivot(row)
+        p = pivot(row)
         if p == ncols:
             return None
         coords[p] = row[ncols]

@@ -97,6 +97,12 @@ def test_geom_report_malformed_json_exits_one(tmp_path):
     assert code == 1
 
 
+def identity_jet_doc(n: int, k: int) -> dict:
+    return {"n": n, "k": k, "components": [
+        [{"multiindex": [int(t == i) for t in range(n)], "num": "1", "den": "1"}]
+        for i in range(n)]}
+
+
 MALFORMED = {
     "pole-chart": (["geom", "report", "--chart"], {
         "name": "pole", "n": 2, "domain": [[-1, 1], [-1, 1]],
@@ -144,6 +150,14 @@ MALFORMED = {
     "jet-order": (["jet", "invert"], {"n": 1, "k": "x", "components": [[]]}),
     "pair-coeffs": (["liepair", "order", "--pair"], {
         "dim": 3, "brackets": [{"i": 0, "j": 1}], "subalgebra": []}),
+    # jet and pair sizes are capped too; the abelian pair of dimension 120
+    # used to run for over a minute
+    "jet-huge-dim": (["jet", "invert"], identity_jet_doc(7, 2)),
+    "jet-huge-order": (["jet", "invert"], identity_jet_doc(1, 13)),
+    "pair-huge-dim": (["liepair", "order", "--pair"], {
+        "dim": 120, "brackets": [], "subalgebra": []}),
+    "pair-negative-dim": (["liepair", "order", "--pair"], {
+        "dim": -1, "brackets": [], "subalgebra": []}),
     # dimension and grid size are capped, so these are refused at once
     "zero-dim": (["geom", "report", "--chart"], {
         "name": "empty", "n": 0, "domain": [], "frame": []}),
@@ -410,6 +424,51 @@ def test_grid_cap_is_inclusive():
     assert code == 0
     code, _ = run_cli(["geom", "report", "--builtin", "abelian2", "--grid", "65"])
     assert code == 1
+
+
+def test_jet_caps_are_inclusive(tmp_path, capsys):
+    from flatcheck.frames import MAX_DIM
+    from flatcheck.jetcore import MAX_ORDER
+    for n, k, expected in ((MAX_DIM, MAX_ORDER, 0), (MAX_DIM + 1, MAX_ORDER, 1),
+                           (MAX_DIM, MAX_ORDER + 1, 1)):
+        doc = identity_jet_doc(n, k)
+        path = tmp_path / f"id-{n}-{k}.json"
+        path.write_text(json.dumps(doc))
+        for command in (["jet", "invert", str(path)], ["jet", "compose", str(path), str(path)]):
+            code, out = run_cli(command)
+            assert code == expected
+            if expected == 0:
+                assert json.loads(out) == doc
+            else:
+                assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_pair_dimension_cap_is_inclusive(tmp_path):
+    from flatcheck.liepair import MAX_PAIR_DIM
+    for dim, expected in ((MAX_PAIR_DIM, 0), (MAX_PAIR_DIM + 1, 1)):
+        # abelian, with h the first coordinate line: an ideal, so ineffective
+        path = tmp_path / f"abelian{dim}.json"
+        path.write_text(json.dumps({"dim": dim, "brackets": [],
+                                    "subalgebra": [[int(t == 0) for t in range(dim)]]}))
+        code, out = run_cli(["liepair", "order", "--pair", str(path)])
+        assert code == expected
+        if expected == 0:
+            assert json.loads(out)["order"] == "ineffective"
+
+
+def test_spencer_trials_cap_is_inclusive(monkeypatch, capsys):
+    from flatcheck import spencer_suite
+    from flatcheck.cli import MAX_TRIALS
+    # the suite itself is not run at the cap: only the bound is under test
+    monkeypatch.setattr(spencer_suite, "run_spencer_suite",
+                        lambda seed, trials: {"trials": trials, "all_passed": True})
+    code, out = run_cli(["spencer", "check", "--trials", str(MAX_TRIALS)])
+    assert (code, json.loads(out)["trials"]) == (0, MAX_TRIALS)
+    for trials in (MAX_TRIALS + 1, -1):
+        code, out = run_cli(["spencer", "check", "--trials", str(trials)])
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --trials ") and len(err.splitlines()) == 1, err
 
 
 def test_chart_is_validated_on_the_requested_grid(tmp_path, capsys):
