@@ -31,12 +31,9 @@ from flatcheck.jetcore import (
 )
 from flatcheck.liepair import LieAlgebra, LiePairError, Subalgebra
 from flatcheck.rational import rf_matrix_inverse
+from test_jet_oracle import rand_frac, rand_mono
 
 SEEDS = range(8)
-
-
-def rand_frac(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
 
 
 # --- Jacobi ---------------------------------------------------------------------
@@ -132,13 +129,6 @@ def test_contains_agrees_with_a_sympy_rank_test(seed):
 
 
 # --- jet products and inversion ------------------------------------------------------
-
-def rand_mono(rng: random.Random, n: int, lo: int, hi: int) -> tuple:
-    mono = [0] * n
-    for _ in range(rng.randint(lo, hi)):
-        mono[rng.randrange(n)] += 1
-    return tuple(mono)
-
 
 def rand_tpoly(rng: random.Random, n: int, k: int, terms: int) -> TruncatedPoly:
     coeffs = {}

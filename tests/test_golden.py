@@ -3,11 +3,11 @@
 Each case runs one flatcheck command line in process and compares its
 stdout and exit code with ``tests/golden/<case>.out`` and
 ``tests/golden/exit_codes.json``, which were written by an earlier
-version of the CLI.  Commands run inside ``tests/golden``, so a document
-argument is a bare file name there, and a report that echoes it (``liepair
-order --pair``) does not depend on where the repository lives.  A refactor that changes any byte of these reports
+version of the CLI.  A refactor that changes any byte of these reports
 fails here.  Numeric charts are left out: their last digits depend on the
-platform's libm.
+platform's libm.  Commands run inside ``tests/golden`` with bare file
+names, so a report that echoes its document path (``liepair order
+--pair``) does not depend on where the repository lives.
 
 After a deliberate change of output, rewrite the files with
 
@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
-from contextlib import chdir, redirect_stdout
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -68,8 +69,13 @@ for _chart, _grid in (("sl2rational", "5"), ("unipotent4", "5"), ("sl2mix4", "3"
 
 def run_case(name: str) -> tuple[int, str]:
     buf = io.StringIO()
-    with chdir(GOLDEN), redirect_stdout(buf):
-        code = main(CASES[name])
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with redirect_stdout(buf):
+            code = main(CASES[name])
+    finally:
+        os.chdir(cwd)
     return code, buf.getvalue()
 
 
