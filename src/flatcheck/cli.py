@@ -29,8 +29,8 @@ import sys
 from fractions import Fraction
 
 from .arrows import ArrowError, G3Jet, g3_compose, g3_invert, mobius_split, schwarzian_defect
-from .catalog import CHART_NAMES, catalog_entries, get_chart, get_lie_pair
-from .charts_io import load_chart_file
+from .catalog import CHART_NAMES, catalog_entries, get_lie_pair
+from .charts_io import chart_from_json, load_chart_file
 from .forms import (
     CalibrationError,
     chern_simons_report,
@@ -78,7 +78,8 @@ def _frac(text: str) -> Fraction:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="tolerance for single-derivative identities and the verdict")
+                   help="tolerance for single-derivative identities, and for the "
+                        "homogeneity verdict on the numeric backend")
     p.add_argument("--tol2", type=float, default=1e-4,
                    help="tolerance for nested-derivative identities")
     p.add_argument("--grid", type=int, default=5, help="grid points per axis")
@@ -88,13 +89,15 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_chart(args):
-    """Check the tolerances, then load the chart; the grid is checked with
-    the chart by the report pipeline."""
+    """Check the tolerances, then load the chart; ``--builtin NAME`` is the
+    chart document {"builtin": NAME}, so FLATCHECK_BACKEND applies to it
+    as to a file.  The grid is checked with the chart by the report
+    pipeline."""
     for flag, value in (("--tol", args.tol), ("--tol2", args.tol2)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be a finite positive number, not {value}")
     if args.builtin:
-        return get_chart(args.builtin)
+        return chart_from_json({"builtin": args.builtin})
     return load_chart_file(args.chart)
 
 

@@ -43,7 +43,6 @@ from .frames import (
     field_const,
     field_is_exactly_zero,
     gamma_from_frame,
-    nabla_tensor12,
     torsion_components,
 )
 from .rational import RationalGrid
@@ -86,12 +85,6 @@ def _sort_with_sign(idx: IndexTuple) -> Tuple[IndexTuple, int]:
         if length % 2 == 0:
             sign = -sign
     return tuple(sorted(idx)), sign
-
-
-def _merge_sign(a: IndexTuple, b: IndexTuple) -> int:
-    """Parity of sorting the concatenation (a, b), both blocks increasing."""
-    inversions = sum(1 for x in a for y in b if x > y)
-    return -1 if inversions % 2 else 1
 
 
 class HomForm:
@@ -202,23 +195,6 @@ def curvature_tilde_form(conn: ConnectionField) -> HomForm:
 
 # --- the calculus -------------------------------------------------------------
 
-def nabla_tilde(conn: ConnectionField, omega: HomForm, r: int) -> HomForm:
-    """Directional covariant derivative of a Hom-valued form.
-
-    Only the value slots are contracted with the connection; the form
-    indices ride along inert, so this is the per-direction building block
-    of the alternated differential.  For the honest tensor derivative of
-    the torsion (all slots active) see ``frames.nabla_tensor12``.
-    """
-    comps = {}
-    for idx in combinations(range(omega.n), omega.degree):
-        for i in range(omega.n):
-            for j in range(omega.n):
-                comps[(tuple(idx), i, j)] = dt_scalar(
-                    conn, lambda a, b, idx=idx: omega.comp(idx, a, b), r, i, j)
-    return HomForm(omega.n, omega.degree, omega.backend, comps)
-
-
 def d_tilde(conn: ConnectionField, omega: HomForm) -> HomForm:
     """Alternated covariant differential; squares to zero exactly because
     the flat curvature of a frame-derived connection vanishes."""
@@ -272,7 +248,7 @@ def wedge(a: HomForm, b: HomForm) -> HomForm:
                 for a_pos in combinations(range(p + q), p):
                     a_idx = tuple(out_idx[t] for t in a_pos)
                     b_idx = tuple(out_idx[t] for t in range(p + q) if t not in a_pos)
-                    sign = _merge_sign(a_idx, b_idx)
+                    sign = _sort_with_sign(a_idx + b_idx)[1]
                     term = None
                     for t in range(n):
                         piece = a.comp(a_idx, i, t) * b.comp(b_idx, t, j)
@@ -333,7 +309,7 @@ def nabla_torsion_minus_curvature(conn: ConnectionField, sign: int,
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = nabla_tensor12(conn, t_get, d, i, j, k)
+                    lhs = dt_scalar(conn, t_get, d, i, j, k)
                     rhs = r.comp((k, j), i, d)
                     out.append(lhs - (rhs if sign == 1 else rhs.scale(-1)))
     return out
@@ -422,7 +398,8 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int) -> _Geometry:
     res_nabla = scalars_residual(nabla_res, conn.backend, points)
 
     max_r = form_residual(r, points)
-    homogeneous = max_r <= tol
+    # exact: R is a normal form, so the verdict needs no grid and no tol
+    homogeneous = r.is_exactly_zero() if exact else max_r <= tol
 
     report = {
         "chart": chart.name,
@@ -450,8 +427,10 @@ def identity_report(chart: FrameChart, tol: float = 1e-6, grid_points: int = 5) 
     Returns the report dictionary; raises CalibrationError when the
     calibrated sign does not close the structure equation on this chart,
     where a sign passes when its structure residual is at most ``tol``.
-    The homogeneity verdict compares max |R| against ``tol`` and is data,
-    never an error; ``identity_residuals_pass`` gates the residuals.
+    The homogeneity verdict is data, never an error: on the exact backend
+    it is "every R component is the zero normal form", on the numeric
+    backend "max |R| on the grid is at most ``tol``".
+    ``identity_residuals_pass`` gates the residuals.
     """
     return _geometry(chart, tol, grid_points).report
 
@@ -490,12 +469,15 @@ def _secondary_class(geo: _Geometry, i: int, tol2: float) -> tuple[HomForm, bool
     form = trace_form(power)
     if not geo.report["locally_homogeneous"]:
         return form, None
+    if form.backend == "exact":
+        return form, de_rham(form).is_exactly_zero()
     return form, form_residual(de_rham(form), geo.points) <= tol2
 
 
 def secondary_class_check(chart: FrameChart, i: int, tol: float = 1e-6,
                           tol2: float = 1e-4, grid_points: int = 5) -> tuple[HomForm, bool | None]:
-    """Tr(T^{2i+1}) and, on homogeneous charts, whether it is closed.
+    """Tr(T^{2i+1}) and, on homogeneous charts, whether it is closed:
+    exactly on the exact backend, within ``tol2`` on the numeric one.
 
     On charts that are not locally homogeneous the form is still returned
     but the closedness flag stays unset (None): the secondary classes are

@@ -302,52 +302,27 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
 
 # --- covariant derivative and curvature components ---------------------------
 
-def dt_scalar(conn: ConnectionField, get: Callable[[int, int], ScalarField],
-              r: int, i: int, j: int) -> ScalarField:
-    """Covariant derivative in direction r of a Hom(T,T)-valued quantity.
+def dt_scalar(conn: ConnectionField, get: Callable[..., ScalarField],
+              r: int, i: int, *lower: int) -> ScalarField:
+    """Covariant derivative in direction r of a tensor with one upper slot.
 
-    ``get(i, j)`` returns the (i, j) component; any extra form indices of
-    the caller are inert here.
+    ``get(i, *lower)`` returns the component with upper index i and the
+    given lower indices; every lower slot is active:
+
+        (nabla_r t)^i_{l_1..l_m} = d_r t^i_{l_1..l_m}
+            - sum_a Gamma^i_{ra} t^a_{l_1..l_m}
+            + sum_s sum_a Gamma^a_{r l_s} t^i_{l_1..a..l_m},
+
+    with a in slot s of the last term.  With no lower slot this vanishes
+    exactly on the invariant fields of the parallelism (the frame
+    columns).  Form indices a caller keeps out of ``lower`` stay inert.
     """
-    acc = get(i, j).diff(r)
+    acc = get(i, *lower).diff(r)
+    slots = [(l, lower[:s], lower[s + 1:]) for s, l in enumerate(lower)]
     for a in range(conn.n):
-        acc = acc - conn.comp(i, r, a) * get(a, j)
-        acc = acc + conn.comp(a, r, j) * get(i, a)
-    return acc
-
-
-def dl_scalar(conn: ConnectionField, get: Callable[[int, int], ScalarField],
-              r: int, i: int, j: int) -> ScalarField:
-    """The companion derivative: ``dt_scalar`` of the opposite connection."""
-    return dt_scalar(conn.transposed(), get, r, i, j)
-
-
-def nabla_vector(conn: ConnectionField, xi: Sequence[ScalarField], r: int) -> List[ScalarField]:
-    """Covariant derivative of a vector field; zero exactly on the
-    invariant fields of the parallelism (the frame columns)."""
-    out = []
-    for i in range(conn.n):
-        acc = xi[i].diff(r)
-        for a in range(conn.n):
-            acc = acc - conn.comp(i, r, a) * xi[a]
-        out.append(acc)
-    return out
-
-
-def nabla_tensor12(conn: ConnectionField, t: Callable[[int, int, int], ScalarField],
-                   r: int, i: int, j: int, k: int) -> ScalarField:
-    """Covariant derivative of a (1,2)-tensor with both lower slots active.
-
-    This is the honest tensor extension of the vector-field derivative; it
-    is the version under which the torsion derivative reproduces the
-    curvature exactly (the variant that freezes the form slot provably
-    does not).
-    """
-    acc = t(i, j, k).diff(r)
-    for a in range(conn.n):
-        acc = acc - conn.comp(i, r, a) * t(a, j, k)
-        acc = acc + conn.comp(a, r, j) * t(i, a, k)
-        acc = acc + conn.comp(a, r, k) * t(i, j, a)
+        acc = acc - conn.comp(i, r, a) * get(a, *lower)
+        for l, before, after in slots:
+            acc = acc + conn.comp(a, r, l) * get(i, *before, a, *after)
     return acc
 
 

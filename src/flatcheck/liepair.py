@@ -28,6 +28,10 @@ Vector = Tuple[Fraction, ...]
 # the largest ambient dimension a pair document may declare; sl(6), the
 # largest catalog-style input, has dimension 35
 MAX_PAIR_DIM = 64
+# the most products of two structure constants the Jacobi check may form,
+# as bounded by ``LieAlgebra.jacobi_products``; each costs about 4 us
+# (Python 3.11, 2-core Xeon), and sl(6) over its Borel needs 3,442
+MAX_JACOBI_PRODUCTS = 10 ** 6
 
 
 class LiePairError(ValueError):
@@ -36,11 +40,6 @@ class LiePairError(ValueError):
 
 def _frac_rows(rows: Sequence[Sequence]) -> List[List[Fraction]]:
     return [[Fraction(x) for x in row] for row in rows]
-
-
-def in_span(vector: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]) -> bool:
-    echelon = row_echelon(basis)
-    return _reduces_to_zero(vector, echelon, [pivot(row) for row in echelon])
 
 
 def _reduces_to_zero(vector: Sequence[Fraction], echelon: List[List[Fraction]],
@@ -110,7 +109,22 @@ class LieAlgebra:
             for t, y in self.c.get((m, k), ()):
                 total[t] = total.get(t, 0) + x * y
 
+    def jacobi_products(self) -> int:
+        """An upper bound on the products ``_validate_jacobi`` forms: the sum
+        over stored pairs i < j, and over each entry (m, .) of [x_i, x_j], of
+        the number of nonzero constants c[(m, .)]."""
+        per_row = [0] * self.dim
+        for (m, _), entries in self.c.items():
+            per_row[m] += len(entries)
+        return sum(per_row[m] for (i, j), entries in self.c.items() if i < j
+                   for m, _ in entries)
+
     def _validate_jacobi(self) -> None:
+        products = self.jacobi_products()
+        if products > MAX_JACOBI_PRODUCTS:
+            raise LiePairError(
+                f"the Jacobi check needs up to {products} products of structure constants, "
+                f"more than the limit of {MAX_JACOBI_PRODUCTS}")
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from flatcheck.catalog import get_lie_pair
 from flatcheck.cli import main
 
 
@@ -97,6 +98,29 @@ def test_geom_report_malformed_json_exits_one(tmp_path):
     assert code == 1
 
 
+def dense_gl_pair_doc(n: int) -> dict:
+    """gl(n) in the basis b_i = E_i + E_{i+1} + ... + E_{n^2-1}, with E the
+    matrix units in row-major order, over the zero subalgebra.  The basis
+    change makes nearly every structure constant nonzero."""
+    dim = n * n
+
+    def tail_sum(i):
+        return [[int(r * n + c >= i) for c in range(n)] for r in range(n)]
+
+    mats = [tail_sum(i) for i in range(dim)]
+    brackets = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            a, b = mats[i], mats[j]
+            x = [sum(a[r][t] * b[t][c] - b[r][t] * a[t][c] for t in range(n))
+                 for r in range(n) for c in range(n)]
+            # E coordinates x to b coordinates: y_k = x_k - x_{k-1}
+            y = [x[k] - (x[k - 1] if k else 0) for k in range(dim)]
+            if any(y):
+                brackets.append({"i": i, "j": j, "coeffs": [str(v) for v in y]})
+    return {"dim": dim, "brackets": brackets, "subalgebra": []}
+
+
 def identity_jet_doc(n: int, k: int) -> dict:
     return {"n": n, "k": k, "components": [
         [{"multiindex": [int(t == i) for t in range(n)], "num": "1", "den": "1"}]
@@ -158,6 +182,9 @@ MALFORMED = {
         "dim": 120, "brackets": [], "subalgebra": []}),
     "pair-negative-dim": (["liepair", "order", "--pair"], {
         "dim": -1, "brackets": [], "subalgebra": []}),
+    # a valid Lie algebra of dimension 36 whose Jacobi check would take
+    # about 1.2 million products of structure constants
+    "pair-jacobi-products": (["liepair", "order", "--pair"], dense_gl_pair_doc(6)),
     # dimension and grid size are capped, so these are refused at once
     "zero-dim": (["geom", "report", "--chart"], {
         "name": "empty", "n": 0, "domain": [], "frame": []}),
@@ -283,6 +310,44 @@ def test_forced_numeric_backend_agrees_with_exact(monkeypatch):
     assert abs(numeric["max_R"] - exact["max_R"]) < 1e-6
     assert numeric["sign"] == exact["sign"]
     assert all(v < 1e-6 for v in numeric["residuals"].values())
+
+
+def test_builtin_charts_honour_the_backend_env_var(monkeypatch, capsys):
+    monkeypatch.setenv("FLATCHECK_BACKEND", "exact")
+    code, out = run_cli(["geom", "report", "--builtin", "su2-euler", "--grid", "2"])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err == "error: chart 'su2-euler' has no exact form\n"
+    monkeypatch.setenv("FLATCHECK_BACKEND", "numeric")
+    for command in (["geom", "report"], ["chern-simons"]):
+        code, out = run_cli([*command, "--builtin", "deformed2", "--grid", "3"])
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["backend"] == "numeric"
+        assert doc["locally_homogeneous"] is False
+
+
+@pytest.mark.parametrize("chart, grid", [
+    # R = 2(1 - x1^2)/(1 + x1^2)^2 vanishes at both grid points x1 = -1, 1
+    ({"builtin": "deformed2"}, "2"),
+    # R is exactly nonzero, but below the default tolerance on the grid
+    ({"name": "stretch-tiny", "n": 2, "domain": [[-1, 1], [-1, 1]],
+      "frame": [["1", "0"], ["0", "1 + x1^2/1000000000"]]}, "5"),
+])
+def test_exact_verdict_does_not_depend_on_the_grid(tmp_path, chart, grid):
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(chart))
+    code, out = run_cli(["geom", "report", "--chart", str(path), "--grid", grid])
+    report = json.loads(out)
+    assert code == 0
+    assert report["backend"] == "exact"
+    assert report["max_R"] <= report["tolerance"]
+    assert report["locally_homogeneous"] is False
+    code, out = run_cli(["chern-simons", "--chart", str(path), "--grid", grid])
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["locally_homogeneous"] is False
+    assert doc["secondary_class_closed"] is None
 
 
 def test_jet_compose_and_invert_files(tmp_path):
@@ -454,6 +519,22 @@ def test_pair_dimension_cap_is_inclusive(tmp_path):
         assert code == expected
         if expected == 0:
             assert json.loads(out)["order"] == "ineffective"
+
+
+def test_jacobi_product_cap_is_inclusive(tmp_path, monkeypatch, capsys):
+    from flatcheck import liepair
+    g, h = get_lie_pair("sl3/borel")
+    products = g.jacobi_products()
+    path = tmp_path / "sl3-borel.json"
+    path.write_text(json.dumps(liepair.pair_to_json(g, h)))
+    monkeypatch.setattr(liepair, "MAX_JACOBI_PRODUCTS", products)
+    code, out = run_cli(["liepair", "order", "--pair", str(path)])
+    assert (code, json.loads(out)["order"]) == (0, 2)
+    monkeypatch.setattr(liepair, "MAX_JACOBI_PRODUCTS", products - 1)
+    code, out = run_cli(["liepair", "order", "--pair", str(path)])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert f"needs up to {products} products" in err and len(err.splitlines()) == 1, err
 
 
 def test_spencer_trials_cap_is_inclusive(monkeypatch, capsys):

@@ -16,7 +16,6 @@ from flatcheck.liepair import (
     Subalgebra,
     effective_check,
     filtration_of,
-    in_span,
     order_of,
     pair_from_json,
     pair_to_json,
@@ -59,8 +58,8 @@ def test_filtration_sl2_borel():
     chain = filtration_of(g, h)
     assert [s.dim for s in chain] == [2, 1, 0]
     # middle stage is exactly span{E}
-    assert in_span([0, 1, 0], chain[1].basis)
-    assert not in_span([1, 0, 0], chain[1].basis)
+    assert chain[1].contains([0, 1, 0])
+    assert not chain[1].contains([1, 0, 0])
 
 
 def test_filtration_so3_so2():
@@ -102,7 +101,7 @@ def test_filtration_decreasing_and_graded():
                     for b in sj.basis:
                         br = g.bracket(a, b)
                         if target is not None:
-                            assert in_span(br, target.basis)
+                            assert target.contains(br)
 
 
 def test_first_stage_is_nilpotent_ideal_of_h():
@@ -115,7 +114,7 @@ def test_first_stage_is_nilpotent_ideal_of_h():
         # ideal in h
         for a in h.basis:
             for b in h1.basis:
-                assert in_span(g.bracket(a, b), h1.basis)
+                assert h1.contains(g.bracket(a, b))
         # nilpotent: the lower central series dies
         if name in ("p-subdiag3/b3", "p-subdiag4/b4", "heis3/center", "gl2/center-so2"):
             continue  # stationary chains: h1 here is not the nil radical story
@@ -147,6 +146,27 @@ def test_order_drop_along_filtration():
             assert order_of(g, stage) == k - i, (name, i)
 
 
+def test_jacobi_products_bound_the_check(monkeypatch):
+    # every product of two structure constants that the Jacobi check forms
+    # is counted by the bound that caps it
+    formed = [0]
+    real = LieAlgebra._double_bracket
+
+    def counted(self, i, j, k, total):
+        formed[0] += sum(len(self.c.get((m, k), ())) for m, _ in self.c.get((i, j), ()))
+        return real(self, i, j, k, total)
+
+    monkeypatch.setattr(LieAlgebra, "_double_bracket", counted)
+    nonzero = 0
+    for name in PAIR_NAMES:
+        g, _ = get_lie_pair(name)
+        formed[0] = 0
+        g._validate_jacobi()
+        assert formed[0] <= g.jacobi_products(), name
+        nonzero += formed[0] > 0
+    assert nonzero >= 3
+
+
 def test_effective_check_trivial_cases():
     g, _ = get_lie_pair("so3/so2")
     ok, witness = effective_check(g, Subalgebra(g, []))
@@ -163,7 +183,7 @@ def test_effective_check_gl2_center():
     assert not ok
     # witness spans the center (the identity matrix direction)
     assert len(witness) == 1
-    assert in_span([1, 0, 0, 0], witness)
+    assert Subalgebra(g, witness, validate=False).contains([1, 0, 0, 0])
 
 
 def test_witness_is_an_ideal_inside_h():
@@ -173,9 +193,10 @@ def test_witness_is_an_ideal_inside_h():
         assert not ok, name
         assert witness, name
         for w in witness:
-            assert in_span(w, h.basis)
+            assert h.contains(w)
             for b in range(g.dim):
-                assert in_span(g.bracket(w, g.basis_vector(b)), witness), name
+                assert Subalgebra(g, witness, validate=False).contains(
+                    g.bracket(w, g.basis_vector(b))), name
 
 
 def test_semidirect_trivial_rep():
