@@ -13,9 +13,9 @@ numerator or denominator factor may grow past MAX_TERMS terms, checked as
 each product is formed.
 
 One interpreter walks the syntax tree of an entry and builds its value in
-a scalar algebra: exact RationalFuncs, or numeric closures of the point.
-Entries that stay inside the rational fragment parse onto the exact
-backend; sin/cos/exp force the numeric backend.  The FLATCHECK_BACKEND
+a scalar algebra: exact RationalFuncs, or numeric closures of a batch of
+points.  Entries that stay inside the rational fragment parse onto the
+exact backend; sin/cos/exp force the numeric backend.  The FLATCHECK_BACKEND
 environment variable (exact | numeric | auto) overrides the choice, where
 "exact" refuses charts that need transcendentals.
 """
@@ -80,7 +80,12 @@ class _ExactAlgebra:
 
 
 class _NumericAlgebra:
-    """Entries as closures of the point, built once per entry."""
+    """Entries as closures of a batch of points, an (m, n) float array,
+    built once per entry.  A constant stays a Python number; + - * / act on
+    whole arrays, with a zero divisor raising ZeroDivisionError as it does
+    for floats; powers and sin/cos/exp apply Python's float operations to
+    each element.  So every value equals a one-point evaluation in Python
+    floats, bit for bit."""
 
     @staticmethod
     def const(n: int, value):
@@ -88,23 +93,42 @@ class _NumericAlgebra:
 
     @staticmethod
     def var(n: int, idx: int):
-        return lambda x: float(x[idx])
+        return lambda x: x[:, idx]
 
     @staticmethod
     def apply(op, *args):
         if len(args) == 1:
             (a,) = args
             return lambda x: op(a(x))
+        if op is operator.truediv:
+            op = _divide
         a, b = args
         return lambda x: op(a(x), b(x))
 
     @staticmethod
     def power(base, exp: int):
-        return _NumericAlgebra.apply(lambda b: b ** exp, base)
+        return lambda x: _elementwise(lambda b: b ** exp, base(x))
 
     @staticmethod
     def call(name: str, arg):
-        return _NumericAlgebra.apply(_NUMERIC_FUNCS[name], arg)
+        func = _NUMERIC_FUNCS[name]
+        return lambda x: _elementwise(func, arg(x))
+
+
+def _divide(a, b):
+    import numpy as np
+
+    if np.any(b == 0):
+        raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
+def _elementwise(func, value):
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        return np.fromiter(map(func, value.tolist()), float, len(value))
+    return func(value)
 
 
 def _interpret(node, n: int, algebra):
@@ -174,8 +198,16 @@ def parse_exact_expr(src: str, n: int) -> RationalFunc:
 
 
 def parse_numeric_expr(src: str, n: int) -> Callable[[Sequence[float]], float]:
+    import numpy as np
+
     fn = _interpret(_parse(src), n, _NumericAlgebra)
-    return lambda point: float(fn(point))
+
+    def at(point: Sequence[float]) -> float:
+        with np.errstate(all="ignore"):
+            value = fn(np.array([point], dtype=float))
+        return float(value[0] if isinstance(value, np.ndarray) else value)
+
+    return at
 
 
 def _parse_bound(v) -> Fraction:
@@ -226,12 +258,19 @@ def chart_from_json(doc: dict, backend: str | None = None) -> FrameChart:
                     f"entry uses '{exc.args[0]}', which the exact backend cannot represent")
             # fall through to numeric
 
-    fns = [[parse_numeric_expr(str(e), n) for e in row] for row in frame]
+    import numpy as np
 
-    def evaluator(point):
-        return [[fns[i][a](point) for a in range(n)] for i in range(n)]
+    fns = [[_interpret(_parse(str(e)), n, _NumericAlgebra) for e in row] for row in frame]
 
-    return FrameChart(name, n, domain, evaluator=evaluator)
+    def batch_evaluator(points: np.ndarray) -> np.ndarray:
+        out = np.empty((len(points), n, n))
+        with np.errstate(all="ignore"):  # overflow gives inf, as in Python floats
+            for i in range(n):
+                for a in range(n):
+                    out[:, i, a] = fns[i][a](points)
+        return out
+
+    return FrameChart(name, n, domain, batch_evaluator=batch_evaluator)
 
 
 def _exact_to_numeric(chart: FrameChart) -> FrameChart:

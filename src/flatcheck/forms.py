@@ -36,6 +36,7 @@ from .frames import (
     ChartError,
     ConnectionField,
     FrameChart,
+    NumericScalar,
     ScalarField,
     curvature_components,
     curvature_tilde_components,
@@ -152,11 +153,17 @@ class HomForm:
 
 def _grid_max(fields, points) -> float:
     """Max |f| over the grid: float points, or a ``RationalGrid`` for exact
-    fields.  A value that is not finite is a ChartError: max() would drop
-    a NaN and a residual of inf says nothing."""
+    fields; a numeric field is evaluated on the whole grid in one call.  A
+    value that is not finite is a ChartError: max() would drop a NaN and a
+    residual of inf says nothing."""
     worst = 0.0
     for f in fields:
-        values = points.values(f) if isinstance(points, RationalGrid) else map(f.eval_float, points)
+        if isinstance(f, NumericScalar):
+            values = f.values(points).tolist()
+        elif isinstance(points, RationalGrid):
+            values = points.values(f)
+        else:
+            values = map(f.eval_float, points)
         for p, v in zip(points, values):
             v = abs(v)
             if not math.isfinite(v):

@@ -20,7 +20,9 @@ Two scalar-field backends implement the same operations:
 * numeric - black-box evaluators differentiated by five-point central
   stencils (step ``FD_STEP`` at the first level, ``FD_STEP2`` for nested
   levels), for charts with entries like exp or sin that have no rational
-  form.
+  form.  A numeric field is evaluated on a whole batch of points at once
+  (the grid, or the grid shifted by a stencil step), and its cache holds
+  one array per batch, not one value per point.
 
 Charts are bounded: at most ``MAX_DIM`` dimensions, and at most
 ``MAX_GRID_POINTS`` points on an evaluation grid.
@@ -54,69 +56,124 @@ def check_dim(n: int) -> None:
         raise ChartError(f"chart dimension {n} is outside 1..{MAX_DIM}")
 
 
+# (points, points.tobytes()) -> the values at the m rows of the (m, n) batch
+BatchFn = Callable[["np.ndarray", bytes], "np.ndarray"]
+
+
 class NumericScalar:
     """A float-valued field known only through evaluation.
+
+    ``fn`` maps one point, a tuple of floats, to the value there.  Every
+    node works on a batch of points at once, an (m, n) float array with
+    one point per row: sums, differences, products, scalings and
+    derivatives act on whole arrays, and the stencil of ``diff(r)`` shifts
+    column r of the batch.  ``eval_float`` is a batch of one row.
 
     ``depth`` counts how many finite-difference layers sit under the
     value already; the first derivative of a depth-0 field uses the fine
     step, nested derivatives the coarser one, keeping truncation and
     roundoff balanced.
 
-    Every instance memoizes its evaluations by point.  Operator trees
-    share subexpression nodes (the same connection entry feeds many form
-    components), so the caches turn the naive exponential recomputation
-    of nested stencils into one evaluation per distinct point.
+    Every node caches its values per batch, keyed by the batch's bytes.
+    Operator trees share subexpression nodes (the same connection entry
+    feeds many form components), and stencils ask their operands for the
+    same shifted batches, so the caches turn the naive exponential
+    recomputation of nested stencils into one evaluation per distinct
+    batch.
     """
 
     __slots__ = ("fn", "n", "depth", "_cache")
 
     def __init__(self, fn: Callable[[Tuple[float, ...]], float], n: int, depth: int = 0):
+        import numpy as np
+
+        def per_point(points: np.ndarray, key: bytes) -> np.ndarray:
+            return np.array([fn(p) for p in map(tuple, points.tolist())], dtype=float)
+
+        self._setup(per_point, n, depth)
+
+    def _setup(self, fn: BatchFn, n: int, depth: int) -> None:
         self.fn = fn
         self.n = n
         self.depth = depth
-        self._cache: Dict[Tuple[float, ...], float] = {}
+        self._cache: Dict[bytes, np.ndarray] = {}
+
+    @classmethod
+    def batched(cls, fn: BatchFn, n: int, depth: int = 0) -> NumericScalar:
+        """A field from ``fn(points, key)``, which maps an (m, n) batch to
+        its m values; ``key`` is ``points.tobytes()``, for passing on to
+        the fields that ``fn`` evaluates on the same batch."""
+        node = cls.__new__(cls)
+        node._setup(fn, n, depth)
+        return node
 
     @staticmethod
     def const(n: int, value: float) -> NumericScalar:
+        import numpy as np
+
         v = float(value)
-        return NumericScalar(lambda x: v, n)
+        return NumericScalar.batched(lambda p, key: np.full(len(p), v), n)
 
     def __add__(self, other: NumericScalar) -> NumericScalar:
-        return NumericScalar(lambda x: self.eval_float(x) + other.eval_float(x), self.n,
-                             max(self.depth, other.depth))
+        return NumericScalar.batched(
+            lambda p, key: self._values(p, key) + other._values(p, key), self.n,
+            max(self.depth, other.depth))
 
     def __sub__(self, other: NumericScalar) -> NumericScalar:
-        return NumericScalar(lambda x: self.eval_float(x) - other.eval_float(x), self.n,
-                             max(self.depth, other.depth))
+        return NumericScalar.batched(
+            lambda p, key: self._values(p, key) - other._values(p, key), self.n,
+            max(self.depth, other.depth))
 
     def __mul__(self, other: NumericScalar) -> NumericScalar:
-        return NumericScalar(lambda x: self.eval_float(x) * other.eval_float(x), self.n,
-                             max(self.depth, other.depth))
+        return NumericScalar.batched(
+            lambda p, key: self._values(p, key) * other._values(p, key), self.n,
+            max(self.depth, other.depth))
 
     def scale(self, value) -> NumericScalar:
         v = float(value)
-        return NumericScalar(lambda x: v * self.eval_float(x), self.n, self.depth)
+        return NumericScalar.batched(lambda p, key: v * self._values(p, key), self.n, self.depth)
 
     def diff(self, r: int) -> NumericScalar:
         h = FD_STEP if self.depth == 0 else FD_STEP2
+        return NumericScalar.batched(
+            lambda p, key: five_point(lambda q: self._values(q, q.tobytes()), p, r, h),
+            self.n, self.depth + 1)
 
-        def deriv(x: Tuple[float, ...]) -> float:
-            def shifted(t: float) -> float:
-                y = list(x)
-                y[r] += t
-                return self.eval_float(tuple(y))
-            return (-shifted(2 * h) + 8 * shifted(h)
-                    - 8 * shifted(-h) + shifted(-2 * h)) / (12 * h)
-
-        return NumericScalar(deriv, self.n, self.depth + 1)
-
-    def eval_float(self, point) -> float:
-        key = tuple(float(x) for x in point)
+    def _values(self, points: np.ndarray, key: bytes) -> np.ndarray:
+        # every field evaluated on one batch receives the same key object,
+        # so the caches of a tree hold one copy of it
         got = self._cache.get(key)
         if got is None:
-            got = self.fn(key)
+            got = self.fn(points, key)
             self._cache[key] = got
         return got
+
+    def values(self, points) -> np.ndarray:
+        """The field at each of ``points``, as an array of floats.
+
+        Overflow and invalid operations give inf and NaN without a
+        warning, as Python floats do; callers test finiteness.
+        """
+        import numpy as np
+
+        points = np.asarray(points, dtype=float)
+        with np.errstate(all="ignore"):
+            return self._values(points, points.tobytes())
+
+    def eval_float(self, point) -> float:
+        return float(self.values([tuple(point)])[0])
+
+
+def five_point(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
+               r: int, h: float) -> np.ndarray:
+    """The five-point central difference in coordinate r of the batch
+    function ``f`` at each row of ``points``."""
+    def at(t: float) -> np.ndarray:
+        shifted = points.copy()
+        shifted[:, r] += t
+        return f(shifted)
+
+    return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
 
 
 ScalarField = RationalFunc | NumericScalar
@@ -133,13 +190,21 @@ def field_is_exactly_zero(f: ScalarField) -> bool:
     return isinstance(f, RationalFunc) and f.is_zero()
 
 
+# what evaluating a numeric frame raises at a pole or an overflow
+_FRAME_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
+
+
 class FrameChart:
     """An invertible frame field on a rational box domain."""
 
     def __init__(self, name: str, n: int, domain: Sequence[Tuple],
                  entries: Sequence[Sequence[RationalFunc]] | None = None,
-                 evaluator: Callable[[Tuple[float, ...]], Sequence] | None = None):
-        if (entries is None) == (evaluator is None):
+                 evaluator: Callable[[Tuple[float, ...]], Sequence] | None = None, *,
+                 batch_evaluator: Callable[[np.ndarray], np.ndarray] | None = None):
+        """Exact ``entries``, or a numeric frame: ``evaluator`` maps one
+        point to the n x n frame there, ``batch_evaluator`` an (m, n) batch
+        of points to an (m, n, n) array of frames."""
+        if sum(x is not None for x in (entries, evaluator, batch_evaluator)) != 1:
             raise ChartError("provide exactly one of exact entries or a numeric evaluator")
         check_dim(n)
         self.name = name
@@ -160,20 +225,15 @@ class FrameChart:
             fields = [self._det] + [e for row in self.entries for e in row]
             self._den_factors = list(dict.fromkeys(f for e in fields for f in e.den))
         else:
-            import numpy as np
-
             self.backend = "numeric"
-            raw = evaluator
-            memo: Dict[Tuple[float, ...], np.ndarray] = {}
+            if evaluator is not None:
+                import numpy as np
 
-            def cached(x: Tuple[float, ...]) -> np.ndarray:
-                got = memo.get(x)
-                if got is None:
-                    got = np.asarray(raw(x), dtype=float)
-                    memo[x] = got
-                return got
+                def batch_evaluator(points: np.ndarray) -> np.ndarray:
+                    frames = [evaluator(p) for p in map(tuple, points.tolist())]
+                    return np.array(frames, dtype=float).reshape(len(points), n, n)
 
-            self.evaluator = cached
+            self._frames = batch_evaluator
 
     def grid(self, points_per_axis: int = 5) -> List[Tuple[float, ...]]:
         axes = []
@@ -211,16 +271,43 @@ class FrameChart:
         else:
             import numpy as np
 
-            for p in self.grid(points_per_axis):
-                try:
-                    e = self.evaluator(p)
-                except (ZeroDivisionError, OverflowError) as exc:
-                    raise ChartError(
-                        f"frame of chart '{self.name}' cannot be evaluated at {p}: {exc}") from None
-                if not np.isfinite(e).all():
+            grid = self.grid(points_per_axis)
+            e, error = self._frames_until_error(np.array(grid))
+            with np.errstate(all="ignore"):
+                singular = abs(np.linalg.det(e)) < 1e-12
+            # the first bad point is named, whatever is wrong there
+            for p, finite, sing in zip(grid, np.isfinite(e).all(axis=(1, 2)), singular):
+                if not finite:
                     raise ChartError(f"frame of chart '{self.name}' is not finite at {p}")
-                if abs(np.linalg.det(e)) < 1e-12:
+                if sing:
                     raise ChartError(f"frame of chart '{self.name}' is singular at {p}")
+            if error:
+                raise ChartError(error)
+
+    def _frames_until_error(self, points: np.ndarray) -> Tuple[np.ndarray, str | None]:
+        """e at the rows of ``points`` before the first where it cannot be
+        evaluated, with the message for that row (None when there is none)."""
+        try:
+            return self._frames(points), None
+        except _FRAME_ERRORS as exc:
+            batch_error = exc
+        for row in range(len(points)):  # find the first point that fails
+            try:
+                self._frames(points[row:row + 1])
+            except _FRAME_ERRORS as exc:
+                at = tuple(points[row].tolist())
+                return (self._frames(points[:row]),
+                        f"frame of chart '{self.name}' cannot be evaluated at {at}: {exc}")
+        raise ChartError(f"frame of chart '{self.name}' cannot be evaluated: {batch_error}")
+
+    def frames_at(self, points: np.ndarray) -> np.ndarray:
+        """The numeric frame at each row of ``points``, an (m, n, n) array;
+        a point where it cannot be evaluated is a ChartError, also off the
+        grid (a finite-difference sample can hit a pole the grid misses)."""
+        e, error = self._frames_until_error(points)
+        if error:
+            raise ChartError(error)
+        return e
 
     def rescaled_by_constant(self, matrix: Sequence[Sequence]) -> FrameChart:
         """Right-multiply the frame by a constant invertible matrix."""
@@ -273,28 +360,25 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
 
     import numpy as np
 
-    ev = chart.evaluator
-    h = FD_STEP
-    tensor_cache: Dict[Tuple[float, ...], np.ndarray] = {}
+    def gamma_tensor(points: np.ndarray, key: bytes) -> np.ndarray:
+        de = np.empty((len(points), n, n, n))
+        for j in range(n):
+            de[:, j] = five_point(chart.frames_at, points, j, FD_STEP)
+        e = chart.frames_at(points)
+        try:
+            einv = np.linalg.inv(e)
+        except np.linalg.LinAlgError:
+            row = int(np.argmin(abs(np.linalg.det(e))))
+            raise ChartError(f"frame of chart '{chart.name}' is singular at "
+                             f"{tuple(points[row].tolist())}") from None
+        # Gamma[m, i, j, k] = sum_a de[m, j, i, a] einv[m, a, k]
+        return np.einsum("mjia,mak->mijk", de, einv)
 
-    def gamma_tensor(x: Tuple[float, ...]) -> np.ndarray:
-        got = tensor_cache.get(x)
-        if got is None:
-            de = np.empty((n, n, n))
-            for j in range(n):
-                def e_at(t: float) -> np.ndarray:
-                    y = list(x)
-                    y[j] += t
-                    return ev(tuple(y))
-                de[j] = (-e_at(2 * h) + 8 * e_at(h) - 8 * e_at(-h) + e_at(-2 * h)) / (12 * h)
-            einv = np.linalg.inv(ev(x))
-            # Gamma[i, j, k] = sum_a de[j][i, a] einv[a, k]
-            got = np.einsum("jia,ak->ijk", de, einv)
-            tensor_cache[x] = got
-        return got
+    # one node caches the whole tensor per batch; the n^3 entries slice it
+    tensor = NumericScalar.batched(gamma_tensor, n, 1)
 
     def gamma_entry(i: int, j: int, k: int) -> NumericScalar:
-        return NumericScalar(lambda x: float(gamma_tensor(x)[i, j, k]), n, 1)
+        return NumericScalar.batched(lambda p, key: tensor._values(p, key)[:, i, j, k], n, 1)
 
     gamma = [[[gamma_entry(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
     return ConnectionField(n, "numeric", gamma)

@@ -21,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .rational import frac_str, nullspace, pivot, rank, row_echelon, solve_in_basis
+from .rational import (echelon_nullspace, frac_str, nullspace, pivot, rank, row_echelon,
+                       solve_in_basis)
 
 Vector = Tuple[Fraction, ...]
 
@@ -157,6 +158,16 @@ class Subalgebra:
         if validate:
             self._validate_closed()
 
+    @classmethod
+    def _from_echelon(cls, algebra: LieAlgebra, echelon: List[List[Fraction]]) -> Subalgebra:
+        """The subalgebra spanned by reduced row echelon rows, kept as its
+        basis; closure is not checked."""
+        sub = cls.__new__(cls)
+        sub.algebra = algebra
+        sub.basis = sub._echelon = echelon
+        sub._pivots = [pivot(row) for row in echelon]
+        return sub
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -254,7 +265,7 @@ def _stabilizer_step(g: LieAlgebra, stage: Subalgebra) -> Subalgebra:
     # each such w and each e_b give one linear condition on the coefficients
     # of v in stage's basis: sum_t coef_t w . [s_t, e_b] = 0.  The images
     # [s_t, e_b] are kept as their few nonzero entries.
-    annihilator = nullspace(stage.basis, g.dim)
+    annihilator = echelon_nullspace(stage._echelon, stage._pivots, g.dim)
     conditions: List[List[Fraction]] = []
     dim = g.dim
     for b in range(dim):
@@ -275,7 +286,7 @@ def _stabilizer_step(g: LieAlgebra, stage: Subalgebra) -> Subalgebra:
                 for t in range(dim):
                     vec[t] += coeff * base_vec[t]
         new_basis.append(vec)
-    return Subalgebra(g, row_echelon(new_basis) if new_basis else [], validate=False)
+    return Subalgebra._from_echelon(g, row_echelon(new_basis))
 
 
 def order_of(g: LieAlgebra, h: Subalgebra) -> int | str:

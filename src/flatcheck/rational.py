@@ -542,9 +542,16 @@ def rank(rows: Matrix) -> int:
 
 def nullspace(rows: Matrix, ncols: int) -> Matrix:
     """Basis of the solutions x of rows . x = 0, one vector per free column."""
-    zero, one = _zero_one(rows)
     ech = row_echelon(rows)
-    pivots = [pivot(row) for row in ech]
+    return echelon_nullspace(ech, [pivot(row) for row in ech], ncols, _zero_one(rows))
+
+
+def echelon_nullspace(ech: Matrix, pivots: list, ncols: int,
+                      zero_one: tuple = (ZERO, ONE)) -> Matrix:
+    """``nullspace`` of rows whose reduced row echelon form ``ech``, with
+    its ``pivots``, is already known; ``zero_one`` is the 0 and 1 of the
+    field, rationals by default."""
+    zero, one = zero_one
     basis = []
     for free in range(ncols):
         if free in pivots:

@@ -200,6 +200,18 @@ MALFORMED = {
     "inf-literal-auto": (["geom", "report", "--chart"], {
         "name": "inf", "n": 2, "domain": [[1, 2], [1, 2]],
         "frame": [["1e999 + 0*sin(x1)", "0"], ["0", "1"]]}),
+    # poles that no grid point hits, only a finite-difference sample at
+    # x1 = 0 + FD_STEP and x1 = 0 + 2 FD_STEP
+    "stencil-pole": (["geom", "report", "--chart"], {
+        "name": "stencil-pole", "n": 2, "domain": [[-1, 1], [-1, 1]],
+        "frame": [["1 + 0*sin(x1)", "0"], ["0", "1/(x1 - 1/10000)"]]}),
+    "stencil-pole-2h": (["chern-simons", "--chart"], {
+        "name": "stencil-pole", "n": 2, "domain": [[-1, 1], [-1, 1]],
+        "frame": [["1 + 0*sin(x1)", "0"], ["0", "1/(x1 - 2/10000)"]]}),
+    # singular only where a nested stencil evaluates the connection, at 0 + FD_STEP2
+    "stencil-singular": (["geom", "report", "--chart"], {
+        "name": "stencil-pole", "n": 2, "domain": [[-1, 1], [-1, 1]],
+        "frame": [["1 + 0*sin(x1)", "0"], ["0", "x1 - 1/1000"]]}),
 }
 
 
@@ -226,6 +238,20 @@ def test_non_finite_literal_is_named(tmp_path, name):
                           capture_output=True, text=True, timeout=30)
     assert "1e999" in proc.stderr or "inf" in proc.stderr
     assert "Fraction" not in proc.stderr  # not the bare ValueError of the parser
+
+
+@pytest.mark.parametrize("name, at", [("stencil-pole", "(0.0001, -1.0)"),
+                                      ("stencil-pole-2h", "(0.0002, -1.0)"),
+                                      ("stencil-singular", "(0.001, -1.0)")])
+def test_stencil_pole_names_the_chart_and_the_sample(tmp_path, name, at):
+    # exit 1 with one line is checked with the rest of MALFORMED; this checks the line
+    argv, doc = MALFORMED[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "flatcheck.cli", *argv, str(path)],
+                          capture_output=True, text=True, timeout=30)
+    assert "'stencil-pole'" in proc.stderr and at in proc.stderr, proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_non_finite_literal_is_refused_on_both_backends():

@@ -1,0 +1,215 @@
+"""The batched numeric backend against a point-by-point reference.
+
+The reference below evaluates one point at a time, as the numeric backend
+did before it worked on batches: a scalar node caches its values per
+point, a derivative is a five-point stencil around one point, and the
+connection is d_j e . e^-1 built from the frame at one point.  Every
+value the batched backend computes must equal the reference bit for bit
+(compared with ``float.hex``): the batch applies the same float operations
+in the same order, only to many points at once.
+
+The golden files leave numeric charts out, because their last bits depend
+on the platform's libm; this file is the in-suite gate for them.
+"""
+
+from __future__ import annotations
+
+import ast
+import math
+from typing import Callable, Dict, Tuple
+
+import numpy as np
+import pytest
+
+import flatcheck.forms as forms_mod
+from flatcheck.catalog import get_chart
+from flatcheck.charts_io import chart_from_json
+from flatcheck.forms import identity_report
+from flatcheck.frames import (
+    FD_STEP,
+    FD_STEP2,
+    ConnectionField,
+    NumericScalar,
+    curvature_components,
+    gamma_from_frame,
+)
+
+
+class PointScalar:
+    """A float field evaluated one point at a time, with a per-point cache."""
+
+    def __init__(self, fn: Callable[[Tuple[float, ...]], float], n: int, depth: int = 0):
+        self.fn = fn
+        self.n = n
+        self.depth = depth
+        self._cache: Dict[Tuple[float, ...], float] = {}
+
+    @staticmethod
+    def const(n: int, value: float) -> PointScalar:
+        v = float(value)
+        return PointScalar(lambda x: v, n)
+
+    def __add__(self, other):
+        return PointScalar(lambda x: self.eval_float(x) + other.eval_float(x), self.n,
+                           max(self.depth, other.depth))
+
+    def __sub__(self, other):
+        return PointScalar(lambda x: self.eval_float(x) - other.eval_float(x), self.n,
+                           max(self.depth, other.depth))
+
+    def __mul__(self, other):
+        return PointScalar(lambda x: self.eval_float(x) * other.eval_float(x), self.n,
+                           max(self.depth, other.depth))
+
+    def scale(self, value):
+        v = float(value)
+        return PointScalar(lambda x: v * self.eval_float(x), self.n, self.depth)
+
+    def diff(self, r: int):
+        h = FD_STEP if self.depth == 0 else FD_STEP2
+
+        def deriv(x):
+            def shifted(t):
+                y = list(x)
+                y[r] += t
+                return self.eval_float(tuple(y))
+            return (-shifted(2 * h) + 8 * shifted(h)
+                    - 8 * shifted(-h) + shifted(-2 * h)) / (12 * h)
+
+        return PointScalar(deriv, self.n, self.depth + 1)
+
+    def eval_float(self, point) -> float:
+        key = tuple(float(x) for x in point)
+        got = self._cache.get(key)
+        if got is None:
+            got = self.fn(key)
+            self._cache[key] = got
+        return got
+
+
+def point_gamma(frame: Callable[[Tuple[float, ...]], np.ndarray], n: int) -> ConnectionField:
+    """Gamma^i_{jk} = sum_a d_j e^i_a . (e^-1)^a_k, one point at a time."""
+    h = FD_STEP
+    memo: Dict[Tuple[float, ...], np.ndarray] = {}
+
+    def tensor(x):
+        got = memo.get(x)
+        if got is None:
+            de = np.empty((n, n, n))
+            for j in range(n):
+                def e_at(t):
+                    y = list(x)
+                    y[j] += t
+                    return frame(tuple(y))
+                de[j] = (-e_at(2 * h) + 8 * e_at(h) - 8 * e_at(-h) + e_at(-2 * h)) / (12 * h)
+            got = memo[x] = np.einsum("jia,ak->ijk", de, np.linalg.inv(frame(x)))
+        return got
+
+    def entry(i, j, k):
+        return PointScalar(lambda x: float(tensor(x)[i, j, k]), n, 1)
+
+    gamma = [[[entry(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
+    return ConnectionField(n, "numeric", gamma)
+
+
+def expression_frame(doc: dict) -> Callable[[Tuple[float, ...]], np.ndarray]:
+    """A chart document's frame by Python's own float arithmetic and math."""
+    n = doc["n"]
+    code = [[compile(ast.parse(e.replace("^", "**"), mode="eval"), "<entry>", "eval")
+             for e in row] for row in doc["frame"]]
+    env = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+
+    def frame(x):
+        names = {f"x{t + 1}": x[t] for t in range(n)}
+        return np.array([[float(eval(c, env, names)) for c in row] for row in code])
+
+    return frame
+
+
+def one_row_frame(chart) -> Callable[[Tuple[float, ...]], np.ndarray]:
+    """A builtin's Python point evaluator, called on one point."""
+    return lambda x: chart.frames_at(np.array([x]))[0]
+
+
+def exact_frame(name: str) -> Callable[[Tuple[float, ...]], np.ndarray]:
+    entries = get_chart(name).entries
+    return lambda x: np.array([[f.eval_float(x) for f in row] for row in entries])
+
+
+# su2-euler's frame times C = [[1, 2, 1], [0, 1, 1], [1, 2, 2]] (det 1)
+_SU2 = [["sin(x3)/sin(x2)", "cos(x3)/sin(x2)", "0"],
+        ["cos(x3)", "-sin(x3)", "0"],
+        ["-sin(x3)*cos(x2)/sin(x2)", "-cos(x3)*cos(x2)/sin(x2)", "1"]]
+_C = [[1, 2, 1], [0, 1, 1], [1, 2, 2]]
+SU2_RESCALED = {
+    "name": "su2-rescaled", "n": 3,
+    "domain": [[0.3, 2.8], [0.2, 2.941592653589793], [0.3, 2.8]],
+    "frame": [[" + ".join(f"{_C[t][a]}*({_SU2[i][t]})" for t in range(3) if _SU2[i][t] != "0")
+               for a in range(3)] for i in range(3)],
+}
+
+CASES = {
+    "su2-euler": (lambda: get_chart("su2-euler"), None, 3),
+    "affine-exp2": (lambda: get_chart("affine-exp2"), None, 5),
+    "deformed2-numeric": (lambda: chart_from_json({"builtin": "deformed2"}, "numeric"),
+                          exact_frame("deformed2"), 5),
+    "su2-rescaled": (lambda: chart_from_json(SU2_RESCALED), expression_frame(SU2_RESCALED), 3),
+}
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    make, frame, grid = CASES[request.param]
+    chart = make()
+    assert chart.backend == "numeric"
+    return chart, frame or one_row_frame(chart), grid
+
+
+def test_gamma_and_curvature_match_point_by_point(case):
+    chart, frame, grid_points = case
+    grid = chart.grid(grid_points)
+    batch = gamma_from_frame(chart)
+    point = point_gamma(frame, chart.n)
+    n = chart.n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                assert (_hexes(batch.comp(i, j, k).values(grid))
+                        == _hexes(point.comp(i, j, k).eval_float(p) for p in grid)), (i, j, k)
+    r_batch = curvature_components(batch)
+    r_point = curvature_components(point)
+    for key, field in r_batch.items():
+        assert _hexes(field.values(grid)) == _hexes(r_point[key].eval_float(p) for p in grid), key
+
+
+def test_report_matches_point_by_point(case, monkeypatch):
+    chart, frame, grid_points = case
+    batched = identity_report(chart, grid_points=grid_points)
+    monkeypatch.setattr(forms_mod, "gamma_from_frame", lambda c: point_gamma(frame, c.n))
+    monkeypatch.setattr(forms_mod, "field_const", lambda backend, n, v: PointScalar.const(n, v))
+    reference = identity_report(chart, grid_points=grid_points)
+    assert {k: v.hex() for k, v in batched["residuals"].items()} == \
+        {k: v.hex() for k, v in reference["residuals"].items()}
+    assert batched["max_R"].hex() == reference["max_R"].hex()
+    assert batched["locally_homogeneous"] == reference["locally_homogeneous"]
+
+
+def test_cache_keeps_each_batch_apart():
+    # one node on two batches and on a row permutation of the first: each
+    # batch gets its own values, and a repeated batch is a cache hit
+    def fn(p):
+        return math.sin(p[0]) + p[0] * p[1] ** 2
+
+    def tree(f):
+        return f.diff(0) * f + f.diff(1).diff(0)
+
+    node, point = tree(NumericScalar(fn, 2)), tree(PointScalar(fn, 2))
+    a = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.6]])
+    b = np.array([[-0.7, 0.8], [0.9, 0.1]])
+    for batch in (a, b, a[[2, 0, 1]], a, b):
+        assert _hexes(node.values(batch)) == _hexes(point.eval_float(p) for p in batch)
+    assert len(node._cache) == 3
