@@ -1,11 +1,13 @@
 """Built-in charts and Lie algebra pairs with their expected facts.
 
-Every entry records what the test suite and CLI expect to recompute, each
-fact tagged with how it is known: "closed-form" facts follow from a cited
-formula evaluated by hand, "derived" facts from an independent oracle
-(finite differences, a second algorithm), "trivial" facts from the
-definitions.  Numeric-only charts (entries with exp or trig) are flagged
-so harnesses apply float tolerances instead of demanding literal zeros.
+Every chart is a chart document, loaded by ``charts_io.chart_from_json``
+like any ``--chart`` file; the numeric-only charts (entries with exp or
+trig) are documents too, and are flagged so harnesses apply float
+tolerances instead of demanding literal zeros.  Every entry records what
+the test suite and CLI expect to recompute, each fact tagged with how it
+is known: "closed-form" facts follow from a cited formula evaluated by
+hand, "derived" facts from an independent oracle (finite differences, a
+second algorithm), "trivial" facts from the definitions.
 """
 
 from __future__ import annotations
@@ -17,86 +19,33 @@ from typing import Callable, Dict, List, Sequence
 
 from .frames import ChartError, FrameChart, check_dim
 from .liepair import LieAlgebra, LiePairError, Subalgebra
-from .rational import Poly, RationalFunc, solve_in_basis
+from .rational import solve_in_basis
 
 
-def _rf(p: Poly) -> RationalFunc:
-    return RationalFunc(p)
-
-
-def _abelian(n: int) -> FrameChart:
-    one = _rf(Poly.const(n, 1))
-    zero = _rf(Poly.zero(n))
-    entries = [[one if i == a else zero for a in range(n)] for i in range(n)]
-    return FrameChart(f"abelian{n}", n, [(-1, 1)] * n, entries=entries)
-
-
-def _heisenberg3() -> FrameChart:
+# the charts as chart documents in the grammar of ``charts_io``; the
+# abelian charts are generated by ``chart_document``.  The order of terms
+# and factors in an entry fixes the last bits of float results: "1 + x1^2"
+# and "x1^2 + 1" store their coefficients in different orders, and
+# su2-euler multiplies by the cotangent "(cos(x2)/sin(x2))" as one factor,
+# which rounds differently from "-sin(x3)*cos(x2)/sin(x2)".
+_CHART_DOCUMENTS: Dict[str, dict] = {
     # columns: d/dx, d/dy + x d/dz, d/dz
-    n = 3
-    one = _rf(Poly.const(n, 1))
-    zero = _rf(Poly.zero(n))
-    x = _rf(Poly.var(n, 0))
-    entries = [
-        [one, zero, zero],
-        [zero, one, zero],
-        [zero, x, one],
-    ]
-    return FrameChart("heisenberg3", n, [(-1, 1)] * 3, entries=entries)
-
-
-def _hyperbolic2() -> FrameChart:
+    "heisenberg3": {"n": 3, "domain": [[-1, 1]] * 3,
+                    "frame": [["1", "0", "0"], ["0", "1", "0"], ["0", "x1", "1"]]},
     # columns: y d/dx, y d/dy on the strip y in [1, 2]
-    n = 2
-    zero = _rf(Poly.zero(n))
-    y = _rf(Poly.var(n, 1))
-    entries = [[y, zero], [zero, y]]
-    return FrameChart("hyperbolic2", n, [(-1, 1), (1, 2)], entries=entries)
-
-
-def _deformed2() -> FrameChart:
-    n = 2
-    one = _rf(Poly.const(n, 1))
-    zero = _rf(Poly.zero(n))
-    x = Poly.var(n, 0)
-    entries = [[one, zero], [zero, _rf(Poly.const(n, 1) + x * x)]]
-    return FrameChart("deformed2", n, [(-1, 1), (-1, 1)], entries=entries)
-
-
-def _affine_exp2() -> FrameChart:
-    def evaluator(p):
-        x = p[0]
-        return [[1.0, 0.0], [0.0, math.exp(x)]]
-    return FrameChart("affine-exp2", 2, [(-1, 1), (-1, 1)], evaluator=evaluator)
-
-
-def _su2_euler() -> FrameChart:
-    """Left-invariant frame of SU(2)-style rotations in Euler angles.
-
-    Coordinates (phi, theta, psi); the polar angle stays inside
-    [0.2, pi - 0.2] to keep sin(theta) away from zero.
-    """
-    def evaluator(p):
-        _, theta, psi = p
-        st, ct = math.sin(theta), math.cos(theta)
-        sp, cp = math.sin(psi), math.cos(psi)
-        cot = ct / st
-        return [
-            [sp / st, cp / st, 0.0],
-            [cp, -sp, 0.0],
-            [-sp * cot, -cp * cot, 1.0],
-        ]
-    return FrameChart("su2-euler", 3,
-                      [(0.3, 2.8), (0.2, math.pi - 0.2), (0.3, 2.8)],
-                      evaluator=evaluator)
-
-
-_CHART_BUILDERS: Dict[str, Callable[[], FrameChart]] = {
-    "heisenberg3": _heisenberg3,
-    "hyperbolic2": _hyperbolic2,
-    "deformed2": _deformed2,
-    "affine-exp2": _affine_exp2,
-    "su2-euler": _su2_euler,
+    "hyperbolic2": {"n": 2, "domain": [[-1, 1], [1, 2]],
+                    "frame": [["x2", "0"], ["0", "x2"]]},
+    "deformed2": {"n": 2, "domain": [[-1, 1], [-1, 1]],
+                  "frame": [["1", "0"], ["0", "1 + x1^2"]]},
+    "affine-exp2": {"n": 2, "domain": [[-1, 1], [-1, 1]],
+                    "frame": [["1", "0"], ["0", "exp(x1)"]]},
+    # left-invariant frame of SU(2)-style rotations in the Euler angles
+    # (phi, theta, psi) = (x1, x2, x3); the polar angle stays inside
+    # [0.2, pi - 0.2] to keep sin(theta) away from zero
+    "su2-euler": {"n": 3, "domain": [[0.3, 2.8], [0.2, math.pi - 0.2], [0.3, 2.8]],
+                  "frame": [["sin(x3)/sin(x2)", "cos(x3)/sin(x2)", "0"],
+                            ["cos(x3)", "-sin(x3)", "0"],
+                            ["-sin(x3)*(cos(x2)/sin(x2))", "-cos(x3)*(cos(x2)/sin(x2))", "1"]]},
 }
 
 _ABELIAN_RE = re.compile(r"^abelian([1-9]\d*)$")
@@ -128,18 +77,29 @@ CHART_FACTS: Dict[str, dict] = {
 }
 
 
-def get_chart(name: str) -> FrameChart:
-    """Build a catalog chart by name; unknown names list the alternatives."""
+def chart_document(name: str) -> dict:
+    """The chart document of a catalog chart; ``abelianN`` is the identity
+    frame on [-1, 1]^N for any N that ``check_dim`` accepts.  Unknown
+    names list the alternatives."""
     m = _ABELIAN_RE.match(name)
     if m:
         n = int(m.group(1))
         check_dim(n)
-        return _abelian(n)
-    builder = _CHART_BUILDERS.get(name)
-    if builder is None:
+        frame = [["1" if i == a else "0" for a in range(n)] for i in range(n)]
+        return {"name": name, "n": n, "domain": [[-1, 1]] * n, "frame": frame}
+    doc = _CHART_DOCUMENTS.get(name)
+    if doc is None:
         raise ChartError(
             f"unknown chart '{name}'; available: {', '.join(CHART_NAMES)}")
-    return builder()
+    return {"name": name, **doc}
+
+
+def get_chart(name: str) -> FrameChart:
+    """Load a catalog chart by name, exact wherever it can be (whatever
+    FLATCHECK_BACKEND says)."""
+    from .charts_io import chart_from_json  # circular at module load otherwise
+
+    return chart_from_json({"builtin": name}, "auto")
 
 
 # --- Lie pairs ----------------------------------------------------------------

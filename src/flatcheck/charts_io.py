@@ -1,6 +1,7 @@
 """Loading and saving chart documents.
 
-A chart document is either {"builtin": name} or
+A chart document is either {"builtin": name}, which stands for the
+catalog's document of that chart, or
 
     { "name": str, "n": int, "domain": [[lo, hi], ...],
       "frame": [[expr, ...], ...] }
@@ -14,10 +15,12 @@ each product is formed.
 
 One interpreter walks the syntax tree of an entry and builds its value in
 a scalar algebra: exact RationalFuncs, or numeric closures of a batch of
-points.  Entries that stay inside the rational fragment parse onto the
-exact backend; sin/cos/exp force the numeric backend.  The FLATCHECK_BACKEND
-environment variable (exact | numeric | auto) overrides the choice, where
-"exact" refuses charts that need transcendentals.
+points, where each distinct sin/cos/exp call of a frame is evaluated once
+per batch for all of the frame's entries.  Entries that stay inside the
+rational fragment parse onto the exact backend; sin/cos/exp force the
+numeric backend.  The FLATCHECK_BACKEND environment variable (exact |
+numeric | auto) overrides the choice, where "exact" refuses charts that
+need transcendentals.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import re
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .catalog import chart_document
 from .frames import ChartError, FrameChart, check_dim
 from .rational import RationalFunc
 
@@ -75,8 +79,8 @@ class _ExactAlgebra:
         return out.inverse() if exp < 0 else out
 
     @staticmethod
-    def call(name: str, arg):
-        raise _NeedsNumeric(name)
+    def call(node: ast.Call, arg):
+        raise _NeedsNumeric
 
 
 class _NumericAlgebra:
@@ -85,7 +89,14 @@ class _NumericAlgebra:
     whole arrays, with a zero divisor raising ZeroDivisionError as it does
     for floats; powers and sin/cos/exp apply Python's float operations to
     each element.  So every value equals a one-point evaluation in Python
-    floats, bit for bit."""
+    floats, bit for bit.
+
+    One instance serves the entries of one frame: a call that occurs again,
+    in the same entry or another, is the same closure, which keeps its
+    values for the last batch it was given."""
+
+    def __init__(self):
+        self._calls = {}  # ast.dump of a call -> its closure
 
     @staticmethod
     def const(n: int, value):
@@ -109,10 +120,30 @@ class _NumericAlgebra:
     def power(base, exp: int):
         return lambda x: _elementwise(lambda b: b ** exp, base(x))
 
-    @staticmethod
-    def call(name: str, arg):
-        func = _NUMERIC_FUNCS[name]
-        return lambda x: _elementwise(func, arg(x))
+    def call(self, node: ast.Call, arg):
+        key = ast.dump(node)
+        got = self._calls.get(key)
+        if got is None:
+            func = _NUMERIC_FUNCS[node.func.id]
+            got = self._calls[key] = _on_last_batch(lambda x: _elementwise(func, arg(x)))
+        return got
+
+
+def _on_last_batch(fn):
+    """``fn`` remembering its value on the last batch object it was given.
+    The entries of a frame are evaluated on one batch object, and nothing
+    writes to a batch after it is evaluated; holding the batch keeps its
+    id from being reused by another."""
+    batch = value = None
+
+    def at(x):
+        nonlocal batch, value
+        if x is not batch:
+            value = fn(x)
+            batch = x
+        return value
+
+    return at
 
 
 def _divide(a, b):
@@ -179,7 +210,7 @@ def _interpret(node, n: int, algebra):
             raise ChartError("only sin, cos, exp calls are allowed")
         if len(node.args) != 1 or node.keywords:
             raise ChartError("transcendental calls take exactly one argument")
-        return algebra.call(node.func.id, _interpret(node.args[0], n, algebra))
+        return algebra.call(node, _interpret(node.args[0], n, algebra))
     raise ChartError(f"unsupported syntax: {type(node).__name__}")
 
 
@@ -200,7 +231,7 @@ def parse_exact_expr(src: str, n: int) -> RationalFunc:
 def parse_numeric_expr(src: str, n: int) -> Callable[[Sequence[float]], float]:
     import numpy as np
 
-    fn = _interpret(_parse(src), n, _NumericAlgebra)
+    fn = _interpret(_parse(src), n, _NumericAlgebra())
 
     def at(point: Sequence[float]) -> float:
         with np.errstate(all="ignore"):
@@ -222,21 +253,13 @@ def chart_from_json(doc: dict, backend: str | None = None) -> FrameChart:
     ``backend`` of None consults FLATCHECK_BACKEND (default auto: exact
     when every entry is a rational function).
     """
-    from .catalog import get_chart  # circular at module load otherwise
-
     if backend is None:
         backend = os.environ.get("FLATCHECK_BACKEND", "auto")
     if backend not in ("exact", "numeric", "auto"):
         raise ChartError(f"unknown backend '{backend}' (exact | numeric | auto)")
 
     if "builtin" in doc:
-        chart = get_chart(str(doc["builtin"]))
-        if backend == "exact" and chart.backend != "exact":
-            raise ChartError(f"chart '{chart.name}' has no exact form")
-        if backend == "numeric" and chart.backend == "exact":
-            return _exact_to_numeric(chart)
-        return chart
-
+        doc = chart_document(str(doc["builtin"]))
     try:
         name = str(doc["name"])
         n = int(doc["n"])
@@ -252,15 +275,15 @@ def chart_from_json(doc: dict, backend: str | None = None) -> FrameChart:
         try:
             entries = [[parse_exact_expr(str(e), n) for e in row] for row in frame]
             return FrameChart(name, n, domain, entries=entries)
-        except _NeedsNumeric as exc:
+        except _NeedsNumeric:
             if backend == "exact":
-                raise ChartError(
-                    f"entry uses '{exc.args[0]}', which the exact backend cannot represent")
+                raise ChartError(f"chart '{name}' has no exact form") from None
             # fall through to numeric
 
     import numpy as np
 
-    fns = [[_interpret(_parse(str(e)), n, _NumericAlgebra) for e in row] for row in frame]
+    algebra = _NumericAlgebra()
+    fns = [[_interpret(_parse(str(e)), n, algebra) for e in row] for row in frame]
 
     def batch_evaluator(points: np.ndarray) -> np.ndarray:
         out = np.empty((len(points), n, n))
@@ -271,16 +294,6 @@ def chart_from_json(doc: dict, backend: str | None = None) -> FrameChart:
         return out
 
     return FrameChart(name, n, domain, batch_evaluator=batch_evaluator)
-
-
-def _exact_to_numeric(chart: FrameChart) -> FrameChart:
-    entries = chart.entries
-
-    def evaluator(point):
-        return [[entries[i][a].eval_float(point) for a in range(chart.n)]
-                for i in range(chart.n)]
-
-    return FrameChart(chart.name, chart.n, chart.domain, evaluator=evaluator)
 
 
 def load_chart_file(path: str, backend: str | None = None) -> FrameChart:

@@ -17,12 +17,13 @@ of the chart.
 Two scalar-field backends implement the same operations:
 
 * exact  - RationalFunc components; identities are literal zeros.
-* numeric - black-box evaluators differentiated by five-point central
-  stencils (step ``FD_STEP`` at the first level, ``FD_STEP2`` for nested
-  levels), for charts with entries like exp or sin that have no rational
-  form.  A numeric field is evaluated on a whole batch of points at once
-  (the grid, or the grid shifted by a stencil step), and its cache holds
-  one array per batch, not one value per point.
+* numeric - a frame evaluated on batches of points, differentiated by
+  five-point central stencils (step ``FD_STEP`` at the first level,
+  ``FD_STEP2`` for nested levels), for charts with entries like exp or
+  sin that have no rational form.  A numeric field is evaluated on a
+  whole batch of points at once (the grid, or the grid shifted by a
+  stencil step), and its cache holds one array per batch, not one value
+  per point.
 
 Charts are bounded: at most ``MAX_DIM`` dimensions, and at most
 ``MAX_GRID_POINTS`` points on an evaluation grid.
@@ -63,11 +64,12 @@ BatchFn = Callable[["np.ndarray", bytes], "np.ndarray"]
 class NumericScalar:
     """A float-valued field known only through evaluation.
 
-    ``fn`` maps one point, a tuple of floats, to the value there.  Every
-    node works on a batch of points at once, an (m, n) float array with
-    one point per row: sums, differences, products, scalings and
-    derivatives act on whole arrays, and the stencil of ``diff(r)`` shifts
-    column r of the batch.  ``eval_float`` is a batch of one row.
+    ``fn(points, key)`` maps a batch of points, an (m, n) float array with
+    one point per row, to its m values; ``key`` is ``points.tobytes()``,
+    for passing on to the fields that ``fn`` evaluates on the same batch.
+    Sums, differences, products, scalings and derivatives act on whole
+    arrays, and the stencil of ``diff(r)`` shifts column r of the batch.
+    ``eval_float`` is a batch of one row.
 
     ``depth`` counts how many finite-difference layers sit under the
     value already; the first derivative of a depth-0 field uses the fine
@@ -84,58 +86,41 @@ class NumericScalar:
 
     __slots__ = ("fn", "n", "depth", "_cache")
 
-    def __init__(self, fn: Callable[[Tuple[float, ...]], float], n: int, depth: int = 0):
-        import numpy as np
-
-        def per_point(points: np.ndarray, key: bytes) -> np.ndarray:
-            return np.array([fn(p) for p in map(tuple, points.tolist())], dtype=float)
-
-        self._setup(per_point, n, depth)
-
-    def _setup(self, fn: BatchFn, n: int, depth: int) -> None:
+    def __init__(self, fn: BatchFn, n: int, depth: int = 0):
         self.fn = fn
         self.n = n
         self.depth = depth
         self._cache: Dict[bytes, np.ndarray] = {}
-
-    @classmethod
-    def batched(cls, fn: BatchFn, n: int, depth: int = 0) -> NumericScalar:
-        """A field from ``fn(points, key)``, which maps an (m, n) batch to
-        its m values; ``key`` is ``points.tobytes()``, for passing on to
-        the fields that ``fn`` evaluates on the same batch."""
-        node = cls.__new__(cls)
-        node._setup(fn, n, depth)
-        return node
 
     @staticmethod
     def const(n: int, value: float) -> NumericScalar:
         import numpy as np
 
         v = float(value)
-        return NumericScalar.batched(lambda p, key: np.full(len(p), v), n)
+        return NumericScalar(lambda p, key: np.full(len(p), v), n)
 
     def __add__(self, other: NumericScalar) -> NumericScalar:
-        return NumericScalar.batched(
+        return NumericScalar(
             lambda p, key: self._values(p, key) + other._values(p, key), self.n,
             max(self.depth, other.depth))
 
     def __sub__(self, other: NumericScalar) -> NumericScalar:
-        return NumericScalar.batched(
+        return NumericScalar(
             lambda p, key: self._values(p, key) - other._values(p, key), self.n,
             max(self.depth, other.depth))
 
     def __mul__(self, other: NumericScalar) -> NumericScalar:
-        return NumericScalar.batched(
+        return NumericScalar(
             lambda p, key: self._values(p, key) * other._values(p, key), self.n,
             max(self.depth, other.depth))
 
     def scale(self, value) -> NumericScalar:
         v = float(value)
-        return NumericScalar.batched(lambda p, key: v * self._values(p, key), self.n, self.depth)
+        return NumericScalar(lambda p, key: v * self._values(p, key), self.n, self.depth)
 
     def diff(self, r: int) -> NumericScalar:
         h = FD_STEP if self.depth == 0 else FD_STEP2
-        return NumericScalar.batched(
+        return NumericScalar(
             lambda p, key: five_point(lambda q: self._values(q, q.tobytes()), p, r, h),
             self.n, self.depth + 1)
 
@@ -198,13 +183,11 @@ class FrameChart:
     """An invertible frame field on a rational box domain."""
 
     def __init__(self, name: str, n: int, domain: Sequence[Tuple],
-                 entries: Sequence[Sequence[RationalFunc]] | None = None,
-                 evaluator: Callable[[Tuple[float, ...]], Sequence] | None = None, *,
+                 entries: Sequence[Sequence[RationalFunc]] | None = None, *,
                  batch_evaluator: Callable[[np.ndarray], np.ndarray] | None = None):
-        """Exact ``entries``, or a numeric frame: ``evaluator`` maps one
-        point to the n x n frame there, ``batch_evaluator`` an (m, n) batch
-        of points to an (m, n, n) array of frames."""
-        if sum(x is not None for x in (entries, evaluator, batch_evaluator)) != 1:
+        """Exact ``entries``, or a numeric frame: ``batch_evaluator`` maps
+        an (m, n) batch of points to an (m, n, n) array of frames."""
+        if (entries is None) == (batch_evaluator is None):
             raise ChartError("provide exactly one of exact entries or a numeric evaluator")
         check_dim(n)
         self.name = name
@@ -226,13 +209,6 @@ class FrameChart:
             self._den_factors = list(dict.fromkeys(f for e in fields for f in e.den))
         else:
             self.backend = "numeric"
-            if evaluator is not None:
-                import numpy as np
-
-                def batch_evaluator(points: np.ndarray) -> np.ndarray:
-                    frames = [evaluator(p) for p in map(tuple, points.tolist())]
-                    return np.array(frames, dtype=float).reshape(len(points), n, n)
-
             self._frames = batch_evaluator
 
     def grid(self, points_per_axis: int = 5) -> List[Tuple[float, ...]]:
@@ -375,10 +351,10 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
         return np.einsum("mjia,mak->mijk", de, einv)
 
     # one node caches the whole tensor per batch; the n^3 entries slice it
-    tensor = NumericScalar.batched(gamma_tensor, n, 1)
+    tensor = NumericScalar(gamma_tensor, n, 1)
 
     def gamma_entry(i: int, j: int, k: int) -> NumericScalar:
-        return NumericScalar.batched(lambda p, key: tensor._values(p, key)[:, i, j, k], n, 1)
+        return NumericScalar(lambda p, key: tensor._values(p, key)[:, i, j, k], n, 1)
 
     gamma = [[[gamma_entry(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
     return ConnectionField(n, "numeric", gamma)

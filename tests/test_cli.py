@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from flatcheck.catalog import get_lie_pair
+from flatcheck.catalog import CHART_NAMES, chart_document
 from flatcheck.cli import main
 
 
@@ -351,6 +352,27 @@ def test_builtin_charts_honour_the_backend_env_var(monkeypatch, capsys):
         assert code == 0
         assert doc["backend"] == "numeric"
         assert doc["locally_homogeneous"] is False
+
+
+@pytest.mark.parametrize("name", CHART_NAMES + ["abelian5"])
+def test_builtin_runs_as_its_chart_document(tmp_path, monkeypatch, capsys, name):
+    # one loader: the document of a catalog chart, written to a file, gives
+    # the bytes of the builtin on every backend, refusals included
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(chart_document(name)))
+    if name in CHART_NAMES:
+        builtin = ["--builtin", name]
+    else:  # --builtin offers the listed names only
+        (tmp_path / "builtin.json").write_text(json.dumps({"builtin": name}))
+        builtin = ["--chart", str(tmp_path / "builtin.json")]
+    for backend in ("auto", "exact", "numeric"):
+        monkeypatch.setenv("FLATCHECK_BACKEND", backend)
+        for command in (["geom", "report"], ["chern-simons"]):
+            runs = []
+            for source in (builtin, ["--chart", str(path)]):
+                code, out = run_cli([*command, *source, "--grid", "2"])
+                runs.append((code, out, capsys.readouterr().err))
+            assert runs[0] == runs[1], (backend, command)
 
 
 @pytest.mark.parametrize("chart, grid", [

@@ -406,7 +406,7 @@ def test_residual_of_non_finite_field_raises():
     import pytest
     from flatcheck.forms import form_residual
     from flatcheck.frames import ChartError, NumericScalar
-    form = HomForm(2, 0, "numeric", {((), 0, 0): NumericScalar(lambda x: float("nan"), 2)})
+    form = HomForm(2, 0, "numeric", {((), 0, 0): NumericScalar.const(2, float("nan"))})
     with pytest.raises(ChartError, match="not finite"):
         form_residual(form, [(0.0, 0.0)])
 

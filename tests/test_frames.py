@@ -253,7 +253,8 @@ def test_numeric_backend_matches_exact_on_deformed():
         x = p[0]
         return np.array([[1.0, 0.0], [0.0, 1.0 + x * x]])
 
-    numeric_chart = FrameChart("deformed2-num", 2, [(-1, 1), (-1, 1)], evaluator=evaluator)
+    numeric_chart = FrameChart("deformed2-num", 2, [(-1, 1), (-1, 1)],
+                               batch_evaluator=lambda pts: np.array([evaluator(p) for p in pts.tolist()]))
     conn_e = gamma_from_frame(exact_chart)
     conn_n = gamma_from_frame(numeric_chart)
     for pt in ((0.0, 0.0), (0.5, -0.5)):
@@ -278,7 +279,8 @@ def test_numeric_curvature_tilde_small():
 
 def test_numeric_scalar_derivative_accuracy():
     import math
-    f = NumericScalar(lambda p: math.sin(p[0]) * math.cos(p[1]), 2)
+    import numpy as np
+    f = NumericScalar(lambda p, key: np.sin(p[:, 0]) * np.cos(p[:, 1]), 2)
     df = f.diff(0)
     assert abs(df.eval_float((0.3, 0.7)) - math.cos(0.3) * math.cos(0.7)) < 1e-10
     d2f = df.diff(1)

@@ -21,6 +21,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 import pytest
 
+import flatcheck.charts_io as charts_io
 import flatcheck.forms as forms_mod
 from flatcheck.catalog import get_chart
 from flatcheck.charts_io import chart_from_json
@@ -207,9 +208,51 @@ def test_cache_keeps_each_batch_apart():
     def tree(f):
         return f.diff(0) * f + f.diff(1).diff(0)
 
-    node, point = tree(NumericScalar(fn, 2)), tree(PointScalar(fn, 2))
+    node, point = (tree(NumericScalar(lambda p, key: np.array([fn(q) for q in p.tolist()]), 2)),
+                   tree(PointScalar(fn, 2)))
     a = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.6]])
     b = np.array([[-0.7, 0.8], [0.9, 0.1]])
     for batch in (a, b, a[[2, 0, 1]], a, b):
         assert _hexes(node.values(batch)) == _hexes(point.eval_float(p) for p in batch)
     assert len(node._cache) == 3
+
+
+def test_forced_numeric_builtin_is_evaluated_per_batch(monkeypatch):
+    # a forced-numeric exact chart runs through the entry interpreter on
+    # whole batches, not through its exact fields one point at a time
+    from flatcheck.rational import RationalFunc
+
+    def refuse(self, point):
+        raise AssertionError("RationalFunc.eval_float called")
+
+    monkeypatch.setattr(RationalFunc, "eval_float", refuse)
+    report = identity_report(chart_from_json({"builtin": "abelian4"}, "numeric"), grid_points=3)
+    assert report["backend"] == "numeric"
+    assert report["max_R"] == 0.0
+
+
+SHARED_SIN = {"name": "shared-sin", "n": 2, "domain": [[-1, 1], [0.5, 1.5]],
+              "frame": [["1 + sin(x2)", "x1*sin(x2)"],
+                        ["sin(x2)*sin(x2)", "2 + sin(x2)*cos(x1)"]]}
+
+
+def test_each_call_is_evaluated_once_per_batch(monkeypatch):
+    # sin(x2) occurs five times in the frame and is computed once per point
+    calls = []
+
+    def counted_sin(x):
+        calls.append(x)
+        return math.sin(x)
+
+    monkeypatch.setattr(charts_io, "_NUMERIC_FUNCS", dict(charts_io._NUMERIC_FUNCS, sin=counted_sin))
+    chart = chart_from_json(SHARED_SIN)
+    reference = expression_frame(SHARED_SIN)
+    a = np.array(chart.grid(3))
+    b = a[:4] + 0.01
+    expected_calls = 0
+    for batch in (a, b, a):
+        frames = chart.frames_at(batch)
+        expected_calls += len(batch)
+        assert len(calls) == expected_calls
+        for p, e in zip(batch.tolist(), frames):
+            assert _hexes(e.ravel()) == _hexes(reference(tuple(p)).ravel())
