@@ -356,9 +356,16 @@ class _Geometry(NamedTuple):
     points: Sequence
 
 
-def _geometry(chart: FrameChart, tol: float, grid_points: int) -> _Geometry:
+def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True) -> _Geometry:
     """The one pipeline behind every report: the connection, torsion and
-    curvature of the chart, each wedge built once, and the residual table."""
+    curvature of the chart, each wedge built once, and the residual table.
+
+    With ``full`` false it builds only what ``chern_simons_report`` prints:
+    the structure residual (for the calibrated sign, which may raise
+    ``CalibrationError``), the transgression residual and the verdict.  The
+    residuals of R~, d~(sR), the Bianchi identity and nabla T are then
+    left out of the table, and so is ``max_R`` on the exact backend, whose
+    verdict needs no grid."""
     chart.validate_invertible(grid_points)
     conn = gamma_from_frame(chart)
     exact = conn.backend == "exact"
@@ -366,9 +373,10 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int) -> _Geometry:
 
     t = torsion_form(conn)
     r = curvature_form(conn)
-    rt = curvature_tilde_form(conn)
 
-    res_rtilde = form_residual(rt, points)
+    residuals = {}
+    if full:
+        residuals["rtilde"] = form_residual(curvature_tilde_form(conn), points)
 
     tt = wedge(t, t)
     lhs = d_tilde(conn, t) + tt
@@ -377,7 +385,7 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int) -> _Geometry:
         return form_residual(lhs - r if s == 1 else lhs + r, points)
 
     sign = global_structure_sign()
-    res_structure = structure_residual(sign)
+    res_structure = residuals["structure"] = structure_residual(sign)
     if res_structure > tol:
         # the calibrated sign fails here; the other one only fills the report
         res_other = structure_residual(-sign)
@@ -388,43 +396,31 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int) -> _Geometry:
     sr_t = wedge(sr, t)
     t3 = wedge(tt, t)
 
-    # d~(sR) = (sR)^T - T^(sR)
-    dtr_identity = d_tilde(conn, sr) - (sr_t - wedge(t, sr))
-    res_dtilde_r = form_residual(dtr_identity, points)
-
-    # exterior-covariant closure of the curvature
-    res_bianchi = form_residual(d_lower(conn, sr), points)
+    if full:
+        # d~(sR) = (sR)^T - T^(sR)
+        dtr_identity = d_tilde(conn, sr) - (sr_t - wedge(t, sr))
+        residuals["dtildeR"] = form_residual(dtr_identity, points)
+        # exterior-covariant closure of the curvature
+        residuals["bianchi"] = form_residual(d_lower(conn, sr), points)
 
     # secondary transgression: d Tr(sR ^ T - T^3/3) = Tr(sR ^ sR)
     cs_primitive = trace_form(sr_t - t3.scale(Fraction(1, 3)))
     cs_lhs = de_rham(cs_primitive)
     cs_rhs = trace_form(wedge(sr, sr))
-    res_cs = form_residual(cs_lhs - cs_rhs, points)
+    residuals["chern_simons"] = form_residual(cs_lhs - cs_rhs, points)
 
-    nabla_res = nabla_torsion_minus_curvature(conn, sign, t, r)
-    res_nabla = scalars_residual(nabla_res, conn.backend, points)
+    if full:
+        nabla_res = nabla_torsion_minus_curvature(conn, sign, t, r)
+        residuals["nabla_torsion"] = scalars_residual(nabla_res, conn.backend, points)
 
-    max_r = form_residual(r, points)
+    report = {"chart": chart.name, "backend": conn.backend, "sign": sign,
+              "residuals": residuals}
+    if full or not exact:
+        report["max_R"] = form_residual(r, points)
     # exact: R is a normal form, so the verdict needs no grid and no tol
-    homogeneous = r.is_exactly_zero() if exact else max_r <= tol
-
-    report = {
-        "chart": chart.name,
-        "backend": conn.backend,
-        "sign": sign,
-        "residuals": {
-            "rtilde": res_rtilde,
-            "structure": res_structure,
-            "dtildeR": res_dtilde_r,
-            "bianchi": res_bianchi,
-            "chern_simons": res_cs,
-            "nabla_torsion": res_nabla,
-        },
-        "max_R": max_r,
-        "locally_homogeneous": homogeneous,
-        "tolerance": tol,
-        "grid": [grid_points] * chart.n,
-    }
+    report["locally_homogeneous"] = r.is_exactly_zero() if exact else report["max_R"] <= tol
+    report["tolerance"] = tol
+    report["grid"] = [grid_points] * chart.n
     return _Geometry(report, t, t3, points)
 
 
@@ -488,17 +484,24 @@ def secondary_class_check(chart: FrameChart, i: int, tol: float = 1e-6,
 
     On charts that are not locally homogeneous the form is still returned
     but the closedness flag stays unset (None): the secondary classes are
-    only classes when the curvature vanishes.  This runs the pipeline of
-    ``identity_report``, so it raises what that raises.
+    only classes when the curvature vanishes.  This runs the part of the
+    ``identity_report`` pipeline that the verdict and the closedness need
+    (validation, the calibrated structure residual, the transgression):
+    it raises what that part raises, ``CalibrationError`` included.
     """
-    return _secondary_class(_geometry(chart, tol, grid_points), i, tol2)
+    return _secondary_class(_geometry(chart, tol, grid_points, full=False), i, tol2)
 
 
 def chern_simons_report(chart: FrameChart, tol: float = 1e-6, tol2: float = 1e-4,
                         grid_points: int = 5) -> dict:
-    """The transgression residual and the first secondary class Tr(T^3),
-    taken from one run of the identity pipeline."""
-    geo = _geometry(chart, tol, grid_points)
+    """The transgression residual and the first secondary class Tr(T^3).
+
+    Builds only what it returns: the residuals of R~, d~(sR), the Bianchi
+    identity and nabla T are never computed, so a value that is not
+    finite in them alone raises nothing here.  The structure residual is
+    still evaluated, because it gates the sign: ``CalibrationError`` is
+    raised as in ``identity_report``."""
+    geo = _geometry(chart, tol, grid_points, full=False)
     form, closed = _secondary_class(geo, 1, tol2)
     report = geo.report
     return {

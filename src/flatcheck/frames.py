@@ -402,19 +402,31 @@ def curvature_tilde_components(conn: ConnectionField) -> Dict[Tuple[int, int, in
     Componentwise [d_r Gamma^i_{jk} + Gamma^a_{rk} Gamma^i_{ja}]
     antisymmetrized in (r, j); identically zero for frame-derived
     connections, which is the convention-sensitive sanity anchor.
+
+    Only the pairs r < j are computed; (i, j, r, k) is the negative of
+    (i, r, j, k) and (i, r, r, k) is zero.  Every key is returned, in the
+    order (i, r, j, k) of the loops.
     """
     n = conn.n
+    zero = field_const(conn.backend, n, 0)
+
+    def half(i, rr, jj, k):
+        acc = conn.comp(i, jj, k).diff(rr)
+        for a in range(n):
+            acc = acc + conn.comp(a, rr, k) * conn.comp(i, jj, a)
+        return acc
+
     out = {}
     for i in range(n):
         for r in range(n):
             for j in range(n):
                 for k in range(n):
-                    def half(rr, jj):
-                        acc = conn.comp(i, jj, k).diff(rr)
-                        for a in range(n):
-                            acc = acc + conn.comp(a, rr, k) * conn.comp(i, jj, a)
-                        return acc
-                    out[(i, r, j, k)] = half(r, j) - half(j, r)
+                    if r < j:
+                        out[(i, r, j, k)] = half(i, r, j, k) - half(i, j, r, k)
+                    elif r > j:
+                        out[(i, r, j, k)] = out[(i, j, r, k)].scale(-1)
+                    else:
+                        out[(i, r, j, k)] = zero
     return out
 
 

@@ -268,7 +268,7 @@ class RationalFunc:
     leading coefficient and the scalar is folded into the numerator.
     """
 
-    __slots__ = ("n", "num", "den")
+    __slots__ = ("n", "num", "den", "_diffs")
 
     def __init__(self, num: Poly, den: Mapping[Poly, int] | None = None):
         self.n = num.n
@@ -391,6 +391,18 @@ class RationalFunc:
         return self.inverse().scale(other)
 
     def diff(self, idx: int) -> RationalFunc:
+        """Partial derivative; fields never change after they are built, so
+        each direction is differentiated once and the result kept."""
+        try:
+            memo = self._diffs
+        except AttributeError:  # the slot is filled on first use, also for __new__ copies
+            memo = self._diffs = {}
+        got = memo.get(idx)
+        if got is None:
+            got = memo[idx] = self._quotient_rule(idx)
+        return got
+
+    def _quotient_rule(self, idx: int) -> RationalFunc:
         """Partial derivative via the quotient rule, factor by factor."""
         # d(N / prod f^e) = dN / prod f^e - sum_i e_i dfi N / (f_i * prod f^e)
         terms = RationalFunc(self.num.diff(idx), self.den)
