@@ -32,7 +32,6 @@ import operator
 import os
 import re
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .catalog import chart_document
 from .frames import ChartError, FrameChart, check_dim
@@ -226,19 +225,6 @@ def parse_exact_expr(src: str, n: int) -> RationalFunc:
         return _interpret(_parse(src), n, _ExactAlgebra)
     except ZeroDivisionError:
         raise ChartError(f"expression {src!r} divides by zero") from None
-
-
-def parse_numeric_expr(src: str, n: int) -> Callable[[Sequence[float]], float]:
-    import numpy as np
-
-    fn = _interpret(_parse(src), n, _NumericAlgebra())
-
-    def at(point: Sequence[float]) -> float:
-        with np.errstate(all="ignore"):
-            value = fn(np.array([point], dtype=float))
-        return float(value[0] if isinstance(value, np.ndarray) else value)
-
-    return at
 
 
 def _parse_bound(v) -> Fraction:

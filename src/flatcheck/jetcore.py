@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .frames import MAX_DIM
 from .rational import matrix_determinant  # noqa: F401 - re-exported for the tests
-from .rational import ZERO, Poly, grlex_key, rf_matrix_inverse, unit_mono
+from .rational import Poly, grlex_key, rf_matrix_inverse, unit_mono
 
 MultiIndex = Tuple[int, ...]
 
@@ -111,24 +111,13 @@ class TruncatedPoly(Poly):
         self._check_compatible(other)
         return super().__add__(other)
 
+    def __sub__(self, other: TruncatedPoly) -> TruncatedPoly:
+        self._check_compatible(other)
+        return super().__sub__(other)
+
     def __mul__(self, other: TruncatedPoly) -> TruncatedPoly:
         self._check_compatible(other)
-        k = self.k
-        right = sorted(((sum(mb), mb, cb) for mb, cb in other.coeffs.items()),
-                       key=lambda term: term[0])
-        out: Dict[MultiIndex, Fraction] = {}
-        for ma, ca in self.coeffs.items():
-            room = k - sum(ma)
-            for db, mb, cb in right:
-                if db > room:
-                    break
-                mono = mi_add(ma, mb)
-                s = out.get(mono, ZERO) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return self._like(out)
+        return self._product(other, self.k)
 
     def diff(self, idx: int) -> TruncatedPoly:
         """Formal partial derivative; the order drops by one."""
@@ -310,13 +299,17 @@ def poly_from_json(entries, n: int, k: int | None = None) -> Poly:
     for entry in entries:
         try:
             mono = tuple(int(e) for e in entry["multiindex"])
-            coeffs[mono] = Fraction(int(entry["num"]), int(entry["den"]))
+            c = Fraction(int(entry["num"]), int(entry["den"]))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise JetError(f"malformed jet document entry: {exc}") from None
         if len(mono) != n:
             raise JetError(f"multi-index {mono} has wrong length in jet document")
+        if mono in coeffs:
+            raise JetError(f"multi-index {mono} appears twice in one polynomial of the "
+                           "jet document")
         if k is not None and sum(mono) > k:
             raise JetError(f"multi-index {mono} exceeds order k={k} in jet document")
+        coeffs[mono] = c
     return Poly(n, coeffs) if k is None else TruncatedPoly(n, k, coeffs)
 
 

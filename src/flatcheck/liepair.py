@@ -425,11 +425,16 @@ def pair_to_json(g: LieAlgebra, h: Subalgebra) -> dict:
 def pair_from_json(doc: dict) -> tuple[LieAlgebra, Subalgebra]:
     try:
         dim = int(doc["dim"])
-        brackets = {(int(e["i"]), int(e["j"])): [Fraction(str(x)) for x in e["coeffs"]]
-                    for e in doc["brackets"]}
+        entries = [((int(e["i"]), int(e["j"])), [Fraction(str(x)) for x in e["coeffs"]])
+                   for e in doc["brackets"]]
         sub = [[Fraction(str(x)) for x in vec] for vec in doc["subalgebra"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise LiePairError(f"malformed Lie pair document: {exc}") from None
+    brackets = {}
+    for (i, j), coeffs in entries:
+        if (i, j) in brackets:
+            raise LiePairError(f"Lie pair document gives the bracket ({i}, {j}) twice")
+        brackets[(i, j)] = coeffs
     if not 0 <= dim <= MAX_PAIR_DIM:
         raise LiePairError(f"Lie pair dimension {dim} is outside 0..{MAX_PAIR_DIM}")
     g = LieAlgebra(dim, brackets)

@@ -8,14 +8,25 @@ by a polynomial that is known explicitly (a frame determinant, a chart
 denominator).  Sums and derivatives then only ever need exact trial
 division to cancel factors, never a general multivariate gcd.
 
-All coefficients are Fractions, so equality of fields is literal equality
-of normal forms: ``is_zero`` is decidable and exact.
+``coeffs`` maps each monomial to a nonzero Fraction, so equality of fields
+is literal equality of normal forms: ``is_zero`` is decidable and exact.
+The arithmetic runs on an integer form of each polynomial: integer
+numerators over one positive denominator, the least common one (the
+layout of FLINT's ``fmpq_poly``).  A result of the arithmetic carries its
+integer form from the start; any other polynomial computes it on first
+use.  Products, sums, scalings and derivatives multiply and add Python
+ints and build one Fraction per output term, so chained products never
+touch Fraction arithmetic.  The terms of a result come in the order of
+the schoolbook Fraction loops, which ``RationalGrid`` relies on when it
+sums float terms.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import add, gt, neg, sub
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -24,6 +35,22 @@ PolyDict = Dict[Monomial, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_new_object = object.__new__
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` for ``den > 0``, without the type checks of
+    ``Fraction.__new__`` (as ``Fraction._from_coprime_ints`` of Python
+    3.12 builds a Fraction): the integer kernels build one per output term."""
+    f = _new_object(Fraction)
+    if den == 1:
+        f._numerator = num
+        f._denominator = 1
+    else:
+        g = gcd(num, den)
+        f._numerator = num // g
+        f._denominator = den // g
+    return f
 
 
 def grlex_key(mono: Monomial) -> tuple:
@@ -45,13 +72,14 @@ class Poly:
     carries more state (the truncation order of a jet component) gets
     results of its own kind.
 
-    The hash and the shape (see ``shape``) are computed on first use and
-    kept in slots that stay unset until then, so building a polynomial
-    costs nothing extra.  Code that changes ``coeffs`` in place must call
-    ``_coeffs_changed`` afterwards.
+    The hash, the shape (see ``shape``) and the integer form (see
+    ``int_form``) are computed on first use and kept in slots that stay
+    unset until then, so building a polynomial costs nothing extra.  Code
+    that changes ``coeffs`` in place must call ``_coeffs_changed``
+    afterwards.
     """
 
-    __slots__ = ("n", "coeffs", "_hash", "_shape")
+    __slots__ = ("n", "coeffs", "_hash", "_shape", "_ints")
 
     def __init__(self, n: int, coeffs: Mapping[Monomial, Fraction] | None = None):
         self.n = n
@@ -122,54 +150,130 @@ class Poly:
                                tuple(map(max, zip(*self.coeffs))))
             return s
 
+    def int_form(self) -> tuple:
+        """(numerators, denominator): ``coeffs[m] == Fraction(numerators[m],
+        denominator)`` for every monomial m, in the order of ``coeffs``, with
+        one positive denominator."""
+        try:
+            return self._ints
+        except AttributeError:
+            coeffs = self.coeffs
+            den = lcm(*[c.denominator for c in coeffs.values()])
+            if den == 1:
+                nums = {m: c.numerator for m, c in coeffs.items()}
+            else:
+                nums = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+            f = self._ints = (nums, den)
+            return f
+
+    def _from_ints(self, nums: Dict[Monomial, int], den: int,
+                   coeffs: PolyDict | None = None) -> Poly:
+        """A polynomial of this one's kind with coefficients ``nums[m] / den``
+        (``nums`` holds no zero).  ``coeffs`` is passed when the caller has
+        already built the Fraction coefficients."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {m: v // g for m, v in nums.items()}
+        if coeffs is None:
+            coeffs = {m: _fraction(v, den) for m, v in nums.items()}
+        res = self._like(coeffs)
+        res._ints = (nums, den)
+        return res
+
+    def _product(self, other: Poly, k: int | None = None) -> Poly:
+        """self * other in integer numerators, without the terms of total
+        degree above ``k`` when it is given.  Output terms come in the order
+        of the Fraction schoolbook loop: left terms outer, right terms
+        inner, a sum that cancels removed (and re-inserted later if it
+        reappears).  With ``k`` the right terms are visited by degree, so
+        each left term stops at the first one that is over the order."""
+        left, dl = self.int_form()
+        right, dr = other.int_form()
+        right = list(right.items())
+        if k is not None:
+            right.sort(key=lambda t: sum(t[0]))
+            degrees = [sum(m) for m, _ in right]
+        out: Dict[Monomial, int] = {}
+        get = out.get
+        for ma, na in left.items():
+            for mb, nb in right if k is None else right[:bisect_right(degrees, k - sum(ma))]:
+                mono = tuple(map(add, ma, mb))
+                s = get(mono, 0) + na * nb
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+        return self._from_ints(out, dl * dr)
+
+    def _combine(self, other: Poly, sign: int) -> Poly:
+        """self + sign * other.  Terms of self that other does not touch
+        keep their Fraction objects, so only touched terms are rebuilt."""
+        left, dl = self.int_form()
+        right, dr = other.int_form()
+        den = lcm(dl, dr)
+        fl, fr = den // dl, sign * (den // dr)
+        out = dict(left) if fl == 1 else {m: v * fl for m, v in left.items()}
+        coeffs = dict(self.coeffs)
+        get = out.get
+        for mono, v in right.items():
+            s = get(mono, 0) + v * fr
+            if s:
+                out[mono] = s
+                coeffs[mono] = _fraction(s, den)
+            else:
+                del out[mono]
+                del coeffs[mono]
+        return self._from_ints(out, den, coeffs)
+
     def _coeffs_changed(self) -> None:
-        """Drop the cached hash and shape after an in-place change to ``coeffs``."""
-        for slot in ("_hash", "_shape"):
+        """Drop the cached hash, shape and integer form after an in-place
+        change to ``coeffs``."""
+        for slot in ("_hash", "_shape", "_ints"):
             if hasattr(self, slot):
                 delattr(self, slot)
 
     def __add__(self, other: Poly) -> Poly:
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            s = out.get(mono, ZERO) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return self._like(out)
+        return self._combine(other, 1)
 
     def __neg__(self) -> Poly:
-        return self._like({m: -c for m, c in self.coeffs.items()})
+        res = self._like({m: -c for m, c in self.coeffs.items()})
+        try:
+            nums, den = self._ints
+        except AttributeError:  # no integer form to carry over
+            return res
+        if nums:
+            res._ints = ({m: -v for m, v in nums.items()}, den)
+        return res
 
     def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other: Poly) -> Poly:
-        out: PolyDict = {}
-        for ma, ca in self.coeffs.items():
-            for mb, cb in other.coeffs.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                s = out.get(mono, ZERO) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return self._like(out)
+        return self._product(other)
 
     def scale(self, value) -> Poly:
         c = Fraction(value)
-        return self._like({m: c * v for m, v in self.coeffs.items()} if c else {})
+        if not c or not self.coeffs:
+            return self._like({})
+        nums, den = self.int_form()
+        p = c.numerator
+        return self._from_ints({m: v * p for m, v in nums.items()}, den * c.denominator)
 
     def diff(self, idx: int) -> Poly:
-        out: PolyDict = {}
-        for mono, c in self.coeffs.items():
+        if not self.coeffs:
+            return self._like({})
+        nums, den = self.int_form()
+        out: Dict[Monomial, int] = {}
+        for mono, v in nums.items():
             e = mono[idx]
             if e == 0:
                 continue
             m = list(mono)
             m[idx] = e - 1
-            out[tuple(m)] = c * e
-        return self._like(out)
+            out[tuple(m)] = v * e
+        return self._from_ints(out, den)
 
     def eval(self, point: Iterable) -> Fraction:
         pt = [Fraction(x) for x in point]
@@ -327,6 +431,10 @@ class RationalFunc:
             return other
         if not other.num.coeffs:
             return self
+        return self._sum(other, 1)
+
+    def _sum(self, other: RationalFunc, sign: int) -> RationalFunc:
+        """self + sign * other for nonzero fields, sign 1 or -1."""
         # common denominator: factorwise max exponent
         common: Dict[Poly, int] = dict(self.den)
         for f, e in other.den.items():
@@ -339,7 +447,7 @@ class RationalFunc:
         for f, e in common.items():
             for _ in range(e - other.den.get(f, 0)):
                 nb = nb * f
-        return RationalFunc(na + nb, common)
+        return RationalFunc(na + nb if sign == 1 else na - nb, common)
 
     def __neg__(self) -> RationalFunc:
         res = RationalFunc.__new__(RationalFunc)
@@ -349,7 +457,11 @@ class RationalFunc:
         return res
 
     def __sub__(self, other: RationalFunc) -> RationalFunc:
-        return self + (-other)
+        if not self.num.coeffs:
+            return -other
+        if not other.num.coeffs:
+            return self
+        return self._sum(other, -1)
 
     def __mul__(self, other: RationalFunc) -> RationalFunc:
         # fields are never changed after they are built, so a zero is shared

@@ -162,10 +162,11 @@ class JetField:
     """A section of the order-k jet bundle over a box chart.
 
     Every component xi^i_alpha, |alpha| <= k, is an exact rational
-    function; missing entries are zero.
+    function; missing entries are one zero shared by the field, since
+    fields are never changed after they are built.
     """
 
-    __slots__ = ("n", "k", "domain", "components")
+    __slots__ = ("n", "k", "domain", "components", "_zero")
 
     def __init__(self, n: int, k: int,
                  components: Dict[Tuple[int, MultiIndex], RationalFunc] | None = None,
@@ -182,9 +183,10 @@ class JetField:
                     raise JetError(f"component ({i}, {alpha}) exceeds jet order {k}")
                 if not f.is_zero():
                     self.components[(i, alpha)] = f
+        self._zero = RationalFunc(Poly.zero(n))
 
     def comp(self, i: int, alpha: MultiIndex) -> RationalFunc:
-        return self.components.get((i, tuple(alpha)), RationalFunc(Poly.zero(self.n)))
+        return self.components.get((i, tuple(alpha)), self._zero)
 
     def order_zero(self) -> List[RationalFunc]:
         zero = (0,) * self.n
@@ -254,16 +256,17 @@ def prolong(v: Sequence[RationalFunc | Poly], k: int,
 class JetOneForm:
     """One-form with jet-field values: components indexed (r, i, alpha)."""
 
-    __slots__ = ("n", "k", "components")
+    __slots__ = ("n", "k", "components", "_zero")
 
     def __init__(self, n: int, k: int,
                  components: Dict[Tuple[int, int, MultiIndex], RationalFunc]):
         self.n = n
         self.k = k
         self.components = {key: f for key, f in components.items() if not f.is_zero()}
+        self._zero = RationalFunc(Poly.zero(n))  # shared by every missing component
 
     def comp(self, r: int, i: int, alpha: MultiIndex) -> RationalFunc:
-        return self.components.get((r, i, tuple(alpha)), RationalFunc(Poly.zero(self.n)))
+        return self.components.get((r, i, tuple(alpha)), self._zero)
 
     def is_zero(self) -> bool:
         return not self.components

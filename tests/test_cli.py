@@ -175,6 +175,13 @@ MALFORMED = {
     "jet-order": (["jet", "invert"], {"n": 1, "k": "x", "components": [[]]}),
     "pair-coeffs": (["liepair", "order", "--pair"], {
         "dim": 3, "brackets": [{"i": 0, "j": 1}], "subalgebra": []}),
+    # a repeated entry used to be accepted, the last one winning
+    "jet-repeated-multiindex": (["jet", "invert"], {
+        "n": 1, "k": 2, "components": [[{"multiindex": [1], "num": "1", "den": "1"},
+                                        {"multiindex": [1], "num": "5", "den": "1"}]]}),
+    "pair-repeated-bracket": (["liepair", "order", "--pair"], {
+        "dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": [0, 0, 1]},
+                               {"i": 0, "j": 1, "coeffs": [0, 0, 2]}], "subalgebra": []}),
     # jet and pair sizes are capped too; the abelian pair of dimension 120
     # used to run for over a minute
     "jet-huge-dim": (["jet", "invert"], identity_jet_doc(7, 2)),
@@ -255,20 +262,58 @@ def test_stencil_pole_names_the_chart_and_the_sample(tmp_path, name, at):
     assert "Warning" not in proc.stderr
 
 
+def _numeric_chart(entry: str):
+    """A one-dimensional chart whose frame is ``entry``, on the numeric backend."""
+    from flatcheck.charts_io import chart_from_json
+    return chart_from_json({"name": "entry", "n": 1, "domain": [[1, 3]], "frame": [[entry]]},
+                           backend="numeric")
+
+
+@pytest.mark.parametrize("name, line", [
+    ("jet-repeated-multiindex", "error: multi-index (1,) appears twice"),
+    ("pair-repeated-bracket", "error: Lie pair document gives the bracket (0, 1) twice")])
+def test_repeated_document_entry_is_named(tmp_path, name, line):
+    # exit 1 with one line is checked with the rest of MALFORMED; this checks the line
+    argv, doc = MALFORMED[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "flatcheck.cli", *argv, str(path)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.stderr.startswith(line), proc.stderr
+
+
+def test_repeated_entries_are_refused_in_every_jet_document():
+    from fractions import Fraction
+    from flatcheck.jetcore import JetError, poly_from_json
+    from flatcheck.spencer import jet_field_from_json
+    entries = [{"multiindex": [0, 1], "num": "1", "den": "2"},
+               {"multiindex": [1, 0], "num": "3", "den": "1"},
+               {"multiindex": [0, 1], "num": "1", "den": "2"}]
+    for k in (None, 2):
+        with pytest.raises(JetError, match=r"\(0, 1\) appears twice"):
+            poly_from_json(entries, 2, k)
+        assert poly_from_json(entries[:2], 2, k).coeffs == {(0, 1): Fraction(1, 2), (1, 0): 3}
+    field = {"n": 2, "k": 0, "components": {"0,0": [{"num": entries}, {"num": []}]}}
+    with pytest.raises(JetError, match="appears twice"):
+        jet_field_from_json(field)
+
+
 def test_non_finite_literal_is_refused_on_both_backends():
-    from flatcheck.charts_io import parse_exact_expr, parse_numeric_expr
+    from flatcheck.charts_io import parse_exact_expr
     from flatcheck.frames import ChartError
-    for parse in (parse_exact_expr, parse_numeric_expr):
+    for parse in (parse_exact_expr, lambda src, n: _numeric_chart(src)):
         with pytest.raises(ChartError, match="inf"):
             parse("2 * 1e999", 1)
 
 
 def test_exponent_cap_is_inclusive_on_both_backends():
-    from flatcheck.charts_io import MAX_EXPONENT, parse_exact_expr, parse_numeric_expr
+    import numpy as np
+    from flatcheck.charts_io import MAX_EXPONENT, parse_exact_expr
     from flatcheck.frames import ChartError
     assert parse_exact_expr(f"x1^{MAX_EXPONENT}", 1).num.degree() == MAX_EXPONENT
-    assert parse_numeric_expr(f"x1^-{MAX_EXPONENT}", 1)((2.0,)) == 2.0 ** -MAX_EXPONENT
-    for parse in (parse_exact_expr, parse_numeric_expr):
+    frame = _numeric_chart(f"x1^-{MAX_EXPONENT}").frames_at(np.array([[2.0]]))
+    assert frame[0, 0, 0] == 2.0 ** -MAX_EXPONENT
+    for parse in (parse_exact_expr, lambda src, n: _numeric_chart(src)):
         with pytest.raises(ChartError):
             parse(f"x1^{MAX_EXPONENT + 1}", 1)
 

@@ -1,0 +1,192 @@
+"""The integer-numerator kernels of ``Poly`` against plain-Fraction references.
+
+``Poly`` arithmetic runs on integer numerators over one common denominator
+and builds the Fraction coefficients once per output term.  The references
+below are the schoolbook Fraction loops: each result must equal them in
+value, hold only Fraction coefficients, and list its terms in the same
+order, because ``RationalGrid`` sums float terms in that order.
+"""
+
+from __future__ import annotations
+
+import operator
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from flatcheck.jetcore import JetError, TruncatedPoly, multi_indices
+from flatcheck.rational import Poly, _fraction
+
+
+def rand_frac(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6) or 1, rng.choice((1, 1, 1, 2, 3, 4, 6, 9)))
+
+
+def rand_coeffs(rng: random.Random, n: int, max_deg: int, terms: int) -> dict:
+    monos = multi_indices(n, max_deg)
+    return {rng.choice(monos): rand_frac(rng) for _ in range(terms)}
+
+
+def ref_product(a: Poly, b: Poly, k: int | None = None) -> list:
+    """Terms of a * b by the Fraction loop; with ``k`` the right terms are
+    visited by degree and each left term stops at the first one over k."""
+    right = list(b.coeffs.items())
+    if k is not None:
+        right.sort(key=lambda t: sum(t[0]))
+    out: dict = {}
+    for ma, ca in a.coeffs.items():
+        for mb, cb in right:
+            if k is not None and sum(ma) + sum(mb) > k:
+                break
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            s = out.get(mono, Fraction(0)) + ca * cb
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+    return list(out.items())
+
+
+def ref_combine(a: Poly, b: Poly, sign: int) -> list:
+    out = dict(a.coeffs)
+    for mono, c in b.coeffs.items():
+        s = out.get(mono, Fraction(0)) + sign * c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+    return list(out.items())
+
+
+def ref_diff(a: Poly, idx: int) -> list:
+    out = []
+    for mono, c in a.coeffs.items():
+        if mono[idx]:
+            m = list(mono)
+            m[idx] -= 1
+            out.append((tuple(m), c * mono[idx]))
+    return out
+
+
+def assert_terms(p: Poly, expected: list) -> None:
+    """Same terms, same values, same order, and every value a Fraction."""
+    got = list(p.coeffs.items())
+    assert got == expected
+    assert all(type(c) is Fraction for _, c in got)
+    nums, den = p.int_form()
+    assert den > 0 and list(nums) == list(p.coeffs)
+    assert all(Fraction(v, den) == c for v, c in zip(nums.values(), p.coeffs.values()))
+
+
+def random_pairs(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        k = rng.randint(0, 6)
+        yield (rng, n, k, rand_coeffs(rng, n, k, rng.randint(0, 8)),
+               rand_coeffs(rng, n, k, rng.randint(0, 8)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_poly_product_matches_the_fraction_loop(seed):
+    for _, n, _, ca, cb in random_pairs(seed, 60):
+        a, b = Poly(n, ca), Poly(n, cb)
+        assert_terms(a * b, ref_product(a, b))
+        # an operand that already holds its integer form gives the same terms
+        assert_terms(a * (a * b), ref_product(a, Poly(n, (a * b).coeffs)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_truncated_product_matches_the_fraction_loop(seed):
+    for _, n, k, ca, cb in random_pairs(100 + seed, 60):
+        a, b = TruncatedPoly(n, k, ca), TruncatedPoly(n, k, cb)
+        product = a * b
+        assert type(product) is TruncatedPoly and product.k == k
+        assert_terms(product, ref_product(a, b, k))
+        assert all(sum(m) <= k for m in product.coeffs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sum_difference_scale_and_derivative_match_fractions(seed):
+    for rng, n, _, ca, cb in random_pairs(200 + seed, 60):
+        a, b = Poly(n, ca), Poly(n, cb)
+        assert_terms(a + b, ref_combine(a, b, 1))
+        assert_terms(a - b, ref_combine(a, b, -1))
+        assert_terms(a - a, [])
+        assert_terms(-a, [(m, -c) for m, c in a.coeffs.items()])
+        c = rand_frac(rng)
+        assert_terms(a.scale(c), [(m, c * v) for m, v in a.coeffs.items()])
+        assert_terms(a.scale(0), [])
+        idx = rng.randrange(n)
+        assert_terms(a.diff(idx), ref_diff(a, idx))
+
+
+def test_truncated_arithmetic_refuses_mismatched_orders():
+    a, b = TruncatedPoly(2, 2, {(1, 0): 1}), TruncatedPoly(2, 3, {(0, 1): 1})
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(JetError, match="k=2.*k=3"):
+            op(a, b)
+
+
+def test_cancelling_products_keep_the_order_of_the_fraction_loop():
+    # in (x + y + 1)(y - x + xy) the x*y term cancels after y*(-x), and 1*xy
+    # brings it back: it is listed last, where the Fraction loop puts it
+    x, y, one = Poly.var(2, 0), Poly.var(2, 1), Poly.const(2, 1)
+    assert_terms((x + y + one) * (y - x + x * y),
+                 [((2, 0), -1), ((2, 1), 1), ((0, 2), 1), ((1, 2), 1), ((0, 1), 1),
+                  ((1, 0), -1), ((1, 1), 1)])
+    a, b = x.scale(Fraction(1, 2)) + y, y.scale(Fraction(-1, 2)) + x.scale(Fraction(1, 4))
+    assert_terms(a * b, ref_product(a, b))
+    assert_terms((x + y) * (x - y), [((2, 0), 1), ((0, 2), -1)])
+    cancelled = 0
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 2)
+        ca = {m: Fraction(rng.choice((-1, 1)), rng.choice((1, 2))) for m in multi_indices(n, 2)}
+        cb = {m: Fraction(rng.choice((-1, 1)), rng.choice((1, 2))) for m in multi_indices(n, 2)}
+        a, b = Poly(n, ca), Poly(n, cb)
+        expected = ref_product(a, b)
+        cancelled += len(expected) < len({tuple(p + q for p, q in zip(ma, mb))
+                                          for ma in ca for mb in cb})
+        assert_terms(a * b, expected)
+        ta, tb = TruncatedPoly(n, 3, ca), TruncatedPoly(n, 3, cb)
+        assert_terms(ta * tb, ref_product(ta, tb, 3))
+    assert cancelled > 20  # the loop above really exercises cancellation
+
+
+def test_set_coeff_after_a_product_drops_the_integer_form():
+    a = TruncatedPoly(2, 3, {(1, 0): Fraction(1, 2), (0, 1): 3})
+    b = TruncatedPoly(2, 3, {(0, 0): 1, (1, 1): Fraction(-2, 3)})
+    p = a * b
+    assert p.int_form() == ({(1, 0): 3, (0, 1): 18, (2, 1): -2, (1, 2): -12}, 6)
+    p.set_coeff((0, 0), Fraction(5, 4))
+    assert p.int_form() == ({(1, 0): 6, (0, 1): 36, (2, 1): -4, (1, 2): -24, (0, 0): 15}, 12)
+    q = TruncatedPoly(2, 3, p.coeffs)
+    assert_terms(p * b, ref_product(q, b, 3))
+    assert_terms(p + b, ref_combine(q, b, 1))
+    p.set_coeff((1, 0), 0)
+    assert (1, 0) not in p.int_form()[0]
+
+
+def test_integer_form_uses_the_least_common_denominator():
+    p = Poly(2, {(1, 0): Fraction(1, 4), (0, 1): Fraction(5, 6), (0, 0): 2})
+    assert p.int_form() == ({(1, 0): 3, (0, 1): 10, (0, 0): 24}, 12)
+    # a product whose terms share a factor with the denominator is reduced
+    q = p.scale(12) * Poly.const(2, Fraction(1, 12))
+    assert q.int_form() == p.int_form() and q == p
+    assert Poly.zero(3).int_form() == ({}, 1)
+    assert (Poly.var(1, 0).scale(Fraction(1, 3)) * Poly.const(1, 3)).int_form() == ({(1,): 1}, 1)
+    for r in (p, q, p * p, p - q.scale(Fraction(1, 2))):
+        assert r.int_form()[1] == lcm(*(c.denominator for c in r.coeffs.values()))
+
+
+@pytest.mark.parametrize("num, den", [(0, 1), (7, 1), (-7, 1), (6, 4), (-6, 4), (5, 35),
+                                      (10 ** 30, 3 * 10 ** 20), (0, 12)])
+def test_fast_fraction_is_a_normal_fraction(num, den):
+    f, ref = _fraction(num, den), Fraction(num, den)
+    assert type(f) is Fraction
+    assert (f.numerator, f.denominator) == (ref.numerator, ref.denominator)
+    assert f == ref and hash(f) == hash(ref) and repr(f) == repr(ref) and str(f) == str(ref)
+    assert float(f) == float(ref) and f + 1 == ref + 1

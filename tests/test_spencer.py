@@ -143,6 +143,15 @@ def test_spencer_linearity():
             assert (lhs.comp(r, i, alpha) - want).is_zero()
 
 
+def test_missing_components_share_one_zero():
+    xi = JetField(2, 1, {(0, (1, 0)): rf(Poly.var(2, 0))})
+    zero = xi.comp(1, (0, 0))
+    assert zero.is_zero() and xi.comp(0, (0, 1)) is zero and xi.comp(1, [1, 0]) is zero
+    d = spencer_operator(xi)  # only (r, i, alpha) = (0, 0, (0, 0)) is nonzero: -x1
+    assert d.comp(1, 1, (0, 0)) is d.comp(0, 1, (0, 0)) and d.comp(1, 1, (0, 0)).is_zero()
+    assert not d.comp(0, 0, (0, 0)).is_zero()
+
+
 def test_spencer_rejects_order_zero():
     xi = JetField(2, 0, {(0, (0, 0)): rf(Poly.const(2, 1))})
     with pytest.raises(JetError, match="k >= 1"):
