@@ -457,10 +457,10 @@ class RationalFunc:
         return res
 
     def __sub__(self, other: RationalFunc) -> RationalFunc:
-        if not self.num.coeffs:
-            return -other
         if not other.num.coeffs:
             return self
+        if not self.num.coeffs:
+            return -other
         return self._sum(other, -1)
 
     def __mul__(self, other: RationalFunc) -> RationalFunc:
