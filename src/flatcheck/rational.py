@@ -39,9 +39,13 @@ _new_object = object.__new__
 
 
 def _fraction(num: int, den: int) -> Fraction:
-    """``Fraction(num, den)`` for ``den > 0``, without the type checks of
-    ``Fraction.__new__`` (as ``Fraction._from_coprime_ints`` of Python
-    3.12 builds a Fraction): the integer kernels build one per output term."""
+    """``Fraction(num, den)`` for ``den > 0``.
+
+    The integer kernels build one Fraction per output term.  This fills its
+    two slots directly, as ``Fraction._from_coprime_ints`` does from Python
+    3.12 on, and skips the argument checks of ``Fraction.__new__``, which
+    take more than twice as long on Python 3.11; ``tests/test_int_kernels.py``
+    checks that the result is an ordinary Fraction."""
     f = _new_object(Fraction)
     if den == 1:
         f._numerator = num
@@ -150,7 +154,7 @@ class Poly:
                                tuple(map(max, zip(*self.coeffs))))
             return s
 
-    def int_form(self) -> tuple:
+    def int_form(self) -> Tuple[Dict[Monomial, int], int]:
         """(numerators, denominator): ``coeffs[m] == Fraction(numerators[m],
         denominator)`` for every monomial m, in the order of ``coeffs``, with
         one positive denominator."""
@@ -243,8 +247,7 @@ class Poly:
             nums, den = self._ints
         except AttributeError:  # no integer form to carry over
             return res
-        if nums:
-            res._ints = ({m: -v for m, v in nums.items()}, den)
+        res._ints = ({m: -v for m, v in nums.items()}, den)
         return res
 
     def __sub__(self, other: Poly) -> Poly:
