@@ -9,9 +9,11 @@ catalog's document of that chart, or
 with entries written in one expression grammar for both backends:
 variables x1..xn, integer and decimal literals, + - * /, powers (** or ^)
 whose exponent is an integer literal of absolute value at most
-MAX_EXPONENT, and sin/cos/exp of one argument.  On the exact backend no
-numerator or denominator factor may grow past MAX_TERMS terms, checked as
-each product is formed.
+MAX_EXPONENT, and sin/cos/exp of one argument.  An entry nests at most
+MAX_DEPTH levels.  On the exact backend no numerator or denominator factor
+may grow past MAX_TERMS terms, checked as each product is formed.  Domain
+bounds are rational literals ("3/4", "0.25", 1) of at most
+``sys.get_int_max_str_digits()`` digits (``rational.parse_rational``).
 
 One interpreter walks the syntax tree of an entry and builds its value in
 a scalar algebra: exact RationalFuncs, or numeric closures of a batch of
@@ -35,7 +37,7 @@ from fractions import Fraction
 
 from .catalog import chart_document
 from .frames import ChartError, FrameChart, check_dim
-from .rational import RationalFunc
+from .rational import RationalFunc, parse_rational
 
 _NUMERIC_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -45,6 +47,11 @@ _VAR_RE = re.compile(r"^x([1-9]\d*)$")
 MAX_EXPONENT = 64
 # and an exact product of two factors up to MAX_TERMS**2 coefficient products
 MAX_TERMS = 256
+# the interpreter recurses once per level of an entry's syntax tree, and a
+# numeric entry's closures once (twice at a call, and the parser allows
+# fewer than 200 nested parentheses); both stay far below Python's
+# recursion limit of 1000
+MAX_DEPTH = 400
 
 
 class _NeedsNumeric(Exception):
@@ -161,11 +168,14 @@ def _elementwise(func, value):
     return func(value)
 
 
-def _interpret(node, n: int, algebra):
+def _interpret(node, n: int, algebra, depth: int = 1):
     """Walk an entry's syntax tree, checking the grammar and building its
     value in ``algebra``."""
+    if depth > MAX_DEPTH:
+        raise ChartError(f"an entry is nested more than {MAX_DEPTH} levels deep")
+    depth += 1
     if isinstance(node, ast.Expression):
-        return _interpret(node.body, n, algebra)
+        return _interpret(node.body, n, algebra, depth)
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ChartError(f"unsupported literal {node.value!r}")
@@ -181,7 +191,7 @@ def _interpret(node, n: int, algebra):
             raise ChartError(f"variable {node.id} out of range for n={n}")
         return algebra.var(n, idx)
     if isinstance(node, ast.UnaryOp):
-        val = _interpret(node.operand, n, algebra)
+        val = _interpret(node.operand, n, algebra, depth)
         if isinstance(node.op, ast.USub):
             return algebra.apply(operator.neg, val)
         if isinstance(node.op, ast.UAdd):
@@ -189,7 +199,7 @@ def _interpret(node, n: int, algebra):
         raise ChartError("unsupported unary operator")
     if isinstance(node, ast.BinOp):
         if isinstance(node.op, ast.Pow):
-            base = _interpret(node.left, n, algebra)
+            base = _interpret(node.left, n, algebra, depth)
             sign, lit = 1, node.right
             if isinstance(lit, ast.UnaryOp) and isinstance(lit.op, (ast.UAdd, ast.USub)):
                 sign, lit = (-1 if isinstance(lit.op, ast.USub) else 1), lit.operand
@@ -202,14 +212,14 @@ def _interpret(node, n: int, algebra):
         op = _BINARY_OPS.get(type(node.op))
         if op is None:
             raise ChartError("unsupported binary operator")
-        return algebra.apply(op, _interpret(node.left, n, algebra),
-                             _interpret(node.right, n, algebra))
+        return algebra.apply(op, _interpret(node.left, n, algebra, depth),
+                             _interpret(node.right, n, algebra, depth))
     if isinstance(node, ast.Call):
         if not (isinstance(node.func, ast.Name) and node.func.id in _NUMERIC_FUNCS):
             raise ChartError("only sin, cos, exp calls are allowed")
         if len(node.args) != 1 or node.keywords:
             raise ChartError("transcendental calls take exactly one argument")
-        return algebra.call(node, _interpret(node.args[0], n, algebra))
+        return algebra.call(node, _interpret(node.args[0], n, algebra, depth))
     raise ChartError(f"unsupported syntax: {type(node).__name__}")
 
 
@@ -218,6 +228,8 @@ def _parse(src: str) -> ast.Expression:
         return ast.parse(src.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
         raise ChartError(f"cannot parse expression {src!r}: {exc.msg} (offset {exc.offset})") from None
+    except (RecursionError, MemoryError):  # the parser's own nesting limits
+        raise ChartError(f"an entry is nested more than {MAX_DEPTH} levels deep") from None
 
 
 def parse_exact_expr(src: str, n: int) -> RationalFunc:
@@ -227,10 +239,9 @@ def parse_exact_expr(src: str, n: int) -> RationalFunc:
         raise ChartError(f"expression {src!r} divides by zero") from None
 
 
-def _parse_bound(v) -> Fraction:
-    if isinstance(v, str):
-        return Fraction(v)
-    return Fraction(str(v)) if isinstance(v, float) else Fraction(v)
+def _is_list(value, length: int) -> bool:
+    """A JSON array of ``length`` items; a string is not one."""
+    return isinstance(value, list) and len(value) == length
 
 
 def chart_from_json(doc: dict, backend: str | None = None) -> FrameChart:
@@ -249,12 +260,14 @@ def chart_from_json(doc: dict, backend: str | None = None) -> FrameChart:
     try:
         name = str(doc["name"])
         n = int(doc["n"])
-        domain = [( _parse_bound(lo), _parse_bound(hi)) for lo, hi in doc["domain"]]
-        frame = doc["frame"]
-    except (KeyError, TypeError, ValueError) as exc:
+        domain, frame = doc["domain"], doc["frame"]
+        if not (isinstance(domain, list) and all(_is_list(b, 2) for b in domain)):
+            raise TypeError("'domain' must be a list of [lo, hi] pairs")
+        domain = [(parse_rational(str(lo)), parse_rational(str(hi))) for lo, hi in domain]
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ChartError(f"malformed chart document (field: {exc})") from None
     check_dim(n)
-    if len(frame) != n or any(len(row) != n for row in frame):
+    if not (_is_list(frame, n) and all(_is_list(row, n) for row in frame)):
         raise ChartError(f"chart 'frame' must be an {n}x{n} array of expressions")
 
     if backend in ("exact", "auto"):

@@ -43,7 +43,7 @@ from .forms import (
 from .frames import ChartError
 from .jetcore import JetError, map_from_json, map_to_json
 from .liepair import LiePairError, filtration_of, order_of_chain, pair_from_json
-from .rational import frac_str
+from .rational import frac_str, parse_rational
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -74,7 +74,9 @@ def emit(doc, out_path: str | None) -> None:
 
 def _frac(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_rational(text)
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 

@@ -4,7 +4,8 @@ that decides local homogeneity.
 Forms of degree p store one scalar field per strictly increasing index
 tuple and value entry; access with an arbitrary tuple resolves the sign.
 One form type carries both Hom(T,T) values and the plain values of a
-trace.  The wedge is the shuffle sum
+trace, on either backend: a form holds the zero field of its connection
+and knows no backend name.  The wedge is the shuffle sum
 
     (w ^ s)(X_1 .. X_{p+q}) = sum over (p,q)-shuffles of
         sgn . w(block 1) o s(block 2),
@@ -41,7 +42,6 @@ from .frames import (
     curvature_components,
     curvature_tilde_components,
     dt_scalar,
-    field_const,
     field_is_exactly_zero,
     gamma_from_frame,
     torsion_components,
@@ -93,16 +93,18 @@ class HomForm:
 
     A component is keyed ``(idx, *value)``: ``value`` is the Hom(T,T) entry
     (i, j) when ``value_slots`` is 2, and empty for a plain form (the image
-    of the trace), which has ``value_slots`` 0.
+    of the trace), which has ``value_slots`` 0.  ``zero`` is the zero field
+    of the connection the form is built from, and the value of every
+    component that is not stored.
     """
 
-    __slots__ = ("n", "degree", "backend", "value_slots", "components")
+    __slots__ = ("n", "degree", "zero", "value_slots", "components")
 
-    def __init__(self, n: int, degree: int, backend: str,
+    def __init__(self, n: int, degree: int, zero: ScalarField,
                  components: Dict[tuple, ScalarField] | None = None, value_slots: int = 2):
         self.n = n
         self.degree = degree
-        self.backend = backend
+        self.zero = zero
         self.value_slots = value_slots
         self.components: Dict[tuple, ScalarField] = {}
         if components:
@@ -116,12 +118,12 @@ class HomForm:
         canon, sign = _sort_with_sign(tuple(idx))
         f = self.components.get((canon, *value)) if sign else None
         if f is None:
-            return field_const(self.backend, self.n, 0)
+            return self.zero
         return f if sign == 1 else f.scale(-1)
 
     def _like(self, degree: int, components=None) -> HomForm:
         """A form on the same chart, backend and value type."""
-        return HomForm(self.n, degree, self.backend, components, self.value_slots)
+        return HomForm(self.n, degree, self.zero, components, self.value_slots)
 
     def __add__(self, other: HomForm) -> HomForm:
         self._check(other)
@@ -137,7 +139,8 @@ class HomForm:
         return self._like(self.degree, {k: f.scale(value) for k, f in self.components.items()})
 
     def _check(self, other: HomForm) -> None:
-        if (self.n != other.n or self.degree != other.degree or self.backend != other.backend
+        if (self.n != other.n or self.degree != other.degree
+                or type(self.zero) is not type(other.zero)
                 or self.value_slots != other.value_slots):
             raise ChartError("forms must share dimension, degree, backend and value type")
 
@@ -148,7 +151,7 @@ class HomForm:
         return _grid_max(self.components.values(), points)
 
     def __repr__(self):
-        return f"HomForm(n={self.n}, degree={self.degree}, backend={self.backend})"
+        return f"HomForm(n={self.n}, degree={self.degree})"
 
 
 def _grid_max(fields, points) -> float:
@@ -174,14 +177,9 @@ def _grid_max(fields, points) -> float:
 
 # --- basic constructions ------------------------------------------------------
 
-def identity_hom_form(n: int, backend: str = "exact") -> HomForm:
-    one = field_const(backend, n, 1)
-    return HomForm(n, 0, backend, {((), i, i): one for i in range(n)})
-
-
 def torsion_form(conn: ConnectionField) -> HomForm:
     comps = {((k,), i, j): f for (i, k, j), f in torsion_components(conn).items()}
-    return HomForm(conn.n, 1, conn.backend, comps)
+    return HomForm(conn.n, 1, conn.zero, comps)
 
 
 def _curvature_like_form(conn: ConnectionField, raw) -> HomForm:
@@ -189,7 +187,7 @@ def _curvature_like_form(conn: ConnectionField, raw) -> HomForm:
     for (i, r, j, k), f in raw.items():
         if r < j:
             comps[((r, j), i, k)] = f
-    return HomForm(conn.n, 2, conn.backend, comps)
+    return HomForm(conn.n, 2, conn.zero, comps)
 
 
 def curvature_form(conn: ConnectionField) -> HomForm:
@@ -241,12 +239,12 @@ def de_rham(phi: HomForm) -> HomForm:
 
 def wedge(a: HomForm, b: HomForm) -> HomForm:
     """Shuffle wedge with Hom(T,T) composition on the value slots."""
-    if a.n != b.n or a.backend != b.backend:
+    if a.n != b.n or type(a.zero) is not type(b.zero):
         raise ChartError("wedge operands must live on the same chart backend")
     n = a.n
     p, q = a.degree, b.degree
     if p + q > n:
-        return HomForm(n, p + q, a.backend)
+        return HomForm(n, p + q, a.zero)
     comps = {}
     for out_idx in combinations(range(n), p + q):
         for i in range(n):
@@ -264,7 +262,7 @@ def wedge(a: HomForm, b: HomForm) -> HomForm:
                         term = term.scale(-1)
                     acc = term if acc is None else acc + term
                 comps[(tuple(out_idx), i, j)] = acc
-    return HomForm(n, p + q, a.backend, comps)
+    return HomForm(n, p + q, a.zero, comps)
 
 
 def trace_form(omega: HomForm) -> HomForm:
@@ -276,7 +274,7 @@ def trace_form(omega: HomForm) -> HomForm:
             term = omega.comp(tuple(idx), a, a)
             acc = term if acc is None else acc + term
         comps[(tuple(idx),)] = acc
-    return HomForm(omega.n, omega.degree, omega.backend, comps, value_slots=0)
+    return HomForm(omega.n, omega.degree, omega.zero, comps, value_slots=0)
 
 
 def wedge_power(omega: HomForm, i: int) -> HomForm:
@@ -289,10 +287,8 @@ def wedge_power(omega: HomForm, i: int) -> HomForm:
 # --- residual machinery -------------------------------------------------------
 
 def form_residual(form: HomForm, points) -> float:
-    """0.0 for literal zero on the exact backend, else a grid max-abs."""
-    if form.backend == "exact" and form.is_exactly_zero():
-        return 0.0
-    return form.max_abs(points)
+    """0.0 for a literal zero (exact backend only), else a grid max-abs."""
+    return 0.0 if form.is_exactly_zero() else form.max_abs(points)
 
 
 def nabla_torsion_minus_curvature(conn: ConnectionField, sign: int,
@@ -322,10 +318,8 @@ def nabla_torsion_minus_curvature(conn: ConnectionField, sign: int,
     return out
 
 
-def scalars_residual(fields: Sequence[ScalarField], backend: str, points) -> float:
-    if backend == "exact" and all(field_is_exactly_zero(f) for f in fields):
-        return 0.0
-    return _grid_max(fields, points)
+def scalars_residual(fields: Sequence[ScalarField], points) -> float:
+    return 0.0 if all(map(field_is_exactly_zero, fields)) else _grid_max(fields, points)
 
 
 _GLOBAL_SIGN: int | None = None
@@ -368,7 +362,7 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
     verdict needs no grid."""
     chart.validate_invertible(grid_points)
     conn = gamma_from_frame(chart)
-    exact = conn.backend == "exact"
+    exact = chart.backend == "exact"
     points = RationalGrid(chart.rational_grid(grid_points)) if exact else chart.grid(grid_points)
 
     t = torsion_form(conn)
@@ -411,9 +405,9 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
 
     if full:
         nabla_res = nabla_torsion_minus_curvature(conn, sign, t, r)
-        residuals["nabla_torsion"] = scalars_residual(nabla_res, conn.backend, points)
+        residuals["nabla_torsion"] = scalars_residual(nabla_res, points)
 
-    report = {"chart": chart.name, "backend": conn.backend, "sign": sign,
+    report = {"chart": chart.name, "backend": chart.backend, "sign": sign,
               "residuals": residuals}
     if full or not exact:
         report["max_R"] = form_residual(r, points)
@@ -472,7 +466,7 @@ def _secondary_class(geo: _Geometry, i: int, tol2: float) -> tuple[HomForm, bool
     form = trace_form(power)
     if not geo.report["locally_homogeneous"]:
         return form, None
-    if form.backend == "exact":
+    if geo.report["backend"] == "exact":
         return form, de_rham(form).is_exactly_zero()
     return form, form_residual(de_rham(form), geo.points) <= tol2
 

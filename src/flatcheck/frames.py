@@ -164,12 +164,6 @@ def five_point(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
 ScalarField = RationalFunc | NumericScalar
 
 
-def field_const(backend: str, n: int, value) -> ScalarField:
-    if backend == "exact":
-        return RationalFunc.const(n, value)
-    return NumericScalar.const(n, value)
-
-
 def field_is_exactly_zero(f: ScalarField) -> bool:
     """Literal-zero test; only decidable on the exact backend."""
     return isinstance(f, RationalFunc) and f.is_zero()
@@ -301,10 +295,12 @@ class FrameChart:
 
 @dataclass
 class ConnectionField:
-    """Components Gamma^i_{jk}: j differentiates, k picks the frame column."""
+    """Components Gamma^i_{jk}: j differentiates, k picks the frame column.
+    ``zero`` is the zero field of their backend, shared by every form built
+    from the connection, so the calculus needs no backend name."""
 
     n: int
-    backend: str
+    zero: ScalarField
     gamma: List[List[List[ScalarField]]]
 
     def comp(self, i: int, j: int, k: int) -> ScalarField:
@@ -315,7 +311,7 @@ class ConnectionField:
         (and so the numeric evaluation caches) of this one."""
         gamma = [[[self.gamma[i][k][j] for k in range(self.n)] for j in range(self.n)]
                  for i in range(self.n)]
-        return ConnectionField(self.n, self.backend, gamma)
+        return ConnectionField(self.n, self.zero, gamma)
 
 
 def gamma_from_frame(chart: FrameChart) -> ConnectionField:
@@ -323,16 +319,10 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
     n = chart.n
     if chart.backend == "exact":
         einv = rf_matrix_inverse(chart.entries)
-        gamma = [[[RationalFunc(Poly.zero(n)) for _ in range(n)] for _ in range(n)]
-                 for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = RationalFunc(Poly.zero(n))
-                    for a in range(n):
-                        acc = acc + chart.entries[i][a].diff(j) * einv[a][k]
-                    gamma[i][j][k] = acc
-        return ConnectionField(n, "exact", gamma)
+        zero = RationalFunc(Poly.zero(n))
+        gamma = [[[sum((chart.entries[i][a].diff(j) * einv[a][k] for a in range(n)), zero)
+                   for k in range(n)] for j in range(n)] for i in range(n)]
+        return ConnectionField(n, zero, gamma)
 
     import numpy as np
 
@@ -357,7 +347,7 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
         return NumericScalar(lambda p, key: tensor._values(p, key)[:, i, j, k], n, 1)
 
     gamma = [[[gamma_entry(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
-    return ConnectionField(n, "numeric", gamma)
+    return ConnectionField(n, NumericScalar.const(n, 0), gamma)
 
 
 # --- covariant derivative and curvature components ---------------------------
@@ -408,7 +398,6 @@ def curvature_tilde_components(conn: ConnectionField) -> Dict[Tuple[int, int, in
     order (i, r, j, k) of the loops.
     """
     n = conn.n
-    zero = field_const(conn.backend, n, 0)
 
     def half(i, rr, jj, k):
         acc = conn.comp(i, jj, k).diff(rr)
@@ -426,7 +415,7 @@ def curvature_tilde_components(conn: ConnectionField) -> Dict[Tuple[int, int, in
                     elif r > j:
                         out[(i, r, j, k)] = out[(i, j, r, k)].scale(-1)
                     else:
-                        out[(i, r, j, k)] = zero
+                        out[(i, r, j, k)] = conn.zero
     return out
 
 

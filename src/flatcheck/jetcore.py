@@ -298,6 +298,8 @@ def poly_from_json(entries, n: int, k: int | None = None) -> Poly:
     coeffs = {}
     for entry in entries:
         try:
+            if not isinstance(entry["multiindex"], list):
+                raise TypeError("'multiindex' must be a list of integers")
             mono = tuple(int(e) for e in entry["multiindex"])
             c = Fraction(int(entry["num"]), int(entry["den"]))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

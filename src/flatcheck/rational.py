@@ -23,6 +23,8 @@ sums float terms.
 
 from __future__ import annotations
 
+import re
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -478,6 +480,8 @@ class RationalFunc:
         return RationalFunc(self.num * other.num, den)
 
     def scale(self, value) -> RationalFunc:
+        if not self.num.coeffs:  # a zero is shared, as in __mul__
+            return self
         c = Fraction(value)
         if not c:
             return RationalFunc(Poly.zero(self.n))
@@ -508,6 +512,8 @@ class RationalFunc:
     def diff(self, idx: int) -> RationalFunc:
         """Partial derivative; fields never change after they are built, so
         each direction is differentiated once and the result kept."""
+        if not self.num.coeffs:  # a zero is shared, as in __mul__
+            return self
         try:
             memo = self._diffs
         except AttributeError:  # the slot is filled on first use, also for __new__ copies
@@ -617,6 +623,33 @@ class RationalGrid:
 def frac_str(x: Fraction) -> str:
     """An exact rational as the "num/den" string of the exchange documents."""
     return f"{x.numerator}/{x.denominator}"
+
+
+# the exponent of a decimal literal, as ``Fraction`` reads it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)`` for a literal such as "3/4", "-0.25" or "1e-3".
+
+    A literal whose numerator or denominator would have more than
+    ``sys.get_int_max_str_digits()`` digits before reduction raises
+    OverflowError before its value is built, the limit that ``int()`` puts
+    on a digit string: ``Fraction("1e9999999")`` alone takes seconds.
+    Other malformed literals raise what ``Fraction`` raises."""
+    m = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if m and limit:
+        mantissa = text[:m.start()]
+        shift = int(m.group(1))
+        decimals = mantissa.partition(".")[2]
+        num_digits = sum(map(str.isdecimal, mantissa)) + max(shift, 0)
+        den_digits = 1 + sum(map(str.isdecimal, decimals)) + max(-shift, 0)
+        if max(num_digits, den_digits) > limit:
+            shown = text if len(text) <= 32 else text[:29] + "..."
+            raise OverflowError(f"the rational literal {shown!r} needs more than "
+                                f"{limit} digits")
+    return Fraction(text)
 
 
 # --- exact linear algebra over Q and Q(x) ------------------------------------

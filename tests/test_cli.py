@@ -220,6 +220,37 @@ MALFORMED = {
     "stencil-singular": (["geom", "report", "--chart"], {
         "name": "stencil-pole", "n": 2, "domain": [[-1, 1], [-1, 1]],
         "frame": [["1 + 0*sin(x1)", "0"], ["0", "x1 - 1/1000"]]}),
+    # arrays of the wrong shape: a string is not an array of its characters
+    "frame-null": (["geom", "report", "--chart"], {
+        "name": "shape", "n": 2, "domain": [[0, 1], [0, 1]], "frame": None}),
+    "frame-strings": (["geom", "report", "--chart"], {
+        "name": "shape", "n": 2, "domain": [[0, 1], [0, 1]], "frame": ["10", "01"]}),
+    "domain-strings": (["geom", "report", "--chart"], {
+        "name": "shape", "n": 2, "domain": ["01", "01"], "frame": [["1", "0"], ["0", "1"]]}),
+    "domain-zero-denominator": (["geom", "report", "--chart"], {
+        "name": "shape", "n": 2, "domain": [["1/0", 1], [0, 1]],
+        "frame": [["1", "0"], ["0", "1"]]}),
+    "jet-multiindex-string": (["jet", "invert"], {
+        "n": 1, "k": 2, "components": [[{"multiindex": "1", "num": "1", "den": "1"}]]}),
+    # nested past the interpreter's depth limit, and past the parser's
+    "deep-chain": (["geom", "report", "--chart"], {
+        "name": "deep", "n": 2, "domain": [[1, 2], [1, 2]],
+        "frame": [["+".join(["x1"] * 1200), "0"], ["0", "1"]]}),
+    "deep-chain-numeric": (["chern-simons", "--chart"], {
+        "name": "deep", "n": 2, "domain": [[1, 2], [1, 2]],
+        "frame": [["+".join(["x1"] * 1200) + " + sin(x1)", "0"], ["0", "1"]]}),
+    "deep-unary": (["geom", "report", "--chart"], {
+        "name": "deep", "n": 2, "domain": [[1, 2], [1, 2]],
+        "frame": [["-" * 20000 + "x1", "0"], ["0", "1"]]}),
+    # rational literals whose value would take minutes to build
+    "domain-huge-literal": (["geom", "report", "--chart"], {
+        "name": "huge", "n": 2, "domain": [["0", "1e99999999"], [0, 1]],
+        "frame": [["1", "0"], ["0", "1"]]}),
+    "pair-huge-coefficient": (["liepair", "order", "--pair"], {
+        "dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": [0, 0, "1e99999999"]}],
+        "subalgebra": []}),
+    "pair-huge-subalgebra": (["liepair", "order", "--pair"], {
+        "dim": 1, "brackets": [], "subalgebra": [["1e-99999999"]]}),
 }
 
 
@@ -260,6 +291,52 @@ def test_stencil_pole_names_the_chart_and_the_sample(tmp_path, name, at):
                           capture_output=True, text=True, timeout=30)
     assert "'stencil-pole'" in proc.stderr and at in proc.stderr, proc.stderr
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["domain-huge-literal", "pair-huge-coefficient",
+                                  "pair-huge-subalgebra"])
+def test_huge_literal_is_refused_at_once(tmp_path, name):
+    # exit 1 with one line is checked with the rest of MALFORMED; this checks
+    # the line, and the timeout that building the value would run into
+    argv, doc = MALFORMED[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "flatcheck.cli", *argv, str(path)],
+                          capture_output=True, text=True, timeout=10)
+    assert "needs more than 4300 digits" in proc.stderr, proc.stderr
+
+
+def test_huge_argument_is_refused_at_once():
+    # an argument is refused by argparse, with its usage line and exit 2
+    proc = subprocess.run([sys.executable, "-m", "flatcheck.cli", "groupoid", "g3", "invert",
+                           "1e99999999", "1", "1"], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].endswith(
+        "error: argument a: the rational literal '1e99999999' needs more than 4300 digits")
+
+
+def _deep_entry(levels: int, calls: int) -> str:
+    """``calls`` nested sin calls around a sum of x1s, an entry whose syntax
+    tree is ``levels`` deep (the Expression node is one level)."""
+    return "sin(" * calls + "+".join(["x1"] * (levels - 1 - calls)) + ")" * calls
+
+
+@pytest.mark.parametrize("calls", [0, 150])
+def test_depth_limit_is_inclusive_on_both_backends(calls):
+    # nested calls cost the numeric closures two frames per level
+    from flatcheck.charts_io import MAX_DEPTH, chart_from_json
+    from flatcheck.forms import chern_simons_report
+    from flatcheck.frames import ChartError
+    doc = {"name": "deep", "n": 2, "domain": [[1, 2], [1, 2]],
+           "frame": [[_deep_entry(MAX_DEPTH, calls), "0"], ["0", "1"]]}
+    for backend in ("auto", "numeric"):
+        chart = chart_from_json(doc, backend)
+        assert chern_simons_report(chart, grid_points=3)["locally_homogeneous"] is True
+    doc["frame"][0][0] = _deep_entry(MAX_DEPTH + 1, calls)
+    for backend in ("auto", "numeric"):
+        with pytest.raises(ChartError, match=f"more than {MAX_DEPTH} levels deep"):
+            chart_from_json(doc, backend)
 
 
 def _numeric_chart(entry: str):

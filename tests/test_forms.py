@@ -21,7 +21,6 @@ from flatcheck.forms import (
     d_tilde,
     de_rham,
     global_structure_sign,
-    identity_hom_form,
     identity_report,
     identity_residuals_pass,
     secondary_class_check,
@@ -43,6 +42,11 @@ from flatcheck.rational import Poly, RationalGrid
 from conftest import make_sl2mix4, make_sl2rational, make_unipotent4, random_poly, rf
 
 
+def identity_hom_form(n):
+    one = rf(Poly.const(n, 1))
+    return HomForm(n, 0, rf(Poly.zero(n)), {((), i, i): one for i in range(n)})
+
+
 def random_hom_form(n, degree, rng, deg=1):
     comps = {}
     from itertools import combinations
@@ -50,7 +54,7 @@ def random_hom_form(n, degree, rng, deg=1):
         for i in range(n):
             for j in range(n):
                 comps[(idx, i, j)] = rf(random_poly(n, deg, rng, span=2))
-    return HomForm(n, degree, "exact", comps)
+    return HomForm(n, degree, rf(Poly.zero(n)), comps)
 
 
 # --- form plumbing ------------------------------------------------------------
@@ -61,7 +65,7 @@ def test_component_access_antisymmetry():
     assert (w.comp((0, 1), 0, 0) + w.comp((1, 0), 0, 0)).is_zero()
     assert w.comp((1, 1), 0, 0).is_zero()
     # canonicalizing twice is the same as once: storage already canonical
-    again = HomForm(w.n, w.degree, w.backend, w.components)
+    again = HomForm(w.n, w.degree, w.zero, w.components)
     for key, f in w.components.items():
         assert (again.components[key] - f).is_zero()
 
@@ -75,6 +79,20 @@ def test_wedge_with_identity_is_identity():
     for key in w.components:
         assert (left.components[key] - w.components[key]).is_zero()
         assert (right.components[key] - w.components[key]).is_zero()
+
+
+def test_forms_of_the_two_backends_do_not_mix():
+    from flatcheck.frames import ChartError, NumericScalar
+    exact = identity_hom_form(2)
+    numeric = HomForm(2, 0, NumericScalar.const(2, 0),
+                      {((), i, i): NumericScalar.const(2, 1) for i in range(2)})
+    for a, b in ((exact, numeric), (numeric, exact)):
+        with pytest.raises(ChartError):
+            wedge(a, b)
+        with pytest.raises(ChartError):
+            a + b
+        with pytest.raises(ChartError):
+            a - b
 
 
 def test_wedge_degree_one_formula():
@@ -130,7 +148,7 @@ def test_trace_heisenberg_torsion():
 def test_nabla_tilde_zero_connection_is_partial():
     n = 2
     zero = [[[rf(Poly.zero(n)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    conn = ConnectionField(n, "exact", zero)
+    conn = ConnectionField(n, rf(Poly.zero(n)), zero)
     rng = random.Random(14)
     w = random_hom_form(n, 1, rng, deg=2)
     for r in range(n):
@@ -165,7 +183,7 @@ def test_nabla_tilde_inert_form_indices():
 def test_d_tilde_zero_connection_is_gradient():
     n = 2
     zero = [[[rf(Poly.zero(n)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    conn = ConnectionField(n, "exact", zero)
+    conn = ConnectionField(n, rf(Poly.zero(n)), zero)
     rng = random.Random(5)
     w = random_hom_form(n, 0, rng, deg=2)
     d = d_tilde(conn, w)
@@ -199,7 +217,7 @@ def test_d_tilde_leibniz_rule():
 def test_d_lower_with_zero_connection_matches_d_tilde():
     n = 2
     zero = [[[rf(Poly.zero(n)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    conn = ConnectionField(n, "exact", zero)
+    conn = ConnectionField(n, rf(Poly.zero(n)), zero)
     rng = random.Random(8)
     w = random_hom_form(n, 1, rng)
     assert (d_lower(conn, w) - d_tilde(conn, w)).is_exactly_zero()
@@ -336,7 +354,7 @@ def test_calibration_failure_is_reported():
     x = Poly.var(n, 0)
     gamma = [[[rf(Poly.zero(n)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
     gamma[1][1][0] = rf(x)
-    conn = ConnectionField(n, "exact", gamma)
+    conn = ConnectionField(n, rf(Poly.zero(n)), gamma)
     t = torsion_form(conn)
     r = curvature_form(conn)
     lhs = d_tilde(conn, t) + wedge(t, t)
@@ -406,7 +424,8 @@ def test_residual_of_non_finite_field_raises():
     import pytest
     from flatcheck.forms import form_residual
     from flatcheck.frames import ChartError, NumericScalar
-    form = HomForm(2, 0, "numeric", {((), 0, 0): NumericScalar.const(2, float("nan"))})
+    nan = NumericScalar.const(2, float("nan"))
+    form = HomForm(2, 0, NumericScalar.const(2, 0), {((), 0, 0): nan})
     with pytest.raises(ChartError, match="not finite"):
         form_residual(form, [(0.0, 0.0)])
 
@@ -461,7 +480,7 @@ def test_rational_grid_non_finite_raises_at_the_first_point():
     x = Poly.var(n, 0)
     finite = rf(x)
     huge = rf((x * x).scale(10 ** 300))  # 1e300 * x^2 overflows to inf at x = 1e5
-    form = HomForm(n, 0, "exact", {((), 0, 0): finite, ((), 0, 1): huge})
+    form = HomForm(n, 0, rf(Poly.zero(n)), {((), 0, 0): finite, ((), 0, 1): huge})
     points = [(Fraction(1),), (Fraction(10 ** 5),), (Fraction(10 ** 6),)]
     for grid in (points, RationalGrid(points)):
         with pytest.raises(ChartError, match=r"not finite at \(100000\.0,\)"):

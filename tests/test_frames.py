@@ -79,7 +79,7 @@ def test_torsion_symmetric_connection_vanishes():
     n = 2
     x = Poly.var(n, 0)
     sym = [[[rf(x) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    conn = ConnectionField(n, "exact", sym)
+    conn = ConnectionField(n, rf(Poly.zero(n)), sym)
     for val in torsion_components(conn).values():
         assert val.is_zero()
 
@@ -118,7 +118,7 @@ def test_frame_columns_are_invariant_fields():
 def test_nabla_with_zero_connection_is_derivative():
     n = 2
     zero = [[[rf(Poly.zero(n)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    conn = ConnectionField(n, "exact", zero)
+    conn = ConnectionField(n, rf(Poly.zero(n)), zero)
     x, y = Poly.var(n, 0), Poly.var(n, 1)
     field = [rf(x * y), rf(y)]
     out = [dt_scalar(conn, lambda b: field[b], 0, i) for i in range(n)]
@@ -145,7 +145,7 @@ def test_nabla_torsion_reproduces_curvature():
 def test_curvature_tilde_zero_connection():
     n = 2
     zero = [[[rf(Poly.zero(n)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    conn = ConnectionField(n, "exact", zero)
+    conn = ConnectionField(n, rf(Poly.zero(n)), zero)
     for val in curvature_tilde_components(conn).values():
         assert val.is_zero()
 
@@ -169,7 +169,7 @@ def test_curvature_tilde_nonzero_for_non_frame_connection():
     x = Poly.var(n, 0)
     gamma = [[[rf(Poly.zero(n)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
     gamma[1][1][0] = rf(x)  # Gamma^2_{21} = x, others 0
-    conn = ConnectionField(n, "exact", gamma)
+    conn = ConnectionField(n, rf(Poly.zero(n)), gamma)
     vals = curvature_tilde_components(conn)
     assert vals[(1, 0, 1, 0)] == rf(Poly.const(n, 1))
     assert vals[(1, 1, 0, 0)] == rf(Poly.const(n, -1))

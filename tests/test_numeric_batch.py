@@ -110,7 +110,7 @@ def point_gamma(frame: Callable[[Tuple[float, ...]], np.ndarray], n: int) -> Con
         return PointScalar(lambda x: float(tensor(x)[i, j, k]), n, 1)
 
     gamma = [[[entry(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
-    return ConnectionField(n, "numeric", gamma)
+    return ConnectionField(n, PointScalar.const(n, 0), gamma)
 
 
 def expression_frame(doc: dict) -> Callable[[Tuple[float, ...]], np.ndarray]:
@@ -191,7 +191,6 @@ def test_report_matches_point_by_point(case, monkeypatch):
     chart, frame, grid_points = case
     batched = identity_report(chart, grid_points=grid_points)
     monkeypatch.setattr(forms_mod, "gamma_from_frame", lambda c: point_gamma(frame, c.n))
-    monkeypatch.setattr(forms_mod, "field_const", lambda backend, n, v: PointScalar.const(n, v))
     reference = identity_report(chart, grid_points=grid_points)
     assert {k: v.hex() for k, v in batched["residuals"].items()} == \
         {k: v.hex() for k, v in reference["residuals"].items()}

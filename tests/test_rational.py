@@ -21,7 +21,7 @@ from conftest import make_sl2mix4, make_sl2rational, make_unipotent4
 from flatcheck import rational
 from flatcheck.frames import gamma_from_frame
 from flatcheck.jetcore import TruncatedPoly
-from flatcheck.rational import Poly, RationalFunc, RationalGrid, grlex_key
+from flatcheck.rational import Poly, RationalFunc, RationalGrid, grlex_key, parse_rational
 
 SEEDS = range(8)
 CASES_PER_SEED = 40
@@ -195,3 +195,33 @@ def test_grid_values_are_bit_identical_to_eval_float(chart_and_gamma):
     for f in fields:
         got = [v.hex() for v in grid.values(f)]
         assert got == [f.eval_float(p).hex() for p in grid.points]
+
+
+def test_scaling_or_differentiating_a_zero_field_returns_it():
+    zero = RationalFunc(Poly.zero(2))
+    assert all(zero.scale(c) is zero for c in (-1, 0, Fraction(3, 7)))
+    assert zero.diff(0) is zero and zero.diff(1) is zero
+
+
+# --- rational literals --------------------------------------------------------
+
+@pytest.mark.parametrize("text", ["3/4", " -7/21 ", "0.25", "-1.5e-3", "2E+5", "1_000e2",
+                                  "1e4299", "1e-4299", "0.5e-4298", "7"])
+def test_parse_rational_is_fraction(text):
+    got = parse_rational(text)
+    assert type(got) is Fraction and got == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "0.5e-4299", "12e4299", "1e99999999",
+                                  "1_0e99999999", "-1.5E-99999999"])
+def test_parse_rational_refuses_more_digits_than_int_accepts(text):
+    # before the value is built: "1e99999999" would take minutes
+    with pytest.raises(OverflowError, match="needs more than 4300 digits"):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("text, error", [("abc", ValueError), ("1e", ValueError),
+                                         ("1/0", ZeroDivisionError), ("", ValueError)])
+def test_parse_rational_passes_on_fraction_errors(text, error):
+    with pytest.raises(error):
+        parse_rational(text)
