@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .catalog import chart_document
 from .frames import ChartError, FrameChart, check_dim
-from .rational import RationalFunc, parse_rational
+from .rational import RationalFunc, parse_int, parse_rational
 
 _NUMERIC_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -259,7 +259,7 @@ def chart_from_json(doc: dict, backend: str | None = None) -> FrameChart:
         doc = chart_document(str(doc["builtin"]))
     try:
         name = str(doc["name"])
-        n = int(doc["n"])
+        n = parse_int(doc["n"], "n")
         domain, frame = doc["domain"], doc["frame"]
         if not (isinstance(domain, list) and all(_is_list(b, 2) for b in domain)):
             raise TypeError("'domain' must be a list of [lo, hi] pairs")

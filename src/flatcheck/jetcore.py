@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .frames import MAX_DIM
 from .rational import matrix_determinant  # noqa: F401 - re-exported for the tests
-from .rational import Poly, grlex_key, rf_matrix_inverse, unit_mono
+from .rational import Poly, grlex_key, parse_int, rf_matrix_inverse, unit_mono
 
 MultiIndex = Tuple[int, ...]
 
@@ -300,8 +300,8 @@ def poly_from_json(entries, n: int, k: int | None = None) -> Poly:
         try:
             if not isinstance(entry["multiindex"], list):
                 raise TypeError("'multiindex' must be a list of integers")
-            mono = tuple(int(e) for e in entry["multiindex"])
-            c = Fraction(int(entry["num"]), int(entry["den"]))
+            mono = tuple(parse_int(e, "multiindex") for e in entry["multiindex"])
+            c = Fraction(parse_int(entry["num"], "num"), parse_int(entry["den"], "den"))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise JetError(f"malformed jet document entry: {exc}") from None
         if len(mono) != n:
@@ -321,8 +321,8 @@ def map_to_json(f: TruncatedMap) -> dict:
 
 def map_from_json(doc: dict) -> TruncatedMap:
     try:
-        n = int(doc["n"])
-        k = int(doc["k"])
+        n = parse_int(doc["n"], "n")
+        k = parse_int(doc["k"], "k")
         raw_components = doc["components"]
     except (KeyError, TypeError, ValueError) as exc:
         raise JetError("malformed jet document: missing field or a field that is not "

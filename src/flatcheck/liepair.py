@@ -21,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .rational import (echelon_nullspace, frac_str, nullspace, parse_rational, pivot, rank,
-                       row_echelon, solve_in_basis)
+from .rational import (echelon_nullspace, frac_str, nullspace, parse_int, parse_rational, pivot,
+                       rank, row_echelon, solve_in_basis)
 
 Vector = Tuple[Fraction, ...]
 
@@ -424,8 +424,9 @@ def pair_to_json(g: LieAlgebra, h: Subalgebra) -> dict:
 
 def pair_from_json(doc: dict) -> tuple[LieAlgebra, Subalgebra]:
     try:
-        dim = int(doc["dim"])
-        entries = [((int(e["i"]), int(e["j"])), [parse_rational(str(x)) for x in e["coeffs"]])
+        dim = parse_int(doc["dim"], "dim")
+        entries = [((parse_int(e["i"], "i"), parse_int(e["j"], "j")),
+                    [parse_rational(str(x)) for x in e["coeffs"]])
                    for e in doc["brackets"]]
         sub = [[parse_rational(str(x)) for x in vec] for vec in doc["subalgebra"]]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:

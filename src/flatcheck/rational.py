@@ -19,6 +19,15 @@ ints and build one Fraction per output term, so chained products never
 touch Fraction arithmetic.  The terms of a result come in the order of
 the schoolbook Fraction loops, which ``RationalGrid`` relies on when it
 sums float terms.
+
+Trial division runs on the integer form too.  Before it divides, it
+compares the values of the two polynomials at one integer point (Gauss's
+lemma makes a failing divisibility of the values a proof that the
+polynomials do not divide), which refuses nearly every division that would
+fail; the long division that remains keeps its remainder as integer
+numerators over one denominator.  Exact evaluation at a rational point
+clears the coordinates' denominators, sums integer products and builds one
+Fraction.
 """
 
 from __future__ import annotations
@@ -28,8 +37,8 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
-from operator import add, gt, neg, sub
+from math import gcd, lcm, prod
+from operator import add, getitem, gt, neg, sub
 from typing import Dict, Iterable, Mapping, Tuple
 
 Monomial = Tuple[int, ...]
@@ -38,6 +47,10 @@ PolyDict = Dict[Monomial, Fraction]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 _new_object = object.__new__
+
+# The integer point at which ``Poly.divides`` probes a division before it
+# runs it; a variable past its end is evaluated at 1.
+PROBE_POINT = (2, 3, 5, 7, 11, 13)
 
 
 def _fraction(num: int, den: int) -> Fraction:
@@ -78,14 +91,14 @@ class Poly:
     carries more state (the truncation order of a jet component) gets
     results of its own kind.
 
-    The hash, the shape (see ``shape``) and the integer form (see
-    ``int_form``) are computed on first use and kept in slots that stay
-    unset until then, so building a polynomial costs nothing extra.  Code
-    that changes ``coeffs`` in place must call ``_coeffs_changed``
-    afterwards.
+    The hash, the shape (see ``shape``), the integer form (see
+    ``int_form``) and the probe value (see ``probe_value``) are computed on
+    first use and kept in slots that stay unset until then, so building a
+    polynomial costs nothing extra.  Code that changes ``coeffs`` in place
+    must call ``_coeffs_changed`` afterwards.
     """
 
-    __slots__ = ("n", "coeffs", "_hash", "_shape", "_ints")
+    __slots__ = ("n", "coeffs", "_hash", "_shape", "_ints", "_probe")
 
     def __init__(self, n: int, coeffs: Mapping[Monomial, Fraction] | None = None):
         self.n = n
@@ -172,6 +185,18 @@ class Poly:
             f = self._ints = (nums, den)
             return f
 
+    def probe_value(self) -> int:
+        """The value at ``PROBE_POINT`` of the primitive part of the integer
+        numerators of a nonzero polynomial (the numerators divided by their
+        gcd), up to sign."""
+        try:
+            return self._probe
+        except AttributeError:
+            nums = self.int_form()[0]
+            v = sum(c * prod(map(pow, PROBE_POINT, m)) for m, c in nums.items())
+            v = self._probe = v // gcd(*nums.values())
+            return v
+
     def _from_ints(self, nums: Dict[Monomial, int], den: int,
                    coeffs: PolyDict | None = None) -> Poly:
         """A polynomial of this one's kind with coefficients ``nums[m] / den``
@@ -234,9 +259,9 @@ class Poly:
         return self._from_ints(out, den, coeffs)
 
     def _coeffs_changed(self) -> None:
-        """Drop the cached hash, shape and integer form after an in-place
-        change to ``coeffs``."""
-        for slot in ("_hash", "_shape", "_ints"):
+        """Drop the cached hash, shape, integer form and probe value after
+        an in-place change to ``coeffs``."""
+        for slot in ("_hash", "_shape", "_ints", "_probe"):
             if hasattr(self, slot):
                 delattr(self, slot)
 
@@ -281,15 +306,27 @@ class Poly:
         return self._from_ints(out, den)
 
     def eval(self, point: Iterable) -> Fraction:
-        pt = [Fraction(x) for x in point]
-        total = ZERO
-        for mono, c in self.coeffs.items():
-            term = c
-            for x, e in zip(pt, mono):
-                if e:
-                    term *= x ** e
-            total += term
-        return total
+        """The exact value at a rational point, built as one Fraction.
+
+        With x_t = p_t / q_t and d_t the degree in x_t, every term of the
+        integer numerators is multiplied by the product of the q_t ** d_t,
+        so that it becomes the integer product of the p_t ** e_t and
+        q_t ** (d_t - e_t); their sum over that product and the integer
+        form's denominator is the value.  Coordinates that are not ints or
+        Fractions are read with ``Fraction``; a variable past the end of
+        the point is evaluated at 1."""
+        if not self.coeffs:
+            return ZERO
+        nums, den = self.int_form()
+        tables = []  # per variable: p ** e * q ** (d - e) for e = 0..d
+        for x, d in zip(point, self.shape()[3]):
+            if type(x) is not Fraction and type(x) is not int:
+                x = Fraction(x)
+            p, q = x.numerator, x.denominator
+            if q != 1:
+                den *= q ** d
+            tables.append([p ** e * q ** (d - e) for e in range(d + 1)])
+        return _fraction(sum(v * prod(map(getitem, tables, m)) for m, v in nums.items()), den)
 
     def eval_float(self, point) -> float:
         total = 0.0
@@ -307,9 +344,18 @@ class Poly:
         If self divides other, the grlex-least monomial of self divides
         that of other, and no variable has a higher degree in self than in
         other (both follow from other = self * q); a pair that fails either
-        test is refused without dividing.  Otherwise long division runs on
-        one remainder dict, whose leading monomial a heap of negated grlex
-        keys finds.  Quotient terms come out in descending grlex order.
+        test is refused without dividing.  So is a pair whose probe values
+        (see ``probe_value``) do not divide: by Gauss's lemma a primitive
+        integer polynomial that divides another over Q divides it in Z[x],
+        so its value at an integer point divides the other's.  A probe
+        value of 0 passes only when the other's is 0 too.
+
+        Otherwise long division runs on the integer numerators of other as
+        one remainder dict over one denominator, whose leading monomial a
+        heap of negated grlex keys finds.  The denominator takes in the
+        leading numerator of self only at a step it does not divide, which
+        never happens for a monic integral divisor.  Quotient terms come
+        out in descending grlex order.
         """
         if self.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
@@ -321,33 +367,49 @@ class Poly:
         _, _, other_low, other_degs = other.shape()
         if any(map(gt, low, other_low)) or any(map(gt, degs, other_degs)):
             return None
-        rem = dict(other.coeffs)
+        probe, other_probe = self.probe_value(), other.probe_value()
+        if other_probe % probe if probe else other_probe:
+            return None
+        nums, num_den = self.int_form()
+        lead = nums[lead_m]
+        rest = [(m, v) for m, v in nums.items() if m != lead_m]
+        rem_nums, other_den = other.int_form()
+        rem = dict(rem_nums)
+        den = 1  # the quotient so far and rem are numerators over den
         heap = [(-sum(m), tuple(map(neg, m)), m) for m in rem]
         heapify(heap)
-        quot: PolyDict = {}
+        quot: Dict[Monomial, int] = {}
         while heap:
             rm = heappop(heap)[2]
-            rc = rem.pop(rm, None)
-            if rc is None:  # a stale entry of a term that cancelled
+            r = rem.pop(rm, None)
+            if r is None:  # a stale entry of a term that cancelled
                 continue
             qm = tuple(map(sub, rm, lead_m))
             if min(qm) < 0:
                 return None
-            qc = rc if lead_c == 1 else rc / lead_c
-            quot[qm] = qc
-            # every term of self * qc x^qm other than the leading one lies below rm
-            for m, c in self.coeffs.items():
-                if m == lead_m:
-                    continue
+            if r % lead:  # a step that does not divide: a larger denominator
+                k = abs(lead) // gcd(r, lead)
+                den *= k
+                r *= k
+                for m in rem:
+                    rem[m] *= k
+                for m in quot:
+                    quot[m] *= k
+            q = quot[qm] = r // lead
+            # every term of self * q x^qm other than the leading one lies below rm
+            for m, v in rest:
                 mono = tuple(map(add, m, qm))
-                s = rem.get(mono, ZERO) - c * qc
+                s = rem.get(mono, 0) - v * q
                 if s:
                     if mono not in rem:
                         heappush(heap, (-sum(mono), tuple(map(neg, mono)), mono))
                     rem[mono] = s
                 else:
                     rem.pop(mono, None)
-        return other._like(quot)
+        # other / self = (rem_nums / other_den) / (nums / num_den)
+        if num_den != 1:
+            quot = {m: v * num_den for m, v in quot.items()}
+        return other._from_ints(quot, den * other_den)
 
     def monic(self) -> tuple[Poly, Fraction]:
         """Scale so the grlex-leading coefficient is 1; returns (monic, factor)."""
@@ -623,6 +685,19 @@ class RationalGrid:
 def frac_str(x: Fraction) -> str:
     """An exact rational as the "num/den" string of the exchange documents."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def parse_int(value, field: str) -> int:
+    """An integer field of an exchange document: a JSON integer, or a
+    string that ``int`` reads as a decimal integer, as the documents write
+    "num": "1".  Any other value, a fractional number or ``true`` among
+    them, raises ValueError naming ``field``; it is never truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        return int(value)  # its own ValueError for "1.5" or "abc"
+    shown = repr(value) if len(repr(value)) <= 32 else repr(value)[:29] + "..."
+    raise ValueError(f"{field!r} must be an integer, not {shown}")
 
 
 # the exponent of a decimal literal, as ``Fraction`` reads it

@@ -254,6 +254,80 @@ MALFORMED = {
 }
 
 
+def _integer_field_cases() -> dict:
+    """Valid jet, chart and pair documents with one integer field set to a
+    fractional number or to ``true``: name -> (argv, document, field)."""
+    def jet(**top):
+        entry = {"multiindex": [1], "num": "1", "den": "1"}
+        entry.update(top.pop("entry", {}))
+        return dict({"n": 1, "k": 2, "components": [[entry]]}, **top)
+
+    def chart(**top):
+        return dict({"name": "c", "n": 2, "domain": [[0, 1], [0, 1]],
+                     "frame": [["1", "0"], ["0", "1"]]}, **top)
+
+    def pair(dim=3, **bracket):
+        return {"dim": dim, "brackets": [dict({"i": 0, "j": 1, "coeffs": [0, 0, 1]}, **bracket)],
+                "subalgebra": []}
+
+    jet_argv, chart_argv = ["jet", "invert"], ["geom", "report", "--chart"]
+    pair_argv = ["liepair", "order", "--pair"]
+    cases = {}
+    for label, bad in (("fraction", 1.5), ("true", True)):
+        for field, argv, doc in [
+                ("num", jet_argv, jet(entry={"num": bad})),
+                ("den", jet_argv, jet(entry={"den": bad})),
+                ("multiindex", jet_argv, jet(entry={"multiindex": [bad]})),
+                ("n", jet_argv, jet(n=bad)),
+                ("k", jet_argv, jet(k=bad)),
+                ("n", chart_argv, chart(n=bad)),
+                ("dim", pair_argv, pair(dim=bad)),
+                ("i", pair_argv, pair(i=bad)),
+                ("j", pair_argv, pair(j=bad))]:
+            cases[f"{argv[0]}-{field}-{label}"] = (argv, doc, field)
+    return cases
+
+
+# an integer field used to be truncated with int(): 1.5 was read as 1, true as 1
+INTEGER_FIELD_CASES = _integer_field_cases()
+MALFORMED.update({name: (argv, doc) for name, (argv, doc, _) in INTEGER_FIELD_CASES.items()})
+
+
+@pytest.mark.parametrize("name", INTEGER_FIELD_CASES)
+def test_integer_field_that_is_not_an_integer_is_named(name):
+    # exit 1 with one line is checked with the rest of MALFORMED; this checks
+    # that the document is refused for the field, in process
+    from flatcheck.charts_io import chart_from_json
+    from flatcheck.frames import ChartError
+    from flatcheck.jetcore import JetError, map_from_json
+    from flatcheck.liepair import LiePairError, pair_from_json
+
+    argv, doc, field = INTEGER_FIELD_CASES[name]
+    load, error = {"jet": (map_from_json, JetError), "geom": (chart_from_json, ChartError),
+                   "liepair": (pair_from_json, LiePairError)}[argv[0]]
+    with pytest.raises(error, match=f"'{field}' must be an integer, not (1.5|True)"):
+        load(doc)
+
+
+def test_integer_fields_may_be_decimal_strings():
+    from flatcheck.charts_io import chart_from_json
+    from flatcheck.jetcore import map_from_json, map_to_json
+    from flatcheck.liepair import pair_from_json, pair_to_json
+
+    doc = identity_jet_doc(2, 3)
+    as_strings = {"n": "2", "k": " 3", "components": [
+        [{"multiindex": [str(e) for e in entry["multiindex"]], "num": "+1", "den": "1 "}
+         for entry in component] for component in doc["components"]]}
+    assert map_to_json(map_from_json(as_strings)) == map_to_json(map_from_json(doc))
+    pair = {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": [0, 0, 1]}], "subalgebra": []}
+    pair_strings = {"dim": "3", "brackets": [{"i": "0", "j": "1", "coeffs": [0, 0, 1]}],
+                    "subalgebra": []}
+    assert pair_to_json(*pair_from_json(pair_strings)) == pair_to_json(*pair_from_json(pair))
+    chart = chart_from_json({"name": "c", "n": "2", "domain": [[0, 1], [0, 1]],
+                             "frame": [["1", "0"], ["0", "1"]]}, backend="exact")
+    assert chart.n == 2
+
+
 @pytest.mark.parametrize("name", MALFORMED)
 def test_malformed_document_exits_one_with_one_line(tmp_path, name):
     argv, doc = MALFORMED[name]

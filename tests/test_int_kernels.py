@@ -16,8 +16,12 @@ from math import lcm
 
 import pytest
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from flatcheck.jetcore import JetError, TruncatedPoly, multi_indices
 from flatcheck.rational import Poly, _fraction
+from test_rational import reference_divides, sympy_divisible
 
 
 def rand_frac(rng: random.Random) -> Fraction:
@@ -68,6 +72,19 @@ def ref_diff(a: Poly, idx: int) -> list:
             m[idx] -= 1
             out.append((tuple(m), c * mono[idx]))
     return out
+
+
+def ref_eval(a: Poly, point) -> Fraction:
+    """The value at ``point`` by the Fraction loop."""
+    pt = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for mono, c in a.coeffs.items():
+        term = c
+        for x, e in zip(pt, mono):
+            if e:
+                term *= x ** e
+        total += term
+    return total
 
 
 def assert_terms(p: Poly, expected: list) -> None:
@@ -190,3 +207,80 @@ def test_fast_fraction_is_a_normal_fraction(num, den):
     assert (f.numerator, f.denominator) == (ref.numerator, ref.denominator)
     assert f == ref and hash(f) == hash(ref) and repr(f) == repr(ref) and str(f) == str(ref)
     assert float(f) == float(ref) and f + 1 == ref + 1
+
+
+def unreduced(num: int, den: int) -> Fraction:
+    """A Fraction whose numerator and denominator share a factor."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = num, den
+    return f
+
+
+def rand_coordinate(rng: random.Random):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-3, 3)  # an int, maybe zero or negative
+    if kind == 2:
+        return Fraction(rng.randint(-3, 3))  # an integral Fraction
+    if kind == 3:
+        k = rng.randint(2, 3)
+        return unreduced(k * rng.randint(-4, 4), k * rng.randint(1, 5))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eval_matches_the_fraction_loop(seed):
+    assert (unreduced(4, 6).numerator, unreduced(4, 6).denominator) == (4, 6)
+    rng = random.Random(300 + seed)
+    for _, n, _, ca, _ in random_pairs(300 + seed, 60):
+        a = Poly(n, ca)
+        for _ in range(4):
+            point = [rand_coordinate(rng) for _ in range(n)]
+            got, ref = a.eval(point), ref_eval(a, point)
+            assert type(got) is Fraction
+            # the Fraction loop keeps a coordinate's common factor; compare values
+            assert got.numerator * ref.denominator == ref.numerator * got.denominator
+            normal = Fraction(got.numerator, got.denominator)
+            assert (got.numerator, got.denominator) == (normal.numerator, normal.denominator)
+
+
+def test_eval_reads_other_coordinates_and_short_points():
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    p = (x * x * y).scale(Fraction(3, 4)) - y.scale(Fraction(1, 6)) + Poly.const(2, 5)
+    for point in ([0.5, "-2/3"], (Fraction(1, 2), Fraction(-2, 3)), iter([0.5, -0.25])):
+        point = list(point)
+        assert p.eval(iter(point)) == ref_eval(p, point)
+    # a point shorter than n leaves the missing variables at 1, as zip does
+    assert p.eval([Fraction(1, 3)]) == ref_eval(p, [Fraction(1, 3)]) == p.eval([Fraction(1, 3), 1])
+    assert Poly.zero(2).eval([1, 2]) == 0 and Poly.const(0, 7).eval([]) == 7
+
+
+small_fraction = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def poly_triples(draw):
+    """(f, g, r): f nonzero, in n <= 3 variables of degree <= 3."""
+    n = draw(st.integers(1, 3))
+    mono = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    polys = st.dictionaries(mono, small_fraction, max_size=4).map(lambda c: Poly(n, c))
+    f = draw(polys.filter(lambda p: not p.is_zero()))
+    return f, draw(polys), draw(polys)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(poly_triples())
+def test_division_property(triple):
+    f, g, r = triple
+    assert f.divides(f * g) == g
+    h = f * g + r
+    if h.is_zero():
+        return
+    q = f.divides(h)
+    assert (q is not None) == sympy_divisible(f, h)
+    ref = reference_divides(f, h)
+    assert (q is None) == (ref is None)
+    if q is not None:
+        assert list(q.coeffs.items()) == list(ref.coeffs.items())

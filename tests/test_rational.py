@@ -1,12 +1,14 @@
 """Exact trial division and the normal forms of ``flatcheck.rational``.
 
 ``Poly.divides`` is checked two ways on random sparse polynomials in at
-most three variables: against ``reference_divides`` below, a copy of the
-plain long division it replaced (one new Poly per step), which pins the
-order of the quotient's terms; and against sympy's ``div``, a test-only
-oracle that shares no code with flatcheck.  The normal-form pins use the
-connection components of the conftest charts: polynomial on unipotent4,
-with one to three denominator factors on sl2rational and sl2mix4.
+most three variables, and on fixed divisors that reach each early refusal
+and each path of the integer long division: against ``reference_divides``
+below, a copy of the plain Fraction long division (one new Poly per step),
+which pins the order of the quotient's terms; and against sympy's ``div``,
+a test-only oracle that shares no code with flatcheck.  The normal-form
+pins use the connection components of the conftest charts: polynomial on
+unipotent4, with one to three denominator factors on sl2rational and
+sl2mix4.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from conftest import make_sl2mix4, make_sl2rational, make_unipotent4
 from flatcheck import rational
 from flatcheck.frames import gamma_from_frame
 from flatcheck.jetcore import TruncatedPoly
-from flatcheck.rational import Poly, RationalFunc, RationalGrid, grlex_key, parse_rational
+from flatcheck.rational import (Poly, RationalFunc, RationalGrid, grlex_key, parse_rational,
+                               unit_mono)
 
 SEEDS = range(8)
 CASES_PER_SEED = 40
@@ -131,6 +134,96 @@ def test_variable_degree_rejects_before_dividing(monkeypatch):
     assert reference_divides(f, h) is None
     _no_long_division(monkeypatch)
     assert f.divides(h) is None
+
+
+def test_probe_rejects_before_dividing(monkeypatch):
+    # 1 + x4^2 + x2 x3 x4^2, the factor behind the failing divisions of sl2mix4;
+    # h = f (x1 + 2) + 1 passes both shape tests, and f(2,3,5,7) = 785 does not
+    # divide h(2,3,5,7) = 785 * 4 + 1
+    f = Poly(4, {(0, 0, 0, 0): 1, (0, 0, 0, 2): 1, (0, 1, 1, 2): 1})
+    h = f * Poly(4, {(1, 0, 0, 0): 1, (0, 0, 0, 0): 2}) + Poly.const(4, 1)
+    assert (f.probe_value(), h.probe_value()) == (785, 785 * 4 + 1)
+    assert reference_divides(f, h) is None
+    _no_long_division(monkeypatch)
+    assert f.divides(h) is None
+    # the content of the numerators is divided out: 3 f still refuses h
+    assert f.scale(3).probe_value() == 785 and f.scale(3).divides(h) is None
+    # a divisor that vanishes at the probe point refuses what does not vanish there
+    x1_minus_2, h = Poly(2, {(1, 0): 1, (0, 0): -2}), Poly(2, {(1, 1): 1, (0, 0): 1})
+    assert x1_minus_2.probe_value() == 0 and h.probe_value() == 7
+    assert reference_divides(x1_minus_2, h) is None and x1_minus_2.divides(h) is None
+
+
+def check_division(f: Poly, h: Poly) -> Poly | None:
+    """f.divides(h), checked against sympy and, term for term, against the
+    reference long division."""
+    q = f.divides(h)
+    assert (q is not None) == sympy_divisible(f, h)
+    ref = reference_divides(f, h)
+    assert (q is None) == (ref is None)
+    if q is not None:
+        assert list(q.coeffs.items()) == list(ref.coeffs.items())
+    return q
+
+
+def divisor_cases(f: Poly, seed: int, extra: list):
+    """(multiple, g) and (near-multiple, None) pairs for the divisor f: f
+    times random g, then each disturbed by one random term and by each of
+    ``extra``."""
+    rng = random.Random(seed)
+    for _ in range(CASES_PER_SEED):
+        g = rand_nonzero(rng, f.n, rng.randint(1, 4))
+        yield f * g, g
+        for r in [rand_poly(rng, f.n, 1)] + extra:
+            h = f * g + r
+            if not h.is_zero():
+                yield h, None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_divisor_whose_probe_value_is_zero(seed):
+    # x1 - 2 vanishes at the probe point: it must still divide its multiples,
+    # and a non-multiple that also vanishes there (x2 - 3) needs long division
+    x1, x2 = Poly.var(3, 0), Poly.var(3, 1)
+    f = x1 - Poly.const(3, 2)
+    vanishing = [x2 - Poly.const(3, 3), x1 * x2 - Poly.const(3, 6)]
+    assert f.probe_value() == 0 and all(r.probe_value() == 0 for r in vanishing)
+    refused = 0
+    for h, g in divisor_cases(f, seed, vanishing):
+        q = check_division(f, h)
+        if g is not None:
+            assert q == g
+        refused += q is None
+    assert refused > CASES_PER_SEED
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_negative_fractional_leading_coefficient(seed):
+    # -3/2 x1^2 x2 + 1/3 x2 + 5/7 has the leading numerator -63 over 42, so
+    # most steps of its long division do not divide evenly
+    f = Poly(2, {(2, 1): Fraction(-3, 2), (0, 1): Fraction(1, 3), (0, 0): Fraction(5, 7)})
+    assert f.shape()[1] < 0 and f.int_form()[0][(2, 1)] == -63
+    for h, g in divisor_cases(f, seed, []):
+        q = check_division(f, h)
+        if g is not None:
+            assert q == g
+            assert all(type(c) is Fraction and c.denominator > 0 for c in q.coeffs.values())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_more_variables_than_the_probe_point(seed):
+    # variables past the end of the probe point are evaluated at 1
+    n = len(rational.PROBE_POINT) + 2
+    last, past = unit_mono(n, n - 1), unit_mono(n, n - 2)
+    f = Poly(n, {tuple(map(sum, zip(last, last))): 1, past: Fraction(-1, 2),
+                 unit_mono(n, 0): 3})  # x8^2 - 1/2 x7 + 3 x1
+    assert f.probe_value() == 2 * (1 - Fraction(1, 2) + 6)
+    rng = random.Random(seed)
+    extra = [Poly(n, {(rng.randrange(2),) * n: 1}) for _ in range(3)]
+    for h, g in divisor_cases(f, seed, extra):
+        q = check_division(f, h)
+        if g is not None:
+            assert q == g
 
 
 def test_set_coeff_drops_the_cached_hash_and_shape():
