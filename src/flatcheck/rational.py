@@ -188,7 +188,7 @@ class Poly:
     def probe_value(self) -> int:
         """The value at ``PROBE_POINT`` of the primitive part of the integer
         numerators of a nonzero polynomial (the numerators divided by their
-        gcd), up to sign."""
+        positive gcd)."""
         try:
             return self._probe
         except AttributeError:
