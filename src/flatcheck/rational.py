@@ -696,8 +696,12 @@ def parse_int(value, field: str) -> int:
         return value
     if isinstance(value, str):
         return int(value)  # its own ValueError for "1.5" or "abc"
-    shown = repr(value) if len(repr(value)) <= 32 else repr(value)[:29] + "..."
-    raise ValueError(f"{field!r} must be an integer, not {shown}")
+    raise ValueError(f"{field!r} must be an integer, not {_abbreviated(repr(value))}")
+
+
+def _abbreviated(text: str) -> str:
+    """``text``, cut to 32 characters for an error message."""
+    return text if len(text) <= 32 else text[:29] + "..."
 
 
 # the exponent of a decimal literal, as ``Fraction`` reads it
@@ -721,9 +725,8 @@ def parse_rational(text: str) -> Fraction:
         num_digits = sum(map(str.isdecimal, mantissa)) + max(shift, 0)
         den_digits = 1 + sum(map(str.isdecimal, decimals)) + max(-shift, 0)
         if max(num_digits, den_digits) > limit:
-            shown = text if len(text) <= 32 else text[:29] + "..."
-            raise OverflowError(f"the rational literal {shown!r} needs more than "
-                                f"{limit} digits")
+            raise OverflowError(f"the rational literal {_abbreviated(text)!r} needs more "
+                                f"than {limit} digits")
     return Fraction(text)
 
 
