@@ -1,101 +1,29 @@
-"""Finite jets of local diffeomorphisms as a groupoid, plus the order-3
-one-variable jet group with its Mobius splitting and Schwarzian defect.
+"""The order-3 one-variable jet group, its Mobius splitting and the
+Schwarzian defect.
 
-An ``Arrow`` is a jet with a source and a target point; its map data is
-stored centered (displacements at the source to displacements at the
-target, zero constant term), so composing arrows never re-expands base
-points.  The one-variable order-3 group is also provided in closed form
-on derivative triples (a1, a2, a3), a1 != 0, with the group law
+A 3-jet on the line is kept in closed form as its derivative triple
+(a1, a2, a3), a1 != 0, with the group law
 
     (a1, a2, a3)(b1, b2, b3)
         = (a1 b1, a1 b2 + a2 b1^2, a1 b3 + 3 a2 b1 b2 + a3 b1^3),
 
-the jet of the composition "a after b".
+the jet of the composition "a after b".  ``G3Jet.to_map`` and
+``G3Jet.from_map`` convert to and from the generic ``TruncatedMap``, which
+is how the closed form is checked against the truncated composer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Tuple
 
-from .jetcore import (
-    JetError,
-    TruncatedMap,
-    compose_truncated,
-    invert_truncated,
-    map_from_json,
-    map_to_json,
-)
-from .rational import frac_str, matrix_determinant
+from .jetcore import TruncatedMap
 
 
 class ArrowError(ValueError):
-    """Endpoints or orders of arrows do not chain."""
+    """Not an invertible one-variable 3-jet, or a broken invariant of the group."""
 
-
-def _fmt_point(point: Tuple[Fraction, ...]) -> str:
-    return "(" + ", ".join(str(x) for x in point) + ")"
-
-
-class Arrow:
-    """A k-jet of a local diffeomorphism from ``source`` to ``target``."""
-
-    __slots__ = ("source", "target", "jet")
-
-    def __init__(self, source: Sequence, target: Sequence, jet: TruncatedMap):
-        self.source = tuple(Fraction(x) for x in source)
-        self.target = tuple(Fraction(x) for x in target)
-        self.jet = jet
-        if len(self.source) != jet.n or len(self.target) != jet.n:
-            raise ArrowError(
-                f"endpoint dimension mismatch: source {len(self.source)}, "
-                f"target {len(self.target)}, jet n={jet.n}")
-        if any(c for c in jet.constant_term()):
-            raise ArrowError("arrow jets must be centered (zero constant term)")
-        if matrix_determinant(jet.linear_part()) == 0:
-            raise ArrowError("arrow jets must have invertible linear part")
-
-    @property
-    def n(self) -> int:
-        return self.jet.n
-
-    @property
-    def k(self) -> int:
-        return self.jet.k
-
-    @staticmethod
-    def identity(point: Sequence, n: int, k: int) -> Arrow:
-        return Arrow(point, point, TruncatedMap.identity(n, k))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Arrow) and self.source == other.source
-                and self.target == other.target and self.jet == other.jet)
-
-    def __repr__(self):
-        return f"Arrow({self.source} -> {self.target}, k={self.k})"
-
-
-def arrow_compose(second: Arrow, first: Arrow) -> Arrow:
-    """The arrow of ``second after first``; first.target must equal second.source."""
-    if first.n != second.n or first.k != second.k:
-        raise ArrowError(
-            f"arrow orders do not match: (n={first.n}, k={first.k}) vs "
-            f"(n={second.n}, k={second.k})")
-    if first.target != second.source:
-        raise ArrowError(
-            f"arrows do not chain: first ends at {_fmt_point(first.target)}, "
-            f"second starts at {_fmt_point(second.source)}")
-    return Arrow(first.source, second.target,
-                 compose_truncated(second.jet, first.jet))
-
-
-def arrow_invert(a: Arrow) -> Arrow:
-    """Swap endpoints and invert the centered jet."""
-    return Arrow(a.target, a.source, invert_truncated(a.jet))
-
-
-# --- the order-3 one-variable jet group -------------------------------------
 
 @dataclass(frozen=True)
 class G3Jet:
@@ -174,23 +102,3 @@ def schwarzian_defect(a: G3Jet) -> Fraction:
     if quotient.a1 != 1 or quotient.a2 != 0:
         raise ArrowError(f"quotient by the Mobius lift is {quotient.as_tuple()}, not (1, 0, S)")
     return quotient.a3
-
-
-# --- arrow exchange documents ------------------------------------------------
-
-def arrow_to_json(a: Arrow) -> dict:
-    return {
-        "source": [frac_str(x) for x in a.source],
-        "target": [frac_str(x) for x in a.target],
-        "jet": map_to_json(a.jet),
-    }
-
-
-def arrow_from_json(doc: dict) -> Arrow:
-    try:
-        source = [Fraction(s) for s in doc["source"]]
-        target = [Fraction(s) for s in doc["target"]]
-        jet_doc = doc["jet"]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise JetError(f"malformed arrow document: {exc}") from None
-    return Arrow(source, target, map_from_json(jet_doc))

@@ -20,7 +20,6 @@ from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 from .frames import MAX_DIM
-from .rational import matrix_determinant  # noqa: F401 - re-exported for the tests
 from .rational import Poly, grlex_key, parse_int, rf_matrix_inverse, unit_mono
 
 MultiIndex = Tuple[int, ...]
@@ -93,17 +92,6 @@ class TruncatedPoly(Poly):
         """The value of the |mono|-th partial derivative at the base point."""
         return self.coeff(mono) * mi_factorial(tuple(mono))
 
-    def set_coeff(self, mono: MultiIndex, value) -> None:
-        mono = tuple(mono)
-        if sum(mono) > self.k:
-            raise JetError(f"multi-index {mono} exceeds order {self.k}")
-        c = Fraction(value)
-        if c:
-            self.coeffs[mono] = c
-        else:
-            self.coeffs.pop(mono, None)
-        self._coeffs_changed()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TruncatedPoly) and self.k == other.k and super().__eq__(other)
 
@@ -160,20 +148,22 @@ class TruncatedMap:
 
     @staticmethod
     def from_derivatives(n: int, k: int, derivs: Dict[Tuple[int, MultiIndex], Fraction]) -> TruncatedMap:
-        """Build from derivative components f^i_alpha (not Taylor coefficients)."""
-        comps = [TruncatedPoly(n, k) for _ in range(n)]
+        """Build from derivative components f^i_alpha (not Taylor coefficients).
+
+        A component above order k is refused; zero values are dropped."""
+        coeffs: List[Dict[MultiIndex, Fraction]] = [{} for _ in range(n)]
         for (i, mono), value in derivs.items():
-            comps[i].set_coeff(mono, Fraction(value) / mi_factorial(tuple(mono)))
-        return TruncatedMap(comps)
+            mono = tuple(mono)
+            if sum(mono) > k:
+                raise JetError(f"multi-index {mono} exceeds order {k}")
+            coeffs[i][mono] = Fraction(value) / mi_factorial(mono)
+        return TruncatedMap([TruncatedPoly(n, k, c) for c in coeffs])
 
     def derivative_triple(self) -> Tuple[Fraction, ...]:
         """For n=1 maps: the tuple (f', f'', ..., f^(k)) at the base point."""
         if self.n != 1:
             raise JetError("derivative_triple is defined for one-variable maps")
         return tuple(self.components[0].derivative_component((r,)) for r in range(1, self.k + 1))
-
-    def constant_term(self) -> List[Fraction]:
-        return [c.const_value() for c in self.components]
 
     def linear_part(self) -> List[List[Fraction]]:
         return [[comp.coeff(unit_mono(self.n, j)) for j in range(self.n)]

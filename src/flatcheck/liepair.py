@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .rational import (echelon_nullspace, frac_str, nullspace, parse_int, parse_rational, pivot,
-                       rank, row_echelon, solve_in_basis)
+                       row_echelon)
 
 Vector = Tuple[Fraction, ...]
 
@@ -222,14 +222,6 @@ class Representation:
                     raise LiePairError(
                         f"representation law fails on basis pair ({i}, {j})")
 
-    def is_faithful(self) -> bool:
-        rows = []
-        for mat in self.matrices:
-            rows.append([x for row in mat for x in row])
-        # kernel of h -> gl(W) as a linear map on coefficients
-        cols = list(map(list, zip(*rows))) if rows else []
-        return len(nullspace(cols, self.algebra.dim)) == 0 if cols else self.algebra.dim == 0
-
 
 def _mat_mul(a, b):
     size = len(a)
@@ -314,64 +306,7 @@ def effective_check(g: LieAlgebra, h: Subalgebra) -> tuple[bool, List[List[Fract
     return False, [list(v) for v in tail.basis]
 
 
-# --- relative adjoint action and the semidirect construction -----------------
-
-def complement_basis(g: LieAlgebra, h: Subalgebra) -> List[int]:
-    """Indices of ambient basis vectors completing h to all of g (pivot fill)."""
-    rows = [list(v) for v in h.basis]
-    chosen: List[int] = []
-    for i in range(g.dim):
-        candidate = rows + [list(g.basis_vector(i))]
-        if rank(candidate) > rank(rows):
-            rows = candidate
-            chosen.append(i)
-    return chosen
-
-
-def relative_adjoint(g: LieAlgebra, h: Subalgebra) -> tuple["LieAlgebra", Representation, List[int]]:
-    """The action of h on g/h induced by the bracket.
-
-    Returns (h as an abstract algebra on its own basis, the representation,
-    and the ambient indices of the chosen complement) so matrices are
-    reproducible bit for bit.
-    """
-    comp = complement_basis(g, h)
-    hdim, wdim = h.dim, len(comp)
-    # abstract copy of h: structure constants in h's own basis
-    habs = _abstract_subalgebra(g, h)
-    # coordinates mod h: solve in h's basis followed by the complement
-    basis_rows = h.basis + [g.basis_vector(i) for i in comp]
-    matrices = []
-    for bvec in h.basis:
-        mat = [[Fraction(0)] * wdim for _ in range(wdim)]
-        for col, amb in enumerate(comp):
-            img = g.bracket(bvec, g.basis_vector(amb))
-            coords = _coordinates(basis_rows, img)[hdim:]
-            for row in range(wdim):
-                mat[row][col] = coords[row]
-        matrices.append(mat)
-    rep = Representation(habs, matrices) if hdim else Representation(habs, [])
-    return habs, rep, comp
-
-
-def _abstract_subalgebra(g: LieAlgebra, h: Subalgebra) -> LieAlgebra:
-    brackets = {}
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            img = g.bracket(h.basis[i], h.basis[j])
-            coeffs = _coordinates(h.basis, img)
-            if any(coeffs):
-                brackets[(i, j)] = coeffs
-    return LieAlgebra(h.dim, brackets)
-
-
-def _coordinates(basis_rows: List[List[Fraction]], vector: Sequence[Fraction]) -> List[Fraction]:
-    """Coordinates of ``vector`` in the given basis (must be solvable)."""
-    coords = solve_in_basis(basis_rows, vector)
-    if coords is None:
-        raise LiePairError("vector does not lie in the span of the basis")
-    return coords
-
+# --- the semidirect construction ----------------------------------------------
 
 def semidirect_from_rep(h: LieAlgebra, rho: Representation) -> tuple[LieAlgebra, Subalgebra]:
     """Extend h by its module W: bracket ([a, b], rho(a) w' - rho(b) w).

@@ -94,8 +94,8 @@ class Poly:
     The hash, the shape (see ``shape``), the integer form (see
     ``int_form``) and the probe value (see ``probe_value``) are computed on
     first use and kept in slots that stay unset until then, so building a
-    polynomial costs nothing extra.  Code that changes ``coeffs`` in place
-    must call ``_coeffs_changed`` afterwards.
+    polynomial costs nothing extra.  A polynomial is not changed after it
+    is built, so nothing ever has to drop these values.
     """
 
     __slots__ = ("n", "coeffs", "_hash", "_shape", "_ints", "_probe")
@@ -128,9 +128,6 @@ class Poly:
     @staticmethod
     def var(n: int, idx: int) -> Poly:
         return Poly(n, {unit_mono(n, idx): ONE})
-
-    def copy(self) -> Poly:
-        return self._like(dict(self.coeffs))
 
     def coeff(self, mono: Monomial) -> Fraction:
         return self.coeffs.get(tuple(mono), ZERO)
@@ -257,13 +254,6 @@ class Poly:
                 del out[mono]
                 del coeffs[mono]
         return self._from_ints(out, den, coeffs)
-
-    def _coeffs_changed(self) -> None:
-        """Drop the cached hash, shape, integer form and probe value after
-        an in-place change to ``coeffs``."""
-        for slot in ("_hash", "_shape", "_ints", "_probe"):
-            if hasattr(self, slot):
-                delattr(self, slot)
 
     def __add__(self, other: Poly) -> Poly:
         return self._combine(other, 1)

@@ -1,6 +1,6 @@
 """Jet fields over a chart and the operators that make them an algebroid:
 the Spencer operator, the pointwise algebraic bracket, the full bracket on
-sections, prolongation, and pushforward along an arrow.
+sections, and prolongation.
 
 Components are stored as derivative components xi^i_alpha (the alpha-th
 partial of the representative at the base point), not Taylor coefficients;
@@ -10,7 +10,10 @@ that convention makes the Spencer operator the literal difference
 
 Point jets hold exact rational coefficients; jet fields hold exact
 rational-function coefficients over the chart, so every identity test in
-this module is an equality of normal forms.
+this module is an equality of normal forms.  The point bracket
+(``algebraic_bracket`` on ``PointJet``) goes through honest polynomial
+representatives and is the reference that the field bracket is checked
+against at points (``JetField.at_point``).
 """
 
 from __future__ import annotations
@@ -19,21 +22,8 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .arrows import Arrow
-from .jetcore import (
-    JetError,
-    MultiIndex,
-    TruncatedPoly,
-    invert_truncated,
-    mi_add,
-    mi_factorial,
-    multi_indices,
-    poly_from_json,
-    poly_to_json,
-    project_order,
-    substitute,
-)
-from .rational import ZERO, Poly, RationalFunc, frac_str, unit_mono
+from .jetcore import JetError, MultiIndex, mi_add, mi_factorial, multi_indices
+from .rational import ZERO, Poly, RationalFunc, unit_mono
 
 
 def _binom(alpha: MultiIndex, beta: MultiIndex) -> int:
@@ -159,22 +149,19 @@ def vector_field_bracket(v: Sequence[Poly | RationalFunc],
 
 
 class JetField:
-    """A section of the order-k jet bundle over a box chart.
+    """A section of the order-k jet bundle over a chart.
 
     Every component xi^i_alpha, |alpha| <= k, is an exact rational
     function; missing entries are one zero shared by the field, since
     fields are never changed after they are built.
     """
 
-    __slots__ = ("n", "k", "domain", "components", "_zero")
+    __slots__ = ("n", "k", "components", "_zero")
 
     def __init__(self, n: int, k: int,
-                 components: Dict[Tuple[int, MultiIndex], RationalFunc] | None = None,
-                 domain: Sequence[Tuple] | None = None):
+                 components: Dict[Tuple[int, MultiIndex], RationalFunc] | None = None):
         self.n = n
         self.k = k
-        self.domain = [(Fraction(lo), Fraction(hi)) for lo, hi in domain] if domain \
-            else [(Fraction(-1), Fraction(1))] * n
         self.components: Dict[Tuple[int, MultiIndex], RationalFunc] = {}
         if components:
             for (i, alpha), f in components.items():
@@ -200,8 +187,7 @@ class JetField:
 
     def scale(self, value) -> JetField:
         return JetField(self.n, self.k,
-                        {key: f.scale(value) for key, f in self.components.items()},
-                        self.domain)
+                        {key: f.scale(value) for key, f in self.components.items()})
 
     def __add__(self, other: JetField) -> JetField:
         if self.n != other.n or self.k != other.k:
@@ -210,7 +196,7 @@ class JetField:
         for key, f in other.components.items():
             s = out.get(key)
             out[key] = f if s is None else s + f
-        return JetField(self.n, self.k, out, self.domain)
+        return JetField(self.n, self.k, out)
 
     def __sub__(self, other: JetField) -> JetField:
         return self + other.scale(-1)
@@ -222,7 +208,7 @@ class JetField:
         if not 0 <= r <= self.k:
             raise JetError(f"projection order {r} outside [0, {self.k}]")
         comps = {key: f for key, f in self.components.items() if sum(key[1]) <= r}
-        return JetField(self.n, r, comps, self.domain)
+        return JetField(self.n, r, comps)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JetField) or self.n != other.n or self.k != other.k:
@@ -234,8 +220,7 @@ class JetField:
         return f"JetField(n={self.n}, k={self.k}, {len(self.components)} nonzero components)"
 
 
-def prolong(v: Sequence[RationalFunc | Poly], k: int,
-            domain: Sequence[Tuple] | None = None) -> JetField:
+def prolong(v: Sequence[RationalFunc | Poly], k: int) -> JetField:
     """Holonomic lift: xi^i_alpha = the alpha-th partial of v^i."""
     fields = [f if isinstance(f, RationalFunc) else RationalFunc(f) for f in v]
     n = fields[0].n
@@ -250,7 +235,7 @@ def prolong(v: Sequence[RationalFunc | Poly], k: int,
             derivs[alpha] = derivs[prev].diff(r)
         for alpha, g in derivs.items():
             comps[(i, alpha)] = g
-    return JetField(n, k, comps, domain)
+    return JetField(n, k, comps)
 
 
 class JetOneForm:
@@ -324,12 +309,12 @@ def algebraic_bracket_fields(a: JetField, b: JetField) -> JetField:
                     acc = acc + term
             if not acc.is_zero():
                 comps[(i, gamma)] = acc
-    return JetField(n, k - 1, comps, a.domain)
+    return JetField(n, k - 1, comps)
 
 
 def zero_pad_lift(xi: JetField) -> JetField:
     """Lift to order k+1 by appending zero top components."""
-    return JetField(xi.n, xi.k + 1, dict(xi.components), xi.domain)
+    return JetField(xi.n, xi.k + 1, dict(xi.components))
 
 
 def lift_with_top(xi: JetField, top: Dict[Tuple[int, MultiIndex], RationalFunc]) -> JetField:
@@ -339,7 +324,7 @@ def lift_with_top(xi: JetField, top: Dict[Tuple[int, MultiIndex], RationalFunc])
         if sum(alpha) != xi.k + 1:
             raise JetError(f"top component ({i}, {alpha}) must have order {xi.k + 1}")
         comps[(i, alpha)] = f
-    return JetField(xi.n, xi.k + 1, comps, xi.domain)
+    return JetField(xi.n, xi.k + 1, comps)
 
 
 def spencer_bracket(xi: JetField, eta: JetField,
@@ -360,70 +345,3 @@ def spencer_bracket(xi: JetField, eta: JetField,
     d_xi = spencer_operator(xi1)
     corr = d_eta.contract(xi.order_zero()) - d_xi.contract(eta.order_zero())
     return algebraic + corr
-
-
-def jet_pushforward(arrow: Arrow, v: PointJet) -> PointJet:
-    """Transport a k-jet of a vector field along a (k+1)-arrow.
-
-    Differentiating the transformation rule of a vector field gives the
-    k-jet at the target of (Df o f^-1) . (v o f^-1), all computed in
-    truncated arithmetic from the arrow's centered jet.
-    """
-    if arrow.k != v.k + 1:
-        raise JetError(
-            f"arrow order must exceed jet order by one: arrow k={arrow.k}, jet k={v.k}")
-    if arrow.n != v.n:
-        raise JetError("arrow and jet dimensions differ")
-    if tuple(v.point) != arrow.source:
-        raise JetError(f"jet at {v.point} but arrow starts at {arrow.source}")
-    n, k = v.n, v.k
-    f = arrow.jet
-    g = project_order(invert_truncated(f), k)
-    # Df has order f.k - 1 = k; pull Df and v back along g in one pass
-    pulled = substitute([f.components[i].diff(a) for i in range(n) for a in range(n)]
-                        + v.taylor_polys(), g)
-    dfg, vg = pulled[:n * n], pulled[n * n:]
-    out = [sum((dfg[i * n + a] * vg[a] for a in range(n)), TruncatedPoly(n, k))
-           for i in range(n)]
-    return point_jet_from_polys(out, k, arrow.target)
-
-
-# --- exchange documents -------------------------------------------------------
-
-def _rf_to_json(f: RationalFunc) -> dict:
-    return {"num": poly_to_json(f.num),
-            "den": [{"power": e, "poly": poly_to_json(factor)} for factor, e in f.den.items()]}
-
-
-def _rf_from_json(doc: dict, n: int) -> RationalFunc:
-    den = {poly_from_json(fac["poly"], n): int(fac["power"]) for fac in doc.get("den", [])}
-    if any(e < 1 for e in den.values()):
-        raise JetError("denominator powers must be positive")
-    return RationalFunc(poly_from_json(doc["num"], n), den)
-
-
-def jet_field_to_json(xi: JetField) -> dict:
-    components: Dict[str, list] = {}
-    for alpha in multi_indices(xi.n, xi.k):
-        entries = [_rf_to_json(xi.comp(i, alpha)) for i in range(xi.n)]
-        if any(e["num"] for e in entries):
-            components[",".join(map(str, alpha))] = entries
-    return {
-        "n": xi.n, "k": xi.k,
-        "domain": [[frac_str(lo), frac_str(hi)] for lo, hi in xi.domain],
-        "components": components,
-    }
-
-
-def jet_field_from_json(doc: dict) -> JetField:
-    try:
-        n = int(doc["n"])
-        domain = [(Fraction(lo), Fraction(hi)) for lo, hi in doc.get("domain", [])] or None
-        comps = {}
-        for key, entries in doc["components"].items():
-            alpha = tuple(int(x) for x in key.split(","))
-            for i, entry in enumerate(entries):
-                comps[(i, alpha)] = _rf_from_json(entry, n)
-        return JetField(n, int(doc["k"]), comps, domain)
-    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
-        raise JetError(f"malformed jet field document: {exc}") from None

@@ -1,4 +1,4 @@
-"""Arrow groupoid laws and the order-3 one-variable group.
+"""The order-3 one-variable jet group.
 
 The closed-form group law, the Mobius splitting, and the Schwarzian
 defect are checked against two independent oracles: the generic
@@ -14,97 +14,21 @@ from fractions import Fraction
 import pytest
 
 from flatcheck.arrows import (
-    Arrow,
     ArrowError,
     G3_IDENTITY,
     G3Jet,
-    arrow_compose,
-    arrow_from_json,
-    arrow_invert,
-    arrow_to_json,
     g3_compose,
     g3_invert,
     mobius_split,
     schwarzian_defect,
 )
-from flatcheck.jetcore import JetError, TruncatedMap, compose_truncated
-
-from test_jetcore import random_map
-
-
-def random_arrow(n, k, rng, source=None, target=None):
-    source = source if source is not None else tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
-    target = target if target is not None else tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
-    jet = random_map(n, k, rng)
-    for c in jet.components:
-        c.coeffs.pop((0,) * n, None)
-    return Arrow(source, target, jet)
+from flatcheck.jetcore import compose_truncated
 
 
 def random_g3(rng):
     return G3Jet(Fraction(rng.randint(1, 6)),
                  Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
                  Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-
-
-def test_identity_arrow_neutral():
-    rng = random.Random(3)
-    for _ in range(20):
-        a = random_arrow(2, 3, rng)
-        left = arrow_compose(Arrow.identity(a.target, 2, 3), a)
-        right = arrow_compose(a, Arrow.identity(a.source, 2, 3))
-        assert left == a
-        assert right == a
-
-
-def test_arrow_group_law_matches_closed_form():
-    # (2,0,1) applied first, then (1,1,0): the chain rule gives (2,4,1)
-    first = Arrow((0,), (0,), G3Jet(2, 0, 1).to_map())
-    second = Arrow((0,), (0,), G3Jet(1, 1, 0).to_map())
-    combined = arrow_compose(second, first)
-    assert G3Jet.from_map(combined.jet).as_tuple() == (2, 4, 1)
-
-
-def test_arrow_associativity_when_endpoints_chain():
-    rng = random.Random(4)
-    for _ in range(20):
-        p, q, r, s = (0, 0), (1, 0), (1, 1), (0, 1)
-        a = random_arrow(2, 3, rng, source=p, target=q)
-        b = random_arrow(2, 3, rng, source=q, target=r)
-        c = random_arrow(2, 3, rng, source=r, target=s)
-        assert arrow_compose(c, arrow_compose(b, a)) == \
-            arrow_compose(arrow_compose(c, b), a)
-
-
-def test_arrow_compose_then_cancel():
-    rng = random.Random(5)
-    for _ in range(50):
-        a = random_arrow(2, 2, rng)
-        b = random_arrow(2, 2, rng, source=a.source, target=a.source)
-        binv = arrow_invert(b)
-        assert arrow_compose(arrow_compose(a, b), binv) == a
-
-
-def test_arrow_endpoint_mismatch():
-    a = Arrow((0, 0), (1, 0), TruncatedMap.identity(2, 2))
-    b = Arrow((2, 2), (3, 3), TruncatedMap.identity(2, 2))
-    with pytest.raises(ArrowError, match=r"\(1, 0\).*\(2, 2\)"):
-        arrow_compose(b, a)
-
-
-def test_arrow_invert_round_trips():
-    rng = random.Random(7)
-    for _ in range(100):
-        a = random_arrow(2, 3, rng)
-        inv = arrow_invert(a)
-        assert inv.source == a.target and inv.target == a.source
-        assert arrow_compose(inv, a) == Arrow.identity(a.source, 2, 3)
-        assert arrow_compose(a, inv) == Arrow.identity(a.target, 2, 3)
-
-
-def test_identity_arrow_self_inverse():
-    ident = Arrow.identity((1, 2), 2, 3)
-    assert arrow_invert(ident) == ident
 
 
 def test_g3_inverse_instance():
@@ -203,27 +127,6 @@ def test_schwarzian_zero_iff_split_image():
             assert a == mobius_split(a.a1, a.a2)
         else:
             assert a != mobius_split(a.a1, a.a2)
-
-
-def test_arrow_jet_must_be_centered():
-    jet = TruncatedMap.from_derivatives(1, 2, {(0, (0,)): 1, (0, (1,)): 1})
-    with pytest.raises(ArrowError, match="centered"):
-        Arrow((0,), (0,), jet)
-
-
-def test_arrow_json_round_trip():
-    rng = random.Random(37)
-    for _ in range(10):
-        a = random_arrow(2, 3, rng)
-        assert arrow_from_json(arrow_to_json(a)) == a
-
-
-@pytest.mark.parametrize("field, value", [("source", ["abc"]), ("target", ["1/0"])])
-def test_arrow_json_bad_endpoint_is_jet_error(field, value):
-    doc = arrow_to_json(random_arrow(1, 2, random.Random(3)))
-    doc[field] = value
-    with pytest.raises(JetError, match="malformed arrow document"):
-        arrow_from_json(doc)
 
 
 def test_schwarzian_defect_checks_its_quotient(monkeypatch):

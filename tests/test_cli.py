@@ -436,7 +436,6 @@ def test_repeated_document_entry_is_named(tmp_path, name, line):
 def test_repeated_entries_are_refused_in_every_jet_document():
     from fractions import Fraction
     from flatcheck.jetcore import JetError, poly_from_json
-    from flatcheck.spencer import jet_field_from_json
     entries = [{"multiindex": [0, 1], "num": "1", "den": "2"},
                {"multiindex": [1, 0], "num": "3", "den": "1"},
                {"multiindex": [0, 1], "num": "1", "den": "2"}]
@@ -444,9 +443,6 @@ def test_repeated_entries_are_refused_in_every_jet_document():
         with pytest.raises(JetError, match=r"\(0, 1\) appears twice"):
             poly_from_json(entries, 2, k)
         assert poly_from_json(entries[:2], 2, k).coeffs == {(0, 1): Fraction(1, 2), (1, 0): 3}
-    field = {"n": 2, "k": 0, "components": {"0,0": [{"num": entries}, {"num": []}]}}
-    with pytest.raises(JetError, match="appears twice"):
-        jet_field_from_json(field)
 
 
 def test_non_finite_literal_is_refused_on_both_backends():

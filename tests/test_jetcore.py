@@ -23,11 +23,12 @@ from flatcheck.jetcore import (
     multi_indices,
     project_order,
 )
-from flatcheck.rational import Poly
+from flatcheck.rational import Poly, matrix_determinant, unit_mono
 
 
 def random_map(n, k, rng, lin_boost=4):
-    from flatcheck.jetcore import matrix_determinant
+    """A random centered order-k map (no constant term) with invertible
+    linear part."""
     while True:
         derivs = {}
         for i in range(n):
@@ -35,12 +36,10 @@ def random_map(n, k, rng, lin_boost=4):
                 if sum(mono) == 0:
                     continue
                 derivs[(i, mono)] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        m = TruncatedMap.from_derivatives(n, k, derivs)
         # shift the diagonal away from the generic singular locus, then check
         for i in range(n):
-            mono = [0] * n
-            mono[i] = 1
-            m.components[i].set_coeff(tuple(mono), m.components[i].coeff(tuple(mono)) + lin_boost)
+            derivs[(i, unit_mono(n, i))] += lin_boost
+        m = TruncatedMap.from_derivatives(n, k, derivs)
         if matrix_determinant(m.linear_part()) != 0:
             return m
 
@@ -157,14 +156,12 @@ def test_invert_quadratic_line():
 def test_invert_round_trips():
     rng = random.Random(11)
     for _ in range(50):
-        f = random_map(2, 3, rng, lin_boost=0)
-        # unit linear part
-        for i in range(2):
-            for j in range(2):
-                mono = tuple(1 if t == j else 0 for t in range(2))
-                f.components[i].set_coeff(mono, Fraction(1 if i == j else 0))
-        g = invert_truncated(f)
         ident = TruncatedMap.identity(2, 3)
+        # the terms of order 2 and 3 of a random map over a unit linear part
+        f = random_map(2, 3, rng, lin_boost=0)
+        f = TruncatedMap([TruncatedPoly(2, 3, {m: c for m, c in comp.coeffs.items() if sum(m) > 1}) + e
+                          for comp, e in zip(f.components, ident.components)])
+        g = invert_truncated(f)
         assert compose_truncated(g, f) == ident
         assert compose_truncated(f, g) == ident
 
@@ -172,13 +169,8 @@ def test_invert_round_trips():
 def test_invert_is_involution():
     rng = random.Random(13)
     for _ in range(25):
-        f = random_map(2, 3, rng)
-        f0 = TruncatedMap([c.copy() for c in f.components])
-        f0.components = [c.copy() for c in f.components]
-        # strip constant terms: inversion works on the displacement part
-        for c in f0.components:
-            c.coeffs.pop((0, 0), None)
-        assert invert_truncated(invert_truncated(f0)) == f0
+        f = random_map(2, 3, rng)  # centered: inversion works on the displacement part
+        assert invert_truncated(invert_truncated(f)) == f
 
 
 def test_invert_singular_linear_part():
@@ -218,9 +210,7 @@ def test_project_is_composition_homomorphism():
 def test_project_commutes_with_inversion():
     rng = random.Random(23)
     for _ in range(25):
-        f = random_map(2, 3, rng)
-        for c in f.components:
-            c.coeffs.pop((0, 0), None)
+        f = random_map(2, 3, rng)  # centered, so inversion applies
         for r in (1, 2):
             assert project_order(invert_truncated(f), r) == invert_truncated(project_order(f, r))
 
@@ -242,6 +232,15 @@ def test_taylor_vs_derivative_bookkeeping():
     assert p.derivative_component((2, 1)) == 5 * 2  # 2! * 1!
     f = TruncatedMap.from_derivatives(2, 3, {(0, (2, 1)): Fraction(12)})
     assert f.components[0].coeff((2, 1)) == Fraction(6)  # 12 / (2! 1!)
+
+
+def test_from_derivatives_refuses_a_component_above_its_order_and_drops_zeros():
+    with pytest.raises(JetError, match=r"\(1, 2\) exceeds order 2"):
+        TruncatedMap.from_derivatives(2, 2, {(0, (1, 0)): 1, (1, (1, 2)): 1})
+    f = TruncatedMap.from_derivatives(2, 2, {(0, (1, 0)): 1, (0, (0, 2)): 0, (1, (0, 1)): Fraction(0)})
+    assert f.components[0].coeffs == {(1, 0): 1}
+    assert f.components[1].coeffs == {}
+    assert f == TruncatedMap([TruncatedPoly(2, 2, {(1, 0): 1}), TruncatedPoly(2, 2)])
 
 
 def test_jet_json_round_trip():

@@ -1,4 +1,4 @@
-"""Spencer operator, brackets, prolongation, pushforward.
+"""Spencer operator, brackets, prolongation.
 
 Two implementations of the algebraic bracket exist on purpose: the point
 version goes through honest polynomial representatives, the field version
@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import pytest
 
-from flatcheck.arrows import Arrow, arrow_compose
 from flatcheck.jetcore import JetError, multi_indices
 from flatcheck.rational import Poly, RationalFunc
 from flatcheck.spencer import (
@@ -21,9 +20,6 @@ from flatcheck.spencer import (
     PointJet,
     algebraic_bracket,
     algebraic_bracket_fields,
-    jet_field_from_json,
-    jet_field_to_json,
-    jet_pushforward,
     kernel_bracket,
     lift_with_top,
     prolong,
@@ -33,7 +29,6 @@ from flatcheck.spencer import (
 )
 
 from conftest import random_poly
-from test_arrows import random_arrow
 
 
 def rf(p):
@@ -314,109 +309,3 @@ def test_spencer_bracket_commutes_with_projection():
         whole = spencer_bracket(a, b)
         for r in (0, 1, 2):
             assert whole.project(r) == spencer_bracket(a.project(r), b.project(r))
-
-
-# --- pushforward ----------------------------------------------------------------
-
-def test_pushforward_identity_arrow():
-    rng = random.Random(43)
-    for _ in range(10):
-        v = random_point_jet(2, 2, rng)
-        ident = Arrow.identity((0, 0), 2, 3)
-        assert jet_pushforward(ident, v) == v
-
-
-def test_pushforward_linear_is_tangent_map():
-    m = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(1)]]
-    from flatcheck.jetcore import TruncatedMap
-    jet = TruncatedMap.from_derivatives(2, 1, {
-        (i, tuple(1 if t == j else 0 for t in range(2))): m[i][j]
-        for i in range(2) for j in range(2)})
-    a = Arrow((0, 0), (5, 5), jet)
-    v = PointJet(2, 0, (0, 0), {(0, (0, 0)): Fraction(3), (1, (0, 0)): Fraction(5)})
-    pushed = jet_pushforward(a, v)
-    assert pushed.point == (5, 5)
-    assert pushed.order_zero() == [11, 5]
-
-
-def test_pushforward_functorial():
-    rng = random.Random(47)
-    for _ in range(50):
-        p, q, r = (0, 0), (1, -1), (2, 1)
-        a1 = random_arrow(2, 3, rng, source=p, target=q)
-        a2 = random_arrow(2, 3, rng, source=q, target=r)
-        v = random_point_jet(2, 2, rng)
-        assert jet_pushforward(arrow_compose(a2, a1), v) == \
-            jet_pushforward(a2, jet_pushforward(a1, v))
-
-
-def test_pushforward_inverse_round_trip():
-    from flatcheck.arrows import arrow_invert
-    rng = random.Random(51)
-    for _ in range(20):
-        a = random_arrow(2, 3, rng, source=(0, 0), target=(1, 1))
-        v = random_point_jet(2, 2, rng)
-        assert jet_pushforward(arrow_invert(a), jet_pushforward(a, v)) == v
-
-
-def test_pushforward_is_linear_iso():
-    rng = random.Random(53)
-    a = random_arrow(2, 2, rng, source=(0, 0), target=(1, 1))
-    v = random_point_jet(2, 1, rng)
-    w = random_point_jet(2, 1, rng)
-    pv, pw = jet_pushforward(a, v), jet_pushforward(a, w)
-    summed = PointJet(2, 1, (0, 0), {
-        key: v.coeffs.get(key, Fraction(0)) + w.coeffs.get(key, Fraction(0))
-        for key in set(v.coeffs) | set(w.coeffs)})
-    psum = jet_pushforward(a, summed)
-    for key in set(pv.coeffs) | set(pw.coeffs) | set(psum.coeffs):
-        assert psum.coeffs.get(key, Fraction(0)) == \
-            pv.coeffs.get(key, Fraction(0)) + pw.coeffs.get(key, Fraction(0))
-
-
-def test_pushforward_order_mismatch():
-    rng = random.Random(59)
-    a = random_arrow(2, 2, rng)
-    v = random_point_jet(2, 2, rng)
-    with pytest.raises(JetError, match="exceed"):
-        jet_pushforward(a, v)
-
-
-# --- exchange format -------------------------------------------------------------
-
-def test_jet_field_json_round_trip():
-    rng = random.Random(61)
-    for _ in range(5):
-        xi = random_jet_field(2, 2, rng)
-        doc = jet_field_to_json(xi)
-        assert jet_field_from_json(doc) == xi
-
-
-def test_jet_field_json_with_denominators():
-    n = 2
-    x = Poly.var(n, 0)
-    den = Poly.const(n, 1) + x * x
-    f = RationalFunc(Poly.const(n, 1), {den: 1})
-    xi = JetField(n, 1, {(0, (1, 0)): f})
-    assert jet_field_from_json(jet_field_to_json(xi)) == xi
-
-
-@pytest.mark.parametrize("doc", [
-    {"n": 1, "k": 1},  # no components
-    {"n": 1, "k": 1, "components": {"0": [{"den": []}]}},  # no numerator
-    {"n": 1, "k": 1, "components": {"a": [{"num": []}]}},  # bad multi-index key
-    {"n": 1, "k": 1, "components": {"0": [{"num": [{"multiindex": [0], "num": "x", "den": "1"}]}]}},
-    {"n": 1, "k": 1, "components": {"0": [{"num": [{"multiindex": [0, 0], "num": "1", "den": "1"}]}]}},
-    {"n": 1, "k": 1, "components": {"0": [{"num": [], "den": [{"power": "two", "poly": []}]}]}},
-    {"n": 1, "k": 1, "components": {"0": [{"num": [{"multiindex": [0], "num": "1", "den": "1"}],
-                                           "den": [{"power": 1, "poly": []}]}]}},  # zero factor
-    {"n": 1, "k": 1, "components": {"2": [{"num": [{"multiindex": [0], "num": "1", "den": "1"}]}]}},
-    {"n": 1, "k": 1, "components": []},
-    {"n": 1, "k": 1, "components": {"0": [{"num": [{"multiindex": [1], "num": "1", "den": "1"}],
-                                           "den": [{"power": -1, "poly": [
-                                               {"multiindex": [0], "num": "1", "den": "1"},
-                                               {"multiindex": [1], "num": "1", "den": "1"}]}]}]}},
-])
-def test_jet_field_json_malformed(doc):
-    with pytest.raises(JetError, match="malformed jet field document"):
-        jet_field_from_json(doc)
