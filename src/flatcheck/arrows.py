@@ -14,24 +14,24 @@ is how the closed form is checked against the truncated composer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-from .jetcore import TruncatedMap
+if TYPE_CHECKING:  # the group law runs without the generic jet code
+    from .jetcore import TruncatedMap
 
 
 class ArrowError(ValueError):
     """Not an invertible one-variable 3-jet, or a broken invariant of the group."""
 
 
-@dataclass(frozen=True)
 class G3Jet:
-    """Derivative triple (a1, a2, a3) of a 3-jet on the line, a1 != 0."""
+    """Derivative triple (a1, a2, a3) of a 3-jet on the line, a1 != 0.
 
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
+    An immutable value: equal triples are equal jets with equal hashes.
+    """
+
+    __slots__ = ("a1", "a2", "a3")
 
     def __init__(self, a1, a2, a3):
         a1 = Fraction(a1)
@@ -41,11 +41,30 @@ class G3Jet:
         object.__setattr__(self, "a2", Fraction(a2))
         object.__setattr__(self, "a3", Fraction(a3))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"G3Jet is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"G3Jet is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, G3Jet):
+            return NotImplemented
+        return self.as_tuple() == other.as_tuple()
+
+    def __hash__(self):
+        return hash(self.as_tuple())
+
+    def __repr__(self):
+        return f"G3Jet(a1={self.a1!r}, a2={self.a2!r}, a3={self.a3!r})"
+
     def as_tuple(self) -> Tuple[Fraction, Fraction, Fraction]:
         return (self.a1, self.a2, self.a3)
 
     def to_map(self) -> TruncatedMap:
         """The centered order-3 map with these derivative components."""
+        from .jetcore import TruncatedMap
+
         return TruncatedMap.from_derivatives(1, 3, {
             (0, (1,)): self.a1, (0, (2,)): self.a2, (0, (3,)): self.a3})
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
-from .frames import ChartError, FrameChart, check_dim
-from .liepair import LieAlgebra, LiePairError, Subalgebra
-from .rational import solve_in_basis
+if TYPE_CHECKING:  # the catalog lists its entries without loading the code that builds them
+    from .frames import FrameChart
+    from .liepair import LieAlgebra, Subalgebra
 
 
 # the charts as chart documents in the grammar of ``charts_io``; the
@@ -81,6 +81,8 @@ def chart_document(name: str) -> dict:
     """The chart document of a catalog chart; ``abelianN`` is the identity
     frame on [-1, 1]^N for any N that ``check_dim`` accepts.  Unknown
     names list the alternatives."""
+    from .frames import ChartError, check_dim
+
     m = _ABELIAN_RE.match(name)
     if m:
         n = int(m.group(1))
@@ -103,29 +105,28 @@ def get_chart(name: str) -> FrameChart:
 
 
 # --- Lie pairs ----------------------------------------------------------------
+#
+# A builder returns a pair as data, (dim, brackets, stabilizer basis), in the
+# arguments of ``LieAlgebra`` and ``Subalgebra``; ``get_lie_pair`` builds it.
 
 def _so3_pair():
     # [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e2; stabilizer = span{e3}
-    g = LieAlgebra(3, {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): [0, -1, 0]})
-    return g, Subalgebra(g, [[0, 0, 1]])
+    return 3, {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (0, 2): [0, -1, 0]}, [[0, 0, 1]]
 
 
 def _e2_pair():
     # basis (rotation, t1, t2): [r,t1]=t2, [r,t2]=-t1
-    g = LieAlgebra(3, {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0]})
-    return g, Subalgebra(g, [[1, 0, 0]])
+    return 3, {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0]}, [[1, 0, 0]]
 
 
 def _so21_pair():
     # basis (rotation, p1, p2): [r,p1]=p2, [r,p2]=-p1, [p1,p2]=-r
-    g = LieAlgebra(3, {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0], (1, 2): [-1, 0, 0]})
-    return g, Subalgebra(g, [[1, 0, 0]])
+    return 3, {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0], (1, 2): [-1, 0, 0]}, [[1, 0, 0]]
 
 
 def _sl2_borel_pair():
     # basis (H, E, F): [H,E]=2E, [H,F]=-2F, [E,F]=H
-    g = LieAlgebra(3, {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]})
-    return g, Subalgebra(g, [[1, 0, 0], [0, 1, 0]])
+    return 3, {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}, [[1, 0, 0], [0, 1, 0]]
 
 
 def _sl_n_matrices(n: int, extra: Sequence[tuple[int, int]]):
@@ -144,8 +145,10 @@ def _sl_n_matrices(n: int, extra: Sequence[tuple[int, int]]):
     return basis, (n - 1) + len(uppers)
 
 
-def _matrix_algebra(basis: List[List[List[Fraction]]]):
+def _matrix_brackets(basis: List[List[List[Fraction]]]) -> dict:
     """Structure constants of a matrix Lie algebra in the given basis."""
+    from .rational import solve_in_basis
+
     size = len(basis[0])
     dim = len(basis)
     flat = [[m[i][j] for i in range(size) for j in range(size)] for m in basis]
@@ -162,14 +165,13 @@ def _matrix_algebra(basis: List[List[List[Fraction]]]):
             coords = solve_in_basis(flat, [m[r][c] for r in range(size) for c in range(size)])
             if any(coords):
                 brackets[(i, j)] = coords
-    return LieAlgebra(dim, brackets)
+    return brackets
 
 
 def _sl_pair(n: int, extra: Sequence[tuple[int, int]]):
     basis, hdim = _sl_n_matrices(n, extra)
-    g = _matrix_algebra(basis)
-    h = Subalgebra(g, [g.basis_vector(i) for i in range(hdim)])
-    return g, h
+    dim = len(basis)
+    return dim, _matrix_brackets(basis), [[int(k == i) for k in range(dim)] for i in range(hdim)]
 
 
 def _sl3_borel_pair():
@@ -183,8 +185,7 @@ def _p_subdiag_pair(n: int):
 
 def _heis3_center_pair():
     # [X, Y] = Z, Z central; stabilizer = center
-    g = LieAlgebra(3, {(0, 1): [0, 0, 1]})
-    return g, Subalgebra(g, [[0, 0, 1]])
+    return 3, {(0, 1): [0, 0, 1]}, [[0, 0, 1]]
 
 
 def _gl2_center_so2_pair():
@@ -193,11 +194,11 @@ def _gl2_center_so2_pair():
     # [J,D] = JD-DJ = [[0,1],[1,0]]*? JD=[[0,1],[1,0]], DJ=[[0,-1],[-1,0]] => [J,D]=2S
     # [J,S] = JS-SJ: JS=[[-1,0],[0,1]]=-D, SJ=[[1,0],[0,-1]]=D => [J,S]=-2D
     # [D,S] = DS-SD: DS=[[0,1],[-1,0]], SD=[[0,-1],[1,0]] => [D,S]=2J
-    g = LieAlgebra(4, {(1, 2): [0, 0, 0, 2], (1, 3): [0, 0, -2, 0], (2, 3): [0, 2, 0, 0]})
-    return g, Subalgebra(g, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    return (4, {(1, 2): [0, 0, 0, 2], (1, 3): [0, 0, -2, 0], (2, 3): [0, 2, 0, 0]},
+            [[1, 0, 0, 0], [0, 1, 0, 0]])
 
 
-_PAIR_BUILDERS: Dict[str, Callable[[], tuple[LieAlgebra, Subalgebra]]] = {
+_PAIR_BUILDERS: Dict[str, Callable[[], tuple[int, dict, list]]] = {
     "so3/so2": _so3_pair,
     "e2/so2": _e2_pair,
     "so21/so2": _so21_pair,
@@ -232,11 +233,15 @@ PAIR_FACTS: Dict[str, dict] = {
 
 
 def get_lie_pair(name: str) -> tuple[LieAlgebra, Subalgebra]:
+    from .liepair import LieAlgebra, LiePairError, Subalgebra
+
     builder = _PAIR_BUILDERS.get(name)
     if builder is None:
         raise LiePairError(
             f"unknown Lie pair '{name}'; available: {', '.join(PAIR_NAMES)}")
-    return builder()
+    dim, brackets, stabilizer = builder()
+    g = LieAlgebra(dim, brackets)
+    return g, Subalgebra(g, stabilizer)
 
 
 def catalog_entries() -> List[dict]:

@@ -30,20 +30,11 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
-from .arrows import ArrowError, G3Jet, g3_compose, g3_invert, mobius_split, schwarzian_defect
-from .catalog import CHART_NAMES, catalog_entries, get_lie_pair
-from .charts_io import chart_from_json, load_chart_file
-from .forms import (
-    CalibrationError,
-    chern_simons_report,
-    identity_report,
-    identity_residuals_pass,
-)
-from .frames import ChartError
-from .jetcore import JetError, map_from_json, map_to_json
-from .liepair import LiePairError, filtration_of, order_of_chain, pair_from_json
-from .rational import frac_str, parse_rational
+# Each command imports the modules it runs when it runs, so a cold process
+# loads only those; the chart names are needed to build the parser.
+from .catalog import CHART_NAMES
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -73,6 +64,8 @@ def emit(doc, out_path: str | None) -> None:
 
 
 def _frac(text: str) -> Fraction:
+    from .rational import parse_rational
+
     try:
         return parse_rational(text)
     except OverflowError as exc:
@@ -98,6 +91,8 @@ def _load_chart(args):
     chart document {"builtin": NAME}, so FLATCHECK_BACKEND applies to it
     as to a file.  The grid is checked with the chart by the report
     pipeline."""
+    from .charts_io import chart_from_json, load_chart_file
+
     for flag, value in (("--tol", args.tol), ("--tol2", args.tol2)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be a finite positive number, not {value}")
@@ -107,6 +102,9 @@ def _load_chart(args):
 
 
 def cmd_geom_report(args) -> int:
+    from .forms import CalibrationError, identity_report, identity_residuals_pass
+    from .frames import ChartError
+
     try:
         chart = _load_chart(args)
         report = identity_report(chart, tol=args.tol, grid_points=args.grid)
@@ -131,10 +129,11 @@ def _read_json(path: str):
 
 
 def cmd_jet_compose(args) -> int:
+    from .jetcore import JetError, compose_truncated, map_from_json, map_to_json
+
     try:
         outer = map_from_json(_read_json(args.outer))
         inner = map_from_json(_read_json(args.inner))
-        from .jetcore import compose_truncated
         result = compose_truncated(outer, inner)
     except (JetError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -144,9 +143,10 @@ def cmd_jet_compose(args) -> int:
 
 
 def cmd_jet_invert(args) -> int:
+    from .jetcore import JetError, invert_truncated, map_from_json, map_to_json
+
     try:
         f = map_from_json(_read_json(args.jet))
-        from .jetcore import invert_truncated
         result = invert_truncated(f)
     except (JetError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -156,6 +156,9 @@ def cmd_jet_invert(args) -> int:
 
 
 def cmd_groupoid_g3(args) -> int:
+    from .arrows import ArrowError, G3Jet, g3_compose, g3_invert, mobius_split, schwarzian_defect
+    from .rational import frac_str
+
     try:
         if args.g3_op == "compose":
             a = G3Jet(*args.a)
@@ -189,6 +192,10 @@ def cmd_spencer_check(args) -> int:
 
 
 def cmd_liepair_order(args) -> int:
+    from .catalog import get_lie_pair
+    from .liepair import LiePairError, filtration_of, order_of_chain, pair_from_json
+    from .rational import frac_str
+
     try:
         if args.builtin:
             g, h = get_lie_pair(args.builtin)
@@ -215,11 +222,16 @@ def cmd_liepair_order(args) -> int:
 
 
 def cmd_catalog_list(args) -> int:
+    from .catalog import catalog_entries
+
     emit({"entries": catalog_entries()}, args.out)
     return EXIT_OK
 
 
 def cmd_chern_simons(args) -> int:
+    from .forms import CalibrationError, chern_simons_report
+    from .frames import ChartError
+
     try:
         chart = _load_chart(args)
         doc = chern_simons_report(chart, tol=args.tol, tol2=args.tol2, grid_points=args.grid)
@@ -233,7 +245,9 @@ def cmd_chern_simons(args) -> int:
     return EXIT_OK if doc["chern_simons_residual"] <= args.tol2 else EXIT_RESIDUAL
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="flatcheck",
         description="jet groupoid arithmetic and local-homogeneity checks for parallelisms")
@@ -246,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--builtin", choices=CHART_NAMES, help="catalog chart name")
     src.add_argument("--chart", help="chart JSON file")
     _add_config_flags(report)
-    report.set_defaults(func=cmd_geom_report)
+    report.set_defaults(func="cmd_geom_report")
 
     jet = sub.add_parser("jet", help="truncated map arithmetic on jet documents")
     jet_sub = jet.add_subparsers(dest="jet_op", required=True)
@@ -254,11 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     jc.add_argument("outer")
     jc.add_argument("inner")
     jc.add_argument("--out", default=None)
-    jc.set_defaults(func=cmd_jet_compose)
+    jc.set_defaults(func="cmd_jet_compose")
     ji = jet_sub.add_parser("invert", help="compositional inverse")
     ji.add_argument("jet")
     ji.add_argument("--out", default=None)
-    ji.set_defaults(func=cmd_jet_invert)
+    ji.set_defaults(func="cmd_jet_invert")
 
     groupoid = sub.add_parser("groupoid", help="one-variable jet group calculators")
     g_sub = groupoid.add_subparsers(dest="groupoid_op", required=True)
@@ -268,19 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
     g3c.add_argument("a", type=_frac, nargs=3, help="derivative triple a1 a2 a3")
     g3c.add_argument("b", type=_frac, nargs=3, help="derivative triple b1 b2 b3")
     g3c.add_argument("--out", default=None)
-    g3c.set_defaults(func=cmd_groupoid_g3)
+    g3c.set_defaults(func="cmd_groupoid_g3")
     g3i = g3_sub.add_parser("invert")
     g3i.add_argument("a", type=_frac, nargs=3)
     g3i.add_argument("--out", default=None)
-    g3i.set_defaults(func=cmd_groupoid_g3)
+    g3i.set_defaults(func="cmd_groupoid_g3")
     g3s = g3_sub.add_parser("split")
     g3s.add_argument("a", type=_frac, nargs=2, help="2-jet a1 a2")
     g3s.add_argument("--out", default=None)
-    g3s.set_defaults(func=cmd_groupoid_g3)
+    g3s.set_defaults(func="cmd_groupoid_g3")
     g3w = g3_sub.add_parser("schwarzian")
     g3w.add_argument("a", type=_frac, nargs=3)
     g3w.add_argument("--out", default=None)
-    g3w.set_defaults(func=cmd_groupoid_g3)
+    g3w.set_defaults(func="cmd_groupoid_g3")
 
     spencer = sub.add_parser("spencer", help="Spencer operator checks")
     sp_sub = spencer.add_subparsers(dest="spencer_op", required=True)
@@ -288,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     spc.add_argument("--seed", type=int, default=0)
     spc.add_argument("--trials", type=int, default=20)
     spc.add_argument("--out", default=None)
-    spc.set_defaults(func=cmd_spencer_check)
+    spc.set_defaults(func="cmd_spencer_check")
 
     liepair = sub.add_parser("liepair", help="Lie pair filtrations")
     lp_sub = liepair.add_subparsers(dest="liepair_op", required=True)
@@ -297,28 +311,29 @@ def build_parser() -> argparse.ArgumentParser:
     lp_src.add_argument("--builtin", help="catalog pair name")
     lp_src.add_argument("--pair", help="Lie pair JSON file")
     lpo.add_argument("--out", default=None)
-    lpo.set_defaults(func=cmd_liepair_order)
+    lpo.set_defaults(func="cmd_liepair_order")
 
     cat = sub.add_parser("catalog", help="built-in examples")
     cat_sub = cat.add_subparsers(dest="catalog_op", required=True)
     cl = cat_sub.add_parser("list", help="names, kinds and expected facts")
     cl.add_argument("--out", default=None)
-    cl.set_defaults(func=cmd_catalog_list)
+    cl.set_defaults(func="cmd_catalog_list")
 
     cs = sub.add_parser("chern-simons", help="transgression residual and secondary classes")
     cs_src = cs.add_mutually_exclusive_group(required=True)
     cs_src.add_argument("--builtin", choices=CHART_NAMES)
     cs_src.add_argument("--chart")
     _add_config_flags(cs)
-    cs.set_defaults(func=cmd_chern_simons)
+    cs.set_defaults(func="cmd_chern_simons")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    # the parser names its command, which is looked up at each call, so a
+    # command function replaced after the parser was built still runs
+    return globals()[args.func](args)
 
 
 if __name__ == "__main__":

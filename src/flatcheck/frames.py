@@ -31,11 +31,11 @@ Charts are bounded: at most ``MAX_DIM`` dimensions, and at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
+from . import MAX_DIM
 from .rational import Poly, RationalFunc, matrix_determinant, rf_matrix_inverse
 
 if TYPE_CHECKING:  # numpy is imported by the numeric backend only
@@ -48,7 +48,6 @@ class ChartError(ValueError):
 
 FD_STEP = 1e-4
 FD_STEP2 = 1e-3
-MAX_DIM = 6
 MAX_GRID_POINTS = 4096
 
 
@@ -293,15 +292,17 @@ class FrameChart:
         return f"FrameChart({self.name!r}, n={self.n}, backend={self.backend})"
 
 
-@dataclass
 class ConnectionField:
     """Components Gamma^i_{jk}: j differentiates, k picks the frame column.
     ``zero`` is the zero field of their backend, shared by every form built
     from the connection, so the calculus needs no backend name."""
 
-    n: int
-    zero: ScalarField
-    gamma: List[List[List[ScalarField]]]
+    __slots__ = ("n", "zero", "gamma")
+
+    def __init__(self, n: int, zero: ScalarField, gamma: List[List[List[ScalarField]]]):
+        self.n = n
+        self.zero = zero
+        self.gamma = gamma
 
     def comp(self, i: int, j: int, k: int) -> ScalarField:
         return self.gamma[i][j][k]

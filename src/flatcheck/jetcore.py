@@ -19,7 +19,7 @@ from math import factorial
 from operator import add
 from typing import Dict, List, Sequence, Tuple
 
-from .frames import MAX_DIM
+from . import MAX_DIM
 from .rational import Poly, grlex_key, parse_int, rf_matrix_inverse, unit_mono
 
 MultiIndex = Tuple[int, ...]

@@ -45,6 +45,19 @@ def test_g3_neutral_element():
         assert g3_compose(b, G3_IDENTITY) == b
 
 
+def test_g3_jet_is_an_immutable_value():
+    a = G3Jet(2, Fraction(1, 2), 0)
+    same = G3Jet(Fraction(4, 2), Fraction(1, 2), Fraction(0))
+    assert a == same and hash(a) == hash(same) and len({a, same, G3_IDENTITY}) == 2
+    assert a != G3Jet(2, Fraction(1, 2), 1) and a != a.as_tuple()
+    for name in ("a1", "a2", "a3", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+    with pytest.raises(AttributeError):
+        del a.a1
+    assert a.as_tuple() == (2, Fraction(1, 2), 0)
+
+
 def test_g3_law_instance():
     assert g3_compose(G3Jet(1, 1, 0), G3Jet(2, 0, 1)).as_tuple() == (2, 4, 1)
 

@@ -518,7 +518,6 @@ def test_forced_numeric_backend_agrees_with_exact(monkeypatch):
     monkeypatch.setenv("FLATCHECK_BACKEND", "numeric")
 
     # --builtin goes through the catalog; use the chart document instead
-    import tempfile, os
     from flatcheck.charts_io import chart_from_json
     chart = chart_from_json({"builtin": "deformed2"})
     assert chart.backend == "numeric"
@@ -827,7 +826,7 @@ def test_one_validation_per_command(monkeypatch):
 
 
 def test_liepair_order_computes_the_filtration_once(monkeypatch):
-    from flatcheck import cli as cli_mod, liepair
+    from flatcheck import liepair
     real = liepair.filtration_of
     calls = []
 
@@ -836,7 +835,6 @@ def test_liepair_order_computes_the_filtration_once(monkeypatch):
         return real(g, h)
 
     monkeypatch.setattr(liepair, "filtration_of", counted)
-    monkeypatch.setattr(cli_mod, "filtration_of", counted)
     code, out = run_cli(["liepair", "order", "--builtin", "sl2/borel"])
     assert code == 0
     assert json.loads(out)["order"] == 2
@@ -844,13 +842,13 @@ def test_liepair_order_computes_the_filtration_once(monkeypatch):
 
 
 def test_calibration_failure_exit_code(monkeypatch):
-    from flatcheck import cli as cli_mod
+    from flatcheck import forms
     from flatcheck.forms import CalibrationError
 
     def boom(chart, tol, grid_points):
         raise CalibrationError(chart.name, {"structure": 1.0}, {"structure": 2.0})
 
-    monkeypatch.setattr(cli_mod, "identity_report", boom)
+    monkeypatch.setattr(forms, "identity_report", boom)
     code, out = run_cli(["geom", "report", "--builtin", "abelian2"])
     assert code == 3
     doc = json.loads(out)
@@ -859,16 +857,16 @@ def test_calibration_failure_exit_code(monkeypatch):
 
 
 def test_residual_failure_exit_code(monkeypatch):
-    from flatcheck import cli as cli_mod
+    from flatcheck import forms
 
-    real = cli_mod.identity_report
+    real = forms.identity_report
 
     def tampered(chart, tol, grid_points):
         rep = real(chart, tol=tol, grid_points=grid_points)
         rep["residuals"]["bianchi"] = 1.0
         return rep
 
-    monkeypatch.setattr(cli_mod, "identity_report", tampered)
+    monkeypatch.setattr(forms, "identity_report", tampered)
     code, _ = run_cli(["geom", "report", "--builtin", "abelian2"])
     assert code == 3
 
@@ -884,3 +882,36 @@ def test_exact_commands_do_not_import_numpy():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("False", "False")
+
+
+# the flatcheck modules each command family loads; a cold process pays for
+# the import of every one, so a new module-level import shows up here
+_CHART_MODULES = {"rational", "frames", "charts_io", "forms"}
+_LOADED_MODULES = [
+    (["catalog", "list"], set()),
+    (["groupoid", "g3", "invert", "2", "1", "0"], {"rational", "arrows"}),
+    (["liepair", "order", "--builtin", "sl2/borel"], {"rational", "liepair"}),
+    (["jet", "invert", "JET"], {"rational", "jetcore"}),
+    (["spencer", "check", "--trials", "1"], {"rational", "jetcore", "spencer", "spencer_suite"}),
+    (["geom", "report", "--builtin", "heisenberg3"], _CHART_MODULES),
+    (["chern-simons", "--builtin", "heisenberg3"], _CHART_MODULES),
+]
+
+
+@pytest.mark.parametrize("argv, modules", _LOADED_MODULES,
+                         ids=["-".join(argv[:2]) for argv, _ in _LOADED_MODULES])
+def test_each_command_imports_only_what_it_runs(tmp_path, argv, modules):
+    jet = tmp_path / "jet.json"
+    jet.write_text(json.dumps(identity_jet_doc(2, 3)))
+    argv = [str(jet) if a == "JET" else a for a in argv] + ["--out", str(tmp_path / "out.json")]
+    code = ("import sys, flatcheck.cli as cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'flatcheck'))\n"
+            "print('dataclasses' in sys.modules, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded, heavy = proc.stdout.splitlines()
+    expected = {"flatcheck", "cli", "catalog"} | modules
+    assert loaded == repr(sorted(m if m == "flatcheck" else f"flatcheck.{m}" for m in expected))
+    assert heavy == "False False"

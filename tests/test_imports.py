@@ -1,4 +1,4 @@
-"""Every import in the package is used by the module that makes it.
+"""Every import in the package and its tests is used by the module that makes it.
 
 An import that nothing in its module reads is either dead (left behind when
 the code that used it was deleted) or a silent re-export; both hide what a
@@ -13,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flatcheck"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "flatcheck"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,10 +40,10 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_the_package_has_modules():
-    assert len(MODULES) > 5
+    assert len(MODULES) > 5 and len(TEST_MODULES) > 5
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
