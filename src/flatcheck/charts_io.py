@@ -73,7 +73,7 @@ class _ExactAlgebra:
     @staticmethod
     def apply(op, *args) -> RationalFunc:
         f = op(*args)
-        if any(len(p.coeffs) > MAX_TERMS for p in (f.num, *f.den)):
+        if any(len(p.terms) > MAX_TERMS for p in (f.num, *f.den)):
             raise ChartError(f"an exact entry has a factor of more than {MAX_TERMS} terms")
         return f
 

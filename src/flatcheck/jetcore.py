@@ -20,7 +20,7 @@ from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 from . import MAX_DIM
-from .rational import Poly, grlex_key, parse_int, rf_matrix_inverse, unit_mono
+from .rational import FIELD_BITS, Poly, grlex_key, parse_int, rf_matrix_inverse, unit_mono
 
 MultiIndex = Tuple[int, ...]
 
@@ -78,15 +78,23 @@ class TruncatedPoly(Poly):
             mono = tuple(mono)
             if len(mono) != n:
                 raise JetError(f"multi-index {mono} has wrong length for n={n}")
+            if min(mono) < 0:
+                raise JetError(f"multi-index {mono} has a negative entry")
             if sum(mono) <= k:
                 kept[mono] = c
         super().__init__(n, kept)
         self.k = k
 
-    def _like(self, coeffs: Dict[MultiIndex, Fraction]) -> TruncatedPoly:
-        res = super()._like(coeffs)
+    def _like(self, terms: Dict[int, int], den: int) -> TruncatedPoly:
+        res = super()._like(terms, den)
         res.k = self.k
         return res
+
+    def degree_part(self, lo: int, hi: int) -> TruncatedPoly:
+        """The terms of total degree lo..hi, in term order, at this order."""
+        shift = FIELD_BITS * self.n
+        lo, hi = lo << shift, (hi + 1) << shift
+        return self._from_ints({m: v for m, v in self.terms.items() if lo <= m < hi}, self.denom)
 
     def derivative_component(self, mono: MultiIndex) -> Fraction:
         """The value of the |mono|-th partial derivative at the base point."""
@@ -114,7 +122,11 @@ class TruncatedPoly(Poly):
         return out
 
     def truncate(self, r: int) -> TruncatedPoly:
-        return TruncatedPoly(self.n, r, self.coeffs)
+        if r < 0:
+            raise JetError(f"truncation order must be >= 0, got {r}")
+        out = self.degree_part(0, r)
+        out.k = r
+        return out
 
     def _check_compatible(self, other: TruncatedPoly) -> None:
         if self.n != other.n or self.k != other.k:
@@ -186,8 +198,7 @@ def substitute(polys: Sequence[Poly], g: TruncatedMap) -> List[TruncatedPoly]:
     """
     n, k = g.n, g.k
     one = TruncatedPoly(n, k, {(0,) * n: 1})
-    disp = [TruncatedPoly(n, k, {m: c for m, c in comp.coeffs.items() if any(m)})
-            for comp in g.components]
+    disp = [comp.degree_part(1, k) for comp in g.components]
     power_cache: Dict[Tuple[int, int], TruncatedPoly] = {}
 
     def var_power(j: int, e: int) -> TruncatedPoly:
@@ -201,16 +212,16 @@ def substitute(polys: Sequence[Poly], g: TruncatedMap) -> List[TruncatedPoly]:
 
     out = []
     for p in polys:
-        acc = TruncatedPoly(n, k)
-        for mono, c in p.coeffs.items():
+        acc = TruncatedPoly(n, k)  # p o g times the denominator of p
+        for mono, v in zip(p.monomials(), p.terms.values()):
             if sum(mono) > k:
                 continue
             term = one
             for j, e in enumerate(mono):
                 if e:
                     term = term * var_power(j, e)
-            acc = acc + term.scale(c)
-        out.append(acc)
+            acc = acc + term.scale(v)
+        out.append(acc.scale(Fraction(1, p.denom)))
     return out
 
 
@@ -239,8 +250,7 @@ def invert_truncated(f: TruncatedMap) -> TruncatedMap:
         lin_inv = rf_matrix_inverse(f.linear_part())
     except ZeroDivisionError:
         raise JetError("linear part is singular (determinant 0)") from None
-    higher = TruncatedMap([TruncatedPoly(n, k, {m: c for m, c in p.coeffs.items() if sum(m) >= 2})
-                           for p in f.components])
+    higher = TruncatedMap([p.degree_part(2, k) for p in f.components])
 
     def apply_lin_inv(comps: List[TruncatedPoly]) -> TruncatedMap:
         out = []

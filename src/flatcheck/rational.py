@@ -1,44 +1,45 @@
 """Exact multivariate polynomial and rational-function arithmetic.
 
-Polynomials are sparse dictionaries mapping exponent tuples to Fraction
-coefficients; the zero polynomial is the empty dict.  Rational functions
+A polynomial holds integer numerators over one positive denominator, the
+least common one (the layout of FLINT's ``fmpq_poly``).  Rational functions
 keep the denominator as a multiset of polynomial factors with integer
 exponents, because every division performed by the geometry code divides
 by a polynomial that is known explicitly (a frame determinant, a chart
 denominator).  Sums and derivatives then only ever need exact trial
 division to cancel factors, never a general multivariate gcd.
 
-``coeffs`` maps each monomial to a nonzero Fraction, so equality of fields
-is literal equality of normal forms: ``is_zero`` is decidable and exact.
-The arithmetic runs on an integer form of each polynomial: integer
-numerators over one positive denominator, the least common one (the
-layout of FLINT's ``fmpq_poly``).  A result of the arithmetic carries its
-integer form from the start; any other polynomial computes it on first
-use.  Products, sums, scalings and derivatives multiply and add Python
-ints and build one Fraction per output term, so chained products never
-touch Fraction arithmetic.  The terms of a result come in the order of
-the schoolbook Fraction loops, which ``RationalGrid`` relies on when it
-sums float terms.
+Each term is keyed by a packed monomial (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007): one int with the total degree in its top field, then the exponents
+of x1..xn, each field FIELD_BITS wide with a top guard bit that stays
+clear.  A product of monomials is one int addition, grlex order is int
+order, and a monomial divides another when their difference leaves every
+guard bit clear.  A product whose degree would pass MAX_DEGREE raises
+ValueError, as does a monomial the constructor cannot pack.
 
-Trial division runs on the integer form too.  Before it divides, it
-compares the values of the two polynomials at one integer point (Gauss's
-lemma makes a failing divisibility of the values a proof that the
-polynomials do not divide), which refuses nearly every division that would
-fail; the long division that remains keeps its remainder as integer
+``coeffs`` (exponent tuple -> nonzero Fraction) is a view built on first
+read; the arithmetic never reads it.  Equality is literal equality of
+normal forms, so ``is_zero`` is exact.  The terms of a result come in the
+order of the schoolbook Fraction loops, which ``RationalGrid`` relies on
+when it sums float terms.  Trial division first compares the values at one
+integer point (by Gauss's lemma a failing divisibility of the values
+proves that the polynomials do not divide), then divides on integer
 numerators over one denominator.  Exact evaluation at a rational point
-clears the coordinates' denominators, sums integer products and builds one
-Fraction.
+clears the coordinates' denominators and builds one Fraction.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_right
+from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from math import gcd, lcm, prod
-from operator import add, getitem, gt, neg, sub
+from operator import getitem, gt
+from struct import Struct
 from typing import Dict, Iterable, Mapping, Tuple
 
 Monomial = Tuple[int, ...]
@@ -52,15 +53,31 @@ _new_object = object.__new__
 # runs it; a variable past its end is evaluated at 1.
 PROBE_POINT = (2, 3, 5, 7, 11, 13)
 
+FIELD_BITS = 16  # one field of a packed monomial: struct's "H"
+MAX_DEGREE = (1 << FIELD_BITS - 1) - 1  # the guard bit stays clear
+
+
+@cache
+def _layout(n: int) -> tuple:
+    """(shift of the degree field, guard bits, bytes, packer, unpacker) of
+    the packed monomials in ``n`` variables; the unpacker skips the degree."""
+    guard = sum(1 << FIELD_BITS * i + FIELD_BITS - 1 for i in range(n + 1))
+    return (FIELD_BITS * n, guard, 2 * n + 2, Struct(">" + "H" * (n + 1)).pack,
+            Struct(">2x" + "H" * n))
+
+
+def _pack(n: int, mono: Monomial) -> int:
+    """The packed monomial of an exponent tuple of length ``n``."""
+    if len(mono) != n or sum(mono) > MAX_DEGREE or min(mono, default=0) < 0:
+        raise ValueError(f"{mono} is not an exponent vector of length {n} and degree at "
+                         f"most {MAX_DEGREE}")
+    return int.from_bytes(_layout(n)[3](sum(mono), *mono), "big")
+
 
 def _fraction(num: int, den: int) -> Fraction:
-    """``Fraction(num, den)`` for ``den > 0``.
-
-    The integer kernels build one Fraction per output term.  This fills its
-    two slots directly, as ``Fraction._from_coprime_ints`` does from Python
-    3.12 on, and skips the argument checks of ``Fraction.__new__``, which
-    take more than twice as long on Python 3.11; ``tests/test_int_kernels.py``
-    checks that the result is an ordinary Fraction."""
+    """``Fraction(num, den)`` for ``den > 0``, its two slots filled directly
+    (as ``Fraction._from_coprime_ints`` does from Python 3.12 on) to skip
+    the argument checks of ``Fraction.__new__``."""
     f = _new_object(Fraction)
     if den == 1:
         f._numerator = num
@@ -85,35 +102,36 @@ def unit_mono(n: int, idx: int) -> Monomial:
 
 
 class Poly:
-    """Sparse exact polynomial in ``n`` variables.
+    """Sparse exact polynomial in ``n`` variables: ``terms`` maps packed
+    monomials to nonzero int numerators over the int ``denom``.
 
     Results of the arithmetic are built by ``_like``, so a subclass that
     carries more state (the truncation order of a jet component) gets
-    results of its own kind.
-
-    The hash, the shape (see ``shape``), the integer form (see
-    ``int_form``) and the probe value (see ``probe_value``) are computed on
-    first use and kept in slots that stay unset until then, so building a
-    polynomial costs nothing extra.  A polynomial is not changed after it
-    is built, so nothing ever has to drop these values.
+    results of its own kind.  ``coeffs``, ``monomials``, the hash, the
+    shape and the probe value are computed on first use and kept in slots;
+    a polynomial is not changed after it is built, so they stay valid.
     """
 
-    __slots__ = ("n", "coeffs", "_hash", "_shape", "_ints", "_probe")
+    __slots__ = ("n", "terms", "denom", "_coeffs", "_monos", "_hash", "_shape", "_probe")
 
     def __init__(self, n: int, coeffs: Mapping[Monomial, Fraction] | None = None):
         self.n = n
-        self.coeffs: PolyDict = {}
-        if coeffs:
-            for mono, c in coeffs.items():
-                if c != 0:
-                    self.coeffs[tuple(mono)] = Fraction(c)
+        fracs: PolyDict = {}
+        for mono, c in (coeffs or {}).items():
+            if c != 0:
+                fracs[tuple(mono)] = Fraction(c)
+        den = lcm(*[c.denominator for c in fracs.values()])
+        self.terms = {_pack(n, m): c.numerator * (den // c.denominator) for m, c in fracs.items()}
+        self.denom = den
+        self._coeffs = fracs
 
-    def _like(self, coeffs: PolyDict) -> Poly:
-        """A polynomial of this one's kind holding ``coeffs``, which must
-        already be normal (Fraction values, no zeros)."""
-        res = object.__new__(type(self))
+    def _like(self, terms: Dict[int, int], den: int) -> Poly:
+        """A polynomial of this one's kind holding ``terms`` over ``den``,
+        which must already be normal (no zero, no common factor)."""
+        res = _new_object(type(self))
         res.n = self.n
-        res.coeffs = coeffs
+        res.terms = terms
+        res.denom = den
         return res
 
     @staticmethod
@@ -129,29 +147,51 @@ class Poly:
     def var(n: int, idx: int) -> Poly:
         return Poly(n, {unit_mono(n, idx): ONE})
 
+    @property
+    def coeffs(self) -> PolyDict:
+        """Exponent tuple -> nonzero Fraction, in term order."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.denom
+            c = self._coeffs = {m: _fraction(v, den)
+                                for m, v in zip(self.monomials(), self.terms.values())}
+            return c
+
+    def monomials(self) -> tuple:
+        """The exponent tuples of the terms, in term order."""
+        try:
+            return self._monos
+        except AttributeError:
+            _, _, size, _, unpacker = _layout(self.n)
+            packed = b"".join(map(int.to_bytes, self.terms, repeat(size), repeat("big")))
+            m = self._monos = tuple(unpacker.iter_unpack(packed))
+            return m
+
     def coeff(self, mono: Monomial) -> Fraction:
         return self.coeffs.get(tuple(mono), ZERO)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def is_const(self) -> bool:
-        return all(sum(m) == 0 for m in self.coeffs)
+        return not any(self.terms)
 
     def const_value(self) -> Fraction:
-        return self.coeffs.get((0,) * self.n, ZERO)
+        return _fraction(self.terms.get(0, 0), self.denom)
 
     def degree(self) -> int:
-        return max((sum(m) for m in self.coeffs), default=0)
+        return max(self.terms, default=0) >> FIELD_BITS * self.n
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.n == other.n and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self.n == other.n and self.denom == other.denom
+                and self.terms == other.terms)
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            h = self._hash = hash((self.n, frozenset(self.coeffs.items())))
+            h = self._hash = hash((self.n, self.denom, frozenset(self.terms.items())))
             return h
 
     def shape(self) -> tuple:
@@ -160,27 +200,19 @@ class Poly:
         try:
             return self._shape
         except AttributeError:
-            keys = [(sum(m), m) for m in self.coeffs]  # grlex keys
-            lead = max(keys)[1]
-            s = self._shape = (lead, self.coeffs[lead], min(keys)[1],
-                               tuple(map(max, zip(*self.coeffs))))
+            terms = self.terms
+            _, _, size, _, unpacker = _layout(self.n)
+            lead = max(terms)
+            s = self._shape = (unpacker.unpack(lead.to_bytes(size, "big")),
+                               _fraction(terms[lead], self.denom),
+                               unpacker.unpack(min(terms).to_bytes(size, "big")),
+                               tuple(map(max, zip(*self.monomials()))))
             return s
 
     def int_form(self) -> Tuple[Dict[Monomial, int], int]:
         """(numerators, denominator): ``coeffs[m] == Fraction(numerators[m],
-        denominator)`` for every monomial m, in the order of ``coeffs``, with
-        one positive denominator."""
-        try:
-            return self._ints
-        except AttributeError:
-            coeffs = self.coeffs
-            den = lcm(*[c.denominator for c in coeffs.values()])
-            if den == 1:
-                nums = {m: c.numerator for m, c in coeffs.items()}
-            else:
-                nums = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
-            f = self._ints = (nums, den)
-            return f
+        denominator)`` for every monomial m, in term order."""
+        return dict(zip(self.monomials(), self.terms.values())), self.denom
 
     def probe_value(self) -> int:
         """The value at ``PROBE_POINT`` of the primitive part of the integer
@@ -189,83 +221,69 @@ class Poly:
         try:
             return self._probe
         except AttributeError:
-            nums = self.int_form()[0]
-            v = sum(c * prod(map(pow, PROBE_POINT, m)) for m, c in nums.items())
-            v = self._probe = v // gcd(*nums.values())
+            nums = self.terms.values()
+            v = sum(c * prod(map(pow, PROBE_POINT, m)) for m, c in zip(self.monomials(), nums))
+            v = self._probe = v // gcd(*nums)
             return v
 
-    def _from_ints(self, nums: Dict[Monomial, int], den: int,
-                   coeffs: PolyDict | None = None) -> Poly:
+    def _from_ints(self, nums: Dict[int, int], den: int) -> Poly:
         """A polynomial of this one's kind with coefficients ``nums[m] / den``
-        (``nums`` holds no zero).  ``coeffs`` is passed when the caller has
-        already built the Fraction coefficients."""
+        (``nums`` holds no zero)."""
         if den != 1:
             g = gcd(den, *nums.values())
             if g != 1:
                 den //= g
                 nums = {m: v // g for m, v in nums.items()}
-        if coeffs is None:
-            coeffs = {m: _fraction(v, den) for m, v in nums.items()}
-        res = self._like(coeffs)
-        res._ints = (nums, den)
-        return res
+        return self._like(nums, den)
 
     def _product(self, other: Poly, k: int | None = None) -> Poly:
-        """self * other in integer numerators, without the terms of total
-        degree above ``k`` when it is given.  Output terms come in the order
-        of the Fraction schoolbook loop: left terms outer, right terms
-        inner, a sum that cancels removed (and re-inserted later if it
-        reappears).  With ``k`` the right terms are visited by degree, so
-        each left term stops at the first one that is over the order."""
-        left, dl = self.int_form()
-        right, dr = other.int_form()
-        right = list(right.items())
+        """self * other, without the terms of total degree above ``k`` when
+        it is given.  Output terms come in the order of the Fraction
+        schoolbook loop: left terms outer, right terms inner, a sum that
+        cancels removed (and re-inserted later if it reappears).  With ``k``
+        the right terms are sorted stably by degree, and each left term ma
+        stops at the first mb >= ((k + 1) << shift) - ma, the first of
+        degree above k - deg(ma): the fields below the degree never carry."""
+        left, shift = self.terms, FIELD_BITS * self.n
+        if left and other.terms and (max(left) >> shift) + (max(other.terms) >> shift) > MAX_DEGREE:
+            raise ValueError(f"a product passes the largest packed total degree, {MAX_DEGREE}")
+        right = list(other.terms.items())
         if k is not None:
-            right.sort(key=lambda t: sum(t[0]))
-            degrees = [sum(m) for m, _ in right]
-        out: Dict[Monomial, int] = {}
+            right.sort(key=lambda t: t[0] >> shift)
+            keys = [m for m, _ in right]
+            limit = (k + 1) << shift
+        out: Dict[int, int] = {}
         get = out.get
         for ma, na in left.items():
-            for mb, nb in right if k is None else right[:bisect_right(degrees, k - sum(ma))]:
-                mono = tuple(map(add, ma, mb))
+            for mb, nb in right if k is None else right[:bisect_left(keys, limit - ma)]:
+                mono = ma + mb
                 s = get(mono, 0) + na * nb
                 if s:
                     out[mono] = s
                 else:
                     del out[mono]
-        return self._from_ints(out, dl * dr)
+        return self._from_ints(out, self.denom * other.denom)
 
     def _combine(self, other: Poly, sign: int) -> Poly:
-        """self + sign * other.  Terms of self that other does not touch
-        keep their Fraction objects, so only touched terms are rebuilt."""
-        left, dl = self.int_form()
-        right, dr = other.int_form()
+        """self + sign * other."""
+        dl, dr = self.denom, other.denom
         den = lcm(dl, dr)
         fl, fr = den // dl, sign * (den // dr)
-        out = dict(left) if fl == 1 else {m: v * fl for m, v in left.items()}
-        coeffs = dict(self.coeffs)
+        out = dict(self.terms) if fl == 1 else {m: v * fl for m, v in self.terms.items()}
         get = out.get
-        for mono, v in right.items():
+        for mono, v in other.terms.items():
             s = get(mono, 0) + v * fr
             if s:
                 out[mono] = s
-                coeffs[mono] = _fraction(s, den)
             else:
                 del out[mono]
-                del coeffs[mono]
-        return self._from_ints(out, den, coeffs)
+        return self._from_ints(out, den)
 
     def __add__(self, other: Poly) -> Poly:
         return self._combine(other, 1)
 
     def __neg__(self) -> Poly:
-        res = self._like({m: -c for m, c in self.coeffs.items()})
-        try:
-            nums, den = self._ints
-        except AttributeError:  # no integer form to carry over
-            return res
-        res._ints = ({m: -v for m, v in nums.items()}, den)
-        return res
+        return self._like({m: -v for m, v in self.terms.items()}, self.denom)
 
     def __sub__(self, other: Poly) -> Poly:
         return self._combine(other, -1)
@@ -275,39 +293,32 @@ class Poly:
 
     def scale(self, value) -> Poly:
         c = Fraction(value)
-        if not c or not self.coeffs:
-            return self._like({})
-        nums, den = self.int_form()
-        p = c.numerator
-        return self._from_ints({m: v * p for m, v in nums.items()}, den * c.denominator)
+        if not c or not self.terms:
+            return self._like({}, 1)
+        p, q = c.numerator, c.denominator
+        return self._from_ints({m: v * p for m, v in self.terms.items()}, self.denom * q)
 
     def diff(self, idx: int) -> Poly:
-        if not self.coeffs:
-            return self._like({})
-        nums, den = self.int_form()
-        out: Dict[Monomial, int] = {}
-        for mono, v in nums.items():
-            e = mono[idx]
-            if e == 0:
-                continue
-            m = list(mono)
-            m[idx] = e - 1
-            out[tuple(m)] = v * e
-        return self._from_ints(out, den)
+        if not 0 <= idx < self.n:
+            raise IndexError(f"variable index {idx} out of range for n={self.n}")
+        at = FIELD_BITS * (self.n - 1 - idx)
+        step, mask = (1 << FIELD_BITS * self.n) + (1 << at), (1 << FIELD_BITS) - 1
+        out: Dict[int, int] = {}
+        for mono, v in self.terms.items():
+            e = mono >> at & mask
+            if e:
+                out[mono - step] = v * e
+        return self._from_ints(out, self.denom)
 
     def eval(self, point: Iterable) -> Fraction:
-        """The exact value at a rational point, built as one Fraction.
-
-        With x_t = p_t / q_t and d_t the degree in x_t, every term of the
-        integer numerators is multiplied by the product of the q_t ** d_t,
-        so that it becomes the integer product of the p_t ** e_t and
-        q_t ** (d_t - e_t); their sum over that product and the integer
-        form's denominator is the value.  Coordinates that are not ints or
-        Fractions are read with ``Fraction``; a variable past the end of
-        the point is evaluated at 1."""
-        if not self.coeffs:
+        """The exact value at a rational point, built as one Fraction: with
+        x_t = p_t / q_t and d_t the degree in x_t, it is the sum of the
+        numerators times the products of p_t ** e_t * q_t ** (d_t - e_t),
+        over ``denom`` times the product of the q_t ** d_t.  A variable
+        past the end of the point is evaluated at 1."""
+        if not self.terms:
             return ZERO
-        nums, den = self.int_form()
+        den = self.denom
         tables = []  # per variable: p ** e * q ** (d - e) for e = 0..d
         for x, d in zip(point, self.shape()[3]):
             if type(x) is not Fraction and type(x) is not int:
@@ -316,12 +327,14 @@ class Poly:
             if q != 1:
                 den *= q ** d
             tables.append([p ** e * q ** (d - e) for e in range(d + 1)])
-        return _fraction(sum(v * prod(map(getitem, tables, m)) for m, v in nums.items()), den)
+        return _fraction(sum(v * prod(map(getitem, tables, m))
+                             for m, v in zip(self.monomials(), self.terms.values())), den)
 
     def eval_float(self, point) -> float:
         total = 0.0
-        for mono, c in self.coeffs.items():
-            term = float(c)
+        den = self.denom
+        for mono, v in zip(self.monomials(), self.terms.values()):
+            term = v / den  # float(Fraction(v, den)), correctly rounded
             for x, e in zip(point, mono):
                 if e:
                     term *= x ** e
@@ -331,26 +344,21 @@ class Poly:
     def divides(self, other: Poly) -> Poly | None:
         """Exact division other / self; None if self does not divide other.
 
-        If self divides other, the grlex-least monomial of self divides
-        that of other, and no variable has a higher degree in self than in
-        other (both follow from other = self * q); a pair that fails either
-        test is refused without dividing.  So is a pair whose probe values
-        (see ``probe_value``) do not divide: by Gauss's lemma a primitive
-        integer polynomial that divides another over Q divides it in Z[x],
-        so its value at an integer point divides the other's.  A probe
-        value of 0 passes only when the other's is 0 too.
-
-        Otherwise long division runs on the integer numerators of other as
-        one remainder dict over one denominator, whose leading monomial a
-        heap of negated grlex keys finds.  The denominator takes in the
-        leading numerator of self only at a step it does not divide, which
-        never happens for a monic integral divisor.  Quotient terms come
-        out in descending grlex order.
-        """
+        Refused without dividing: a pair where the grlex-least monomial of
+        self does not divide that of other, or a variable has a higher
+        degree in self (other = self * q rules out both), or the probe
+        values (see ``probe_value``) do not divide, since by Gauss's lemma
+        a primitive integer polynomial dividing another over Q divides it
+        in Z[x].  A probe value of 0 passes only when the other's is 0.
+        Long division keeps the remainder as integer numerators over one
+        denominator, which takes in the leading numerator of self only at
+        a step it does not divide; a heap of negated packed monomials
+        finds the leading term.  Quotient terms come in descending grlex
+        order."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if other.is_zero():
-            return other._like({})
+            return other._like({}, 1)
         lead_m, lead_c, low, degs = self.shape()
         if not any(lead_m):
             return other.scale(1 / lead_c)
@@ -360,22 +368,22 @@ class Poly:
         probe, other_probe = self.probe_value(), other.probe_value()
         if other_probe % probe if probe else other_probe:
             return None
-        nums, num_den = self.int_form()
-        lead = nums[lead_m]
-        rest = [(m, v) for m, v in nums.items() if m != lead_m]
-        rem_nums, other_den = other.int_form()
-        rem = dict(rem_nums)
+        nums, guard = self.terms, _layout(self.n)[1]
+        lead_key = max(nums)
+        lead = nums[lead_key]
+        rest = [(m, v) for m, v in nums.items() if m != lead_key]
+        rem = dict(other.terms)
         den = 1  # the quotient so far and rem are numerators over den
-        heap = [(-sum(m), tuple(map(neg, m)), m) for m in rem]
+        heap = [-m for m in rem]
         heapify(heap)
-        quot: Dict[Monomial, int] = {}
+        quot: Dict[int, int] = {}
         while heap:
-            rm = heappop(heap)[2]
+            rm = -heappop(heap)
             r = rem.pop(rm, None)
             if r is None:  # a stale entry of a term that cancelled
                 continue
-            qm = tuple(map(sub, rm, lead_m))
-            if min(qm) < 0:
+            qm = rm - lead_key
+            if qm & guard:  # lead_key does not divide rm
                 return None
             if r % lead:  # a step that does not divide: a larger denominator
                 k = abs(lead) // gcd(r, lead)
@@ -388,18 +396,18 @@ class Poly:
             q = quot[qm] = r // lead
             # every term of self * q x^qm other than the leading one lies below rm
             for m, v in rest:
-                mono = tuple(map(add, m, qm))
+                mono = m + qm
                 s = rem.get(mono, 0) - v * q
                 if s:
                     if mono not in rem:
-                        heappush(heap, (-sum(mono), tuple(map(neg, mono)), mono))
+                        heappush(heap, -mono)
                     rem[mono] = s
                 else:
                     rem.pop(mono, None)
-        # other / self = (rem_nums / other_den) / (nums / num_den)
-        if num_den != 1:
-            quot = {m: v * num_den for m, v in quot.items()}
-        return other._from_ints(quot, den * other_den)
+        # other / self = (other.terms / other.denom) / (nums / self.denom)
+        if self.denom != 1:
+            quot = {m: v * self.denom for m, v in quot.items()}
+        return other._from_ints(quot, den * other.denom)
 
     def monic(self) -> tuple[Poly, Fraction]:
         """Scale so the grlex-leading coefficient is 1; returns (monic, factor)."""
@@ -409,17 +417,10 @@ class Poly:
         return self.scale(1 / lc), lc
 
     def __repr__(self):
-        if self.is_zero():
-            return f"{type(self).__name__}(0)"
-        terms = []
-        for mono in sorted(self.coeffs, key=grlex_key):
-            c = self.coeffs[mono]
-            vars_part = "*".join(
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(mono) if e
-            )
-            terms.append(f"{c}" + (f"*{vars_part}" if vars_part else ""))
-        return f"{type(self).__name__}(" + " + ".join(terms) + ")"
+        terms = [f"{c}" + "".join(f"*x{i + 1}" + (f"^{e}" if e > 1 else "")
+                                  for i, e in enumerate(m) if e)
+                 for m, c in sorted(self.coeffs.items(), key=lambda t: grlex_key(t[0]))]
+        return f"{type(self).__name__}({' + '.join(terms) or 0})"
 
 
 class RationalFunc:
@@ -484,9 +485,9 @@ class RationalFunc:
         return d
 
     def __add__(self, other: RationalFunc) -> RationalFunc:
-        if not self.num.coeffs:
+        if not self.num.terms:
             return other
-        if not other.num.coeffs:
+        if not other.num.terms:
             return self
         return self._sum(other, 1)
 
@@ -514,17 +515,17 @@ class RationalFunc:
         return res
 
     def __sub__(self, other: RationalFunc) -> RationalFunc:
-        if not other.num.coeffs:
+        if not other.num.terms:
             return self
-        if not self.num.coeffs:
+        if not self.num.terms:
             return -other
         return self._sum(other, -1)
 
     def __mul__(self, other: RationalFunc) -> RationalFunc:
         # fields are never changed after they are built, so a zero is shared
-        if not self.num.coeffs:
+        if not self.num.terms:
             return self
-        if not other.num.coeffs:
+        if not other.num.terms:
             return other
         den: Dict[Poly, int] = dict(self.den)
         for f, e in other.den.items():
@@ -532,7 +533,7 @@ class RationalFunc:
         return RationalFunc(self.num * other.num, den)
 
     def scale(self, value) -> RationalFunc:
-        if not self.num.coeffs:  # a zero is shared, as in __mul__
+        if not self.num.terms:  # a zero is shared, as in __mul__
             return self
         c = Fraction(value)
         if not c:
@@ -564,7 +565,7 @@ class RationalFunc:
     def diff(self, idx: int) -> RationalFunc:
         """Partial derivative; fields never change after they are built, so
         each direction is differentiated once and the result kept."""
-        if not self.num.coeffs:  # a zero is shared, as in __mul__
+        if not self.num.terms:  # a zero is shared, as in __mul__
             return self
         try:
             memo = self._diffs
@@ -614,8 +615,7 @@ class RationalGrid:
 
     ``values(f)`` yields ``f.eval_float(p)`` for each point ``p`` in order,
     bit for bit: the float operations are the same and run in the same
-    order, because ``float * Fraction`` is ``float * float(Fraction)``.
-    The work that ``eval_float`` repeats is done once: each coordinate
+    order.  The work that ``eval_float`` repeats is done once: each coordinate
     power ``float(x_t ** e)`` once per point, the coefficients of a
     polynomial once, and each denominator factor once per point for every
     field that shares it.  Factors are keyed by identity, not by equality:
@@ -636,8 +636,8 @@ class RationalGrid:
 
     @staticmethod
     def _terms(p: Poly) -> list:
-        return [(float(c), [(t, e) for t, e in enumerate(mono) if e])
-                for mono, c in p.coeffs.items()]
+        return [(v / p.denom, [(t, e) for t, e in enumerate(mono) if e])
+                for mono, v in zip(p.monomials(), p.terms.values())]
 
     def _poly_value(self, terms: list, k: int) -> float:
         powers = self._powers[k]
