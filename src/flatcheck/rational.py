@@ -38,7 +38,7 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from math import gcd, lcm, prod
-from operator import getitem, gt
+from operator import getitem
 from struct import Struct
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -64,14 +64,6 @@ def _layout(n: int) -> tuple:
     guard = sum(1 << FIELD_BITS * i + FIELD_BITS - 1 for i in range(n + 1))
     return (FIELD_BITS * n, guard, 2 * n + 2, Struct(">" + "H" * (n + 1)).pack,
             Struct(">2x" + "H" * n))
-
-
-def _pack(n: int, mono: Monomial) -> int:
-    """The packed monomial of an exponent tuple of length ``n``."""
-    if len(mono) != n or sum(mono) > MAX_DEGREE or min(mono, default=0) < 0:
-        raise ValueError(f"{mono} is not an exponent vector of length {n} and degree at "
-                         f"most {MAX_DEGREE}")
-    return int.from_bytes(_layout(n)[3](sum(mono), *mono), "big")
 
 
 def _fraction(num: int, den: int) -> Fraction:
@@ -115,15 +107,17 @@ class Poly:
     __slots__ = ("n", "terms", "denom", "_coeffs", "_monos", "_hash", "_shape", "_probe")
 
     def __init__(self, n: int, coeffs: Mapping[Monomial, Fraction] | None = None):
-        self.n = n
-        fracs: PolyDict = {}
-        for mono, c in (coeffs or {}).items():
-            if c != 0:
-                fracs[tuple(mono)] = Fraction(c)
-        den = lcm(*[c.denominator for c in fracs.values()])
-        self.terms = {_pack(n, m): c.numerator * (den // c.denominator) for m, c in fracs.items()}
-        self.denom = den
+        self.n, pack = n, _layout(n)[3]
+        fracs = {tuple(m): c if type(c) is Fraction else Fraction(c)
+                 for m, c in coeffs.items() if c} if coeffs else {}
         self._coeffs = fracs
+        self.denom = den = lcm(*[c._denominator for c in fracs.values()])
+        self.terms = terms = {}
+        for m, c in fracs.items():
+            if len(m) != n or sum(m) > MAX_DEGREE or min(m, default=0) < 0:
+                raise ValueError(f"{m} is not an exponent vector of length {n} and degree at "
+                                 f"most {MAX_DEGREE}")
+            terms[int.from_bytes(pack(sum(m), *m), "big")] = c._numerator * (den // c._denominator)
 
     def _like(self, terms: Dict[int, int], den: int) -> Poly:
         """A polynomial of this one's kind holding ``terms`` over ``den``,
@@ -345,31 +339,28 @@ class Poly:
         """Exact division other / self; None if self does not divide other.
 
         Refused without dividing: a pair where the grlex-least monomial of
-        self does not divide that of other, or a variable has a higher
-        degree in self (other = self * q rules out both), or the probe
-        values (see ``probe_value``) do not divide, since by Gauss's lemma
-        a primitive integer polynomial dividing another over Q divides it
-        in Z[x].  A probe value of 0 passes only when the other's is 0.
-        Long division keeps the remainder as integer numerators over one
-        denominator, which takes in the leading numerator of self only at
-        a step it does not divide; a heap of negated packed monomials
-        finds the leading term.  Quotient terms come in descending grlex
-        order."""
-        if self.is_zero():
+        self does not divide that of other (other = self * q rules it out),
+        or whose probe values (see ``probe_value``) do not divide, since by
+        Gauss's lemma a primitive integer polynomial dividing another over
+        Q divides it in Z[x].  A probe value of 0 passes only when the
+        other's is 0.  Long division keeps the remainder as integer
+        numerators over one denominator, which takes in the leading
+        numerator of self only at a step it does not divide; a heap of
+        negated packed monomials finds the leading term.  Quotient terms
+        come in descending grlex order."""
+        nums, guard = self.terms, _layout(self.n)[1]
+        if not nums:
             raise ZeroDivisionError("division by zero polynomial")
-        if other.is_zero():
+        if not other.terms:
             return other._like({}, 1)
-        lead_m, lead_c, low, degs = self.shape()
-        if not any(lead_m):
-            return other.scale(1 / lead_c)
-        _, _, other_low, other_degs = other.shape()
-        if any(map(gt, low, other_low)) or any(map(gt, degs, other_degs)):
+        lead_key = max(nums)
+        if not lead_key:  # a constant
+            return other.scale(Fraction(self.denom, nums[0]))
+        if (min(other.terms) - min(nums)) & guard:
             return None
         probe, other_probe = self.probe_value(), other.probe_value()
         if other_probe % probe if probe else other_probe:
             return None
-        nums, guard = self.terms, _layout(self.n)[1]
-        lead_key = max(nums)
         lead = nums[lead_key]
         rest = [(m, v) for m, v in nums.items() if m != lead_key]
         rem = dict(other.terms)
