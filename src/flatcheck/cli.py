@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -331,9 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # the parser names its command, which is looked up at each call, so a
-    # command function replaced after the parser was built still runs
-    return globals()[args.func](args)
+    try:
+        # the parser names its command, which is looked up at each call, so a
+        # command function replaced after the parser was built still runs
+        code = globals()[args.func](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output (``flatcheck ... | true``): exit 1
+        # without a traceback, and point stdout at devnull so that the flush
+        # at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

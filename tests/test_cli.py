@@ -390,6 +390,43 @@ def test_huge_argument_is_refused_at_once():
         "error: argument a: the rational literal '1e99999999' needs more than 4300 digits")
 
 
+def test_closed_stdout_exits_one_without_a_traceback():
+    # the reader of the pipe is gone before the child writes its report
+    proc = subprocess.Popen([sys.executable, "-m", "flatcheck.cli", "liepair", "order",
+                             "--builtin", "p-subdiag3/b3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=30) == 1
+    assert err == b""
+
+
+def test_degree_past_the_packed_field_exits_one_with_one_line(tmp_path):
+    # nested powers stay inside the exponent cap but reach x1^32768
+    from flatcheck.rational import MAX_DEGREE
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"name": "deep", "n": 1, "domain": [["1/2", "1"]],
+                                "frame": [["((x1^64)^64)^8"]]}))
+    assert 64 * 64 * 8 == MAX_DEGREE + 1
+    proc = subprocess.run([sys.executable, "-m", "flatcheck.cli", "geom", "report", "--chart",
+                           str(path), "--grid", "2"], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: a product passes the largest packed total degree, {MAX_DEGREE}"]
+
+
+def test_negative_multi_index_exits_one_with_one_line(tmp_path):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"n": 2, "k": 2, "components": [
+        [{"multiindex": [1, 0], "num": "1", "den": "1"},
+         {"multiindex": [-1, 2], "num": "1", "den": "1"}],
+        [{"multiindex": [0, 1], "num": "1", "den": "1"}]]}))
+    proc = subprocess.run([sys.executable, "-m", "flatcheck.cli", "jet", "invert", str(path)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: multi-index (-1, 2) has a negative entry"]
+
+
 def _deep_entry(levels: int, calls: int) -> str:
     """``calls`` nested sin calls around a sum of x1s, an entry whose syntax
     tree is ``levels`` deep (the Expression node is one level)."""

@@ -20,8 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flatcheck.jetcore import JetError, TruncatedPoly, multi_indices
-from flatcheck.rational import Poly, _fraction
-from test_rational import check_division
+from flatcheck.rational import MAX_DEGREE, Poly, _fraction
+from test_rational import check_division, reference_divides
 
 
 def rand_frac(rng: random.Random) -> Fraction:
@@ -276,3 +276,58 @@ def test_division_property(triple):
     h = f * g + r
     if not h.is_zero():
         check_division(f, h)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Two polynomials in n <= 6 variables of degree <= 6 per variable, a
+    truncation order, a rational point and a scalar."""
+    n = draw(st.integers(1, 6))
+    mono = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    coeffs = st.dictionaries(mono, small_fraction, max_size=6)
+    return (n, draw(coeffs), draw(coeffs), draw(st.integers(0, 8)),
+            draw(st.lists(small_fraction, min_size=n, max_size=n)), draw(small_fraction),
+            draw(mono))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kernel_cases())
+def test_packed_kernels_match_the_fraction_loops(case):
+    n, ca, cb, k, point, c, extra = case
+    a, b = Poly(n, ca), Poly(n, cb)
+    assert_terms(a * b, ref_product(a, b))
+    ta, tb = TruncatedPoly(n, k, ca), TruncatedPoly(n, k, cb)
+    assert_terms(ta * tb, ref_product(ta, tb, k))
+    assert_terms(a + b, ref_combine(a, b, 1))
+    assert_terms(a - b, ref_combine(a, b, -1))
+    assert_terms(a.scale(c), [(m, c * v) for m, v in a.coeffs.items()] if c else [])
+    for idx in range(n):
+        assert_terms(a.diff(idx), ref_diff(a, idx))
+    assert a.eval(point) == ref_eval(a, point)
+    if a.is_zero():
+        return
+    # an exact quotient, then a multiple disturbed by one term, and by a term
+    # that vanishes at the probe point, which only the long division refuses
+    term = Poly(n, {extra: 1})
+    for h in (a * b, a * b + term, a * b + term * (Poly.var(n, 0) - Poly.const(n, 2))):
+        q, ref = a.divides(h), reference_divides(a, h)
+        assert (q is None) == (ref is None)
+        if q is not None:
+            assert_terms(q, list(ref.coeffs.items()))
+    assert a.divides(a * b) == b
+
+
+def test_a_product_past_the_packed_degree_raises():
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    top = Poly(2, {(0, MAX_DEGREE - 1): 3}) * y  # the largest degree, in the lowest field
+    assert list(top.coeffs.items()) == [((0, MAX_DEGREE), 3)] and top.degree() == MAX_DEGREE
+    assert list(top.diff(1).coeffs.items()) == [((0, MAX_DEGREE - 1), 3 * MAX_DEGREE)]
+    assert top.divides(top * Poly.const(2, 5)) == Poly.const(2, 5)
+    for product in (lambda: top * x, lambda: x * top, lambda: top * top):
+        with pytest.raises(ValueError, match=f"largest packed total degree, {MAX_DEGREE}"):
+            product()
+    for mono in ((MAX_DEGREE, 1), (-1, 2), (1,)):
+        with pytest.raises(ValueError, match="is not an exponent vector"):
+            Poly(2, {mono: 1})
+    with pytest.raises(JetError, match="negative entry"):
+        TruncatedPoly(2, 3, {(-1, 2): 1})
