@@ -59,11 +59,10 @@ MAX_DEGREE = (1 << FIELD_BITS - 1) - 1  # the guard bit stays clear
 
 @cache
 def _layout(n: int) -> tuple:
-    """(shift of the degree field, guard bits, bytes, packer, unpacker) of
-    the packed monomials in ``n`` variables; the unpacker skips the degree."""
+    """(guard bits, bytes, packer, unpacker) of the packed monomials in
+    ``n`` variables; the unpacker skips the degree field."""
     guard = sum(1 << FIELD_BITS * i + FIELD_BITS - 1 for i in range(n + 1))
-    return (FIELD_BITS * n, guard, 2 * n + 2, Struct(">" + "H" * (n + 1)).pack,
-            Struct(">2x" + "H" * n))
+    return guard, 2 * n + 2, Struct(">" + "H" * (n + 1)).pack, Struct(">2x" + "H" * n)
 
 
 def _fraction(num: int, den: int) -> Fraction:
@@ -107,7 +106,7 @@ class Poly:
     __slots__ = ("n", "terms", "denom", "_coeffs", "_monos", "_hash", "_shape", "_probe")
 
     def __init__(self, n: int, coeffs: Mapping[Monomial, Fraction] | None = None):
-        self.n, pack = n, _layout(n)[3]
+        self.n, pack = n, _layout(n)[2]
         fracs = {tuple(m): c if type(c) is Fraction else Fraction(c)
                  for m, c in coeffs.items() if c} if coeffs else {}
         self._coeffs = fracs
@@ -157,7 +156,7 @@ class Poly:
         try:
             return self._monos
         except AttributeError:
-            _, _, size, _, unpacker = _layout(self.n)
+            _, size, _, unpacker = _layout(self.n)
             packed = b"".join(map(int.to_bytes, self.terms, repeat(size), repeat("big")))
             m = self._monos = tuple(unpacker.iter_unpack(packed))
             return m
@@ -195,7 +194,7 @@ class Poly:
             return self._shape
         except AttributeError:
             terms = self.terms
-            _, _, size, _, unpacker = _layout(self.n)
+            _, size, _, unpacker = _layout(self.n)
             lead = max(terms)
             s = self._shape = (unpacker.unpack(lead.to_bytes(size, "big")),
                                _fraction(terms[lead], self.denom),
@@ -348,7 +347,7 @@ class Poly:
         numerator of self only at a step it does not divide; a heap of
         negated packed monomials finds the leading term.  Quotient terms
         come in descending grlex order."""
-        nums, guard = self.terms, _layout(self.n)[1]
+        nums, guard = self.terms, _layout(self.n)[0]
         if not nums:
             raise ZeroDivisionError("division by zero polynomial")
         if not other.terms:
