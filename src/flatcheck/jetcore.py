@@ -20,7 +20,7 @@ from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 from . import MAX_DIM
-from .rational import FIELD_BITS, Poly, grlex_key, parse_int, rf_matrix_inverse, unit_mono
+from .rational import Poly, grlex_key, parse_int, rf_matrix_inverse, unit_mono
 
 MultiIndex = Tuple[int, ...]
 
@@ -89,12 +89,6 @@ class TruncatedPoly(Poly):
         res = super()._like(terms, den)
         res.k = self.k
         return res
-
-    def degree_part(self, lo: int, hi: int) -> TruncatedPoly:
-        """The terms of total degree lo..hi, in term order, at this order."""
-        shift = FIELD_BITS * self.n
-        lo, hi = lo << shift, (hi + 1) << shift
-        return self._from_ints({m: v for m, v in self.terms.items() if lo <= m < hi}, self.denom)
 
     def derivative_component(self, mono: MultiIndex) -> Fraction:
         """The value of the |mono|-th partial derivative at the base point."""

@@ -229,6 +229,12 @@ class Poly:
                 nums = {m: v // g for m, v in nums.items()}
         return self._like(nums, den)
 
+    def degree_part(self, lo: int, hi: int) -> Poly:
+        """The terms of total degree lo..hi, in term order, as a polynomial
+        of this kind."""
+        lo, hi = lo << FIELD_BITS * self.n, hi + 1 << FIELD_BITS * self.n
+        return self._from_ints({m: v for m, v in self.terms.items() if lo <= m < hi}, self.denom)
+
     def _product(self, other: Poly, k: int | None = None) -> Poly:
         """self * other, without the terms of total degree above ``k`` when
         it is given.  Output terms come in the order of the Fraction
