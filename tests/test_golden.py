@@ -65,6 +65,12 @@ for _chart, _grid in (("sl2rational", "5"), ("unipotent4", "5"), ("sl2mix4", "3"
     _doc = f"chart-{_chart}.json"
     CASES[f"report-{_chart}"] = ["geom", "report", "--chart", _doc, "--grid", _grid]
     CASES[f"chern-simons-{_chart}"] = ["chern-simons", "--chart", _doc, "--grid", _grid]
+# the same charts times one fixed integer unimodular C with no zero entry,
+# the heaviest exact charts, whose float max_R depends on term order
+for _chart, _grid in (("sl2rational", "5"), ("unipotent4", "5"), ("sl2mix4", "3")):
+    _doc = f"chart-{_chart}-rescaled.json"
+    CASES[f"report-{_chart}-rescaled"] = ["geom", "report", "--chart", _doc, "--grid", _grid]
+    CASES[f"chern-simons-{_chart}-rescaled"] = ["chern-simons", "--chart", _doc, "--grid", _grid]
 
 
 def run_case(name: str) -> tuple[int, str]:
