@@ -16,6 +16,18 @@ the covariant derivative of ``frames`` by the alternation "leading term
 minus single transpositions"; d is d~ of the opposite connection, and the
 de Rham differential is the same alternation of partial derivatives.
 
+A form stores only its support: a component that is a literal zero is
+dropped when the form is built, and the others stay in canonical key
+order.  The wedge, the differentials, the trace and the covariant
+derivative of ``frames`` walk the support of their operands and of the
+connection instead of every index combination.  They skip exactly the
+operations whose result the zero short cuts of ``RationalFunc`` (in
+``+``, ``-``, ``*``, ``scale`` and ``diff``) would have made the other
+operand, so every component is built by the same nonzero operations in
+the same order as by the full loops: the same terms in the same order,
+and the same floats on a grid.  A numeric field is never a literal zero,
+so numeric forms store, and the loops visit, every component.
+
 Sign calibration: transcribing the curvature, torsion and wedge
 conventions by hand leaves one global sign ambiguous in the structure
 equation d~T + T^T = s.R.  The module determines s once, on the deformed
@@ -29,7 +41,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product as iproduct
+from itertools import combinations
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .catalog import get_chart
@@ -41,6 +53,7 @@ from .frames import (
     ScalarField,
     curvature_components,
     curvature_tilde_components,
+    dt_reach,
     dt_scalar,
     field_is_exactly_zero,
     gamma_from_frame,
@@ -95,7 +108,9 @@ class HomForm:
     (i, j) when ``value_slots`` is 2, and empty for a plain form (the image
     of the trace), which has ``value_slots`` 0.  ``zero`` is the zero field
     of the connection the form is built from, and the value of every
-    component that is not stored.
+    component that is not stored: a literal-zero component is dropped.
+    ``components`` is in canonical key order, the order of the index
+    tuples and then of the value entries.
     """
 
     __slots__ = ("n", "degree", "zero", "value_slots", "components")
@@ -106,13 +121,15 @@ class HomForm:
         self.degree = degree
         self.zero = zero
         self.value_slots = value_slots
-        self.components: Dict[tuple, ScalarField] = {}
+        stored = {}
         if components:
             for (idx, *value), f in components.items():
                 idx = tuple(idx)
                 if len(idx) != degree or list(idx) != sorted(idx) or len(set(idx)) != len(idx):
                     raise ChartError(f"component key {idx} is not a canonical {degree}-tuple")
-                self.components[(idx, *value)] = f
+                if not field_is_exactly_zero(f):
+                    stored[(idx, *value)] = f
+        self.components: Dict[tuple, ScalarField] = {key: stored[key] for key in sorted(stored)}
 
     def comp(self, idx: IndexTuple, *value: int) -> ScalarField:
         canon, sign = _sort_with_sign(tuple(idx))
@@ -145,7 +162,14 @@ class HomForm:
             raise ChartError("forms must share dimension, degree, backend and value type")
 
     def is_exactly_zero(self) -> bool:
-        return all(field_is_exactly_zero(f) for f in self.components.values())
+        return not self.components
+
+    def by_index(self) -> Dict[IndexTuple, Dict[tuple, ScalarField]]:
+        """The stored components as index tuple -> {value: field}."""
+        out: Dict[IndexTuple, Dict[tuple, ScalarField]] = {}
+        for (idx, *value), f in self.components.items():
+            out.setdefault(idx, {})[tuple(value)] = f
+        return out
 
     def max_abs(self, points: Sequence[Tuple[float, ...]]) -> float:
         return _grid_max(self.components.values(), points)
@@ -158,9 +182,11 @@ def _grid_max(fields, points) -> float:
     """Max |f| over the grid: float points, or a ``RationalGrid`` for exact
     fields; a numeric field is evaluated on the whole grid in one call.  A
     value that is not finite is a ChartError: max() would drop a NaN and a
-    residual of inf says nothing."""
+    residual of inf says nothing.  A literal-zero field is skipped."""
     worst = 0.0
     for f in fields:
+        if field_is_exactly_zero(f):
+            continue
         if isinstance(f, NumericScalar):
             values = f.values(points).tolist()
         elif isinstance(points, RationalGrid):
@@ -203,77 +229,105 @@ def curvature_tilde_form(conn: ConnectionField) -> HomForm:
 def d_tilde(conn: ConnectionField, omega: HomForm) -> HomForm:
     """Alternated covariant differential; squares to zero exactly because
     the flat curvature of a frame-derived connection vanishes."""
-    return _alternated_differential(conn, omega, dt_scalar)
+    return _alternated_differential(conn, omega, dt_scalar, dt_reach)
 
 
 def d_lower(conn: ConnectionField, omega: HomForm) -> HomForm:
     """The companion differential: d~ of the opposite connection; does not
     square to zero in general."""
-    return _alternated_differential(conn.transposed(), omega, dt_scalar)
+    return _alternated_differential(conn.transposed(), omega, dt_scalar, dt_reach)
 
 
-def _alternated_differential(conn, omega: HomForm, scalar_op) -> HomForm:
+def _alternated_differential(conn, omega: HomForm, scalar_op, reach) -> HomForm:
     """Sum over the out positions m of (-1)^m ``scalar_op`` in direction r_m
-    of omega with r_m left out; the value slots of omega pass through."""
+    of omega with r_m left out; the value slots of omega pass through.
+
+    ``reach(conn, r, support)`` is the set of values at which ``scalar_op``
+    in direction r can be nonzero when omega at the left-out index is a
+    literal zero outside ``support``.  Only the values some position
+    reaches are computed, and each sums only the positions that reach it."""
     n, p = omega.n, omega.degree
     if p >= n:
         return omega._like(p + 1)
+    by_index = omega.by_index()
+    zero = omega.zero
     comps = {}
     for out_idx in combinations(range(n), p + 1):
-        for value in iproduct(range(n), repeat=omega.value_slots):
+        positions = []
+        for m, r in enumerate(out_idx):
+            part = by_index.get(out_idx[:m] + out_idx[m + 1:])
+            if part:
+                positions.append((m, r, part, reach(conn, r, part)))
+        for value in sorted(set().union(*[reached for *_, reached in positions])):
             acc = None
-            for m, r in enumerate(out_idx):
-                rest = out_idx[:m] + out_idx[m + 1:]
-                term = scalar_op(conn, lambda *v, rest=rest: omega.comp(rest, *v), r, *value)
+            for m, r, part, reached in positions:
+                if value not in reached:
+                    continue
+                term = scalar_op(conn, lambda *v, part=part: part.get(v, zero), r, *value)
                 if m % 2 == 1:
                     term = term.scale(-1)
                 acc = term if acc is None else acc + term
-            comps[(tuple(out_idx), *value)] = acc
+            comps[(out_idx, *value)] = acc
     return omega._like(p + 1, comps)
 
 
 def de_rham(phi: HomForm) -> HomForm:
     """Exterior derivative on plain forms, same alternation convention."""
-    return _alternated_differential(None, phi, lambda conn, get, r: get().diff(r))
+    return _alternated_differential(None, phi, lambda conn, get, r: get().diff(r),
+                                    lambda conn, r, support: support.keys())
+
+
+def _rows(form: HomForm) -> Dict[IndexTuple, Dict[int, list]]:
+    """The stored components as index tuple -> {i: [(j, field)]}, j ascending."""
+    out: Dict[IndexTuple, Dict[int, list]] = {}
+    for (idx, i, j), f in form.components.items():
+        out.setdefault(idx, {}).setdefault(i, []).append((j, f))
+    return out
 
 
 def wedge(a: HomForm, b: HomForm) -> HomForm:
-    """Shuffle wedge with Hom(T,T) composition on the value slots."""
+    """Shuffle wedge with Hom(T,T) composition on the value slots.
+
+    Each shuffle block multiplies only the pairs a^i_t, b^t_j that are both
+    stored, summed over t ascending; the blocks are added in shuffle order."""
     if a.n != b.n or type(a.zero) is not type(b.zero):
         raise ChartError("wedge operands must live on the same chart backend")
     n = a.n
     p, q = a.degree, b.degree
     if p + q > n:
         return HomForm(n, p + q, a.zero)
+    rows_a, rows_b = _rows(a), _rows(b)
     comps = {}
     for out_idx in combinations(range(n), p + q):
-        for i in range(n):
-            for j in range(n):
-                acc = None
-                for a_pos in combinations(range(p + q), p):
-                    a_idx = tuple(out_idx[t] for t in a_pos)
-                    b_idx = tuple(out_idx[t] for t in range(p + q) if t not in a_pos)
-                    sign = _sort_with_sign(a_idx + b_idx)[1]
-                    term = None
-                    for t in range(n):
-                        piece = a.comp(a_idx, i, t) * b.comp(b_idx, t, j)
-                        term = piece if term is None else term + piece
-                    if sign == -1:
-                        term = term.scale(-1)
-                    acc = term if acc is None else acc + term
-                comps[(tuple(out_idx), i, j)] = acc
+        acc = {}
+        for a_pos in combinations(range(p + q), p):
+            a_idx = tuple(out_idx[t] for t in a_pos)
+            b_idx = tuple(out_idx[t] for t in range(p + q) if t not in a_pos)
+            a_rows, b_rows = rows_a.get(a_idx), rows_b.get(b_idx)
+            if not (a_rows and b_rows):
+                continue
+            block = {}
+            for i, row in a_rows.items():
+                for t, fa in row:
+                    for j, fb in b_rows.get(t, ()):
+                        piece = fa * fb
+                        block[i, j] = piece if (i, j) not in block else block[i, j] + piece
+            negate = _sort_with_sign(a_idx + b_idx)[1] == -1
+            for key, term in block.items():
+                if negate:
+                    term = term.scale(-1)
+                acc[key] = term if key not in acc else acc[key] + term
+        for i, j in sorted(acc):
+            comps[(out_idx, i, j)] = acc[i, j]
     return HomForm(n, p + q, a.zero, comps)
 
 
 def trace_form(omega: HomForm) -> HomForm:
-    """Contract the Hom value: (Tr w)_I = w^a_{I,a}."""
+    """Contract the Hom value: (Tr w)_I = w^a_{I,a}, summed over a ascending."""
     comps = {}
-    for idx in combinations(range(omega.n), omega.degree):
-        acc = None
-        for a in range(omega.n):
-            term = omega.comp(tuple(idx), a, a)
-            acc = term if acc is None else acc + term
-        comps[(tuple(idx),)] = acc
+    for (idx, i, j), f in omega.components.items():
+        if i == j:
+            comps[(idx,)] = f if (idx,) not in comps else comps[(idx,)] + f
     return HomForm(omega.n, omega.degree, omega.zero, comps, value_slots=0)
 
 

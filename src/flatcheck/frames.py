@@ -295,14 +295,24 @@ class FrameChart:
 class ConnectionField:
     """Components Gamma^i_{jk}: j differentiates, k picks the frame column.
     ``zero`` is the zero field of their backend, shared by every form built
-    from the connection, so the calculus needs no backend name."""
+    from the connection, so the calculus needs no backend name.
 
-    __slots__ = ("n", "zero", "gamma")
+    The support of Gamma is tabled once, in ascending order:
+    ``upper[i][r]`` holds the a with Gamma^i_{ra} not a literal zero, and
+    ``lower[r][l]`` the a with Gamma^a_{rl} not a literal zero.  A numeric
+    field is never a literal zero, so on that backend they hold every a.
+    """
+
+    __slots__ = ("n", "zero", "gamma", "upper", "lower")
 
     def __init__(self, n: int, zero: ScalarField, gamma: List[List[List[ScalarField]]]):
         self.n = n
         self.zero = zero
         self.gamma = gamma
+        span = range(n)
+        live = [[[not field_is_exactly_zero(f) for f in row] for row in plane] for plane in gamma]
+        self.upper = [[tuple(a for a in span if live[i][r][a]) for r in span] for i in span]
+        self.lower = [[tuple(a for a in span if live[a][r][l]) for l in span] for r in span]
 
     def comp(self, i: int, j: int, k: int) -> ScalarField:
         return self.gamma[i][j][k]
@@ -367,14 +377,44 @@ def dt_scalar(conn: ConnectionField, get: Callable[..., ScalarField],
     with a in slot s of the last term.  With no lower slot this vanishes
     exactly on the invariant fields of the parallelism (the frame
     columns).  Form indices a caller keeps out of ``lower`` stay inert.
+
+    The sums run over the support of Gamma (``conn.upper`` and
+    ``conn.lower``), in ascending a, and skip a product whose component
+    of t is a literal zero.  A sum or product with a literal-zero operand
+    returns the other operand, so the terms that are left meet in the
+    same order as in the full sum and the result is the same field, term
+    for term.
     """
     acc = get(i, *lower).diff(r)
-    slots = [(l, lower[:s], lower[s + 1:]) for s, l in enumerate(lower)]
-    for a in range(conn.n):
-        acc = acc - conn.comp(i, r, a) * get(a, *lower)
-        for l, before, after in slots:
-            acc = acc + conn.comp(a, r, l) * get(i, *before, a, *after)
+    upper = conn.upper[i][r]
+    slots = [(conn.lower[r][l], l, lower[:s], lower[s + 1:]) for s, l in enumerate(lower)]
+    for a in sorted(set(upper).union(*[support for support, *_ in slots])):
+        if a in upper:
+            t = get(a, *lower)
+            if not field_is_exactly_zero(t):
+                acc = acc - conn.comp(i, r, a) * t
+        for support, l, before, after in slots:
+            if a in support:
+                t = get(i, *before, a, *after)
+                if not field_is_exactly_zero(t):
+                    acc = acc + conn.comp(a, r, l) * t
     return acc
+
+
+def dt_reach(conn: ConnectionField, r: int, support) -> set:
+    """The values (i, *lower) at which ``dt_scalar`` in direction r can be
+    nonzero when ``get`` is a literal zero outside ``support``: the support
+    itself, and each value that one term of the covariant derivative
+    reaches from it through a Gamma entry that is not a literal zero."""
+    span = range(conn.n)
+    out = set(support)
+    for a, *rest in support:
+        out.update((i, *rest) for i in span if a in conn.upper[i][r])
+    for value in support:
+        for s in range(1, len(value)):
+            out.update((*value[:s], l, *value[s + 1:])
+                       for l in span if value[s] in conn.lower[r][l])
+    return out
 
 
 def torsion_components(conn: ConnectionField) -> Dict[Tuple[int, int, int], ScalarField]:
@@ -401,9 +441,12 @@ def curvature_tilde_components(conn: ConnectionField) -> Dict[Tuple[int, int, in
     n = conn.n
 
     def half(i, rr, jj, k):
+        # the a with both Gamma^a_{rr k} and Gamma^i_{jj a} not a literal zero
         acc = conn.comp(i, jj, k).diff(rr)
-        for a in range(n):
-            acc = acc + conn.comp(a, rr, k) * conn.comp(i, jj, a)
+        upper = conn.upper[i][jj]
+        for a in conn.lower[rr][k]:
+            if a in upper:
+                acc = acc + conn.comp(a, rr, k) * conn.comp(i, jj, a)
         return acc
 
     out = {}

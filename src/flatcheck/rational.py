@@ -128,17 +128,29 @@ class Poly:
         return res
 
     @staticmethod
+    def _single(n: int, mono: int, c: Fraction) -> Poly:
+        """c times the packed monomial ``mono``, without the checks of
+        ``__init__``: a zero, a constant or a variable."""
+        res = _new_object(Poly)
+        res.n = n
+        res.terms = {mono: c._numerator} if c else {}
+        res.denom = c._denominator
+        return res
+
+    @staticmethod
     def zero(n: int) -> Poly:
-        return Poly(n)
+        return Poly._single(n, 0, ZERO)
 
     @staticmethod
     def const(n: int, value) -> Poly:
-        c = Fraction(value)
-        return Poly(n, {(0,) * n: c} if c else None)
+        return Poly._single(n, 0, Fraction(value))
 
     @staticmethod
     def var(n: int, idx: int) -> Poly:
-        return Poly(n, {unit_mono(n, idx): ONE})
+        if not 0 <= idx < n:
+            raise ValueError(f"variable index {idx} out of range for n={n}")
+        # the degree field holds 1, the field of x_(idx+1) holds 1
+        return Poly._single(n, 1 << FIELD_BITS * n | 1 << FIELD_BITS * (n - 1 - idx), ONE)
 
     @property
     def coeffs(self) -> PolyDict:
@@ -169,9 +181,6 @@ class Poly:
 
     def is_const(self) -> bool:
         return not any(self.terms)
-
-    def const_value(self) -> Fraction:
-        return _fraction(self.terms.get(0, 0), self.denom)
 
     def degree(self) -> int:
         return max(self.terms, default=0) >> FIELD_BITS * self.n
