@@ -164,13 +164,6 @@ class HomForm:
     def is_exactly_zero(self) -> bool:
         return not self.components
 
-    def by_index(self) -> Dict[IndexTuple, Dict[tuple, ScalarField]]:
-        """The stored components as index tuple -> {value: field}."""
-        out: Dict[IndexTuple, Dict[tuple, ScalarField]] = {}
-        for (idx, *value), f in self.components.items():
-            out.setdefault(idx, {})[tuple(value)] = f
-        return out
-
     def max_abs(self, points: Sequence[Tuple[float, ...]]) -> float:
         return _grid_max(self.components.values(), points)
 
@@ -238,6 +231,14 @@ def d_lower(conn: ConnectionField, omega: HomForm) -> HomForm:
     return _alternated_differential(conn.transposed(), omega, dt_scalar, dt_reach)
 
 
+def _by_index(form: HomForm) -> Dict[IndexTuple, Dict[tuple, ScalarField]]:
+    """The stored components as index tuple -> {value: field}."""
+    out: Dict[IndexTuple, Dict[tuple, ScalarField]] = {}
+    for (idx, *value), f in form.components.items():
+        out.setdefault(idx, {})[tuple(value)] = f
+    return out
+
+
 def _alternated_differential(conn, omega: HomForm, scalar_op, reach) -> HomForm:
     """Sum over the out positions m of (-1)^m ``scalar_op`` in direction r_m
     of omega with r_m left out; the value slots of omega pass through.
@@ -249,7 +250,7 @@ def _alternated_differential(conn, omega: HomForm, scalar_op, reach) -> HomForm:
     n, p = omega.n, omega.degree
     if p >= n:
         return omega._like(p + 1)
-    by_index = omega.by_index()
+    by_index = _by_index(omega)
     zero = omega.zero
     comps = {}
     for out_idx in combinations(range(n), p + 1):

@@ -331,7 +331,11 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
     if chart.backend == "exact":
         einv = rf_matrix_inverse(chart.entries)
         zero = RationalFunc(Poly.zero(n))
-        gamma = [[[sum((chart.entries[i][a].diff(j) * einv[a][k] for a in range(n)), zero)
+        # (a, d_j e^i_a) for the a where it is not a literal zero: a product
+        # with a zero factor adds nothing to the sum
+        de = [[[(a, d) for a, d in enumerate(e.diff(j) for e in row) if d] for j in range(n)]
+              for row in chart.entries]
+        gamma = [[[sum((d * einv[a][k] for a, d in de[i][j] if einv[a][k]), zero)
                    for k in range(n)] for j in range(n)] for i in range(n)]
         return ConnectionField(n, zero, gamma)
 

@@ -7,8 +7,8 @@ below, each form that the report pipeline builds must have the same
 components, term for term (the same monomials and numerators in the same
 order, the same denominator, the same denominator factors in the same
 order), as the dense loops give on the same inputs.  A second test counts
-the products with a literal-zero operand: after the connection is built,
-a report forms none.
+the products with a literal-zero operand: once the frame is inverted, a
+report forms none.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import combinations, product as iproduct
 
 import pytest
 
-from flatcheck import forms
+from flatcheck import forms, frames
 from flatcheck.catalog import CHART_FACTS, get_chart
 from flatcheck.forms import (
     HomForm,
@@ -39,7 +39,7 @@ from flatcheck.frames import (
     field_is_exactly_zero,
     gamma_from_frame,
 )
-from flatcheck.rational import RationalFunc
+from flatcheck.rational import Poly, RationalFunc, rf_matrix_inverse
 
 from conftest import make_sl2mix4, make_sl2rational, make_unipotent4
 from test_geometry_oracle import SEEDS, build
@@ -143,6 +143,14 @@ def dense_curvature_tilde(conn) -> dict:
     return out
 
 
+def dense_gamma(chart) -> list:
+    n = chart.n
+    einv = rf_matrix_inverse(chart.entries)
+    zero = RationalFunc(Poly.zero(n))
+    return [[[sum((chart.entries[i][a].diff(j) * einv[a][k] for a in range(n)), zero)
+              for k in range(n)] for j in range(n)] for i in range(n)]
+
+
 # --- comparison -----------------------------------------------------------------
 
 def layout(f: RationalFunc) -> tuple:
@@ -163,6 +171,14 @@ def assert_same_form(form: HomForm, dense: dict):
     assert list(form.components) == sorted(nonzero)
     for key, f in nonzero.items():
         assert_same_field(form.components[key], f, key)
+
+
+def check_chart(chart):
+    conn = gamma_from_frame(chart)
+    want = dense_gamma(chart)
+    for i, j, k in iproduct(range(chart.n), repeat=3):
+        assert_same_field(conn.comp(i, j, k), want[i][j][k], (i, j, k))
+    check_geometry(conn)
 
 
 def check_geometry(conn):
@@ -215,12 +231,12 @@ STRESS = {"sl2rational": make_sl2rational, "unipotent4": make_unipotent4,
 
 @pytest.mark.parametrize("name", EXACT_CATALOG)
 def test_sparse_forms_match_the_dense_loops_on_the_catalog(name):
-    check_geometry(gamma_from_frame(get_chart(name)))
+    check_chart(get_chart(name))
 
 
 @pytest.mark.parametrize("name", STRESS)
 def test_sparse_forms_match_the_dense_loops_on_the_stress_charts(name):
-    check_geometry(gamma_from_frame(STRESS[name]()))
+    check_chart(STRESS[name]())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -230,25 +246,32 @@ def test_sparse_forms_match_the_dense_loops_on_random_frames(seed):
 
 
 def test_a_sum_keeps_canonical_order_and_drops_cancelled_components():
-    conn = gamma_from_frame(make_unipotent4())
+    conn = gamma_from_frame(make_sl2mix4())
     r = curvature_form(conn)
     t = torsion_form(conn)
-    # T^T holds keys that d~T lacks, and the structure equation cancels both
-    lhs = d_tilde(conn, t) + wedge(t, t)
+    dt, tt = d_tilde(conn, t), wedge(t, t)
+    assert set(tt.components) - set(dt.components)  # the sum must insert, not append
+    lhs = dt + tt
     assert list(lhs.components) == sorted(lhs.components)
     assert (lhs + r.scale(-global_structure_sign())).is_exactly_zero()
+
+
+def test_only_the_support_is_stored():
+    r = curvature_form(gamma_from_frame(make_unipotent4()))
+    # 6 of the 96 components of unipotent4's curvature are nonzero
+    assert len(r.components) == 6
     assert all(not field_is_exactly_zero(f) for f in r.components.values())
-    assert 0 < len(r.components) < r.n * r.n * 6
 
 
 # --- no product with a literal-zero operand --------------------------------------
 
 @pytest.mark.parametrize("name", ["unipotent4", "sl2mix4"])
 def test_a_report_forms_no_product_with_a_zero_operand(name, monkeypatch):
+    """From the inverse frame on: Gamma, the forms, the residuals."""
     chart = STRESS[name]()
     global_structure_sign()  # the calibration builds its own connection first
     armed, zero_products, products = [], [], []
-    original_mul = RationalFunc.__mul__
+    original_mul, original_inverse = RationalFunc.__mul__, frames.rf_matrix_inverse
 
     def counted(self, other):
         if armed:
@@ -257,13 +280,13 @@ def test_a_report_forms_no_product_with_a_zero_operand(name, monkeypatch):
                 zero_products.append((self, other))
         return original_mul(self, other)
 
-    def connection(chart):
-        conn = gamma_from_frame(chart)
+    def inverse(matrix):
+        einv = original_inverse(matrix)
         armed.append(1)
-        return conn
+        return einv
 
     monkeypatch.setattr(RationalFunc, "__mul__", counted)
-    monkeypatch.setattr(forms, "gamma_from_frame", connection)
+    monkeypatch.setattr(frames, "rf_matrix_inverse", inverse)
     report = forms.identity_report(chart, grid_points=3)
     assert armed and products
     assert zero_products == []
