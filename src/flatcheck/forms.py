@@ -356,20 +356,27 @@ def nabla_torsion_minus_curvature(conn: ConnectionField, sign: int,
     with form pair (k, j) and value slot d, which is the arrangement that
     the calibrated sign closes exactly; with the opposite pairing the two
     sides agree up to the global sign instead.
+
+    Only the (d, i, j, k) that the support of T, Gamma and R can reach are
+    computed, in loop order; every other component is a literal zero and
+    is left out.
     """
-    n = conn.n
+    # the support of the torsion tensor, keyed (i, j, k) as t_get reads it
+    support = {(i, j, k) for (j,), i, k in t.components}
 
     def t_get(i, j, k):
         return t.comp((j,), i, k)
 
     out = []
-    for d in range(n):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = dt_scalar(conn, t_get, d, i, j, k)
-                    rhs = r.comp((k, j), i, d)
-                    out.append(lhs - (rhs if sign == 1 else rhs.scale(-1)))
+    for d in range(conn.n):
+        reached = dt_reach(conn, d, support)
+        for (a, b), i, value in r.components:
+            if value == d:
+                reached.update(((i, a, b), (i, b, a)))
+        for i, j, k in sorted(reached):
+            lhs = dt_scalar(conn, t_get, d, i, j, k)
+            rhs = r.comp((k, j), i, d)
+            out.append(lhs - (rhs if sign == 1 else rhs.scale(-1)))
     return out
 
 

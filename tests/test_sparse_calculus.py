@@ -143,6 +143,16 @@ def dense_curvature_tilde(conn) -> dict:
     return out
 
 
+def dense_nabla_torsion(conn, sign, t, r) -> list:
+    n = conn.n
+    out = []
+    for d, i, j, k in iproduct(range(n), repeat=4):
+        lhs = dense_dt_scalar(conn, lambda i, j, k: t.comp((j,), i, k), d, i, j, k)
+        rhs = r.comp((k, j), i, d)
+        out.append(lhs - (rhs if sign == 1 else rhs.scale(-1)))
+    return out
+
+
 def dense_gamma(chart) -> list:
     n = chart.n
     einv = rf_matrix_inverse(chart.entries)
@@ -223,6 +233,15 @@ def check_geometry(conn):
     assert_same_form(trace_form(t3), dense_trace(t3))
     assert_same_form(de_rham(trace_form(t3)), dense_de_rham(trace_form(t3)))
 
+    # nabla T - sR, and the same with the other sign, which does not close
+    for sign in (1, -1):
+        got = forms.nabla_torsion_minus_curvature(conn, sign, t, r)
+        want = dense_nabla_torsion(conn, sign, t, r)
+        got, want = ([f for f in fields if not field_is_exactly_zero(f)] for fields in (got, want))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_field(g, w, "nabla")
+
 
 EXACT_CATALOG = [name for name in CHART_FACTS if get_chart(name).backend == "exact"]
 STRESS = {"sl2rational": make_sl2rational, "unipotent4": make_unipotent4,
@@ -254,6 +273,18 @@ def test_a_sum_keeps_canonical_order_and_drops_cancelled_components():
     lhs = dt + tt
     assert list(lhs.components) == sorted(lhs.components)
     assert (lhs + r.scale(-global_structure_sign())).is_exactly_zero()
+
+
+def test_the_nabla_torsion_residual_keeps_curvature_outside_the_torsion_support():
+    # with no torsion, the residual is -sR: a broken identity must still show
+    conn = gamma_from_frame(make_sl2mix4())
+    r = curvature_form(conn)
+    t = HomForm(conn.n, 1, conn.zero)
+    for sign in (1, -1):
+        got, want = ([layout(f) for f in fields if not field_is_exactly_zero(f)] for fields in
+                     (forms.nabla_torsion_minus_curvature(conn, sign, t, r),
+                      dense_nabla_torsion(conn, sign, t, r)))
+        assert got == want and len(got) == 2 * len(r.components)
 
 
 def test_only_the_support_is_stored():
