@@ -382,9 +382,9 @@ def dt_scalar(conn: ConnectionField, get: Callable[..., ScalarField],
     exactly on the invariant fields of the parallelism (the frame
     columns).  Form indices a caller keeps out of ``lower`` stay inert.
 
-    The sums run over the support of Gamma (``conn.upper`` and
-    ``conn.lower``), in ascending a, and skip a product whose component
-    of t is a literal zero.  A sum or product with a literal-zero operand
+    The sums form products only on the support of Gamma (``conn.upper``
+    and ``conn.lower``), and skip a product whose component of t is a
+    literal zero.  A sum or product with a literal-zero operand
     returns the other operand, so the terms that are left meet in the
     same order as in the full sum and the result is the same field, term
     for term.
@@ -392,7 +392,7 @@ def dt_scalar(conn: ConnectionField, get: Callable[..., ScalarField],
     acc = get(i, *lower).diff(r)
     upper = conn.upper[i][r]
     slots = [(conn.lower[r][l], l, lower[:s], lower[s + 1:]) for s, l in enumerate(lower)]
-    for a in sorted(set(upper).union(*[support for support, *_ in slots])):
+    for a in range(conn.n):
         if a in upper:
             t = get(a, *lower)
             if not field_is_exactly_zero(t):
@@ -409,15 +409,21 @@ def dt_reach(conn: ConnectionField, r: int, support) -> set:
     """The values (i, *lower) at which ``dt_scalar`` in direction r can be
     nonzero when ``get`` is a literal zero outside ``support``: the support
     itself, and each value that one term of the covariant derivative
-    reaches from it through a Gamma entry that is not a literal zero."""
-    span = range(conn.n)
+    reaches from it through a Gamma entry that is not a literal zero.
+
+    The tables of ``conn`` read backwards give the reach: ``lower[r][a]``
+    holds the i with Gamma^i_{ra} not zero (the upper term moves a to i),
+    and ``upper[a][r]`` the l with Gamma^a_{rl} not zero (a lower term
+    moves a to l).  A support that holds every value reaches nothing more;
+    the numeric backend, whose fields are never literal zeros, gives one."""
     out = set(support)
+    if len(out) == conn.n ** len(next(iter(out), ())):
+        return out
     for a, *rest in support:
-        out.update((i, *rest) for i in span if a in conn.upper[i][r])
+        out.update((i, *rest) for i in conn.lower[r][a])
     for value in support:
         for s in range(1, len(value)):
-            out.update((*value[:s], l, *value[s + 1:])
-                       for l in span if value[s] in conn.lower[r][l])
+            out.update((*value[:s], l, *value[s + 1:]) for l in conn.upper[value[s]][r])
     return out
 
 
