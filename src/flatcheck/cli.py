@@ -14,10 +14,11 @@ Subcommands:
 
 Exit codes: 1 = bad input.  For ``geom report``, 0 = ran and all
 identity residuals pass (the homogeneity verdict is data, not an error),
-3 = an identity residual or the sign calibration failed.  ``chern-simons``
-computes only the structure residual (it fixes the sign) and the
-transgression residual: 0 = the sign calibration and the transgression
-residual (at most ``--tol2``) passed, 3 = one of them failed.  Reports
+3 = an identity residual failed, or the structure sign did not close the
+structure equation (a ``sign-calibration-failure`` document).
+``chern-simons`` computes only the structure residual (it checks the
+sign) and the transgression residual: 0 = both passed (the transgression
+residual at most ``--tol2``), 3 = one of them failed.  Reports
 are byte-deterministic for a fixed configuration and seed: keys are
 emitted in a fixed order, floats are normalized to 17 significant
 digits, exact rationals print as "num/den" strings.

@@ -28,12 +28,12 @@ the same order as by the full loops: the same terms in the same order,
 and the same floats on a grid.  A numeric field is never a literal zero,
 so numeric forms store, and the loops visit, every component.
 
-Sign calibration: transcribing the curvature, torsion and wedge
-conventions by hand leaves one global sign ambiguous in the structure
-equation d~T + T^T = s.R.  The module determines s once, on the deformed
-reference chart with exact arithmetic, and every report asserts that the
-same s closes the whole identity suite on its chart; a chart where it
-does not raises ``CalibrationError`` carrying the residuals of both signs.
+The structure sign: the curvature, torsion and wedge conventions as
+transcribed here fix the sign s in the structure equation d~T + T^T = s.R
+once and for all; no chart changes it.  It is ``STRUCTURE_SIGN``, and
+every report checks that it closes the structure equation on its chart; a
+chart where it does not raises ``CalibrationError`` carrying the residuals
+of both signs.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from functools import cache
 from itertools import combinations
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .catalog import get_chart
 from .frames import (
     ChartError,
     ConnectionField,
@@ -63,9 +62,14 @@ from .rational import RationalGrid
 
 IndexTuple = Tuple[int, ...]
 
+# The s of d~T + T^T = s.R, set by this code's index conventions; on
+# deformed2 it is the one sign that closes the equation as a literal zero
+# (tests/test_forms.py::test_structure_sign_closes_deformed2).
+STRUCTURE_SIGN = -1
+
 
 class CalibrationError(RuntimeError):
-    """No single sign closes the structure equation on this chart.
+    """``STRUCTURE_SIGN`` does not close the structure equation on this chart.
 
     A reportable finding rather than a crash: both residual tables ride
     along for inspection.
@@ -354,8 +358,8 @@ def nabla_torsion_minus_curvature(conn: ConnectionField, sign: int,
     The torsion is differentiated as a full (1,2)-tensor.  The curvature
     component paired with direction d and torsion slots (j, k) is the one
     with form pair (k, j) and value slot d, which is the arrangement that
-    the calibrated sign closes exactly; with the opposite pairing the two
-    sides agree up to the global sign instead.
+    ``STRUCTURE_SIGN`` closes exactly; with the opposite pairing the two
+    sides agree up to the sign instead.
 
     Only the (d, i, j, k) that the support of T, Gamma and R can reach are
     computed, in loop order; every other component is a literal zero and
@@ -384,27 +388,6 @@ def scalars_residual(fields: Sequence[ScalarField], points) -> float:
     return 0.0 if all(map(field_is_exactly_zero, fields)) else _grid_max(fields, points)
 
 
-_GLOBAL_SIGN: int | None = None
-
-
-def global_structure_sign() -> int:
-    """The sign s with d~T + T^T = s.R, fixed once on the reference chart."""
-    global _GLOBAL_SIGN
-    if _GLOBAL_SIGN is None:
-        chart = get_chart("deformed2")
-        conn = gamma_from_frame(chart)
-        t = torsion_form(conn)
-        r = curvature_form(conn)
-        lhs = d_tilde(conn, t) + wedge(t, t)
-        plus = (lhs - r).is_exactly_zero()
-        minus = (lhs + r).is_exactly_zero()
-        if plus == minus:
-            raise CalibrationError("deformed2", {"structure": float(not plus)},
-                                   {"structure": float(not minus)})
-        _GLOBAL_SIGN = 1 if plus else -1
-    return _GLOBAL_SIGN
-
-
 class _Geometry(NamedTuple):
     report: dict
     torsion: HomForm
@@ -417,7 +400,7 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
     curvature of the chart, each wedge built once, and the residual table.
 
     With ``full`` false it builds only what ``chern_simons_report`` prints:
-    the structure residual (for the calibrated sign, which may raise
+    the structure residual (for ``STRUCTURE_SIGN``, which may raise
     ``CalibrationError``), the transgression residual and the verdict.  The
     residuals of R~, d~(sR), the Bianchi identity and nabla T are then
     left out of the table, and so is ``max_R`` on the exact backend, whose
@@ -440,10 +423,10 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
     def structure_residual(s: int) -> float:
         return form_residual(lhs - r if s == 1 else lhs + r, points)
 
-    sign = global_structure_sign()
+    sign = STRUCTURE_SIGN
     res_structure = residuals["structure"] = structure_residual(sign)
     if res_structure > tol:
-        # the calibrated sign fails here; the other one only fills the report
+        # the structure sign fails here; the other one only fills the report
         res_other = structure_residual(-sign)
         plus, minus = (res_structure, res_other) if sign == 1 else (res_other, res_structure)
         raise CalibrationError(chart.name, {"structure": plus}, {"structure": minus})
@@ -483,9 +466,10 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
 def identity_report(chart: FrameChart, tol: float = 1e-6, grid_points: int = 5) -> dict:
     """Compute the full residual table for one chart.
 
-    Returns the report dictionary; raises CalibrationError when the
-    calibrated sign does not close the structure equation on this chart,
-    where a sign passes when its structure residual is at most ``tol``.
+    Returns the report dictionary, whose ``sign`` is ``STRUCTURE_SIGN``;
+    raises CalibrationError when that sign does not close the structure
+    equation on this chart, that is when its structure residual exceeds
+    ``tol``.
     The homogeneity verdict is data, never an error: on the exact backend
     it is "every R component is the zero normal form", on the numeric
     backend "max |R| on the grid is at most ``tol``".
@@ -502,19 +486,17 @@ def identity_residuals_pass(report: dict, tol: float, tol2: float) -> bool:
             and all(res[k] <= tol2 for k in second_order))
 
 
-def trace_powers(chart: FrameChart, max_i: int, sign: int | None = None) -> dict:
+def trace_powers(chart: FrameChart, max_i: int) -> dict:
     """Tr(R^i) (degree 2i) and Tr(T^i) (degree i) for 1 <= i <= max_i.
 
     Powers whose degree exceeds the chart dimension come back as zero
-    forms.  The curvature is taken with the calibrated sign so that the
+    forms.  The curvature is taken with ``STRUCTURE_SIGN`` so that the
     traces are the ones whose closures the report verifies.
     """
     conn = gamma_from_frame(chart)
     t = torsion_form(conn)
     r = curvature_form(conn)
-    if sign is None:
-        sign = global_structure_sign()
-    if sign == -1:
+    if STRUCTURE_SIGN == -1:
         r = r.scale(-1)
     out = {"R": [], "T": []}
     for i in range(1, max_i + 1):
@@ -542,7 +524,7 @@ def secondary_class_check(chart: FrameChart, i: int, tol: float = 1e-6,
     but the closedness flag stays unset (None): the secondary classes are
     only classes when the curvature vanishes.  This runs the part of the
     ``identity_report`` pipeline that the verdict and the closedness need
-    (validation, the calibrated structure residual, the transgression):
+    (validation, the structure residual, the transgression):
     it raises what that part raises, ``CalibrationError`` included.
     """
     return _secondary_class(_geometry(chart, tol, grid_points, full=False), i, tol2)
@@ -555,8 +537,8 @@ def chern_simons_report(chart: FrameChart, tol: float = 1e-6, tol2: float = 1e-4
     Builds only what it returns: the residuals of R~, d~(sR), the Bianchi
     identity and nabla T are never computed, so a value that is not
     finite in them alone raises nothing here.  The structure residual is
-    still evaluated, because it gates the sign: ``CalibrationError`` is
-    raised as in ``identity_report``."""
+    still evaluated, because it checks ``STRUCTURE_SIGN`` on this chart:
+    ``CalibrationError`` is raised as in ``identity_report``."""
     geo = _geometry(chart, tol, grid_points, full=False)
     form, closed = _secondary_class(geo, 1, tol2)
     report = geo.report

@@ -278,16 +278,6 @@ class FrameChart:
             raise ChartError(error)
         return e
 
-    def rescaled_by_constant(self, matrix: Sequence[Sequence]) -> FrameChart:
-        """Right-multiply the frame by a constant invertible matrix."""
-        if self.backend != "exact":
-            raise ChartError("constant rescaling implemented for exact charts")
-        const = [[RationalFunc(Poly.const(self.n, v)) for v in row] for row in matrix]
-        new_entries = [[sum((self.entries[i][t] * const[t][a] for t in range(self.n)),
-                            RationalFunc(Poly.zero(self.n)))
-                        for a in range(self.n)] for i in range(self.n)]
-        return FrameChart(self.name + "-rescaled", self.n, self.domain, entries=new_entries)
-
     def __repr__(self):
         return f"FrameChart({self.name!r}, n={self.n}, backend={self.backend})"
 

@@ -66,8 +66,7 @@ class LieAlgebra:
     entry.
     """
 
-    def __init__(self, dim: int, brackets: dict[tuple[int, int], Sequence] | None = None,
-                 validate: bool = True):
+    def __init__(self, dim: int, brackets: dict[tuple[int, int], Sequence] | None = None):
         """``brackets[(i, j)]`` holds [x_i, x_j] as a coefficient vector, i < j."""
         self.dim = dim
         self.c: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
@@ -82,8 +81,7 @@ class LieAlgebra:
                 if entries:
                     self.c[(i, j)] = entries
                     self.c[(j, i)] = tuple((k, -x) for k, x in entries)
-        if validate:
-            self._validate_jacobi()
+        self._validate_jacobi()
 
     def bracket(self, v: Sequence[Fraction], w: Sequence[Fraction]) -> List[Fraction]:
         out = [Fraction(0)] * self.dim
@@ -145,7 +143,7 @@ class Subalgebra:
     reduced row echelon form, computed once.
     """
 
-    def __init__(self, algebra: LieAlgebra, basis: Sequence[Sequence], validate: bool = True):
+    def __init__(self, algebra: LieAlgebra, basis: Sequence[Sequence]):
         self.algebra = algebra
         self.basis = _frac_rows(basis)
         for row in self.basis:
@@ -155,8 +153,7 @@ class Subalgebra:
         if len(self._echelon) != len(self.basis):
             raise LiePairError("subalgebra basis is linearly dependent")
         self._pivots = [pivot(row) for row in self._echelon]
-        if validate:
-            self._validate_closed()
+        self._validate_closed()
 
     @classmethod
     def _from_echelon(cls, algebra: LieAlgebra, echelon: List[List[Fraction]]) -> Subalgebra:
@@ -186,8 +183,7 @@ class Subalgebra:
 class Representation:
     """Matrices rho(b) for each basis vector b of a Lie algebra h."""
 
-    def __init__(self, algebra: LieAlgebra, matrices: Sequence[Sequence[Sequence]],
-                 validate: bool = True):
+    def __init__(self, algebra: LieAlgebra, matrices: Sequence[Sequence[Sequence]]):
         self.algebra = algebra
         self.matrices = [_frac_rows(m) for m in matrices]
         if len(self.matrices) != algebra.dim:
@@ -197,8 +193,7 @@ class Representation:
         for m in self.matrices:
             if len(m) != self.space_dim or any(len(row) != self.space_dim for row in m):
                 raise LiePairError("representation matrices must be square and equally sized")
-        if validate:
-            self._validate_law()
+        self._validate_law()
 
     def apply(self, v: Sequence[Fraction]) -> List[List[Fraction]]:
         out = [[Fraction(0)] * self.space_dim for _ in range(self.space_dim)]

@@ -731,6 +731,9 @@ def parse_rational(text: str) -> Fraction:
 # parts) or RationalFuncs (frames); the code uses only +, -, *, ONE / x and
 # truth tests, which both fields provide.  The pivot is always the first
 # nonzero entry of its column, so results keep reproducible normal forms.
+# Where the pivot row holds a zero, the entry is left as it is: 0 * inv and
+# a - f * 0 give back the same value, and a sparse frame is spared every
+# product with a zero operand.
 
 Matrix = list  # rows of Fraction or of RationalFunc
 
@@ -760,17 +763,13 @@ def row_echelon(rows: Matrix) -> Matrix:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv = ONE / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        mat[r] = [x * inv if x else x for x in mat[r]]
         for i, row in enumerate(mat):
             if i != r and row[c]:
                 f = row[c]
-                mat[i] = [a - f * b for a, b in zip(row, mat[r])]
+                mat[i] = [a - f * b if b else a for a, b in zip(row, mat[r])]
         r += 1
     return mat[:r]
-
-
-def rank(rows: Matrix) -> int:
-    return len(row_echelon(rows))
 
 
 def nullspace(rows: Matrix, ncols: int) -> Matrix:
@@ -841,5 +840,5 @@ def matrix_determinant(mat: Matrix):
         for r in range(col + 1, size):
             if work[r][col]:
                 factor = work[r][col] * inv
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+                work[r] = [a - factor * b if b else a for a, b in zip(work[r], work[col])]
     return det

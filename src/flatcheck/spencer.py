@@ -204,12 +204,6 @@ class JetField:
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.components.values())
 
-    def project(self, r: int) -> JetField:
-        if not 0 <= r <= self.k:
-            raise JetError(f"projection order {r} outside [0, {self.k}]")
-        comps = {key: f for key, f in self.components.items() if sum(key[1]) <= r}
-        return JetField(self.n, r, comps)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, JetField) or self.n != other.n or self.k != other.k:
             return False

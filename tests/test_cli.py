@@ -921,6 +921,23 @@ def test_exact_commands_do_not_import_numpy():
     assert (lines[0], lines[-1]) == ("False", "False")
 
 
+def test_a_report_builds_one_connection():
+    # the structure sign is a constant: a fresh process builds the
+    # connection of the chart it reports on, and no other
+    code = ("import sys, flatcheck.cli as cli, flatcheck.forms as forms\n"
+            "built = []\n"
+            "real = forms.gamma_from_frame\n"
+            "def counted(chart):\n"
+            "    built.append(chart.name)\n"
+            "    return real(chart)\n"
+            "forms.gamma_from_frame = counted\n"
+            "assert cli.main(['geom', 'report', '--builtin', 'abelian2']) == 0\n"
+            "print(built)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['abelian2']"
+
+
 # the flatcheck modules each command family loads; a cold process pays for
 # the import of every one, so a new module-level import shows up here
 _CHART_MODULES = {"rational", "frames", "charts_io", "forms"}

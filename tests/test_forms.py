@@ -14,13 +14,13 @@ import pytest
 
 from flatcheck.catalog import get_chart
 from flatcheck.forms import (
+    STRUCTURE_SIGN,
     CalibrationError,
     HomForm,
     curvature_form,
     d_lower,
     d_tilde,
     de_rham,
-    global_structure_sign,
     identity_report,
     identity_residuals_pass,
     secondary_class_check,
@@ -248,7 +248,7 @@ def test_d_lower_minus_d_tilde_is_torsion_contraction():
 
 
 def test_bianchi_on_catalog_and_generic_charts():
-    sign = global_structure_sign()
+    sign = STRUCTURE_SIGN
     for chart in (get_chart("abelian2"), get_chart("deformed2"),
                   get_chart("heisenberg3"), get_chart("hyperbolic2"),
                   make_unipotent4(), make_sl2rational()):
@@ -273,9 +273,16 @@ def test_trace_intertwines_both_differentials():
 
 # --- the report ----------------------------------------------------------------
 
-def test_global_sign_is_stable():
-    assert global_structure_sign() in (-1, 1)
-    assert global_structure_sign() == global_structure_sign()
+def test_structure_sign_closes_deformed2():
+    # on the curved reference chart exactly one sign closes
+    # d~T + T^T = sR as a literal zero, and it is the module's constant
+    conn = gamma_from_frame(get_chart("deformed2"))
+    t = torsion_form(conn)
+    r = curvature_form(conn)
+    assert not r.is_exactly_zero()
+    lhs = d_tilde(conn, t) + wedge(t, t)
+    closing = [s for s, residual in ((1, lhs - r), (-1, lhs + r)) if residual.is_exactly_zero()]
+    assert closing == [STRUCTURE_SIGN]
 
 
 def test_report_abelian():
@@ -318,7 +325,7 @@ def test_transgression_with_nonzero_target():
     from conftest import make_sl2mix4
     chart = make_sl2mix4()
     conn = gamma_from_frame(chart)
-    sign = global_structure_sign()
+    sign = STRUCTURE_SIGN
     sr = curvature_form(conn).scale(sign)
     t = torsion_form(conn)
     target = trace_form(wedge(sr, sr))
@@ -431,13 +438,13 @@ def test_residual_of_non_finite_field_raises():
 
 
 def test_calibration_failure_reports_both_signs(monkeypatch):
-    # with the calibrated sign flipped the structure equation fails on a
+    # with the structure sign flipped the structure equation fails on a
     # curved chart; the error still carries the residual of each sign
     import flatcheck.forms as forms_mod
     chart = get_chart("deformed2")
     max_r = identity_report(chart)["max_R"]
-    sign = global_structure_sign()
-    monkeypatch.setattr(forms_mod, "global_structure_sign", lambda: -sign)
+    sign = STRUCTURE_SIGN
+    monkeypatch.setattr(forms_mod, "STRUCTURE_SIGN", -sign)
     with pytest.raises(CalibrationError) as info:
         identity_report(chart)
     by_sign = {1: info.value.residual_plus, -1: info.value.residual_minus}

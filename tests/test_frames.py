@@ -236,7 +236,10 @@ def test_curvature_finite_difference_cross_check():
 
 def test_gamma_invariant_under_constant_right_factor():
     chart = get_chart("deformed2")
-    rescaled = chart.rescaled_by_constant([[2, 1], [1, 1]])
+    const = [[2, 1], [1, 1]]
+    entries = [[chart.entries[i][0].scale(const[0][a]) + chart.entries[i][1].scale(const[1][a])
+                for a in range(2)] for i in range(2)]
+    rescaled = FrameChart("deformed2-rescaled", 2, chart.domain, entries=entries)
     conn = gamma_from_frame(chart)
     conn2 = gamma_from_frame(rescaled)
     for i in range(2):

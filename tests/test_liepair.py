@@ -190,7 +190,7 @@ def test_effective_check_gl2_center():
     assert not ok
     # witness spans the center (the identity matrix direction)
     assert len(witness) == 1
-    assert Subalgebra(g, witness, validate=False).contains([1, 0, 0, 0])
+    assert Subalgebra(g, witness).contains([1, 0, 0, 0])
 
 
 def test_witness_is_an_ideal_inside_h():
@@ -202,7 +202,7 @@ def test_witness_is_an_ideal_inside_h():
         for w in witness:
             assert h.contains(w)
             for b in range(g.dim):
-                assert Subalgebra(g, witness, validate=False).contains(
+                assert Subalgebra(g, witness).contains(
                     g.bracket(w, g.basis_vector(b))), name
 
 

@@ -19,8 +19,8 @@ from flatcheck.rational import (
     RationalFunc,
     matrix_determinant,
     nullspace,
-    rank,
     rf_matrix_inverse,
+    row_echelon,
     solve_in_basis,
 )
 
@@ -154,6 +154,30 @@ def test_singular_inverse_raises(field, seed):
         rf_matrix_inverse(m)
 
 
+def test_sparse_elimination_multiplies_no_zero(monkeypatch):
+    # a zero entry is left as it is, so a sparse frame costs no product
+    # with a zero operand; the results still match sympy
+    rng = random.Random(7)
+    zero = RationalFunc(Poly.zero(NVARS))
+    m = [[rand_rf(rng) if j in (i - 1, i) else zero for j in range(4)] for i in range(4)]
+    zero_products = []
+    original = RationalFunc.__mul__
+
+    def counted(self, other):
+        if self.is_zero() or other.is_zero():
+            zero_products.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(RationalFunc, "__mul__", counted)
+    det = matrix_determinant(m)
+    inv = rf_matrix_inverse(m)
+    assert zero_products == []
+    assert to_field(det) == sympy_det(m)
+    cols = list(zip(*m))
+    for i, row in enumerate(inv):
+        assert [dot(row, col) for col in cols] == [K.one if j == i else K.zero for j in range(4)]
+
+
 # --- rank and nullspace ------------------------------------------------------
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -164,7 +188,7 @@ def test_nullspace_dimension_and_annihilation(field, seed):
     shape = (4, 5) if field == "Q" else (3, 3)
     for r in range(1, shape[0] + 1):
         m = low_rank(rng, make, shape[0], shape[1], r)
-        rk = rank(m)
+        rk = len(row_echelon(m))
         if field == "Q":
             assert rk == domain_matrix(m).rank()
         kernel = nullspace(m, shape[1])
@@ -181,7 +205,7 @@ def test_solve_in_basis(field, seed):
     rng = random.Random(seed)
     make, scalar = FIELDS[field]
     basis = make(rng, 2, 3)
-    assert rank(basis) == 2
+    assert len(row_echelon(basis)) == 2
     coeffs = [scalar(rng), scalar(rng)]
     got = solve_in_basis(basis, combine(coeffs, basis))
     assert got is not None

@@ -21,6 +21,7 @@ import pytest
 from flatcheck import forms, frames
 from flatcheck.catalog import CHART_FACTS, get_chart
 from flatcheck.forms import (
+    STRUCTURE_SIGN,
     HomForm,
     _sort_with_sign,
     curvature_form,
@@ -28,7 +29,6 @@ from flatcheck.forms import (
     d_lower,
     d_tilde,
     de_rham,
-    global_structure_sign,
     torsion_form,
     trace_form,
     wedge,
@@ -211,7 +211,7 @@ def check_geometry(conn):
     for form, raw in ((r, curvature_components(conn)), (rt, curvature_tilde_components(conn))):
         assert_same_form(form, {((a, b), i, k): f for (i, a, b, k), f in raw.items() if a < b})
 
-    sr = r if global_structure_sign() == 1 else r.scale(-1)
+    sr = r if STRUCTURE_SIGN == 1 else r.scale(-1)
     tt = wedge(t, t)
     assert_same_form(tt, dense_wedge(t, t))
     assert_same_form(d_tilde(conn, t), dense_d_tilde(conn, t))
@@ -272,7 +272,7 @@ def test_a_sum_keeps_canonical_order_and_drops_cancelled_components():
     assert set(tt.components) - set(dt.components)  # the sum must insert, not append
     lhs = dt + tt
     assert list(lhs.components) == sorted(lhs.components)
-    assert (lhs + r.scale(-global_structure_sign())).is_exactly_zero()
+    assert (lhs + r.scale(-STRUCTURE_SIGN)).is_exactly_zero()
 
 
 def test_the_nabla_torsion_residual_keeps_curvature_outside_the_torsion_support():
@@ -300,7 +300,6 @@ def test_only_the_support_is_stored():
 def test_a_report_forms_no_product_with_a_zero_operand(name, monkeypatch):
     """From the inverse frame on: Gamma, the forms, the residuals."""
     chart = STRESS[name]()
-    global_structure_sign()  # the calibration builds its own connection first
     armed, zero_products, products = [], [], []
     original_mul, original_inverse = RationalFunc.__mul__, frames.rf_matrix_inverse
 
