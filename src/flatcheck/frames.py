@@ -21,9 +21,10 @@ Two scalar-field backends implement the same operations:
   five-point central stencils (step ``FD_STEP`` at the first level,
   ``FD_STEP2`` for nested levels), for charts with entries like exp or
   sin that have no rational form.  A numeric field is evaluated on a
-  whole batch of points at once (the grid, or the grid shifted by a
-  stencil step), and its cache holds one array per batch, not one value
-  per point.
+  whole batch of points at once: a stack of equal blocks of rows (the
+  grid, or the grid shifted by stencil steps), so that a stencil costs
+  one call, not four.  Its cache holds one array per block, not one value
+  per point, so no block is evaluated twice whatever stacks it comes in.
 
 Charts are bounded: at most ``MAX_DIM`` dimensions, and at most
 ``MAX_GRID_POINTS`` points on an evaluation grid.
@@ -49,6 +50,11 @@ class ChartError(ValueError):
 FD_STEP = 1e-4
 FD_STEP2 = 1e-3
 MAX_GRID_POINTS = 4096
+# the most rows that a stencil, or the numeric connection, passes on in one
+# call: past a few thousand rows the arrays leave the CPU caches (on a
+# 2-core Xeon, the frame of forced-numeric abelian4 took three times as
+# long per row on 42,500 rows as on 2,500)
+STACK_ROWS = 2048
 
 
 def check_dim(n: int) -> None:
@@ -56,31 +62,39 @@ def check_dim(n: int) -> None:
         raise ChartError(f"chart dimension {n} is outside 1..{MAX_DIM}")
 
 
-# (points, points.tobytes()) -> the values at the m rows of the (m, n) batch
-BatchFn = Callable[["np.ndarray", bytes], "np.ndarray"]
+# (stack, keys) -> the values at the rows of a stack of k blocks of m
+# points, a (k*m, n) array; keys[b] is block b's tobytes(), the key of its
+# values in the caches of the fields evaluated on it
+BatchFn = Callable[["np.ndarray", Tuple[bytes, ...]], "np.ndarray"]
 
 
 class NumericScalar:
     """A float-valued field known only through evaluation.
 
-    ``fn(points, key)`` maps a batch of points, an (m, n) float array with
-    one point per row, to its m values; ``key`` is ``points.tobytes()``,
-    for passing on to the fields that ``fn`` evaluates on the same batch.
-    Sums, differences, products, scalings and derivatives act on whole
-    arrays, and the stencil of ``diff(r)`` shifts column r of the batch.
-    ``eval_float`` is a batch of one row.
+    ``fn(stack, keys)`` maps a stack of k blocks of m points, a (k*m, n)
+    float array with one point per row, to its k*m values.  Block b is
+    rows b*m to (b+1)*m, and ``keys[b]`` is its ``tobytes()``, for passing
+    on to the fields that ``fn`` evaluates on the same stack.  Sums,
+    differences, products, scalings and derivatives act on whole arrays,
+    and the stencil of ``diff(r)`` asks its operand in one call for every
+    block shifted in column r (``five_point``).  ``values`` is a stack of
+    one block, and ``eval_float`` a block of one row.
 
     ``depth`` counts how many finite-difference layers sit under the
     value already; the first derivative of a depth-0 field uses the fine
     step, nested derivatives the coarser one, keeping truncation and
     roundoff balanced.
 
-    Every node caches its values per batch, keyed by the batch's bytes.
+    Every node caches its values per block, keyed by the block's bytes,
+    and calls ``fn`` once per stack, on the blocks it has not cached.
     Operator trees share subexpression nodes (the same connection entry
     feeds many form components), and stencils ask their operands for the
-    same shifted batches, so the caches turn the naive exponential
-    recomputation of nested stencils into one evaluation per distinct
-    batch.
+    same shifted blocks in different stacks (d_r d_s and d_s d_r), so the
+    caches turn the naive exponential recomputation of nested stencils
+    into one evaluation per distinct block.  A stack that ``fn`` evaluated
+    whole is also kept under the tuple of its keys: its blocks are views
+    of that array, and asking for the same stack again returns it without
+    copying them together.
     """
 
     __slots__ = ("fn", "n", "depth", "_cache")
@@ -89,48 +103,67 @@ class NumericScalar:
         self.fn = fn
         self.n = n
         self.depth = depth
-        self._cache: Dict[bytes, np.ndarray] = {}
+        self._cache: Dict[bytes | Tuple[bytes, ...], np.ndarray] = {}
 
     @staticmethod
     def const(n: int, value: float) -> NumericScalar:
         import numpy as np
 
         v = float(value)
-        return NumericScalar(lambda p, key: np.full(len(p), v), n)
+        return NumericScalar(lambda p, keys: np.full(len(p), v), n)
 
     def __add__(self, other: NumericScalar) -> NumericScalar:
         return NumericScalar(
-            lambda p, key: self._values(p, key) + other._values(p, key), self.n,
+            lambda p, keys: self._values(p, keys) + other._values(p, keys), self.n,
             max(self.depth, other.depth))
 
     def __sub__(self, other: NumericScalar) -> NumericScalar:
         return NumericScalar(
-            lambda p, key: self._values(p, key) - other._values(p, key), self.n,
+            lambda p, keys: self._values(p, keys) - other._values(p, keys), self.n,
             max(self.depth, other.depth))
 
     def __mul__(self, other: NumericScalar) -> NumericScalar:
         return NumericScalar(
-            lambda p, key: self._values(p, key) * other._values(p, key), self.n,
+            lambda p, keys: self._values(p, keys) * other._values(p, keys), self.n,
             max(self.depth, other.depth))
 
     def scale(self, value) -> NumericScalar:
         v = float(value)
-        return NumericScalar(lambda p, key: v * self._values(p, key), self.n, self.depth)
+        return NumericScalar(lambda p, keys: v * self._values(p, keys), self.n, self.depth)
 
     def diff(self, r: int) -> NumericScalar:
         h = FD_STEP if self.depth == 0 else FD_STEP2
-        return NumericScalar(
-            lambda p, key: five_point(lambda q: self._values(q, q.tobytes()), p, r, h),
-            self.n, self.depth + 1)
+        return NumericScalar(lambda p, keys: five_point(self._values, p, keys, r, h),
+                             self.n, self.depth + 1)
 
-    def _values(self, points: np.ndarray, key: bytes) -> np.ndarray:
-        # every field evaluated on one batch receives the same key object,
-        # so the caches of a tree hold one copy of it
-        got = self._cache.get(key)
-        if got is None:
-            got = self.fn(points, key)
-            self._cache[key] = got
-        return got
+    def _values(self, stack: np.ndarray, keys: Tuple[bytes, ...]) -> np.ndarray:
+        # every field evaluated on one stack receives the same key objects,
+        # so the caches of a tree hold one copy of each
+        cache = self._cache
+        if len(keys) == 1:
+            got = cache.get(keys[0])
+            if got is None:
+                got = cache[keys[0]] = self.fn(stack, keys)
+            return got
+        got = cache.get(keys)
+        if got is not None:
+            return got
+        import numpy as np
+
+        m = len(stack) // len(keys)
+        # a block can occur twice in a stack: it is evaluated once
+        missing = {key: b for b, key in enumerate(keys) if key not in cache}
+        if len(missing) == len(keys):
+            got = cache[keys] = self.fn(stack, keys)
+            for b, key in enumerate(keys):
+                cache[key] = got[b * m:(b + 1) * m]
+            return got
+        if missing:
+            rows = np.concatenate([stack[b * m:(b + 1) * m] for b in missing.values()])
+            got = self.fn(rows, tuple(missing))
+            for b, key in enumerate(missing):
+                cache[key] = got[b * m:(b + 1) * m]
+        return np.concatenate([cache[key] for key in keys])
 
     def values(self, points) -> np.ndarray:
         """The field at each of ``points``, as an array of floats.
@@ -142,22 +175,54 @@ class NumericScalar:
 
         points = np.asarray(points, dtype=float)
         with np.errstate(all="ignore"):
-            return self._values(points, points.tobytes())
+            return self._values(points, (points.tobytes(),))
 
     def eval_float(self, point) -> float:
         return float(self.values([tuple(point)])[0])
 
 
-def five_point(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
+def _shifted(points: np.ndarray, k: int, cols, h: float) -> np.ndarray:
+    """Each of the k blocks of the stack ``points`` shifted in column r by
+    2h, h, -h and -2h, for each r of ``cols`` in turn: a (k, 4 len(cols),
+    m, n) array."""
+    import numpy as np
+
+    m, n = len(points) // k, points.shape[1]
+    out = points.reshape(k, 1, m, n).repeat(4 * len(cols), axis=1)
+    steps = np.array([[2 * h], [h], [-h], [-2 * h]])
+    for c, r in enumerate(cols):
+        out[:, 4 * c:4 * c + 4, :, r] += steps
+    return out
+
+
+def _difference(values: np.ndarray, h: float) -> np.ndarray:
+    """The five-point central difference of the values at the samples of
+    ``_shifted`` in one column, a (k, 4, m, ...) array, as (k*m, ...)."""
+    d = (-values[:, 0] + 8 * values[:, 1] - 8 * values[:, 2] + values[:, 3]) / (12 * h)
+    return d.reshape(d.shape[0] * d.shape[1], *d.shape[2:])
+
+
+def five_point(f: BatchFn, points: np.ndarray, keys: Tuple[bytes, ...],
                r: int, h: float) -> np.ndarray:
     """The five-point central difference in coordinate r of the batch
-    function ``f`` at each row of ``points``."""
-    def at(t: float) -> np.ndarray:
-        shifted = points.copy()
-        shifted[:, r] += t
-        return f(shifted)
+    function ``f`` at each row of the stack ``points``, whose blocks have
+    the bytes ``keys``.  ``f`` is called on the stack of each block shifted
+    by 2h, h, -h and -2h, block after block: once, or once per group of
+    blocks when the stack would pass ``STACK_ROWS`` rows."""
+    k = len(keys)
+    m = len(points) // k
+    g = max(1, STACK_ROWS // (4 * m))  # blocks per call
+    parts = []
+    for s in range(0, k, g):
+        kg = min(g, k - s)
+        samples = _shifted(points[s * m:(s + kg) * m], kg, (r,), h).reshape(-1, points.shape[1])
+        values = f(samples, tuple(samples[b * m:(b + 1) * m].tobytes() for b in range(4 * kg)))
+        parts.append(_difference(values.reshape(kg, 4, m, *values.shape[1:]), h))
+    if len(parts) == 1:
+        return parts[0]
+    import numpy as np
 
-    return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
+    return np.concatenate(parts)
 
 
 ScalarField = RationalFunc | NumericScalar
@@ -331,11 +396,20 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
 
     import numpy as np
 
-    def gamma_tensor(points: np.ndarray, key: bytes) -> np.ndarray:
+    def gamma_tensor(points: np.ndarray, keys: Tuple[bytes, ...]) -> np.ndarray:
+        k, m = len(keys), len(points) // len(keys)
+        # the frame at every block's stencil samples in each coordinate,
+        # then at the block itself, in calls of at most STACK_ROWS rows
+        samples = np.concatenate([_shifted(points, k, range(n), FD_STEP),
+                                  points.reshape(k, 1, m, n)], axis=1)
+        samples = samples.reshape(-1, n)
+        frames = np.concatenate([chart.frames_at(samples[s:s + STACK_ROWS])
+                                 for s in range(0, len(samples), STACK_ROWS)])
+        frames = frames.reshape(k, 4 * n + 1, m, n, n)
         de = np.empty((len(points), n, n, n))
         for j in range(n):
-            de[:, j] = five_point(chart.frames_at, points, j, FD_STEP)
-        e = chart.frames_at(points)
+            de[:, j] = _difference(frames[:, 4 * j:4 * j + 4], FD_STEP)
+        e = frames[:, 4 * n].reshape(len(points), n, n)
         try:
             einv = np.linalg.inv(e)
         except np.linalg.LinAlgError:
@@ -345,11 +419,13 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
         # Gamma[m, i, j, k] = sum_a de[m, j, i, a] einv[m, a, k]
         return np.einsum("mjia,mak->mijk", de, einv)
 
-    # one node caches the whole tensor per batch; the n^3 entries slice it
+    # one node caches the whole tensor per block; each of the n^3 entries
+    # copies its slice, so that its cache does not keep alive a tensor that
+    # was stacked from cached blocks
     tensor = NumericScalar(gamma_tensor, n, 1)
 
     def gamma_entry(i: int, j: int, k: int) -> NumericScalar:
-        return NumericScalar(lambda p, key: tensor._values(p, key)[:, i, j, k], n, 1)
+        return NumericScalar(lambda p, keys: tensor._values(p, keys)[:, i, j, k].copy(), n, 1)
 
     gamma = [[[gamma_entry(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
     return ConnectionField(n, NumericScalar.const(n, 0), gamma)

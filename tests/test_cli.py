@@ -367,6 +367,29 @@ def test_stencil_pole_names_the_chart_and_the_sample(tmp_path, name, at):
     assert "Warning" not in proc.stderr
 
 
+OFF_GRID_POLES = {
+    # the pole x1 = -1e-4 is a first-level stencil sample of the grid point (0, 0)
+    "offgrid": ([["1/(x1 + 0.0001)", "0"], ["0", "1 + sin(x2)"]], "(-0.0001, 0.0)"),
+    # x1 = -2e-3 is a sample of a nested stencil only: -2h in x1 for d_1 Gamma,
+    # then +2h in x2 for Gamma itself
+    "offgrid2": ([["1/(x1 + 0.002)", "x2"], ["0", "1 + sin(x1*x2)"]], "(-0.002, 0.0002)"),
+}
+
+
+@pytest.mark.parametrize("command", [["geom", "report"], ["chern-simons"]])
+@pytest.mark.parametrize("name", sorted(OFF_GRID_POLES))
+def test_off_grid_pole_names_the_first_sample_that_hits_it(tmp_path, name, command):
+    frame, at = OFF_GRID_POLES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "n": 2, "domain": [[0, 1], [0, 1]],
+                                "frame": frame}))
+    proc = subprocess.run([sys.executable, "-m", "flatcheck.cli", *command, "--chart", str(path),
+                           "--grid", "3"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: frame of chart '{name}' cannot be evaluated at {at}: "
+                           "float division by zero\n"), proc.stderr
+
+
 @pytest.mark.parametrize("name", ["domain-huge-literal", "pair-huge-coefficient",
                                   "pair-huge-subalgebra"])
 def test_huge_literal_is_refused_at_once(tmp_path, name):

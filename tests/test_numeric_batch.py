@@ -23,6 +23,7 @@ import pytest
 
 import flatcheck.charts_io as charts_io
 import flatcheck.forms as forms_mod
+import flatcheck.frames as frames_mod
 from flatcheck.catalog import get_chart
 from flatcheck.charts_io import chart_from_json
 from flatcheck.forms import identity_report
@@ -30,6 +31,7 @@ from flatcheck.frames import (
     FD_STEP,
     FD_STEP2,
     ConnectionField,
+    FrameChart,
     NumericScalar,
     curvature_components,
     gamma_from_frame,
@@ -214,6 +216,75 @@ def test_cache_keeps_each_batch_apart():
     for batch in (a, b, a[[2, 0, 1]], a, b):
         assert _hexes(node.values(batch)) == _hexes(point.eval_float(p) for p in batch)
     assert len(node._cache) == 3
+
+
+def test_a_stack_evaluates_only_its_uncached_blocks():
+    # blocks a and b are cached; a stack of b, c, a, c, d asks fn once, for
+    # c and d, and returns every row in the order asked
+    def fn(p):
+        return math.exp(p[0]) * p[1] - p[1] ** 3
+
+    calls = []
+
+    def batch(p, keys):
+        calls.append((p.copy(), keys))
+        return np.array([fn(q) for q in p.tolist()])
+
+    node = NumericScalar(batch, 2)
+    a, b, c, d = (np.array([[0.1 * s, 0.2], [0.3, -0.4 * s]]) for s in (1, 2, 3, 4))
+    node.values(a)
+    node.values(b)
+    calls.clear()
+    blocks = [b, c, a, c, d]
+    stack = np.concatenate(blocks)
+    got = node._values(stack, tuple(block.tobytes() for block in blocks))
+    assert len(calls) == 1
+    rows, keys = calls[0]
+    assert rows.tobytes() == np.concatenate([c, d]).tobytes()
+    assert keys == (c.tobytes(), d.tobytes())
+    point = PointScalar(fn, 2)
+    assert _hexes(got) == _hexes(point.eval_float(p) for p in stack)
+    assert len(node._cache) == 4
+
+
+def test_a_report_stacks_its_frame_samples(monkeypatch):
+    # the nested stencils of su2-euler at grid 3 call the frame on a few
+    # stacks, not once per stencil sample (793 calls of 27 rows), and share
+    # their blocks, so no row is evaluated twice (21,411 rows)
+    calls = rows = 0
+    frames_at = FrameChart.frames_at
+
+    def counted(self, points):
+        nonlocal calls, rows
+        calls += 1
+        rows += len(points)
+        return frames_at(self, points)
+
+    monkeypatch.setattr(FrameChart, "frames_at", counted)
+    identity_report(chart_from_json({"builtin": "su2-euler"}), grid_points=3)
+    assert calls <= 40
+    assert rows <= 21411
+
+
+def test_split_stacks_give_the_same_bits_and_rows(monkeypatch):
+    # with STACK_ROWS below one stencil of a block, every nested stencil and
+    # every frame call is split; the report stays bit for bit the same (and
+    # so equal to the point-by-point reference above), and no block is
+    # evaluated twice
+    rows = []
+    frames_at = FrameChart.frames_at
+    monkeypatch.setattr(FrameChart, "frames_at",
+                        lambda self, points: rows.append(len(points)) or frames_at(self, points))
+
+    def report():
+        out = identity_report(get_chart("su2-euler"), grid_points=3)
+        return {k: v.hex() for k, v in out["residuals"].items()}, out["max_R"].hex()
+
+    whole, whole_rows = report(), sum(rows)
+    rows.clear()
+    monkeypatch.setattr(frames_mod, "STACK_ROWS", 64)
+    assert report() == whole
+    assert max(rows) <= 64 and sum(rows) == whole_rows
 
 
 def test_forced_numeric_builtin_is_evaluated_per_batch(monkeypatch):
