@@ -153,16 +153,16 @@ class NumericScalar:
         m = len(stack) // len(keys)
         # a block can occur twice in a stack: it is evaluated once
         missing = {key: b for b, key in enumerate(keys) if key not in cache}
-        if len(missing) == len(keys):
-            got = cache[keys] = self.fn(stack, keys)
-            for b, key in enumerate(keys):
-                cache[key] = got[b * m:(b + 1) * m]
-            return got
+        whole = len(missing) == len(keys)
         if missing:
-            rows = np.concatenate([stack[b * m:(b + 1) * m] for b in missing.values()])
+            rows = stack if whole else np.concatenate([stack[b * m:(b + 1) * m]
+                                                       for b in missing.values()])
             got = self.fn(rows, tuple(missing))
             for b, key in enumerate(missing):
                 cache[key] = got[b * m:(b + 1) * m]
+            if whole:
+                cache[keys] = got
+                return got
         return np.concatenate([cache[key] for key in keys])
 
     def values(self, points) -> np.ndarray:
