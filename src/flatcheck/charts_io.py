@@ -18,7 +18,8 @@ bounds are rational literals ("3/4", "0.25", 1) of at most
 One interpreter walks the syntax tree of an entry and builds its value in
 a scalar algebra: exact RationalFuncs, or numeric closures of a batch of
 points, where each distinct sin/cos/exp call of a frame is evaluated once
-per batch for all of the frame's entries.  Entries that stay inside the
+per batch for all of the frame's entries.  A numeric chart also records
+which variables each entry reads.  Entries that stay inside the
 rational fragment parse onto the exact backend; sin/cos/exp force the
 numeric backend.  The FLATCHECK_BACKEND environment variable (exact |
 numeric | auto) overrides the choice, where "exact" refuses charts that
@@ -232,6 +233,13 @@ def _parse(src: str) -> ast.Expression:
         raise ChartError(f"an entry is nested more than {MAX_DEPTH} levels deep") from None
 
 
+def _variables(tree: ast.Expression) -> frozenset:
+    """The index r, counted from 0, of each variable x(r+1) that occurs in
+    an entry's syntax tree (which ``_interpret`` has checked)."""
+    return frozenset(int(m.group(1)) - 1 for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and (m := _VAR_RE.match(node.id)))
+
+
 def parse_exact_expr(src: str, n: int) -> RationalFunc:
     try:
         return _interpret(_parse(src), n, _ExactAlgebra)
@@ -282,7 +290,8 @@ def chart_from_json(doc: dict, backend: str | None = None) -> FrameChart:
     import numpy as np
 
     algebra = _NumericAlgebra()
-    fns = [[_interpret(_parse(str(e)), n, algebra) for e in row] for row in frame]
+    trees = [[_parse(str(e)) for e in row] for row in frame]
+    fns = [[_interpret(tree, n, algebra) for tree in row] for row in trees]
 
     def batch_evaluator(points: np.ndarray) -> np.ndarray:
         out = np.empty((len(points), n, n))
@@ -292,7 +301,8 @@ def chart_from_json(doc: dict, backend: str | None = None) -> FrameChart:
                     out[:, i, a] = fns[i][a](points)
         return out
 
-    return FrameChart(name, n, domain, batch_evaluator=batch_evaluator)
+    reads = [[_variables(tree) for tree in row] for row in trees]
+    return FrameChart(name, n, domain, batch_evaluator=batch_evaluator, reads=reads)
 
 
 def load_chart_file(path: str, backend: str | None = None) -> FrameChart:

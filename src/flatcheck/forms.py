@@ -21,12 +21,11 @@ dropped when the form is built, and the others stay in canonical key
 order.  The wedge, the differentials, the trace and the covariant
 derivative of ``frames`` walk the support of their operands and of the
 connection instead of every index combination.  They skip exactly the
-operations whose result the zero short cuts of ``RationalFunc`` (in
-``+``, ``-``, ``*``, ``scale`` and ``diff``) would have made the other
-operand, so every component is built by the same nonzero operations in
-the same order as by the full loops: the same terms in the same order,
-and the same floats on a grid.  A numeric field is never a literal zero,
-so numeric forms store, and the loops visit, every component.
+operations whose result the zero short cuts of the scalar fields (in
+``+``, ``-``, ``*``, ``scale`` and ``diff``, the same on both backends)
+would have made the other operand, so every component is built by the
+same nonzero operations in the same order as by the full loops: the same
+terms in the same order, and the same floats on a grid.
 
 The structure sign: the curvature, torsion and wedge conventions as
 transcribed here fix the sign s in the structure equation d~T + T^T = s.R
@@ -178,24 +177,33 @@ class HomForm:
 def _grid_max(fields, points) -> float:
     """Max |f| over the grid: float points, or a ``RationalGrid`` for exact
     fields; a numeric field is evaluated on the whole grid in one call.  A
-    value that is not finite is a ChartError: max() would drop a NaN and a
-    residual of inf says nothing.  A literal-zero field is skipped."""
+    value that is not finite is a ChartError naming the first point where
+    it occurs: max() would drop a NaN and a residual of inf says nothing.
+    A literal-zero field is skipped."""
     worst = 0.0
     for f in fields:
         if field_is_exactly_zero(f):
             continue
         if isinstance(f, NumericScalar):
-            values = f.values(points).tolist()
-        elif isinstance(points, RationalGrid):
-            values = points.values(f)
-        else:
-            values = map(f.eval_float, points)
+            import numpy as np
+
+            values = np.abs(f.values(points))
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise _not_finite(points[int(finite.argmin())])
+            worst = max(worst, float(values.max()))
+            continue
+        values = points.values(f) if isinstance(points, RationalGrid) else map(f.eval_float, points)
         for p, v in zip(points, values):
             v = abs(v)
             if not math.isfinite(v):
-                raise ChartError(f"a field is not finite at {tuple(map(float, p))}")
+                raise _not_finite(p)
             worst = max(worst, v)
     return worst
+
+
+def _not_finite(p) -> ChartError:
+    return ChartError(f"a field is not finite at {tuple(map(float, p))}")
 
 
 # --- basic constructions ------------------------------------------------------
@@ -346,7 +354,7 @@ def wedge_power(omega: HomForm, i: int) -> HomForm:
 # --- residual machinery -------------------------------------------------------
 
 def form_residual(form: HomForm, points) -> float:
-    """0.0 for a literal zero (exact backend only), else a grid max-abs."""
+    """0.0 for a literal zero, else a grid max-abs."""
     return 0.0 if form.is_exactly_zero() else form.max_abs(points)
 
 
@@ -408,7 +416,21 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
     chart.validate_invertible(grid_points)
     conn = gamma_from_frame(chart)
     exact = chart.backend == "exact"
-    points = RationalGrid(chart.rational_grid(grid_points)) if exact else chart.grid(grid_points)
+    if exact:
+        points = RationalGrid(chart.rational_grid(grid_points))
+    else:
+        import numpy as np
+
+        # one array for every grid evaluation, which would convert a list again
+        points = np.array(chart.grid(grid_points))
+        # Gamma on the grid before any form: the first frame samples off the
+        # grid are then the grid's own stencils, so a pole that one of them
+        # hits is named there, whichever form would ask for Gamma first.
+        # The tensor is cached, so the forms do not evaluate it again.
+        live = next((f for plane in conn.gamma for row in plane for f in row
+                     if not field_is_exactly_zero(f)), None)
+        if live is not None:
+            live.values(points)
 
     t = torsion_form(conn)
     r = curvature_form(conn)

@@ -26,12 +26,19 @@ Two scalar-field backends implement the same operations:
   one call, not four.  Its cache holds one array per block, not one value
   per point, so no block is evaluated twice whatever stacks it comes in.
 
+Both backends have a literal zero, and the arithmetic of both takes the
+same zero short cuts.  A numeric field also knows the coordinates it
+reads: its derivative along any other one is the zero, and Gamma^i_{jk}
+is the zero where no frame entry of row i reads x_j.  So one sparse
+calculus, which forms only the products that can be nonzero, serves both.
+
 Charts are bounded: at most ``MAX_DIM`` dimensions, and at most
 ``MAX_GRID_POINTS`` points on an evaluation grid.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
@@ -80,6 +87,14 @@ class NumericScalar:
     block shifted in column r (``five_point``).  ``values`` is a stack of
     one block, and ``eval_float`` a block of one row.
 
+    ``reads`` is the set of coordinates r whose x_r the field can depend
+    on (every one unless given).  ``const(n, 0)`` is the literal zero, and
+    the arithmetic takes the zero short cuts of ``RationalFunc``: a sum or
+    difference with a zero operand is the other operand (negated for
+    0 - b), a product with a zero factor, a zero scaled and a scaling by 0
+    are the zero, and so is ``diff(r)`` of a field that does not read x_r.
+    A result reads what its operands read.
+
     ``depth`` counts how many finite-difference layers sit under the
     value already; the first derivative of a depth-0 field uses the fine
     step, nested derivatives the coarser one, keeping truncation and
@@ -97,44 +112,67 @@ class NumericScalar:
     copying them together.
     """
 
-    __slots__ = ("fn", "n", "depth", "_cache")
+    __slots__ = ("fn", "n", "depth", "reads", "_cache")
 
-    def __init__(self, fn: BatchFn, n: int, depth: int = 0):
+    def __init__(self, fn: BatchFn, n: int, depth: int = 0, reads: frozenset | None = None):
         self.fn = fn
         self.n = n
         self.depth = depth
+        self.reads = frozenset(range(n)) if reads is None else reads
         self._cache: Dict[bytes | Tuple[bytes, ...], np.ndarray] = {}
 
     @staticmethod
     def const(n: int, value: float) -> NumericScalar:
+        v = float(value)
+        if v == 0:
+            return NumericScalar(_zeros, n, reads=frozenset())
         import numpy as np
 
-        v = float(value)
-        return NumericScalar(lambda p, keys: np.full(len(p), v), n)
+        return NumericScalar(lambda p, keys: np.full(len(p), v), n, reads=frozenset())
+
+    def is_zero(self) -> bool:
+        return self.fn is _zeros
+
+    def _binary(self, other: NumericScalar, op) -> NumericScalar:
+        return NumericScalar(lambda p, keys: op(self._values(p, keys), other._values(p, keys)),
+                             self.n, max(self.depth, other.depth), self.reads | other.reads)
 
     def __add__(self, other: NumericScalar) -> NumericScalar:
-        return NumericScalar(
-            lambda p, keys: self._values(p, keys) + other._values(p, keys), self.n,
-            max(self.depth, other.depth))
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        return self._binary(other, operator.add)
 
     def __sub__(self, other: NumericScalar) -> NumericScalar:
-        return NumericScalar(
-            lambda p, keys: self._values(p, keys) - other._values(p, keys), self.n,
-            max(self.depth, other.depth))
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other.scale(-1)
+        return self._binary(other, operator.sub)
 
     def __mul__(self, other: NumericScalar) -> NumericScalar:
-        return NumericScalar(
-            lambda p, keys: self._values(p, keys) * other._values(p, keys), self.n,
-            max(self.depth, other.depth))
+        if self.is_zero():
+            return self
+        if other.is_zero():
+            return other
+        return self._binary(other, operator.mul)
 
     def scale(self, value) -> NumericScalar:
         v = float(value)
-        return NumericScalar(lambda p, keys: v * self._values(p, keys), self.n, self.depth)
+        if self.is_zero():
+            return self
+        if v == 0:
+            return NumericScalar.const(self.n, 0)
+        return NumericScalar(lambda p, keys: v * self._values(p, keys), self.n, self.depth,
+                             self.reads)
 
     def diff(self, r: int) -> NumericScalar:
+        if r not in self.reads:
+            return self if self.is_zero() else NumericScalar.const(self.n, 0)
         h = FD_STEP if self.depth == 0 else FD_STEP2
         return NumericScalar(lambda p, keys: five_point(self._values, p, keys, r, h),
-                             self.n, self.depth + 1)
+                             self.n, self.depth + 1, self.reads)
 
     def _values(self, stack: np.ndarray, keys: Tuple[bytes, ...]) -> np.ndarray:
         # every field evaluated on one stack receives the same key objects,
@@ -179,6 +217,13 @@ class NumericScalar:
 
     def eval_float(self, point) -> float:
         return float(self.values([tuple(point)])[0])
+
+
+def _zeros(stack: np.ndarray, keys: Tuple[bytes, ...]) -> np.ndarray:
+    """The batch function of the numeric literal zero."""
+    import numpy as np
+
+    return np.zeros(len(stack))
 
 
 def _shifted(points: np.ndarray, k: int, cols, h: float) -> np.ndarray:
@@ -229,8 +274,8 @@ ScalarField = RationalFunc | NumericScalar
 
 
 def field_is_exactly_zero(f: ScalarField) -> bool:
-    """Literal-zero test; only decidable on the exact backend."""
-    return isinstance(f, RationalFunc) and f.is_zero()
+    """Literal-zero test, one rule for both backends."""
+    return f.is_zero()
 
 
 # what evaluating a numeric frame raises at a pole or an overflow
@@ -242,9 +287,12 @@ class FrameChart:
 
     def __init__(self, name: str, n: int, domain: Sequence[Tuple],
                  entries: Sequence[Sequence[RationalFunc]] | None = None, *,
-                 batch_evaluator: Callable[[np.ndarray], np.ndarray] | None = None):
+                 batch_evaluator: Callable[[np.ndarray], np.ndarray] | None = None,
+                 reads: Sequence[Sequence[frozenset]] | None = None):
         """Exact ``entries``, or a numeric frame: ``batch_evaluator`` maps
-        an (m, n) batch of points to an (m, n, n) array of frames."""
+        an (m, n) batch of points to an (m, n, n) array of frames, and
+        ``reads[i][a]`` is the set of coordinates r whose x_r entry (i, a)
+        can depend on (every coordinate, unless given)."""
         if (entries is None) == (batch_evaluator is None):
             raise ChartError("provide exactly one of exact entries or a numeric evaluator")
         check_dim(n)
@@ -268,6 +316,7 @@ class FrameChart:
         else:
             self.backend = "numeric"
             self._frames = batch_evaluator
+            self.reads = reads or [[frozenset(range(n))] * n for _ in range(n)]
 
     def grid(self, points_per_axis: int = 5) -> List[Tuple[float, ...]]:
         axes = []
@@ -354,8 +403,7 @@ class ConnectionField:
 
     The support of Gamma is tabled once, in ascending order:
     ``upper[i][r]`` holds the a with Gamma^i_{ra} not a literal zero, and
-    ``lower[r][l]`` the a with Gamma^a_{rl} not a literal zero.  A numeric
-    field is never a literal zero, so on that backend they hold every a.
+    ``lower[r][l]`` the a with Gamma^a_{rl} not a literal zero.
     """
 
     __slots__ = ("n", "zero", "gamma", "upper", "lower")
@@ -396,20 +444,29 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
 
     import numpy as np
 
+    span = range(n)
+    reads = chart.reads
+    # d_j e^i_a is exactly 0.0 where entry (i, a) does not read x_j, and
+    # Gamma^i_{jk} is the zero where no entry of row i reads x_j
+    unread = np.array([[[j not in reads[i][a] for a in span] for i in span] for j in span])
+    live = ~unread.all(axis=2)  # [j, i]
+    cols = [j for j in span if live[j].any()]  # the columns that need stencils
+
     def gamma_tensor(points: np.ndarray, keys: Tuple[bytes, ...]) -> np.ndarray:
         k, m = len(keys), len(points) // len(keys)
-        # the frame at every block's stencil samples in each coordinate,
-        # then at the block itself, in calls of at most STACK_ROWS rows
-        samples = np.concatenate([_shifted(points, k, range(n), FD_STEP),
+        # the frame at every block's stencil samples in each column of
+        # ``cols``, then at the block itself, in calls of at most STACK_ROWS rows
+        samples = np.concatenate([_shifted(points, k, cols, FD_STEP),
                                   points.reshape(k, 1, m, n)], axis=1)
         samples = samples.reshape(-1, n)
         frames = np.concatenate([chart.frames_at(samples[s:s + STACK_ROWS])
                                  for s in range(0, len(samples), STACK_ROWS)])
-        frames = frames.reshape(k, 4 * n + 1, m, n, n)
-        de = np.empty((len(points), n, n, n))
-        for j in range(n):
-            de[:, j] = _difference(frames[:, 4 * j:4 * j + 4], FD_STEP)
-        e = frames[:, 4 * n].reshape(len(points), n, n)
+        frames = frames.reshape(k, 4 * len(cols) + 1, m, n, n)
+        de = np.zeros((len(points), n, n, n))
+        for c, j in enumerate(cols):
+            de[:, j] = _difference(frames[:, 4 * c:4 * c + 4], FD_STEP)
+        de[:, unread] = 0.0
+        e = frames[:, -1].reshape(len(points), n, n)
         try:
             einv = np.linalg.inv(e)
         except np.linalg.LinAlgError:
@@ -419,16 +476,22 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
         # Gamma[m, i, j, k] = sum_a de[m, j, i, a] einv[m, a, k]
         return np.einsum("mjia,mak->mijk", de, einv)
 
-    # one node caches the whole tensor per block; each of the n^3 entries
-    # copies its slice, so that its cache does not keep alive a tensor that
-    # was stacked from cached blocks
-    tensor = NumericScalar(gamma_tensor, n, 1)
+    # one node caches the whole tensor per block; each live entry copies its
+    # slice, so that its cache does not keep alive a tensor that was stacked
+    # from cached blocks.  Through e^-1 every live entry reads what the
+    # frame reads.
+    frame_reads = frozenset().union(*(s for row in reads for s in row))
+    tensor = NumericScalar(gamma_tensor, n, 1, frame_reads)
+    zero = NumericScalar.const(n, 0)
 
     def gamma_entry(i: int, j: int, k: int) -> NumericScalar:
-        return NumericScalar(lambda p, keys: tensor._values(p, keys)[:, i, j, k].copy(), n, 1)
+        if not live[j, i]:
+            return zero
+        return NumericScalar(lambda p, keys: tensor._values(p, keys)[:, i, j, k].copy(), n, 1,
+                             frame_reads)
 
-    gamma = [[[gamma_entry(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
-    return ConnectionField(n, NumericScalar.const(n, 0), gamma)
+    gamma = [[[gamma_entry(i, j, k) for k in span] for j in span] for i in span]
+    return ConnectionField(n, zero, gamma)
 
 
 # --- covariant derivative and curvature components ---------------------------
@@ -480,8 +543,7 @@ def dt_reach(conn: ConnectionField, r: int, support) -> set:
     The tables of ``conn`` read backwards give the reach: ``lower[r][a]``
     holds the i with Gamma^i_{ra} not zero (the upper term moves a to i),
     and ``upper[a][r]`` the l with Gamma^a_{rl} not zero (a lower term
-    moves a to l).  A support that holds every value reaches nothing more;
-    the numeric backend, whose fields are never literal zeros, gives one."""
+    moves a to l).  A support that holds every value reaches nothing more."""
     out = set(support)
     if len(out) == conn.n ** len(next(iter(out), ())):
         return out

@@ -3,10 +3,13 @@
 The reference below evaluates one point at a time, as the numeric backend
 did before it worked on batches: a scalar node caches its values per
 point, a derivative is a five-point stencil around one point, and the
-connection is d_j e . e^-1 built from the frame at one point.  Every
-value the batched backend computes must equal the reference bit for bit
-(compared with ``float.hex``): the batch applies the same float operations
-in the same order, only to many points at once.
+connection is d_j e . e^-1 built from the frame at one point.  Both take
+the same zero short cuts on the same read sets: a derivative along a
+coordinate that a field does not read is the zero, and so is d_j e^i_a
+where entry (i, a) does not read x_j.  Every value the batched backend
+computes must equal the reference bit for bit (compared with
+``float.hex``): the batch applies the same float operations in the same
+order, only to many points at once.
 
 The golden files leave numeric charts out, because their last bits depend
 on the platform's libm; this file is the in-suite gate for them.
@@ -39,36 +42,62 @@ from flatcheck.frames import (
 
 
 class PointScalar:
-    """A float field evaluated one point at a time, with a per-point cache."""
+    """A float field evaluated one point at a time, with a per-point cache.
+    Its literal zero, read sets and zero short cuts are those of
+    ``NumericScalar``."""
 
-    def __init__(self, fn: Callable[[Tuple[float, ...]], float], n: int, depth: int = 0):
+    def __init__(self, fn: Callable[[Tuple[float, ...]], float], n: int, depth: int = 0,
+                 reads: frozenset | None = None):
         self.fn = fn
         self.n = n
         self.depth = depth
+        self.reads = frozenset(range(n)) if reads is None else reads
         self._cache: Dict[Tuple[float, ...], float] = {}
 
     @staticmethod
     def const(n: int, value: float) -> PointScalar:
         v = float(value)
-        return PointScalar(lambda x: v, n)
+        return PointScalar(_point_zero if v == 0 else lambda x: v, n, reads=frozenset())
+
+    def is_zero(self) -> bool:
+        return self.fn is _point_zero
+
+    def _binary(self, other, op):
+        return PointScalar(lambda x: op(self.eval_float(x), other.eval_float(x)), self.n,
+                           max(self.depth, other.depth), self.reads | other.reads)
 
     def __add__(self, other):
-        return PointScalar(lambda x: self.eval_float(x) + other.eval_float(x), self.n,
-                           max(self.depth, other.depth))
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        return self._binary(other, lambda a, b: a + b)
 
     def __sub__(self, other):
-        return PointScalar(lambda x: self.eval_float(x) - other.eval_float(x), self.n,
-                           max(self.depth, other.depth))
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other.scale(-1)
+        return self._binary(other, lambda a, b: a - b)
 
     def __mul__(self, other):
-        return PointScalar(lambda x: self.eval_float(x) * other.eval_float(x), self.n,
-                           max(self.depth, other.depth))
+        if self.is_zero():
+            return self
+        if other.is_zero():
+            return other
+        return self._binary(other, lambda a, b: a * b)
 
     def scale(self, value):
         v = float(value)
-        return PointScalar(lambda x: v * self.eval_float(x), self.n, self.depth)
+        if self.is_zero():
+            return self
+        if v == 0:
+            return PointScalar.const(self.n, 0)
+        return PointScalar(lambda x: v * self.eval_float(x), self.n, self.depth, self.reads)
 
     def diff(self, r: int):
+        if r not in self.reads:
+            return PointScalar.const(self.n, 0)
         h = FD_STEP if self.depth == 0 else FD_STEP2
 
         def deriv(x):
@@ -79,7 +108,7 @@ class PointScalar:
             return (-shifted(2 * h) + 8 * shifted(h)
                     - 8 * shifted(-h) + shifted(-2 * h)) / (12 * h)
 
-        return PointScalar(deriv, self.n, self.depth + 1)
+        return PointScalar(deriv, self.n, self.depth + 1, self.reads)
 
     def eval_float(self, point) -> float:
         key = tuple(float(x) for x in point)
@@ -89,9 +118,19 @@ class PointScalar:
             self._cache[key] = got
         return got
 
+    def values(self, points) -> list:
+        return [self.eval_float(p) for p in points]
 
-def point_gamma(frame: Callable[[Tuple[float, ...]], np.ndarray], n: int) -> ConnectionField:
-    """Gamma^i_{jk} = sum_a d_j e^i_a . (e^-1)^a_k, one point at a time."""
+
+def _point_zero(x):
+    return 0.0
+
+
+def point_gamma(frame: Callable[[Tuple[float, ...]], np.ndarray], n: int,
+                reads) -> ConnectionField:
+    """Gamma^i_{jk} = sum_a d_j e^i_a . (e^-1)^a_k, one point at a time.
+    d_j e^i_a is 0.0 where ``reads[i][a]`` lacks j, and Gamma^i_{jk} is the
+    zero where every entry of row i does."""
     h = FD_STEP
     memo: Dict[Tuple[float, ...], np.ndarray] = {}
 
@@ -105,14 +144,23 @@ def point_gamma(frame: Callable[[Tuple[float, ...]], np.ndarray], n: int) -> Con
                     y[j] += t
                     return frame(tuple(y))
                 de[j] = (-e_at(2 * h) + 8 * e_at(h) - 8 * e_at(-h) + e_at(-2 * h)) / (12 * h)
+                for i in range(n):
+                    for a in range(n):
+                        if j not in reads[i][a]:
+                            de[j, i, a] = 0.0
             got = memo[x] = np.einsum("jia,ak->ijk", de, np.linalg.inv(frame(x)))
         return got
 
+    every = frozenset().union(*(s for row in reads for s in row))
+    zero = PointScalar.const(n, 0)
+
     def entry(i, j, k):
-        return PointScalar(lambda x: float(tensor(x)[i, j, k]), n, 1)
+        if all(j not in s for s in reads[i]):
+            return zero
+        return PointScalar(lambda x: float(tensor(x)[i, j, k]), n, 1, every)
 
     gamma = [[[entry(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
-    return ConnectionField(n, PointScalar.const(n, 0), gamma)
+    return ConnectionField(n, zero, gamma)
 
 
 def expression_frame(doc: dict) -> Callable[[Tuple[float, ...]], np.ndarray]:
@@ -176,7 +224,7 @@ def test_gamma_and_curvature_match_point_by_point(case):
     chart, frame, grid_points = case
     grid = chart.grid(grid_points)
     batch = gamma_from_frame(chart)
-    point = point_gamma(frame, chart.n)
+    point = point_gamma(frame, chart.n, chart.reads)
     n = chart.n
     for i in range(n):
         for j in range(n):
@@ -192,7 +240,7 @@ def test_gamma_and_curvature_match_point_by_point(case):
 def test_report_matches_point_by_point(case, monkeypatch):
     chart, frame, grid_points = case
     batched = identity_report(chart, grid_points=grid_points)
-    monkeypatch.setattr(forms_mod, "gamma_from_frame", lambda c: point_gamma(frame, c.n))
+    monkeypatch.setattr(forms_mod, "gamma_from_frame", lambda c: point_gamma(frame, c.n, c.reads))
     reference = identity_report(chart, grid_points=grid_points)
     assert {k: v.hex() for k, v in batched["residuals"].items()} == \
         {k: v.hex() for k, v in reference["residuals"].items()}

@@ -1,0 +1,92 @@
+"""Structural zeros on the numeric backend.
+
+A numeric field has a literal zero and knows which coordinates it reads,
+so the sparse calculus skips on numeric charts what it skips on exact
+ones: a connection entry of a row whose frame entries ignore x_j, and a
+derivative along a coordinate that a field does not read.  What is
+skipped is exactly 0.0, not the rounding residue of a stencil over equal
+values.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from flatcheck.catalog import get_chart
+from flatcheck.charts_io import chart_from_json
+from flatcheck.forms import _grid_max, identity_report
+from flatcheck.frames import ChartError, NumericScalar, gamma_from_frame
+
+
+@pytest.mark.parametrize("name", ["abelian4", "abelian5"])
+def test_forced_numeric_abelian_connection_is_the_zero(name):
+    chart = chart_from_json({"builtin": name}, "numeric")
+    assert chart.backend == "numeric"
+    conn = gamma_from_frame(chart)
+    assert all(f.is_zero() for plane in conn.gamma for row in plane for f in row)
+    report = identity_report(chart, grid_points=3)
+    assert report["residuals"] and all(v == 0.0 for v in report["residuals"].values())
+    assert report["max_R"] == 0.0
+
+
+def test_derivative_along_an_unread_coordinate_is_the_zero():
+    assert NumericScalar.const(3, 0).is_zero()
+    assert not NumericScalar.const(3, 1).is_zero()
+    f = NumericScalar(lambda p, keys: np.sin(p[:, 0]) * p[:, 2], 3, reads=frozenset({0, 2}))
+    assert f.diff(1).is_zero()
+    assert not f.diff(0).is_zero() and not f.diff(2).is_zero()
+    assert f.diff(0).diff(1).is_zero()
+    # the zero short cuts return an operand, and a result reads what its operands read
+    zero = NumericScalar.const(3, 0)
+    g = NumericScalar(lambda p, keys: p[:, 1], 3, reads=frozenset({1}))
+    assert zero + f is f and f + zero is f and f - zero is f
+    assert (zero * f).is_zero() and (f * zero).is_zero() and f.scale(0).is_zero()
+    assert (f * g).reads == {0, 1, 2}
+    point = [(0.3, 0.4, 0.5)]
+    assert (zero - f).values(point).tolist() == (-f.values(point)).tolist()
+
+
+def test_affine_exp2_flat_curvature_is_a_literal_zero():
+    # d_2 of the frame, whose entries read x1 only, is the zero rather than
+    # the rounding residue of a stencil over four equal values
+    report = identity_report(get_chart("affine-exp2"), grid_points=3)
+    assert report["residuals"]["rtilde"] == 0.0
+
+
+def test_forced_numeric_deformed2_keeps_its_curvature():
+    report = identity_report(chart_from_json({"builtin": "deformed2"}, "numeric"), grid_points=5)
+    assert abs(report["max_R"] - 2) <= 1e-6
+    assert max(report["residuals"].values()) <= 1e-12
+
+
+def _loop_first_non_finite(fields, points):
+    """The point that a loop over each field's values, field by field and
+    point by point, stops at first."""
+    for f in fields:
+        for p, v in zip(points, f.values(points).tolist()):
+            if not math.isfinite(abs(v)):
+                return tuple(map(float, p))
+    return None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_max_names_the_first_point_that_is_not_finite(bad):
+    points = [(0.1 * t, 0.2) for t in range(6)]
+
+    def field(bad_rows):
+        def fn(p, keys):
+            out = np.cos(p[:, 0])
+            out[bad_rows] = bad
+            return out
+        return NumericScalar(fn, 2)
+
+    finite = field([])
+    assert _grid_max([finite], points) == max(abs(math.cos(x)) for x, _ in points)
+    fields = [finite, field([4, 2]), field([1])]
+    at = _loop_first_non_finite(fields, points)
+    assert at == points[2]
+    with pytest.raises(ChartError, match=rf"not finite at \({at[0]}, {at[1]}\)"):
+        _grid_max(fields, points)
