@@ -17,8 +17,9 @@ bounds are rational literals ("3/4", "0.25", 1) of at most
 
 One interpreter walks the syntax tree of an entry and builds its value in
 a scalar algebra: exact RationalFuncs, or numeric closures of a batch of
-points, where each distinct sin/cos/exp call of a frame is evaluated once
-per batch for all of the frame's entries.  A numeric chart also records
+points and an order, which give the entry's Taylor jet there, where each
+distinct sin/cos/exp call of a frame is composed once per batch and order
+for all of the frame's entries.  A numeric chart also records
 which variables each entry reads.  Entries that stay inside the
 rational fragment parse onto the exact backend; sin/cos/exp force the
 numeric backend.  The FLATCHECK_BACKEND environment variable (exact |
@@ -37,10 +38,14 @@ import re
 from fractions import Fraction
 
 from .catalog import chart_document
-from .frames import ChartError, FrameChart, check_dim
+from .frames import ChartError, FrameChart, check_dim, jet_constant, jet_mul
 from .rational import RationalFunc, parse_int, parse_rational
 
-_NUMERIC_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+# a function's derivatives g, g', g'', ... repeat in a cycle of numpy
+# functions with signs
+_NUMERIC_FUNCS = {"sin": (("sin", 1), ("cos", 1), ("sin", -1), ("cos", -1)),
+                  "cos": (("cos", 1), ("sin", -1), ("cos", -1), ("sin", 1)),
+                  "exp": (("exp", 1),)}
 _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
                ast.Mult: operator.mul, ast.Div: operator.truediv}
 _VAR_RE = re.compile(r"^x([1-9]\d*)$")
@@ -91,82 +96,111 @@ class _ExactAlgebra:
 
 
 class _NumericAlgebra:
-    """Entries as closures of a batch of points, an (m, n) float array,
-    built once per entry.  A constant stays a Python number; + - * / act on
-    whole arrays, with a zero divisor raising ZeroDivisionError as it does
-    for floats; powers and sin/cos/exp apply Python's float operations to
-    each element.  So every value equals a one-point evaluation in Python
-    floats, bit for bit.
+    """Entries as closures ``(x, order) -> jet`` of a batch x of points, an
+    (m, n) float array: the entry's Taylor coefficients up to ``order`` at
+    each point (``frames.jet_monomials``).  + and - act on whole jets, * is
+    the truncated product (``frames.jet_mul``), and a quotient multiplies
+    by the series of t^-1.  A power composes with the series of t^p, and
+    sin/cos/exp with their derivative cycles, by
+
+        g(a) = sum_k g^(k)(a_0)/k! (a - a_0)^k.
+
+    Values come from numpy's float operations; a zero divisor raises
+    ZeroDivisionError, as it does for floats.
 
     One instance serves the entries of one frame: a call that occurs again,
-    in the same entry or another, is the same closure, which keeps its
-    values for the last batch it was given."""
+    in the same entry or another, is the same closure, which keeps its jet
+    for the last batch and order it was given."""
 
-    def __init__(self):
+    def __init__(self, n: int):
+        self.n = n
         self._calls = {}  # ast.dump of a call -> its closure
 
     @staticmethod
     def const(n: int, value):
-        return lambda x: value
+        return lambda x, order: jet_constant(value, n, order, len(x))
 
     @staticmethod
     def var(n: int, idx: int):
-        return lambda x: x[:, idx]
+        def jet(x, order):  # the value, and a 1 in the row of x_idx
+            out = jet_constant(x[:, idx], n, order, len(x))
+            if order:
+                out[1 + idx] = 1.0
+            return out
 
-    @staticmethod
-    def apply(op, *args):
+        return jet
+
+    def apply(self, op, *args):
         if len(args) == 1:
             (a,) = args
-            return lambda x: op(a(x))
-        if op is operator.truediv:
-            op = _divide
+            return lambda x, order: op(a(x, order))
         a, b = args
-        return lambda x: op(a(x), b(x))
+        n = self.n
+        if op is operator.mul:
+            return lambda x, order: jet_mul(a(x, order), b(x, order), n, order)
+        if op is operator.truediv:
+            return lambda x, order: jet_mul(a(x, order), self._power(b(x, order), -1, order),
+                                            n, order)
+        return lambda x, order: op(a(x, order), b(x, order))
 
-    @staticmethod
-    def power(base, exp: int):
-        return lambda x: _elementwise(lambda b: b ** exp, base(x))
+    def power(self, base, exp: int):
+        return lambda x, order: self._power(base(x, order), exp, order)
+
+    def _power(self, t, exp: int, order: int):
+        """t^p for p = ``exp``: the k-th coefficient is binomial(p, k) t^(p - k),
+        and 0 past k = p >= 0, even where t^(p - k) is not finite."""
+        if exp < 0 and (t[0] == 0).any():
+            raise ZeroDivisionError("float division by zero")
+        coeffs, c = [], 1.0
+        for k in range(order + 1 if exp < 0 else min(order, exp) + 1):
+            coeffs.append(c * t[0] ** (exp - k))
+            c = c * (exp - k) / (k + 1)
+        return self._compose(t, coeffs, order)
 
     def call(self, node: ast.Call, arg):
         key = ast.dump(node)
         got = self._calls.get(key)
         if got is None:
-            func = _NUMERIC_FUNCS[node.func.id]
-            got = self._calls[key] = _on_last_batch(lambda x: _elementwise(func, arg(x)))
+            cycle = _NUMERIC_FUNCS[node.func.id]
+
+            def composed(x, order):
+                import numpy as np
+
+                a = arg(x, order)
+                values = {name: getattr(np, name)(a[0]) for name in dict(cycle[:order + 1])}
+                coeffs = [sign / math.factorial(k) * values[name]
+                          for k, (name, sign) in zip(range(order + 1), cycle * (order + 1))]
+                return self._compose(a, coeffs, order)
+
+            got = self._calls[key] = _on_last_batch(composed)
         return got
+
+    def _compose(self, a, coeffs, order: int):
+        """sum_k coeffs[k] (a - a_0)^k, truncated at ``order``, by Horner's
+        rule: g(a) from g's Taylor coefficients at a_0 (0 past the list)."""
+        u = a - jet_constant(a[0], self.n, order, a.shape[1])
+        out = jet_constant(coeffs[-1], self.n, order, a.shape[1])
+        for c in reversed(coeffs[:-1]):
+            out = jet_mul(u, out, self.n, order)
+            out[0] += c
+        return out
 
 
 def _on_last_batch(fn):
-    """``fn`` remembering its value on the last batch object it was given.
-    The entries of a frame are evaluated on one batch object, and nothing
-    writes to a batch after it is evaluated; holding the batch keeps its
-    id from being reused by another."""
-    batch = value = None
+    """``fn`` remembering its value on the last batch object and order it
+    was given.  The entries of a frame are evaluated on one batch object at
+    one order, and nothing writes to a batch after it is evaluated; holding
+    the batch keeps its id from being reused by another."""
+    batch = order = value = None
 
-    def at(x):
-        nonlocal batch, value
-        if x is not batch:
-            value = fn(x)
-            batch = x
+    def at(x, o):
+        nonlocal batch, order, value
+        if x is not batch or o != order:
+            value = fn(x, o)
+            batch, order = x, o
         return value
 
     return at
-
-
-def _divide(a, b):
-    import numpy as np
-
-    if np.any(b == 0):
-        raise ZeroDivisionError("float division by zero")
-    return a / b
-
-
-def _elementwise(func, value):
-    import numpy as np
-
-    if isinstance(value, np.ndarray):
-        return np.fromiter(map(func, value.tolist()), float, len(value))
-    return func(value)
 
 
 def _interpret(node, n: int, algebra, depth: int = 1):
@@ -289,20 +323,20 @@ def chart_from_json(doc: dict, backend: str | None = None) -> FrameChart:
 
     import numpy as np
 
-    algebra = _NumericAlgebra()
+    algebra = _NumericAlgebra(n)
     trees = [[_parse(str(e)) for e in row] for row in frame]
     fns = [[_interpret(tree, n, algebra) for tree in row] for row in trees]
 
-    def batch_evaluator(points: np.ndarray) -> np.ndarray:
-        out = np.empty((len(points), n, n))
+    def jets(points: np.ndarray, order: int) -> np.ndarray:
+        out = np.empty((math.comb(n + order, order), len(points), n, n))
         with np.errstate(all="ignore"):  # overflow gives inf, as in Python floats
             for i in range(n):
                 for a in range(n):
-                    out[:, i, a] = fns[i][a](points)
+                    out[:, :, i, a] = fns[i][a](points, order)
         return out
 
     reads = [[_variables(tree) for tree in row] for row in trees]
-    return FrameChart(name, n, domain, batch_evaluator=batch_evaluator, reads=reads)
+    return FrameChart(name, n, domain, jets=jets, reads=reads)
 
 
 def load_chart_file(path: str, backend: str | None = None) -> FrameChart:

@@ -53,7 +53,6 @@ from .frames import (
     curvature_tilde_components,
     dt_reach,
     dt_scalar,
-    field_is_exactly_zero,
     gamma_from_frame,
     torsion_components,
 )
@@ -130,7 +129,7 @@ class HomForm:
                 idx = tuple(idx)
                 if len(idx) != degree or list(idx) != sorted(idx) or len(set(idx)) != len(idx):
                     raise ChartError(f"component key {idx} is not a canonical {degree}-tuple")
-                if not field_is_exactly_zero(f):
+                if not f.is_zero():
                     stored[(idx, *value)] = f
         self.components: Dict[tuple, ScalarField] = {key: stored[key] for key in sorted(stored)}
 
@@ -182,7 +181,7 @@ def _grid_max(fields, points) -> float:
     A literal-zero field is skipped."""
     worst = 0.0
     for f in fields:
-        if field_is_exactly_zero(f):
+        if f.is_zero():
             continue
         if isinstance(f, NumericScalar):
             import numpy as np
@@ -393,7 +392,7 @@ def nabla_torsion_minus_curvature(conn: ConnectionField, sign: int,
 
 
 def scalars_residual(fields: Sequence[ScalarField], points) -> float:
-    return 0.0 if all(map(field_is_exactly_zero, fields)) else _grid_max(fields, points)
+    return 0.0 if all(f.is_zero() for f in fields) else _grid_max(fields, points)
 
 
 class _Geometry(NamedTuple):
@@ -423,14 +422,6 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
 
         # one array for every grid evaluation, which would convert a list again
         points = np.array(chart.grid(grid_points))
-        # Gamma on the grid before any form: the first frame samples off the
-        # grid are then the grid's own stencils, so a pole that one of them
-        # hits is named there, whichever form would ask for Gamma first.
-        # The tensor is cached, so the forms do not evaluate it again.
-        live = next((f for plane in conn.gamma for row in plane for f in row
-                     if not field_is_exactly_zero(f)), None)
-        if live is not None:
-            live.values(points)
 
     t = torsion_form(conn)
     r = curvature_form(conn)

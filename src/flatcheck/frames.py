@@ -17,14 +17,14 @@ of the chart.
 Two scalar-field backends implement the same operations:
 
 * exact  - RationalFunc components; identities are literal zeros.
-* numeric - a frame evaluated on batches of points, differentiated by
-  five-point central stencils (step ``FD_STEP`` at the first level,
-  ``FD_STEP2`` for nested levels), for charts with entries like exp or
-  sin that have no rational form.  A numeric field is evaluated on a
-  whole batch of points at once: a stack of equal blocks of rows (the
-  grid, or the grid shifted by stencil steps), so that a stencil costs
-  one call, not four.  Its cache holds one array per block, not one value
-  per point, so no block is evaluated twice whatever stacks it comes in.
+* numeric - truncated Taylor series over floats, for charts with entries
+  like exp or sin that have no rational form.  A numeric field is
+  evaluated on a whole batch of points at once (the grid), as its jet:
+  its Taylor coefficients up to the order asked, one row per monomial.
+  A derivative asks its operand for one order more and shifts the
+  coefficients, so every field is computed only to the order that the
+  derivatives above it need, derivatives are exact up to rounding, and
+  the frame is evaluated at the points of the batch and nowhere else.
 
 Both backends have a literal zero, and the arithmetic of both takes the
 same zero short cuts.  A numeric field also knows the coordinates it
@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import product as iproduct
+from functools import cache, partial
+from itertools import combinations_with_replacement, product as iproduct
+from math import comb
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from . import MAX_DIM
@@ -54,14 +56,7 @@ class ChartError(ValueError):
     """Invalid frame chart: wrong shape, singular frame, bad domain."""
 
 
-FD_STEP = 1e-4
-FD_STEP2 = 1e-3
 MAX_GRID_POINTS = 4096
-# the most rows that a stencil, or the numeric connection, passes on in one
-# call: past a few thousand rows the arrays leave the CPU caches (on a
-# 2-core Xeon, the frame of forced-numeric abelian4 took three times as
-# long per row on 42,500 rows as on 2,500)
-STACK_ROWS = 2048
 
 
 def check_dim(n: int) -> None:
@@ -69,23 +64,84 @@ def check_dim(n: int) -> None:
         raise ChartError(f"chart dimension {n} is outside 1..{MAX_DIM}")
 
 
-# (stack, keys) -> the values at the rows of a stack of k blocks of m
-# points, a (k*m, n) array; keys[b] is block b's tobytes(), the key of its
-# values in the caches of the fields evaluated on it
-BatchFn = Callable[["np.ndarray", Tuple[bytes, ...]], "np.ndarray"]
+# --- Taylor jets ---------------------------------------------------------------
+
+@cache
+def jet_monomials(n: int, order: int) -> Tuple[Tuple[int, ...], ...]:
+    """The rows of a jet of ``order`` in n variables: the exponents b of
+    total degree at most ``order``, degree after degree (those of degree 1
+    are x_1 .. x_n in turn).  Row b of a jet at m points holds the Taylor
+    coefficient of x^b, d^b/b!, at each point, and a jet of lower order is
+    a prefix of one of higher order."""
+    return tuple(tuple(combo.count(r) for r in range(n))
+                 for d in range(order + 1) for combo in combinations_with_replacement(range(n), d))
+
+
+@cache
+def _product_table(n: int, order: int):
+    """(left, right, to): rows ``left[p]`` and ``right[p]`` are a pair of
+    monomials whose product has total degree at most ``order``, and the 0/1
+    matrix ``to`` adds each pair's product into the row of that monomial."""
+    import numpy as np
+
+    monomials = jet_monomials(n, order)
+    row = {b: t for t, b in enumerate(monomials)}
+    pairs = [(s, t, row[ab]) for s, a in enumerate(monomials) for t, b in enumerate(monomials)
+             if (ab := tuple(map(operator.add, a, b))) in row]
+    left, right, target = map(np.array, zip(*pairs))
+    to = np.zeros((len(monomials), len(pairs)))
+    to[target, np.arange(len(pairs))] = 1.0
+    return left, right, to
+
+
+@cache
+def _diff_table(n: int, order: int, r: int):
+    """(rows, factors): d/dx_r takes a jet of order + 1 to one of ``order``
+    whose row b is row b + e_r times b_r + 1."""
+    import numpy as np
+
+    row = {b: t for t, b in enumerate(jet_monomials(n, order + 1))}
+    ups = [b[:r] + (b[r] + 1,) + b[r + 1:] for b in jet_monomials(n, order)]
+    return np.array([row[b] for b in ups]), np.array([b[r] for b in ups], dtype=float)
+
+
+def jet_constant(value, n: int, order: int, m: int) -> np.ndarray:
+    """The jet of the constant ``value`` at m points."""
+    import numpy as np
+
+    out = np.zeros((comb(n + order, order), m))
+    out[0] = value
+    return out
+
+
+def jet_mul(a: np.ndarray, b: np.ndarray, n: int, order: int, op=operator.mul) -> np.ndarray:
+    """The product of the jets ``a`` and ``b`` of ``order``, truncated there;
+    ``op`` multiplies a coefficient row by another (elementwise, or by
+    ``np.matmul`` or an ``einsum`` for matrices).  At order 0 it is one op."""
+    if order == 0:
+        return op(a, b)
+    left, right, to = _product_table(n, order)
+    prod = op(a.take(left, 0), b.take(right, 0))
+    return (to @ prod.reshape(len(left), -1)).reshape(len(to), *prod.shape[1:])
+
+
+def jet_diff(jet: np.ndarray, n: int, order: int, r: int) -> np.ndarray:
+    """d/dx_r of a jet of order + 1, as a jet of ``order``."""
+    rows, factors = _diff_table(n, order, r)
+    return jet.take(rows, 0) * factors.reshape(-1, *[1] * (jet.ndim - 1))
 
 
 class NumericScalar:
-    """A float-valued field known only through evaluation.
+    """A float-valued field known through its truncated Taylor series.
 
-    ``fn(stack, keys)`` maps a stack of k blocks of m points, a (k*m, n)
-    float array with one point per row, to its k*m values.  Block b is
-    rows b*m to (b+1)*m, and ``keys[b]`` is its ``tobytes()``, for passing
-    on to the fields that ``fn`` evaluates on the same stack.  Sums,
-    differences, products, scalings and derivatives act on whole arrays,
-    and the stencil of ``diff(r)`` asks its operand in one call for every
-    block shifted in column r (``five_point``).  ``values`` is a stack of
-    one block, and ``eval_float`` a block of one row.
+    ``fn(points, key, order)`` maps a batch of m points, an (m, n) float
+    array, to the field's jet of that order there (``jet_monomials``);
+    ``key`` is the batch's ``tobytes()``, passed on to the fields that
+    ``fn`` evaluates on the same batch.  Sums, differences and scalings
+    act on whole jets, a product is truncated at the order asked
+    (``jet_mul``), and ``diff(r)`` asks its operand for one order more and
+    shifts the coefficients (``jet_diff``).  ``values`` is the row of
+    order 0, and ``eval_float`` a batch of one row.
 
     ``reads`` is the set of coordinates r whose x_r the field can depend
     on (every one unless given).  ``const(n, 0)`` is the literal zero, and
@@ -95,47 +151,38 @@ class NumericScalar:
     are the zero, and so is ``diff(r)`` of a field that does not read x_r.
     A result reads what its operands read.
 
-    ``depth`` counts how many finite-difference layers sit under the
-    value already; the first derivative of a depth-0 field uses the fine
-    step, nested derivatives the coarser one, keeping truncation and
-    roundoff balanced.
-
-    Every node caches its values per block, keyed by the block's bytes,
-    and calls ``fn`` once per stack, on the blocks it has not cached.
-    Operator trees share subexpression nodes (the same connection entry
-    feeds many form components), and stencils ask their operands for the
-    same shifted blocks in different stacks (d_r d_s and d_s d_r), so the
-    caches turn the naive exponential recomputation of nested stencils
-    into one evaluation per distinct block.  A stack that ``fn`` evaluated
-    whole is also kept under the tuple of its keys: its blocks are views
-    of that array, and asking for the same stack again returns it without
-    copying them together.
+    Every node caches its jet per batch, keyed by the batch's bytes, at
+    the highest order asked so far, and answers a lower order with a
+    prefix of it.  Operator trees share subexpression nodes (the same
+    connection entry feeds many form components), so a node is computed
+    again only for a higher order, and only to the order that the
+    derivatives above it need: a product whose values alone are asked is
+    one multiplication.
     """
 
-    __slots__ = ("fn", "n", "depth", "reads", "_cache")
+    __slots__ = ("fn", "n", "reads", "_cache")
 
-    def __init__(self, fn: BatchFn, n: int, depth: int = 0, reads: frozenset | None = None):
+    def __init__(self, fn: Callable[[np.ndarray, bytes, int], np.ndarray], n: int,
+                 reads: frozenset | None = None):
         self.fn = fn
         self.n = n
-        self.depth = depth
         self.reads = frozenset(range(n)) if reads is None else reads
-        self._cache: Dict[bytes | Tuple[bytes, ...], np.ndarray] = {}
+        self._cache: Dict[bytes, np.ndarray] = {}
 
     @staticmethod
     def const(n: int, value: float) -> NumericScalar:
         v = float(value)
         if v == 0:
             return NumericScalar(_zeros, n, reads=frozenset())
-        import numpy as np
-
-        return NumericScalar(lambda p, keys: np.full(len(p), v), n, reads=frozenset())
+        return NumericScalar(lambda p, key, order: jet_constant(v, n, order, len(p)), n,
+                             reads=frozenset())
 
     def is_zero(self) -> bool:
         return self.fn is _zeros
 
     def _binary(self, other: NumericScalar, op) -> NumericScalar:
-        return NumericScalar(lambda p, keys: op(self._values(p, keys), other._values(p, keys)),
-                             self.n, max(self.depth, other.depth), self.reads | other.reads)
+        return NumericScalar(lambda p, key, o: op(self._jet(p, key, o), other._jet(p, key, o)),
+                             self.n, self.reads | other.reads)
 
     def __add__(self, other: NumericScalar) -> NumericScalar:
         if self.is_zero():
@@ -156,7 +203,10 @@ class NumericScalar:
             return self
         if other.is_zero():
             return other
-        return self._binary(other, operator.mul)
+        n = self.n
+        return NumericScalar(lambda p, key, o: jet_mul(self._jet(p, key, o),
+                                                       other._jet(p, key, o), n, o),
+                             n, self.reads | other.reads)
 
     def scale(self, value) -> NumericScalar:
         v = float(value)
@@ -164,44 +214,21 @@ class NumericScalar:
             return self
         if v == 0:
             return NumericScalar.const(self.n, 0)
-        return NumericScalar(lambda p, keys: v * self._values(p, keys), self.n, self.depth,
-                             self.reads)
+        return NumericScalar(lambda p, key, o: v * self._jet(p, key, o), self.n, self.reads)
 
     def diff(self, r: int) -> NumericScalar:
         if r not in self.reads:
             return self if self.is_zero() else NumericScalar.const(self.n, 0)
-        h = FD_STEP if self.depth == 0 else FD_STEP2
-        return NumericScalar(lambda p, keys: five_point(self._values, p, keys, r, h),
-                             self.n, self.depth + 1, self.reads)
+        n = self.n
+        return NumericScalar(lambda p, key, o: jet_diff(self._jet(p, key, o + 1), n, o, r),
+                             n, self.reads)
 
-    def _values(self, stack: np.ndarray, keys: Tuple[bytes, ...]) -> np.ndarray:
-        # every field evaluated on one stack receives the same key objects,
-        # so the caches of a tree hold one copy of each
-        cache = self._cache
-        if len(keys) == 1:
-            got = cache.get(keys[0])
-            if got is None:
-                got = cache[keys[0]] = self.fn(stack, keys)
-            return got
-        got = cache.get(keys)
-        if got is not None:
-            return got
-        import numpy as np
-
-        m = len(stack) // len(keys)
-        # a block can occur twice in a stack: it is evaluated once
-        missing = {key: b for b, key in enumerate(keys) if key not in cache}
-        whole = len(missing) == len(keys)
-        if missing:
-            rows = stack if whole else np.concatenate([stack[b * m:(b + 1) * m]
-                                                       for b in missing.values()])
-            got = self.fn(rows, tuple(missing))
-            for b, key in enumerate(missing):
-                cache[key] = got[b * m:(b + 1) * m]
-            if whole:
-                cache[keys] = got
-                return got
-        return np.concatenate([cache[key] for key in keys])
+    def _jet(self, points: np.ndarray, key: bytes, order: int) -> np.ndarray:
+        rows = comb(self.n + order, order)
+        got = self._cache.get(key)
+        if got is None or len(got) < rows:
+            got = self._cache[key] = self.fn(points, key, order)
+        return got if len(got) == rows else got[:rows]
 
     def values(self, points) -> np.ndarray:
         """The field at each of ``points``, as an array of floats.
@@ -213,69 +240,18 @@ class NumericScalar:
 
         points = np.asarray(points, dtype=float)
         with np.errstate(all="ignore"):
-            return self._values(points, (points.tobytes(),))
+            return self._jet(points, points.tobytes(), 0)[0]
 
     def eval_float(self, point) -> float:
         return float(self.values([tuple(point)])[0])
 
 
-def _zeros(stack: np.ndarray, keys: Tuple[bytes, ...]) -> np.ndarray:
-    """The batch function of the numeric literal zero."""
-    import numpy as np
-
-    return np.zeros(len(stack))
-
-
-def _shifted(points: np.ndarray, k: int, cols, h: float) -> np.ndarray:
-    """Each of the k blocks of the stack ``points`` shifted in column r by
-    2h, h, -h and -2h, for each r of ``cols`` in turn: a (k, 4 len(cols),
-    m, n) array."""
-    import numpy as np
-
-    m, n = len(points) // k, points.shape[1]
-    out = points.reshape(k, 1, m, n).repeat(4 * len(cols), axis=1)
-    steps = np.array([[2 * h], [h], [-h], [-2 * h]])
-    for c, r in enumerate(cols):
-        out[:, 4 * c:4 * c + 4, :, r] += steps
-    return out
-
-
-def _difference(values: np.ndarray, h: float) -> np.ndarray:
-    """The five-point central difference of the values at the samples of
-    ``_shifted`` in one column, a (k, 4, m, ...) array, as (k*m, ...)."""
-    d = (-values[:, 0] + 8 * values[:, 1] - 8 * values[:, 2] + values[:, 3]) / (12 * h)
-    return d.reshape(d.shape[0] * d.shape[1], *d.shape[2:])
-
-
-def five_point(f: BatchFn, points: np.ndarray, keys: Tuple[bytes, ...],
-               r: int, h: float) -> np.ndarray:
-    """The five-point central difference in coordinate r of the batch
-    function ``f`` at each row of the stack ``points``, whose blocks have
-    the bytes ``keys``.  ``f`` is called on the stack of each block shifted
-    by 2h, h, -h and -2h, block after block: once, or once per group of
-    blocks when the stack would pass ``STACK_ROWS`` rows."""
-    k = len(keys)
-    m = len(points) // k
-    g = max(1, STACK_ROWS // (4 * m))  # blocks per call
-    parts = []
-    for s in range(0, k, g):
-        kg = min(g, k - s)
-        samples = _shifted(points[s * m:(s + kg) * m], kg, (r,), h).reshape(-1, points.shape[1])
-        values = f(samples, tuple(samples[b * m:(b + 1) * m].tobytes() for b in range(4 * kg)))
-        parts.append(_difference(values.reshape(kg, 4, m, *values.shape[1:]), h))
-    if len(parts) == 1:
-        return parts[0]
-    import numpy as np
-
-    return np.concatenate(parts)
+def _zeros(points: np.ndarray, key: bytes, order: int) -> np.ndarray:
+    """The jet function of the numeric literal zero."""
+    return jet_constant(0.0, points.shape[1], order, len(points))
 
 
 ScalarField = RationalFunc | NumericScalar
-
-
-def field_is_exactly_zero(f: ScalarField) -> bool:
-    """Literal-zero test, one rule for both backends."""
-    return f.is_zero()
 
 
 # what evaluating a numeric frame raises at a pole or an overflow
@@ -287,14 +263,15 @@ class FrameChart:
 
     def __init__(self, name: str, n: int, domain: Sequence[Tuple],
                  entries: Sequence[Sequence[RationalFunc]] | None = None, *,
-                 batch_evaluator: Callable[[np.ndarray], np.ndarray] | None = None,
+                 jets: Callable[[np.ndarray, int], np.ndarray] | None = None,
                  reads: Sequence[Sequence[frozenset]] | None = None):
-        """Exact ``entries``, or a numeric frame: ``batch_evaluator`` maps
-        an (m, n) batch of points to an (m, n, n) array of frames, and
+        """Exact ``entries``, or a numeric frame: ``jets(points, order)``
+        maps an (m, n) batch of points to the frame's jet of that order
+        there, a (rows, m, n, n) array (see ``jet_monomials``), and
         ``reads[i][a]`` is the set of coordinates r whose x_r entry (i, a)
         can depend on (every coordinate, unless given)."""
-        if (entries is None) == (batch_evaluator is None):
-            raise ChartError("provide exactly one of exact entries or a numeric evaluator")
+        if (entries is None) == (jets is None):
+            raise ChartError("provide exactly one of exact entries or numeric jets")
         check_dim(n)
         self.name = name
         self.n = n
@@ -315,7 +292,7 @@ class FrameChart:
             self._den_factors = list(dict.fromkeys(f for e in fields for f in e.den))
         else:
             self.backend = "numeric"
-            self._frames = batch_evaluator
+            self._jets = jets
             self.reads = reads or [[frozenset(range(n))] * n for _ in range(n)]
 
     def grid(self, points_per_axis: int = 5) -> List[Tuple[float, ...]]:
@@ -355,9 +332,12 @@ class FrameChart:
             import numpy as np
 
             grid = self.grid(points_per_axis)
-            e, error = self._frames_until_error(np.array(grid))
+            jets, error = self._jets_until_error(np.array(grid), 0)
+            e = jets[0]
             with np.errstate(all="ignore"):
-                singular = abs(np.linalg.det(e)) < 1e-12
+                # |det e| against Hadamard's bound, the product of the row
+                # norms: the ratio lies in [0, 1] whatever the scale of e
+                singular = abs(np.linalg.det(e)) <= 1e-12 * np.linalg.norm(e, axis=2).prod(axis=1)
             # the first bad point is named, whatever is wrong there
             for p, finite, sing in zip(grid, np.isfinite(e).all(axis=(1, 2)), singular):
                 if not finite:
@@ -367,30 +347,30 @@ class FrameChart:
             if error:
                 raise ChartError(error)
 
-    def _frames_until_error(self, points: np.ndarray) -> Tuple[np.ndarray, str | None]:
-        """e at the rows of ``points`` before the first where it cannot be
-        evaluated, with the message for that row (None when there is none)."""
+    def _jets_until_error(self, points: np.ndarray, order: int) -> Tuple[np.ndarray, str | None]:
+        """e's jet of ``order`` at the rows of ``points`` before the first
+        where it cannot be evaluated, with the message for that row (None
+        when there is none)."""
         try:
-            return self._frames(points), None
+            return self._jets(points, order), None
         except _FRAME_ERRORS as exc:
             batch_error = exc
         for row in range(len(points)):  # find the first point that fails
             try:
-                self._frames(points[row:row + 1])
+                self._jets(points[row:row + 1], order)
             except _FRAME_ERRORS as exc:
                 at = tuple(points[row].tolist())
-                return (self._frames(points[:row]),
+                return (self._jets(points[:row], order),
                         f"frame of chart '{self.name}' cannot be evaluated at {at}: {exc}")
         raise ChartError(f"frame of chart '{self.name}' cannot be evaluated: {batch_error}")
 
-    def frames_at(self, points: np.ndarray) -> np.ndarray:
-        """The numeric frame at each row of ``points``, an (m, n, n) array;
-        a point where it cannot be evaluated is a ChartError, also off the
-        grid (a finite-difference sample can hit a pole the grid misses)."""
-        e, error = self._frames_until_error(points)
+    def frame_jets(self, points: np.ndarray, order: int) -> np.ndarray:
+        """The numeric frame's jet of ``order`` at the rows of ``points``; a
+        point where it cannot be evaluated is a ChartError."""
+        jets, error = self._jets_until_error(points, order)
         if error:
             raise ChartError(error)
-        return e
+        return jets
 
     def __repr__(self):
         return f"FrameChart({self.name!r}, n={self.n}, backend={self.backend})"
@@ -413,7 +393,7 @@ class ConnectionField:
         self.zero = zero
         self.gamma = gamma
         span = range(n)
-        live = [[[not field_is_exactly_zero(f) for f in row] for row in plane] for plane in gamma]
+        live = [[[not f.is_zero() for f in row] for row in plane] for plane in gamma]
         self.upper = [[tuple(a for a in span if live[i][r][a]) for r in span] for i in span]
         self.lower = [[tuple(a for a in span if live[a][r][l]) for l in span] for r in span]
 
@@ -450,45 +430,40 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
     # Gamma^i_{jk} is the zero where no entry of row i reads x_j
     unread = np.array([[[j not in reads[i][a] for a in span] for i in span] for j in span])
     live = ~unread.all(axis=2)  # [j, i]
-    cols = [j for j in span if live[j].any()]  # the columns that need stencils
 
-    def gamma_tensor(points: np.ndarray, keys: Tuple[bytes, ...]) -> np.ndarray:
-        k, m = len(keys), len(points) // len(keys)
-        # the frame at every block's stencil samples in each column of
-        # ``cols``, then at the block itself, in calls of at most STACK_ROWS rows
-        samples = np.concatenate([_shifted(points, k, cols, FD_STEP),
-                                  points.reshape(k, 1, m, n)], axis=1)
-        samples = samples.reshape(-1, n)
-        frames = np.concatenate([chart.frames_at(samples[s:s + STACK_ROWS])
-                                 for s in range(0, len(samples), STACK_ROWS)])
-        frames = frames.reshape(k, 4 * len(cols) + 1, m, n, n)
-        de = np.zeros((len(points), n, n, n))
-        for c, j in enumerate(cols):
-            de[:, j] = _difference(frames[:, 4 * c:4 * c + 4], FD_STEP)
-        de[:, unread] = 0.0
-        e = frames[:, -1].reshape(len(points), n, n)
+    def gamma_tensor(points: np.ndarray, key: bytes, order: int) -> np.ndarray:
+        """Gamma's jet of ``order`` from the frame's of one order more, as
+        a (rows, n, n, n, m) array."""
+        e = chart.frame_jets(points, order + 1)
         try:
-            einv = np.linalg.inv(e)
+            e0inv = np.linalg.inv(e[0])
         except np.linalg.LinAlgError:
-            row = int(np.argmin(abs(np.linalg.det(e))))
+            row = int(np.argmin(abs(np.linalg.det(e[0]))))
             raise ChartError(f"frame of chart '{chart.name}' is singular at "
                              f"{tuple(points[row].tolist())}") from None
-        # Gamma[m, i, j, k] = sum_a de[m, j, i, a] einv[m, a, k]
-        return np.einsum("mjia,mak->mijk", de, einv)
+        # e^-1 = sum_{k <= order} (-e0^-1 N)^k e0^-1, with N = e - e0
+        step = -(e0inv @ e[:comb(n + order, order)])
+        step[0] = 0.0
+        term = einv = np.zeros_like(step)
+        einv[0] = np.eye(n)  # the term k = 0
+        for _ in range(order):
+            term = jet_mul(step, term, n, order, np.matmul)
+            einv = einv + term
+        de = np.stack([jet_diff(e, n, order, j) for j in span], axis=2)  # [p, m, j, i, a]
+        de[:, :, unread] = 0.0
+        # Gamma[p, i, j, k, m] = sum_a de[p, m, j, i, a] einv[p, m, a, k]
+        return jet_mul(de, einv @ e0inv, n, order, partial(np.einsum, "pmjia,pmak->pijkm"))
 
-    # one node caches the whole tensor per block; each live entry copies its
-    # slice, so that its cache does not keep alive a tensor that was stacked
-    # from cached blocks.  Through e^-1 every live entry reads what the
-    # frame reads.
+    # one node caches the whole tensor per batch, and each live entry reads
+    # its slice.  Through e^-1 every live entry reads what the frame reads.
     frame_reads = frozenset().union(*(s for row in reads for s in row))
-    tensor = NumericScalar(gamma_tensor, n, 1, frame_reads)
+    tensor = NumericScalar(gamma_tensor, n, frame_reads)
     zero = NumericScalar.const(n, 0)
 
     def gamma_entry(i: int, j: int, k: int) -> NumericScalar:
         if not live[j, i]:
             return zero
-        return NumericScalar(lambda p, keys: tensor._values(p, keys)[:, i, j, k].copy(), n, 1,
-                             frame_reads)
+        return NumericScalar(lambda p, key, o: tensor._jet(p, key, o)[:, i, j, k], n, frame_reads)
 
     gamma = [[[gamma_entry(i, j, k) for k in span] for j in span] for i in span]
     return ConnectionField(n, zero, gamma)
@@ -524,12 +499,12 @@ def dt_scalar(conn: ConnectionField, get: Callable[..., ScalarField],
     for a in range(conn.n):
         if a in upper:
             t = get(a, *lower)
-            if not field_is_exactly_zero(t):
+            if not t.is_zero():
                 acc = acc - conn.comp(i, r, a) * t
         for support, l, before, after in slots:
             if a in support:
                 t = get(i, *before, a, *after)
-                if not field_is_exactly_zero(t):
+                if not t.is_zero():
                     acc = acc + conn.comp(a, r, l) * t
     return acc
 

@@ -250,14 +250,22 @@ def test_gamma_invariant_under_constant_right_factor():
 
 def test_numeric_backend_matches_exact_on_deformed():
     import numpy as np
+    from flatcheck.frames import jet_monomials
     exact_chart = get_chart("deformed2")
 
-    def evaluator(p):
-        x = p[0]
-        return np.array([[1.0, 0.0], [0.0, 1.0 + x * x]])
+    def jets(points, order):
+        # e = diag(1, 1 + x1^2); (x + h)^2 has the coefficients x^2, 2x and 1
+        rows = jet_monomials(2, order)
+        x = points[:, 0]
+        out = np.zeros((len(rows), len(points), 2, 2))
+        out[0] = [[1.0, 0.0], [0.0, 1.0]]
+        out[0, :, 1, 1] += x * x
+        for b, coeff in (((1, 0), 2 * x), ((2, 0), 1.0)):
+            if b in rows:
+                out[rows.index(b), :, 1, 1] = coeff
+        return out
 
-    numeric_chart = FrameChart("deformed2-num", 2, [(-1, 1), (-1, 1)],
-                               batch_evaluator=lambda pts: np.array([evaluator(p) for p in pts.tolist()]))
+    numeric_chart = FrameChart("deformed2-num", 2, [(-1, 1), (-1, 1)], jets=jets)
     conn_e = gamma_from_frame(exact_chart)
     conn_n = gamma_from_frame(numeric_chart)
     for pt in ((0.0, 0.0), (0.5, -0.5)):
@@ -282,8 +290,9 @@ def test_numeric_curvature_tilde_small():
 
 def test_numeric_scalar_derivative_accuracy():
     import math
-    import numpy as np
-    f = NumericScalar(lambda p, key: np.sin(p[:, 0]) * np.cos(p[:, 1]), 2)
+    from flatcheck.charts_io import _interpret, _NumericAlgebra, _parse
+    entry = _interpret(_parse("sin(x1)*cos(x2)"), 2, _NumericAlgebra(2))
+    f = NumericScalar(lambda p, key, order: entry(p, order), 2)
     df = f.diff(0)
     assert abs(df.eval_float((0.3, 0.7)) - math.cos(0.3) * math.cos(0.7)) < 1e-10
     d2f = df.diff(1)

@@ -6,12 +6,16 @@ chart document's entries are evaluated in mpmath at 30 digits, and
     Gamma^i_{jk} = sum_a d_j e^i_a . (e^-1)^a_k
 
 is built from ``mpmath.diff`` of the entries and mpmath's own matrix
-inverse.  Its derivative in coordinate (j + 1) mod n is ``mpmath.diff``
-of that.  flatcheck's stencils must agree on the grid within 1e-10 for
-Gamma and 1e-8 for its derivative.
+inverse.  Its derivatives, d_r Gamma in coordinate r = (j + 1) mod n and
+every d_r d_s Gamma (which hold third derivatives of the frame), are
+``mpmath.diff`` of that.  flatcheck's Taylor jets are exact up to
+rounding: they must agree on the grid within 1e-13 for Gamma and 1e-12
+for its derivatives.
 """
 
 from __future__ import annotations
+
+from itertools import combinations_with_replacement, product
 
 import mpmath
 import pytest
@@ -72,5 +76,25 @@ def test_gamma_and_its_derivative_match_mpmath(name):
                         dwant = mpmath.diff(lambda *y: gamma(y)[i][j][k], x, direction)
                         worst_gamma = max(worst_gamma, abs(float(v - want)))
                         worst_dgamma = max(worst_dgamma, abs(float(dv - dwant)))
-    assert worst_gamma <= 1e-10, worst_gamma
-    assert worst_dgamma <= 1e-8, worst_dgamma
+    assert worst_gamma <= 1e-13, worst_gamma
+    assert worst_dgamma <= 1e-12, worst_dgamma
+
+
+@pytest.mark.parametrize("name", ["su2-euler", "affine-exp2"])
+def test_second_derivatives_of_gamma_match_mpmath(name):
+    chart = get_chart(name)
+    n = chart.n
+    points = chart.grid(GRID)[::4]  # every fourth point keeps mpmath's nested diffs cheap
+    conn = gamma_from_frame(chart)
+    worst = 0.0
+    with mpmath.workdps(DIGITS):
+        gamma = mp_gamma(chart_document(name))
+        for (i, j, k), (r, s) in product(product(range(n), repeat=3),
+                                         combinations_with_replacement(range(n), 2)):
+            orders = tuple((t == r) + (t == s) for t in range(n))
+            got = conn.comp(i, j, k).diff(r).diff(s).values(points).tolist()
+            for p, v in zip(points, got):
+                x = tuple(mpmath.mpf(c) for c in p)
+                want = mpmath.diff(lambda *y: gamma(y)[i][j][k], x, orders)
+                worst = max(worst, abs(float(v - want)))
+    assert worst <= 1e-12, worst

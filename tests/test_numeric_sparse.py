@@ -5,7 +5,8 @@ so the sparse calculus skips on numeric charts what it skips on exact
 ones: a connection entry of a row whose frame entries ignore x_j, and a
 derivative along a coordinate that a field does not read.  What is
 skipped is exactly 0.0, not the rounding residue of a stencil over equal
-values.
+values.  Forced onto the numeric backend, an exact chart gives the exact
+backend's verdict, max_R and secondary class to rounding.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import math
 import numpy as np
 import pytest
 
-from flatcheck.catalog import get_chart
+from flatcheck.catalog import CHART_FACTS, chart_document, get_chart
 from flatcheck.charts_io import chart_from_json
-from flatcheck.forms import _grid_max, identity_report
+from flatcheck.forms import _grid_max, chern_simons_report, identity_report
 from flatcheck.frames import ChartError, NumericScalar, gamma_from_frame
 
 
@@ -35,13 +36,15 @@ def test_forced_numeric_abelian_connection_is_the_zero(name):
 def test_derivative_along_an_unread_coordinate_is_the_zero():
     assert NumericScalar.const(3, 0).is_zero()
     assert not NumericScalar.const(3, 1).is_zero()
-    f = NumericScalar(lambda p, keys: np.sin(p[:, 0]) * p[:, 2], 3, reads=frozenset({0, 2}))
+    # fields asked for their values only, jets of order 0
+    f = NumericScalar(lambda p, key, order: np.sin(p[:, 0:1].T) * p[:, 2], 3,
+                      reads=frozenset({0, 2}))
     assert f.diff(1).is_zero()
     assert not f.diff(0).is_zero() and not f.diff(2).is_zero()
     assert f.diff(0).diff(1).is_zero()
     # the zero short cuts return an operand, and a result reads what its operands read
     zero = NumericScalar.const(3, 0)
-    g = NumericScalar(lambda p, keys: p[:, 1], 3, reads=frozenset({1}))
+    g = NumericScalar(lambda p, key, order: p[:, 1:2].T, 3, reads=frozenset({1}))
     assert zero + f is f and f + zero is f and f - zero is f
     assert (zero * f).is_zero() and (f * zero).is_zero() and f.scale(0).is_zero()
     assert (f * g).reads == {0, 1, 2}
@@ -62,6 +65,43 @@ def test_forced_numeric_deformed2_keeps_its_curvature():
     assert max(report["residuals"].values()) <= 1e-12
 
 
+# the stress charts of conftest, as chart documents
+STRESS_DOCUMENTS = {
+    "sl2rational": {"name": "sl2rational", "n": 3,
+                    "domain": [["3/4", "5/4"], ["-1/4", "1/4"], ["-1/4", "1/4"]],
+                    "frame": [["x1", "0", "x2"], ["-x2", "x1", "0"],
+                              ["x3", "0", "(1 + x2*x3)/x1"]]},
+    "unipotent4": {"name": "unipotent4", "n": 4, "domain": [[-1, 1]] * 4,
+                   "frame": [["1", "0", "0", "0"], ["x1", "1", "0", "0"],
+                             ["x2^2", "x3", "1", "0"], ["x3", "x1*x2", "x1", "1"]]},
+    "sl2mix4": {"name": "sl2mix4", "n": 4,
+                "domain": [["3/4", "5/4"], ["-1/4", "1/4"], ["-1/4", "1/4"], ["-1/4", "1/4"]],
+                "frame": [["x1*(1 + x4^2)", "0", "x2", "0"], ["-x2", "x1", "0", "0"],
+                          ["x3", "0", "(1 + x2*x3)/x1", "0"], ["0", "0", "0", "1"]]},
+}
+FORCED = {name: chart_document(name) for name in CHART_FACTS
+          if get_chart(name).backend == "exact"} | STRESS_DOCUMENTS
+
+
+@pytest.mark.parametrize("name", sorted(FORCED))
+def test_forced_numeric_agrees_with_exact(name):
+    def close(got, want):  # 1e-12 relative, or absolute where the exact value is 0
+        return abs(got - want) <= 1e-12 * (abs(want) or 1.0)
+
+    reports = {}
+    for backend in ("exact", "numeric"):
+        chart = chart_from_json(FORCED[name], backend)
+        assert chart.backend == backend
+        reports[backend] = (identity_report(chart, grid_points=3),
+                            chern_simons_report(chart, grid_points=3))
+    (exact, exact_cs), (numeric, numeric_cs) = reports["exact"], reports["numeric"]
+    assert numeric["locally_homogeneous"] == exact["locally_homogeneous"]
+    assert close(numeric["max_R"], exact["max_R"])
+    assert max(numeric["residuals"].values()) <= 1e-12
+    assert close(numeric_cs["secondary_class_max_abs"], exact_cs["secondary_class_max_abs"])
+    assert numeric_cs["chern_simons_residual"] <= 1e-12
+
+
 def _loop_first_non_finite(fields, points):
     """The point that a loop over each field's values, field by field and
     point by point, stops at first."""
@@ -77,10 +117,10 @@ def test_grid_max_names_the_first_point_that_is_not_finite(bad):
     points = [(0.1 * t, 0.2) for t in range(6)]
 
     def field(bad_rows):
-        def fn(p, keys):
+        def fn(p, key, order):  # asked for values only, a jet of order 0
             out = np.cos(p[:, 0])
             out[bad_rows] = bad
-            return out
+            return out[None]
         return NumericScalar(fn, 2)
 
     finite = field([])

@@ -36,7 +36,6 @@ from flatcheck.forms import (
 from flatcheck.frames import (
     curvature_components,
     curvature_tilde_components,
-    field_is_exactly_zero,
     gamma_from_frame,
 )
 from flatcheck.rational import Poly, RationalFunc, rf_matrix_inverse
@@ -177,7 +176,7 @@ def assert_same_form(form: HomForm, dense: dict):
     """The stored components are the nonzero ones of ``dense``, in
     canonical key order, each with the dense field's layout."""
     assert list(form.components) == sorted(form.components)
-    nonzero = {key: f for key, f in dense.items() if not field_is_exactly_zero(f)}
+    nonzero = {key: f for key, f in dense.items() if not f.is_zero()}
     assert list(form.components) == sorted(nonzero)
     for key, f in nonzero.items():
         assert_same_field(form.components[key], f, key)
@@ -237,7 +236,7 @@ def check_geometry(conn):
     for sign in (1, -1):
         got = forms.nabla_torsion_minus_curvature(conn, sign, t, r)
         want = dense_nabla_torsion(conn, sign, t, r)
-        got, want = ([f for f in fields if not field_is_exactly_zero(f)] for fields in (got, want))
+        got, want = ([f for f in fields if not f.is_zero()] for fields in (got, want))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert_same_field(g, w, "nabla")
@@ -281,7 +280,7 @@ def test_the_nabla_torsion_residual_keeps_curvature_outside_the_torsion_support(
     r = curvature_form(conn)
     t = HomForm(conn.n, 1, conn.zero)
     for sign in (1, -1):
-        got, want = ([layout(f) for f in fields if not field_is_exactly_zero(f)] for fields in
+        got, want = ([layout(f) for f in fields if not f.is_zero()] for fields in
                      (forms.nabla_torsion_minus_curvature(conn, sign, t, r),
                       dense_nabla_torsion(conn, sign, t, r)))
         assert got == want and len(got) == 2 * len(r.components)
@@ -291,7 +290,7 @@ def test_only_the_support_is_stored():
     r = curvature_form(gamma_from_frame(make_unipotent4()))
     # 6 of the 96 components of unipotent4's curvature are nonzero
     assert len(r.components) == 6
-    assert all(not field_is_exactly_zero(f) for f in r.components.values())
+    assert all(not f.is_zero() for f in r.components.values())
 
 
 # --- no product with a literal-zero operand --------------------------------------
