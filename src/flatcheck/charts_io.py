@@ -13,7 +13,7 @@ MAX_EXPONENT, and sin/cos/exp of one argument.  An entry nests at most
 MAX_DEPTH levels.  On the exact backend no numerator or denominator factor
 may grow past MAX_TERMS terms, checked as each product is formed.  Domain
 bounds are rational literals ("3/4", "0.25", 1) of at most
-``sys.get_int_max_str_digits()`` digits (``rational.parse_rational``).
+``sys.get_int_max_str_digits()`` digits (``literals.parse_rational``).
 
 One interpreter walks the syntax tree of an entry and builds its value in
 a scalar algebra: exact RationalFuncs, or numeric closures of a batch of
@@ -39,7 +39,8 @@ from fractions import Fraction
 
 from .catalog import chart_document
 from .frames import ChartError, FrameChart, check_dim, jet_constant, jet_mul
-from .rational import RationalFunc, parse_int, parse_rational
+from .literals import parse_int, parse_rational
+from .rational import RationalFunc
 
 # a function's derivatives g, g', g'', ... repeat in a cycle of numpy
 # functions with signs
@@ -118,6 +119,11 @@ class _NumericAlgebra:
 
     @staticmethod
     def const(n: int, value):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ChartError("an integer literal overflows a float: "
+                             "numbers must be finite") from None
         return lambda x, order: jet_constant(value, n, order, len(x))
 
     @staticmethod

@@ -66,7 +66,7 @@ def emit(doc, out_path: str | None) -> None:
 
 
 def _frac(text: str) -> Fraction:
-    from .rational import parse_rational
+    from .literals import parse_rational
 
     try:
         return parse_rational(text)
@@ -159,7 +159,7 @@ def cmd_jet_invert(args) -> int:
 
 def cmd_groupoid_g3(args) -> int:
     from .arrows import ArrowError, G3Jet, g3_compose, g3_invert, mobius_split, schwarzian_defect
-    from .rational import frac_str
+    from .literals import frac_str
 
     try:
         if args.g3_op == "compose":
@@ -196,7 +196,7 @@ def cmd_spencer_check(args) -> int:
 def cmd_liepair_order(args) -> int:
     from .catalog import get_lie_pair
     from .liepair import LiePairError, filtration_of, order_of_chain, pair_from_json
-    from .rational import frac_str
+    from .literals import frac_str
 
     try:
         if args.builtin:

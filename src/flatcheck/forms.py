@@ -175,10 +175,11 @@ class HomForm:
 
 def _grid_max(fields, points) -> float:
     """Max |f| over the grid: float points, or a ``RationalGrid`` for exact
-    fields; a numeric field is evaluated on the whole grid in one call.  A
-    value that is not finite is a ChartError naming the first point where
-    it occurs: max() would drop a NaN and a residual of inf says nothing.
-    A literal-zero field is skipped."""
+    fields (plain points are wrapped in one); a numeric field is evaluated
+    on the whole grid in one call.  A value that is not finite is a
+    ChartError naming the first point where it occurs: max() would drop a
+    NaN and a residual of inf says nothing.  A literal-zero field is
+    skipped."""
     worst = 0.0
     for f in fields:
         if f.is_zero():
@@ -192,8 +193,9 @@ def _grid_max(fields, points) -> float:
                 raise _not_finite(points[int(finite.argmin())])
             worst = max(worst, float(values.max()))
             continue
-        values = points.values(f) if isinstance(points, RationalGrid) else map(f.eval_float, points)
-        for p, v in zip(points, values):
+        if not isinstance(points, RationalGrid):
+            points = RationalGrid(points)
+        for p, v in zip(points, points.values(f)):
             v = abs(v)
             if not math.isfinite(v):
                 raise _not_finite(p)

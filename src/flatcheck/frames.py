@@ -46,7 +46,7 @@ from math import comb
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from . import MAX_DIM
-from .rational import Poly, RationalFunc, matrix_determinant, rf_matrix_inverse
+from .rational import Poly, RationalFunc, rf_matrix_inverse
 
 if TYPE_CHECKING:  # numpy is imported by the numeric backend only
     import numpy as np
@@ -259,7 +259,8 @@ _FRAME_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 
 
 class FrameChart:
-    """An invertible frame field on a rational box domain."""
+    """An invertible frame field on a rational box domain; an exact one
+    holds its exact inverse, which feeds Gamma and validation."""
 
     def __init__(self, name: str, n: int, domain: Sequence[Tuple],
                  entries: Sequence[Sequence[RationalFunc]] | None = None, *,
@@ -283,13 +284,11 @@ class FrameChart:
             self.entries = [list(row) for row in entries]
             if len(self.entries) != n or any(len(r) != n for r in self.entries):
                 raise ChartError(f"frame must be an {n}x{n} matrix of fields")
-            self._det = matrix_determinant(self.entries)
-            if self._det.is_zero():
-                raise ChartError(f"frame of chart '{name}' is singular as a matrix of functions")
-            # the distinct denominator factors of det e and of the entries:
-            # an entry can have a pole where det e has none
-            fields = [self._det] + [e for row in self.entries for e in row]
-            self._den_factors = list(dict.fromkeys(f for e in fields for f in e.den))
+            try:
+                self.inverse = rf_matrix_inverse(self.entries)
+            except ZeroDivisionError:
+                raise ChartError(f"frame of chart '{name}' is singular as a matrix "
+                                 f"of functions") from None
         else:
             self.backend = "numeric"
             self._jets = jets
@@ -312,17 +311,24 @@ class FrameChart:
 
     def validate_invertible(self, points_per_axis: int = 5) -> None:
         """Check the evaluation grid is within bounds, and that e is finite
-        and det e nonzero on it (exactly, when exact)."""
+        and invertible on it.  Exactly, when exact: e has a pole where a
+        denominator factor of its entries vanishes, and, where it has none,
+        is singular where one of e^-1 = adj(e) / det e does.  A report's fields are
+        built from e, e^-1 and their derivatives, so they divide by no
+        exact zero on a valid grid."""
         if points_per_axis < 2:
             raise ChartError("need at least 2 grid points per axis")
         if points_per_axis ** self.n > MAX_GRID_POINTS:
             raise ChartError(f"a grid of {points_per_axis}^{self.n} points exceeds "
                              f"the limit of {MAX_GRID_POINTS}")
         if self.backend == "exact":
-            for p in self.rational_grid(points_per_axis):
-                if any(f.eval(p) == 0 for f in self._den_factors):
+            poles = dict.fromkeys(f for row in self.entries for e in row for f in e.den)
+            singular = dict.fromkeys(f for row in self.inverse for e in row for f in e.den
+                                     if f not in poles)
+            for p in self.rational_grid(points_per_axis) if poles or singular else ():
+                if any(f.eval(p) == 0 for f in poles):
                     problem = "has a pole"
-                elif self._det.eval(p) == 0:
+                elif any(f.eval(p) == 0 for f in singular):
                     problem = "is singular"
                 else:
                     continue
@@ -412,7 +418,7 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
     """The connection of the parallelism: Gamma^i_{jk} = d_j e . e^-1."""
     n = chart.n
     if chart.backend == "exact":
-        einv = rf_matrix_inverse(chart.entries)
+        einv = chart.inverse
         zero = RationalFunc(Poly.zero(n))
         # (a, d_j e^i_a) for the a where it is not a literal zero: a product
         # with a zero factor adds nothing to the sum
@@ -435,12 +441,7 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
         """Gamma's jet of ``order`` from the frame's of one order more, as
         a (rows, n, n, n, m) array."""
         e = chart.frame_jets(points, order + 1)
-        try:
-            e0inv = np.linalg.inv(e[0])
-        except np.linalg.LinAlgError:
-            row = int(np.argmin(abs(np.linalg.det(e[0]))))
-            raise ChartError(f"frame of chart '{chart.name}' is singular at "
-                             f"{tuple(points[row].tolist())}") from None
+        e0inv = np.linalg.inv(e[0])  # validate_invertible has refused a singular e
         # e^-1 = sum_{k <= order} (-e0^-1 N)^k e0^-1, with N = e - e0
         step = -(e0inv @ e[:comb(n + order, order)])
         step[0] = 0.0

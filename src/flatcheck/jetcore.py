@@ -20,7 +20,8 @@ from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 from . import MAX_DIM
-from .rational import Poly, grlex_key, parse_int, rf_matrix_inverse, unit_mono
+from .literals import parse_int
+from .rational import Poly, grlex_key, rf_matrix_inverse, unit_mono
 
 MultiIndex = Tuple[int, ...]
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .rational import (echelon_nullspace, frac_str, nullspace, parse_int, parse_rational, pivot,
-                       row_echelon)
+from .literals import frac_str, parse_int, parse_rational
+from .rational import echelon_nullspace, nullspace, pivot, row_echelon
 
 Vector = Tuple[Fraction, ...]
 

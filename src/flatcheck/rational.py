@@ -4,8 +4,8 @@ A polynomial holds integer numerators over one positive denominator, the
 least common one (the layout of FLINT's ``fmpq_poly``).  Rational functions
 keep the denominator as a multiset of polynomial factors with integer
 exponents, because every division performed by the geometry code divides
-by a polynomial that is known explicitly (a frame determinant, a chart
-denominator).  Sums and derivatives then only ever need exact trial
+by a polynomial that is known explicitly (a pivot of the elimination, a
+chart denominator).  Sums and derivatives then only ever need exact trial
 division to cancel factors, never a general multivariate gcd.
 
 Each term is keyed by a packed monomial (Monagan & Pearce, "Polynomial
@@ -30,8 +30,6 @@ clears the coordinates' denominators and builds one Fraction.
 
 from __future__ import annotations
 
-import re
-import sys
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
@@ -339,15 +337,8 @@ class Poly:
                              for m, v in zip(self.monomials(), self.terms.values())), den)
 
     def eval_float(self, point) -> float:
-        total = 0.0
-        den = self.denom
-        for mono, v in zip(self.monomials(), self.terms.values()):
-            term = v / den  # float(Fraction(v, den)), correctly rounded
-            for x, e in zip(point, mono):
-                if e:
-                    term *= x ** e
-            total += term
-        return total
+        """The value at ``point`` in floats, as a ``RationalGrid`` reads it."""
+        return RationalFunc(self).eval_float(point)
 
     def divides(self, other: Poly) -> Poly | None:
         """Exact division other / self; None if self does not divide other.
@@ -604,10 +595,8 @@ class RationalFunc:
         return v
 
     def eval_float(self, point) -> float:
-        v = self.num.eval_float(point)
-        for f, e in self.den.items():
-            v /= f.eval_float(point) ** e
-        return v
+        """The value at ``point`` in floats: a ``RationalGrid`` of one point."""
+        return next(RationalGrid([point]).values(self))
 
     def __repr__(self):
         if not self.den:
@@ -618,15 +607,17 @@ class RationalFunc:
 class RationalGrid:
     """A grid of rational points on which exact fields are evaluated in floats.
 
-    ``values(f)`` yields ``f.eval_float(p)`` for each point ``p`` in order,
-    bit for bit: the float operations are the same and run in the same
-    order.  The work that ``eval_float`` repeats is done once: each coordinate
-    power ``float(x_t ** e)`` once per point, the coefficients of a
-    polynomial once, and each denominator factor once per point for every
-    field that shares it.  Factors are keyed by identity, not by equality:
-    two equal factors may hold their terms in different orders, and their
-    float values could then differ in the last bit.  The grid holds them,
-    so ids stay unique.
+    ``values(f)`` yields the value of f at each point in order: each term
+    is its correctly rounded coefficient times ``float(x_t ** e)`` for each
+    of its variables in turn, the terms are summed in term order, and the
+    sum is divided by each denominator factor's value to its exponent.
+    ``eval_float`` is a grid of one point, so both give the same floats.
+    Work is done once per grid: each coordinate power once per point, the
+    coefficients of a polynomial once, and each denominator factor once
+    per point for every field that shares it.  Factors are keyed by
+    identity, not by equality: two equal factors may hold their terms in
+    different orders, and their float values could then differ in the last
+    bit.  The grid holds them, so ids stay unique.
     """
 
     __slots__ = ("points", "_powers", "_factors")
@@ -677,59 +668,12 @@ class RationalGrid:
             yield v
 
 
-def frac_str(x: Fraction) -> str:
-    """An exact rational as the "num/den" string of the exchange documents."""
-    return f"{x.numerator}/{x.denominator}"
-
-
-def parse_int(value, field: str) -> int:
-    """An integer field of an exchange document: a JSON integer, or a
-    string that ``int`` reads as a decimal integer, as the documents write
-    "num": "1".  Any other value, a fractional number or ``true`` among
-    them, raises ValueError naming ``field``; it is never truncated."""
-    if type(value) is int:
-        return value
-    if isinstance(value, str):
-        return int(value)  # its own ValueError for "1.5" or "abc"
-    raise ValueError(f"{field!r} must be an integer, not {_abbreviated(repr(value))}")
-
-
-def _abbreviated(text: str) -> str:
-    """``text``, cut to 32 characters for an error message."""
-    return text if len(text) <= 32 else text[:29] + "..."
-
-
-# the exponent of a decimal literal, as ``Fraction`` reads it
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-
-
-def parse_rational(text: str) -> Fraction:
-    """``Fraction(text)`` for a literal such as "3/4", "-0.25" or "1e-3".
-
-    A literal whose numerator or denominator would have more than
-    ``sys.get_int_max_str_digits()`` digits before reduction raises
-    OverflowError before its value is built, the limit that ``int()`` puts
-    on a digit string: ``Fraction("1e9999999")`` alone takes seconds.
-    Other malformed literals raise what ``Fraction`` raises."""
-    m = _EXPONENT.search(text)
-    limit = sys.get_int_max_str_digits()
-    if m and limit:
-        mantissa = text[:m.start()]
-        shift = int(m.group(1))
-        decimals = mantissa.partition(".")[2]
-        num_digits = sum(map(str.isdecimal, mantissa)) + max(shift, 0)
-        den_digits = 1 + sum(map(str.isdecimal, decimals)) + max(-shift, 0)
-        if max(num_digits, den_digits) > limit:
-            raise OverflowError(f"the rational literal {_abbreviated(text)!r} needs more "
-                                f"than {limit} digits")
-    return Fraction(text)
-
-
 # --- exact linear algebra over Q and Q(x) ------------------------------------
 #
 # The one elimination kernel.  Entries are Fractions (Lie pairs, jet linear
-# parts) or RationalFuncs (frames); the code uses only +, -, *, ONE / x and
-# truth tests, which both fields provide.  The pivot is always the first
+# parts) or RationalFuncs (frames, whose inverse also says where they are
+# singular); the code uses only +, -, *, ONE / x and truth tests, which both
+# fields provide.  The pivot is always the first
 # nonzero entry of its column, so results keep reproducible normal forms.
 # Where the pivot row holds a zero, the entry is left as it is: 0 * inv and
 # a - f * 0 give back the same value, and a sparse frame is spared every
@@ -822,23 +766,3 @@ def rf_matrix_inverse(m: Matrix) -> Matrix:
         raise ZeroDivisionError("singular matrix")
     return [row[size:] for row in ech]
 
-
-def matrix_determinant(mat: Matrix):
-    """Determinant by forward elimination: the signed product of the pivots."""
-    work = [list(row) for row in mat]
-    size = len(work)
-    zero, det = _zero_one(work)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col]), None)
-        if pivot is None:
-            return zero
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = ONE / work[col][col]
-        for r in range(col + 1, size):
-            if work[r][col]:
-                factor = work[r][col] * inv
-                work[r] = [a - factor * b if b else a for a, b in zip(work[r], work[col])]
-    return det

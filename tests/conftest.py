@@ -85,6 +85,28 @@ def make_sl2mix4() -> FrameChart:
                       entries=entries)
 
 
+def dense_chart_document(n: int, quadratic: bool = False) -> dict:
+    """The seeded "dense" chart document on [-1/10, 1/10]^n: identity plus
+    two terms (k/7)*x_a per entry, and with ``quadratic`` one more term
+    (k/7)*x_a*x_b, k in {1, 2, 3}.  Its structure functions are not
+    constant and its floats are not dyadic, so a report on it sees a
+    change of summation order in its last bits.  Named dense<n>, or
+    dense<n>q with ``quadratic``."""
+    rng = random.Random(1)
+
+    def term(factors: int) -> str:
+        k = rng.choice([1, 2, 3])
+        return f"({k}/7)" + "".join(f"*x{rng.randrange(n) + 1}" for _ in range(factors))
+
+    def entry(i: int, a: int) -> str:
+        terms = ["1"] if i == a else []
+        terms += [term(1), term(1)] + ([term(2)] if quadratic else [])
+        return " + ".join(terms)
+
+    return {"name": f"dense{n}" + "q" * quadratic, "n": n, "domain": [["-1/10", "1/10"]] * n,
+            "frame": [[entry(i, a) for a in range(n)] for i in range(n)]}
+
+
 def random_poly(n: int, deg: int, rng: random.Random, span: int = 3) -> Poly:
     coeffs = {}
     for mono in multi_indices(n, deg):

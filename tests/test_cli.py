@@ -355,6 +355,32 @@ def test_non_finite_literal_is_named(tmp_path, name):
     assert "Fraction" not in proc.stderr  # not the bare ValueError of the parser
 
 
+# an integer literal past the largest float: the numeric backend refuses it
+# in one line where it builds the entry, and the exact backend reads it
+_BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("command", [["geom", "report"], ["chern-simons"]])
+@pytest.mark.parametrize("entry, backend, refused", [
+    (f"{_BIG}*sin(x1)", "auto", True), (f"{_BIG}*x1", "numeric", True),
+    (f"{_BIG}*x1", "auto", False), (f"{_BIG}*x1", "exact", False)],
+    ids=["sin-auto", "x1-numeric", "x1-auto", "x1-exact"])
+def test_integer_literal_too_large_for_a_float(tmp_path, monkeypatch, capsys, command, entry,
+                                               backend, refused):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "big", "n": 2, "domain": [[1, 2], [1, 2]],
+                                "frame": [[entry, "0"], ["0", "1"]]}))
+    monkeypatch.setenv("FLATCHECK_BACKEND", backend)
+    code, out = run_cli([*command, "--chart", str(path)])
+    err = capsys.readouterr().err
+    if refused:
+        assert (code, out) == (1, "")
+        assert err == "error: an integer literal overflows a float: numbers must be finite\n"
+    else:
+        assert code == 0 and err == ""
+        assert json.loads(out)["backend"] == "exact"
+
+
 # rational charts with a pole or a singular frame between the grid points
 BETWEEN_GRID_POINTS = {
     "stencil-pole": [["1", "0"], ["0", "1/(x1 - 1/10000)"]],
@@ -904,6 +930,25 @@ def test_one_validation_per_command(monkeypatch):
         assert calls == [3]
 
 
+def test_one_exact_frame_inverse_per_command(monkeypatch):
+    # the chart inverts its frame when it is built; validation and Gamma
+    # read that inverse
+    from flatcheck import frames
+    real = frames.rf_matrix_inverse
+    calls = []
+
+    def counted(matrix):
+        calls.append(1)
+        return real(matrix)
+
+    monkeypatch.setattr(frames, "rf_matrix_inverse", counted)
+    for command in (["geom", "report"], ["chern-simons"]):
+        calls.clear()
+        code, _ = run_cli([*command, "--builtin", "heisenberg3", "--grid", "3"])
+        assert code == 0
+        assert len(calls) == 1
+
+
 def test_liepair_order_computes_the_filtration_once(monkeypatch):
     from flatcheck import liepair
     real = liepair.filtration_of
@@ -982,13 +1027,14 @@ def test_a_report_builds_one_connection():
 
 # the flatcheck modules each command family loads; a cold process pays for
 # the import of every one, so a new module-level import shows up here
-_CHART_MODULES = {"rational", "frames", "charts_io", "forms"}
+_CHART_MODULES = {"literals", "rational", "frames", "charts_io", "forms"}
 _LOADED_MODULES = [
     (["catalog", "list"], set()),
-    (["groupoid", "g3", "invert", "2", "1", "0"], {"rational", "arrows"}),
-    (["liepair", "order", "--builtin", "sl2/borel"], {"rational", "liepair"}),
-    (["jet", "invert", "JET"], {"rational", "jetcore"}),
-    (["spencer", "check", "--trials", "1"], {"rational", "jetcore", "spencer", "spencer_suite"}),
+    (["groupoid", "g3", "invert", "2", "1", "0"], {"literals", "arrows"}),
+    (["liepair", "order", "--builtin", "sl2/borel"], {"literals", "rational", "liepair"}),
+    (["jet", "invert", "JET"], {"literals", "rational", "jetcore"}),
+    (["spencer", "check", "--trials", "1"],
+     {"literals", "rational", "jetcore", "spencer", "spencer_suite"}),
     (["geom", "report", "--builtin", "heisenberg3"], _CHART_MODULES),
     (["chern-simons", "--builtin", "heisenberg3"], _CHART_MODULES),
 ]

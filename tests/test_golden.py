@@ -71,6 +71,14 @@ for _chart, _grid in (("sl2rational", "5"), ("unipotent4", "5"), ("sl2mix4", "3"
     _doc = f"chart-{_chart}-rescaled.json"
     CASES[f"report-{_chart}-rescaled"] = ["geom", "report", "--chart", _doc, "--grid", _grid]
     CASES[f"chern-simons-{_chart}-rescaled"] = ["chern-simons", "--chart", _doc, "--grid", _grid]
+# floats that are not dyadic, so a change of summation order shows in their
+# last bits: the seeded dense charts of conftest, and sl2mix4 on a grid with
+# points such as 11/12
+for _case, _doc, _grid in (("dense2", "chart-dense2.json", "2"),
+                           ("dense3", "chart-dense3.json", "2"),
+                           ("sl2mix4-grid4", "chart-sl2mix4.json", "4")):
+    CASES[f"report-{_case}"] = ["geom", "report", "--chart", _doc, "--grid", _grid]
+    CASES[f"chern-simons-{_case}"] = ["chern-simons", "--chart", _doc, "--grid", _grid]
 
 
 def run_case(name: str) -> tuple[int, str]:
@@ -100,6 +108,13 @@ def test_golden_chart_documents_are_the_conftest_charts(name):
     expected = getattr(conftest, f"make_{name}")()
     assert chart.domain == expected.domain
     assert chart.entries == expected.entries
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_golden_dense_documents_are_the_seeded_generator(n):
+    import conftest
+    doc = json.loads((GOLDEN / f"chart-dense{n}.json").read_text())
+    assert doc == conftest.dense_chart_document(n)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from flatcheck.jetcore import (
     multi_indices,
     project_order,
 )
-from flatcheck.rational import Poly, matrix_determinant, unit_mono
+from flatcheck.rational import Poly, rf_matrix_inverse, unit_mono
 
 
 def random_map(n, k, rng, lin_boost=4):
@@ -40,8 +40,11 @@ def random_map(n, k, rng, lin_boost=4):
         for i in range(n):
             derivs[(i, unit_mono(n, i))] += lin_boost
         m = TruncatedMap.from_derivatives(n, k, derivs)
-        if matrix_determinant(m.linear_part()) != 0:
-            return m
+        try:
+            rf_matrix_inverse(m.linear_part())
+        except ZeroDivisionError:
+            continue
+        return m
 
 
 def oracle_compose(outer, inner):

@@ -23,8 +23,8 @@ from conftest import make_sl2mix4, make_sl2rational, make_unipotent4
 from flatcheck import rational
 from flatcheck.frames import gamma_from_frame
 from flatcheck.jetcore import TruncatedPoly
-from flatcheck.rational import (Poly, RationalFunc, RationalGrid, grlex_key, parse_rational,
-                               unit_mono)
+from flatcheck.literals import parse_rational
+from flatcheck.rational import Poly, RationalFunc, RationalGrid, grlex_key, unit_mono
 
 SEEDS = range(8)
 CASES_PER_SEED = 40

@@ -29,6 +29,7 @@ ALLOWED = {
     "liepair.order_of": "perfbench/tracer.py wraps it",
     "catalog.get_chart": "perfbench/tracer.py wraps it; tests build catalog charts with it",
     "rational.Poly.int_form": "tests use it as a view",
+    "rational.Poly.eval_float": "perfbench/tracer.py wraps it",
     "arrows.G3Jet.to_map": "tests check the closed-form group law against jetcore through it",
     "arrows.G3Jet.from_map": "tests check the closed-form group law against jetcore through it",
     "spencer.algebraic_bracket": "the point reference that tests compare the field bracket with",
