@@ -107,6 +107,85 @@ def dense_chart_document(n: int, quadratic: bool = False) -> dict:
             "frame": [[entry(i, a) for a in range(n)] for i in range(n)]}
 
 
+def borel_pair_document(n: int, gl: bool = False) -> dict:
+    """The pair document of sl(n), or gl(n) with ``gl``, over its Borel
+    subalgebra of upper-triangular matrices, written in a seeded unimodular
+    basis.
+
+    The matrix basis e is the diagonal part (E_ii for gl(n), H_i = E_ii -
+    E_{i+1,i+1} for sl(n)), then E_ij for i < j, then E_ji; the Borel
+    subalgebra is spanned by all but the last n(n-1)/2.  The document uses
+    f = C e, with C a seeded product of 3 dim integer row operations
+    x_i += k x_j, k in {-2, -1, 1, 2}, so det C = 1 and both C and its
+    inverse are integral: the structure constants stay integers.  C is
+    redrawn until the highest-root vector E_1n has a first nonzero
+    coordinate other than +-1 in the basis f, so that the reduced basis of
+    the line it spans, a filtration stage of sl(n) and part of one of gl(n),
+    has a denominator of 2 or more.
+    """
+    rng = random.Random(f"borel:{n}:{gl}")
+    uppers = [(i, j) for i in range(n) for j in range(n) if i < j]
+    units = uppers + [(j, i) for i, j in uppers]
+    diag = n if gl else n - 1
+    dim = diag + len(units)
+    index = {u: diag + t for t, u in enumerate(units)}
+
+    def coords(mat: dict) -> list:
+        vec = [0] * dim
+        running = 0
+        for i in range(diag):
+            running += mat.get((i, i), 0)
+            vec[i] = mat.get((i, i), 0) if gl else running
+        for key, v in mat.items():
+            if key[0] != key[1]:
+                vec[index[key]] = v
+        return vec
+
+    def commutator(a: dict, b: dict) -> dict:
+        out = {}
+        for (i, j), x in a.items():
+            for (k, m), y in b.items():
+                if j == k:
+                    out[(i, m)] = out.get((i, m), 0) + x * y
+                if m == i:
+                    out[(k, j)] = out.get((k, j), 0) - x * y
+        return out
+
+    diagonal = [{(i, i): 1} if gl else {(i, i): 1, (i + 1, i + 1): -1} for i in range(diag)]
+    basis = diagonal + [{u: 1} for u in units]
+    theta = index[(0, n - 1)]
+    while True:
+        c = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        c_inv = [row[:] for row in c]
+        for _ in range(3 * dim):
+            i, j = rng.sample(range(dim), 2)
+            k = rng.choice((-2, -1, 1, 2))
+            c[i] = [a + k * b for a, b in zip(c[i], c[j])]
+            for row in c_inv:
+                row[j] -= k * row[i]
+        if abs(next(x for x in c_inv[theta] if x)) > 1:
+            break
+
+    def in_f(vec: list) -> list:
+        return [sum(vec[t] * c_inv[t][s] for t in range(dim)) for s in range(dim)]
+
+    def f(a: int) -> dict:
+        out = {}
+        for t, x in enumerate(c[a]):
+            for key, y in basis[t].items():
+                out[key] = out.get(key, 0) + x * y
+        return out
+
+    brackets = []
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            vec = in_f(coords(commutator(f(a), f(b))))
+            if any(vec):
+                brackets.append({"i": a, "j": b, "coeffs": [f"{x}/1" for x in vec]})
+    return {"dim": dim, "brackets": brackets,
+            "subalgebra": [[f"{x}/1" for x in c_inv[s]] for s in range(diag + len(uppers))]}
+
+
 def random_poly(n: int, deg: int, rng: random.Random, span: int = 3) -> Poly:
     coeffs = {}
     for mono in multi_indices(n, deg):

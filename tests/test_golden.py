@@ -54,7 +54,10 @@ for _k in (5, 6):
     _f, _g = f"jet-n3k{_k}-f.json", f"jet-n3k{_k}-g.json"
     CASES[f"jet-compose-n3k{_k}"] = ["jet", "compose", _f, _g]
     CASES[f"jet-invert-n3k{_k}"] = ["jet", "invert", _f]
-for _pair in ("sl4-borel", "sl5-borel", "sl6-borel", "filiform8", "filiform16"):
+# sl(3), sl(4) and gl(3) over the Borel in a unimodular basis of conftest,
+# whose dense integer constants give stage bases with denominators of 2 and more
+for _pair in ("sl4-borel", "sl5-borel", "sl6-borel", "filiform8", "filiform16",
+              "sl3-borel-conj", "sl4-borel-conj", "gl3-borel-conj"):
     CASES[f"liepair-doc-{_pair}"] = ["liepair", "order", "--pair", f"pair-{_pair}.json"]
 for _chart in EXACT_CHARTS:
     CASES[f"report-{_chart}"] = ["geom", "report", "--builtin", _chart]
@@ -115,6 +118,13 @@ def test_golden_dense_documents_are_the_seeded_generator(n):
     import conftest
     doc = json.loads((GOLDEN / f"chart-dense{n}.json").read_text())
     assert doc == conftest.dense_chart_document(n)
+
+
+@pytest.mark.parametrize("name, n, gl", [("sl3", 3, False), ("sl4", 4, False), ("gl3", 3, True)])
+def test_golden_borel_pair_documents_are_the_seeded_generator(name, n, gl):
+    import conftest
+    doc = json.loads((GOLDEN / f"pair-{name}-borel-conj.json").read_text())
+    assert doc == conftest.borel_pair_document(n, gl)
 
 
 if __name__ == "__main__":
