@@ -133,20 +133,21 @@ def _sl_n_matrices(n: int, extra: Sequence[tuple[int, int]]):
     """Basis matrices for upper-triangular traceless + chosen lower entries."""
     basis = []
     for i in range(n - 1):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[i][i] = Fraction(1)
-        m[i + 1][i + 1] = Fraction(-1)
+        m = [[0] * n for _ in range(n)]
+        m[i][i] = 1
+        m[i + 1][i + 1] = -1
         basis.append(m)
     uppers = [(a, b) for a in range(n) for b in range(n) if a < b]
     for a, b in list(uppers) + list(extra):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[a][b] = Fraction(1)
+        m = [[0] * n for _ in range(n)]
+        m[a][b] = 1
         basis.append(m)
     return basis, (n - 1) + len(uppers)
 
 
-def _matrix_brackets(basis: List[List[List[Fraction]]]) -> dict:
-    """Structure constants of a matrix Lie algebra in the given basis."""
+def _matrix_brackets(basis: List[List[List[int]]]) -> dict:
+    """Structure constants of a matrix Lie algebra with integer basis
+    matrices, each bracket's coordinates solved for in the basis."""
     from .rational import solve_in_basis
 
     size = len(basis[0])
@@ -154,17 +155,15 @@ def _matrix_brackets(basis: List[List[List[Fraction]]]) -> dict:
     flat = [[m[i][j] for i in range(size) for j in range(size)] for m in basis]
 
     def bracket(a, b):
-        return [[sum(a[i][t] * b[t][j] for t in range(size))
-                 - sum(b[i][t] * a[t][j] for t in range(size))
+        return [[sum(a[i][t] * b[t][j] - b[i][t] * a[t][j] for t in range(size))
                  for j in range(size)] for i in range(size)]
 
     brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
             m = bracket(basis[i], basis[j])
-            coords = solve_in_basis(flat, [m[r][c] for r in range(size) for c in range(size)])
-            if any(coords):
-                brackets[(i, j)] = coords
+            if any(map(any, m)):
+                brackets[(i, j)] = solve_in_basis(flat, [x for row in m for x in row])
     return brackets
 
 

@@ -1,11 +1,16 @@
 """Lie algebra pairs over the rationals: filtrations, order, effectiveness.
 
-Structure constants c^k_{ij} are exact Fractions with [x_i, x_j] =
-sum_k c^k_{ij} x_k, kept as a table of their nonzero entries; the Jacobi
-identity is validated at construction so a ``LieAlgebra`` is trustworthy
-downstream.  All rank decisions use exact Gaussian elimination, never
-floating point, because the order of a pair is a small integer that must
-not depend on a rank tolerance.
+Structure constants c^k_{ij}, with [x_i, x_j] = sum_k c^k_{ij} x_k, are
+kept as integer numerators over one common denominator, in a table of the
+nonzero entries; ``LieAlgebra.c`` is a view of them as Fractions.  The
+Jacobi identity is validated at construction, on the numerators, so a
+``LieAlgebra`` is trustworthy downstream.  A subalgebra, and each stage of
+its filtration, is kept as its reduced row echelon basis with each row
+scaled to primitive integers; brackets, membership, closure and the
+filtration work on these integer rows, and Fractions are built by the
+elimination kernel of ``rational`` only for the bases that a report writes.
+All rank decisions are exact, never floating point, because the order of a
+pair is a small integer that must not depend on a rank tolerance.
 
 The descending chain attached to a subalgebra h starts at h_0 = h and
 
@@ -18,11 +23,13 @@ g contained in h.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .literals import frac_str, parse_int, parse_rational
-from .rational import echelon_nullspace, nullspace, pivot, row_echelon
+from .rational import clear_denominators, nullspace, pivot, row_echelon
 
 Vector = Tuple[Fraction, ...]
 
@@ -30,8 +37,10 @@ Vector = Tuple[Fraction, ...]
 # largest catalog-style input, has dimension 35
 MAX_PAIR_DIM = 64
 # the most products of two structure constants the Jacobi check may form,
-# as bounded by ``LieAlgebra.jacobi_products``; each costs about 4 us
-# (Python 3.11, 2-core Xeon), and sl(6) over its Borel needs 3,442
+# as bounded by ``LieAlgebra.jacobi_products``; each, a product of two
+# integer numerators, costs about 0.12 us (Python 3.11, 2-core Xeon: gl(4)
+# in a dense unimodular basis needs 444,091 and checks in 0.055 s), and
+# sl(6) over its Borel needs 3,442
 MAX_JACOBI_PRODUCTS = 10 ** 6
 
 
@@ -40,48 +49,75 @@ class LiePairError(ValueError):
 
 
 def _frac_rows(rows: Sequence[Sequence]) -> List[List[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
 
 
-def _reduces_to_zero(vector: Sequence[Fraction], echelon: List[List[Fraction]],
-                     pivots: List[int]) -> bool:
-    """Whether ``vector`` lies in the span of reduced echelon rows.
+def _reduce(vector: List[int], rows: List[List[int]], pivots: List[int]) -> List[int]:
+    """A nonzero multiple of ``vector`` minus a combination of the integer
+    reduced echelon ``rows`` that clears every pivot coordinate.
 
-    Each row is 1 at its own pivot and 0 at every other pivot, so one pass
-    clears every pivot coordinate; what is left is zero exactly on the span.
+    Each row is zero at every other row's pivot, so one pass clears them
+    all; what is left is zero exactly when ``vector`` lies in their span.
     """
-    rest = list(vector)
-    for row, p in zip(echelon, pivots):
-        f = rest[p]
+    for row, p in zip(rows, pivots):
+        f = vector[p]
         if f:
-            rest = [a - f * b for a, b in zip(rest, row)]
-    return not any(rest)
+            g = gcd(row[p], f)
+            d, f = row[p] // g, f // g
+            vector = [d * a - f * b for a, b in zip(vector, row)]
+    return vector
 
 
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by exact structure constants.
 
-    ``c[(i, j)]`` lists the nonzero (k, c^k_{ij}) of [x_i, x_j] by
+    ``den`` is the least common denominator D of the constants, and
+    ``_table[(i, j)]`` lists the nonzero (k, D c^k_{ij}) of [x_i, x_j] by
     increasing k, for both orders of i != j; a pair that commutes has no
-    entry.
+    entry.  ``c`` is the same table with the Fractions c^k_{ij}.
     """
 
     def __init__(self, dim: int, brackets: dict[tuple[int, int], Sequence] | None = None):
         """``brackets[(i, j)]`` holds [x_i, x_j] as a coefficient vector, i < j."""
         self.dim = dim
-        self.c: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+        cleared = {}
         if brackets:
             for (i, j), coeffs in brackets.items():
                 if not 0 <= i < j < dim:
                     raise LiePairError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
-                vec = [Fraction(x) for x in coeffs]
-                if len(vec) != dim:
-                    raise LiePairError(f"bracket ({i}, {j}) has {len(vec)} coefficients, expected {dim}")
-                entries = tuple((k, x) for k, x in enumerate(vec) if x)
-                if entries:
-                    self.c[(i, j)] = entries
-                    self.c[(j, i)] = tuple((k, -x) for k, x in entries)
+                nums, den = clear_denominators(coeffs)
+                if len(nums) != dim:
+                    raise LiePairError(f"bracket ({i}, {j}) has {len(nums)} coefficients, expected {dim}")
+                cleared[(i, j)] = nums, den
+        self.den = lcm(*[den for _, den in cleared.values()])
+        self._table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        for (i, j), (nums, den) in cleared.items():
+            scale = self.den // den
+            entries = tuple((k, x * scale) for k, x in enumerate(nums) if x)
+            if entries:
+                self._table[(i, j)] = entries
+                self._table[(j, i)] = tuple((k, -x) for k, x in entries)
+        self._c = self._columns = None
         self._validate_jacobi()
+
+    @property
+    def c(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+        """The table of constants as (k, c^k_{ij}) with Fraction values,
+        built on first read."""
+        if self._c is None:
+            den = self.den
+            self._c = {key: tuple((k, Fraction(x, den)) for k, x in entries)
+                       for key, entries in self._table.items()}
+        return self._c
+
+    def _column_table(self) -> List[dict[int, tuple[tuple[int, int], ...]]]:
+        """Entry b maps each i with [x_i, x_b] != 0 to the numerators of
+        [x_i, x_b] in ``_table``; built on first use."""
+        if self._columns is None:
+            self._columns = [{} for _ in range(self.dim)]
+            for (i, b), entries in self._table.items():
+                self._columns[b][i] = entries
+        return self._columns
 
     def bracket(self, v: Sequence[Fraction], w: Sequence[Fraction]) -> List[Fraction]:
         out = [Fraction(0)] * self.dim
@@ -97,15 +133,31 @@ class LieAlgebra:
                         out[k] += coeff * x
         return out
 
+    def _integer_bracket(self, v: List[int], w: List[int]) -> List[int]:
+        """D [v, w] for integer coefficient vectors v and w."""
+        out = [0] * self.dim
+        w_support = [(j, wj) for j, wj in enumerate(w) if wj]
+        table = self._table
+        for i, vi in enumerate(v):
+            if vi:
+                for j, wj in w_support:
+                    entries = table.get((i, j))
+                    if entries:
+                        coeff = vi * wj
+                        for k, x in entries:
+                            out[k] += coeff * x
+        return out
+
     def basis_vector(self, i: int) -> List[Fraction]:
         v = [Fraction(0)] * self.dim
         v[i] = Fraction(1)
         return v
 
-    def _double_bracket(self, i: int, j: int, k: int, total: dict[int, Fraction]) -> None:
-        """Add [[x_i, x_j], x_k] to ``total`` by contracting the table."""
-        for m, x in self.c.get((i, j), ()):
-            for t, y in self.c.get((m, k), ()):
+    def _double_bracket(self, i: int, j: int, k: int, total: dict[int, int]) -> None:
+        """Add D^2 [[x_i, x_j], x_k] to ``total`` by contracting the table."""
+        table = self._table
+        for m, x in table.get((i, j), ()):
+            for t, y in table.get((m, k), ()):
                 total[t] = total.get(t, 0) + x * y
 
     def jacobi_products(self) -> int:
@@ -113,9 +165,9 @@ class LieAlgebra:
         over stored pairs i < j, and over each entry (m, .) of [x_i, x_j], of
         the number of nonzero constants c[(m, .)]."""
         per_row = [0] * self.dim
-        for (m, _), entries in self.c.items():
+        for (m, _), entries in self._table.items():
             per_row[m] += len(entries)
-        return sum(per_row[m] for (i, j), entries in self.c.items() if i < j
+        return sum(per_row[m] for (i, j), entries in self._table.items() if i < j
                    for m, _ in entries)
 
     def _validate_jacobi(self) -> None:
@@ -124,13 +176,23 @@ class LieAlgebra:
             raise LiePairError(
                 f"the Jacobi check needs up to {products} products of structure constants, "
                 f"more than the limit of {MAX_JACOBI_PRODUCTS}")
+        # [[x_i, x_j], x_k] is zero unless [x_i, x_j] is, so a triple whose
+        # three pairs all commute is skipped
+        table = self._table
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
+                ij = (i, j) in table
                 for k in range(j + 1, self.dim):
-                    total: dict[int, Fraction] = {}
-                    self._double_bracket(i, j, k, total)
-                    self._double_bracket(j, k, i, total)
-                    self._double_bracket(k, i, j, total)
+                    jk, ki = (j, k) in table, (k, i) in table
+                    if not (ij or jk or ki):
+                        continue
+                    total: dict[int, int] = {}
+                    if ij:
+                        self._double_bracket(i, j, k, total)
+                    if jk:
+                        self._double_bracket(j, k, i, total)
+                    if ki:
+                        self._double_bracket(k, i, j, total)
                     if any(total.values()):
                         raise LiePairError(
                             f"Jacobi identity fails on basis triple ({i}, {j}, {k})")
@@ -139,8 +201,10 @@ class LieAlgebra:
 class Subalgebra:
     """A subalgebra presented by a linearly independent basis in coordinates.
 
-    The basis is kept exactly as given; membership is decided against its
-    reduced row echelon form, computed once.
+    ``basis`` is kept exactly as given, for reports.  Membership, closure
+    and the filtration use ``_rows``, the reduced row echelon form of the
+    basis with each row scaled to primitive integers with a positive pivot,
+    and their pivot columns ``_pivots``.
     """
 
     def __init__(self, algebra: LieAlgebra, basis: Sequence[Sequence]):
@@ -149,10 +213,10 @@ class Subalgebra:
         for row in self.basis:
             if len(row) != algebra.dim:
                 raise LiePairError("subalgebra basis vectors must have ambient dimension")
-        self._echelon = row_echelon(self.basis)
-        if len(self._echelon) != len(self.basis):
+        echelon = row_echelon(self.basis)
+        if len(echelon) != len(self.basis):
             raise LiePairError("subalgebra basis is linearly dependent")
-        self._pivots = [pivot(row) for row in self._echelon]
+        self._keep_rows(echelon)
         self._validate_closed()
 
     @classmethod
@@ -161,22 +225,30 @@ class Subalgebra:
         basis; closure is not checked."""
         sub = cls.__new__(cls)
         sub.algebra = algebra
-        sub.basis = sub._echelon = echelon
-        sub._pivots = [pivot(row) for row in echelon]
+        sub.basis = echelon
+        sub._keep_rows(echelon)
         return sub
+
+    def _keep_rows(self, echelon: List[List[Fraction]]) -> None:
+        # a reduced row, with pivot 1, times the lcm of its denominators is
+        # primitive with a positive pivot
+        self._rows = [clear_denominators(row)[0] for row in echelon]
+        self._pivots = [pivot(row) for row in self._rows]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, vector: Sequence[Fraction]) -> bool:
-        return _reduces_to_zero(vector, self._echelon, self._pivots)
+        return not any(_reduce(clear_denominators(vector)[0], self._rows, self._pivots))
 
     def _validate_closed(self) -> None:
-        # [b, a] = -[a, b] and [a, a] = 0, so the pairs a before b suffice
-        for t, a in enumerate(self.basis):
-            for b in self.basis[t + 1:]:
-                if not self.contains(self.algebra.bracket(a, b)):
+        # [b, a] = -[a, b] and [a, a] = 0, so the pairs a before b of any
+        # basis of the span suffice
+        bracket = self.algebra._integer_bracket
+        for t, a in enumerate(self._rows):
+            for b in self._rows[t + 1:]:
+                if not self.contains(bracket(a, b)):
                     raise LiePairError("subalgebra basis is not closed under the bracket")
 
 
@@ -248,30 +320,46 @@ def filtration_of(g: LieAlgebra, h: Subalgebra) -> List[Subalgebra]:
 
 def _stabilizer_step(g: LieAlgebra, stage: Subalgebra) -> Subalgebra:
     """{ v in stage : [v, x] in stage for all x in g }, by exact kernels."""
-    # u lies in span(stage) iff every w with stage . w = 0 has w . u = 0, so
-    # each such w and each e_b give one linear condition on the coefficients
-    # of v in stage's basis: sum_t coef_t w . [s_t, e_b] = 0.  The images
-    # [s_t, e_b] are kept as their few nonzero entries.
-    annihilator = echelon_nullspace(stage._echelon, stage._pivots, g.dim)
-    conditions: List[List[Fraction]] = []
-    dim = g.dim
-    for b in range(dim):
-        eb = g.basis_vector(b)
-        images = [[(i, y) for i, y in enumerate(g.bracket(vec, eb)) if y] for vec in stage.basis]
-        for w in annihilator:
-            row = [sum(w[i] * y for i, y in img) for img in images]
-            if any(row):
-                conditions.append(row)
+    # v = sum_t coef_t s_t over the integer rows s_t of the stage.  [v, e_b]
+    # lies in the stage iff its residue vanishes: L u minus the multiples
+    # u[p_r] (L / d_r) s_r of the rows, which clear each pivot column p_r
+    # (d_r = s_r[p_r], L = lcm of the d_r).  The residue is linear in u, and
+    # u = D [v, e_b] is linear in coef, so each pair (b, free column f)
+    # gives one integer condition sum_t coef_t res(D [s_t, e_b])[f] = 0.
+    # The images D [s_t, e_b] are read from the column table of g.
+    rows, pivots = stage._rows, stage._pivots
+    dim, size = g.dim, len(rows)
+    scale = lcm(*[row[p] for row, p in zip(rows, pivots)])
+    clearing = {p: (scale // row[p], [(f, x) for f, x in enumerate(row) if x and f != p])
+                for row, p in zip(rows, pivots)}
+    supports = [[(i, x) for i, x in enumerate(row) if x] for row in rows]
+    conditions: List[List[int]] = []
+    for column in g._column_table():
+        if not column:
+            continue
+        by_free: dict[int, List[int]] = defaultdict(lambda: [0] * size)
+        for t, support in enumerate(supports):
+            image: dict[int, int] = {}
+            for i, x in support:
+                for k, y in column.get(i, ()):
+                    image[k] = image.get(k, 0) + x * y
+            for k, y in image.items():
+                if k in clearing:
+                    factor, rest = clearing[k]
+                    y *= factor
+                    for f, x in rest:
+                        by_free[f][t] -= y * x
+                else:
+                    by_free[k][t] += y * scale
+        conditions.extend(row for row in by_free.values() if any(row))
     if not conditions:
         return stage
-    kernel = nullspace(conditions, stage.dim)
     new_basis = []
-    for combo in kernel:
-        vec = [Fraction(0)] * dim
-        for coeff, base_vec in zip(combo, stage.basis):
+    for combo in nullspace(conditions, size):
+        vec = [0] * dim
+        for coeff, row in zip(clear_denominators(combo)[0], rows):
             if coeff:
-                for t in range(dim):
-                    vec[t] += coeff * base_vec[t]
+                vec = [a + coeff * b for a, b in zip(vec, row)]
         new_basis.append(vec)
     return Subalgebra._from_echelon(g, row_echelon(new_basis))
 
@@ -352,13 +440,31 @@ def pair_to_json(g: LieAlgebra, h: Subalgebra) -> dict:
     }
 
 
+def _array(value, field: str) -> list:
+    """A field of a pair document that must be a JSON array; a string or an
+    object would otherwise be read by its characters or its keys."""
+    if not isinstance(value, list):
+        raise TypeError(f"{field!r} must be a list")
+    return value
+
+
 def pair_from_json(doc: dict) -> tuple[LieAlgebra, Subalgebra]:
+    literals: dict[str, Fraction] = {}  # each distinct literal is parsed once
+
+    def rational(x) -> Fraction:
+        text = str(x)
+        value = literals.get(text)
+        if value is None:
+            value = literals[text] = parse_rational(text)
+        return value
+
     try:
         dim = parse_int(doc["dim"], "dim")
         entries = [((parse_int(e["i"], "i"), parse_int(e["j"], "j")),
-                    [parse_rational(str(x)) for x in e["coeffs"]])
-                   for e in doc["brackets"]]
-        sub = [[parse_rational(str(x)) for x in vec] for vec in doc["subalgebra"]]
+                    [rational(x) for x in _array(e["coeffs"], "coeffs")])
+                   for e in _array(doc["brackets"], "brackets")]
+        sub = [[rational(x) for x in _array(vec, "subalgebra row")]
+               for vec in _array(doc["subalgebra"], "subalgebra")]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise LiePairError(f"malformed Lie pair document: {exc}") from None
     brackets = {}

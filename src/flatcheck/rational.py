@@ -670,23 +670,32 @@ class RationalGrid:
 
 # --- exact linear algebra over Q and Q(x) ------------------------------------
 #
-# The one elimination kernel.  Entries are Fractions (Lie pairs, jet linear
-# parts) or RationalFuncs (frames, whose inverse also says where they are
-# singular); the code uses only +, -, *, ONE / x and truth tests, which both
-# fields provide.  The pivot is always the first
-# nonzero entry of its column, so results keep reproducible normal forms.
-# Where the pivot row holds a zero, the entry is left as it is: 0 * inv and
-# a - f * 0 give back the same value, and a sparse frame is spared every
-# product with a zero operand.
+# The elimination kernel.  Rows over Q (int or Fraction entries: Lie pairs,
+# the linear part of a jet, the coordinates of catalog matrices) are each
+# multiplied by the least common denominator of their entries and
+# eliminated on integers by ``_integer_echelon``; Fractions are built, by
+# dividing each row by its pivot, only to write the result.  Rows over Q(x)
+# (RationalFuncs: frames, whose inverse also says where they are singular)
+# go through the Gauss-Jordan loop of ``row_echelon``, which uses only +,
+# -, *, ONE / x and truth tests.  Either way the pivot is the first nonzero
+# entry of its column, and the reduced row echelon form that results is
+# unique.  Where a Q(x) pivot row holds a zero, the entry is left as it is:
+# 0 * inv and a - f * 0 give back the same value, and a sparse frame is
+# spared every product with a zero operand.
 
-Matrix = list  # rows of Fraction or of RationalFunc
+Matrix = list  # rows of int, of Fraction or of RationalFunc
+
+
+def _over_qx(rows: Matrix) -> bool:
+    """Whether the entries of ``rows`` are RationalFuncs rather than rationals."""
+    return bool(rows and rows[0]) and isinstance(rows[0][0], RationalFunc)
 
 
 def _zero_one(rows: Matrix) -> tuple:
     """The 0 and 1 of the field the entries of ``rows`` lie in."""
-    x = rows[0][0] if rows and rows[0] else ONE
-    if isinstance(x, RationalFunc):
-        return RationalFunc.const(x.n, 0), RationalFunc.const(x.n, 1)
+    if _over_qx(rows):
+        n = rows[0][0].n
+        return RationalFunc.const(n, 0), RationalFunc.const(n, 1)
     return ZERO, ONE
 
 
@@ -695,8 +704,75 @@ def pivot(row) -> int:
     return next(i for i, x in enumerate(row) if x)
 
 
+def clear_denominators(row) -> tuple[list, int]:
+    """(numerators, den): a row of rationals (ints, Fractions, or what
+    ``Fraction`` reads) as integers over the least common denominator of
+    its entries.  A reduced echelon row, whose pivot is 1, becomes the
+    primitive integer row with a positive pivot that spans the same line."""
+    fracs = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
+    den = lcm(*[x._denominator for x in fracs if type(x) is Fraction])
+    if den == 1:
+        return [x if type(x) is int else x._numerator for x in fracs], 1
+    return [x * den if type(x) is int else x._numerator * (den // x._denominator)
+            for x in fracs], den
+
+
+def _integer_echelon(rows: Matrix) -> Matrix:
+    """The reduced row echelon form of integer rows, each row scaled to be
+    primitive (its entries have no common factor) with a positive pivot;
+    only the nonzero rows are returned.  ``rows`` is not changed.
+
+    This is fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
+    22, 1968, eliminates without fractions too, dividing by the previous
+    pivot instead).  Clearing column c of row i replaces it by (p * row_i -
+    f * row_r) / g, for the pivot p, the entry f and the content g of the
+    result, so every row stays the primitive integer multiple of its
+    current rational value, and entries do not grow with the number of
+    steps; a row with a zero in column c is not touched.
+    """
+    mat = list(rows)
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        if r == len(mat):
+            break
+        found = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if found is None:
+            continue
+        prow = mat[found]
+        g = gcd(*prow)
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            prow = [x // g for x in prow]
+        mat[found] = mat[r]
+        mat[r] = prow
+        p = prow[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                if p == 1:
+                    new = [a - f * b if b else a for a, b in zip(row, prow)]
+                else:
+                    g = gcd(p, f)
+                    pg, fg = p // g, f // g
+                    new = [pg * a - fg * b for a, b in zip(row, prow)]
+                g = gcd(*new)
+                mat[i] = [x // g for x in new] if g > 1 else new
+        r += 1
+    return mat[:r]
+
+
+def _fraction_row(row: list) -> list:
+    """A nonzero integer row divided by its pivot, which must be positive."""
+    d = row[pivot(row)]
+    return [_fraction(x, d) if x else ZERO for x in row]
+
+
 def row_echelon(rows: Matrix) -> Matrix:
-    """Reduced row echelon form by Gauss-Jordan; returns only the nonzero rows."""
+    """Reduced row echelon form; returns only the nonzero rows."""
+    if not _over_qx(rows):
+        ints = [clear_denominators(row)[0] for row in rows]
+        return [_fraction_row(row) for row in _integer_echelon(ints)]
     mat = [list(r) for r in rows]
     r = 0
     for c in range(len(mat[0]) if mat else 0):

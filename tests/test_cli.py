@@ -189,6 +189,18 @@ MALFORMED = {
     "jet-order": (["jet", "invert"], {"n": 1, "k": "x", "components": [[]]}),
     "pair-coeffs": (["liepair", "order", "--pair"], {
         "dim": 3, "brackets": [{"i": 0, "j": 1}], "subalgebra": []}),
+    # an array field given as a string or an object used to be read by its
+    # characters or its keys: "001" as the vector (0, 0, 1)
+    "pair-coeffs-string": (["liepair", "order", "--pair"], {
+        "dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": "001"}], "subalgebra": []}),
+    "pair-subalgebra-row-string": (["liepair", "order", "--pair"], {
+        "dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": [0, 0, 1]}], "subalgebra": ["001"]}),
+    "pair-subalgebra-row-object": (["liepair", "order", "--pair"], {
+        "dim": 1, "brackets": [], "subalgebra": [{"1": 0}]}),
+    "pair-subalgebra-string": (["liepair", "order", "--pair"], {
+        "dim": 1, "brackets": [], "subalgebra": "1"}),
+    "pair-brackets-string": (["liepair", "order", "--pair"], {
+        "dim": 3, "brackets": "", "subalgebra": []}),
     # a repeated entry used to be accepted, the last one winning
     "jet-repeated-multiindex": (["jet", "invert"], {
         "n": 1, "k": 2, "components": [[{"multiindex": [1], "num": "1", "den": "1"},
