@@ -74,7 +74,8 @@ class LieAlgebra:
     ``den`` is the least common denominator D of the constants, and
     ``_table[(i, j)]`` lists the nonzero (k, D c^k_{ij}) of [x_i, x_j] by
     increasing k, for both orders of i != j; a pair that commutes has no
-    entry.  ``c`` is the same table with the Fractions c^k_{ij}.
+    entry.  ``_columns`` holds the same entries by their second index, and
+    ``c`` is the table with the Fractions c^k_{ij}.
     """
 
     def __init__(self, dim: int, brackets: dict[tuple[int, int], Sequence] | None = None):
@@ -97,7 +98,10 @@ class LieAlgebra:
             if entries:
                 self._table[(i, j)] = entries
                 self._table[(j, i)] = tuple((k, -x) for k, x in entries)
-        self._c = self._columns = None
+        self._columns: List[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in range(dim)]
+        for (i, b), entries in self._table.items():
+            self._columns[b][i] = entries
+        self._c = None
         self._validate_jacobi()
 
     @property
@@ -110,28 +114,10 @@ class LieAlgebra:
                        for key, entries in self._table.items()}
         return self._c
 
-    def _column_table(self) -> List[dict[int, tuple[tuple[int, int], ...]]]:
-        """Entry b maps each i with [x_i, x_b] != 0 to the numerators of
-        [x_i, x_b] in ``_table``; built on first use."""
-        if self._columns is None:
-            self._columns = [{} for _ in range(self.dim)]
-            for (i, b), entries in self._table.items():
-                self._columns[b][i] = entries
-        return self._columns
-
     def bracket(self, v: Sequence[Fraction], w: Sequence[Fraction]) -> List[Fraction]:
-        out = [Fraction(0)] * self.dim
-        w_support = [(j, wj) for j, wj in enumerate(w) if wj]
-        for i, vi in enumerate(v):
-            if vi == 0:
-                continue
-            for j, wj in w_support:
-                entries = self.c.get((i, j))
-                if entries:
-                    coeff = vi * wj
-                    for k, x in entries:
-                        out[k] += coeff * x
-        return out
+        (v_nums, v_den), (w_nums, w_den) = clear_denominators(v), clear_denominators(w)
+        den = self.den * v_den * w_den
+        return [Fraction(x, den) for x in self._integer_bracket(v_nums, w_nums)]
 
     def _integer_bracket(self, v: List[int], w: List[int]) -> List[int]:
         """D [v, w] for integer coefficient vectors v and w."""
@@ -334,7 +320,7 @@ def _stabilizer_step(g: LieAlgebra, stage: Subalgebra) -> Subalgebra:
                 for row, p in zip(rows, pivots)}
     supports = [[(i, x) for i, x in enumerate(row) if x] for row in rows]
     conditions: List[List[int]] = []
-    for column in g._column_table():
+    for column in g._columns:
         if not column:
             continue
         by_free: dict[int, List[int]] = defaultdict(lambda: [0] * size)
