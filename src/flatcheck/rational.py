@@ -727,8 +727,8 @@ def _integer_echelon(rows: Matrix) -> Matrix:
     pivot instead).  Clearing column c of row i replaces it by (p * row_i -
     f * row_r) / g, for the pivot p, the entry f and the content g of the
     result, so every row stays the primitive integer multiple of its
-    current rational value, and entries do not grow with the number of
-    steps; a row with a zero in column c is not touched.
+    current rational value and no common factor builds up from step to
+    step; a row with a zero in column c is not touched.
     """
     mat = list(rows)
     r = 0
@@ -750,12 +750,9 @@ def _integer_echelon(rows: Matrix) -> Matrix:
         for i, row in enumerate(mat):
             f = row[c]
             if f and i != r:
-                if p == 1:
-                    new = [a - f * b if b else a for a, b in zip(row, prow)]
-                else:
-                    g = gcd(p, f)
-                    pg, fg = p // g, f // g
-                    new = [pg * a - fg * b for a, b in zip(row, prow)]
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                new = [pg * a - fg * b for a, b in zip(row, prow)]
                 g = gcd(*new)
                 mat[i] = [x // g for x in new] if g > 1 else new
         r += 1
