@@ -226,13 +226,6 @@ def test_filtration_matches_the_fraction_stage_step(name):
     assert as_strings([stage.basis for stage in chain]) == as_strings(ref_filtration_bases(g, h))
 
 
-def test_the_references_see_rational_stage_bases():
-    # the conjugated pairs reach stages whose reduced bases are not integral
-    g, h = pair_from_json(borel_pair_document(3, True))
-    assert any(Fraction(x).denominator > 1 for stage in ref_filtration_bases(g, h)[1:]
-               for vec in stage for x in vec)
-
-
 # --- no Fraction arithmetic inside the Jacobi check or the filtration -------------
 
 @pytest.mark.parametrize("argv, order", [
