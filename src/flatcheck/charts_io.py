@@ -353,6 +353,8 @@ def load_chart_file(path: str, backend: str | None = None) -> FrameChart:
         raise ChartError(f"cannot read chart file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ChartError(f"chart file is not valid JSON: line {exc.lineno}, column {exc.colno}") from None
+    except RecursionError:
+        raise ChartError("chart file is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ChartError("chart document must be a JSON object")
     return chart_from_json(doc, backend)

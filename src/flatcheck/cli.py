@@ -125,9 +125,22 @@ def cmd_geom_report(args) -> int:
     return EXIT_OK if identity_residuals_pass(report, args.tol, args.tol2) else EXIT_RESIDUAL
 
 
+class DocumentError(ValueError):
+    """A document file that the JSON parser cannot read."""
+
+
 def _read_json(path: str):
+    """The JSON document in the file at ``path``: OSError if the file
+    cannot be opened, DocumentError if it is not UTF-8, is not JSON, nests
+    deeper than the parser follows or holds an integer longer than
+    ``int`` reads."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise DocumentError("the JSON document is nested too deeply") from None
+        except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError among them
+            raise DocumentError(str(exc)) from None
 
 
 def cmd_jet_compose(args) -> int:
@@ -136,11 +149,11 @@ def cmd_jet_compose(args) -> int:
     try:
         outer = map_from_json(_read_json(args.outer))
         inner = map_from_json(_read_json(args.inner))
-        result = compose_truncated(outer, inner)
-    except (JetError, OSError, json.JSONDecodeError, KeyError) as exc:
+        doc = map_to_json(compose_truncated(outer, inner))
+    except (JetError, DocumentError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    emit(map_to_json(result), args.out)
+    emit(doc, args.out)
     return EXIT_OK
 
 
@@ -149,11 +162,11 @@ def cmd_jet_invert(args) -> int:
 
     try:
         f = map_from_json(_read_json(args.jet))
-        result = invert_truncated(f)
-    except (JetError, OSError, json.JSONDecodeError, KeyError) as exc:
+        doc = map_to_json(invert_truncated(f))
+    except (JetError, DocumentError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    emit(map_to_json(result), args.out)
+    emit(doc, args.out)
     return EXIT_OK
 
 
@@ -205,7 +218,7 @@ def cmd_liepair_order(args) -> int:
         else:
             g, h = pair_from_json(_read_json(args.pair))
             name = args.pair
-    except (LiePairError, OSError, json.JSONDecodeError) as exc:
+    except (LiePairError, DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     chain = filtration_of(g, h)

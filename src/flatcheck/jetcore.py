@@ -14,8 +14,9 @@ that bookkeeping in one place.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from operator import add
 from typing import Dict, List, Sequence, Tuple
 
@@ -188,35 +189,42 @@ def substitute(polys: Sequence[Poly], g: TruncatedMap) -> List[TruncatedPoly]:
     """The order-``g.k`` truncation of p o g for each polynomial p.
 
     Each p is read as an expansion about g's constant term, so only the
-    displacement part of g is substituted.  Powers of its components are
-    cached across all of ``polys``, and every product truncates.
+    displacement part of g is substituted.  Each monomial of the
+    displacement is built once and shared by all of ``polys``: it is its
+    parent (one power fewer of its last variable) times that variable's
+    component, one truncated product.  Each p o g is then an integer
+    combination of those monomials over one common denominator.
     """
     n, k = g.n, g.k
-    one = TruncatedPoly(n, k, {(0,) * n: 1})
     disp = [comp.degree_part(1, k) for comp in g.components]
-    power_cache: Dict[Tuple[int, int], TruncatedPoly] = {}
+    table: Dict[MultiIndex, TruncatedPoly] = {}
 
-    def var_power(j: int, e: int) -> TruncatedPoly:
-        if e == 0:
-            return one
-        got = power_cache.get((j, e))
+    def monomial(mono: MultiIndex) -> TruncatedPoly:
+        got = table.get(mono)
         if got is None:
-            got = var_power(j, e - 1) * disp[j]
-            power_cache[(j, e)] = got
+            j = max(i for i, e in enumerate(mono) if e)
+            parent = mono[:j] + (mono[j] - 1,) + mono[j + 1:]
+            got = table[mono] = monomial(parent) * disp[j] if any(parent) else disp[j]
         return got
 
+    zero = TruncatedPoly(n, k)
     out = []
     for p in polys:
-        acc = TruncatedPoly(n, k)  # p o g times the denominator of p
-        for mono, v in zip(p.monomials(), p.terms.values()):
-            if sum(mono) > k:
-                continue
-            term = one
-            for j, e in enumerate(mono):
-                if e:
-                    term = term * var_power(j, e)
-            acc = acc + term.scale(v)
-        out.append(acc.scale(Fraction(1, p.denom)))
+        terms = [(monomial(mono), v) for mono, v in zip(p.monomials(), p.terms.values())
+                 if 0 < sum(mono) <= k]
+        den = lcm(*[t.denom for t, _ in terms])
+        const = p.terms.get(0)  # the constant monomial packs to 0 and needs no product
+        acc = {0: const * den} if const else {}
+        get = acc.get
+        for t, v in terms:
+            f = v * (den // t.denom)
+            for m, c in t.terms.items():
+                s = get(m, 0) + f * c
+                if s:
+                    acc[m] = s
+                else:
+                    del acc[m]
+        out.append(zero._from_ints(acc, den * p.denom))
     return out
 
 
@@ -311,7 +319,13 @@ def poly_from_json(entries, n: int, k: int | None = None) -> Poly:
 
 
 def map_to_json(f: TruncatedMap) -> dict:
-    return {"n": f.n, "k": f.k, "components": [poly_to_json(c) for c in f.components]}
+    """The exchange document of ``f``; JetError if a numerator or
+    denominator has more digits than ``str`` writes."""
+    try:
+        return {"n": f.n, "k": f.k, "components": [poly_to_json(c) for c in f.components]}
+    except ValueError:
+        raise JetError("a coefficient of the jet has more than "
+                       f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def map_from_json(doc: dict) -> TruncatedMap:

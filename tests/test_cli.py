@@ -495,6 +495,21 @@ def test_degree_past_the_packed_field_exits_one_with_one_line(tmp_path):
         f"error: a product passes the largest packed total degree, {MAX_DEGREE}"]
 
 
+@pytest.mark.parametrize("raw, line", [
+    (b"\xff\xfe", "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"[" * 100_000, "nested too deeply"),
+    (b'{"n": ' + b"1" * 5000 + b"}", "error: Exceeds the limit (4300 digits)")],
+    ids=["not-utf8", "too-deep", "long-integer"])
+@pytest.mark.parametrize("command", [["jet", "invert"], ["liepair", "order", "--pair"],
+                                     ["geom", "report", "--chart"]])
+def test_unreadable_document_exits_one_with_one_line(tmp_path, capsys, command, raw, line):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    assert run_cli([*command, str(path)]) == (1, "")
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and line in err, err
+
+
 def test_negative_multi_index_exits_one_with_one_line(tmp_path):
     path = tmp_path / "negative.json"
     path.write_text(json.dumps({"n": 2, "k": 2, "components": [

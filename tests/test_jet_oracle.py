@@ -4,7 +4,9 @@ sympy is a test-only oracle that shares no code with flatcheck: maps are
 rebuilt as elements of sympy's own polynomial ring over QQ, composed with
 ``PolyElement.compose`` (full expansion), and truncated by total degree
 once at the end.  Random maps have n <= 3 and k <= 4; they are sparse, so
-the untruncated expansions stay small.
+the untruncated expansions stay small.  Dense maps carry every monomial,
+with a denominator of 1 to 4 chosen term by term; their shapes are the
+largest whose full expansion stays cheap (n=2, k=4 and n=3, k=3).
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ import pytest
 import sympy
 from sympy.polys.rings import ring
 
-from flatcheck.jetcore import TruncatedMap, TruncatedPoly, compose_truncated, invert_truncated
+from flatcheck.jetcore import (
+    TruncatedMap,
+    TruncatedPoly,
+    compose_truncated,
+    invert_truncated,
+    multi_indices,
+)
 
 QQ = sympy.QQ
 SEEDS = range(6)
@@ -46,6 +54,22 @@ def rand_map(rng, n, k, constant=True, terms=4):
             coeffs[unit] = coeffs.get(unit, 0) + 3
             comps.append(coeffs)
         lin = sympy.Matrix(n, n, lambda i, j: comps[i].get(tuple(int(t == j) for t in range(n)), 0))
+        if lin.det() != 0:
+            return TruncatedMap([TruncatedPoly(n, k, c) for c in comps])
+
+
+def dense_map(rng, n, k, constant=True):
+    """An order-k map with every monomial present (the constant one only
+    if ``constant``), each with its own denominator in 1..4, and a linear
+    part of 5 * identity plus noise."""
+    while True:
+        comps = []
+        for i in range(n):
+            coeffs = {m: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                      for m in multi_indices(n, k) if constant or any(m)}
+            coeffs[tuple(int(t == i) for t in range(n))] += 5
+            comps.append(coeffs)
+        lin = sympy.Matrix(n, n, lambda i, j: comps[i][tuple(int(t == j) for t in range(n))])
         if lin.det() != 0:
             return TruncatedMap([TruncatedPoly(n, k, c) for c in comps])
 
@@ -97,3 +121,22 @@ def test_inverse_composes_to_identity_in_sympy(seed):
         back = sympy_compose(R, [to_ring(R, c) for c in inv.components],
                              [to_ring(R, c) for c in f.components], k)
         assert back == list(R.gens)
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_dense_fractional_maps_match_sympy(n, k):
+    # the denominators differ from term to term in both maps, so the
+    # substitution's common denominator and gcd are exercised
+    rng = random.Random(f"dense:{n}:{k}")
+    R, *_ = ring(",".join(f"x{i + 1}" for i in range(n)), QQ)
+    f, g = dense_map(rng, n, k), dense_map(rng, n, k)
+    for m in (f, g):
+        assert len({c.denominator for comp in m.components for c in comp.coeffs.values()}) > 1
+    got = [to_ring(R, c) for c in compose_truncated(f, g).components]
+    assert got == sympy_compose(R, [to_ring(R, c) for c in f.components],
+                                [to_ring(R, c) for c in g.components], k)
+    h = dense_map(rng, n, k, constant=False)
+    inv = invert_truncated(h)
+    assert compose_truncated(inv, h) == TruncatedMap.identity(n, k)
+    assert sympy_compose(R, [to_ring(R, c) for c in inv.components],
+                         [to_ring(R, c) for c in h.components], k) == list(R.gens)

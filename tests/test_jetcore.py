@@ -129,6 +129,28 @@ def test_compose_matches_full_expansion_oracle():
         assert compose_truncated(f, g) == oracle_compose(f, g)
 
 
+def test_compose_makes_one_product_per_monomial_of_the_outer_map(monkeypatch):
+    # a dense n=3, k=6 map: each monomial of degree 2..k is one product of
+    # its parent with a displacement component, shared by all components
+    n, k = 3, 6
+    rng = random.Random(11)
+    f, g = (TruncatedMap([TruncatedPoly(n, k, {m: rng.choice((-2, -1, 1, 2)) for m in multi_indices(n, k)})
+                          for _ in range(n)]) for _ in range(2))
+    monos = {m for comp in f.components for m in comp.coeffs if sum(m) >= 2}
+    assert len(monos) == len(multi_indices(n, k)) - 1 - n
+    calls = 0
+    product = TruncatedPoly.__mul__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return product(a, b)
+
+    monkeypatch.setattr(TruncatedPoly, "__mul__", counted)
+    compose_truncated(f, g)
+    assert 0 < calls <= len(monos)
+
+
 def test_compose_dimension_mismatch():
     f = random_map(2, 2, random.Random(0))
     g = random_map(3, 2, random.Random(0))
