@@ -501,7 +501,7 @@ def test_degree_past_the_packed_field_exits_one_with_one_line(tmp_path):
     (b'{"n": ' + b"1" * 5000 + b"}", "error: Exceeds the limit (4300 digits)")],
     ids=["not-utf8", "too-deep", "long-integer"])
 @pytest.mark.parametrize("command", [["jet", "invert"], ["liepair", "order", "--pair"],
-                                     ["geom", "report", "--chart"]])
+                                     ["geom", "report", "--chart"]], ids=["jet", "pair", "chart"])
 def test_unreadable_document_exits_one_with_one_line(tmp_path, capsys, command, raw, line):
     path = tmp_path / "doc.json"
     path.write_bytes(raw)

@@ -28,7 +28,8 @@ JUNK = st.one_of(
     st.none(), st.booleans(), st.floats(allow_nan=True, allow_infinity=True),
     st.integers(-10**30, 10**30), st.text(max_size=6),
     st.sampled_from(["", " 2 ", "1.5", "1e3", "-0", "0x10", "9" * 5000]),
-    st.lists(st.integers(-2, 2), max_size=3), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
 
 
 def sites(value):
@@ -141,4 +142,5 @@ def test_a_result_too_long_to_write_exits_one(docs):
     for argv in (["jet", "invert", path], ["jet", "compose", path, path]):
         code, out, err = run(argv)
         assert (code, out) == (1, "")
-        assert err.startswith("error: a coefficient of the jet has more than") and err.count("\n") == 1
+        assert err.startswith("error: a coefficient of the jet has more than")
+        assert err.count("\n") == 1

@@ -134,7 +134,8 @@ def test_compose_makes_one_product_per_monomial_of_the_outer_map(monkeypatch):
     # its parent with a displacement component, shared by all components
     n, k = 3, 6
     rng = random.Random(11)
-    f, g = (TruncatedMap([TruncatedPoly(n, k, {m: rng.choice((-2, -1, 1, 2)) for m in multi_indices(n, k)})
+    f, g = (TruncatedMap([TruncatedPoly(n, k, {m: rng.choice((-2, -1, 1, 2))
+                                               for m in multi_indices(n, k)})
                           for _ in range(n)]) for _ in range(2))
     monos = {m for comp in f.components for m in comp.coeffs if sum(m) >= 2}
     assert len(monos) == len(multi_indices(n, k)) - 1 - n
