@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, combinations
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
 if TYPE_CHECKING:  # the catalog lists its entries without loading the code that builds them
@@ -129,48 +131,34 @@ def _sl2_borel_pair():
     return 3, {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}, [[1, 0, 0], [0, 1, 0]]
 
 
-def _sl_n_matrices(n: int, extra: Sequence[tuple[int, int]]):
-    """Basis matrices for upper-triangular traceless + chosen lower entries."""
-    basis = []
-    for i in range(n - 1):
-        m = [[0] * n for _ in range(n)]
-        m[i][i] = 1
-        m[i + 1][i + 1] = -1
-        basis.append(m)
-    uppers = [(a, b) for a in range(n) for b in range(n) if a < b]
-    for a, b in list(uppers) + list(extra):
-        m = [[0] * n for _ in range(n)]
-        m[a][b] = 1
-        basis.append(m)
-    return basis, (n - 1) + len(uppers)
-
-
-def _matrix_brackets(basis: List[List[List[int]]]) -> dict:
-    """Structure constants of a matrix Lie algebra with integer basis
-    matrices, each bracket's coordinates solved for in the basis."""
-    from .rational import solve_in_basis
-
-    size = len(basis[0])
-    dim = len(basis)
-    flat = [[m[i][j] for i in range(size) for j in range(size)] for m in basis]
-
-    def bracket(a, b):
-        return [[sum(a[i][t] * b[t][j] - b[i][t] * a[t][j] for t in range(size))
-                 for j in range(size)] for i in range(size)]
-
-    brackets = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m = bracket(basis[i], basis[j])
-            if any(map(any, m)):
-                brackets[(i, j)] = solve_in_basis(flat, [x for row in m for x in row])
-    return brackets
-
-
 def _sl_pair(n: int, extra: Sequence[tuple[int, int]]):
-    basis, hdim = _sl_n_matrices(n, extra)
+    """The traceless upper-triangular n x n matrices (the Borel b_n) plus the
+    matrix units E_ab at the ``extra`` positions, over b_n.  The basis is
+    H_1, ..., H_{n-1} (H_i = E_ii - E_{i+1,i+1}), then the upper matrix units
+    row by row, then ``extra``.  Brackets follow
+    [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb, and a traceless diagonal
+    M is the sum of h_i H_i for h_i = M_11 + ... + M_ii."""
+    units = [(a, b) for a in range(n) for b in range(a + 1, n)] + list(extra)
+    index = {e: n - 1 + k for k, e in enumerate(units)}
+    # each basis matrix as {(row, column): entry}
+    basis = [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)] + [{e: 1} for e in units]
     dim = len(basis)
-    return dim, _matrix_brackets(basis), [[int(k == i) for k in range(dim)] for i in range(hdim)]
+    brackets = {}
+    for i, j in combinations(range(dim), 2):
+        m = Counter()
+        for (a, b), x in basis[i].items():
+            for (c, d), y in basis[j].items():
+                if b == c:
+                    m[a, d] += x * y
+                if d == a:
+                    m[c, b] -= x * y
+        vec = list(accumulate(m[t, t] for t in range(n - 1))) + [0] * len(units)
+        for (a, b), x in m.items():
+            if a != b and x:
+                vec[index[a, b]] = x  # a KeyError for a unit outside the basis
+        if any(vec):
+            brackets[(i, j)] = vec
+    return dim, brackets, [[int(k == i) for k in range(dim)] for i in range(dim - len(extra))]
 
 
 def _sl3_borel_pair():

@@ -30,7 +30,6 @@ need transcendentals.
 from __future__ import annotations
 
 import ast
-import json
 import math
 import operator
 import os
@@ -39,7 +38,7 @@ from fractions import Fraction
 
 from .catalog import chart_document
 from .frames import ChartError, FrameChart, check_dim, jet_constant, jet_mul
-from .literals import parse_int, parse_rational
+from .literals import parse_int, parse_rational, read_json
 from .rational import RationalFunc
 
 # a function's derivatives g, g', g'', ... repeat in a cycle of numpy
@@ -346,15 +345,7 @@ def chart_from_json(doc: dict, backend: str | None = None) -> FrameChart:
 
 
 def load_chart_file(path: str, backend: str | None = None) -> FrameChart:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ChartError(f"cannot read chart file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ChartError(f"chart file is not valid JSON: line {exc.lineno}, column {exc.colno}") from None
-    except RecursionError:
-        raise ChartError("chart file is nested too deeply") from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ChartError("chart document must be a JSON object")
     return chart_from_json(doc, backend)

@@ -12,10 +12,13 @@ Subcommands:
   catalog list     built-in charts and pairs with expected facts
   chern-simons     transgression residual and secondary-class closedness
 
-Exit codes: 1 = bad input.  For ``geom report``, 0 = ran and all
-identity residuals pass (the homogeneity verdict is data, not an error),
-3 = an identity residual failed, or the structure sign did not close the
-structure equation (a ``sign-calibration-failure`` document).
+Exit codes: 1 = bad input, for every command: a malformed argument or
+document, a file that cannot be read or a report that cannot be written,
+said in one ``error: ...`` line on stderr by ``main``.  For ``geom
+report``, 0 = ran and all identity residuals pass (the homogeneity
+verdict is data, not an error), 3 = an identity residual failed, or the
+structure sign did not close the structure equation (a
+``sign-calibration-failure`` document).
 ``chern-simons`` computes only the structure residual (it checks the
 sign) and the transgression residual: 0 = both passed (the transgression
 residual at most ``--tol2``), 3 = one of them failed.  Reports
@@ -105,14 +108,10 @@ def _load_chart(args):
 
 def cmd_geom_report(args) -> int:
     from .forms import CalibrationError, identity_report, identity_residuals_pass
-    from .frames import ChartError
 
+    chart = _load_chart(args)
     try:
-        chart = _load_chart(args)
         report = identity_report(chart, tol=args.tol, grid_points=args.grid)
-    except (ChartError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except CalibrationError as exc:
         emit({
             "chart": chart.name,
@@ -125,81 +124,47 @@ def cmd_geom_report(args) -> int:
     return EXIT_OK if identity_residuals_pass(report, args.tol, args.tol2) else EXIT_RESIDUAL
 
 
-class DocumentError(ValueError):
-    """A document file that the JSON parser cannot read."""
-
-
-def _read_json(path: str):
-    """The JSON document in the file at ``path``: OSError if the file
-    cannot be opened, DocumentError if it is not UTF-8, is not JSON, nests
-    deeper than the parser follows or holds an integer longer than
-    ``int`` reads."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise DocumentError("the JSON document is nested too deeply") from None
-        except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError among them
-            raise DocumentError(str(exc)) from None
-
-
 def cmd_jet_compose(args) -> int:
-    from .jetcore import JetError, compose_truncated, map_from_json, map_to_json
+    from .jetcore import compose_truncated, map_from_json, map_to_json
+    from .literals import read_json
 
-    try:
-        outer = map_from_json(_read_json(args.outer))
-        inner = map_from_json(_read_json(args.inner))
-        doc = map_to_json(compose_truncated(outer, inner))
-    except (JetError, DocumentError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    emit(doc, args.out)
+    outer = map_from_json(read_json(args.outer))
+    inner = map_from_json(read_json(args.inner))
+    emit(map_to_json(compose_truncated(outer, inner)), args.out)
     return EXIT_OK
 
 
 def cmd_jet_invert(args) -> int:
-    from .jetcore import JetError, invert_truncated, map_from_json, map_to_json
+    from .jetcore import invert_truncated, map_from_json, map_to_json
+    from .literals import read_json
 
-    try:
-        f = map_from_json(_read_json(args.jet))
-        doc = map_to_json(invert_truncated(f))
-    except (JetError, DocumentError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    emit(doc, args.out)
+    f = map_from_json(read_json(args.jet))
+    emit(map_to_json(invert_truncated(f)), args.out)
     return EXIT_OK
 
 
 def cmd_groupoid_g3(args) -> int:
-    from .arrows import ArrowError, G3Jet, g3_compose, g3_invert, mobius_split, schwarzian_defect
+    from .arrows import G3Jet, g3_compose, g3_invert, mobius_split, schwarzian_defect
     from .literals import frac_str
 
-    try:
-        if args.g3_op == "compose":
-            a = G3Jet(*args.a)
-            b = G3Jet(*args.b)
-            result = g3_compose(a, b)
-            doc = {"op": "compose", "result": [frac_str(x) for x in result.as_tuple()]}
-        elif args.g3_op == "invert":
-            result = g3_invert(G3Jet(*args.a))
-            doc = {"op": "invert", "result": [frac_str(x) for x in result.as_tuple()]}
-        elif args.g3_op == "split":
-            result = mobius_split(args.a[0], args.a[1])
-            doc = {"op": "split", "result": [frac_str(x) for x in result.as_tuple()]}
+    op, a = args.g3_op, args.a
+    if op == "schwarzian":
+        result = frac_str(schwarzian_defect(G3Jet(*a)))
+    else:
+        if op == "compose":
+            jet = g3_compose(G3Jet(*a), G3Jet(*args.b))
+        elif op == "invert":
+            jet = g3_invert(G3Jet(*a))
         else:
-            s = schwarzian_defect(G3Jet(*args.a))
-            doc = {"op": "schwarzian", "result": frac_str(s)}
-    except ArrowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    emit(doc, args.out)
+            jet = mobius_split(*a)
+        result = [frac_str(x) for x in jet.as_tuple()]
+    emit({"op": op, "result": result}, args.out)
     return EXIT_OK
 
 
 def cmd_spencer_check(args) -> int:
     if not 0 <= args.trials <= MAX_TRIALS:
-        print(f"error: --trials must be in 0..{MAX_TRIALS}, not {args.trials}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"--trials must be in 0..{MAX_TRIALS}, not {args.trials}")
     from .spencer_suite import run_spencer_suite
     summary = run_spencer_suite(seed=args.seed, trials=args.trials)
     emit(summary, args.out)
@@ -208,19 +173,15 @@ def cmd_spencer_check(args) -> int:
 
 def cmd_liepair_order(args) -> int:
     from .catalog import get_lie_pair
-    from .liepair import LiePairError, filtration_of, order_of_chain, pair_from_json
-    from .literals import frac_str
+    from .liepair import filtration_of, order_of_chain, pair_from_json
+    from .literals import frac_str, read_json
 
-    try:
-        if args.builtin:
-            g, h = get_lie_pair(args.builtin)
-            name = args.builtin
-        else:
-            g, h = pair_from_json(_read_json(args.pair))
-            name = args.pair
-    except (LiePairError, DocumentError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.builtin:
+        g, h = get_lie_pair(args.builtin)
+        name = args.builtin
+    else:
+        g, h = pair_from_json(read_json(args.pair))
+        name = args.pair
     chain = filtration_of(g, h)
     order = order_of_chain(chain)
     doc = {
@@ -245,14 +206,10 @@ def cmd_catalog_list(args) -> int:
 
 def cmd_chern_simons(args) -> int:
     from .forms import CalibrationError, chern_simons_report
-    from .frames import ChartError
 
+    chart = _load_chart(args)
     try:
-        chart = _load_chart(args)
         doc = chern_simons_report(chart, tol=args.tol, tol2=args.tol2, grid_points=args.grid)
-    except (ChartError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
@@ -357,6 +314,11 @@ def main(argv=None) -> int:
         # without a traceback, and point stdout at devnull so that the flush
         # at interpreter exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
+    except (ValueError, OSError) as exc:
+        # bad input, a document file that cannot be read or a report that
+        # cannot be written: one line, never a traceback
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -1,11 +1,25 @@
-"""The integer and rational literals of the exchange documents, in a module
-of their own: ``groupoid g3`` reads and writes them without ``rational``."""
+"""The exchange documents' files and their integer and rational literals,
+in a module of their own: ``groupoid g3`` reads and writes literals
+without ``rational``."""
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from fractions import Fraction
+
+
+def read_json(path: str):
+    """The JSON document in the file at ``path``.  OSError if the file
+    cannot be opened; ValueError if it is not UTF-8, is not JSON, nests
+    deeper than the parser follows or holds an integer longer than ``int``
+    reads."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("the JSON document is nested too deeply") from None
 
 
 def frac_str(x: Fraction) -> str:

@@ -604,6 +604,31 @@ class RationalFunc:
         return f"RationalFunc({self.num!r} / {self.den!r})"
 
 
+# A number past the largest float reads as an infinity of its sign, as a
+# float product that overflows does, and so does a quotient by a number
+# that rounds to zero; the field's value is then not finite where it is read.
+
+def _quotient(num, den) -> float:
+    """num / den in floats, two ints correctly rounded."""
+    try:
+        return num / den
+    except OverflowError:  # of ints
+        return _INF if (num > 0) == (den > 0) else -_INF
+    except ZeroDivisionError:  # den rounded to zero: inf, or NaN for 0 / 0
+        return num * _INF
+
+
+def _power(x, e: int) -> float:
+    """float(x ** e)."""
+    try:
+        return float(x ** e)
+    except OverflowError:
+        return _INF if x > 0 or e % 2 == 0 else -_INF
+
+
+_INF = float("inf")
+
+
 class RationalGrid:
     """A grid of rational points on which exact fields are evaluated in floats.
 
@@ -632,7 +657,7 @@ class RationalGrid:
 
     @staticmethod
     def _terms(p: Poly) -> list:
-        return [(v / p.denom, [(t, e) for t, e in enumerate(mono) if e])
+        return [(_quotient(v, p.denom), [(t, e) for t, e in enumerate(mono) if e])
                 for mono, v in zip(p.monomials(), p.terms.values())]
 
     def _poly_value(self, terms: list, k: int) -> float:
@@ -644,7 +669,7 @@ class RationalGrid:
                 x = powers.get(key)
                 if x is None:
                     t, e = key
-                    x = powers[key] = float(self.points[k][t] ** e)
+                    x = powers[key] = _power(self.points[k][t], e)
                 term *= x
             total += term
         return total
@@ -664,7 +689,10 @@ class RationalGrid:
                 d = cache[k]
                 if d is None:
                     d = cache[k] = self._poly_value(terms, k)
-                v /= d ** e
+                try:
+                    v /= d ** e
+                except (OverflowError, ZeroDivisionError):
+                    v = _quotient(v, _power(d, e))
             yield v
 
 
@@ -792,15 +820,8 @@ def row_echelon(rows: Matrix) -> Matrix:
 def nullspace(rows: Matrix, ncols: int) -> Matrix:
     """Basis of the solutions x of rows . x = 0, one vector per free column."""
     ech = row_echelon(rows)
-    return echelon_nullspace(ech, [pivot(row) for row in ech], ncols, _zero_one(rows))
-
-
-def echelon_nullspace(ech: Matrix, pivots: list, ncols: int,
-                      zero_one: tuple = (ZERO, ONE)) -> Matrix:
-    """``nullspace`` of rows whose reduced row echelon form ``ech``, with
-    its ``pivots``, is already known; ``zero_one`` is the 0 and 1 of the
-    field, rationals by default."""
-    zero, one = zero_one
+    pivots = [pivot(row) for row in ech]
+    zero, one = _zero_one(rows)
     basis = []
     for free in range(ncols):
         if free in pivots:
@@ -811,21 +832,6 @@ def echelon_nullspace(ech: Matrix, pivots: list, ncols: int,
             vec[p] = -row[free]
         basis.append(vec)
     return basis
-
-
-def solve_in_basis(basis_rows: Matrix, vector) -> list | None:
-    """Coordinates of ``vector`` in the independent ``basis_rows``, or None
-    when it lies outside their span."""
-    ncols = len(basis_rows)
-    aug = [[b[r] for b in basis_rows] + [x] for r, x in enumerate(vector)]
-    zero, _ = _zero_one([vector])
-    coords = [zero] * ncols
-    for row in row_echelon(aug):
-        p = pivot(row)
-        if p == ncols:
-            return None
-        coords[p] = row[ncols]
-    return coords
 
 
 def rf_matrix_inverse(m: Matrix) -> Matrix:

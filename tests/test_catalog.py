@@ -69,6 +69,42 @@ def test_sl2_borel_entry():
     assert g.bracket([0, 1, 0], [0, 0, 1]) == [1, 0, 0]
 
 
+# the matrix pairs of the catalog: n, and the lower matrix units added to
+# the traceless upper-triangular matrices
+MATRIX_PAIRS = {"sl3/borel": (3, [(1, 0), (2, 0), (2, 1)]),
+                **{f"p-subdiag{n}/b{n}": (n, [(1, 0)]) for n in (2, 3, 4)}}
+
+
+def matrix_basis(n, extra):
+    """H_1, ..., H_{n-1}, the upper matrix units row by row, then the units
+    at ``extra``, as explicit integer matrices."""
+    def unit(a, b):
+        return [[int((r, c) == (a, b)) for c in range(n)] for r in range(n)]
+
+    hs = [[[int(r == c == i) - int(r == c == i + 1) for c in range(n)] for r in range(n)]
+          for i in range(n - 1)]
+    uppers = [unit(a, b) for a in range(n) for b in range(a + 1, n)]
+    return hs + uppers + [unit(a, b) for a, b in extra]
+
+
+@pytest.mark.parametrize("name", MATRIX_PAIRS)
+def test_matrix_pair_constants_match_the_matrix_commutators(name):
+    n, extra = MATRIX_PAIRS[name]
+    basis = matrix_basis(n, extra)
+    g, h = get_lie_pair(name)
+    assert g.dim == len(basis) and h.dim == len(basis) - len(extra)
+
+    def product(a, b):
+        return [[sum(a[r][t] * b[t][c] for t in range(n)) for c in range(n)] for r in range(n)]
+
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            ab, ba = product(basis[i], basis[j]), product(basis[j], basis[i])
+            combo = [[sum(x * basis[k][r][c] for k, x in g.c.get((i, j), ())) for c in range(n)]
+                     for r in range(n)]
+            assert combo == [[x - y for x, y in zip(p, q)] for p, q in zip(ab, ba)], (i, j)
+
+
 def test_so3_so2_entry():
     g, h = get_lie_pair("so3/so2")
     assert g.bracket([1, 0, 0], [0, 1, 0]) == [0, 0, 1]

@@ -393,6 +393,25 @@ def test_integer_literal_too_large_for_a_float(tmp_path, monkeypatch, capsys, co
         assert json.loads(out)["backend"] == "exact"
 
 
+# exact charts whose report reads a number past the float range: a
+# coefficient, a coordinate power, and a denominator that rounds to zero
+PAST_THE_FLOAT_RANGE = {
+    "coefficient": ([[-1, 1], [1, 2]], [["1", "2.2250738585072014e-308"], ["x1", "x2"]]),
+    "power": ([["1e200", "2e200"], [1, 2]], [["1", "0"], ["0", "1 + x1^2"]]),
+    "denominator": ([[-1, 1], ["8.4e-264", 2]], [["1", "0"], ["x1", "x2"]]),
+}
+
+
+@pytest.mark.parametrize("name", PAST_THE_FLOAT_RANGE)
+def test_value_past_the_float_range_exits_one_with_one_line(tmp_path, capsys, name):
+    domain, frame = PAST_THE_FLOAT_RANGE[name]
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps({"name": name, "n": 2, "domain": domain, "frame": frame}))
+    assert run_cli(["geom", "report", "--chart", str(path), "--grid", "2"]) == (1, "")
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: a field is not finite at"), err
+
+
 # rational charts with a pole or a singular frame between the grid points
 BETWEEN_GRID_POINTS = {
     "stencil-pole": [["1", "0"], ["0", "1/(x1 - 1/10000)"]],
@@ -820,6 +839,31 @@ def test_out_flag_writes_file(tmp_path):
     assert out == ""
     doc = json.loads(out_path.read_text())
     assert doc["chart"] == "abelian2"
+
+
+# one light run of each of the eight subcommands; JET is a jet document
+EVERY_COMMAND = [
+    ["geom", "report", "--builtin", "abelian2", "--grid", "2"],
+    ["jet", "compose", "JET", "JET"],
+    ["jet", "invert", "JET"],
+    ["groupoid", "g3", "invert", "2", "1", "0"],
+    ["spencer", "check", "--trials", "1"],
+    ["liepair", "order", "--builtin", "sl2/borel"],
+    ["catalog", "list"],
+    ["chern-simons", "--builtin", "abelian2", "--grid", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND,
+                         ids=["-".join(w for w in a[:2] if w[0] != "-") for a in EVERY_COMMAND])
+def test_unwritable_out_exits_one_with_one_line(tmp_path, capsys, argv):
+    jet = tmp_path / "jet.json"
+    jet.write_text(json.dumps(identity_jet_doc(2, 3)))
+    argv = [str(jet) if a == "JET" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "missing" / "out.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def test_reports_are_deterministic():

@@ -1,10 +1,12 @@
-"""Fuzzed jet documents through the command line.
+"""Fuzzed jet, pair and chart documents through the command line.
 
-``jet compose`` and ``jet invert`` run in process on documents that
-hypothesis builds: well-formed jets of small shape, the same with fields
-swapped for other JSON values, and raw bytes.  Whatever the document, the
-command exits 0 with the result, or 1 with one line on stderr; it never
-raises.
+``jet compose``, ``jet invert``, ``liepair order --pair``, and ``geom
+report`` and ``chern-simons`` on ``--chart`` files run in process on
+documents that hypothesis builds: well-formed documents of small shape,
+the same with one value swapped for another JSON value or removed, and raw
+bytes.  Whatever the document, the command exits 0 with the result, or 1
+with one line on stderr (a chart command may also exit 3, a failed
+residual); it never raises.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flatcheck.catalog import PAIR_NAMES, get_lie_pair
 from flatcheck.cli import main
 from flatcheck.jetcore import map_from_json
+from flatcheck.liepair import pair_to_json
 
 FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -43,6 +47,17 @@ def sites(value):
     return out
 
 
+def mutated(draw, doc):
+    """``doc``, half the time with one value in it replaced by junk, or removed."""
+    if draw(st.booleans()):
+        container, key = draw(st.sampled_from(sites(doc)))
+        if draw(st.booleans()):
+            container[key] = draw(JUNK)
+        else:
+            del container[key]
+    return doc
+
+
 @st.composite
 def jet_document(draw, n=None, k=None):
     """A jet document of order k <= 4 in n <= 3 variables, with up to five
@@ -61,14 +76,48 @@ def jet_document(draw, n=None, k=None):
             terms[tuple(int(t == i) for t in range(n))] = (7, 1)
         components.append([{"multiindex": list(m), "num": str(a), "den": str(b)}
                            for m, (a, b) in terms.items()])
-    doc = {"n": n, "k": k, "components": components}
+    return mutated(draw, {"n": n, "k": k, "components": components})
+
+
+# the catalog pairs of dimension at most 4, as pair documents
+SMALL_PAIRS = [pair_to_json(*pair) for pair in map(get_lie_pair, PAIR_NAMES)
+               if pair[0].dim <= 4]
+COEFF = st.one_of(st.integers(-2, 2), st.sampled_from(["1/2", "-3/4", "0/1", "2"]))
+
+
+@st.composite
+def pair_document(draw):
+    """A pair document of dimension at most 4: a catalog pair, or random
+    brackets and subalgebra rows (which mostly fail the Jacobi identity
+    or closure), half the time mutated."""
     if draw(st.booleans()):
-        container, key = draw(st.sampled_from(sites(doc)))
-        if draw(st.booleans()):
-            container[key] = draw(JUNK)
-        else:
-            del container[key]
-    return doc
+        doc = json.loads(json.dumps(draw(st.sampled_from(SMALL_PAIRS))))
+    else:
+        dim = draw(st.integers(0, 4))
+        keys = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        brackets = [{"i": i, "j": j, "coeffs": draw(st.lists(COEFF, min_size=dim, max_size=dim))}
+                    for i, j in draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))
+                    ] if keys else []
+        rows = draw(st.lists(st.lists(COEFF, min_size=dim, max_size=dim), max_size=dim))
+        doc = {"dim": dim, "brackets": brackets, "subalgebra": rows}
+    return mutated(draw, doc)
+
+
+# entries of a 2x2 frame on [-1, 1] x [1, 2]: exact, transcendental, and
+# singular or with a pole somewhere on the domain
+ENTRY = st.sampled_from(["0", "1", "2", "0.5", "x1", "x2", "1 + x1^2", "x1/x2", "1/x1",
+                         "exp(x1)", "sin(x2)", "x2^-2"])
+
+
+@st.composite
+def chart_document(draw):
+    """A 2x2 chart document, half the time the valid frame
+    [[1, 0], [x1, x2]] and half the time a random one, half the time mutated."""
+    if draw(st.booleans()):
+        frame = [["1", "0"], ["x1", "x2"]]
+    else:
+        frame = [[draw(ENTRY), draw(ENTRY)], [draw(ENTRY), draw(ENTRY)]]
+    return mutated(draw, {"name": "fuzz", "n": 2, "domain": [[-1, 1], [1, 2]], "frame": frame})
 
 
 @st.composite
@@ -92,14 +141,29 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def check(code, out, err):
-    assert code in (0, 1), (code, err)
+def check(result, read=map_from_json, codes=(0, 1)):
+    """Exit in ``codes``; on exit 0 a report that ``read`` reads and nothing
+    on stderr; on exit 1 nothing on stdout and one error line on stderr."""
+    code, out, err = result
+    assert code in codes, (code, err)
     if code == 0:
         assert err == ""
-        map_from_json(json.loads(out))
-    else:
+        read(json.loads(out))
+    elif code == 1:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def read_order(doc):
+    assert doc["order"] == "ineffective" or doc["order"] >= 0
+
+
+def read_verdict(doc):
+    assert doc["locally_homogeneous"] in (True, False)
+
+
+CHART_COMMANDS = (["geom", "report", "--grid", "2", "--chart"],
+                  ["chern-simons", "--grid", "2", "--chart"])
 
 
 def write(path, doc):
@@ -114,13 +178,27 @@ def write(path, doc):
 @given(jet_pair())
 def test_fuzzed_jet_compose_exits_zero_or_one(docs, pair):
     outer, inner = write(docs / "outer.json", pair[0]), write(docs / "inner.json", pair[1])
-    check(*run(["jet", "compose", outer, inner]))
+    check(run(["jet", "compose", outer, inner]))
 
 
 @FUZZ
 @given(jet_document())
 def test_fuzzed_jet_invert_exits_zero_or_one(docs, doc):
-    check(*run(["jet", "invert", write(docs / "jet.json", doc)]))
+    check(run(["jet", "invert", write(docs / "jet.json", doc)]))
+
+
+@FUZZ
+@given(pair_document())
+def test_fuzzed_liepair_order_exits_zero_or_one(docs, doc):
+    check(run(["liepair", "order", "--pair", write(docs / "pair.json", doc)]), read_order)
+
+
+@settings(FUZZ, max_examples=60)
+@given(chart_document())
+def test_fuzzed_chart_commands_exit_zero_one_or_three(docs, doc):
+    path = write(docs / "chart.json", doc)
+    for command in CHART_COMMANDS:
+        check(run([*command, path]), read_verdict, codes=(0, 1, 3))
 
 
 @FUZZ
@@ -130,7 +208,10 @@ def test_fuzzed_jet_invert_exits_zero_or_one(docs, doc):
 def test_fuzzed_bytes_exit_one(docs, raw):
     path = write(docs / "raw.json", raw)
     for argv in (["jet", "invert", path], ["jet", "compose", path, path]):
-        check(*run(argv))
+        check(run(argv))
+    check(run(["liepair", "order", "--pair", path]), read_order)
+    for command in CHART_COMMANDS:
+        check(run([*command, path]), read_verdict, codes=(0, 1, 3))
 
 
 def test_a_result_too_long_to_write_exits_one(docs):

@@ -6,8 +6,8 @@ elimination kernel of ``rational`` clears rows over Q and eliminates them
 fraction-free.  The references below are the Fraction loops these
 replaced, copied here so that they share no code with the kernels:
 
-* Gauss-Jordan elimination on Fractions, for ``row_echelon``,
-  ``nullspace`` and ``solve_in_basis`` on rows over Q;
+* Gauss-Jordan elimination on Fractions, for ``row_echelon`` and
+  ``nullspace`` on rows over Q;
 * the stage step that brackets each stage vector with each basis vector
   through the Fraction table ``LieAlgebra.c``, for ``filtration_of``.
 
@@ -29,7 +29,7 @@ from flatcheck.catalog import PAIR_NAMES, get_lie_pair
 from flatcheck.cli import main
 from flatcheck.liepair import LieAlgebra, Subalgebra, filtration_of, pair_from_json
 from flatcheck.literals import frac_str
-from flatcheck.rational import nullspace, row_echelon, solve_in_basis
+from flatcheck.rational import nullspace, row_echelon
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -70,18 +70,6 @@ def ref_nullspace(rows, ncols):
             vec[p] = -row[free]
         basis.append(vec)
     return basis
-
-
-def ref_solve(basis_rows, vector):
-    ncols = len(basis_rows)
-    aug = [[b[r] for b in basis_rows] + [x] for r, x in enumerate(vector)]
-    coords = [Fraction(0)] * ncols
-    for row in ref_row_echelon(aug):
-        p = next(i for i, x in enumerate(row) if x)
-        if p == ncols:
-            return None
-        coords[p] = row[ncols]
-    return coords
 
 
 def ref_bracket(g: LieAlgebra, v, w):
@@ -168,25 +156,10 @@ def test_q_elimination_matches_the_fraction_gauss_jordan(seed):
         assert nullspace(rows, ncols) == ref_nullspace(rows, ncols)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_solve_in_basis_matches_the_fraction_gauss_jordan(seed):
-    rng = random.Random(seed)
-    for _ in range(20):
-        size = rng.randint(1, 6)
-        basis = ref_row_echelon(rand_q_matrix(rng, rng.randint(1, size), size))
-        if not basis:
-            continue
-        inside = [sum(rand_entry(rng) * row[t] for row in basis) for t in range(size)]
-        outside = [rand_entry(rng) for _ in range(size)]
-        for vector in (inside, outside, [0] * size):
-            assert solve_in_basis(basis, vector) == ref_solve(basis, vector)
-
-
 def test_q_elimination_of_zero_and_empty_rows():
     assert row_echelon([]) == []
     assert row_echelon([[0, 0], [Fraction(0), 0]]) == []
     assert nullspace([[0, 0, 0]], 3) == ref_nullspace([[0, 0, 0]], 3)
-    assert solve_in_basis([[0, 2, 0]], [0, 0, 0]) == [0]
 
 
 # --- the filtration --------------------------------------------------------------
