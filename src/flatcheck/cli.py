@@ -23,8 +23,8 @@ structure sign did not close the structure equation (a
 sign) and the transgression residual: 0 = both passed (the transgression
 residual at most ``--tol2``), 3 = one of them failed.  Reports
 are byte-deterministic for a fixed configuration and seed: keys are
-emitted in a fixed order, floats are normalized to 17 significant
-digits, exact rationals print as "num/den" strings.
+emitted in a fixed order, floats print as Python's shortest round-trip
+``repr``, exact rationals print as "num/den" strings.
 """
 
 from __future__ import annotations
@@ -48,19 +48,8 @@ EXIT_RESIDUAL = 3
 MAX_TRIALS = 1000  # spencer check --trials; a run at the cap takes tens of seconds
 
 
-def _normalize(value):
-    """Round floats to 17 significant digits so output is byte-stable."""
-    if isinstance(value, float):
-        return float(f"{value:.17g}")
-    if isinstance(value, dict):
-        return {k: _normalize(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_normalize(v) for v in value]
-    return value
-
-
 def emit(doc, out_path: str | None) -> None:
-    text = json.dumps(_normalize(doc), indent=2)
+    text = json.dumps(doc, indent=2)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import cache
+from itertools import combinations_with_replacement
 from math import factorial, lcm
 from operator import add
 from typing import Dict, List, Sequence, Tuple
@@ -34,23 +36,15 @@ class JetError(ValueError):
     """Structural error in jet arithmetic (dimension/order mismatch, etc.)."""
 
 
-def multi_indices(n: int, max_order: int) -> List[MultiIndex]:
-    """All multi-indices of order <= max_order in graded-lex order."""
-    out: List[MultiIndex] = []
-    for total in range(max_order + 1):
-        out.extend(compositions(n, total))
-    return out
-
-
-def compositions(n: int, total: int) -> List[MultiIndex]:
-    """Multi-indices of exact order ``total``, lexicographically sorted."""
-    if n == 1:
-        return [(total,)]
-    out = []
-    for first in range(total, -1, -1):
-        for rest in compositions(n - 1, total - first):
-            out.append((first,) + rest)
-    return sorted(out)
+@cache
+def multi_indices(n: int, max_order: int) -> Tuple[MultiIndex, ...]:
+    """All multi-indices of order <= max_order in graded-lex order, built
+    once per (n, max_order): one per multiset of at most max_order of the
+    n variables, which counts how often each variable was picked."""
+    return tuple(sorted((tuple(map(picked.count, range(n)))
+                         for order in range(max_order + 1)
+                         for picked in combinations_with_replacement(range(n), order)),
+                        key=grlex_key))
 
 
 def mi_factorial(mono: MultiIndex) -> int:
@@ -291,11 +285,10 @@ def poly_to_json(p: Poly) -> list:
             for mono, c in sorted(p.coeffs.items(), key=lambda t: grlex_key(t[0]))]
 
 
-def poly_from_json(entries, n: int, k: int | None = None) -> Poly:
-    """Read ``poly_to_json`` entries back into a Poly, or into a
-    TruncatedPoly of order ``k``; JetError on a malformed entry."""
-    if k is not None:
-        TruncatedPoly(n, k)  # a bad n or k is reported before any entry
+def poly_from_json(entries, n: int, k: int) -> TruncatedPoly:
+    """Read ``poly_to_json`` entries back into a TruncatedPoly of order
+    ``k``; JetError on a malformed entry."""
+    TruncatedPoly(n, k)  # a bad n or k is reported before any entry
     if not isinstance(entries, list):
         raise JetError(f"malformed jet document: expected a list of entries, got {entries!r}")
     coeffs = {}
@@ -312,10 +305,10 @@ def poly_from_json(entries, n: int, k: int | None = None) -> Poly:
         if mono in coeffs:
             raise JetError(f"multi-index {mono} appears twice in one polynomial of the "
                            "jet document")
-        if k is not None and sum(mono) > k:
+        if sum(mono) > k:
             raise JetError(f"multi-index {mono} exceeds order k={k} in jet document")
         coeffs[mono] = c
-    return Poly(n, coeffs) if k is None else TruncatedPoly(n, k, coeffs)
+    return TruncatedPoly(n, k, coeffs)
 
 
 def map_to_json(f: TruncatedMap) -> dict:

@@ -9,11 +9,11 @@ that convention makes the Spencer operator the literal difference
     (D xi)^i_{r, alpha} = d/dx^r xi^i_alpha - xi^i_{alpha + e_r}.
 
 Point jets hold exact rational coefficients; jet fields hold exact
-rational-function coefficients over the chart, so every identity test in
-this module is an equality of normal forms.  The point bracket
-(``algebraic_bracket`` on ``PointJet``) goes through honest polynomial
-representatives and is the reference that the field bracket is checked
-against at points (``JetField.at_point``).
+polynomial coefficients over the chart (Q[x]: nothing in this module
+divides), so every identity test here compares normal forms literally.
+The point bracket (``algebraic_bracket`` on ``PointJet``) goes through
+honest polynomial representatives and is the reference that the field
+bracket is checked against at points (``JetField.at_point``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import comb
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .jetcore import JetError, MultiIndex, mi_add, mi_factorial, multi_indices
-from .rational import ZERO, Poly, RationalFunc, unit_mono
+from .rational import ZERO, Poly, unit_mono
 
 
 def _binom(alpha: MultiIndex, beta: MultiIndex) -> int:
@@ -136,9 +136,8 @@ def kernel_bracket(a: PointJet, b: PointJet) -> PointJet:
     return point_jet_from_polys(bracket, a.k, a.point)
 
 
-def vector_field_bracket(v: Sequence[Poly | RationalFunc],
-                         w: Sequence[Poly | RationalFunc]) -> list:
-    """[v, w]^i = v^c d_c w^i - w^c d_c v^i, over Poly or RationalFunc components."""
+def vector_field_bracket(v: Sequence[Poly], w: Sequence[Poly]) -> List[Poly]:
+    """[v, w]^i = v^c d_c w^i - w^c d_c v^i, over exact polynomial components."""
     out = []
     for i in range(len(v)):
         acc = v[i].scale(0)
@@ -151,18 +150,19 @@ def vector_field_bracket(v: Sequence[Poly | RationalFunc],
 class JetField:
     """A section of the order-k jet bundle over a chart.
 
-    Every component xi^i_alpha, |alpha| <= k, is an exact rational
-    function; missing entries are one zero shared by the field, since
-    fields are never changed after they are built.
+    Every component xi^i_alpha, |alpha| <= k, is an exact polynomial
+    with rational coefficients; the constructor drops zeros, and missing
+    entries are one zero shared by the field, since fields are never
+    changed after they are built.
     """
 
     __slots__ = ("n", "k", "components", "_zero")
 
     def __init__(self, n: int, k: int,
-                 components: Dict[Tuple[int, MultiIndex], RationalFunc] | None = None):
+                 components: Dict[Tuple[int, MultiIndex], Poly] | None = None):
         self.n = n
         self.k = k
-        self.components: Dict[Tuple[int, MultiIndex], RationalFunc] = {}
+        self.components: Dict[Tuple[int, MultiIndex], Poly] = {}
         if components:
             for (i, alpha), f in components.items():
                 alpha = tuple(alpha)
@@ -170,12 +170,12 @@ class JetField:
                     raise JetError(f"component ({i}, {alpha}) exceeds jet order {k}")
                 if not f.is_zero():
                     self.components[(i, alpha)] = f
-        self._zero = RationalFunc(Poly.zero(n))
+        self._zero = Poly.zero(n)
 
-    def comp(self, i: int, alpha: MultiIndex) -> RationalFunc:
+    def comp(self, i: int, alpha: MultiIndex) -> Poly:
         return self.components.get((i, tuple(alpha)), self._zero)
 
-    def order_zero(self) -> List[RationalFunc]:
+    def order_zero(self) -> List[Poly]:
         zero = (0,) * self.n
         return [self.comp(i, zero) for i in range(self.n)]
 
@@ -202,25 +202,22 @@ class JetField:
         return self + other.scale(-1)
 
     def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.components.values())
+        return not self.components
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, JetField) or self.n != other.n or self.k != other.k:
-            return False
-        keys = set(self.components) | set(other.components)
-        return all((self.comp(i, a) - other.comp(i, a)).is_zero() for i, a in keys)
+        return (isinstance(other, JetField) and self.n == other.n and self.k == other.k
+                and self.components == other.components)
 
     def __repr__(self):
         return f"JetField(n={self.n}, k={self.k}, {len(self.components)} nonzero components)"
 
 
-def prolong(v: Sequence[RationalFunc | Poly], k: int) -> JetField:
+def prolong(v: Sequence[Poly], k: int) -> JetField:
     """Holonomic lift: xi^i_alpha = the alpha-th partial of v^i."""
-    fields = [f if isinstance(f, RationalFunc) else RationalFunc(f) for f in v]
-    n = fields[0].n
-    comps: Dict[Tuple[int, MultiIndex], RationalFunc] = {}
-    for i, f in enumerate(fields):
-        derivs: Dict[MultiIndex, RationalFunc] = {(0,) * n: f}
+    n = v[0].n
+    comps: Dict[Tuple[int, MultiIndex], Poly] = {}
+    for i, f in enumerate(v):
+        derivs: Dict[MultiIndex, Poly] = {(0,) * n: f}
         for alpha in multi_indices(n, k):
             if alpha in derivs:
                 continue
@@ -238,21 +235,21 @@ class JetOneForm:
     __slots__ = ("n", "k", "components", "_zero")
 
     def __init__(self, n: int, k: int,
-                 components: Dict[Tuple[int, int, MultiIndex], RationalFunc]):
+                 components: Dict[Tuple[int, int, MultiIndex], Poly]):
         self.n = n
         self.k = k
         self.components = {key: f for key, f in components.items() if not f.is_zero()}
-        self._zero = RationalFunc(Poly.zero(n))  # shared by every missing component
+        self._zero = Poly.zero(n)  # shared by every missing component
 
-    def comp(self, r: int, i: int, alpha: MultiIndex) -> RationalFunc:
+    def comp(self, r: int, i: int, alpha: MultiIndex) -> Poly:
         return self.components.get((r, i, tuple(alpha)), self._zero)
 
     def is_zero(self) -> bool:
         return not self.components
 
-    def contract(self, vector: Sequence[RationalFunc]) -> JetField:
+    def contract(self, vector: Sequence[Poly]) -> JetField:
         """i(v): plug a vector field into the one-form slot."""
-        comps: Dict[Tuple[int, MultiIndex], RationalFunc] = {}
+        comps: Dict[Tuple[int, MultiIndex], Poly] = {}
         for (r, i, alpha), f in self.components.items():
             term = vector[r] * f
             key = (i, alpha)
@@ -265,13 +262,12 @@ def spencer_operator(xi: JetField) -> JetOneForm:
     if xi.k < 1:
         raise JetError("the Spencer operator needs order k >= 1")
     n = xi.n
-    comps: Dict[Tuple[int, int, MultiIndex], RationalFunc] = {}
+    comps: Dict[Tuple[int, int, MultiIndex], Poly] = {}
     for alpha in multi_indices(n, xi.k - 1):
         for i in range(n):
             for r in range(n):
-                val = xi.comp(i, alpha).diff(r) - xi.comp(i, mi_add(alpha, unit_mono(n, r)))
-                if not val.is_zero():
-                    comps[(r, i, alpha)] = val
+                comps[(r, i, alpha)] = \
+                    xi.comp(i, alpha).diff(r) - xi.comp(i, mi_add(alpha, unit_mono(n, r)))
     return JetOneForm(n, xi.k - 1, comps)
 
 
@@ -287,10 +283,10 @@ def algebraic_bracket_fields(a: JetField, b: JetField) -> JetField:
     if a.k < 1:
         raise JetError("the algebraic bracket needs order k >= 1")
     n, k = a.n, a.k
-    comps: Dict[Tuple[int, MultiIndex], RationalFunc] = {}
+    comps: Dict[Tuple[int, MultiIndex], Poly] = {}
     for gamma in multi_indices(n, k - 1):
         for i in range(n):
-            acc = RationalFunc(Poly.zero(n))
+            acc = Poly.zero(n)
             for beta in _sub_indices(gamma):
                 cg = _binom(gamma, beta)
                 rest = tuple(g - bt for g, bt in zip(gamma, beta))
@@ -301,8 +297,7 @@ def algebraic_bracket_fields(a: JetField, b: JetField) -> JetField:
                     if cg != 1:
                         term = term.scale(cg)
                     acc = acc + term
-            if not acc.is_zero():
-                comps[(i, gamma)] = acc
+            comps[(i, gamma)] = acc
     return JetField(n, k - 1, comps)
 
 
@@ -311,7 +306,7 @@ def zero_pad_lift(xi: JetField) -> JetField:
     return JetField(xi.n, xi.k + 1, dict(xi.components))
 
 
-def lift_with_top(xi: JetField, top: Dict[Tuple[int, MultiIndex], RationalFunc]) -> JetField:
+def lift_with_top(xi: JetField, top: Dict[Tuple[int, MultiIndex], Poly]) -> JetField:
     """Lift to order k+1 with prescribed top-order components."""
     comps = dict(xi.components)
     for (i, alpha), f in top.items():

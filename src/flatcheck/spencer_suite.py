@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from .jetcore import multi_indices
-from .rational import Poly, RationalFunc
+from .rational import Poly
 from .spencer import (
     JetField,
     PointJet,
@@ -36,14 +36,14 @@ def _random_poly(n: int, deg: int, rng: random.Random) -> Poly:
 
 
 def _random_vector_field(n: int, deg: int, rng: random.Random):
-    return [RationalFunc(_random_poly(n, deg, rng)) for _ in range(n)]
+    return [_random_poly(n, deg, rng) for _ in range(n)]
 
 
 def _random_jet_field(n: int, k: int, rng: random.Random, deg: int = 2) -> JetField:
     comps = {}
     for i in range(n):
         for alpha in multi_indices(n, k):
-            comps[(i, alpha)] = RationalFunc(_random_poly(n, deg, rng))
+            comps[(i, alpha)] = _random_poly(n, deg, rng)
     return JetField(n, k, comps)
 
 
@@ -72,7 +72,7 @@ def run_spencer_suite(seed: int = 0, trials: int = 20) -> dict:
         for i in range(n):
             for alpha in multi_indices(n, k + 1):
                 if sum(alpha) == k + 1:
-                    top[(i, alpha)] = RationalFunc(_random_poly(n, 1, rng))
+                    top[(i, alpha)] = _random_poly(n, 1, rng)
         default = spencer_bracket(a, b)
         other = spencer_bracket(a, b, lift=lambda f: lift_with_top(f, top))
         if default == other:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from flatcheck.jetcore import JetError, multi_indices
-from flatcheck.rational import Poly, RationalFunc
+from flatcheck.rational import Poly
 from flatcheck.spencer import (
     JetField,
     PointJet,
@@ -31,24 +31,20 @@ from flatcheck.spencer import (
 from conftest import random_poly
 
 
-def rf(p):
-    return RationalFunc(p)
-
-
 def project(jet, r):
     """The r-jet under ``jet``: its components of order at most r."""
     return JetField(jet.n, r, {key: f for key, f in jet.components.items() if sum(key[1]) <= r})
 
 
 def random_vector_field(n, deg, rng):
-    return [rf(random_poly(n, deg, rng)) for _ in range(n)]
+    return [random_poly(n, deg, rng) for _ in range(n)]
 
 
 def random_jet_field(n, k, rng, deg=2):
     comps = {}
     for i in range(n):
         for alpha in multi_indices(n, k):
-            comps[(i, alpha)] = rf(random_poly(n, deg, rng))
+            comps[(i, alpha)] = random_poly(n, deg, rng)
     return JetField(n, k, comps)
 
 
@@ -66,7 +62,7 @@ def classical_bracket(v, w):
     n = len(v)
     out = []
     for i in range(n):
-        acc = rf(Poly.zero(n))
+        acc = Poly.zero(n)
         for c in range(n):
             acc = acc + v[c] * w[i].diff(c) - w[c] * v[i].diff(c)
         out.append(acc)
@@ -77,7 +73,7 @@ def classical_bracket(v, w):
 
 def test_prolong_constant_field():
     n = 2
-    v = [rf(Poly.const(n, 3)), rf(Poly.const(n, -1))]
+    v = [Poly.const(n, 3), Poly.const(n, -1)]
     xi = prolong(v, 3)
     for (i, alpha), f in xi.components.items():
         if sum(alpha) > 0:
@@ -87,10 +83,10 @@ def test_prolong_constant_field():
 def test_prolong_quadratic_example():
     n = 2
     x, y = Poly.var(n, 0), Poly.var(n, 1)
-    xi = prolong([rf(x * x), rf(x * y)], 1)
-    assert xi.comp(0, (1, 0)) == rf(x.scale(2))
-    assert xi.comp(1, (1, 0)) == rf(y)
-    assert xi.comp(1, (0, 1)) == rf(x)
+    xi = prolong([x * x, x * y], 1)
+    assert xi.comp(0, (1, 0)) == x.scale(2)
+    assert xi.comp(1, (1, 0)) == y
+    assert xi.comp(1, (0, 1)) == x
     assert xi.comp(0, (0, 1)).is_zero()
 
 
@@ -120,7 +116,7 @@ def test_spencer_on_constant_delta_field():
     for i in range(n):
         e = [0] * n
         e[i] = 1
-        comps[(i, tuple(e))] = rf(Poly.const(n, 1))
+        comps[(i, tuple(e))] = Poly.const(n, 1)
     xi = JetField(n, 1, comps)
     d = spencer_operator(xi)
     for r in range(n):
@@ -144,7 +140,7 @@ def test_spencer_linearity():
 
 
 def test_missing_components_share_one_zero():
-    xi = JetField(2, 1, {(0, (1, 0)): rf(Poly.var(2, 0))})
+    xi = JetField(2, 1, {(0, (1, 0)): Poly.var(2, 0)})
     zero = xi.comp(1, (0, 0))
     assert zero.is_zero() and xi.comp(0, (0, 1)) is zero and xi.comp(1, [1, 0]) is zero
     d = spencer_operator(xi)  # only (r, i, alpha) = (0, 0, (0, 0)) is nonzero: -x1
@@ -153,7 +149,7 @@ def test_missing_components_share_one_zero():
 
 
 def test_spencer_rejects_order_zero():
-    xi = JetField(2, 0, {(0, (0, 0)): rf(Poly.const(2, 1))})
+    xi = JetField(2, 0, {(0, (0, 0)): Poly.const(2, 1)})
     with pytest.raises(JetError, match="k >= 1"):
         spencer_operator(xi)
 
@@ -250,17 +246,17 @@ def test_field_bracket_matches_point_bracket():
 def test_spencer_bracket_classical_instance():
     # [x d/dx, d/dx] = -d/dx
     x = Poly.var(1, 0)
-    xi = JetField(1, 0, {(0, (0,)): rf(x)})
-    eta = JetField(1, 0, {(0, (0,)): rf(Poly.const(1, 1))})
+    xi = JetField(1, 0, {(0, (0,)): x})
+    eta = JetField(1, 0, {(0, (0,)): Poly.const(1, 1)})
     got = spencer_bracket(xi, eta)
-    assert got.comp(0, (0,)) == rf(Poly.const(1, -1))
+    assert got.comp(0, (0,)) == Poly.const(1, -1)
 
 
 def test_spencer_bracket_prolongation_instance():
     n = 2
     x, y = Poly.var(n, 0), Poly.var(n, 1)
-    v = [rf(x * x), rf(Poly.zero(n))]
-    w = [rf(Poly.zero(n)), rf(y)]
+    v = [x * x, Poly.zero(n)]
+    w = [Poly.zero(n), y]
     lhs = spencer_bracket(prolong(v, 2), prolong(w, 2))
     rhs = prolong(classical_bracket(v, w), 2)
     assert lhs == rhs
@@ -288,7 +284,7 @@ def test_spencer_bracket_lift_independence():
         for i in range(n):
             for alpha in multi_indices(n, k + 1):
                 if sum(alpha) == k + 1:
-                    top[(i, alpha)] = rf(random_poly(n, 2, rng))
+                    top[(i, alpha)] = random_poly(n, 2, rng)
         assert spencer_bracket(a, b, lift=zero_pad_lift) == \
             spencer_bracket(a, b, lift=lambda f: lift_with_top(f, top))
 
@@ -314,3 +310,17 @@ def test_spencer_bracket_commutes_with_projection():
         whole = spencer_bracket(a, b)
         for r in (0, 1, 2):
             assert project(whole, r) == spencer_bracket(project(a, r), project(b, r))
+
+
+# --- layer boundary ------------------------------------------------------------
+
+def test_spencer_suite_builds_no_rational_function(monkeypatch):
+    # jet fields live in Q[x]: the suite must run without a single RationalFunc
+    from flatcheck.rational import RationalFunc
+    from flatcheck.spencer_suite import run_spencer_suite
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("RationalFunc built in the Spencer layer")
+
+    monkeypatch.setattr(RationalFunc, "__init__", refuse)
+    assert run_spencer_suite(seed=0, trials=3)["all_passed"]
