@@ -176,12 +176,10 @@ def _heis3_center_pair():
 
 
 def _gl2_center_so2_pair():
-    # gl(2) basis (I, J, D, S): I central, J rotation, D=diag(1,-1), S=offdiag sym
-    # [J,D]=2S? compute: J=[[0,-1],[1,0]], D=diag(1,-1), S=[[0,1],[1,0]]
-    # [J,D] = JD-DJ = [[0,1],[1,0]]*? JD=[[0,1],[1,0]], DJ=[[0,-1],[-1,0]] => [J,D]=2S
-    # [J,S] = JS-SJ: JS=[[-1,0],[0,1]]=-D, SJ=[[1,0],[0,-1]]=D => [J,S]=-2D
-    # [D,S] = DS-SD: DS=[[0,1],[-1,0]], SD=[[0,-1],[1,0]] => [D,S]=2J
-    return (4, {(1, 2): [0, 0, 0, 2], (1, 3): [0, 0, -2, 0], (2, 3): [0, 2, 0, 0]},
+    # gl(2) basis (I, J, D, S): I the identity, J = [[0, -1], [1, 0]],
+    # D = diag(1, -1), S = [[0, 1], [1, 0]]; I central, [J,D]=2S, [J,S]=-2D,
+    # [D,S]=-2J; stabilizer = span{I, J}
+    return (4, {(1, 2): [0, 0, 0, 2], (1, 3): [0, 0, -2, 0], (2, 3): [0, -2, 0, 0]},
             [[1, 0, 0, 0], [0, 1, 0, 0]])
 
 
@@ -231,24 +229,20 @@ def get_lie_pair(name: str) -> tuple[LieAlgebra, Subalgebra]:
     return g, Subalgebra(g, stabilizer)
 
 
+def _listed(facts: dict) -> dict:
+    return {key: {"value": str(value), "provenance": tag} for key, (value, tag) in facts.items()}
+
+
 def catalog_entries() -> List[dict]:
     """Machine-readable listing used by the CLI."""
     out = []
     for name in CHART_NAMES:
-        facts = {
-            key: {"value": str(value), "provenance": tag}
-            for key, (value, tag) in CHART_FACTS.get(name, {}).items()
-        }
         out.append({
             "name": name,
             "kind": "chart",
             "backend": "numeric" if name in NUMERIC_CHARTS else "exact",
-            "expected": facts,
+            "expected": _listed(CHART_FACTS.get(name, {})),
         })
     for name in PAIR_NAMES:
-        facts = {
-            key: {"value": str(value), "provenance": tag}
-            for key, (value, tag) in PAIR_FACTS.get(name, {}).items()
-        }
-        out.append({"name": name, "kind": "liepair", "expected": facts})
+        out.append({"name": name, "kind": "liepair", "expected": _listed(PAIR_FACTS.get(name, {}))})
     return out

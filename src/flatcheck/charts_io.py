@@ -16,11 +16,11 @@ bounds are rational literals ("3/4", "0.25", 1) of at most
 ``sys.get_int_max_str_digits()`` digits (``literals.parse_rational``).
 
 One interpreter walks the syntax tree of an entry and builds its value in
-a scalar algebra: exact RationalFuncs, or numeric closures of a batch of
-points and an order, which give the entry's Taylor jet there, where each
-distinct sin/cos/exp call of a frame is composed once per batch and order
-for all of the frame's entries.  A numeric chart also records
-which variables each entry reads.  Entries that stay inside the
+a scalar algebra: an exact RationalFunc, or a ``frames.NumericScalar``,
+the field type of the numeric calculus, which gives the entry's Taylor
+jet on a batch of points and knows which variables the entry reads.  Each
+distinct sin/cos/exp call of a frame is one field, whose jet on a batch
+is computed once for all of the frame's entries.  Entries that stay inside the
 rational fragment parse onto the exact backend; sin/cos/exp force the
 numeric backend.  The FLATCHECK_BACKEND environment variable (exact |
 numeric | auto) overrides the choice, where "exact" refuses charts that
@@ -37,15 +37,10 @@ import re
 from fractions import Fraction
 
 from .catalog import chart_document
-from .frames import ChartError, FrameChart, check_dim, jet_constant, jet_mul
+from .frames import NUMERIC_FUNCS, ChartError, FrameChart, NumericScalar, check_dim, jet_constant
 from .literals import parse_int, parse_rational, read_json
 from .rational import RationalFunc
 
-# a function's derivatives g, g', g'', ... repeat in a cycle of numpy
-# functions with signs
-_NUMERIC_FUNCS = {"sin": (("sin", 1), ("cos", 1), ("sin", -1), ("cos", -1)),
-                  "cos": (("cos", 1), ("sin", -1), ("cos", -1), ("sin", 1)),
-                  "exp": (("exp", 1),)}
 _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
                ast.Mult: operator.mul, ast.Div: operator.truediv}
 _VAR_RE = re.compile(r"^x([1-9]\d*)$")
@@ -53,9 +48,11 @@ _VAR_RE = re.compile(r"^x([1-9]\d*)$")
 MAX_EXPONENT = 64
 # and an exact product of two factors up to MAX_TERMS**2 coefficient products
 MAX_TERMS = 256
-# the interpreter recurses once per level of an entry's syntax tree, and a
-# numeric entry's closures once (twice at a call, and the parser allows
-# fewer than 200 nested parentheses); both stay far below Python's
+# the interpreter recurses once per level of an entry's syntax tree,
+# ``ast.dump`` of a call a few times per level below it, and a numeric
+# entry's evaluation twice per level (a field's ``_jet`` and its function);
+# the parser allows fewer than 200 nested parentheses, and a report on an
+# entry MAX_DEPTH deep needs at most about 870 frames, below Python's
 # recursion limit of 1000
 MAX_DEPTH = 400
 
@@ -96,116 +93,44 @@ class _ExactAlgebra:
 
 
 class _NumericAlgebra:
-    """Entries as closures ``(x, order) -> jet`` of a batch x of points, an
-    (m, n) float array: the entry's Taylor coefficients up to ``order`` at
-    each point (``frames.jet_monomials``).  + and - act on whole jets, * is
-    the truncated product (``frames.jet_mul``), and a quotient multiplies
-    by the series of t^-1.  A power composes with the series of t^p, and
-    sin/cos/exp with their derivative cycles, by
-
-        g(a) = sum_k g^(k)(a_0)/k! (a - a_0)^k.
-
-    Values come from numpy's float operations; a zero divisor raises
-    ZeroDivisionError, as it does for floats.
+    """Entries as ``NumericScalar``s (see ``frames.NumericScalar``).  A
+    literal is a constant field that is not the calculus's literal zero,
+    which would let a product or a sum drop an operand that the entry
+    evaluates: ``2 + 0/x1`` cannot be evaluated where x1 = 0.
 
     One instance serves the entries of one frame: a call that occurs again,
-    in the same entry or another, is the same closure, which keeps its jet
-    for the last batch and order it was given."""
+    in the same entry or another, is the same field, which keeps its jet
+    per batch."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self._calls = {}  # ast.dump of a call -> its closure
+    def __init__(self):
+        self._calls = {}  # ast.dump of a call -> its field
 
     @staticmethod
-    def const(n: int, value):
+    def const(n: int, value) -> NumericScalar:
         try:
             value = float(value)
         except OverflowError:
             raise ChartError("an integer literal overflows a float: "
                              "numbers must be finite") from None
-        return lambda x, order: jet_constant(value, n, order, len(x))
+        return NumericScalar(lambda p, key, order: jet_constant(value, n, order, len(p)), n,
+                             frozenset())
+
+    var = staticmethod(NumericScalar.var)
 
     @staticmethod
-    def var(n: int, idx: int):
-        def jet(x, order):  # the value, and a 1 in the row of x_idx
-            out = jet_constant(x[:, idx], n, order, len(x))
-            if order:
-                out[1 + idx] = 1.0
-            return out
+    def apply(op, *args) -> NumericScalar:
+        return op(*args)
 
-        return jet
+    @staticmethod
+    def power(base: NumericScalar, exp: int) -> NumericScalar:
+        return base.power(exp)
 
-    def apply(self, op, *args):
-        if len(args) == 1:
-            (a,) = args
-            return lambda x, order: op(a(x, order))
-        a, b = args
-        n = self.n
-        if op is operator.mul:
-            return lambda x, order: jet_mul(a(x, order), b(x, order), n, order)
-        if op is operator.truediv:
-            return lambda x, order: jet_mul(a(x, order), self._power(b(x, order), -1, order),
-                                            n, order)
-        return lambda x, order: op(a(x, order), b(x, order))
-
-    def power(self, base, exp: int):
-        return lambda x, order: self._power(base(x, order), exp, order)
-
-    def _power(self, t, exp: int, order: int):
-        """t^p for p = ``exp``: the k-th coefficient is binomial(p, k) t^(p - k),
-        and 0 past k = p >= 0, even where t^(p - k) is not finite."""
-        if exp < 0 and (t[0] == 0).any():
-            raise ZeroDivisionError("float division by zero")
-        coeffs, c = [], 1.0
-        for k in range(order + 1 if exp < 0 else min(order, exp) + 1):
-            coeffs.append(c * t[0] ** (exp - k))
-            c = c * (exp - k) / (k + 1)
-        return self._compose(t, coeffs, order)
-
-    def call(self, node: ast.Call, arg):
+    def call(self, node: ast.Call, arg: NumericScalar) -> NumericScalar:
         key = ast.dump(node)
         got = self._calls.get(key)
         if got is None:
-            cycle = _NUMERIC_FUNCS[node.func.id]
-
-            def composed(x, order):
-                import numpy as np
-
-                a = arg(x, order)
-                values = {name: getattr(np, name)(a[0]) for name in dict(cycle[:order + 1])}
-                coeffs = [sign / math.factorial(k) * values[name]
-                          for k, (name, sign) in zip(range(order + 1), cycle * (order + 1))]
-                return self._compose(a, coeffs, order)
-
-            got = self._calls[key] = _on_last_batch(composed)
+            got = self._calls[key] = arg.call(node.func.id)
         return got
-
-    def _compose(self, a, coeffs, order: int):
-        """sum_k coeffs[k] (a - a_0)^k, truncated at ``order``, by Horner's
-        rule: g(a) from g's Taylor coefficients at a_0 (0 past the list)."""
-        u = a - jet_constant(a[0], self.n, order, a.shape[1])
-        out = jet_constant(coeffs[-1], self.n, order, a.shape[1])
-        for c in reversed(coeffs[:-1]):
-            out = jet_mul(u, out, self.n, order)
-            out[0] += c
-        return out
-
-
-def _on_last_batch(fn):
-    """``fn`` remembering its value on the last batch object and order it
-    was given.  The entries of a frame are evaluated on one batch object at
-    one order, and nothing writes to a batch after it is evaluated; holding
-    the batch keeps its id from being reused by another."""
-    batch = order = value = None
-
-    def at(x, o):
-        nonlocal batch, order, value
-        if x is not batch or o != order:
-            value = fn(x, o)
-            batch, order = x, o
-        return value
-
-    return at
 
 
 def _interpret(node, n: int, algebra, depth: int = 1):
@@ -255,7 +180,7 @@ def _interpret(node, n: int, algebra, depth: int = 1):
         return algebra.apply(op, _interpret(node.left, n, algebra, depth),
                              _interpret(node.right, n, algebra, depth))
     if isinstance(node, ast.Call):
-        if not (isinstance(node.func, ast.Name) and node.func.id in _NUMERIC_FUNCS):
+        if not (isinstance(node.func, ast.Name) and node.func.id in NUMERIC_FUNCS):
             raise ChartError("only sin, cos, exp calls are allowed")
         if len(node.args) != 1 or node.keywords:
             raise ChartError("transcendental calls take exactly one argument")
@@ -270,13 +195,6 @@ def _parse(src: str) -> ast.Expression:
         raise ChartError(f"cannot parse expression {src!r}: {exc.msg} (offset {exc.offset})") from None
     except (RecursionError, MemoryError):  # the parser's own nesting limits
         raise ChartError(f"an entry is nested more than {MAX_DEPTH} levels deep") from None
-
-
-def _variables(tree: ast.Expression) -> frozenset:
-    """The index r, counted from 0, of each variable x(r+1) that occurs in
-    an entry's syntax tree (which ``_interpret`` has checked)."""
-    return frozenset(int(m.group(1)) - 1 for node in ast.walk(tree)
-                     if isinstance(node, ast.Name) and (m := _VAR_RE.match(node.id)))
 
 
 def parse_exact_expr(src: str, n: int) -> RationalFunc:
@@ -320,28 +238,15 @@ def chart_from_json(doc: dict, backend: str | None = None) -> FrameChart:
     if backend in ("exact", "auto"):
         try:
             entries = [[parse_exact_expr(str(e), n) for e in row] for row in frame]
-            return FrameChart(name, n, domain, entries=entries)
+            return FrameChart(name, n, domain, entries)
         except _NeedsNumeric:
             if backend == "exact":
                 raise ChartError(f"chart '{name}' has no exact form") from None
             # fall through to numeric
 
-    import numpy as np
-
-    algebra = _NumericAlgebra(n)
-    trees = [[_parse(str(e)) for e in row] for row in frame]
-    fns = [[_interpret(tree, n, algebra) for tree in row] for row in trees]
-
-    def jets(points: np.ndarray, order: int) -> np.ndarray:
-        out = np.empty((math.comb(n + order, order), len(points), n, n))
-        with np.errstate(all="ignore"):  # overflow gives inf, as in Python floats
-            for i in range(n):
-                for a in range(n):
-                    out[:, :, i, a] = fns[i][a](points, order)
-        return out
-
-    reads = [[_variables(tree) for tree in row] for row in trees]
-    return FrameChart(name, n, domain, jets=jets, reads=reads)
+    algebra = _NumericAlgebra()
+    entries = [[_interpret(_parse(str(e)), n, algebra) for e in row] for row in frame]
+    return FrameChart(name, n, domain, entries)
 
 
 def load_chart_file(path: str, backend: str | None = None) -> FrameChart:

@@ -25,6 +25,9 @@ Two scalar-field backends implement the same operations:
   coefficients, so every field is computed only to the order that the
   derivatives above it need, derivatives are exact up to rounding, and
   the frame is evaluated at the points of the batch and nowhere else.
+  The entries of a numeric frame are numeric fields too, built by the
+  chart interpreter of ``charts_io``: one field type, with one per-batch
+  cache, serves the frame and the calculus.
 
 Both backends have a literal zero, and the arithmetic of both takes the
 same zero short cuts.  A numeric field also knows the coordinates it
@@ -42,7 +45,7 @@ import operator
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations_with_replacement, product as iproduct
-from math import comb
+from math import comb, factorial
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from . import MAX_DIM
@@ -131,6 +134,36 @@ def jet_diff(jet: np.ndarray, n: int, order: int, r: int) -> np.ndarray:
     return jet.take(rows, 0) * factors.reshape(-1, *[1] * (jet.ndim - 1))
 
 
+def _jet_compose(a: np.ndarray, coeffs, n: int, order: int) -> np.ndarray:
+    """sum_k coeffs[k] (a - a_0)^k, truncated at ``order``, by Horner's
+    rule: g(a) from g's Taylor coefficients at a_0 (0 past the list)."""
+    u = a - jet_constant(a[0], n, order, a.shape[1])
+    out = jet_constant(coeffs[-1], n, order, a.shape[1])
+    for c in reversed(coeffs[:-1]):
+        out = jet_mul(u, out, n, order)
+        out[0] += c
+    return out
+
+
+def _jet_power(t: np.ndarray, exp: int, n: int, order: int) -> np.ndarray:
+    """t^p for p = ``exp``: the k-th coefficient is binomial(p, k) t^(p - k),
+    and 0 past k = p >= 0, even where t^(p - k) is not finite."""
+    if exp < 0 and (t[0] == 0).any():
+        raise ZeroDivisionError("float division by zero")
+    coeffs, c = [], 1.0
+    for k in range(order + 1 if exp < 0 else min(order, exp) + 1):
+        coeffs.append(c * t[0] ** (exp - k))
+        c = c * (exp - k) / (k + 1)
+    return _jet_compose(t, coeffs, n, order)
+
+
+# a function's derivatives g, g', g'', ... repeat in a cycle of numpy
+# functions with signs
+NUMERIC_FUNCS = {"sin": (("sin", 1), ("cos", 1), ("sin", -1), ("cos", -1)),
+                 "cos": (("cos", 1), ("sin", -1), ("cos", -1), ("sin", 1)),
+                 "exp": (("exp", 1),)}
+
+
 class NumericScalar:
     """A float-valued field known through its truncated Taylor series.
 
@@ -142,6 +175,17 @@ class NumericScalar:
     (``jet_mul``), and ``diff(r)`` asks its operand for one order more and
     shifts the coefficients (``jet_diff``).  ``values`` is the row of
     order 0, and ``eval_float`` a batch of one row.
+
+    The entries of a numeric frame are fields too, built by the chart
+    interpreter from ``var``, constants, the arithmetic above, ``-``,
+    ``/``, ``power`` and ``call``.  A quotient multiplies by the series of
+    t^-1, a power composes with the series of t^p, and sin/cos/exp with
+    their derivative cycles (``NUMERIC_FUNCS``), by
+
+        g(a) = sum_k g^(k)(a_0)/k! (a - a_0)^k.
+
+    A zero divisor raises ZeroDivisionError, as it does for floats.  These
+    four operations take no zero short cuts.
 
     ``reads`` is the set of coordinates r whose x_r the field can depend
     on (every one unless given).  ``const(n, 0)`` is the literal zero, and
@@ -216,6 +260,47 @@ class NumericScalar:
             return NumericScalar.const(self.n, 0)
         return NumericScalar(lambda p, key, o: v * self._jet(p, key, o), self.n, self.reads)
 
+    @staticmethod
+    def var(n: int, idx: int) -> NumericScalar:
+        """The coordinate x_idx, counted from 0."""
+        def fn(p, key, order):  # the value, and a 1 in the row of x_idx
+            out = jet_constant(p[:, idx], n, order, len(p))
+            if order:
+                out[1 + idx] = 1.0
+            return out
+
+        return NumericScalar(fn, n, frozenset({idx}))
+
+    def __neg__(self) -> NumericScalar:
+        return NumericScalar(lambda p, key, o: -self._jet(p, key, o), self.n, self.reads)
+
+    def __truediv__(self, other: NumericScalar) -> NumericScalar:
+        n = self.n
+        return NumericScalar(lambda p, key, o: jet_mul(self._jet(p, key, o),
+                                                       _jet_power(other._jet(p, key, o), -1, n, o),
+                                                       n, o),
+                             n, self.reads | other.reads)
+
+    def power(self, exp: int) -> NumericScalar:
+        n = self.n
+        return NumericScalar(lambda p, key, o: _jet_power(self._jet(p, key, o), exp, n, o),
+                             n, self.reads)
+
+    def call(self, name: str) -> NumericScalar:
+        """sin, cos or exp (``name``) of this field."""
+        cycle, n = NUMERIC_FUNCS[name], self.n
+
+        def fn(p, key, order):
+            import numpy as np
+
+            a = self._jet(p, key, order)
+            values = {g: getattr(np, g)(a[0]) for g in dict(cycle[:order + 1])}
+            coeffs = [sign / factorial(k) * values[g]
+                      for k, (g, sign) in zip(range(order + 1), cycle * (order + 1))]
+            return _jet_compose(a, coeffs, n, order)
+
+        return NumericScalar(fn, n, self.reads)
+
     def diff(self, r: int) -> NumericScalar:
         if r not in self.reads:
             return self if self.is_zero() else NumericScalar.const(self.n, 0)
@@ -259,40 +344,29 @@ _FRAME_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 
 
 class FrameChart:
-    """An invertible frame field on a rational box domain; an exact one
-    holds its exact inverse, which feeds Gamma and validation."""
+    """An invertible frame field on a rational box domain, an n x n matrix
+    of scalar fields whose type is the chart's backend: RationalFuncs, or
+    NumericScalars.  An exact chart holds its exact inverse, which feeds
+    Gamma and validation."""
 
     def __init__(self, name: str, n: int, domain: Sequence[Tuple],
-                 entries: Sequence[Sequence[RationalFunc]] | None = None, *,
-                 jets: Callable[[np.ndarray, int], np.ndarray] | None = None,
-                 reads: Sequence[Sequence[frozenset]] | None = None):
-        """Exact ``entries``, or a numeric frame: ``jets(points, order)``
-        maps an (m, n) batch of points to the frame's jet of that order
-        there, a (rows, m, n, n) array (see ``jet_monomials``), and
-        ``reads[i][a]`` is the set of coordinates r whose x_r entry (i, a)
-        can depend on (every coordinate, unless given)."""
-        if (entries is None) == (jets is None):
-            raise ChartError("provide exactly one of exact entries or numeric jets")
+                 entries: Sequence[Sequence[ScalarField]]):
         check_dim(n)
         self.name = name
         self.n = n
         self.domain = [(Fraction(lo), Fraction(hi)) for lo, hi in domain]
         if len(self.domain) != n or any(lo >= hi for lo, hi in self.domain):
             raise ChartError(f"domain must be {n} nonempty intervals")
-        if entries is not None:
-            self.backend = "exact"
-            self.entries = [list(row) for row in entries]
-            if len(self.entries) != n or any(len(r) != n for r in self.entries):
-                raise ChartError(f"frame must be an {n}x{n} matrix of fields")
+        self.entries = [list(row) for row in entries]
+        if len(self.entries) != n or any(len(r) != n for r in self.entries):
+            raise ChartError(f"frame must be an {n}x{n} matrix of fields")
+        self.backend = "numeric" if isinstance(self.entries[0][0], NumericScalar) else "exact"
+        if self.backend == "exact":
             try:
                 self.inverse = rf_matrix_inverse(self.entries)
             except ZeroDivisionError:
                 raise ChartError(f"frame of chart '{name}' is singular as a matrix "
                                  f"of functions") from None
-        else:
-            self.backend = "numeric"
-            self._jets = jets
-            self.reads = reads or [[frozenset(range(n))] * n for _ in range(n)]
 
     def grid(self, points_per_axis: int = 5) -> List[Tuple[float, ...]]:
         axes = []
@@ -353,22 +427,41 @@ class FrameChart:
             if error:
                 raise ChartError(error)
 
+    def _jets(self, points: np.ndarray, order: int) -> np.ndarray:
+        """The numeric frame's jet of ``order`` at the rows of ``points``, a
+        (rows, m, n, n) array (see ``jet_monomials``)."""
+        import numpy as np
+
+        n, key = self.n, points.tobytes()
+        out = np.empty((comb(n + order, order), len(points), n, n))
+        with np.errstate(all="ignore"):  # overflow gives inf, as in Python floats
+            for i, row in enumerate(self.entries):
+                for a, e in enumerate(row):
+                    out[:, :, i, a] = e._jet(points, key, order)
+        return out
+
     def _jets_until_error(self, points: np.ndarray, order: int) -> Tuple[np.ndarray, str | None]:
         """e's jet of ``order`` at the rows of ``points`` before the first
         where it cannot be evaluated, with the message for that row (None
-        when there is none)."""
+        when there is none).  Every jet operation acts point by point, so a
+        batch fails exactly when one of its rows does, and the first such
+        row is found by bisection over the prefixes of the batch: a few
+        batches, each cached by every entry node, in place of one per row."""
         try:
             return self._jets(points, order), None
         except _FRAME_ERRORS as exc:
-            batch_error = exc
-        for row in range(len(points)):  # find the first point that fails
+            error = exc
+        good, bad = 0, len(points)  # points[:good] can be evaluated, points[:bad] cannot
+        while bad - good > 1:
+            mid = (good + bad) // 2
             try:
-                self._jets(points[row:row + 1], order)
+                self._jets(points[:mid], order)
+                good = mid
             except _FRAME_ERRORS as exc:
-                at = tuple(points[row].tolist())
-                return (self._jets(points[:row], order),
-                        f"frame of chart '{self.name}' cannot be evaluated at {at}: {exc}")
-        raise ChartError(f"frame of chart '{self.name}' cannot be evaluated: {batch_error}")
+                bad, error = mid, exc
+        at = tuple(points[good].tolist())
+        return (self._jets(points[:good], order),
+                f"frame of chart '{self.name}' cannot be evaluated at {at}: {error}")
 
     def frame_jets(self, points: np.ndarray, order: int) -> np.ndarray:
         """The numeric frame's jet of ``order`` at the rows of ``points``; a
@@ -431,7 +524,7 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
     import numpy as np
 
     span = range(n)
-    reads = chart.reads
+    reads = [[e.reads for e in row] for row in chart.entries]
     # d_j e^i_a is exactly 0.0 where entry (i, a) does not read x_j, and
     # Gamma^i_{jk} is the zero where no entry of row i reads x_j
     unread = np.array([[[j not in reads[i][a] for a in span] for i in span] for j in span])

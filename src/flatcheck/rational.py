@@ -249,9 +249,12 @@ class Poly:
         cancels removed (and re-inserted later if it reappears).  With ``k``
         the right terms are sorted stably by degree, and each left term ma
         stops at the first mb >= ((k + 1) << shift) - ma, the first of
-        degree above k - deg(ma): the fields below the degree never carry."""
+        degree above k - deg(ma): the fields below the degree never carry.
+        A zero operand gives the zero at once."""
         left, shift = self.terms, FIELD_BITS * self.n
-        if left and other.terms and (max(left) >> shift) + (max(other.terms) >> shift) > MAX_DEGREE:
+        if not (left and other.terms):
+            return self._like({}, 1)
+        if (max(left) >> shift) + (max(other.terms) >> shift) > MAX_DEGREE:
             raise ValueError(f"a product passes the largest packed total degree, {MAX_DEGREE}")
         right = list(other.terms.items())
         if k is not None:

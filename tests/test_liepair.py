@@ -193,6 +193,25 @@ def test_effective_check_gl2_center():
     assert Subalgebra(g, witness).contains([1, 0, 0, 0])
 
 
+def test_gl2_brackets_are_matrix_commutators():
+    # the documented basis (I, J, D, S) of gl(2) as 2 x 2 matrices
+    basis = [((1, 0), (0, 1)), ((0, -1), (1, 0)), ((1, 0), (0, -1)), ((0, 1), (1, 0))]
+
+    def mul(a, b):
+        return [[sum(a[r][t] * b[t][c] for t in range(2)) for c in range(2)] for r in range(2)]
+
+    def flat(m):  # the coordinates of a matrix in that basis
+        a, b, c, d = m[0][0], m[0][1], m[1][0], m[1][1]
+        return [Fraction(a + d, 2), Fraction(c - b, 2), Fraction(a - d, 2), Fraction(b + c, 2)]
+
+    g, _ = get_lie_pair("gl2/center-so2")
+    for i in range(4):
+        for j in range(4):
+            ab, ba = mul(basis[i], basis[j]), mul(basis[j], basis[i])
+            want = flat([[ab[r][c] - ba[r][c] for c in range(2)] for r in range(2)])
+            assert g.bracket(g.basis_vector(i), g.basis_vector(j)) == want, (i, j)
+
+
 def test_witness_is_an_ideal_inside_h():
     for name in ("p-subdiag3/b3", "p-subdiag4/b4", "heis3/center", "gl2/center-so2"):
         g, h = get_lie_pair(name)

@@ -5,13 +5,15 @@ gives, to rounding: the matrix products of the connection may round
 differently in the last bit, so the comparison has a tolerance.  Each
 node caches its jet per batch.  A forced-numeric exact chart runs
 through the entry interpreter, not its exact fields one point at a time,
-and each distinct sin/cos/exp call of a frame is composed once per batch
-and order for all of the frame's entries.
+and each distinct sin/cos/exp call of a frame is one node, composed once
+per batch (and again only for a higher order) for all of the frame's
+entries.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ import pytest
 from flatcheck.catalog import get_chart
 from flatcheck.charts_io import _interpret, _NumericAlgebra, _parse, chart_from_json
 from flatcheck.forms import identity_report
-from flatcheck.frames import NumericScalar, curvature_components, gamma_from_frame
+from flatcheck.frames import ChartError, NumericScalar, curvature_components, gamma_from_frame
 
 # su2-euler's frame times C = [[1, 2, 1], [0, 1, 1], [1, 2, 2]] (det 1)
 _SU2 = [["sin(x3)/sin(x2)", "cos(x3)/sin(x2)", "0"],
@@ -80,8 +82,7 @@ def test_report_matches_point_by_point(case, monkeypatch):
 def test_cache_keeps_each_batch_apart():
     # one node on two batches and on a row permutation of the first: each
     # batch gets its own values, and a repeated batch is a cache hit
-    entry = _interpret(_parse("sin(x1) + x1*x2**2"), 2, _NumericAlgebra(2))
-    f = NumericScalar(lambda p, key, order: entry(p, order), 2)
+    f = _interpret(_parse("sin(x1) + x1*x2**2"), 2, _NumericAlgebra())
     node = f.diff(0) * f + f.diff(1).diff(0)
 
     def want(x, y):  # the same tree, differentiated by hand
@@ -115,8 +116,8 @@ SHARED_SIN = {"name": "shared-sin", "n": 2, "domain": [[-1, 1], [0.5, 1.5]],
 
 def test_each_call_is_evaluated_once_per_batch(monkeypatch):
     # sin(x2) occurs five times in the frame, and numpy's sin runs on the
-    # batch's values of x2 once per batch and order (and from order 1 on,
-    # on those of x1 for the derivatives of cos(x1))
+    # batch's values of x2 once per batch and higher order (and from order
+    # 1 on, on those of x1 for the derivatives of cos(x1))
     sin, calls = np.sin, []
 
     def counted_sin(x):
@@ -128,8 +129,8 @@ def test_each_call_is_evaluated_once_per_batch(monkeypatch):
     a = np.array(chart.grid(3))
     b = a[:4] + 0.01
     env = {"sin": sin, "cos": np.cos}
-    # the same batch at the same order again is the closure's last jet
-    for batch, order, fresh in ((a, 0, 1), (b, 0, 1), (a, 0, 1), (a, 2, 1), (a, 2, 0)):
+    # a batch seen before, at an order no higher, is a cache hit
+    for batch, order, fresh in ((a, 0, 1), (b, 0, 1), (a, 0, 0), (a, 2, 1), (a, 2, 0)):
         calls.clear()
         jets = chart.frame_jets(batch, order)
         assert calls.count(batch[:, 1].tolist()) == fresh
@@ -140,3 +141,34 @@ def test_each_call_is_evaluated_once_per_batch(monkeypatch):
             for k, entry in enumerate(row):
                 want = eval(entry, env, dict(names))
                 assert [v.hex() for v in jets[0, :, i, k]] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("entry", ["1/x1", "1/(x1 - x2)", "sin(x2)/(x1*x2 - 0.25)",
+                                   "1/(x1 + x2 - 2)", "x2/(x1 - 0.5) + 1/(x2 - 0.5)"])
+def test_the_first_point_that_cannot_be_evaluated_is_named(entry):
+    # a batch fails where one of its rows does, and the error names the
+    # first such grid point, the first where Python's floats divide by
+    # zero; it is found from a few prefixes of the grid, not row by row
+    doc = {"name": "poles", "n": 2, "domain": [[-1, 1], [-1, 1]],
+           "frame": [["1", entry], ["0", "1"]]}  # det e = 1 wherever e is finite
+    chart = chart_from_json(doc, "numeric")
+    grid = chart.grid(5)
+
+    def fails(x1, x2):
+        try:
+            eval(entry, {"sin": math.sin}, {"x1": x1, "x2": x2})
+        except ZeroDivisionError:
+            return True
+        return False
+
+    first = next(p for p in grid if fails(*p))
+    jets, batches = chart._jets, []
+
+    def spy(points, order):
+        batches.append(len(points))
+        return jets(points, order)
+
+    chart._jets = spy
+    with pytest.raises(ChartError, match=re.escape(f"cannot be evaluated at {first}: ")):
+        chart.validate_invertible(5)
+    assert len(batches) <= 2 + math.ceil(math.log2(len(grid)))

@@ -11,6 +11,7 @@ backend's verdict, max_R and secondary class to rounding.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 
 from flatcheck.catalog import CHART_FACTS, chart_document, get_chart
 from flatcheck.charts_io import chart_from_json
+from flatcheck.cli import main
 from flatcheck.forms import _grid_max, chern_simons_report, identity_report
 from flatcheck.frames import ChartError, NumericScalar, gamma_from_frame
 
@@ -130,3 +132,25 @@ def test_grid_max_names_the_first_point_that_is_not_finite(bad):
     assert at == points[2]
     with pytest.raises(ChartError, match=rf"not finite at \({at[0]}, {at[1]}\)"):
         _grid_max(fields, points)
+
+
+@pytest.mark.parametrize("entry", ["2 + 0/x1", "2 + 0*(1/x1)", "2 + (1/x1)*0"])
+def test_a_zero_literal_keeps_the_operand_it_multiplies(entry, tmp_path, monkeypatch, capsys):
+    # a literal 0 in an entry is a constant field, not the calculus's
+    # literal zero: the numeric backend evaluates 1/x1 and meets its pole
+    # at x1 = 0, where the exact backend has simplified the entry to 2
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps({"name": "zero-times-pole", "n": 1, "domain": [[-1, 1]],
+                                "frame": [[entry]]}))
+    for backend, code in (("numeric", 1), ("exact", 0)):
+        monkeypatch.setenv("FLATCHECK_BACKEND", backend)
+        assert main(["geom", "report", "--chart", str(path), "--grid", "3"]) == code
+        err = capsys.readouterr().err
+        assert ("cannot be evaluated at (0.0,)" in err) is (code == 1)
+
+
+def test_numeric_entries_read_the_variables_they_name():
+    chart = chart_from_json({"name": "reads", "n": 2, "domain": [[-1, 1], [1, 2]],
+                             "frame": [["x2 - x2 + 1", "0*x1"], ["3", "exp(x1)"]]}, "numeric")
+    assert [[e.reads for e in row] for row in chart.entries] == [[{1}, {0}], [set(), {0}]]
+    assert not any(e.is_zero() for row in chart.entries for e in row)

@@ -278,6 +278,19 @@ def test_zero_products_do_not_reduce(chart_and_gamma, monkeypatch):
     assert calls == []
 
 
+def test_a_product_with_a_zero_operand_builds_no_terms(monkeypatch):
+    def fail(self, nums, den):
+        raise AssertionError("Poly._from_ints called")
+
+    monkeypatch.setattr(Poly, "_from_ints", fail)
+    cases = [(Poly.zero(2), Poly(2, {(1, 0): 1, (0, 2): Fraction(1, 3)})),
+             (TruncatedPoly(2, 3, {}), TruncatedPoly(2, 3, {(1, 0): 1, (0, 2): 2}))]
+    for zero, f in cases:
+        for got in (zero * f, f * zero):
+            assert not got.terms and got.denom == 1 and type(got) is type(f)
+            assert getattr(got, "k", None) == getattr(f, "k", None)
+
+
 def test_grid_values_are_bit_identical_to_eval_float(chart_and_gamma):
     chart, fields = chart_and_gamma
     grid = RationalGrid(chart.rational_grid(3))
