@@ -48,12 +48,11 @@ _VAR_RE = re.compile(r"^x([1-9]\d*)$")
 MAX_EXPONENT = 64
 # and an exact product of two factors up to MAX_TERMS**2 coefficient products
 MAX_TERMS = 256
-# the interpreter recurses once per level of an entry's syntax tree,
-# ``ast.dump`` of a call a few times per level below it, and a numeric
-# entry's evaluation twice per level (a field's ``_jet`` and its function);
-# the parser allows fewer than 200 nested parentheses, and a report on an
-# entry MAX_DEPTH deep needs at most about 870 frames, below Python's
-# recursion limit of 1000
+# the interpreter recurses once per level of an entry's syntax tree, and a
+# numeric entry's evaluation twice per level (a field's ``_jet`` and its
+# function); the parser allows fewer than 200 nested parentheses, and a
+# report on an entry MAX_DEPTH deep, with or without nested calls, needs
+# about 825 frames, below Python's recursion limit of 1000
 MAX_DEPTH = 400
 
 
@@ -96,41 +95,45 @@ class _NumericAlgebra:
     """Entries as ``NumericScalar``s (see ``frames.NumericScalar``).  A
     literal is a constant field that is not the calculus's literal zero,
     which would let a product or a sum drop an operand that the entry
-    evaluates: ``2 + 0/x1`` cannot be evaluated where x1 = 0.
+    evaluates: ``2 + 0/x1`` is not finite where x1 = 0.
 
-    One instance serves the entries of one frame: a call that occurs again,
-    in the same entry or another, is the same field, which keeps its jet
-    per batch."""
+    One instance serves the entries of one frame, and builds each node
+    once: a node is keyed by its operation and the ids of its operand
+    nodes (a literal by its value, a variable by its index), so a
+    subexpression that occurs again, in the same entry or another, is the
+    same field, which keeps its jet per batch.  The operands are values
+    of the memo, so their ids stay theirs."""
 
     def __init__(self):
-        self._calls = {}  # ast.dump of a call -> its field
+        self._nodes = {}  # (operation, operands) -> its field
 
-    @staticmethod
-    def const(n: int, value) -> NumericScalar:
+    def _node(self, key, build) -> NumericScalar:
+        got = self._nodes.get(key)
+        if got is None:
+            got = self._nodes[key] = build()
+        return got
+
+    def const(self, n: int, value) -> NumericScalar:
         try:
             value = float(value)
         except OverflowError:
             raise ChartError("an integer literal overflows a float: "
                              "numbers must be finite") from None
-        return NumericScalar(lambda p, key, order: jet_constant(value, n, order, len(p)), n,
-                             frozenset())
+        return self._node(("const", value), lambda: NumericScalar(
+            lambda p, key, order: jet_constant(value, n, order, len(p)), n, frozenset()))
 
-    var = staticmethod(NumericScalar.var)
+    def var(self, n: int, idx: int) -> NumericScalar:
+        return self._node(("var", idx), lambda: NumericScalar.var(n, idx))
 
-    @staticmethod
-    def apply(op, *args) -> NumericScalar:
-        return op(*args)
+    def apply(self, op, *args) -> NumericScalar:
+        return self._node((op, *map(id, args)), lambda: op(*args))
 
-    @staticmethod
-    def power(base: NumericScalar, exp: int) -> NumericScalar:
-        return base.power(exp)
+    def power(self, base: NumericScalar, exp: int) -> NumericScalar:
+        return self._node(("power", id(base), exp), lambda: base.power(exp))
 
     def call(self, node: ast.Call, arg: NumericScalar) -> NumericScalar:
-        key = ast.dump(node)
-        got = self._calls.get(key)
-        if got is None:
-            got = self._calls[key] = arg.call(node.func.id)
-        return got
+        name = node.func.id
+        return self._node((name, id(arg)), lambda: arg.call(name))
 
 
 def _interpret(node, n: int, algebra, depth: int = 1):

@@ -27,7 +27,10 @@ Two scalar-field backends implement the same operations:
   the frame is evaluated at the points of the batch and nowhere else.
   The entries of a numeric frame are numeric fields too, built by the
   chart interpreter of ``charts_io``: one field type, with one per-batch
-  cache, serves the frame and the calculus.
+  cache, serves the frame and the calculus.  Numeric evaluation is total,
+  as numpy's is: a value that cannot be computed, at a pole or past the
+  float range, is not finite at its point, the same failure rule as the
+  exact read-out's, so validation names the frame's first such point.
 
 Both backends have a literal zero, and the arithmetic of both takes the
 same zero short cuts.  A numeric field also knows the coordinates it
@@ -147,14 +150,17 @@ def _jet_compose(a: np.ndarray, coeffs, n: int, order: int) -> np.ndarray:
 
 def _jet_power(t: np.ndarray, exp: int, n: int, order: int) -> np.ndarray:
     """t^p for p = ``exp``: the k-th coefficient is binomial(p, k) t^(p - k),
-    and 0 past k = p >= 0, even where t^(p - k) is not finite."""
-    if exp < 0 and (t[0] == 0).any():
-        raise ZeroDivisionError("float division by zero")
+    and 0 past k = p >= 0, even where t^(p - k) is not finite.  Where t is
+    0 and p < 0, every row is NaN: an infinite value alone would let
+    1/(1/t) read 0 there, with a zero derivative."""
     coeffs, c = [], 1.0
     for k in range(order + 1 if exp < 0 else min(order, exp) + 1):
         coeffs.append(c * t[0] ** (exp - k))
         c = c * (exp - k) / (k + 1)
-    return _jet_compose(t, coeffs, n, order)
+    out = _jet_compose(t, coeffs, n, order)
+    if exp < 0:
+        out[:, t[0] == 0] = float("nan")
+    return out
 
 
 # a function's derivatives g, g', g'', ... repeat in a cycle of numpy
@@ -184,7 +190,9 @@ class NumericScalar:
 
         g(a) = sum_k g^(k)(a_0)/k! (a - a_0)^k.
 
-    A zero divisor raises ZeroDivisionError, as it does for floats.  These
+    Evaluation never raises: where a divisor (or the base of a negative
+    power) is 0, every row of the jet is NaN, and an overflow is inf, so
+    a value that cannot be computed is not finite at its point.  These
     four operations take no zero short cuts.
 
     ``reads`` is the set of coordinates r whose x_r the field can depend
@@ -318,8 +326,9 @@ class NumericScalar:
     def values(self, points) -> np.ndarray:
         """The field at each of ``points``, as an array of floats.
 
-        Overflow and invalid operations give inf and NaN without a
-        warning, as Python floats do; callers test finiteness.
+        A pole, an overflow or an invalid operation gives NaN or inf
+        without a warning, where Python floats would raise; callers test
+        finiteness.
         """
         import numpy as np
 
@@ -337,10 +346,6 @@ def _zeros(points: np.ndarray, key: bytes, order: int) -> np.ndarray:
 
 
 ScalarField = RationalFunc | NumericScalar
-
-
-# what evaluating a numeric frame raises at a pole or an overflow
-_FRAME_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 
 
 class FrameChart:
@@ -389,7 +394,9 @@ class FrameChart:
         denominator factor of its entries vanishes, and, where it has none,
         is singular where one of e^-1 = adj(e) / det e does.  A report's fields are
         built from e, e^-1 and their derivatives, so they divide by no
-        exact zero on a valid grid."""
+        exact zero on a valid grid.  Numerically, e is evaluated on the
+        whole grid at once, and the first point where it is not finite (a
+        pole reads NaN) or is singular is named."""
         if points_per_axis < 2:
             raise ChartError("need at least 2 grid points per axis")
         if points_per_axis ** self.n > MAX_GRID_POINTS:
@@ -412,8 +419,7 @@ class FrameChart:
             import numpy as np
 
             grid = self.grid(points_per_axis)
-            jets, error = self._jets_until_error(np.array(grid), 0)
-            e = jets[0]
+            e = self._jets(np.array(grid), 0)[0]
             with np.errstate(all="ignore"):
                 # |det e| against Hadamard's bound, the product of the row
                 # norms: the ratio lies in [0, 1] whatever the scale of e
@@ -424,52 +430,20 @@ class FrameChart:
                     raise ChartError(f"frame of chart '{self.name}' is not finite at {p}")
                 if sing:
                     raise ChartError(f"frame of chart '{self.name}' is singular at {p}")
-            if error:
-                raise ChartError(error)
 
     def _jets(self, points: np.ndarray, order: int) -> np.ndarray:
         """The numeric frame's jet of ``order`` at the rows of ``points``, a
-        (rows, m, n, n) array (see ``jet_monomials``)."""
+        (rows, m, n, n) array (see ``jet_monomials``); a row where an entry
+        cannot be computed is not finite."""
         import numpy as np
 
         n, key = self.n, points.tobytes()
         out = np.empty((comb(n + order, order), len(points), n, n))
-        with np.errstate(all="ignore"):  # overflow gives inf, as in Python floats
+        with np.errstate(all="ignore"):  # a pole or an overflow is not finite
             for i, row in enumerate(self.entries):
                 for a, e in enumerate(row):
                     out[:, :, i, a] = e._jet(points, key, order)
         return out
-
-    def _jets_until_error(self, points: np.ndarray, order: int) -> Tuple[np.ndarray, str | None]:
-        """e's jet of ``order`` at the rows of ``points`` before the first
-        where it cannot be evaluated, with the message for that row (None
-        when there is none).  Every jet operation acts point by point, so a
-        batch fails exactly when one of its rows does, and the first such
-        row is found by bisection over the prefixes of the batch: a few
-        batches, each cached by every entry node, in place of one per row."""
-        try:
-            return self._jets(points, order), None
-        except _FRAME_ERRORS as exc:
-            error = exc
-        good, bad = 0, len(points)  # points[:good] can be evaluated, points[:bad] cannot
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            try:
-                self._jets(points[:mid], order)
-                good = mid
-            except _FRAME_ERRORS as exc:
-                bad, error = mid, exc
-        at = tuple(points[good].tolist())
-        return (self._jets(points[:good], order),
-                f"frame of chart '{self.name}' cannot be evaluated at {at}: {error}")
-
-    def frame_jets(self, points: np.ndarray, order: int) -> np.ndarray:
-        """The numeric frame's jet of ``order`` at the rows of ``points``; a
-        point where it cannot be evaluated is a ChartError."""
-        jets, error = self._jets_until_error(points, order)
-        if error:
-            raise ChartError(error)
-        return jets
 
     def __repr__(self):
         return f"FrameChart({self.name!r}, n={self.n}, backend={self.backend})"
@@ -533,7 +507,7 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
     def gamma_tensor(points: np.ndarray, key: bytes, order: int) -> np.ndarray:
         """Gamma's jet of ``order`` from the frame's of one order more, as
         a (rows, n, n, n, m) array."""
-        e = chart.frame_jets(points, order + 1)
+        e = chart._jets(points, order + 1)
         e0inv = np.linalg.inv(e[0])  # validate_invertible has refused a singular e
         # e^-1 = sum_{k <= order} (-e0^-1 N)^k e0^-1, with N = e - e0
         step = -(e0inv @ e[:comb(n + order, order)])

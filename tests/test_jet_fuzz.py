@@ -104,9 +104,11 @@ def pair_document(draw):
 
 
 # entries of a 2x2 frame on [-1, 1] x [1, 2]: exact, transcendental, and
-# singular or with a pole somewhere on the domain
+# singular or with a pole somewhere on the domain (at x1 = 0, which a grid
+# of 3 points per axis reaches)
 ENTRY = st.sampled_from(["0", "1", "2", "0.5", "x1", "x2", "1 + x1^2", "x1/x2", "1/x1",
-                         "exp(x1)", "sin(x2)", "x2^-2"])
+                         "exp(x1)", "sin(x2)", "x2^-2", "1/(1/x1)", "(1/x1)^0",
+                         "0*(1/x1)", "sin(1/x1)"])
 
 
 @st.composite
@@ -164,6 +166,8 @@ def read_verdict(doc):
 
 CHART_COMMANDS = (["geom", "report", "--grid", "2", "--chart"],
                   ["chern-simons", "--grid", "2", "--chart"])
+# on the numeric backend, on a grid that meets the poles of ENTRY
+NUMERIC_COMMAND = ["geom", "report", "--grid", "3", "--chart"]
 
 
 def write(path, doc):
@@ -199,6 +203,9 @@ def test_fuzzed_chart_commands_exit_zero_one_or_three(docs, doc):
     path = write(docs / "chart.json", doc)
     for command in CHART_COMMANDS:
         check(run([*command, path]), read_verdict, codes=(0, 1, 3))
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("FLATCHECK_BACKEND", "numeric")
+        check(run([*NUMERIC_COMMAND, path]), read_verdict, codes=(0, 1, 3))
 
 
 @FUZZ
