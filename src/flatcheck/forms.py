@@ -195,11 +195,11 @@ def _grid_max(fields, points) -> float:
             continue
         if not isinstance(points, RationalGrid):
             points = RationalGrid(points)
-        for p, v in zip(points, points.values(f)):
-            v = abs(v)
-            if not math.isfinite(v):
-                raise _not_finite(p)
-            worst = max(worst, v)
+        values = list(map(abs, points.values(f)))
+        finite = list(map(math.isfinite, values))
+        if not all(finite):
+            raise _not_finite(points.points[finite.index(False)])
+        worst = max(worst, max(values, default=0.0))
     return worst
 
 
@@ -299,11 +299,16 @@ def _rows(form: HomForm) -> Dict[IndexTuple, Dict[int, list]]:
     return out
 
 
-def wedge(a: HomForm, b: HomForm) -> HomForm:
+def wedge(a: HomForm, b: HomForm, diagonal: bool = False) -> HomForm:
     """Shuffle wedge with Hom(T,T) composition on the value slots.
 
     Each shuffle block multiplies only the pairs a^i_t, b^t_j that are both
-    stored, summed over t ascending; the blocks are added in shuffle order."""
+    stored, summed over t ascending; the blocks are added in shuffle order.
+
+    With ``diagonal`` only the components (idx, i, i) are formed, each from
+    the same pieces in the same order as in the full wedge, and the others
+    are left out although they need not be zero: the result is only for
+    readers of ``trace_form``."""
     if a.n != b.n or type(a.zero) is not type(b.zero):
         raise ChartError("wedge operands must live on the same chart backend")
     n = a.n
@@ -324,6 +329,8 @@ def wedge(a: HomForm, b: HomForm) -> HomForm:
             for i, row in a_rows.items():
                 for t, fa in row:
                     for j, fb in b_rows.get(t, ()):
+                        if diagonal and j != i:
+                            continue
                         piece = fa * fb
                         block[i, j] = piece if (i, j) not in block else block[i, j] + piece
             negate = _sort_with_sign(a_idx + b_idx)[1] == -1
@@ -400,7 +407,7 @@ def scalars_residual(fields: Sequence[ScalarField], points) -> float:
 class _Geometry(NamedTuple):
     report: dict
     torsion: HomForm
-    torsion_cube: HomForm  # T^T^T, shared by the transgression and Tr(T^3)
+    torsion_cube_diagonal: HomForm  # the (idx, i, i) of T^T^T: all that trace_form reads
     points: Sequence
 
 
@@ -447,8 +454,9 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
         raise CalibrationError(chart.name, {"structure": plus}, {"structure": minus})
 
     sr = r if sign == 1 else r.scale(-1)
-    sr_t = wedge(sr, t)
-    t3 = wedge(tt, t)
+    # chern-simons reads only the trace of sR^T; the report's d~(sR) reads all of it
+    sr_t = wedge(sr, t, diagonal=not full)
+    t3 = wedge(tt, t, diagonal=True)  # read only through trace_form
 
     if full:
         # d~(sR) = (sR)^T - T^(sR)
@@ -460,7 +468,7 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
     # secondary transgression: d Tr(sR ^ T - T^3/3) = Tr(sR ^ sR)
     cs_primitive = trace_form(sr_t - t3.scale(Fraction(1, 3)))
     cs_lhs = de_rham(cs_primitive)
-    cs_rhs = trace_form(wedge(sr, sr))
+    cs_rhs = trace_form(wedge(sr, sr, diagonal=True))
     residuals["chern_simons"] = form_residual(cs_lhs - cs_rhs, points)
 
     if full:
@@ -521,7 +529,7 @@ def trace_powers(chart: FrameChart, max_i: int) -> dict:
 
 
 def _secondary_class(geo: _Geometry, i: int, tol2: float) -> tuple[HomForm, bool | None]:
-    power = geo.torsion_cube if i == 1 else wedge_power(geo.torsion, 2 * i + 1)
+    power = geo.torsion_cube_diagonal if i == 1 else wedge_power(geo.torsion, 2 * i + 1)
     form = trace_form(power)
     if not geo.report["locally_homogeneous"]:
         return form, None

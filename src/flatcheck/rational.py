@@ -26,6 +26,25 @@ integer point (by Gauss's lemma a failing divisibility of the values
 proves that the polynomials do not divide), then divides on integer
 numerators over one denominator.  Exact evaluation at a rational point
 clears the coordinates' denominators and builds one Fraction.
+
+That value, the probe value, is the value at ``PROBE_POINT`` of the
+primitive part of the numerators (divided by their positive gcd, the
+content).  It is computed term by term on first read, and carried
+through the arithmetic where that is exact, so that a normal form built
+from probed operands is never evaluated again.  Gauss's lemma says that
+the content of a product of integer polynomials is the product of their
+contents, so the primitive part of a product is the product of the
+primitive parts, and dividing the numerators by a common factor leaves
+it alone:
+- an untruncated product whose operands both hold a probe value holds
+  their product, and an exact quotient holds probe(other) // probe(self)
+  when probe(self) is not 0;
+- a sum or difference whose operands both hold one holds its raw value
+  (probe times content, linear in the numerators) over its own content:
+  (probe(a) gcd(a) f_a + probe(b) gcd(b) f_b) // gcd(result), with f_a,
+  f_b the factors that bring the operands to the common denominator;
+- a negation holds -probe, and ``scale(p/q)`` holds sign(p) probe.
+Derivatives, degree parts and truncated products carry nothing.
 """
 
 from __future__ import annotations
@@ -36,7 +55,7 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from math import gcd, lcm, prod
-from operator import getitem
+from operator import add, getitem, mul, truediv
 from struct import Struct
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -97,14 +116,19 @@ class Poly:
     Results of the arithmetic are built by ``_like``, so a subclass that
     carries more state (the truncation order of a jet component) gets
     results of its own kind.  ``coeffs``, ``monomials``, the hash, the
-    shape and the probe value are computed on first use and kept in slots;
-    a polynomial is not changed after it is built, so they stay valid.
+    shape, the degree-sorted terms of a right operand of a truncated
+    product, the leading and least monomials of a divisor and the probe
+    value (unless the arithmetic carried it) are computed on first use and
+    kept in slots; a polynomial is not changed after it is built, so they
+    stay valid.
     """
 
-    __slots__ = ("n", "terms", "denom", "_coeffs", "_monos", "_hash", "_shape", "_probe")
+    __slots__ = ("n", "terms", "denom", "_coeffs", "_monos", "_hash", "_shape", "_probe",
+                 "_by_degree", "_divisor")
 
     def __init__(self, n: int, coeffs: Mapping[Monomial, Fraction] | None = None):
         self.n, pack = n, _layout(n)[2]
+        self._probe = None
         fracs = {tuple(m): c if type(c) is Fraction else Fraction(c)
                  for m, c in coeffs.items() if c} if coeffs else {}
         self._coeffs = fracs
@@ -123,6 +147,7 @@ class Poly:
         res.n = self.n
         res.terms = terms
         res.denom = den
+        res._probe = None
         return res
 
     @staticmethod
@@ -133,6 +158,7 @@ class Poly:
         res.n = n
         res.terms = {mono: c._numerator} if c else {}
         res.denom = c._denominator
+        res._probe = None
         return res
 
     @staticmethod
@@ -217,14 +243,15 @@ class Poly:
     def probe_value(self) -> int:
         """The value at ``PROBE_POINT`` of the primitive part of the integer
         numerators of a nonzero polynomial (the numerators divided by their
-        positive gcd)."""
-        try:
-            return self._probe
-        except AttributeError:
+        positive gcd).  Computed term by term on first read, unless the
+        arithmetic that built the polynomial carried it from its operands
+        (see the module docstring)."""
+        v = self._probe
+        if v is None:
             nums = self.terms.values()
             v = sum(c * prod(map(pow, PROBE_POINT, m)) for m, c in zip(self.monomials(), nums))
             v = self._probe = v // gcd(*nums)
-            return v
+        return v
 
     def _from_ints(self, nums: Dict[int, int], den: int) -> Poly:
         """A polynomial of this one's kind with coefficients ``nums[m] / den``
@@ -247,19 +274,25 @@ class Poly:
         it is given.  Output terms come in the order of the Fraction
         schoolbook loop: left terms outer, right terms inner, a sum that
         cancels removed (and re-inserted later if it reappears).  With ``k``
-        the right terms are sorted stably by degree, and each left term ma
-        stops at the first mb >= ((k + 1) << shift) - ma, the first of
-        degree above k - deg(ma): the fields below the degree never carry.
-        A zero operand gives the zero at once."""
+        the right terms are sorted stably by degree, once per right operand,
+        and each left term ma stops at the first mb >= ((k + 1) << shift) -
+        ma, the first of degree above k - deg(ma): the fields below the
+        degree never carry.  A zero operand gives the zero at once.  Without
+        ``k``, the probe value is carried when both operands hold one."""
         left, shift = self.terms, FIELD_BITS * self.n
         if not (left and other.terms):
             return self._like({}, 1)
         if (max(left) >> shift) + (max(other.terms) >> shift) > MAX_DEGREE:
             raise ValueError(f"a product passes the largest packed total degree, {MAX_DEGREE}")
-        right = list(other.terms.items())
-        if k is not None:
-            right.sort(key=lambda t: t[0] >> shift)
-            keys = [m for m, _ in right]
+        if k is None:
+            right = list(other.terms.items())
+        else:
+            try:
+                right, keys = other._by_degree
+            except AttributeError:
+                right = sorted(other.terms.items(), key=lambda t: t[0] >> shift)
+                keys = [m for m, _ in right]
+                other._by_degree = right, keys
             limit = (k + 1) << shift
         out: Dict[int, int] = {}
         get = out.get
@@ -271,10 +304,16 @@ class Poly:
                     out[mono] = s
                 else:
                     del out[mono]
-        return self._from_ints(out, self.denom * other.denom)
+        res = self._from_ints(out, self.denom * other.denom)
+        if k is None:
+            pa, pb = self._probe, other._probe
+            if pa is not None and pb is not None:
+                res._probe = pa * pb
+        return res
 
     def _combine(self, other: Poly, sign: int) -> Poly:
-        """self + sign * other."""
+        """self + sign * other; a nonzero result carries the probe value
+        when both operands hold one."""
         dl, dr = self.denom, other.denom
         den = lcm(dl, dr)
         fl, fr = den // dl, sign * (den // dr)
@@ -286,13 +325,22 @@ class Poly:
                 out[mono] = s
             else:
                 del out[mono]
-        return self._from_ints(out, den)
+        res = self._from_ints(out, den)
+        pa, pb = self._probe, other._probe
+        if pa is not None and pb is not None and out:
+            # the raw values (probe times content) combine linearly
+            raw = pa * gcd(*self.terms.values()) * fl + pb * gcd(*other.terms.values()) * fr
+            res._probe = raw // gcd(*out.values())
+        return res
 
     def __add__(self, other: Poly) -> Poly:
         return self._combine(other, 1)
 
     def __neg__(self) -> Poly:
-        return self._like({m: -v for m, v in self.terms.items()}, self.denom)
+        res = self._like({m: -v for m, v in self.terms.items()}, self.denom)
+        if self._probe is not None:
+            res._probe = -self._probe
+        return res
 
     def __sub__(self, other: Poly) -> Poly:
         return self._combine(other, -1)
@@ -305,7 +353,10 @@ class Poly:
         if not c or not self.terms:
             return self._like({}, 1)
         p, q = c.numerator, c.denominator
-        return self._from_ints({m: v * p for m, v in self.terms.items()}, self.denom * q)
+        res = self._from_ints({m: v * p for m, v in self.terms.items()}, self.denom * q)
+        if self._probe is not None:
+            res._probe = self._probe if p > 0 else -self._probe
+        return res
 
     def diff(self, idx: int) -> Poly:
         if not 0 <= idx < self.n:
@@ -355,16 +406,21 @@ class Poly:
         numerators over one denominator, which takes in the leading
         numerator of self only at a step it does not divide; a heap of
         negated packed monomials finds the leading term.  Quotient terms
-        come in descending grlex order."""
-        nums, guard = self.terms, _layout(self.n)[0]
+        come in descending grlex order.  The quotient carries the probe
+        value other_probe // probe when probe is not 0: the primitive part
+        of other is that of self times that of the quotient."""
+        nums = self.terms
         if not nums:
             raise ZeroDivisionError("division by zero polynomial")
         if not other.terms:
             return other._like({}, 1)
-        lead_key = max(nums)
+        try:  # a denominator factor divides many times
+            lead_key, least, guard = self._divisor
+        except AttributeError:
+            lead_key, least, guard = self._divisor = max(nums), min(nums), _layout(self.n)[0]
         if not lead_key:  # a constant
             return other.scale(Fraction(self.denom, nums[0]))
-        if (min(other.terms) - min(nums)) & guard:
+        if (min(other.terms) - least) & guard:
             return None
         probe, other_probe = self.probe_value(), other.probe_value()
         if other_probe % probe if probe else other_probe:
@@ -406,7 +462,10 @@ class Poly:
         # other / self = (other.terms / other.denom) / (nums / self.denom)
         if self.denom != 1:
             quot = {m: v * self.denom for m, v in quot.items()}
-        return other._from_ints(quot, den * other.denom)
+        res = other._from_ints(quot, den * other.denom)
+        if probe:
+            res._probe = other_probe // probe
+        return res
 
     def monic(self) -> tuple[Poly, Fraction]:
         """Scale so the grlex-leading coefficient is 1; returns (monic, factor)."""
@@ -434,11 +493,8 @@ class RationalFunc:
     def __init__(self, num: Poly, den: Mapping[Poly, int] | None = None):
         self.n = num.n
         self.num = num
-        self.den: Dict[Poly, int] = {}
-        if den and not num.is_zero():
-            for f, e in den.items():
-                if e:
-                    self.den[f] = self.den.get(f, 0) + e
+        self.den: Dict[Poly, int] = ({f: e for f, e in den.items() if e}
+                                     if den and num.terms else {})
         self._reduce()
 
     @staticmethod
@@ -450,19 +506,21 @@ class RationalFunc:
         return RationalFunc(Poly.var(n, idx))
 
     def _reduce(self) -> None:
-        if self.num.is_zero():
+        num = self.num
+        if not num.terms:
             self.den = {}
             return
         reduced: Dict[Poly, int] = {}
         for f, e in self.den.items():
             while e > 0:
-                q = f.divides(self.num)
+                q = f.divides(num)
                 if q is None:
                     break
-                self.num = q
+                num = q
                 e -= 1
             if e:
                 reduced[f] = e
+        self.num = num
         self.den = reduced
 
     def is_zero(self) -> bool:
@@ -599,7 +657,7 @@ class RationalFunc:
 
     def eval_float(self, point) -> float:
         """The value at ``point`` in floats: a ``RationalGrid`` of one point."""
-        return next(RationalGrid([point]).values(self))
+        return RationalGrid([point]).values(self)[0]
 
     def __repr__(self):
         if not self.den:
@@ -635,68 +693,80 @@ _INF = float("inf")
 class RationalGrid:
     """A grid of rational points on which exact fields are evaluated in floats.
 
-    ``values(f)`` yields the value of f at each point in order: each term
-    is its correctly rounded coefficient times ``float(x_t ** e)`` for each
-    of its variables in turn, the terms are summed in term order, and the
-    sum is divided by each denominator factor's value to its exponent.
-    ``eval_float`` is a grid of one point, so both give the same floats.
-    Work is done once per grid: each coordinate power once per point, the
-    coefficients of a polynomial once, and each denominator factor once
-    per point for every field that shares it.  Factors are keyed by
-    identity, not by equality: two equal factors may hold their terms in
-    different orders, and their float values could then differ in the last
-    bit.  The grid holds them, so ids stay unique.
+    ``values(f)`` is the list of the values of f at the points, in order:
+    each term is its correctly rounded coefficient times ``float(x_t **
+    e)`` for each of its variables in turn, the terms are summed in term
+    order starting from 0.0, and the sum is divided by each denominator
+    factor's value to its exponent.  ``eval_float`` is a grid of one point.
+
+    The work is done a column at a time, a column holding one float per
+    point: each float operation is mapped over whole columns, and each
+    point sees the same operations in the same order as a loop over the
+    points would do.  Work is done once per grid: each (variable, exponent)
+    column once, with each power computed once per distinct coordinate,
+    the coefficients of a polynomial once, and each denominator factor's
+    column once for every field that shares it.  Coordinates and factors
+    are keyed by identity, which is cheap: the points of a product grid
+    share the coordinates of each axis.  Factors must be keyed so, not by
+    equality: two equal factors may hold their terms in different orders,
+    and their float values could then differ in the last bit.  The grid
+    holds them, so ids stay unique.  A column division that raises (an
+    overflow of ``d ** e``, a factor that rounds to zero) is redone point
+    by point for that factor, through ``_quotient`` and ``_power``.
     """
 
-    __slots__ = ("points", "_powers", "_factors")
+    __slots__ = ("points", "_columns", "_factors")
 
     def __init__(self, points):
         self.points = [tuple(p) for p in points]
-        self._powers = [{} for _ in self.points]  # per point: (t, e) -> float(x_t ** e)
-        self._factors: Dict[int, tuple] = {}  # id(factor) -> (factor, terms, values by point)
+        self._columns: Dict[tuple, list] = {}  # (t, e) -> float(x_t ** e) by point
+        self._factors: Dict[int, tuple] = {}  # id(factor) -> (factor, values by point)
 
     def __iter__(self):
         return iter(self.points)
 
-    @staticmethod
-    def _terms(p: Poly) -> list:
-        return [(_quotient(v, p.denom), [(t, e) for t, e in enumerate(mono) if e])
-                for mono, v in zip(p.monomials(), p.terms.values())]
+    def _column(self, t: int, e: int) -> list:
+        col = self._columns.get((t, e))
+        if col is None:
+            xs = [p[t] for p in self.points]
+            powers = {}  # id(x) -> float(x ** e)
+            for x in xs:
+                if id(x) not in powers:
+                    powers[id(x)] = _power(x, e)
+            col = self._columns[t, e] = list(map(powers.__getitem__, map(id, xs)))
+        return col
 
-    def _poly_value(self, terms: list, k: int) -> float:
-        powers = self._powers[k]
-        total = 0.0
-        for c, vars_ in terms:
-            term = c
-            for key in vars_:
-                x = powers.get(key)
-                if x is None:
-                    t, e = key
-                    x = powers[key] = _power(self.points[k][t], e)
-                term *= x
-            total += term
+    def _poly_values(self, p: Poly) -> list:
+        size = len(self.points)
+        total = [0.0] * size
+        for mono, v in zip(p.monomials(), p.terms.values()):
+            term = repeat(_quotient(v, p.denom), size)
+            for t, e in enumerate(mono):
+                if e:
+                    term = map(mul, term, self._column(t, e))
+            total = list(map(add, total, term))
         return total
 
-    def _factor(self, f: Poly) -> tuple:
-        got = self._factors.get(id(f))
-        if got is None:
-            got = self._factors[id(f)] = (f, self._terms(f), [None] * len(self.points))
-        return got
+    def values(self, f: RationalFunc) -> list:
+        v = self._poly_values(f.num)
+        for g, e in f.den.items():
+            got = self._factors.get(id(g))
+            if got is None:
+                got = self._factors[id(g)] = (g, self._poly_values(g))
+            d = got[1]
+            try:
+                v = list(map(truediv, v, map(pow, d, repeat(e))))
+            except (OverflowError, ZeroDivisionError):
+                v = list(map(_divide, v, d, repeat(e)))
+        return v
 
-    def values(self, f: RationalFunc):
-        num = self._terms(f.num)
-        den = [(self._factor(g), e) for g, e in f.den.items()]
-        for k in range(len(self.points)):
-            v = self._poly_value(num, k)
-            for (_, terms, cache), e in den:
-                d = cache[k]
-                if d is None:
-                    d = cache[k] = self._poly_value(terms, k)
-                try:
-                    v /= d ** e
-                except (OverflowError, ZeroDivisionError):
-                    v = _quotient(v, _power(d, e))
-            yield v
+
+def _divide(v: float, d: float, e: int) -> float:
+    """v / d ** e in floats, one point of ``RationalGrid.values``."""
+    try:
+        return v / d ** e
+    except (OverflowError, ZeroDivisionError):
+        return _quotient(v, _power(d, e))
 
 
 # --- exact linear algebra over Q and Q(x) ------------------------------------

@@ -10,7 +10,7 @@ computations.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from math import comb
 
 import pytest
@@ -77,6 +77,56 @@ def test_chern_simons_agrees_with_the_full_pipeline():
     assert lean["chern_simons_residual"] == full["residuals"]["chern_simons"]
     assert lean["sign"] == full["sign"]
     assert lean["locally_homogeneous"] is full["locally_homogeneous"] is False
+
+
+# --- a wedge read only through its trace forms only its diagonal -------------------
+
+def pieces(a: forms.HomForm, b: forms.HomForm, diagonal: bool) -> int:
+    """The products a^i_t b^t_j of stored components that the wedge of a
+    and b forms, over every shuffle block; with ``diagonal`` only j = i."""
+    p, q = a.degree, b.degree
+    count = 0
+    for out_idx in combinations(range(a.n), p + q):
+        for a_pos in combinations(range(p + q), p):
+            a_idx = tuple(out_idx[t] for t in a_pos)
+            b_idx = tuple(out_idx[t] for t in range(p + q) if t not in a_pos)
+            for idx, i, t in a.components:
+                if idx == a_idx:
+                    count += sum(1 for idx_b, t_b, j in b.components
+                                 if idx_b == b_idx and t_b == t and (j == i or not diagonal))
+    return count
+
+
+@pytest.mark.parametrize("report, trace_only", [(forms.chern_simons_report, 3),
+                                                (forms.identity_report, 2)])
+def test_a_trace_only_wedge_forms_no_off_diagonal_piece(report, trace_only, monkeypatch):
+    products = []
+    original_mul = RationalFunc.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return original_mul(self, other)
+
+    calls = []
+    original_wedge = forms.wedge
+
+    def spy(a, b, diagonal=False):
+        before = len(products)
+        out = original_wedge(a, b, diagonal=diagonal)
+        calls.append((diagonal, len(products) - before, pieces(a, b, diagonal),
+                      pieces(a, b, False)))
+        if diagonal:
+            assert all(i == j for _, i, j in out.components)
+        return out
+
+    monkeypatch.setattr(RationalFunc, "__mul__", counted)
+    monkeypatch.setattr(forms, "wedge", spy)
+    report(make_sl2mix4(), grid_points=3)
+    diagonal = [c for c in calls if c[0]]
+    # sR^sR, T^T^T, and in chern-simons sR^T
+    assert len(diagonal) == trace_only
+    assert all(formed == want for _, formed, want, _ in calls)
+    assert sum(formed for _, formed, _, _ in diagonal) < sum(full for *_, full in diagonal)
 
 
 # --- one curvature per form pair ------------------------------------------------

@@ -15,19 +15,23 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
 from conftest import make_sl2mix4, make_sl2rational, make_unipotent4
 from flatcheck import rational
-from flatcheck.frames import gamma_from_frame
-from flatcheck.jetcore import TruncatedPoly
+from flatcheck.charts_io import load_chart_file
+from flatcheck.forms import _grid_max
+from flatcheck.frames import ChartError, curvature_components, gamma_from_frame
+from flatcheck.jetcore import TruncatedMap, TruncatedPoly, substitute
 from flatcheck.literals import parse_rational
 from flatcheck.rational import Poly, RationalFunc, RationalGrid, grlex_key, unit_mono
 
 SEEDS = range(8)
 CASES_PER_SEED = 40
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def reference_divides(f: Poly, h: Poly) -> Poly | None:
@@ -236,6 +240,112 @@ def test_a_truncated_poly_divides_like_a_poly():
     assert q.divides(h * Poly(2, {(1, 1): 5, (1, 0): 1, (0, 0): 1})) == h
 
 
+# --- probe values carried through the arithmetic ---------------------------------
+
+def fresh_probe(p: Poly) -> int:
+    """The probe value of p computed from its terms, by a copy that holds none."""
+    return Poly(p.n, p.coeffs).probe_value()
+
+
+def carry_case(rng: random.Random, pool: list) -> tuple:
+    """(operation, a, b, result) of one random operation on the pool: +,
+    -, *, negation, scaling by a factor of either sign, or the exact
+    quotient (a * b) / a, whose operands are a and a * b."""
+    a, b = rng.choice(pool), rng.choice(pool)
+    op = rng.choice(["+", "-", "*", "neg", "scale", "quotient"])
+    if op == "+":
+        return op, a, b, a + b
+    if op == "-":
+        return op, a, b, a - b
+    if op == "*":
+        return op, a, b, a * b
+    if op == "neg":
+        return op, a, a, -a
+    if op == "scale":
+        return op, a, a, a.scale(Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)))
+    ab = a * b
+    q = a.divides(ab)
+    assert q == b
+    return op, a, ab, q
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_carried_probe_values_match_fresh_ones(seed):
+    rng = random.Random(seed)
+    carried = 0
+    for n in (1, 2, 3, len(rational.PROBE_POINT) + 2):
+        # x1 - 2 has the probe value 0: a quotient by it carries nothing
+        x1_minus_2 = Poly.var(n, 0) - Poly.const(n, 2)
+        pool = [rand_nonzero(rng, n, rng.randint(1, 4)) for _ in range(4)] + [x1_minus_2]
+        for p in pool:
+            p.probe_value()
+        assert x1_minus_2.probe_value() == 0
+        for _ in range(80):
+            op, a, b, r = carry_case(rng, pool)
+            if not r.terms:
+                assert r._probe is None
+                continue
+            both = a._probe is not None and b._probe is not None
+            if r._probe is None:
+                # held by both operands, a probe is dropped only by a
+                # quotient by a divisor whose probe value is 0
+                assert not both or (op == "quotient" and a.probe_value() == 0)
+            else:
+                assert both
+                carried += 1
+                assert r._probe == fresh_probe(r)
+            if rng.random() < 0.3:
+                r.probe_value()  # computed on read, then carried onwards
+            if r.degree() <= 6 and len(r.terms) <= 12:
+                pool.append(r)
+    assert carried > 200
+
+
+def test_a_probe_is_carried_only_when_both_operands_hold_one():
+    a, b = Poly(2, {(1, 0): 1, (0, 1): 2}), Poly(2, {(2, 0): Fraction(1, 3), (0, 0): -1})
+    a.probe_value()
+    assert (a * b)._probe is None and (a + b)._probe is None and (b - a)._probe is None
+    b.probe_value()
+    assert (a * b)._probe == fresh_probe(a * b) and (a + b)._probe == fresh_probe(a + b)
+    # a - a is the zero, which holds no probe
+    assert (a - a)._probe is None and not (a - a).terms
+
+
+def test_truncated_products_derivatives_and_degree_parts_carry_nothing():
+    a = Poly(2, {(1, 0): 1, (0, 2): 3, (0, 0): 1})
+    b = Poly(2, {(1, 1): -2, (0, 1): 1, (0, 0): 5})
+    ta, tb = TruncatedPoly(2, 3, a.coeffs), TruncatedPoly(2, 3, b.coeffs)
+    for p in (a, b, ta, tb):
+        p.probe_value()
+    assert (a * b)._probe is not None
+    for got in (a._product(b, 2), ta * tb, a.diff(0), ta.diff(1), a.degree_part(0, 1),
+                ta.truncate(1)):
+        assert got._probe is None
+        assert got.probe_value() == fresh_probe(got)
+
+
+def test_a_truncated_product_sorts_its_right_operand_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(rational, "sorted", counted, raising=False)
+    # a jet substitution multiplies by the same n displacement components throughout
+    n, k = 3, 5
+    rng = random.Random(0)
+    g = TruncatedMap([TruncatedPoly(n, k, rand_nonzero(rng, n, 4).coeffs) for _ in range(n)])
+    outer = [TruncatedPoly(n, k, rand_nonzero(rng, n, 4).coeffs) for _ in range(n)]
+    got = substitute(outer, g)
+    assert 0 < len(calls) <= n
+    # the cache keeps the order of a fresh sort, so every product keeps its terms
+    monkeypatch.undo()
+    fresh = TruncatedMap([TruncatedPoly(n, k, c.coeffs) for c in g.components])
+    assert [list(p.terms.items()) for p in got] == \
+        [list(p.terms.items()) for p in substitute(outer, fresh)]
+
+
 # --- normal forms of connection components --------------------------------------
 
 CHARTS = {"sl2rational": make_sl2rational, "unipotent4": make_unipotent4,
@@ -291,12 +401,82 @@ def test_a_product_with_a_zero_operand_builds_no_terms(monkeypatch):
             assert getattr(got, "k", None) == getattr(f, "k", None)
 
 
-def test_grid_values_are_bit_identical_to_eval_float(chart_and_gamma):
-    chart, fields = chart_and_gamma
-    grid = RationalGrid(chart.rational_grid(3))
-    for f in fields:
+def per_point_float(f: RationalFunc, point) -> float:
+    """The float rule of ``RationalGrid`` at one point, as a plain loop:
+    each term's rounded coefficient times the float powers of its
+    variables in turn, the terms summed in order from 0.0, then divided by
+    each denominator factor's value to its exponent."""
+    def poly(p: Poly) -> float:
+        total = 0.0
+        for mono, v in zip(p.monomials(), p.terms.values()):
+            term = rational._quotient(v, p.denom)
+            for x, e in zip(point, mono):
+                if e:
+                    term *= rational._power(x, e)
+            total += term
+        return total
+
+    v = poly(f.num)
+    for g, e in f.den.items():
+        d = poly(g)
+        try:
+            v /= d ** e
+        except (OverflowError, ZeroDivisionError):
+            v = rational._quotient(v, rational._power(d, e))
+    return v
+
+
+def assert_grid_matches_points(grid: RationalGrid, fields) -> None:
+    """Every value of the column-wise grid, bit for bit, against
+    ``eval_float`` and the plain per-point loop at each point."""
+    for f in fields:  # one grid for all fields: shared factors come from its cache
         got = [v.hex() for v in grid.values(f)]
         assert got == [f.eval_float(p).hex() for p in grid.points]
+        assert got == [per_point_float(f, p).hex() for p in grid.points]
+
+
+def test_grid_values_are_bit_identical_to_eval_float(chart_and_gamma):
+    chart, fields = chart_and_gamma
+    # grid 5 puts 625 points on unipotent4, each coordinate shared by 125
+    for grid_points in (3, 5) if chart.name == "unipotent4" else (3,):
+        assert_grid_matches_points(RationalGrid(chart.rational_grid(grid_points)), fields)
+
+
+@pytest.mark.parametrize("name", ["dense2", "dense3"])
+def test_grid_values_are_bit_identical_on_the_dense_golden_charts(name):
+    # non-dyadic coefficients and coordinates: another order of the float
+    # operations would show in the last bits
+    chart = load_chart_file(str(GOLDEN / f"chart-{name}.json"))
+    conn = gamma_from_frame(chart)
+    fields = ([f for plane in conn.gamma for row in plane for f in row]
+              + list(curvature_components(conn).values()))
+    assert any(f.den for f in fields)
+    for grid_points in (2, 3):
+        assert_grid_matches_points(RationalGrid(chart.rational_grid(grid_points)), fields)
+
+
+def overflowing_field() -> RationalFunc:
+    """1 / x1^2: the square of its factor overflows at x1 = 10^200 and
+    rounds to zero at x1 = 10^-200."""
+    return RationalFunc(Poly.const(1, 1), {Poly.var(1, 0): 2})
+
+
+OVERFLOW_POINTS = [(Fraction(3),), (Fraction(1, 10 ** 200),), (Fraction(10 ** 200),),
+                   (Fraction(-7, 5),)]
+
+
+def test_a_column_that_overflows_falls_back_point_by_point():
+    f = overflowing_field()
+    grid = RationalGrid(OVERFLOW_POINTS)
+    got = grid.values(f)
+    assert got[1] == float("inf") and got[2] == 0.0
+    assert_grid_matches_points(grid, [f, f.scale(-3), RationalFunc(Poly.var(1, 0)) * f])
+
+
+def test_grid_max_names_the_first_point_that_is_not_finite():
+    with pytest.raises(ChartError, match=r"not finite at \(1e-200,\)"):
+        _grid_max([overflowing_field()], RationalGrid(OVERFLOW_POINTS))
+    assert _grid_max([overflowing_field()], RationalGrid(OVERFLOW_POINTS[2:])) == 1 / 1.4 ** 2
 
 
 def test_scaling_or_differentiating_a_zero_field_returns_it():

@@ -293,6 +293,50 @@ def test_only_the_support_is_stored():
     assert all(not f.is_zero() for f in r.components.values())
 
 
+# --- the diagonal wedge, for readers of the trace ---------------------------------
+
+def trace_only_pairs(conn) -> list:
+    """The operands of the wedges the reports read only through the trace
+    (sR^sR, T^T^T and, in chern-simons, sR^T), and T^sR and T^T besides."""
+    t, r = torsion_form(conn), curvature_form(conn)
+    sr = r if STRUCTURE_SIGN == 1 else r.scale(-1)
+    return [(sr, sr), (wedge(t, t), t), (sr, t), (t, sr), (t, t)]
+
+
+def diagonal_of(form: HomForm) -> dict:
+    return {key: f for key, f in form.components.items() if key[1] == key[2]}
+
+
+@pytest.mark.parametrize("name", STRESS)
+def test_a_diagonal_wedge_is_the_diagonal_of_the_full_wedge(name):
+    conn = gamma_from_frame(STRESS[name]())
+    formed = 0
+    for a, b in trace_only_pairs(conn):
+        full, diag = wedge(a, b), wedge(a, b, diagonal=True)
+        want = diagonal_of(full)
+        assert list(diag.components) == list(want)
+        for key, f in want.items():
+            assert_same_field(diag.components[key], f, key)
+        assert_same_form(trace_form(diag), trace_form(full).components)
+        formed += len(want)
+    # unipotent4's torsion and curvature take nilpotent values: no diagonal
+    assert bool(formed) is (name != "unipotent4")
+
+
+def test_a_diagonal_wedge_is_bit_identical_on_a_numeric_chart():
+    import numpy as np
+
+    chart = get_chart("su2-euler")
+    assert chart.backend == "numeric"
+    points = np.array(chart.grid(3))
+    for a, b in trace_only_pairs(gamma_from_frame(chart)):
+        full, diag = wedge(a, b), wedge(a, b, diagonal=True)
+        want = diagonal_of(full)
+        assert list(diag.components) == list(want)
+        for key, f in want.items():
+            assert diag.components[key].values(points).tobytes() == f.values(points).tobytes()
+
+
 # --- no product with a literal-zero operand --------------------------------------
 
 @pytest.mark.parametrize("name", ["unipotent4", "sl2mix4"])
