@@ -2,28 +2,28 @@
 the Spencer operator, the pointwise algebraic bracket, the full bracket on
 sections, and prolongation.
 
-Components are stored as derivative components xi^i_alpha (the alpha-th
+Jet field components are derivative components xi^i_alpha (the alpha-th
 partial of the representative at the base point), not Taylor coefficients;
 that convention makes the Spencer operator the literal difference
 
     (D xi)^i_{r, alpha} = d/dx^r xi^i_alpha - xi^i_{alpha + e_r}.
 
-Point jets hold exact rational coefficients; jet fields hold exact
-polynomial coefficients over the chart (Q[x]: nothing in this module
-divides), so every identity test here compares normal forms literally.
-The point bracket (``algebraic_bracket`` on ``PointJet``) goes through
-honest polynomial representatives and is the reference that the field
-bracket is checked against at points (``JetField.at_point``).
+Jet fields hold exact polynomial coefficients over the chart (Q[x]:
+nothing in this module divides), so every identity test here compares
+normal forms literally.  A k-jet at a point is its Taylor polynomials: one
+``Poly`` per component, in displacement coordinates, of which the terms
+of degree <= k count.  The point bracket (``algebraic_bracket``) brackets
+them as honest vector fields and is the reference that the field bracket
+is checked against at points (``JetField.at_point``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .jetcore import JetError, MultiIndex, mi_add, mi_factorial, multi_indices
-from .rational import ZERO, Poly, unit_mono
+from .rational import Poly, unit_mono
 
 
 def _binom(alpha: MultiIndex, beta: MultiIndex) -> int:
@@ -42,102 +42,33 @@ def _sub_indices(alpha: MultiIndex):
     return [tuple(b) for b in out]
 
 
-class PointJet:
-    """A k-jet of a vector field at a single point, in derivative components."""
-
-    __slots__ = ("n", "k", "point", "coeffs")
-
-    def __init__(self, n: int, k: int, point: Sequence,
-                 coeffs: Dict[Tuple[int, MultiIndex], Fraction] | None = None):
-        self.n = n
-        self.k = k
-        self.point = tuple(Fraction(x) for x in point)
-        if len(self.point) != n:
-            raise JetError(f"base point has length {len(self.point)}, expected {n}")
-        self.coeffs: Dict[Tuple[int, MultiIndex], Fraction] = {}
-        if coeffs:
-            for (i, alpha), c in coeffs.items():
-                alpha = tuple(alpha)
-                if sum(alpha) > k:
-                    raise JetError(f"component ({i}, {alpha}) exceeds jet order {k}")
-                c = Fraction(c)
-                if c:
-                    self.coeffs[(i, alpha)] = c
-
-    def coeff(self, i: int, alpha: MultiIndex) -> Fraction:
-        return self.coeffs.get((i, tuple(alpha)), ZERO)
-
-    def order_zero(self) -> List[Fraction]:
-        zero = (0,) * self.n
-        return [self.coeff(i, zero) for i in range(self.n)]
-
-    def is_kernel_jet(self) -> bool:
-        return all(c == 0 for c in self.order_zero())
-
-    def taylor_polys(self) -> List[Poly]:
-        """Degree <= k polynomial representatives in displacement coordinates."""
-        polys = []
-        for i in range(self.n):
-            coeffs = {}
-            for alpha in multi_indices(self.n, self.k):
-                c = self.coeff(i, alpha)
-                if c:
-                    coeffs[alpha] = c / mi_factorial(alpha)
-            polys.append(Poly(self.n, coeffs))
-        return polys
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PointJet) and self.n == other.n and self.k == other.k
-                and self.point == other.point and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return f"PointJet(n={self.n}, k={self.k}, at {self.point})"
-
-
-def point_jet_from_polys(polys: Sequence[Poly], k: int, point: Sequence) -> PointJet:
-    """The k-jet at 0 (displacement coords) of polynomial components."""
-    n = polys[0].n
-    coeffs = {}
-    for i, p in enumerate(polys):
-        for alpha, c in p.coeffs.items():
-            if sum(alpha) <= k:
-                coeffs[(i, alpha)] = c * mi_factorial(alpha)
-    return PointJet(n, k, point, coeffs)
-
-
-def algebraic_bracket(a: PointJet, b: PointJet) -> PointJet:
+def algebraic_bracket(a: Sequence[Poly], b: Sequence[Poly], k: int) -> List[Poly]:
     """Pointwise bracket of k-jets, landing one order lower.
 
-    Realized through the degree <= k polynomial representatives: bracket the
-    representatives as honest vector fields, then take the (k-1)-jet.
+    Bracket the Taylor polynomials as honest vector fields, then take the
+    (k-1)-jet; terms of degree above k cannot reach it.
     """
-    if a.point != b.point:
-        raise JetError(f"jets live at different points: {a.point} vs {b.point}")
-    if a.n != b.n or a.k != b.k:
-        raise JetError("jets must share dimension and order")
-    if a.k < 1:
+    if k < 1:
         raise JetError("the algebraic bracket needs order k >= 1")
-    bracket = vector_field_bracket(a.taylor_polys(), b.taylor_polys())
-    return point_jet_from_polys(bracket, a.k - 1, a.point)
+    return [p.degree_part(0, k - 1) for p in vector_field_bracket(a, b)]
 
 
-def kernel_bracket(a: PointJet, b: PointJet) -> PointJet:
+def kernel_bracket(a: Sequence[Poly], b: Sequence[Poly], k: int) -> List[Poly]:
     """The bracket restricted to jets that vanish at the point.
 
     On such jets the k-jet of the bracket of representatives depends only
     on the two k-jets, so the order does not drop and the fibers form a
     Lie algebra (the vertex algebra of the jet groupoid).
     """
-    if not (a.is_kernel_jet() and b.is_kernel_jet()):
+    if not all(p.degree_part(0, 0).is_zero() for p in (*a, *b)):
         raise JetError("kernel_bracket requires jets with vanishing order-0 part")
-    if a.point != b.point or a.n != b.n or a.k != b.k:
-        raise JetError("jets must share base point, dimension and order")
-    bracket = vector_field_bracket(a.taylor_polys(), b.taylor_polys())
-    return point_jet_from_polys(bracket, a.k, a.point)
+    return [p.degree_part(0, k) for p in vector_field_bracket(a, b)]
 
 
 def vector_field_bracket(v: Sequence[Poly], w: Sequence[Poly]) -> List[Poly]:
     """[v, w]^i = v^c d_c w^i - w^c d_c v^i, over exact polynomial components."""
+    if len(w) != len(v) or any(p.n != len(v) for p in (*v, *w)):
+        raise JetError("vector fields must share dimension")
     out = []
     for i in range(len(v)):
         acc = v[i].scale(0)
@@ -179,11 +110,13 @@ class JetField:
         zero = (0,) * self.n
         return [self.comp(i, zero) for i in range(self.n)]
 
-    def at_point(self, point: Sequence) -> PointJet:
-        coeffs = {}
+    def at_point(self, point: Sequence) -> List[Poly]:
+        """The k-jet at ``point``: its Taylor polynomials, xi^i_alpha(point) / alpha!
+        the coefficient of y^alpha in component i."""
+        coeffs = [{} for _ in range(self.n)]
         for (i, alpha), f in self.components.items():
-            coeffs[(i, alpha)] = f.eval(point)
-        return PointJet(self.n, self.k, point, coeffs)
+            coeffs[i][alpha] = f.eval(point) / mi_factorial(alpha)
+        return [Poly(self.n, c) for c in coeffs]
 
     def scale(self, value) -> JetField:
         return JetField(self.n, self.k,

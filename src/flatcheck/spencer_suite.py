@@ -12,11 +12,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .jetcore import multi_indices
+from .jetcore import mi_factorial, multi_indices
 from .rational import Poly
 from .spencer import (
     JetField,
-    PointJet,
     kernel_bracket,
     lift_with_top,
     prolong,
@@ -45,6 +44,14 @@ def _random_jet_field(n: int, k: int, rng: random.Random, deg: int = 2) -> JetFi
         for alpha in multi_indices(n, k):
             comps[(i, alpha)] = _random_poly(n, deg, rng)
     return JetField(n, k, comps)
+
+
+def _random_kernel_jet(n: int, k: int, rng: random.Random) -> list:
+    """A k-jet at a point with no constant term: its Taylor polynomials,
+    drawn as integer derivative components."""
+    return [Poly(n, {alpha: Fraction(rng.randint(-3, 3), mi_factorial(alpha))
+                     for alpha in multi_indices(n, k) if sum(alpha)})
+            for _ in range(n)]
 
 
 def run_spencer_suite(seed: int = 0, trials: int = 20) -> dict:
@@ -95,16 +102,8 @@ def run_spencer_suite(seed: int = 0, trials: int = 20) -> dict:
     for _ in range(trials):
         n = rng.choice((1, 2))
         k = rng.choice((2, 3))
-        jets = []
-        for _ in range(3):
-            coeffs = {}
-            for i in range(n):
-                for alpha in multi_indices(n, k):
-                    if 1 <= sum(alpha):
-                        coeffs[(i, alpha)] = Fraction(rng.randint(-3, 3))
-            jets.append(PointJet(n, k, (0,) * n, coeffs))
-        a, b, c = jets
-        terms = [kernel_bracket(kernel_bracket(x, y), z).taylor_polys()
+        a, b, c = (_random_kernel_jet(n, k, rng) for _ in range(3))
+        terms = [kernel_bracket(kernel_bracket(x, y, k), z, k)
                  for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
         if all((p + q + r).is_zero() for p, q, r in zip(*terms)):
             ok += 1

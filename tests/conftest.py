@@ -186,6 +186,101 @@ def borel_pair_document(n: int, gl: bool = False) -> dict:
             "subalgebra": [[f"{x}/1" for x in c_inv[s]] for s in range(diag + len(uppers))]}
 
 
+# Nilpotent Lie algebras, 1-based: (i, j) -> {k: c} for [X_i, X_j] = sum of c X_k
+NILPOTENT_ALGEBRAS = {
+    "heisenberg": (3, {(1, 2): {3: 1}}),
+    "nil5": (5, {(1, 2): {3: 1}, (1, 3): {4: 1}, (2, 3): {5: 1}}),
+    "filiform4": (4, {(1, 2): {3: 1}, (1, 3): {4: 1}}),
+    "filiform5": (5, {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}}),
+}
+
+
+def nilpotent_chart_document(name: str) -> dict:
+    """The chart document, on [-1, 1]^n, of the nilpotent Lie group of
+    ``NILPOTENT_ALGEBRAS[name]`` in coordinates of the second kind,
+    g(x) = exp(x_1 X_1) ... exp(x_n X_n), in the given basis.
+
+    Column k of the Maurer-Cartan coframe g^-1 dg is
+    Ad(exp(-x_n X_n)) ... Ad(exp(-x_(k+1) X_(k+1))) X_k, with
+    Ad(exp(-t X)) = sum over j of (-t)^j ad_X^j / j!, and the frame, whose
+    columns are the left-invariant fields, is the inverse of the coframe.
+    The coframe is I + N with N nilpotent, so the inverse is the finite
+    sum of the (-N)^j.  Polynomials are dicts from exponent tuples to
+    Fractions: nothing here uses flatcheck, so the chart is an independent
+    witness of a Lie group.
+    """
+    n, table = NILPOTENT_ALGEBRAS[name]
+    bracket = [[{} for _ in range(n)] for _ in range(n)]  # 0-based, antisymmetric
+    for (i, j), out in table.items():
+        bracket[i - 1][j - 1] = {k - 1: Fraction(c) for k, c in out.items()}
+        bracket[j - 1][i - 1] = {k - 1: -Fraction(c) for k, c in out.items()}
+
+    def add(p: dict, q: dict) -> dict:
+        out = dict(p)
+        for m, c in q.items():
+            out[m] = out.get(m, 0) + c
+            if not out[m]:
+                del out[m]
+        return out
+
+    def mul(p: dict, q: dict) -> dict:
+        out: dict = {}
+        for ma, a in p.items():
+            for mb, b in q.items():
+                out = add(out, {tuple(map(sum, zip(ma, mb))): a * b})
+        return out
+
+    def ad(a: int, vec: list) -> list:
+        out = [{} for _ in range(n)]
+        for b, p in enumerate(vec):
+            for k, c in bracket[a][b].items():
+                out[k] = add(out[k], {m: c * v for m, v in p.items()})
+        return out
+
+    def ad_exp(a: int, vec: list) -> list:
+        """Ad(exp(-x_(a+1) X_(a+1))) applied to ``vec``."""
+        total, term, j = vec, vec, 0
+        while any(term):
+            j += 1
+            step = {tuple(int(t == a) for t in range(n)): Fraction(-1, j)}
+            term = [mul(step, p) for p in ad(a, term)]
+            total = [add(p, q) for p, q in zip(total, term)]
+        return total
+
+    one = {(0,) * n: Fraction(1)}
+    coframe_cols = []
+    for k in range(n):
+        col = [one if t == k else {} for t in range(n)]
+        for a in range(k + 1, n):
+            col = ad_exp(a, col)
+        coframe_cols.append(col)
+    minus_n = [[{m: -c for m, c in coframe_cols[k][i].items()} if i != k else {}
+                for k in range(n)] for i in range(n)]
+
+    def matmul(x: list, y: list) -> list:
+        out = [[{} for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for k in range(n):
+                for t in range(n):
+                    out[i][k] = add(out[i][k], mul(x[i][t], y[t][k]))
+        return out
+
+    frame = [[one if i == k else {} for k in range(n)] for i in range(n)]
+    power = frame
+    for _ in range(n):
+        power = matmul(power, minus_n)
+        frame = [[add(p, q) for p, q in zip(r, s)] for r, s in zip(frame, power)]
+    assert not any(any(row) for row in matmul(power, minus_n)), "the coframe is not unipotent"
+
+    def text(p: dict) -> str:
+        terms = [f"({c.numerator}/{c.denominator})"
+                 + "".join(f"*x{t + 1}" * e for t, e in enumerate(m)) for m, c in p.items()]
+        return " + ".join(terms) or "0"
+
+    return {"name": f"{name}-second-kind", "n": n, "domain": [["-1", "1"]] * n,
+            "frame": [[text(p) for p in row] for row in frame]}
+
+
 def random_poly(n: int, deg: int, rng: random.Random, span: int = 3) -> Poly:
     coeffs = {}
     for mono in multi_indices(n, deg):

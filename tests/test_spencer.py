@@ -13,11 +13,10 @@ from fractions import Fraction
 
 import pytest
 
-from flatcheck.jetcore import JetError, multi_indices
-from flatcheck.rational import Poly
+from flatcheck.jetcore import JetError, mi_factorial, multi_indices
+from flatcheck.rational import Poly, unit_mono
 from flatcheck.spencer import (
     JetField,
-    PointJet,
     algebraic_bracket,
     algebraic_bracket_fields,
     kernel_bracket,
@@ -49,13 +48,10 @@ def random_jet_field(n, k, rng, deg=2):
 
 
 def random_point_jet(n, k, rng, kernel=False):
-    coeffs = {}
-    for i in range(n):
-        for alpha in multi_indices(n, k):
-            if kernel and sum(alpha) == 0:
-                continue
-            coeffs[(i, alpha)] = Fraction(rng.randint(-3, 3))
-    return PointJet(n, k, (0,) * n, coeffs)
+    """Taylor polynomials of a k-jet with integer derivative components."""
+    return [Poly(n, {alpha: Fraction(rng.randint(-3, 3), mi_factorial(alpha))
+                     for alpha in multi_indices(n, k) if not (kernel and sum(alpha) == 0)})
+            for _ in range(n)]
 
 
 def classical_bracket(v, w):
@@ -164,21 +160,13 @@ def test_kernel_bracket_linear_matrices():
         B = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
 
         def linear_jet(m):
-            coeffs = {}
-            for i in range(n):
-                for j in range(n):
-                    e = [0] * n
-                    e[j] = 1
-                    coeffs[(i, tuple(e))] = m[i][j]
-            return PointJet(n, 1, (0, 0), coeffs)
+            return [Poly(n, {unit_mono(n, j): m[i][j] for j in range(n)}) for i in range(n)]
 
-        got = kernel_bracket(linear_jet(A), linear_jet(B))
+        got = kernel_bracket(linear_jet(A), linear_jet(B), 1)
         for i in range(n):
             for j in range(n):
-                e = [0] * n
-                e[j] = 1
                 expect = sum(B[i][t] * A[t][j] - A[i][t] * B[t][j] for t in range(n))
-                assert got.coeff(i, tuple(e)) == expect
+                assert got[i].coeff(unit_mono(n, j)) == expect
 
 
 def test_bracket_of_holonomic_jets():
@@ -190,7 +178,7 @@ def test_bracket_of_holonomic_jets():
         k = 3
         a = prolong(v, k).at_point((0, 0))
         b = prolong(w, k).at_point((0, 0))
-        got = algebraic_bracket(a, b)
+        got = algebraic_bracket(a, b, k)
         expect = prolong(classical_bracket(v, w), k - 1).at_point((0, 0))
         assert got == expect
 
@@ -202,17 +190,45 @@ def test_bracket_antisymmetry():
         k = rng.choice((1, 2, 3))
         a = random_point_jet(n, k, rng)
         b = random_point_jet(n, k, rng)
-        ab = algebraic_bracket(a, b)
-        ba = algebraic_bracket(b, a)
-        assert all(ab.coeff(i, al) == -ba.coeff(i, al)
-                   for i in range(n) for al in multi_indices(n, k - 1))
+        ab = algebraic_bracket(a, b, k)
+        ba = algebraic_bracket(b, a, k)
+        assert ab == [-p for p in ba]
+        assert all(p.degree() <= k - 1 for p in ab)
 
 
-def test_bracket_point_mismatch():
-    a = PointJet(1, 1, (0,), {})
-    b = PointJet(1, 1, (1,), {})
-    with pytest.raises(JetError, match="different points"):
-        algebraic_bracket(a, b)
+def test_at_point_gives_taylor_polynomials():
+    rng = random.Random(43)
+    for _ in range(10):
+        n = rng.choice((1, 2))
+        v = random_vector_field(n, 3, rng)
+        for k in (0, 1, 2, 3, 4):
+            assert prolong(v, k).at_point((0,) * n) == [p.degree_part(0, k) for p in v]
+
+
+def test_algebraic_bracket_refuses_order_zero():
+    x = Poly.var(1, 0)
+    with pytest.raises(JetError, match="k >= 1"):
+        algebraic_bracket([x], [x], 0)
+
+
+def test_kernel_bracket_refuses_constant_term():
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    kernel = [x, x * y]
+    for shifted in ([x + Poly.const(2, 1), y], [x, y - Poly.const(2, Fraction(1, 3))]):
+        for a, b in ((shifted, kernel), (kernel, shifted)):
+            with pytest.raises(JetError, match="vanishing order-0 part"):
+                kernel_bracket(a, b, 2)
+    assert kernel_bracket(kernel, [y, x], 2) == [x * y - y, x - y * y - x * x]
+
+
+def test_brackets_refuse_mixed_dimensions():
+    one = [Poly.var(1, 0)]
+    two = [Poly.var(2, 0), Poly.var(2, 1)]
+    narrow = [Poly.var(1, 0), Poly.var(1, 0)]  # two components over one variable
+    for a, b in ((one, two), (two, one), (two, narrow), (narrow, two)):
+        for bracket in (algebraic_bracket, kernel_bracket):
+            with pytest.raises(JetError, match="share dimension"):
+                bracket(a, b, 2)
 
 
 def test_kernel_bracket_jacobi():
@@ -221,12 +237,31 @@ def test_kernel_bracket_jacobi():
         n = rng.choice((1, 2))
         k = rng.choice((1, 2, 3))
         a, b, c = (random_point_jet(n, k, rng, kernel=True) for _ in range(3))
-        total = {}
+        total = [Poly.zero(n)] * n
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            term = kernel_bracket(kernel_bracket(x, y), z)
-            for key, val in term.coeffs.items():
-                total[key] = total.get(key, Fraction(0)) + val
-        assert all(v == 0 for v in total.values())
+            term = kernel_bracket(kernel_bracket(x, y, k), z, k)
+            total = [p + q for p, q in zip(total, term)]
+        assert all(p.is_zero() for p in total)
+
+
+def test_kernel_jacobi_check_fails_on_a_one_sided_bracket(monkeypatch):
+    # v^c d_c w alone is not antisymmetric and breaks Jacobi: the suite must see it
+    import flatcheck.spencer
+    from flatcheck.spencer_suite import run_spencer_suite
+
+    def one_sided(v, w):
+        n = len(v)
+        out = []
+        for i in range(n):
+            acc = Poly.zero(n)
+            for c in range(n):
+                acc = acc + v[c] * w[i].diff(c)
+            out.append(acc)
+        return out
+
+    monkeypatch.setattr(flatcheck.spencer, "vector_field_bracket", one_sided)
+    for seed in (0, 1, 2):
+        assert run_spencer_suite(seed=seed, trials=5)["kernel_jacobi"]["passed"] < 5
 
 
 def test_field_bracket_matches_point_bracket():
@@ -238,7 +273,7 @@ def test_field_bracket_matches_point_bracket():
         b = random_jet_field(n, k, rng)
         field_result = algebraic_bracket_fields(a, b)
         pt = tuple(Fraction(rng.randint(-1, 1), 2) for _ in range(n))
-        assert field_result.at_point(pt) == algebraic_bracket(a.at_point(pt), b.at_point(pt))
+        assert field_result.at_point(pt) == algebraic_bracket(a.at_point(pt), b.at_point(pt), k)
 
 
 # --- Spencer bracket -----------------------------------------------------------

@@ -32,8 +32,10 @@ ALLOWED = {
     "rational.Poly.eval_float": "perfbench/tracer.py wraps it",
     "arrows.G3Jet.to_map": "tests check the closed-form group law against jetcore through it",
     "arrows.G3Jet.from_map": "tests check the closed-form group law against jetcore through it",
-    "spencer.algebraic_bracket": "the point reference that tests compare the field bracket with",
-    "spencer.JetField.at_point": "tests compare the field bracket with the point reference through it",
+    "spencer.algebraic_bracket": "the point reference that tests compare the field bracket with: "
+                                 "it brackets Taylor polynomials as vector fields",
+    "spencer.JetField.at_point": "tests compare the field bracket with the point reference through "
+                                 "it: it gives a field's Taylor polynomials at a point",
 }
 
 
