@@ -56,7 +56,7 @@ from .frames import (
     gamma_from_frame,
     torsion_components,
 )
-from .rational import RationalGrid
+from .rational import RationalGrid, float_of
 
 IndexTuple = Tuple[int, ...]
 
@@ -198,7 +198,7 @@ def _grid_max(fields, points) -> float:
         values = list(map(abs, points.values(f)))
         finite = list(map(math.isfinite, values))
         if not all(finite):
-            raise _not_finite(points.points[finite.index(False)])
+            raise _not_finite(map(float_of, points.points[finite.index(False)]))
         worst = max(worst, max(values, default=0.0))
     return worst
 

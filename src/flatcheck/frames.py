@@ -48,11 +48,11 @@ import operator
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations_with_replacement, product as iproduct
-from math import comb, factorial
+from math import comb, factorial, isinf
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from . import MAX_DIM
-from .rational import Poly, RationalFunc, rf_matrix_inverse
+from .rational import Poly, RationalFunc, float_of, rf_matrix_inverse
 
 if TYPE_CHECKING:  # numpy is imported by the numeric backend only
     import numpy as np
@@ -375,8 +375,12 @@ class FrameChart:
 
     def grid(self, points_per_axis: int = 5) -> List[Tuple[float, ...]]:
         axes = []
-        for lo, hi in self.domain:
-            lo, hi = float(lo), float(hi)
+        for axis, bounds in enumerate(self.domain, 1):
+            lo, hi = map(float_of, bounds)
+            for side, bound in (("lower", lo), ("upper", hi)):
+                if isinf(bound):
+                    raise ChartError(f"the {side} domain bound of x{axis} in chart "
+                                     f"'{self.name}' is past the float range")
             axes.append([lo + (hi - lo) * t / (points_per_axis - 1)
                          for t in range(points_per_axis)])
         return [tuple(p) for p in iproduct(*axes)]

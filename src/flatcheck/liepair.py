@@ -26,12 +26,10 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .literals import frac_str, parse_int, parse_rational
 from .rational import clear_denominators, nullspace, pivot, row_echelon
-
-Vector = Tuple[Fraction, ...]
 
 # the largest ambient dimension a pair document may declare; sl(6), the
 # largest catalog-style input, has dimension 35

@@ -615,10 +615,6 @@ class RationalFunc:
     def __truediv__(self, other: RationalFunc) -> RationalFunc:
         return self * other.inverse()
 
-    def __rtruediv__(self, other) -> RationalFunc:
-        """``c / f`` for a rational number ``c``."""
-        return self.inverse().scale(other)
-
     def diff(self, idx: int) -> RationalFunc:
         """Partial derivative; fields never change after they are built, so
         each direction is differentiated once and the result kept."""
@@ -677,6 +673,11 @@ def _quotient(num, den) -> float:
         return _INF if (num > 0) == (den > 0) else -_INF
     except ZeroDivisionError:  # den rounded to zero: inf, or NaN for 0 / 0
         return num * _INF
+
+
+def float_of(x: Fraction) -> float:
+    """float(x), or +-inf where x is past the float range."""
+    return _quotient(x.numerator, x.denominator)
 
 
 def _power(x, e: int) -> float:
@@ -778,7 +779,7 @@ def _divide(v: float, d: float, e: int) -> float:
 # dividing each row by its pivot, only to write the result.  Rows over Q(x)
 # (RationalFuncs: frames, whose inverse also says where they are singular)
 # go through the Gauss-Jordan loop of ``row_echelon``, which uses only +,
-# -, *, ONE / x and truth tests.  Either way the pivot is the first nonzero
+# -, *, inverse() and truth tests.  Either way the pivot is the first nonzero
 # entry of its column, and the reduced row echelon form that results is
 # unique.  Where a Q(x) pivot row holds a zero, the entry is left as it is:
 # 0 * inv and a - f * 0 give back the same value, and a sparse frame is
@@ -880,7 +881,7 @@ def row_echelon(rows: Matrix) -> Matrix:
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = ONE / mat[r][c]
+        inv = mat[r][c].inverse()
         mat[r] = [x * inv if x else x for x in mat[r]]
         for i, row in enumerate(mat):
             if i != r and row[c]:

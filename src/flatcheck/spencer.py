@@ -6,7 +6,11 @@ Jet field components are derivative components xi^i_alpha (the alpha-th
 partial of the representative at the base point), not Taylor coefficients;
 that convention makes the Spencer operator the literal difference
 
-    (D xi)^i_{r, alpha} = d/dx^r xi^i_alpha - xi^i_{alpha + e_r}.
+    (D_r xi)^i_alpha = d/dx^r xi^i_alpha - xi^i_{alpha + e_r},
+
+one jet field of order k - 1 for each direction r.  The bracket on
+sections lifts its arguments one order up; the lift is given by its top
+components, which default to zero.
 
 Jet fields hold exact polynomial coefficients over the chart (Q[x]:
 nothing in this module divides), so every identity test here compares
@@ -20,7 +24,7 @@ is checked against at points (``JetField.at_point``).
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .jetcore import JetError, MultiIndex, mi_add, mi_factorial, multi_indices
 from .rational import Poly, unit_mono
@@ -162,46 +166,27 @@ def prolong(v: Sequence[Poly], k: int) -> JetField:
     return JetField(n, k, comps)
 
 
-class JetOneForm:
-    """One-form with jet-field values: components indexed (r, i, alpha)."""
-
-    __slots__ = ("n", "k", "components", "_zero")
-
-    def __init__(self, n: int, k: int,
-                 components: Dict[Tuple[int, int, MultiIndex], Poly]):
-        self.n = n
-        self.k = k
-        self.components = {key: f for key, f in components.items() if not f.is_zero()}
-        self._zero = Poly.zero(n)  # shared by every missing component
-
-    def comp(self, r: int, i: int, alpha: MultiIndex) -> Poly:
-        return self.components.get((r, i, tuple(alpha)), self._zero)
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def contract(self, vector: Sequence[Poly]) -> JetField:
-        """i(v): plug a vector field into the one-form slot."""
-        comps: Dict[Tuple[int, MultiIndex], Poly] = {}
-        for (r, i, alpha), f in self.components.items():
-            term = vector[r] * f
-            key = (i, alpha)
-            comps[key] = term if key not in comps else comps[key] + term
-        return JetField(self.n, self.k, comps)
-
-
-def spencer_operator(xi: JetField) -> JetOneForm:
-    """Failure of a jet field to be holonomic, one order down."""
+def spencer_operator(xi: JetField) -> List[JetField]:
+    """D xi, the failure of a jet field to be holonomic, one order down: the
+    jet fields D_r xi, one per direction r, of the module docstring."""
     if xi.k < 1:
         raise JetError("the Spencer operator needs order k >= 1")
     n = xi.n
-    comps: Dict[Tuple[int, int, MultiIndex], Poly] = {}
-    for alpha in multi_indices(n, xi.k - 1):
-        for i in range(n):
-            for r in range(n):
-                comps[(r, i, alpha)] = \
-                    xi.comp(i, alpha).diff(r) - xi.comp(i, mi_add(alpha, unit_mono(n, r)))
-    return JetOneForm(n, xi.k - 1, comps)
+    return [JetField(n, xi.k - 1,
+                     {(i, alpha): xi.comp(i, alpha).diff(r)
+                      - xi.comp(i, mi_add(alpha, unit_mono(n, r)))
+                      for alpha in multi_indices(n, xi.k - 1) for i in range(n)})
+            for r in range(n)]
+
+
+def contract(d: Sequence[JetField], vector: Sequence[Poly]) -> JetField:
+    """i(v) D xi = sum_r v^r D_r xi, the terms of each component added with r ascending."""
+    comps: Dict[Tuple[int, MultiIndex], Poly] = {}
+    for v, field in zip(vector, d):
+        for key, f in field.components.items():
+            term = v * f
+            comps[key] = term if key not in comps else comps[key] + term
+    return JetField(d[0].n, d[0].k, comps)
 
 
 def algebraic_bracket_fields(a: JetField, b: JetField) -> JetField:
@@ -234,11 +219,6 @@ def algebraic_bracket_fields(a: JetField, b: JetField) -> JetField:
     return JetField(n, k - 1, comps)
 
 
-def zero_pad_lift(xi: JetField) -> JetField:
-    """Lift to order k+1 by appending zero top components."""
-    return JetField(xi.n, xi.k + 1, dict(xi.components))
-
-
 def lift_with_top(xi: JetField, top: Dict[Tuple[int, MultiIndex], Poly]) -> JetField:
     """Lift to order k+1 with prescribed top-order components."""
     comps = dict(xi.components)
@@ -250,20 +230,20 @@ def lift_with_top(xi: JetField, top: Dict[Tuple[int, MultiIndex], Poly]) -> JetF
 
 
 def spencer_bracket(xi: JetField, eta: JetField,
-                    lift: Callable[[JetField], JetField] = zero_pad_lift) -> JetField:
+                    top: Dict[Tuple[int, MultiIndex], Poly] | None = None) -> JetField:
     """Bracket on sections of the order-k jet bundle.
 
-    Lift both fields one order up (any smooth lift gives the same answer;
-    the default appends zeros), combine the algebraic bracket of the lifts
-    with the Spencer operator contracted against the order-0 parts, and
-    land back at order k.  At k = 0 this is the usual vector-field bracket.
+    Lift both fields one order up with the top components ``top`` (missing
+    ones are zero; any smooth lift gives the same answer), combine the
+    algebraic bracket of the lifts with the Spencer operator contracted
+    against the order-0 parts, and land back at order k.  At k = 0 this is
+    the usual vector-field bracket.
     """
     if xi.n != eta.n or xi.k != eta.k:
         raise JetError("jet fields must share dimension and order")
-    xi1 = lift(xi)
-    eta1 = lift(eta)
+    xi1 = lift_with_top(xi, top or {})
+    eta1 = lift_with_top(eta, top or {})
     algebraic = algebraic_bracket_fields(xi1, eta1)
-    d_eta = spencer_operator(eta1)
-    d_xi = spencer_operator(xi1)
-    corr = d_eta.contract(xi.order_zero()) - d_xi.contract(eta.order_zero())
+    corr = contract(spencer_operator(eta1), xi.order_zero()) \
+        - contract(spencer_operator(xi1), eta.order_zero())
     return algebraic + corr

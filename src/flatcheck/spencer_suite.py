@@ -17,7 +17,6 @@ from .rational import Poly
 from .spencer import (
     JetField,
     kernel_bracket,
-    lift_with_top,
     prolong,
     spencer_bracket,
     spencer_operator,
@@ -54,62 +53,56 @@ def _random_kernel_jet(n: int, k: int, rng: random.Random) -> list:
             for _ in range(n)]
 
 
+def _annihilates_prolongations(rng: random.Random) -> bool:
+    """The Spencer operator annihilates the holonomic sections."""
+    n = rng.choice((1, 2))
+    k = rng.choice((1, 2, 3))
+    v = _random_vector_field(n, 3, rng)
+    return all(d.is_zero() for d in spencer_operator(prolong(v, k)))
+
+
+def _lift_independence(rng: random.Random) -> bool:
+    """The bracket on sections does not see the top components of the lift."""
+    n = rng.choice((1, 2))
+    k = rng.choice((1, 2))
+    a = _random_jet_field(n, k, rng)
+    b = _random_jet_field(n, k, rng)
+    top = {(i, alpha): _random_poly(n, 1, rng)
+           for i in range(n) for alpha in multi_indices(n, k + 1) if sum(alpha) == k + 1}
+    return spencer_bracket(a, b) == spencer_bracket(a, b, top)
+
+
+def _prolongation_homomorphism(rng: random.Random) -> bool:
+    """Prolongation is a bracket homomorphism."""
+    n = rng.choice((1, 2))
+    k = rng.choice((1, 2))
+    v = _random_vector_field(n, 2, rng)
+    w = _random_vector_field(n, 2, rng)
+    return prolong(vector_field_bracket(v, w), k) == spencer_bracket(prolong(v, k), prolong(w, k))
+
+
+def _kernel_jacobi(rng: random.Random) -> bool:
+    """Jacobi on the kernel fibers (the vertex Lie algebra)."""
+    n = rng.choice((1, 2))
+    k = rng.choice((2, 3))
+    a, b, c = (_random_kernel_jet(n, k, rng) for _ in range(3))
+    terms = [kernel_bracket(kernel_bracket(x, y, k), z, k)
+             for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
+    return all((p + q + r).is_zero() for p, q, r in zip(*terms))
+
+
+_CHECKS = (
+    ("annihilates_prolongations", _annihilates_prolongations),
+    ("lift_independence", _lift_independence),
+    ("prolongation_homomorphism", _prolongation_homomorphism),
+    ("kernel_jacobi", _kernel_jacobi),
+)
+
+
 def run_spencer_suite(seed: int = 0, trials: int = 20) -> dict:
+    """Run each check for all its trials, in ``_CHECKS`` order, from one seeded stream."""
     rng = random.Random(seed)
-    results = {}
-
-    # the Spencer operator annihilates exactly the holonomic sections
-    ok = 0
-    for _ in range(trials):
-        n = rng.choice((1, 2))
-        k = rng.choice((1, 2, 3))
-        v = _random_vector_field(n, 3, rng)
-        if spencer_operator(prolong(v, k)).is_zero():
-            ok += 1
-    results["annihilates_prolongations"] = {"passed": ok, "trials": trials}
-
-    # bracket on sections is independent of the lift
-    ok = 0
-    for _ in range(trials):
-        n = rng.choice((1, 2))
-        k = rng.choice((1, 2))
-        a = _random_jet_field(n, k, rng)
-        b = _random_jet_field(n, k, rng)
-        top = {}
-        for i in range(n):
-            for alpha in multi_indices(n, k + 1):
-                if sum(alpha) == k + 1:
-                    top[(i, alpha)] = _random_poly(n, 1, rng)
-        default = spencer_bracket(a, b)
-        other = spencer_bracket(a, b, lift=lambda f: lift_with_top(f, top))
-        if default == other:
-            ok += 1
-    results["lift_independence"] = {"passed": ok, "trials": trials}
-
-    # prolongation is a bracket homomorphism
-    ok = 0
-    for _ in range(trials):
-        n = rng.choice((1, 2))
-        k = rng.choice((1, 2))
-        v = _random_vector_field(n, 2, rng)
-        w = _random_vector_field(n, 2, rng)
-        if prolong(vector_field_bracket(v, w), k) == spencer_bracket(prolong(v, k), prolong(w, k)):
-            ok += 1
-    results["prolongation_homomorphism"] = {"passed": ok, "trials": trials}
-
-    # Jacobi on the kernel fibers (the vertex Lie algebra)
-    ok = 0
-    for _ in range(trials):
-        n = rng.choice((1, 2))
-        k = rng.choice((2, 3))
-        a, b, c = (_random_kernel_jet(n, k, rng) for _ in range(3))
-        terms = [kernel_bracket(kernel_bracket(x, y, k), z, k)
-                 for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
-        if all((p + q + r).is_zero() for p, q, r in zip(*terms)):
-            ok += 1
-    results["kernel_jacobi"] = {"passed": ok, "trials": trials}
-
-    results["all_passed"] = all(r["passed"] == r["trials"] for r in results.values()
-                                if isinstance(r, dict))
+    results = {name: {"passed": sum(check(rng) for _ in range(trials)), "trials": trials}
+               for name, check in _CHECKS}
+    results["all_passed"] = all(r["passed"] == r["trials"] for r in results.values())
     return results
-

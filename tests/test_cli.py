@@ -412,6 +412,42 @@ def test_value_past_the_float_range_exits_one_with_one_line(tmp_path, capsys, na
     assert len(err.splitlines()) == 1 and err.startswith("error: a field is not finite at"), err
 
 
+# a domain bound past the float range: the exact report names the point it
+# cannot read with the bound as inf, and the numeric backend refuses the chart
+BOUND_PAST_THE_FLOAT_RANGE = {"name": "big3", "n": 2, "domain": [["1", "1e400"], ["-1", "1"]],
+                              "frame": [["1", "0"], ["0", "1 + x1^2"]]}
+_NUMERIC_BOUND_ERROR = "error: the upper domain bound of x1 in chart 'big3' is past the float range\n"
+
+
+@pytest.mark.parametrize("backend, command, message", [
+    ("exact", ["geom", "report"], "error: a field is not finite at (inf, -1.0)\n"),
+    ("numeric", ["geom", "report"], _NUMERIC_BOUND_ERROR),
+    ("numeric", ["chern-simons"], _NUMERIC_BOUND_ERROR)],
+    ids=["exact-report", "numeric-report", "numeric-chern-simons"])
+def test_domain_bound_past_the_float_range_exits_one_with_one_line(tmp_path, monkeypatch, capsys,
+                                                                   backend, command, message):
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(BOUND_PAST_THE_FLOAT_RANGE))
+    monkeypatch.setenv("FLATCHECK_BACKEND", backend)
+    assert run_cli([*command, "--chart", str(path), "--grid", "2"]) == (1, "")
+    assert capsys.readouterr().err == message
+
+
+def test_exact_reports_read_no_value_past_a_huge_domain_bound(tmp_path, monkeypatch, capsys):
+    # big3's transgression residual vanishes exactly, and x1 on [1, 1e400]
+    # has a flat frame: neither reads a value at the bound
+    monkeypatch.setenv("FLATCHECK_BACKEND", "exact")
+    big3, line = tmp_path / "big3.json", tmp_path / "line.json"
+    big3.write_text(json.dumps(BOUND_PAST_THE_FLOAT_RANGE))
+    line.write_text(json.dumps({"name": "line", "n": 1, "domain": [["1", "1e400"]],
+                                "frame": [["x1"]]}))
+    code, out = run_cli(["chern-simons", "--chart", str(big3), "--grid", "2"])
+    assert code == 0 and json.loads(out)["chern_simons_residual"] == 0.0
+    code, out = run_cli(["geom", "report", "--chart", str(line), "--grid", "2"])
+    assert code == 0 and json.loads(out)["locally_homogeneous"] is True
+    assert capsys.readouterr().err == ""
+
+
 # rational charts with a pole or a singular frame between the grid points
 BETWEEN_GRID_POINTS = {
     "stencil-pole": [["1", "0"], ["0", "1/(x1 - 1/10000)"]],

@@ -1,10 +1,10 @@
-"""Every function, class and method of the package is read by the package.
+"""Every function, class, method and constant of the package is read by the package.
 
-A top-level function or class, or a method that is not a dunder, that no
-code in ``src/flatcheck`` reads outside its own definition is surface that
-only tests reach: it grows the package without serving a command.  Such a
-name either gets a caller, is deleted, or is listed in ``ALLOWED`` with the
-reason it stays.
+A top-level function, class or assigned name, or a method, that is not a
+dunder and that no code in ``src/flatcheck`` reads outside its own
+definition is surface that only tests reach: it grows the package
+without serving a command.  Such a name either gets a caller, is deleted,
+or is listed in ``ALLOWED`` with the reason it stays.
 
 The check reads syntax trees only, as ``test_imports.py`` does.  It matches
 by name: a read of ``.scale`` counts for every method called ``scale``.  A
@@ -30,6 +30,7 @@ ALLOWED = {
     "catalog.get_chart": "perfbench/tracer.py wraps it; tests build catalog charts with it",
     "rational.Poly.int_form": "tests use it as a view",
     "rational.Poly.eval_float": "perfbench/tracer.py wraps it",
+    "arrows.G3_IDENTITY": "tests use it as the identity of the group law",
     "arrows.G3Jet.to_map": "tests check the closed-form group law against jetcore through it",
     "arrows.G3Jet.from_map": "tests check the closed-form group law against jetcore through it",
     "spencer.algebraic_bracket": "the point reference that tests compare the field bracket with: "
@@ -53,18 +54,26 @@ def _reads(node: ast.AST) -> Counter:
     return out
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree: ast.Module):
-    """(qualified name, node) of each top-level function and class, and of
-    each method of a top-level class that is not a dunder."""
+    """(qualified name, name, node) of each top-level function, class and
+    assigned name that is not a dunder, and of each method of a top-level
+    class that is not a dunder."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and not _dunder(target.id):
+                    yield target.id, target.id, node
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        yield node.name, node
+        yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for method in node.body:
-                if (isinstance(method, ast.FunctionDef)
-                        and not (method.name.startswith("__") and method.name.endswith("__"))):
-                    yield f"{node.name}.{method.name}", method
+                if isinstance(method, ast.FunctionDef) and not _dunder(method.name):
+                    yield f"{node.name}.{method.name}", method.name, method
 
 
 def unread_definitions(sources: dict[str, str]) -> list[str]:
@@ -75,8 +84,8 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
     for tree in trees.values():
         read.update(_reads(tree))
     return [f"{module}.{qualname}" for module, tree in trees.items()
-            for qualname, node in _definitions(tree)
-            if read[node.name] == _reads(node)[node.name]]
+            for qualname, name, node in _definitions(tree)
+            if read[name] == _reads(node)[name]]
 
 
 def package_sources() -> dict[str, str]:
@@ -109,10 +118,13 @@ def test_the_check_sees_each_kind_of_unread_definition():
               "        return 4\n"
               "    def read(self):\n"
               "        return 5\n"
-              "COMMAND = 'by_name'\n"),
-        "b": ("from a import Box, called\n"
+              "COMMAND = 'by_name'\n"
+              "__version__ = '1'\n"
+              "UNUSED_LIMIT = 3\n"
+              "SCALE: int = 2\n"),
+        "b": ("from a import COMMAND, SCALE, Box, called\n"
               "def main():\n"
-              "    return called() + Box().read()\n"),
+              "    return (called() + Box().read()) * SCALE if COMMAND else 0\n"),
     }
     assert unread_definitions(sources) == [
-        "a.unused", "a.recursive", "a.Box.opened", "b.main"]
+        "a.unused", "a.recursive", "a.Box.opened", "a.UNUSED_LIMIT", "b.main"]

@@ -29,6 +29,7 @@ import pytest
 import sympy
 
 from flatcheck.charts_io import chart_from_json
+from flatcheck.forms import identity_report
 from flatcheck.frames import ChartError
 
 GRID = 3
@@ -134,3 +135,34 @@ def test_the_random_frames_cover_every_verdict():
     # singular points
     kinds = {v[1] if v else None for v in map(oracle, SEEDS)}
     assert kinds == {None, "has a pole", "is singular"}
+
+
+# ROADMAP item 26: SL(2) in LDU coordinates, g = L*D*U, whose frame is
+# left-invariant with det e = 1/x2, and its translate x3 -> x3 - 1/2 on
+# [0, 1].  Both are Lie groups, and their frames are valid on the grid.
+SL2_LDU = {
+    "sl2-ldu": {"name": "sl2-ldu", "n": 3,
+                "domain": [["-1/2", "1/2"], ["1/2", "3/2"], ["-1/2", "1/2"]],
+                "frame": [["0", "1/(x2^2)", "0"], ["0", "x2*x3", "x2"],
+                          ["1", "-x3^2", "-2*x3"]]},
+    "sl2-ldu-translate": {"name": "sl2-ldu-translate", "n": 3,
+                          "domain": [["-1/2", "1/2"], ["1/2", "3/2"], ["0", "1"]],
+                          "frame": [["0", "1/(x2^2)", "0"], ["0", "x2*(x3 - 1/2)", "x2"],
+                                    ["1", "-(x3 - 1/2)^2", "-2*(x3 - 1/2)"]]},
+}
+
+
+@pytest.mark.parametrize("name", SL2_LDU)
+def test_numeric_backend_finds_sl2_ldu_homogeneous(name):
+    report = identity_report(chart_from_json(SL2_LDU[name], backend="numeric"), grid_points=3)
+    assert report["locally_homogeneous"] is True
+
+
+@pytest.mark.xfail(strict=True, raises=ChartError,
+                   reason="ROADMAP item 26: a reducible denominator factor of e^-1 "
+                          "reads as a pole, so the exact backend calls e singular")
+@pytest.mark.parametrize("name", SL2_LDU)
+def test_exact_backend_finds_sl2_ldu_homogeneous(name):
+    report = identity_report(chart_from_json(SL2_LDU[name], backend="exact"), grid_points=3)
+    assert report["locally_homogeneous"] is True
+    assert set(report["residuals"].values()) == {0.0}
