@@ -37,7 +37,7 @@ import re
 from fractions import Fraction
 
 from .catalog import chart_document
-from .frames import NUMERIC_FUNCS, ChartError, FrameChart, NumericScalar, check_dim, jet_constant
+from .frames import NUMERIC_FUNCS, ChartError, FrameChart, NumericScalar, check_dim
 from .literals import parse_int, parse_rational, read_json
 from .rational import RationalFunc
 
@@ -50,9 +50,10 @@ MAX_EXPONENT = 64
 MAX_TERMS = 256
 # the interpreter recurses once per level of an entry's syntax tree, and a
 # numeric entry's evaluation twice per level (a field's ``_jet`` and its
-# function); the parser allows fewer than 200 nested parentheses, and a
-# report on an entry MAX_DEPTH deep, with or without nested calls, needs
-# about 825 frames, below Python's recursion limit of 1000
+# operation); the parser allows fewer than 200 nested parentheses, and a
+# report on an entry MAX_DEPTH deep needs a recursion limit of at least
+# 825, 824 and 824 with 0, 150 and 199 nested calls, below Python's
+# default of 1000
 MAX_DEPTH = 400
 
 
@@ -119,8 +120,7 @@ class _NumericAlgebra:
         except OverflowError:
             raise ChartError("an integer literal overflows a float: "
                              "numbers must be finite") from None
-        return self._node(("const", value), lambda: NumericScalar(
-            lambda p, key, order: jet_constant(value, n, order, len(p)), n, frozenset()))
+        return self._node(("const", value), lambda: NumericScalar.literal(n, value))
 
     def var(self, n: int, idx: int) -> NumericScalar:
         return self._node(("var", idx), lambda: NumericScalar.var(n, idx))

@@ -175,24 +175,22 @@ class HomForm:
 
 def _grid_max(fields, points) -> float:
     """Max |f| over the grid: float points, or a ``RationalGrid`` for exact
-    fields (plain points are wrapped in one); a numeric field is evaluated
-    on the whole grid in one call.  A value that is not finite is a
-    ChartError naming the first point where it occurs: max() would drop a
-    NaN and a residual of inf says nothing.  A literal-zero field is
-    skipped."""
-    worst = 0.0
-    for f in fields:
-        if f.is_zero():
-            continue
-        if isinstance(f, NumericScalar):
-            import numpy as np
+    fields (plain points are wrapped in one); numeric fields are evaluated
+    on the whole grid at once, and reduced together.  A value that is not
+    finite is a ChartError naming the first point where it occurs, in
+    field order and then point order: max() would drop a NaN and a
+    residual of inf says nothing.  A literal-zero field is skipped."""
+    live = [f for f in fields if not f.is_zero()]
+    if live and isinstance(live[0], NumericScalar):
+        import numpy as np
 
-            values = np.abs(f.values(points))
-            finite = np.isfinite(values)
-            if not finite.all():
-                raise _not_finite(points[int(finite.argmin())])
-            worst = max(worst, float(values.max()))
-            continue
+        values = np.abs(NumericScalar.batch_values(live, points))
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise _not_finite(points[int(finite.argmin()) % len(points)])
+        return float(values.max())
+    worst = 0.0
+    for f in live:
         if not isinstance(points, RationalGrid):
             points = RationalGrid(points)
         values = list(map(abs, points.values(f)))

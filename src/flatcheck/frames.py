@@ -26,8 +26,12 @@ Two scalar-field backends implement the same operations:
   derivatives above it need, derivatives are exact up to rounding, and
   the frame is evaluated at the points of the batch and nowhere else.
   The entries of a numeric frame are numeric fields too, built by the
-  chart interpreter of ``charts_io``: one field type, with one per-batch
-  cache, serves the frame and the calculus.  Numeric evaluation is total,
+  chart interpreter of ``charts_io``: one field type serves the frame and
+  the calculus.  A field is an operation node on its operand fields, and
+  it keeps its jet per batch only where it is read again: when no node,
+  or more than one, reads it.  A node that one node reads is asked again
+  only when that reader is computed again, for a higher order, so a
+  cache there would only hold memory.  Numeric evaluation is total,
   as numpy's is: a value that cannot be computed, at a pole or past the
   float range, is not finite at its point, the same failure rule as the
   exact read-out's, so validation names the frame's first such point.
@@ -173,17 +177,19 @@ NUMERIC_FUNCS = {"sin": (("sin", 1), ("cos", 1), ("sin", -1), ("cos", -1)),
 class NumericScalar:
     """A float-valued field known through its truncated Taylor series.
 
-    ``fn(points, key, order)`` maps a batch of m points, an (m, n) float
-    array, to the field's jet of that order there (``jet_monomials``);
-    ``key`` is the batch's ``tobytes()``, passed on to the fields that
-    ``fn`` evaluates on the same batch.  Sums, differences and scalings
-    act on whole jets, a product is truncated at the order asked
-    (``jet_mul``), and ``diff(r)`` asks its operand for one order more and
-    shifts the coefficients (``jet_diff``).  ``values`` is the row of
-    order 0, and ``eval_float`` a batch of one row.
+    A field is an operation node: ``fn(points, key, order, *operands)``
+    maps a batch of m points, an (m, n) float array, to the field's jet of
+    that order there (``jet_monomials``); ``key`` is the batch's
+    ``tobytes()``, passed on to the operand fields that ``fn`` evaluates
+    on the same batch.  A leaf has no operands.  The operations are the
+    module-level functions below: sums, differences and scalings act on
+    whole jets, a product is truncated at the order asked (``jet_mul``),
+    and ``diff(r)`` asks its operand for one order more and shifts the
+    coefficients (``jet_diff``).  ``values`` is the row of order 0, and
+    ``eval_float`` a batch of one row.
 
     The entries of a numeric frame are fields too, built by the chart
-    interpreter from ``var``, constants, the arithmetic above, ``-``,
+    interpreter from ``var``, ``literal``, the arithmetic above, ``-``,
     ``/``, ``power`` and ``call``.  A quotient multiplies by the series of
     t^-1, a power composes with the series of t^p, and sin/cos/exp with
     their derivative cycles (``NUMERIC_FUNCS``), by
@@ -203,22 +209,35 @@ class NumericScalar:
     are the zero, and so is ``diff(r)`` of a field that does not read x_r.
     A result reads what its operands read.
 
-    Every node caches its jet per batch, keyed by the batch's bytes, at
-    the highest order asked so far, and answers a lower order with a
-    prefix of it.  Operator trees share subexpression nodes (the same
-    connection entry feeds many form components), so a node is computed
-    again only for a higher order, and only to the order that the
-    derivatives above it need: a product whose values alone are asked is
-    one multiplication.
+    A node counts its ``readers``, the nodes built with it as an operand,
+    once per occurrence (x*x reads x twice).  A node caches its jet per
+    batch, keyed by the batch's bytes, at the highest order asked so far,
+    and answers a lower order with a prefix of it, unless exactly one
+    node reads it.  Operator trees share subexpression nodes (the same
+    connection entry feeds many form components), so a shared node is
+    computed again only for a higher order, and only to the order that
+    the derivatives above it need: a product whose values alone are asked
+    is one multiplication.  A node with one reader is asked again only
+    when its reader is computed again, which a cached reader is only for
+    a higher order, so its cache would never answer and would only hold
+    memory.  The roots, which no node reads (frame entries, the
+    components of a residual), keep their cache.  The chart is not a
+    reader: a frame entry that one node of another entry reads keeps no
+    cache, and ``FrameChart._jets`` computes it once more.
     """
 
-    __slots__ = ("fn", "n", "reads", "_cache")
+    __slots__ = ("fn", "n", "reads", "operands", "readers", "_cache")
 
-    def __init__(self, fn: Callable[[np.ndarray, bytes, int], np.ndarray], n: int,
-                 reads: frozenset | None = None):
+    def __init__(self, fn: Callable[..., np.ndarray], n: int, reads: frozenset | None = None,
+                 operands: tuple = ()):
         self.fn = fn
         self.n = n
         self.reads = frozenset(range(n)) if reads is None else reads
+        self.operands = operands
+        self.readers = 0
+        for a in operands:
+            if isinstance(a, NumericScalar):
+                a.readers += 1
         self._cache: Dict[bytes, np.ndarray] = {}
 
     @staticmethod
@@ -226,39 +245,40 @@ class NumericScalar:
         v = float(value)
         if v == 0:
             return NumericScalar(_zeros, n, reads=frozenset())
-        return NumericScalar(lambda p, key, order: jet_constant(v, n, order, len(p)), n,
-                             reads=frozenset())
+        return NumericScalar.literal(n, v)
+
+    @staticmethod
+    def literal(n: int, value: float) -> NumericScalar:
+        """The constant ``value``, a field that is not the literal zero even
+        where ``value`` is 0."""
+        return NumericScalar(_constant, n, frozenset(), (float(value),))
 
     def is_zero(self) -> bool:
         return self.fn is _zeros
 
-    def _binary(self, other: NumericScalar, op) -> NumericScalar:
-        return NumericScalar(lambda p, key, o: op(self._jet(p, key, o), other._jet(p, key, o)),
-                             self.n, self.reads | other.reads)
+    def _binary(self, other: NumericScalar, fn) -> NumericScalar:
+        return NumericScalar(fn, self.n, _union(self.reads, other.reads), (self, other))
 
     def __add__(self, other: NumericScalar) -> NumericScalar:
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        return self._binary(other, operator.add)
+        return self._binary(other, _add)
 
     def __sub__(self, other: NumericScalar) -> NumericScalar:
         if other.is_zero():
             return self
         if self.is_zero():
             return other.scale(-1)
-        return self._binary(other, operator.sub)
+        return self._binary(other, _sub)
 
     def __mul__(self, other: NumericScalar) -> NumericScalar:
         if self.is_zero():
             return self
         if other.is_zero():
             return other
-        n = self.n
-        return NumericScalar(lambda p, key, o: jet_mul(self._jet(p, key, o),
-                                                       other._jet(p, key, o), n, o),
-                             n, self.reads | other.reads)
+        return self._binary(other, _mul)
 
     def scale(self, value) -> NumericScalar:
         v = float(value)
@@ -266,65 +286,46 @@ class NumericScalar:
             return self
         if v == 0:
             return NumericScalar.const(self.n, 0)
-        return NumericScalar(lambda p, key, o: v * self._jet(p, key, o), self.n, self.reads)
+        return NumericScalar(_scaled, self.n, self.reads, (self, v))
 
     @staticmethod
     def var(n: int, idx: int) -> NumericScalar:
         """The coordinate x_idx, counted from 0."""
-        def fn(p, key, order):  # the value, and a 1 in the row of x_idx
-            out = jet_constant(p[:, idx], n, order, len(p))
-            if order:
-                out[1 + idx] = 1.0
-            return out
-
-        return NumericScalar(fn, n, frozenset({idx}))
+        return NumericScalar(_coordinate, n, frozenset({idx}), (idx,))
 
     def __neg__(self) -> NumericScalar:
-        return NumericScalar(lambda p, key, o: -self._jet(p, key, o), self.n, self.reads)
+        return NumericScalar(_negated, self.n, self.reads, (self,))
 
     def __truediv__(self, other: NumericScalar) -> NumericScalar:
-        n = self.n
-        return NumericScalar(lambda p, key, o: jet_mul(self._jet(p, key, o),
-                                                       _jet_power(other._jet(p, key, o), -1, n, o),
-                                                       n, o),
-                             n, self.reads | other.reads)
+        return self._binary(other, _quotient)
 
     def power(self, exp: int) -> NumericScalar:
-        n = self.n
-        return NumericScalar(lambda p, key, o: _jet_power(self._jet(p, key, o), exp, n, o),
-                             n, self.reads)
+        return NumericScalar(_power, self.n, self.reads, (self, exp))
 
     def call(self, name: str) -> NumericScalar:
         """sin, cos or exp (``name``) of this field."""
-        cycle, n = NUMERIC_FUNCS[name], self.n
-
-        def fn(p, key, order):
-            import numpy as np
-
-            a = self._jet(p, key, order)
-            values = {g: getattr(np, g)(a[0]) for g in dict(cycle[:order + 1])}
-            coeffs = [sign / factorial(k) * values[g]
-                      for k, (g, sign) in zip(range(order + 1), cycle * (order + 1))]
-            return _jet_compose(a, coeffs, n, order)
-
-        return NumericScalar(fn, n, self.reads)
+        return NumericScalar(_call, self.n, self.reads, (self, NUMERIC_FUNCS[name]))
 
     def diff(self, r: int) -> NumericScalar:
         if r not in self.reads:
             return self if self.is_zero() else NumericScalar.const(self.n, 0)
-        n = self.n
-        return NumericScalar(lambda p, key, o: jet_diff(self._jet(p, key, o + 1), n, o, r),
-                             n, self.reads)
+        return NumericScalar(_derivative, self.n, self.reads, (self, r))
 
     def _jet(self, points: np.ndarray, key: bytes, order: int) -> np.ndarray:
-        rows = comb(self.n + order, order)
+        if self.readers == 1:
+            return self.fn(points, key, order, *self.operands)
         got = self._cache.get(key)
-        if got is None or len(got) < rows:
-            got = self._cache[key] = self.fn(points, key, order)
-        return got if len(got) == rows else got[:rows]
+        if got is not None:
+            rows = comb(self.n + order, order)
+            if len(got) >= rows:
+                return got if len(got) == rows else got[:rows]
+        got = self._cache[key] = self.fn(points, key, order, *self.operands)
+        return got
 
-    def values(self, points) -> np.ndarray:
-        """The field at each of ``points``, as an array of floats.
+    @staticmethod
+    def batch_values(fields: Sequence[NumericScalar], points) -> np.ndarray:
+        """The values of ``fields`` at each of ``points``, one row of floats
+        per field.
 
         A pole, an overflow or an invalid operation gives NaN or inf
         without a warning, where Python floats would raise; callers test
@@ -333,16 +334,88 @@ class NumericScalar:
         import numpy as np
 
         points = np.asarray(points, dtype=float)
+        key = points.tobytes()
+        out = np.empty((len(fields), len(points)))
         with np.errstate(all="ignore"):
-            return self._jet(points, points.tobytes(), 0)[0]
+            for row, f in enumerate(fields):
+                out[row] = f._jet(points, key, 0)[0]
+        return out
+
+    def values(self, points) -> np.ndarray:
+        """The field at each of ``points``, as an array of floats (see
+        ``batch_values``)."""
+        return NumericScalar.batch_values([self], points)[0]
 
     def eval_float(self, point) -> float:
         return float(self.values([tuple(point)])[0])
 
 
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, reusing an operand's set where it holds the other's."""
+    return a if b <= a else b if a <= b else a | b
+
+
+# --- the operations of numeric nodes: fn(points, key, order, *operands) --------
+
 def _zeros(points: np.ndarray, key: bytes, order: int) -> np.ndarray:
     """The jet function of the numeric literal zero."""
     return jet_constant(0.0, points.shape[1], order, len(points))
+
+
+def _constant(points: np.ndarray, key: bytes, order: int, value: float) -> np.ndarray:
+    return jet_constant(value, points.shape[1], order, len(points))
+
+
+def _coordinate(points: np.ndarray, key: bytes, order: int, idx: int) -> np.ndarray:
+    """x_idx: the value, and a 1 in the row of x_idx."""
+    out = jet_constant(points[:, idx], points.shape[1], order, len(points))
+    if order:
+        out[1 + idx] = 1.0
+    return out
+
+
+def _add(points, key, order, a: NumericScalar, b: NumericScalar) -> np.ndarray:
+    return a._jet(points, key, order) + b._jet(points, key, order)
+
+
+def _sub(points, key, order, a: NumericScalar, b: NumericScalar) -> np.ndarray:
+    return a._jet(points, key, order) - b._jet(points, key, order)
+
+
+def _mul(points, key, order, a: NumericScalar, b: NumericScalar) -> np.ndarray:
+    return jet_mul(a._jet(points, key, order), b._jet(points, key, order), a.n, order)
+
+
+def _scaled(points, key, order, a: NumericScalar, v: float) -> np.ndarray:
+    return v * a._jet(points, key, order)
+
+
+def _negated(points, key, order, a: NumericScalar) -> np.ndarray:
+    return -a._jet(points, key, order)
+
+
+def _quotient(points, key, order, a: NumericScalar, b: NumericScalar) -> np.ndarray:
+    n = a.n
+    return jet_mul(a._jet(points, key, order),
+                   _jet_power(b._jet(points, key, order), -1, n, order), n, order)
+
+
+def _power(points, key, order, a: NumericScalar, exp: int) -> np.ndarray:
+    return _jet_power(a._jet(points, key, order), exp, a.n, order)
+
+
+def _call(points, key, order, a: NumericScalar, cycle) -> np.ndarray:
+    import numpy as np
+
+    jet = a._jet(points, key, order)
+    values = {g: getattr(np, g)(jet[0]) for g in dict(cycle[:order + 1])}
+    coeffs = [sign / factorial(k) * values[g]
+              for k, (g, sign) in zip(range(order + 1), cycle * (order + 1))]
+    return _jet_compose(jet, coeffs, a.n, order)
+
+
+def _derivative(points, key, order, a: NumericScalar, r: int) -> np.ndarray:
+    return jet_diff(a._jet(points, key, order + 1), a.n, order, r)
 
 
 ScalarField = RationalFunc | NumericScalar
@@ -381,8 +454,11 @@ class FrameChart:
                 if isinf(bound):
                     raise ChartError(f"the {side} domain bound of x{axis} in chart "
                                      f"'{self.name}' is past the float range")
-            axes.append([lo + (hi - lo) * t / (points_per_axis - 1)
-                         for t in range(points_per_axis)])
+            last = points_per_axis - 1
+            if isinf(hi - lo):  # finite bounds whose width overflows
+                axes.append([lo * (1 - t / last) + hi * (t / last) for t in range(points_per_axis)])
+            else:
+                axes.append([lo + (hi - lo) * t / last for t in range(points_per_axis)])
         return [tuple(p) for p in iproduct(*axes)]
 
     def rational_grid(self, points_per_axis: int = 5) -> List[Tuple[Fraction, ...]]:
@@ -508,37 +584,48 @@ def gamma_from_frame(chart: FrameChart) -> ConnectionField:
     unread = np.array([[[j not in reads[i][a] for a in span] for i in span] for j in span])
     live = ~unread.all(axis=2)  # [j, i]
 
-    def gamma_tensor(points: np.ndarray, key: bytes, order: int) -> np.ndarray:
-        """Gamma's jet of ``order`` from the frame's of one order more, as
-        a (rows, n, n, n, m) array."""
-        e = chart._jets(points, order + 1)
-        e0inv = np.linalg.inv(e[0])  # validate_invertible has refused a singular e
-        # e^-1 = sum_{k <= order} (-e0^-1 N)^k e0^-1, with N = e - e0
-        step = -(e0inv @ e[:comb(n + order, order)])
-        step[0] = 0.0
-        term = einv = np.zeros_like(step)
-        einv[0] = np.eye(n)  # the term k = 0
-        for _ in range(order):
-            term = jet_mul(step, term, n, order, np.matmul)
-            einv = einv + term
-        de = np.stack([jet_diff(e, n, order, j) for j in span], axis=2)  # [p, m, j, i, a]
-        de[:, :, unread] = 0.0
-        # Gamma[p, i, j, k, m] = sum_a de[p, m, j, i, a] einv[p, m, a, k]
-        return jet_mul(de, einv @ e0inv, n, order, partial(np.einsum, "pmjia,pmak->pijkm"))
-
     # one node caches the whole tensor per batch, and each live entry reads
     # its slice.  Through e^-1 every live entry reads what the frame reads.
     frame_reads = frozenset().union(*(s for row in reads for s in row))
-    tensor = NumericScalar(gamma_tensor, n, frame_reads)
+    tensor = NumericScalar(_gamma_tensor, n, frame_reads, (chart, unread))
     zero = NumericScalar.const(n, 0)
 
     def gamma_entry(i: int, j: int, k: int) -> NumericScalar:
         if not live[j, i]:
             return zero
-        return NumericScalar(lambda p, key, o: tensor._jet(p, key, o)[:, i, j, k], n, frame_reads)
+        return NumericScalar(_gamma_component, n, frame_reads, (tensor, i, j, k))
 
     gamma = [[[gamma_entry(i, j, k) for k in span] for j in span] for i in span]
     return ConnectionField(n, zero, gamma)
+
+
+def _gamma_tensor(points: np.ndarray, key: bytes, order: int, chart: FrameChart,
+                  unread: np.ndarray) -> np.ndarray:
+    """Gamma's jet of ``order`` from the frame's of one order more, as a
+    (rows, n, n, n, m) array; ``unread[j, i, a]`` is true where entry (i, a)
+    does not read x_j."""
+    import numpy as np
+
+    n = chart.n
+    e = chart._jets(points, order + 1)
+    e0inv = np.linalg.inv(e[0])  # validate_invertible has refused a singular e
+    # e^-1 = sum_{k <= order} (-e0^-1 N)^k e0^-1, with N = e - e0
+    step = -(e0inv @ e[:comb(n + order, order)])
+    step[0] = 0.0
+    term = einv = np.zeros_like(step)
+    einv[0] = np.eye(n)  # the term k = 0
+    for _ in range(order):
+        term = jet_mul(step, term, n, order, np.matmul)
+        einv = einv + term
+    de = np.stack([jet_diff(e, n, order, j) for j in range(n)], axis=2)  # [p, m, j, i, a]
+    de[:, :, unread] = 0.0
+    # Gamma[p, i, j, k, m] = sum_a de[p, m, j, i, a] einv[p, m, a, k]
+    return jet_mul(de, einv @ e0inv, n, order, partial(np.einsum, "pmjia,pmak->pijkm"))
+
+
+def _gamma_component(points, key, order, tensor: NumericScalar, i: int, j: int,
+                     k: int) -> np.ndarray:
+    return tensor._jet(points, key, order)[:, i, j, k]
 
 
 # --- covariant derivative and curvature components ---------------------------

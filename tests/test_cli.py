@@ -448,6 +448,39 @@ def test_exact_reports_read_no_value_past_a_huge_domain_bound(tmp_path, monkeypa
     assert capsys.readouterr().err == ""
 
 
+# finite domain bounds whose width overflows a float: the numeric grid
+# still runs from bound to bound, so its first point is the lower bound
+WIDE_DOMAIN = {"name": "wide", "n": 1, "domain": [["-1e308", "1e308"]], "frame": [["1 + x1^2"]]}
+
+
+@pytest.mark.parametrize("command", [["geom", "report"], ["chern-simons"]],
+                         ids=["report", "chern-simons"])
+def test_numeric_grid_on_a_domain_wider_than_the_float_range(tmp_path, monkeypatch, capsys,
+                                                            command):
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(WIDE_DOMAIN))
+    monkeypatch.setenv("FLATCHECK_BACKEND", "numeric")
+    assert run_cli([*command, "--chart", str(path), "--grid", "3"]) == (1, "")
+    assert capsys.readouterr().err == "error: frame of chart 'wide' is not finite at (-1e+308,)\n"
+    path.write_text(json.dumps(dict(WIDE_DOMAIN, frame=[["2"]])))
+    for backend in ("exact", "numeric"):
+        monkeypatch.setenv("FLATCHECK_BACKEND", backend)
+        code, out = run_cli([*command, "--chart", str(path), "--grid", "3"])
+        assert code == 0 and json.loads(out)["locally_homogeneous"] is True
+    assert capsys.readouterr().err == ""
+
+
+def test_grid_points_keep_their_floats_where_the_width_is_finite():
+    from flatcheck.charts_io import chart_from_json
+    chart = chart_from_json(dict(WIDE_DOMAIN, frame=[["2"]]), "numeric")
+    assert chart.grid(3) == [(-1e308,), (0.0,), (1e308,)]
+    # lo (1 - s) + hi s would move some of su2-euler's grid floats by an ulp
+    su2 = chart_from_json({"builtin": "su2-euler"})
+    for r, (lo, hi) in enumerate(map(float, bounds) for bounds in su2.domain):
+        axis = sorted({p[r] for p in su2.grid(3)})
+        assert axis == [lo + (hi - lo) * t / 2 for t in range(3)]
+
+
 # rational charts with a pole or a singular frame between the grid points
 BETWEEN_GRID_POINTS = {
     "stencil-pole": [["1", "0"], ["0", "1/(x1 - 1/10000)"]],
@@ -585,7 +618,7 @@ def _deep_entry(levels: int, calls: int) -> str:
 
 @pytest.mark.parametrize("calls", [0, 150, 199])
 def test_depth_limit_is_inclusive_on_both_backends(calls):
-    # nested calls cost the numeric closures two frames per level
+    # nested calls cost numeric evaluation two frames per level
     from flatcheck.charts_io import MAX_DEPTH, chart_from_json
     from flatcheck.forms import chern_simons_report
     from flatcheck.frames import ChartError

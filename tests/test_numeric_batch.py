@@ -2,8 +2,9 @@
 
 A batch gives each point the values that a batch of that point alone
 gives, to rounding: the matrix products of the connection may round
-differently in the last bit, so the comparison has a tolerance.  Each
-node caches its jet per batch.  A forced-numeric exact chart runs
+differently in the last bit, so the comparison has a tolerance.  A node
+caches its jet per batch unless exactly one other node reads it, which
+changes no float of a report.  A forced-numeric exact chart runs
 through the entry interpreter, not its exact fields one point at a time,
 and each distinct sin/cos/exp call of a frame is one node, composed once
 per batch (and again only for a higher order) for all of the frame's
@@ -14,14 +15,17 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import dense_chart_document
 from flatcheck.catalog import get_chart
 from flatcheck.charts_io import _interpret, _NumericAlgebra, _parse, chart_from_json
-from flatcheck.forms import identity_report
-from flatcheck.frames import ChartError, NumericScalar, curvature_components, gamma_from_frame
+from flatcheck.forms import chern_simons_report, identity_report
+from flatcheck.frames import (ChartError, NumericScalar, curvature_components, gamma_from_frame,
+                              jet_constant)
 
 # su2-euler's frame times C = [[1, 2, 1], [0, 1, 1], [1, 2, 2]] (det 1)
 _SU2 = [["sin(x3)/sin(x2)", "cos(x3)/sin(x2)", "0"],
@@ -69,9 +73,9 @@ def test_gamma_and_curvature_match_point_by_point(case):
 def test_report_matches_point_by_point(case, monkeypatch):
     chart, grid_points = case
     batched = identity_report(chart, grid_points=grid_points)
-    values = NumericScalar.values
-    monkeypatch.setattr(NumericScalar, "values",
-                        lambda self, points: np.concatenate([values(self, [p]) for p in points]))
+    values = NumericScalar.batch_values
+    monkeypatch.setattr(NumericScalar, "batch_values", staticmethod(
+        lambda fields, points: np.concatenate([values(fields, [p]) for p in points], axis=1)))
     reference = identity_report(chart, grid_points=grid_points)
     keys = sorted(batched["residuals"])
     assert close([batched["residuals"][k] for k in keys] + [batched["max_R"]],
@@ -173,3 +177,90 @@ def test_the_first_point_that_cannot_be_evaluated_is_named(entry):
     with pytest.raises(ChartError, match=re.escape(f"is not finite at {first}")):
         chart.validate_invertible(5)
     assert len(batches) == 1
+
+
+def _counted_x1(calls: list) -> NumericScalar:
+    """The coordinate x1 of a 2-dimensional chart, as a leaf that records
+    the order of each evaluation."""
+    def fn(points, key, order):
+        calls.append(order)
+        out = jet_constant(points[:, 0], 2, order, len(points))
+        if order:
+            out[1] = 1.0
+        return out
+
+    return NumericScalar(fn, 2, frozenset({0}))
+
+
+def test_a_node_read_by_one_node_keeps_no_jet():
+    x, y = NumericScalar.var(2, 0), NumericScalar.var(2, 1)
+    once = x * y  # read by the exp node only
+    shared = x + y  # read twice by one product
+    root = once.call("exp") + shared * shared
+    assert (x.readers, once.readers, shared.readers, root.readers) == (2, 1, 2, 0)
+    a = np.array([[0.1, 0.2], [0.3, -0.4]])
+    b = np.array([[0.5, 0.6]])
+    for batch in (a, b, a):
+        want = [math.exp(p * q) + (p + q) ** 2 for p, q in batch.tolist()]
+        assert close(root.values(batch).tolist(), want)
+    assert len(once._cache) == 0
+    assert len(shared._cache) == len(x._cache) == len(root._cache) == 2
+    # a node that gains a second reader caches from then on
+    twice = once.scale(3)
+    assert once.readers == 2
+    root.values(b)
+    twice.values(b)
+    assert len(once._cache) == 1
+
+
+def test_a_chain_of_single_readers_is_computed_once_per_batch_and_order():
+    calls = []
+    root = -_counted_x1(calls).call("sin").scale(2).diff(0).power(3)
+    a = np.array([[0.1, 0.2], [0.3, -0.4]])
+    b = np.array([[0.5, 0.6]])
+    for batch, order in ((a, 0), (a, 0), (a, 1), (a, 0), (a, 1), (b, 1), (b, 0), (a, 2)):
+        root._jet(batch, batch.tobytes(), order)
+    # diff asks the leaf for one order more than the root is asked
+    assert calls == [1, 2, 2, 3]
+    assert len(root._cache) == 2
+
+
+def _cache_at_every_node(self, points, key, order):
+    """``NumericScalar._jet`` as if every node had many readers."""
+    rows = math.comb(self.n + order, order)
+    got = self._cache.get(key)
+    if got is None or len(got) < rows:
+        got = self._cache[key] = self.fn(points, key, order, *self.operands)
+    return got if len(got) == rows else got[:rows]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: get_chart("su2-euler"),
+    lambda: get_chart("affine-exp2"),
+    lambda: chart_from_json({"builtin": "deformed2"}, "numeric"),
+    lambda: chart_from_json(SHARED_SIN)],
+    ids=["su2-euler", "affine-exp2", "deformed2-numeric", "shared-sin"])
+def test_the_cache_rule_changes_no_float(make, monkeypatch):
+    # the same reports, with a node cached only where it is read again and
+    # with every node cached; == compares the floats exactly
+    def reports():
+        return [report(make(), grid_points=grid) for grid in (2, 3, 5)
+                for report in (identity_report, chern_simons_report)]
+
+    got = reports()
+    monkeypatch.setattr(NumericScalar, "_jet", _cache_at_every_node)
+    assert got == reports()
+
+
+def test_numeric_report_memory_is_bounded():
+    # a forced-numeric dense3 report peaks at 1.0 MiB of traced memory; it
+    # peaked at 2.4 MiB with every node cached, and at 5.0 MiB with every
+    # node a lambda and cached
+    chart = chart_from_json(dense_chart_document(3), "numeric")
+    tracemalloc.start()
+    try:
+        identity_report(chart, grid_points=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
