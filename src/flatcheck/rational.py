@@ -44,7 +44,17 @@ it alone:
   (probe(a) gcd(a) f_a + probe(b) gcd(b) f_b) // gcd(result), with f_a,
   f_b the factors that bring the operands to the common denominator;
 - a negation holds -probe, and ``scale(p/q)`` holds sign(p) probe.
-Derivatives, degree parts and truncated products carry nothing.
+Derivatives, degree parts, truncated products and ``dot`` carry nothing.
+
+``Poly.dot`` is the one exception to the schoolbook term order: a fused
+multiply-accumulate, self + the sum of c * a * b over (int c, a, b)
+triples, that adds every product's integer numerators into one dict over
+one common denominator and builds no polynomial per product or per sum.
+It keeps no schoolbook term order, so only callers whose results are
+compared by value or printed sorted may use it (the Spencer layer).
+``RationalFunc``, ``frames`` and ``forms`` never call it: their terms
+reach ``RationalGrid``'s float sums, and the exact chart path must print
+what it printed.
 """
 
 from __future__ import annotations
@@ -347,6 +357,39 @@ class Poly:
 
     def __mul__(self, other: Poly) -> Poly:
         return self._product(other)
+
+    def dot(self, terms: Iterable[Tuple[int, Poly, Poly]]) -> Poly:
+        """self + the sum of c * a * b over the (int c, a, b) triples of
+        ``terms``, as a polynomial of this kind: one fused multiply-add.
+
+        The integer numerators of every product are added into one dict
+        over the common denominator of self and the products; no
+        polynomial is built per product or per sum.  A triple with c = 0 or
+        a zero operand is skipped.  A product whose degree passes
+        MAX_DEGREE raises ValueError, as ``_product`` does, read from the
+        largest key after the loop.  Sums that cancel keep their place
+        until the end, so the result's terms come in no schoolbook order
+        (see the module docstring), and no probe value is carried."""
+        shift = FIELD_BITS * self.n
+        work = [(c, a, b) for c, a, b in terms if c and a.terms and b.terms]
+        den = lcm(self.denom, *[a.denom * b.denom for _, a, b in work])
+        f = den // self.denom
+        out = dict(self.terms) if f == 1 else {m: v * f for m, v in self.terms.items()}
+        get = out.get
+        for c, a, b in work:
+            f = c * (den // (a.denom * b.denom))
+            right = b.terms.items()
+            for ma, na in a.terms.items():
+                na *= f
+                for mb, nb in right:
+                    mono = ma + mb
+                    out[mono] = get(mono, 0) + na * nb
+        # the degree field of a packed product is exact even where an
+        # exponent field has run into its guard bit, and sums that cancel
+        # keep their key until the filter below
+        if out and max(out) >> shift > MAX_DEGREE:
+            raise ValueError(f"a product passes the largest packed total degree, {MAX_DEGREE}")
+        return self._from_ints({m: v for m, v in out.items() if v}, den)
 
     def scale(self, value) -> Poly:
         c = Fraction(value)

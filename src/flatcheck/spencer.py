@@ -12,6 +12,14 @@ one jet field of order k - 1 for each direction r.  The bracket on
 sections lifts its arguments one order up; the lift is given by its top
 components, which default to zero.
 
+Every bracket here builds each output component in one pass: one
+``Poly.dot`` over all the products that the component sums, with no
+polynomial per product or per partial sum.  In the bracket on sections
+that sum holds the Leibniz terms of the algebraic bracket of the lifts and
+the terms of the two Spencer-operator contractions; the top components of
+the lifts enter it and cancel inside it, so a lift-independence check
+still tests that they cancel.
+
 Jet fields hold exact polynomial coefficients over the chart (Q[x]:
 nothing in this module divides), so every identity test here compares
 normal forms literally.  A k-jet at a point is its Taylor polynomials: one
@@ -23,27 +31,38 @@ is checked against at points (``JetField.at_point``).
 
 from __future__ import annotations
 
-from math import comb
+from functools import cache
+from itertools import product
+from math import comb, prod
 from typing import Dict, List, Sequence, Tuple
 
 from .jetcore import JetError, MultiIndex, mi_add, mi_factorial, multi_indices
 from .rational import Poly, unit_mono
 
 
-def _binom(alpha: MultiIndex, beta: MultiIndex) -> int:
-    out = 1
-    for a, b in zip(alpha, beta):
-        out *= comb(a, b)
-    return out
+@cache
+def _leibniz(gamma: MultiIndex) -> tuple:
+    """(C(gamma, beta), c, beta, gamma - beta + e_c) for every beta <= gamma
+    componentwise and every direction c: where component gamma of the
+    algebraic bracket reads its operands."""
+    n = len(gamma)
+    out = []
+    for beta in product(*(range(g + 1) for g in gamma)):
+        cg = prod(map(comb, gamma, beta))
+        rest = tuple(g - bt for g, bt in zip(gamma, beta))
+        out += [(cg, c, beta, mi_add(rest, unit_mono(n, c))) for c in range(n)]
+    return tuple(out)
 
 
-def _sub_indices(alpha: MultiIndex):
-    """All beta <= alpha componentwise."""
-    ranges = [range(a + 1) for a in alpha]
-    out = [()]
-    for r in ranges:
-        out = [prefix + (v,) for prefix in out for v in r]
-    return [tuple(b) for b in out]
+def _leibniz_terms(a: JetField, b: JetField, i: int, gamma: MultiIndex) -> list:
+    """The ``Poly.dot`` terms of component (i, gamma) of the algebraic
+    bracket of a and b: C(gamma, beta) (a^c_beta b^i_shifted - b^c_beta a^i_shifted)."""
+    get_a, get_b, zero = a.components.get, b.components.get, a._zero
+    terms = []
+    for cg, c, beta, shifted in _leibniz(gamma):
+        terms += ((cg, get_a((c, beta), zero), get_b((i, shifted), zero)),
+                  (-cg, get_b((c, beta), zero), get_a((i, shifted), zero)))
+    return terms
 
 
 def algebraic_bracket(a: Sequence[Poly], b: Sequence[Poly], k: int) -> List[Poly]:
@@ -70,16 +89,14 @@ def kernel_bracket(a: Sequence[Poly], b: Sequence[Poly], k: int) -> List[Poly]:
 
 
 def vector_field_bracket(v: Sequence[Poly], w: Sequence[Poly]) -> List[Poly]:
-    """[v, w]^i = v^c d_c w^i - w^c d_c v^i, over exact polynomial components."""
+    """[v, w]^i = v^c d_c w^i - w^c d_c v^i, over exact polynomial components,
+    one ``Poly.dot`` per component."""
     if len(w) != len(v) or any(p.n != len(v) for p in (*v, *w)):
         raise JetError("vector fields must share dimension")
-    out = []
-    for i in range(len(v)):
-        acc = v[i].scale(0)
-        for c in range(len(v)):
-            acc = acc + v[c] * w[i].diff(c) - w[c] * v[i].diff(c)
-        out.append(acc)
-    return out
+    n = len(v)
+    return [v[i].scale(0).dot([t for c in range(n)
+                               for t in ((1, v[c], w[i].diff(c)), (-1, w[c], v[i].diff(c)))])
+            for i in range(n)]
 
 
 class JetField:
@@ -179,44 +196,21 @@ def spencer_operator(xi: JetField) -> List[JetField]:
             for r in range(n)]
 
 
-def contract(d: Sequence[JetField], vector: Sequence[Poly]) -> JetField:
-    """i(v) D xi = sum_r v^r D_r xi, the terms of each component added with r ascending."""
-    comps: Dict[Tuple[int, MultiIndex], Poly] = {}
-    for v, field in zip(vector, d):
-        for key, f in field.components.items():
-            term = v * f
-            comps[key] = term if key not in comps else comps[key] + term
-    return JetField(d[0].n, d[0].k, comps)
-
-
 def algebraic_bracket_fields(a: JetField, b: JetField) -> JetField:
     """The pointwise algebraic bracket applied fiberwise to two sections.
 
     Expanding the bracket of representatives by the Leibniz rule gives the
-    closed bilinear formula used here; it agrees with the representative
-    route at every point (tested, not assumed).
+    closed bilinear formula used here, one ``Poly.dot`` per component; it
+    agrees with the representative route at every point (tested, not
+    assumed).
     """
     if a.n != b.n or a.k != b.k:
         raise JetError("jet fields must share dimension and order")
     if a.k < 1:
         raise JetError("the algebraic bracket needs order k >= 1")
-    n, k = a.n, a.k
-    comps: Dict[Tuple[int, MultiIndex], Poly] = {}
-    for gamma in multi_indices(n, k - 1):
-        for i in range(n):
-            acc = Poly.zero(n)
-            for beta in _sub_indices(gamma):
-                cg = _binom(gamma, beta)
-                rest = tuple(g - bt for g, bt in zip(gamma, beta))
-                for c in range(n):
-                    shifted = mi_add(rest, unit_mono(n, c))
-                    term = a.comp(c, beta) * b.comp(i, shifted) \
-                        - b.comp(c, beta) * a.comp(i, shifted)
-                    if cg != 1:
-                        term = term.scale(cg)
-                    acc = acc + term
-            comps[(i, gamma)] = acc
-    return JetField(n, k - 1, comps)
+    n, zero = a.n, a._zero
+    return JetField(n, a.k - 1, {(i, gamma): zero.dot(_leibniz_terms(a, b, i, gamma))
+                                 for gamma in multi_indices(n, a.k - 1) for i in range(n)})
 
 
 def lift_with_top(xi: JetField, top: Dict[Tuple[int, MultiIndex], Poly]) -> JetField:
@@ -234,16 +228,32 @@ def spencer_bracket(xi: JetField, eta: JetField,
     """Bracket on sections of the order-k jet bundle.
 
     Lift both fields one order up with the top components ``top`` (missing
-    ones are zero; any smooth lift gives the same answer), combine the
-    algebraic bracket of the lifts with the Spencer operator contracted
-    against the order-0 parts, and land back at order k.  At k = 0 this is
-    the usual vector-field bracket.
+    ones are zero; any smooth lift gives the same answer), and land back at
+    order k with the algebraic bracket of the lifts plus the Spencer
+    operator contracted against the order-0 parts:
+
+        [xi, eta]^i_g = {xi1, eta1}^i_g
+                        + sum_r xi^r_0 (D_r eta1)^i_g - eta^r_0 (D_r xi1)^i_g.
+
+    Each component is one ``Poly.dot`` over the Leibniz terms of the
+    algebraic bracket and the 4n terms of the two contractions.  The top
+    components enter that sum and cancel there.  At k = 0 this is the
+    usual vector-field bracket.
     """
     if xi.n != eta.n or xi.k != eta.k:
         raise JetError("jet fields must share dimension and order")
     xi1 = lift_with_top(xi, top or {})
     eta1 = lift_with_top(eta, top or {})
-    algebraic = algebraic_bracket_fields(xi1, eta1)
-    corr = contract(spencer_operator(eta1), xi.order_zero()) \
-        - contract(spencer_operator(xi1), eta.order_zero())
-    return algebraic + corr
+    n, zero = xi.n, xi._zero
+    xi0, eta0 = xi.order_zero(), eta.order_zero()
+    comps = {}
+    for gamma in multi_indices(n, xi.k):
+        for i in range(n):
+            terms = _leibniz_terms(xi1, eta1, i, gamma)
+            x, e = xi.comp(i, gamma), eta.comp(i, gamma)
+            for r in range(n):
+                up = mi_add(gamma, unit_mono(n, r))
+                terms += ((1, xi0[r], e.diff(r)), (-1, xi0[r], eta1.comp(i, up)),
+                          (-1, eta0[r], x.diff(r)), (1, eta0[r], xi1.comp(i, up)))
+            comps[(i, gamma)] = zero.dot(terms)
+    return JetField(n, xi.k, comps)

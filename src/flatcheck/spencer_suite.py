@@ -10,7 +10,8 @@ flags come back as a JSON-ready summary.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from functools import cache
+from math import factorial
 
 from .jetcore import mi_factorial, multi_indices
 from .rational import Poly
@@ -24,13 +25,32 @@ from .spencer import (
 )
 
 
-def _random_poly(n: int, deg: int, rng: random.Random) -> Poly:
-    coeffs = {}
-    for mono in multi_indices(n, deg):
+@cache
+def _layout(n: int, deg: int, kernel: bool) -> tuple:
+    """(packed monomial, weight) for each alpha of ``multi_indices(n, deg)``,
+    in that order: weight 1, or for a kernel jet deg! / alpha! (the
+    numerator of 1 / alpha! over deg!) with the constant monomial left out."""
+    packed = Poly(n, dict.fromkeys(multi_indices(n, deg), 1)).terms
+    if not kernel:
+        return tuple((mono, 1) for mono in packed)
+    top = factorial(deg)
+    return tuple((mono, top // mi_factorial(alpha))
+                 for mono, alpha in zip(packed, multi_indices(n, deg)) if sum(alpha))
+
+
+def _draw(n: int, layout: tuple, den: int, rng: random.Random) -> Poly:
+    """The sum of c * weight * x^mono / den over ``layout``, each c drawn
+    from -3..3 in order, built from integer numerators."""
+    nums = {}
+    for mono, weight in layout:
         c = rng.randint(-3, 3)
         if c:
-            coeffs[mono] = Fraction(c)
-    return Poly(n, coeffs)
+            nums[mono] = c * weight
+    return Poly.zero(n)._from_ints(nums, den)
+
+
+def _random_poly(n: int, deg: int, rng: random.Random) -> Poly:
+    return _draw(n, _layout(n, deg, False), 1, rng)
 
 
 def _random_vector_field(n: int, deg: int, rng: random.Random):
@@ -48,9 +68,7 @@ def _random_jet_field(n: int, k: int, rng: random.Random, deg: int = 2) -> JetFi
 def _random_kernel_jet(n: int, k: int, rng: random.Random) -> list:
     """A k-jet at a point with no constant term: its Taylor polynomials,
     drawn as integer derivative components."""
-    return [Poly(n, {alpha: Fraction(rng.randint(-3, 3), mi_factorial(alpha))
-                     for alpha in multi_indices(n, k) if sum(alpha)})
-            for _ in range(n)]
+    return [_draw(n, _layout(n, k, True), factorial(k), rng) for _ in range(n)]
 
 
 def _annihilates_prolongations(rng: random.Random) -> bool:

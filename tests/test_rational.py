@@ -401,6 +401,81 @@ def test_a_product_with_a_zero_operand_builds_no_terms(monkeypatch):
             assert getattr(got, "k", None) == getattr(f, "k", None)
 
 
+# --- the fused multiply-accumulate ------------------------------------------------
+
+def reference_dot(acc: Poly, terms) -> Poly:
+    """acc + c * (a * b) for each triple, summed left to right."""
+    for c, a, b in terms:
+        acc = acc + (a * b).scale(c)
+    return acc
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dot_matches_the_sum_of_its_products(seed):
+    rng = random.Random(seed)
+    for _ in range(CASES_PER_SEED):
+        n = rng.randint(1, 3)
+        # denominators 1..3 differ from operand to operand; a zero operand now and then
+        pool = [rand_poly(rng, n, rng.randint(0, 4)) for _ in range(4)]
+        terms = [(rng.randint(-3, 3), rng.choice(pool), rng.choice(pool))
+                 for _ in range(rng.randint(0, 5))]
+        if terms and rng.random() < 0.5:  # a triple that cancels one already there
+            c, a, b = rng.choice(terms)
+            terms.append((-c, b, a))
+        acc = Poly.zero(n) if rng.random() < 0.5 else rand_poly(rng, n, 3)
+        assert acc.dot(terms) == reference_dot(acc, terms)
+
+
+def test_dot_cancels_to_normal_forms():
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    a = Poly(2, {(1, 0): Fraction(1, 3), (0, 0): Fraction(-1, 2)})
+    b = Poly(2, {(0, 1): Fraction(2, 5), (1, 1): 1})
+    zero = Poly.zero(2)
+    assert zero.dot([(1, a, b), (-1, b, a)]) == zero
+    assert zero.dot([(2, a, b), (1, a, b.scale(-2))]).denom == 1
+    # three thirds of x * x: the common denominator 3 reduces away
+    third = x.scale(Fraction(1, 3))
+    got = zero.dot([(1, third, x), (1, x, third), (1, third, x)])
+    assert got == x * x and got.denom == 1
+    # a sum that cancels in the middle and comes back
+    assert zero.dot([(1, x, y), (-1, y, x), (3, x, y)]) == (x * y).scale(3)
+    assert a.dot([(1, a, zero), (-1, a, Poly.const(2, 1))]) == zero
+
+
+def test_dot_skips_zero_operands_and_zero_coefficients():
+    a = Poly(2, {(1, 0): Fraction(1, 3), (0, 2): 2})
+    zero = Poly.zero(2)
+    for terms in ([], [(0, a, a)], [(3, zero, a)], [(-2, a, zero)], [(0, zero, zero)]):
+        got = zero.dot(terms)
+        assert got == zero and got.denom == 1 and type(got) is Poly
+        assert a.dot(terms) == a
+
+
+def test_dot_keeps_the_kind_of_its_accumulator():
+    ta = TruncatedPoly(2, 4, {(1, 0): Fraction(1, 2), (0, 1): 3, (0, 0): 1})
+    tb = TruncatedPoly(2, 4, {(1, 1): -2, (0, 0): Fraction(5, 3)})
+    terms = [(2, ta, tb), (-1, tb, tb), (1, tb, ta)]
+    for acc in (ta, TruncatedPoly(2, 4)):
+        got = acc.dot(terms)
+        assert type(got) is TruncatedPoly and got.k == 4
+        assert got == reference_dot(acc, terms)
+    empty = TruncatedPoly(2, 4).dot([])
+    assert type(empty) is TruncatedPoly and empty.k == 4 and empty.is_zero()
+
+
+def test_dot_refuses_a_product_past_the_largest_degree():
+    x = Poly.var(1, 0)
+    top = Poly(1, {(rational.MAX_DEGREE,): 1})
+    with pytest.raises(ValueError, match="largest packed total degree"):
+        top * x
+    for terms in ([(1, top, x)], [(1, x, x), (-2, x, top)]):
+        with pytest.raises(ValueError, match="largest packed total degree"):
+            Poly.zero(1).dot(terms)
+    # a triple that contributes nothing is not multiplied, as a zero operand is not
+    assert Poly.zero(1).dot([(0, top, x), (1, top, Poly.zero(1))]).is_zero()
+    assert Poly.zero(1).dot([(1, top, Poly.const(1, 2))]) == top.scale(2)
+
+
 def per_point_float(f: RationalFunc, point) -> float:
     """The float rule of ``RationalGrid`` at one point, as a plain loop:
     each term's rounded coefficient times the float powers of its

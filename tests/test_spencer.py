@@ -20,6 +20,7 @@ from flatcheck.spencer import (
     algebraic_bracket,
     algebraic_bracket_fields,
     kernel_bracket,
+    lift_with_top,
     prolong,
     spencer_bracket,
     spencer_operator,
@@ -291,6 +292,52 @@ def test_spencer_bracket_prolongation_instance():
     lhs = spencer_bracket(prolong(v, 2), prolong(w, 2))
     rhs = prolong(classical_bracket(v, w), 2)
     assert lhs == rhs
+
+
+def composed_bracket(xi, eta, top=None, signs=(1, -1)):
+    """The bracket on sections as composed operators: the algebraic bracket
+    of the two lifts plus sum_r xi^r_0 D_r eta1 - eta^r_0 D_r xi1, with
+    each product and sum built on its own.  ``signs`` are the signs of the
+    two contractions."""
+    xi1, eta1 = lift_with_top(xi, top or {}), lift_with_top(eta, top or {})
+    comps = dict(algebraic_bracket_fields(xi1, eta1).components)
+    for sign, v, field in ((signs[0], xi.order_zero(), eta1), (signs[1], eta.order_zero(), xi1)):
+        for r, d in enumerate(spencer_operator(field)):
+            for key, f in d.components.items():
+                term = (v[r] * f).scale(sign)
+                comps[key] = comps[key] + term if key in comps else term
+    return JetField(xi.n, xi.k, comps)
+
+
+def random_top(n, k, rng, deg=2):
+    return {(i, alpha): random_poly(n, deg, rng)
+            for i in range(n) for alpha in multi_indices(n, k + 1) if sum(alpha) == k + 1}
+
+
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_spencer_bracket_matches_the_composed_formula(n, k):
+    rng = random.Random(100 * n + k)
+    for _ in range(4):
+        a = random_jet_field(n, k, rng)
+        b = random_jet_field(n, k, rng)
+        top = random_top(n, k, rng)
+        assert spencer_bracket(a, b) == composed_bracket(a, b)
+        assert spencer_bracket(a, b, top) == composed_bracket(a, b, top)
+
+
+def test_lift_independence_check_fails_on_a_flipped_correction_sign(monkeypatch):
+    # + eta_0 D xi1 in place of - eta_0 D xi1: the top components no longer cancel
+    import flatcheck.spencer_suite
+    from flatcheck.spencer_suite import run_spencer_suite
+
+    def flipped(xi, eta, top=None):
+        return composed_bracket(xi, eta, top, signs=(1, 1))
+
+    monkeypatch.setattr(flatcheck.spencer_suite, "spencer_bracket", flipped)
+    for seed in (0, 1, 2):
+        result = run_spencer_suite(seed=seed, trials=5)["lift_independence"]
+        assert result["passed"] < result["trials"]
 
 
 def test_spencer_bracket_prolongation_random():

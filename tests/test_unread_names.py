@@ -35,6 +35,8 @@ ALLOWED = {
     "arrows.G3Jet.from_map": "tests check the closed-form group law against jetcore through it",
     "spencer.algebraic_bracket": "the point reference that tests compare the field bracket with: "
                                  "it brackets Taylor polynomials as vector fields",
+    "spencer.algebraic_bracket_fields": "tests compare it with the point bracket; "
+                                        "perfbench/tracer.py wraps it",
     "spencer.JetField.at_point": "tests compare the field bracket with the point reference through "
                                  "it: it gives a field's Taylor polynomials at a point",
 }
