@@ -30,12 +30,12 @@ emitted in a fixed order, floats print as Python's shortest round-trip
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 # Each command imports the modules it runs when it runs, so a cold process
 # loads only those; the chart names are needed to build the parser.
@@ -50,8 +50,84 @@ EXIT_RESIDUAL = 3
 MAX_TRIALS = 1000
 
 
+def _float_text(x: float) -> str:
+    """A float as ``json`` writes it: NaN, Infinity, -Infinity or its repr."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of a scalar of exactly this type, by the C helpers that ``json``
+# calls; subclasses (numpy.float64, an IntEnum) go through ``_scalar_text``
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+                bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _scalar_text(value) -> str | None:
+    """The text of a str, int or float subclass as ``json`` writes it, in
+    the order that ``json`` tests them; None for any other value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    return None
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it at the nesting
+    whose line break and indent are ``newline``."""
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        try:  # a list of scalars is one join
+            items = [_SCALAR_TEXT[type(v)](v) for v in value]
+        except KeyError:
+            items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [(encode_basestring_ascii(k) if type(k) is str else _json_key(k))
+                 + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    text = _scalar_text(value)
+    if text is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return text
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it: a string, or the text of a float,
+    bool, None or int key as a string."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):  # a bool is an int
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _SCALAR_TEXT.get(type(key), _scalar_text)(key)
+    return encode_basestring_ascii(key)
+
+
+def json_text(doc) -> str:
+    """The text of ``json.dumps(doc, indent=2)``, written without the
+    pure-Python encoder that ``json`` runs whenever ``indent`` is set: each
+    scalar by the C helpers that ``json`` calls, each container by one
+    join.  Like ``json``, it raises TypeError on a value or key that JSON
+    cannot hold; it does not look for reference cycles, which no report
+    has."""
+    return _json_text(doc, "\n")
+
+
 def emit(doc, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+    text = json_text(doc)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

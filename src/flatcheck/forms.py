@@ -405,7 +405,7 @@ def scalars_residual(fields: Sequence[ScalarField], points) -> float:
 class _Geometry(NamedTuple):
     report: dict
     torsion: HomForm
-    torsion_cube_diagonal: HomForm  # the (idx, i, i) of T^T^T: all that trace_form reads
+    torsion_cube_trace: HomForm | None  # Tr(T^3), built for the secondary class alone
     points: Sequence
 
 
@@ -413,12 +413,16 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
     """The one pipeline behind every report: the connection, torsion and
     curvature of the chart, each wedge built once, and the residual table.
 
+    Every form is built before the first grid evaluation, so that a
+    numeric node knows all its readers when it is first computed and one
+    that several forms read keeps its jet (see ``NumericScalar``).
+
     With ``full`` false it builds only what ``chern_simons_report`` prints:
     the structure residual (for ``STRUCTURE_SIGN``, which may raise
-    ``CalibrationError``), the transgression residual and the verdict.  The
-    residuals of R~, d~(sR), the Bianchi identity and nabla T are then
-    left out of the table, and so is ``max_R`` on the exact backend, whose
-    verdict needs no grid."""
+    ``CalibrationError``), the transgression residual, the verdict and
+    Tr(T^3).  The residuals of R~, d~(sR), the Bianchi identity and nabla T
+    are then left out of the table, and so is ``max_R`` on the exact
+    backend, whose verdict needs no grid."""
     chart.validate_invertible(grid_points)
     conn = gamma_from_frame(chart)
     exact = chart.backend == "exact"
@@ -430,47 +434,44 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
         # one array for every grid evaluation, which would convert a list again
         points = np.array(chart.grid(grid_points))
 
+    sign = STRUCTURE_SIGN
     t = torsion_form(conn)
     r = curvature_form(conn)
-
-    residuals = {}
-    if full:
-        residuals["rtilde"] = form_residual(curvature_tilde_form(conn), points)
-
     tt = wedge(t, t)
     lhs = d_tilde(conn, t) + tt
-
-    def structure_residual(s: int) -> float:
-        return form_residual(lhs - r if s == 1 else lhs + r, points)
-
-    sign = STRUCTURE_SIGN
-    res_structure = residuals["structure"] = structure_residual(sign)
-    if res_structure > tol:
-        # the structure sign fails here; the other one only fills the report
-        res_other = structure_residual(-sign)
-        plus, minus = (res_structure, res_other) if sign == 1 else (res_other, res_structure)
-        raise CalibrationError(chart.name, {"structure": plus}, {"structure": minus})
-
+    structure = lhs - r if sign == 1 else lhs + r
     sr = r if sign == 1 else r.scale(-1)
     # chern-simons reads only the trace of sR^T; the report's d~(sR) reads all of it
     sr_t = wedge(sr, t, diagonal=not full)
     t3 = wedge(tt, t, diagonal=True)  # read only through trace_form
-
-    if full:
-        # d~(sR) = (sR)^T - T^(sR)
-        dtr_identity = d_tilde(conn, sr) - (sr_t - wedge(t, sr))
-        residuals["dtildeR"] = form_residual(dtr_identity, points)
-        # exterior-covariant closure of the curvature
-        residuals["bianchi"] = form_residual(d_lower(conn, sr), points)
-
     # secondary transgression: d Tr(sR ^ T - T^3/3) = Tr(sR ^ sR)
     cs_primitive = trace_form(sr_t - t3.scale(Fraction(1, 3)))
-    cs_lhs = de_rham(cs_primitive)
-    cs_rhs = trace_form(wedge(sr, sr, diagonal=True))
-    residuals["chern_simons"] = form_residual(cs_lhs - cs_rhs, points)
-
+    cs_identity = de_rham(cs_primitive) - trace_form(wedge(sr, sr, diagonal=True))
     if full:
+        rtilde = curvature_tilde_form(conn)
+        # d~(sR) = (sR)^T - T^(sR)
+        dtr_identity = d_tilde(conn, sr) - (sr_t - wedge(t, sr))
+        # exterior-covariant closure of the curvature
+        bianchi = d_lower(conn, sr)
         nabla_res = nabla_torsion_minus_curvature(conn, sign, t, r)
+        cube_trace = None
+    else:
+        cube_trace = trace_form(t3)
+
+    residuals = {}
+    if full:
+        residuals["rtilde"] = form_residual(rtilde, points)
+    res_structure = residuals["structure"] = form_residual(structure, points)
+    if res_structure > tol:
+        # the structure sign fails here; the other one only fills the report
+        res_other = form_residual(lhs - r if sign == -1 else lhs + r, points)
+        plus, minus = (res_structure, res_other) if sign == 1 else (res_other, res_structure)
+        raise CalibrationError(chart.name, {"structure": plus}, {"structure": minus})
+    if full:
+        residuals["dtildeR"] = form_residual(dtr_identity, points)
+        residuals["bianchi"] = form_residual(bianchi, points)
+    residuals["chern_simons"] = form_residual(cs_identity, points)
+    if full:
         residuals["nabla_torsion"] = scalars_residual(nabla_res, points)
 
     report = {"chart": chart.name, "backend": chart.backend, "sign": sign,
@@ -481,7 +482,7 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
     report["locally_homogeneous"] = r.is_exactly_zero() if exact else report["max_R"] <= tol
     report["tolerance"] = tol
     report["grid"] = [grid_points] * chart.n
-    return _Geometry(report, t, t3, points)
+    return _Geometry(report, t, cube_trace, points)
 
 
 def identity_report(chart: FrameChart, tol: float = 1e-6, grid_points: int = 5) -> dict:
@@ -527,8 +528,7 @@ def trace_powers(chart: FrameChart, max_i: int) -> dict:
 
 
 def _secondary_class(geo: _Geometry, i: int, tol2: float) -> tuple[HomForm, bool | None]:
-    power = geo.torsion_cube_diagonal if i == 1 else wedge_power(geo.torsion, 2 * i + 1)
-    form = trace_form(power)
+    form = geo.torsion_cube_trace if i == 1 else trace_form(wedge_power(geo.torsion, 2 * i + 1))
     if not geo.report["locally_homogeneous"]:
         return form, None
     if geo.report["backend"] == "exact":

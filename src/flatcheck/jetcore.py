@@ -10,6 +10,14 @@ maps that agree through order ``k`` are equal objects.
 Conversion between Taylor coefficients and derivative components is the
 multi-index factorial; ``derivative_component`` / ``from_derivatives`` fix
 that bookkeeping in one place.
+
+The exchange documents hold one {"multiindex", "num", "den"} entry per
+nonzero Taylor coefficient, in grlex order.  Their codec works on
+integers and builds no ``Fraction``: ``poly_from_json`` reduces each
+num/den by its gcd and packs the terms over the least common denominator
+(``Poly._from_reduced``, the packing of ``Poly``'s own constructor), and
+``poly_to_json`` writes the packed terms in packed-key order, which is
+grlex order, each reduced by its gcd with the denominator.
 """
 
 from __future__ import annotations
@@ -18,13 +26,13 @@ import sys
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 from . import MAX_DIM
 from .literals import parse_int
-from .rational import Poly, grlex_key, rf_matrix_inverse, unit_mono
+from .rational import MAX_DEGREE, Poly, grlex_key, rf_matrix_inverse, unit_mono
 
 MultiIndex = Tuple[int, ...]
 
@@ -69,6 +77,8 @@ class TruncatedPoly(Poly):
             raise JetError(f"dimension must be >= 1, got {n}")
         if k < 0:
             raise JetError(f"truncation order must be >= 0, got {k}")
+        if k > MAX_DEGREE:  # no packed monomial has a higher degree
+            raise JetError(f"truncation order must be <= {MAX_DEGREE}, got {k}")
         kept = {}
         for mono, c in (coeffs or {}).items():
             mono = tuple(mono)
@@ -280,35 +290,55 @@ def project_order(f: TruncatedMap, r: int) -> TruncatedMap:
 
 def poly_to_json(p: Poly) -> list:
     """A polynomial as the grlex-sorted {"multiindex", "num", "den"} entries
-    of the exchange documents."""
-    return [{"multiindex": list(mono), "num": str(c.numerator), "den": str(c.denominator)}
-            for mono, c in sorted(p.coeffs.items(), key=lambda t: grlex_key(t[0]))]
+    of the exchange documents, each num/den in lowest terms.  Packed-key
+    order is grlex order (the degree field comes first)."""
+    den = p.denom
+    out = []
+    for (_, v), mono in sorted(zip(p.terms.items(), p.monomials())):
+        g = gcd(v, den)
+        out.append({"multiindex": list(mono), "num": str(v // g), "den": str(den // g)})
+    return out
 
 
 def poly_from_json(entries, n: int, k: int) -> TruncatedPoly:
     """Read ``poly_to_json`` entries back into a TruncatedPoly of order
-    ``k``; JetError on a malformed entry."""
-    TruncatedPoly(n, k)  # a bad n or k is reported before any entry
+    ``k``, the one that ``TruncatedPoly(n, k, {mono: Fraction(num, den)})``
+    builds, without a Fraction: each num/den is reduced by its gcd, and
+    zeros are dropped.  JetError on a malformed entry; the checks here are
+    all that the packing needs, since k is at most ``MAX_DEGREE``."""
+    zero = TruncatedPoly(n, k)  # a bad n or k is reported before any entry
     if not isinstance(entries, list):
         raise JetError(f"malformed jet document: expected a list of entries, got {entries!r}")
-    coeffs = {}
+    seen = set()
+    coeffs = []
+    negative = None
     for entry in entries:
         try:
             if not isinstance(entry["multiindex"], list):
                 raise TypeError("'multiindex' must be a list of integers")
-            mono = tuple(parse_int(e, "multiindex") for e in entry["multiindex"])
-            c = Fraction(parse_int(entry["num"], "num"), parse_int(entry["den"], "den"))
+            mono = tuple([parse_int(e, "multiindex") for e in entry["multiindex"]])
+            num = parse_int(entry["num"], "num")
+            den = parse_int(entry["den"], "den")
+            if not den:
+                raise ZeroDivisionError(f"Fraction({num}, 0)")  # Fraction's own message
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise JetError(f"malformed jet document entry: {exc}") from None
         if len(mono) != n:
             raise JetError(f"multi-index {mono} has wrong length in jet document")
-        if mono in coeffs:
+        if mono in seen:
             raise JetError(f"multi-index {mono} appears twice in one polynomial of the "
                            "jet document")
         if sum(mono) > k:
             raise JetError(f"multi-index {mono} exceeds order k={k} in jet document")
-        coeffs[mono] = c
-    return TruncatedPoly(n, k, coeffs)
+        seen.add(mono)
+        if negative is None and min(mono) < 0:
+            negative = mono
+        if num:
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            coeffs.append((mono, num // g, den // g))
+    if negative is not None:
+        raise JetError(f"multi-index {negative} has a negative entry")
+    return zero._from_reduced(coeffs)
 
 
 def map_to_json(f: TruncatedMap) -> dict:

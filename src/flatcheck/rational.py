@@ -67,7 +67,7 @@ from itertools import repeat
 from math import gcd, lcm, prod
 from operator import add, getitem, mul, truediv
 from struct import Struct
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 PolyDict = Dict[Monomial, Fraction]
@@ -107,6 +107,20 @@ def _fraction(num: int, den: int) -> Fraction:
     return f
 
 
+def _pack(n: int, coeffs: Sequence[Tuple[Monomial, int, int]]) -> Tuple[Dict[int, int], int]:
+    """(terms, denom) of the polynomial in ``n`` variables whose coefficient
+    at the exponent tuple m is num/den, for each (m, num, den) of
+    ``coeffs``: the numerators over the least common denominator, keyed by
+    packed monomials in the order of ``coeffs``.  It is a normal form when
+    each num/den is in lowest terms with num not 0 and den positive.  Each
+    m must be an exponent vector of length n and degree at most
+    MAX_DEGREE, which the caller checks."""
+    pack = _layout(n)[2]
+    den = lcm(*[d for _, _, d in coeffs])
+    return {int.from_bytes(pack(sum(m), *m), "big"): num * (den // d)
+            for m, num, d in coeffs}, den
+
+
 def grlex_key(mono: Monomial) -> tuple:
     """Graded lexicographic sort key: total order first, then lex."""
     return (sum(mono), mono)
@@ -137,18 +151,24 @@ class Poly:
                  "_by_degree", "_divisor")
 
     def __init__(self, n: int, coeffs: Mapping[Monomial, Fraction] | None = None):
-        self.n, pack = n, _layout(n)[2]
+        self.n = n
         self._probe = None
         fracs = {tuple(m): c if type(c) is Fraction else Fraction(c)
                  for m, c in coeffs.items() if c} if coeffs else {}
         self._coeffs = fracs
-        self.denom = den = lcm(*[c._denominator for c in fracs.values()])
-        self.terms = terms = {}
-        for m, c in fracs.items():
+        for m in fracs:
             if len(m) != n or sum(m) > MAX_DEGREE or min(m, default=0) < 0:
                 raise ValueError(f"{m} is not an exponent vector of length {n} and degree at "
                                  f"most {MAX_DEGREE}")
-            terms[int.from_bytes(pack(sum(m), *m), "big")] = c._numerator * (den // c._denominator)
+        self.terms, self.denom = _pack(n, [(m, c._numerator, c._denominator)
+                                           for m, c in fracs.items()])
+
+    def _from_reduced(self, coeffs: Sequence[Tuple[Monomial, int, int]]) -> Poly:
+        """A polynomial of this one's kind whose coefficient at the exponent
+        tuple m is num/den, for each (m, num, den) of ``coeffs``: num/den in
+        lowest terms, num not 0, den positive, and each m once, an exponent
+        vector that the constructor accepts (the caller checks it)."""
+        return self._like(*_pack(self.n, coeffs))
 
     def _like(self, terms: Dict[int, int], den: int) -> Poly:
         """A polynomial of this one's kind holding ``terms`` over ``den``,

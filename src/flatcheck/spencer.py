@@ -139,22 +139,6 @@ class JetField:
             coeffs[i][alpha] = f.eval(point) / mi_factorial(alpha)
         return [Poly(self.n, c) for c in coeffs]
 
-    def scale(self, value) -> JetField:
-        return JetField(self.n, self.k,
-                        {key: f.scale(value) for key, f in self.components.items()})
-
-    def __add__(self, other: JetField) -> JetField:
-        if self.n != other.n or self.k != other.k:
-            raise JetError("jet fields must share dimension and order")
-        out = dict(self.components)
-        for key, f in other.components.items():
-            s = out.get(key)
-            out[key] = f if s is None else s + f
-        return JetField(self.n, self.k, out)
-
-    def __sub__(self, other: JetField) -> JetField:
-        return self + other.scale(-1)
-
     def is_zero(self) -> bool:
         return not self.components
 

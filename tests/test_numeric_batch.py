@@ -264,3 +264,31 @@ def test_numeric_report_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("name", ["su2-euler", "affine-exp2"])
+@pytest.mark.parametrize("report", [identity_report, chern_simons_report])
+@pytest.mark.parametrize("grid", [2, 3, 5])
+def test_a_report_computes_each_node_once_per_batch_and_order(name, report, grid, monkeypatch):
+    # every form of a report is built before its first evaluation, so no
+    # node gains a reader after it was computed without a cache; only a
+    # frame entry that another entry reads is computed once more, by
+    # FrameChart._jets (see NumericScalar)
+    computed = {}
+    held = []  # keeps every node alive, so that its id stays its own
+    jet = NumericScalar._jet
+
+    def spy(self, points, key, order):
+        got = self._cache.get(key) if self.readers != 1 else None
+        if got is None or len(got) < math.comb(self.n + order, order):
+            held.append(self)
+            computed[id(self), key, order] = computed.get((id(self), key, order), 0) + 1
+        return jet(self, points, key, order)
+
+    monkeypatch.setattr(NumericScalar, "_jet", spy)
+    chart = get_chart(name)
+    report(chart, grid_points=grid)
+    entries = {id(e) for row in chart.entries for e in row}
+    repeats = {node: times for (node, _, _), times in computed.items() if times > 1}
+    assert set(repeats) <= entries
+    assert all(times == 2 for times in repeats.values())

@@ -34,6 +34,20 @@ def project(jet, r):
     return JetField(jet.n, r, {key: f for key, f in jet.components.items() if sum(key[1]) <= r})
 
 
+def combination(*terms):
+    """The jet field sum of c * field over the (c, field) pairs of ``terms``,
+    which share n and k: each component scaled by c, and the components
+    of one key added in the order of ``terms``."""
+    n, k = terms[0][1].n, terms[0][1].k
+    out = {}
+    for c, field in terms:
+        assert (field.n, field.k) == (n, k)
+        for key, f in field.components.items():
+            s = out.get(key)
+            out[key] = f.scale(c) if s is None else s + f.scale(c)
+    return JetField(n, k, out)
+
+
 def random_vector_field(n, deg, rng):
     return [random_poly(n, deg, rng) for _ in range(n)]
 
@@ -126,10 +140,10 @@ def test_spencer_linearity():
         a = random_jet_field(2, 2, rng)
         b = random_jet_field(2, 2, rng)
         ca, cb = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
-        combo = a.scale(ca) + b.scale(cb)
+        combo = combination((ca, a), (cb, b))
         da, db = spencer_operator(a), spencer_operator(b)
         for r, d in enumerate(spencer_operator(combo)):
-            assert d == da[r].scale(ca) + db[r].scale(cb)
+            assert d == combination((ca, da[r]), (cb, db[r]))
 
 
 def test_missing_components_share_one_zero():
@@ -372,10 +386,10 @@ def test_spencer_bracket_antisymmetry_and_jacobi():
         n = rng.choice((1, 2))
         k = rng.choice((1, 2))
         a, b, c = (random_jet_field(n, k, rng, deg=1) for _ in range(3))
-        assert (spencer_bracket(a, b) + spencer_bracket(b, a)).is_zero()
-        jac = spencer_bracket(a, spencer_bracket(b, c)) \
-            + spencer_bracket(b, spencer_bracket(c, a)) \
-            + spencer_bracket(c, spencer_bracket(a, b))
+        assert combination((1, spencer_bracket(a, b)), (1, spencer_bracket(b, a))).is_zero()
+        jac = combination((1, spencer_bracket(a, spencer_bracket(b, c))),
+                          (1, spencer_bracket(b, spencer_bracket(c, a))),
+                          (1, spencer_bracket(c, spencer_bracket(a, b))))
         assert jac.is_zero()
 
 
