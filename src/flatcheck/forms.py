@@ -53,6 +53,7 @@ from .frames import (
     curvature_tilde_components,
     dt_reach,
     dt_scalar,
+    dt_terms,
     gamma_from_frame,
     torsion_components,
 )
@@ -253,34 +254,51 @@ def _by_index(form: HomForm) -> Dict[IndexTuple, Dict[tuple, ScalarField]]:
 def _alternated_differential(conn, omega: HomForm, scalar_op, reach) -> HomForm:
     """Sum over the out positions m of (-1)^m ``scalar_op`` in direction r_m
     of omega with r_m left out; the value slots of omega pass through.
+    The positions of each component are those of ``_alternated_positions``,
+    added in its order."""
+    comps = {}
+    for key, positions in _alternated_positions(conn, omega, reach):
+        acc = None
+        for m, r, get in positions:
+            term = scalar_op(conn, get, r, *key[1:])
+            if m % 2 == 1:
+                term = term.scale(-1)
+            acc = term if acc is None else acc + term
+        comps[key] = acc
+    return omega._like(omega.degree + 1, comps)
+
+
+def _alternated_positions(conn, omega: HomForm, reach):
+    """Yield (key, positions) for each component (out index tuple, *value)
+    of the alternated differential that can be nonzero, in canonical key
+    order; ``positions`` lists (m, r_m, get) in ascending m, ``get`` reading
+    omega at the index tuple with r_m left out.
 
     ``reach(conn, r, support)`` is the set of values at which ``scalar_op``
     in direction r can be nonzero when omega at the left-out index is a
     literal zero outside ``support``.  Only the values some position
-    reaches are computed, and each sums only the positions that reach it."""
+    reaches are yielded, each with only the positions that reach it."""
     n, p = omega.n, omega.degree
-    if p >= n:
-        return omega._like(p + 1)
     by_index = _by_index(omega)
     zero = omega.zero
-    comps = {}
     for out_idx in combinations(range(n), p + 1):
         positions = []
         for m, r in enumerate(out_idx):
             part = by_index.get(out_idx[:m] + out_idx[m + 1:])
             if part:
-                positions.append((m, r, part, reach(conn, r, part)))
+                positions.append((m, r, lambda *v, part=part: part.get(v, zero),
+                                  reach(conn, r, part)))
         for value in sorted(set().union(*[reached for *_, reached in positions])):
-            acc = None
-            for m, r, part, reached in positions:
-                if value not in reached:
-                    continue
-                term = scalar_op(conn, lambda *v, part=part: part.get(v, zero), r, *value)
-                if m % 2 == 1:
-                    term = term.scale(-1)
-                acc = term if acc is None else acc + term
-            comps[(out_idx, *value)] = acc
-    return omega._like(p + 1, comps)
+            yield (out_idx, *value), [(m, r, get) for m, r, get, reached in positions
+                                      if value in reached]
+
+
+def _differential_sums(conn, omega: HomForm) -> Dict[tuple, list]:
+    """The terms (c, a, b) of each component of ``d_tilde(conn, omega)``:
+    those of ``dt_terms`` at each position m, times (-1)^m."""
+    return {key: [(-c if m % 2 else c, a, b) for m, r, get in positions
+                  for c, a, b in dt_terms(conn, get, r, *key[1:])]
+            for key, positions in _alternated_positions(conn, omega, dt_reach)}
 
 
 def de_rham(phi: HomForm) -> HomForm:
@@ -300,8 +318,9 @@ def _rows(form: HomForm) -> Dict[IndexTuple, Dict[int, list]]:
 def wedge(a: HomForm, b: HomForm, diagonal: bool = False) -> HomForm:
     """Shuffle wedge with Hom(T,T) composition on the value slots.
 
-    Each shuffle block multiplies only the pairs a^i_t, b^t_j that are both
-    stored, summed over t ascending; the blocks are added in shuffle order.
+    The products are those of ``_wedge_blocks``: each shuffle block sums
+    its products a^i_t b^t_j per (i, j), in its order, and negates the sum
+    when the shuffle is odd; the blocks are added in shuffle order.
 
     With ``diagonal`` only the components (idx, i, i) are formed, each from
     the same pieces in the same order as in the full wedge, and the others
@@ -309,36 +328,63 @@ def wedge(a: HomForm, b: HomForm, diagonal: bool = False) -> HomForm:
     readers of ``trace_form``."""
     if a.n != b.n or type(a.zero) is not type(b.zero):
         raise ChartError("wedge operands must live on the same chart backend")
-    n = a.n
-    p, q = a.degree, b.degree
-    if p + q > n:
-        return HomForm(n, p + q, a.zero)
-    rows_a, rows_b = _rows(a), _rows(b)
+    n, degree = a.n, a.degree + b.degree
     comps = {}
-    for out_idx in combinations(range(n), p + q):
+    for out_idx, blocks in _wedge_blocks(a, b, diagonal):
         acc = {}
-        for a_pos in combinations(range(p + q), p):
-            a_idx = tuple(out_idx[t] for t in a_pos)
-            b_idx = tuple(out_idx[t] for t in range(p + q) if t not in a_pos)
-            a_rows, b_rows = rows_a.get(a_idx), rows_b.get(b_idx)
-            if not (a_rows and b_rows):
-                continue
+        for sign, pieces in blocks:
             block = {}
-            for i, row in a_rows.items():
-                for t, fa in row:
-                    for j, fb in b_rows.get(t, ()):
-                        if diagonal and j != i:
-                            continue
-                        piece = fa * fb
-                        block[i, j] = piece if (i, j) not in block else block[i, j] + piece
-            negate = _sort_with_sign(a_idx + b_idx)[1] == -1
+            for i, j, fa, fb in pieces:
+                piece = fa * fb
+                block[i, j] = piece if (i, j) not in block else block[i, j] + piece
             for key, term in block.items():
-                if negate:
+                if sign == -1:
                     term = term.scale(-1)
                 acc[key] = term if key not in acc else acc[key] + term
         for i, j in sorted(acc):
             comps[(out_idx, i, j)] = acc[i, j]
-    return HomForm(n, p + q, a.zero, comps)
+    return HomForm(n, degree, a.zero, comps)
+
+
+def _wedge_blocks(a: HomForm, b: HomForm, diagonal: bool = False):
+    """Yield (out index tuple, blocks) for each out index tuple of a ^ b, in
+    order; ``blocks`` holds (sign, pieces) for each (p, q)-shuffle whose
+    two index tuples both carry stored components, in shuffle order, and
+    ``pieces`` yields (i, j, a^i_t, b^t_j) for the pairs that are both
+    stored: i and then t ascending, j ascending (only j = i with
+    ``diagonal``)."""
+    n, p, q = a.n, a.degree, b.degree
+    rows_a, rows_b = _rows(a), _rows(b)
+    for out_idx in combinations(range(n), p + q):
+        blocks = []
+        for a_pos in combinations(range(p + q), p):
+            a_idx = tuple(out_idx[t] for t in a_pos)
+            b_idx = tuple(out_idx[t] for t in range(p + q) if t not in a_pos)
+            a_rows, b_rows = rows_a.get(a_idx), rows_b.get(b_idx)
+            if a_rows and b_rows:
+                blocks.append((_sort_with_sign(a_idx + b_idx)[1],
+                               _pieces(a_rows, b_rows, diagonal)))
+        yield out_idx, blocks
+
+
+def _pieces(a_rows, b_rows, diagonal: bool):
+    """The pieces of one shuffle block of ``_wedge_blocks``."""
+    for i, row in a_rows.items():
+        for t, fa in row:
+            for j, fb in b_rows.get(t, ()):
+                if not diagonal or j == i:
+                    yield i, j, fa, fb
+
+
+def _wedge_sums(a: HomForm, b: HomForm) -> Dict[tuple, list]:
+    """The terms (c, a^i_t, b^t_j) of each component of ``wedge(a, b)``, c
+    the sign of the shuffle."""
+    out: Dict[tuple, list] = {}
+    for out_idx, blocks in _wedge_blocks(a, b):
+        for sign, pieces in blocks:
+            for i, j, fa, fb in pieces:
+                out.setdefault((out_idx, i, j), []).append((sign, fa, fb))
+    return out
 
 
 def trace_form(omega: HomForm) -> HomForm:
@@ -376,26 +422,34 @@ def nabla_torsion_minus_curvature(conn: ConnectionField, sign: int,
     sides agree up to the sign instead.
 
     Only the (d, i, j, k) that the support of T, Gamma and R can reach are
-    computed, in loop order; every other component is a literal zero and
-    is left out.
+    computed, in the order of ``_nabla_torsion_positions``; every other
+    component is a literal zero and is left out.
     """
+    out = []
+    for d, value, t_get, rhs in _nabla_torsion_positions(conn, t, r):
+        lhs = dt_scalar(conn, t_get, d, *value)
+        out.append(lhs - (rhs if sign == 1 else rhs.scale(-1)))
+    return out
+
+
+def _nabla_torsion_positions(conn: ConnectionField, t: HomForm, r: HomForm):
+    """Yield (d, (i, j, k), t_get, R^i_{d,(k,j)}) for each component of
+    ``nabla_torsion_minus_curvature`` that the support of T, Gamma and R
+    can reach: d ascending, then (i, j, k) ascending; ``t_get(i, j, k)``
+    reads the torsion tensor T^i_{jk}."""
     # the support of the torsion tensor, keyed (i, j, k) as t_get reads it
     support = {(i, j, k) for (j,), i, k in t.components}
 
     def t_get(i, j, k):
         return t.comp((j,), i, k)
 
-    out = []
     for d in range(conn.n):
         reached = dt_reach(conn, d, support)
         for (a, b), i, value in r.components:
             if value == d:
                 reached.update(((i, a, b), (i, b, a)))
         for i, j, k in sorted(reached):
-            lhs = dt_scalar(conn, t_get, d, i, j, k)
-            rhs = r.comp((k, j), i, d)
-            out.append(lhs - (rhs if sign == 1 else rhs.scale(-1)))
-    return out
+            yield d, (i, j, k), t_get, r.comp((k, j), i, d)
 
 
 def scalars_residual(fields: Sequence[ScalarField], points) -> float:
@@ -409,13 +463,102 @@ class _Geometry(NamedTuple):
     points: Sequence
 
 
+# the identities around R in the report, in the order of its residual table
+IDENTITIES = ("structure", "dtildeR", "bianchi", "nabla_torsion")
+
+
+class _Identities:
+    """The identities of ``IDENTITIES`` on one chart, each in two shapes.
+
+    ``form(name)`` is its eager residual: a form, or for ``nabla_torsion``
+    a list of fields, built on first call and kept.  ``sums(name)`` lists
+    the terms (c, a, b) of each component (see ``RationalFunc.dot``),
+    gathered from the term emitters of the calculus without forming a
+    product or a sum, and ``vanishes(name)`` adds each list in one fused
+    sum: on the exact backend the identity holds exactly when every sum is
+    zero, which is when its eager form is the zero form.  A list holds no
+    term for a component that the eager form leaves out as a literal zero.
+
+    The operands: the torsion T, the curvature R and sR = ``sign`` R, their
+    eager wedges T^T and sR^T, and the connection."""
+
+    def __init__(self, conn: ConnectionField, sign: int, t: HomForm, r: HomForm, tt: HomForm,
+                 sr: HomForm, sr_t: HomForm):
+        self.conn = conn
+        self.sign = sign
+        self.t, self.r, self.tt, self.sr, self.sr_t = t, r, tt, sr, sr_t
+        self._forms: dict = {}  # name (or "lhs", d~T + T^T) -> eager form
+
+    def structure(self, sign: int) -> HomForm:
+        """d~T + T^T - sign.R, from the d~T + T^T that both signs share."""
+        lhs = self._forms.get("lhs")
+        if lhs is None:
+            lhs = self._forms["lhs"] = d_tilde(self.conn, self.t) + self.tt
+        return lhs - self.r if sign == 1 else lhs + self.r
+
+    def form(self, name: str):
+        got = self._forms.get(name)
+        if got is None:
+            conn, t, sr = self.conn, self.t, self.sr
+            if name == "structure":
+                got = self.structure(self.sign)
+            elif name == "dtildeR":  # d~(sR) = (sR)^T - T^(sR)
+                got = d_tilde(conn, sr) - (self.sr_t - wedge(t, sr))
+            elif name == "bianchi":  # exterior-covariant closure of the curvature
+                got = d_lower(conn, sr)
+            else:
+                got = nabla_torsion_minus_curvature(conn, self.sign, t, self.r)
+            self._forms[name] = got
+        return got
+
+    def residual(self, name: str, points) -> float:
+        got = self.form(name)
+        if isinstance(got, HomForm):
+            return form_residual(got, points)
+        return scalars_residual(got, points)
+
+    def sums(self, name: str):
+        conn, t, sr = self.conn, self.t, self.sr
+        if name == "structure":  # d~T, T^T and -sign.R
+            out = _differential_sums(conn, t)
+            _add_terms(out, self.tt, 1)
+            _add_terms(out, self.r, -self.sign)
+        elif name == "dtildeR":  # d~(sR), -(sR)^T and T^(sR), the last as products
+            out = _differential_sums(conn, sr)
+            _add_terms(out, self.sr_t, -1)
+            for key, terms in _wedge_sums(t, sr).items():
+                out.setdefault(key, []).extend(terms)
+        elif name == "bianchi":
+            out = _differential_sums(conn.transposed(), sr)
+        else:
+            return [[*dt_terms(conn, t_get, d, *value), (-self.sign, rhs, None)]
+                    for d, value, t_get, rhs in _nabla_torsion_positions(conn, t, self.r)]
+        return out.values()
+
+    def vanishes(self, name: str) -> bool:
+        zero = self.conn.zero
+        return all(zero.dot(terms).is_zero() for terms in self.sums(name))
+
+
+def _add_terms(sums: Dict[tuple, list], form: HomForm, c: int) -> None:
+    """Enter each stored component f of ``form`` as the term (c, f, None)."""
+    for key, f in form.components.items():
+        sums.setdefault(key, []).append((c, f, None))
+
+
 def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True) -> _Geometry:
     """The one pipeline behind every report: the connection, torsion and
     curvature of the chart, each wedge built once, and the residual table.
 
-    Every form is built before the first grid evaluation, so that a
-    numeric node knows all its readers when it is first computed and one
-    that several forms read keeps its jet (see ``NumericScalar``).
+    On the numeric backend every form is built before the first grid
+    evaluation, so that a numeric node knows all its readers when it is
+    first computed and one that several forms read keeps its jet (see
+    ``NumericScalar``).  On the exact backend each identity of
+    ``IDENTITIES`` is first decided by its fused sums (``_Identities``),
+    and its eager form is built and evaluated only where a sum is not
+    zero; the residual is then the same either way.  R, R~, T, Gamma,
+    T^T, sR^T and the forms of the transgression are always built
+    eagerly.
 
     With ``full`` false it builds only what ``chern_simons_report`` prints:
     the structure residual (for ``STRUCTURE_SIGN``, which may raise
@@ -438,8 +581,6 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
     t = torsion_form(conn)
     r = curvature_form(conn)
     tt = wedge(t, t)
-    lhs = d_tilde(conn, t) + tt
-    structure = lhs - r if sign == 1 else lhs + r
     sr = r if sign == 1 else r.scale(-1)
     # chern-simons reads only the trace of sR^T; the report's d~(sR) reads all of it
     sr_t = wedge(sr, t, diagonal=not full)
@@ -447,32 +588,36 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
     # secondary transgression: d Tr(sR ^ T - T^3/3) = Tr(sR ^ sR)
     cs_primitive = trace_form(sr_t - t3.scale(Fraction(1, 3)))
     cs_identity = de_rham(cs_primitive) - trace_form(wedge(sr, sr, diagonal=True))
+    identities = _Identities(conn, sign, t, r, tt, sr, sr_t)
     if full:
         rtilde = curvature_tilde_form(conn)
-        # d~(sR) = (sR)^T - T^(sR)
-        dtr_identity = d_tilde(conn, sr) - (sr_t - wedge(t, sr))
-        # exterior-covariant closure of the curvature
-        bianchi = d_lower(conn, sr)
-        nabla_res = nabla_torsion_minus_curvature(conn, sign, t, r)
         cube_trace = None
     else:
         cube_trace = trace_form(t3)
+    if not exact:
+        for name in IDENTITIES if full else ("structure",):
+            identities.form(name)
+
+    def residual(name: str) -> float:
+        if exact and identities.vanishes(name):
+            return 0.0
+        return identities.residual(name, points)
 
     residuals = {}
     if full:
         residuals["rtilde"] = form_residual(rtilde, points)
-    res_structure = residuals["structure"] = form_residual(structure, points)
+    res_structure = residuals["structure"] = residual("structure")
     if res_structure > tol:
         # the structure sign fails here; the other one only fills the report
-        res_other = form_residual(lhs - r if sign == -1 else lhs + r, points)
+        res_other = form_residual(identities.structure(-sign), points)
         plus, minus = (res_structure, res_other) if sign == 1 else (res_other, res_structure)
         raise CalibrationError(chart.name, {"structure": plus}, {"structure": minus})
     if full:
-        residuals["dtildeR"] = form_residual(dtr_identity, points)
-        residuals["bianchi"] = form_residual(bianchi, points)
+        residuals["dtildeR"] = residual("dtildeR")
+        residuals["bianchi"] = residual("bianchi")
     residuals["chern_simons"] = form_residual(cs_identity, points)
     if full:
-        residuals["nabla_torsion"] = scalars_residual(nabla_res, points)
+        residuals["nabla_torsion"] = residual("nabla_torsion")
 
     report = {"chart": chart.name, "backend": chart.backend, "sign": sign,
               "residuals": residuals}

@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations_with_replacement, product as iproduct
 from math import comb, factorial, isinf
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from . import MAX_DIM
 from .rational import Poly, RationalFunc, float_of, rf_matrix_inverse
@@ -645,27 +645,42 @@ def dt_scalar(conn: ConnectionField, get: Callable[..., ScalarField],
     exactly on the invariant fields of the parallelism (the frame
     columns).  Form indices a caller keeps out of ``lower`` stay inert.
 
-    The sums form products only on the support of Gamma (``conn.upper``
-    and ``conn.lower``), and skip a product whose component of t is a
-    literal zero.  A sum or product with a literal-zero operand
-    returns the other operand, so the terms that are left meet in the
-    same order as in the full sum and the result is the same field, term
-    for term.
+    The terms are those of ``dt_terms``, added in its order: the
+    derivative first, then each product subtracted or added in turn.
     """
-    acc = get(i, *lower).diff(r)
+    terms = dt_terms(conn, get, r, i, *lower)
+    _, acc, _ = next(terms)
+    for c, gamma, t in terms:
+        acc = acc + gamma * t if c == 1 else acc - gamma * t
+    return acc
+
+
+def dt_terms(conn: ConnectionField, get: Callable[..., ScalarField],
+             r: int, i: int, *lower: int) -> Iterator[Tuple[int, ScalarField, ScalarField | None]]:
+    """The terms (c, a, b) of ``dt_scalar``, each standing for c * a * b (b
+    None for 1): first (1, d_r t^i_{l_1..l_m}, None) through the memoized
+    ``diff``, then (-1, Gamma^i_{ra}, t^a_{..}) and (1, Gamma^a_{r l_s},
+    t^i_{..a..}) in the order of the sums, a ascending and for each a the
+    upper product before the slots.
+
+    Products are emitted only on the support of Gamma (``conn.upper`` and
+    ``conn.lower``), and one whose component of t is a literal zero is
+    left out.  A sum or product with a literal-zero operand returns the
+    other operand, so the terms that are left, added in order, give the
+    same field as the full sum, term for term."""
+    yield 1, get(i, *lower).diff(r), None
     upper = conn.upper[i][r]
     slots = [(conn.lower[r][l], l, lower[:s], lower[s + 1:]) for s, l in enumerate(lower)]
     for a in range(conn.n):
         if a in upper:
             t = get(a, *lower)
             if not t.is_zero():
-                acc = acc - conn.comp(i, r, a) * t
+                yield -1, conn.comp(i, r, a), t
         for support, l, before, after in slots:
             if a in support:
                 t = get(i, *before, a, *after)
                 if not t.is_zero():
-                    acc = acc + conn.comp(a, r, l) * t
-    return acc
+                    yield 1, conn.comp(a, r, l), t
 
 
 def dt_reach(conn: ConnectionField, r: int, support) -> set:

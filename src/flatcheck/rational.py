@@ -51,10 +51,11 @@ multiply-accumulate, self + the sum of c * a * b over (int c, a, b)
 triples, that adds every product's integer numerators into one dict over
 one common denominator and builds no polynomial per product or per sum.
 It keeps no schoolbook term order, so only callers whose results are
-compared by value or printed sorted may use it (the Spencer layer).
-``RationalFunc``, ``frames`` and ``forms`` never call it: their terms
-reach ``RationalGrid``'s float sums, and the exact chart path must print
-what it printed.
+compared by value or printed sorted may use it: the Spencer layer, and
+``RationalFunc.dot``, the same fused sum over rational functions, whose
+one caller (the report of ``forms``) only tests it for zero.  Every field
+that reaches ``RationalGrid``'s float sums is still built by the
+schoolbook arithmetic, so the exact chart path prints what it printed.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm, prod
 from operator import add, getitem, mul, truediv
 from struct import Struct
@@ -651,6 +652,67 @@ class RationalFunc:
         for f, e in other.den.items():
             den[f] = den.get(f, 0) + e
         return RationalFunc(self.num * other.num, den)
+
+    def dot(self, terms: Iterable[Tuple[int, RationalFunc, RationalFunc | None]]) -> RationalFunc:
+        """self + the sum of c * a * b over the (int c, a, b) triples of
+        ``terms``, b None standing for 1: one fused multiply-accumulate.
+
+        The terms are grouped by the denominator of their product, and each
+        group's numerator is one ``Poly.dot``.  Each group is brought once to
+        the common denominator, the factorwise maximum of the groups'
+        exponents: one more ``Poly.dot`` adds each group's numerator times
+        the factors it lacks (the terms themselves, for a group that lacks
+        none, and the lone field of a group of one with b None).  The sum is
+        reduced once; a zero sum is returned without reduction.  A triple
+        with c = 0 or a zero operand is skipped.  No intermediate normal
+        form is built, so the result equals the sequential sum by value,
+        but its terms need not come in the same order (see ``Poly.dot``):
+        callers test it for zero."""
+        n = self.n
+        one = Poly._single(n, 0, ONE)
+        groups: Dict[frozenset, tuple] = {}  # product denominator -> (its dict, triples)
+        for c, a, b in chain(((1, self, None),), terms):
+            if not c or not a.num.terms:
+                continue
+            den = a.den
+            if b is None:
+                right = one
+            elif not b.num.terms:
+                continue
+            else:
+                right = b.num
+                if not den:
+                    den = b.den
+                elif b.den:
+                    den = dict(den)
+                    for f, e in b.den.items():
+                        den[f] = den.get(f, 0) + e
+            key = frozenset(den.items())
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = (den, [])
+            group[1].append((c, a.num, right))
+        if not groups:  # no term, and self is the zero
+            return self
+        common: Dict[Poly, int] = {}
+        for den, _ in groups.values():
+            for f, e in den.items():
+                if common.get(f, 0) < e:
+                    common[f] = e
+        padded = []
+        for den, triples in groups.values():
+            pad = None  # common / den
+            for f, e in common.items():
+                for _ in range(e - den.get(f, 0)):
+                    pad = f if pad is None else pad * f
+            if pad is None:
+                padded += triples
+            elif len(triples) == 1 and triples[0][2] is one:
+                padded.append((triples[0][0], triples[0][1], pad))
+            else:
+                padded.append((1, Poly.zero(n).dot(triples), pad))
+        # the constructor drops the denominator of a zero sum before it reduces
+        return RationalFunc(Poly.zero(n).dot(padded), common)
 
     def scale(self, value) -> RationalFunc:
         if not self.num.terms:  # a zero is shared, as in __mul__

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from flatcheck.catalog import get_chart
+from flatcheck.charts_io import chart_from_json
 from flatcheck.forms import (
     STRUCTURE_SIGN,
     CalibrationError,
@@ -21,6 +22,7 @@ from flatcheck.forms import (
     d_lower,
     d_tilde,
     de_rham,
+    form_residual,
     identity_report,
     identity_residuals_pass,
     secondary_class_check,
@@ -39,7 +41,14 @@ from flatcheck.frames import (
 )
 from flatcheck.rational import Poly, RationalGrid
 
-from conftest import make_sl2mix4, make_sl2rational, make_unipotent4, random_poly, rf
+from conftest import (
+    dense_chart_document,
+    make_sl2mix4,
+    make_sl2rational,
+    make_unipotent4,
+    random_poly,
+    rf,
+)
 
 
 def identity_hom_form(n):
@@ -439,17 +448,30 @@ def test_residual_of_non_finite_field_raises():
 
 def test_calibration_failure_reports_both_signs(monkeypatch):
     # with the structure sign flipped the structure equation fails on a
-    # curved chart; the error still carries the residual of each sign
+    # curved chart; the error still carries the residual of each sign: the
+    # one of the eager structure form of that sign, to the last bit
     import flatcheck.forms as forms_mod
-    chart = get_chart("deformed2")
-    max_r = identity_report(chart)["max_R"]
+    cases = {"deformed2": (lambda: get_chart("deformed2"), 5), "sl2mix4": (make_sl2mix4, 3),
+             "dense2": (lambda: chart_from_json(dense_chart_document(2)), 2)}
     sign = STRUCTURE_SIGN
+    max_r = identity_report(get_chart("deformed2"))["max_R"]
     monkeypatch.setattr(forms_mod, "STRUCTURE_SIGN", -sign)
-    with pytest.raises(CalibrationError) as info:
-        identity_report(chart)
-    by_sign = {1: info.value.residual_plus, -1: info.value.residual_minus}
-    assert by_sign[sign] == {"structure": 0.0}
-    assert by_sign[-sign]["structure"] == pytest.approx(2 * max_r, rel=1e-12)
+    for name, (make, grid_points) in cases.items():
+        chart = make()
+        with pytest.raises(CalibrationError) as info:
+            identity_report(chart, grid_points=grid_points)
+        by_sign = {1: info.value.residual_plus, -1: info.value.residual_minus}
+        conn = gamma_from_frame(chart)
+        t, r = torsion_form(conn), curvature_form(conn)
+        lhs = d_tilde(conn, t) + wedge(t, t)
+        points = RationalGrid(chart.rational_grid(grid_points))
+        for s in (1, -1):
+            assert by_sign[s] == {"structure": form_residual(lhs - r if s == 1 else lhs + r,
+                                                             points)}, name
+        assert by_sign[sign] == {"structure": 0.0}
+        assert by_sign[-sign]["structure"] > 0.0
+        if name == "deformed2":
+            assert by_sign[-sign]["structure"] == pytest.approx(2 * max_r, rel=1e-12)
 
 
 # --- grid evaluation of exact fields ------------------------------------------

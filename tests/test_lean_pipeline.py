@@ -16,7 +16,7 @@ from math import comb
 import pytest
 
 from flatcheck import forms
-from flatcheck.catalog import get_chart
+from flatcheck.catalog import CHART_FACTS, get_chart
 from flatcheck.frames import (
     FrameChart,
     curvature_components,
@@ -25,7 +25,7 @@ from flatcheck.frames import (
 )
 from flatcheck.rational import Poly, RationalFunc
 
-from conftest import make_sl2mix4, make_sl2rational
+from conftest import make_sl2mix4, make_sl2rational, make_unipotent4
 from test_geometry_oracle import SEEDS, build
 
 SKIPPED = ("d_lower", "nabla_torsion_minus_curvature", "curvature_tilde_form")
@@ -54,6 +54,12 @@ def test_chern_simons_skips_the_identities_it_does_not_print(chart, monkeypatch)
 @pytest.mark.parametrize("chart", [make_sl2rational, lambda: get_chart("affine-exp2")],
                          ids=["sl2rational", "affine-exp2"])
 def test_identity_report_still_builds_every_identity(chart, monkeypatch):
+    if chart().backend == "exact":
+        # an exact report decides every identity by its fused sums instead
+        for forced in (None, *forms.IDENTITIES):
+            with monkeypatch.context() as patch:
+                check_every_fused_sum_is_reached(chart, forced, patch)
+        return
     calls = []
     for name in SKIPPED:
         original = getattr(forms, name)
@@ -68,6 +74,101 @@ def test_identity_report_still_builds_every_identity(chart, monkeypatch):
     assert list(report["residuals"]) == ["rtilde", "structure", "dtildeR", "bianchi",
                                          "chern_simons", "nabla_torsion"]
     assert "max_R" in report
+
+
+# --- an exact report decides each identity by its fused sums -----------------------
+
+# the builders of the eager identity forms: d~T for the structure equation,
+# d~(sR) (and T^sR) for dtildeR, d_lower for the Bianchi identity, and the
+# nabla T residual itself
+EAGER_BUILDERS = ("d_tilde", "d_lower", "nabla_torsion_minus_curvature")
+BUILDER_OF = {"structure": "d_tilde", "dtildeR": "d_tilde", "bianchi": "d_lower",
+              "nabla_torsion": "nabla_torsion_minus_curvature"}
+
+
+def spy_on(monkeypatch, owner, names, calls):
+    for name in names:
+        original = getattr(owner, name)
+
+        def spy(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+
+@pytest.mark.parametrize("chart", [make_sl2rational, make_sl2mix4], ids=["sl2rational", "sl2mix4"])
+def test_a_valid_exact_report_builds_no_eager_identity(chart, monkeypatch):
+    expected = forms.identity_report(chart(), grid_points=3)
+    calls = []
+    spy_on(monkeypatch, forms, EAGER_BUILDERS, calls)
+    spy_on(monkeypatch, forms._Identities, ["form", "structure", "residual"], calls)
+    report = forms.identity_report(chart(), grid_points=3)
+    assert calls == []
+    assert report == expected
+    assert all(report["residuals"][name] == 0.0 for name in forms.IDENTITIES)
+
+
+def check_every_fused_sum_is_reached(chart, forced, monkeypatch):
+    """Each identity reaches its fused sums, in the order of the table; a
+    sum ``forced`` to be nonzero builds that identity's eager form, and only
+    that one, whose residual (0.0: the identity holds) is printed."""
+    expected = forms.identity_report(chart(), grid_points=3)
+    reached, built = [], []
+    original_sums = forms._Identities.sums
+
+    def sums(self, name):
+        reached.append(name)
+        out = list(original_sums(self, name))
+        if name == forced:
+            out.append([(1, RationalFunc.const(self.conn.n, 1), None)])
+        return out
+
+    monkeypatch.setattr(forms._Identities, "sums", sums)
+    spy_on(monkeypatch, forms, EAGER_BUILDERS, built)
+    spy_on(monkeypatch, forms._Identities, ["residual"], built)
+    report = forms.identity_report(chart(), grid_points=3)
+    assert reached == list(forms.IDENTITIES), forced
+    assert built == ([] if forced is None else ["residual", BUILDER_OF[forced]])
+    assert report == expected, forced
+    # chern-simons decides the structure equation alone
+    reached.clear()
+    forms.chern_simons_report(chart(), grid_points=3)
+    assert reached == ["structure"], forced
+
+
+def identities_of(conn, sign: int) -> forms._Identities:
+    t, r = forms.torsion_form(conn), forms.curvature_form(conn)
+    sr = r if sign == 1 else r.scale(-1)
+    return forms._Identities(conn, sign, t, r, forms.wedge(t, t), sr, forms.wedge(sr, t))
+
+
+EXACT_CHARTS = {**{name: (lambda name=name: gamma_from_frame(get_chart(name)))
+                   for name in CHART_FACTS if get_chart(name).backend == "exact"},
+                **{name: (lambda make=make: gamma_from_frame(make()))
+                   for name, make in (("sl2rational", make_sl2rational),
+                                      ("unipotent4", make_unipotent4), ("sl2mix4", make_sl2mix4))},
+                **{f"seed{seed}": (lambda seed=seed: build(seed)[1]) for seed in SEEDS}}
+
+
+@pytest.mark.parametrize("name", EXACT_CHARTS)
+def test_fused_verdicts_agree_with_the_eager_forms(name):
+    conn = EXACT_CHARTS[name]()
+    curved = not forms.curvature_form(conn).is_exactly_zero()
+    for sign in (forms.STRUCTURE_SIGN, -forms.STRUCTURE_SIGN):
+        identities = identities_of(conn, sign)
+        verdicts = {}
+        for identity in forms.IDENTITIES:
+            form = identities.form(identity)
+            eager = (form.is_exactly_zero() if isinstance(form, forms.HomForm)
+                     else all(f.is_zero() for f in form))
+            verdicts[identity] = identities.vanishes(identity)
+            assert verdicts[identity] is eager, (sign, identity)
+        if sign == forms.STRUCTURE_SIGN:
+            assert all(verdicts.values())
+        elif curved:
+            # the wrong sign on R: the fast path sees the failure
+            assert not verdicts["structure"] and not verdicts["nabla_torsion"]
 
 
 def test_chern_simons_agrees_with_the_full_pipeline():

@@ -476,6 +476,85 @@ def test_dot_refuses_a_product_past_the_largest_degree():
     assert Poly.zero(1).dot([(1, top, Poly.const(1, 2))]) == top.scale(2)
 
 
+# --- the fused sum of rational functions ------------------------------------------
+
+def reference_rf_dot(acc: RationalFunc, terms) -> RationalFunc:
+    """acc + c * a * b (c * a where b is None) for each triple, one normal
+    form per product and per partial sum, summed left to right."""
+    for c, a, b in terms:
+        acc = acc + (a if b is None else a * b).scale(c)
+    return acc
+
+
+def sl2mix4_like_fields() -> list:
+    """Fields over the denominators of sl2mix4's Gamma: x1, the factor
+    x1 (1 + x4^2), which shares x1 with the first, and 1 + x4^2 + x2 x3 x4^2,
+    alone, squared and together."""
+    n = 4
+    x1, x2, x3, x4 = (RationalFunc.var(n, t) for t in range(n))
+    one = RationalFunc.const(n, 1)
+    q = one + x4 * x4
+    wide = (x1 * q).inverse()
+    assert list(wide.den) == [(x1 * q).num]  # one factor, not coprime to x1
+    third = (q + x2 * x3 * x4 * x4).inverse()
+    return [(x2 + x3.scale(3)) / x1, (x1 * x4 - one) * wide, x2.scale(Fraction(2, 3)) * third,
+            (x3 - x4) * wide * third, (x1 * x1 + x2).scale(Fraction(-5, 7)) * wide * wide,
+            x4 * x4 / (x1 * x1), one + x2 * x3]
+
+
+def test_rf_dot_denominators_are_shared_and_not_coprime():
+    fields = sl2mix4_like_fields()
+    factors = {f for g in fields for f in g.den}
+    x1 = Poly.var(4, 0)
+    assert x1 in factors and any(f != x1 and x1.divides(f) is not None for f in factors)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rf_dot_matches_sequential_arithmetic_by_value(seed):
+    rng = random.Random(seed)
+    pool = sl2mix4_like_fields() + [RationalFunc(Poly.zero(4))]
+    for _ in range(CASES_PER_SEED // 2):
+        terms = [(rng.randint(-3, 3), rng.choice(pool), rng.choice(pool + [None]))
+                 for _ in range(rng.randint(0, 6))]
+        if terms and rng.random() < 0.5:  # a triple that cancels one already there
+            c, a, b = rng.choice(terms)
+            terms.append((-c, a, b) if b is None else (-c, b, a))
+        acc = pool[-1] if rng.random() < 0.5 else rng.choice(pool)
+        got, want = acc.dot(terms), reference_rf_dot(acc, terms)
+        assert (got - want).is_zero() and got.is_zero() == want.is_zero()
+        assert not got.is_zero() or not got.den
+
+
+def test_rf_dot_cancels_to_the_literal_zero():
+    a, b, c, d, e, f, g = sl2mix4_like_fields()
+    zero = RationalFunc(Poly.zero(4))
+    cases = [
+        [(1, a, b), (-1, b, a)],
+        # a product entered once as its operands and once as its normal form,
+        # whose denominator has lost a factor to the reduction
+        [(1, b, d), (-1, b * d, None)],
+        [(2, e, None), (-1, e, None), (-1, e, None)],
+        [(3, a, c), (1, f, g), (-3, c, a), (-1, f * g, None)],
+        [(1, d, e), (1, a, None), (-1, e * d, None), (-1, a, None)],
+    ]
+    for terms in cases:
+        got = zero.dot(terms)
+        assert got.is_zero() and not got.den and reference_rf_dot(zero, terms).is_zero()
+    assert a.dot([(-1, a, None)]).is_zero()
+
+
+def test_rf_dot_skips_zero_operands_and_zero_coefficients():
+    a, b, *_ = sl2mix4_like_fields()
+    zero = RationalFunc(Poly.zero(4))
+    for terms in ([], [(0, a, b)], [(3, zero, a)], [(-2, a, zero)], [(0, a, None)],
+                  [(5, zero, None)]):
+        assert zero.dot(terms).is_zero()
+        got = a.dot(terms)
+        assert got.num == a.num and got.den == a.den
+    # b None stands for 1
+    assert (zero.dot([(2, b, None)]) - b.scale(2)).is_zero()
+
+
 def per_point_float(f: RationalFunc, point) -> float:
     """The float rule of ``RationalGrid`` at one point, as a plain loop:
     each term's rounded coefficient times the float powers of its
