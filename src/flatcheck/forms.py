@@ -25,7 +25,8 @@ operations whose result the zero short cuts of the scalar fields (in
 ``+``, ``-``, ``*``, ``scale`` and ``diff``, the same on both backends)
 would have made the other operand, so every component is built by the
 same nonzero operations in the same order as by the full loops: the same
-terms in the same order, and the same floats on a grid.
+terms in the same order, and the same floats on a grid.  The report's
+residual identities are fused sums of the same terms (``_Identities``).
 
 The structure sign: the curvature, torsion and wedge conventions as
 transcribed here fix the sign s in the structure equation d~T + T^T = s.R
@@ -410,33 +411,14 @@ def form_residual(form: HomForm, points) -> float:
     return 0.0 if form.is_exactly_zero() else form.max_abs(points)
 
 
-def nabla_torsion_minus_curvature(conn: ConnectionField, sign: int,
-                                  t: HomForm, r: HomForm) -> List[ScalarField]:
-    """Components of (covariant derivative of torsion) - sign * curvature,
-    read from the torsion form ``t`` and curvature form ``r`` of ``conn``.
-
-    The torsion is differentiated as a full (1,2)-tensor.  The curvature
-    component paired with direction d and torsion slots (j, k) is the one
-    with form pair (k, j) and value slot d, which is the arrangement that
-    ``STRUCTURE_SIGN`` closes exactly; with the opposite pairing the two
-    sides agree up to the sign instead.
-
-    Only the (d, i, j, k) that the support of T, Gamma and R can reach are
-    computed, in the order of ``_nabla_torsion_positions``; every other
-    component is a literal zero and is left out.
-    """
-    out = []
-    for d, value, t_get, rhs in _nabla_torsion_positions(conn, t, r):
-        lhs = dt_scalar(conn, t_get, d, *value)
-        out.append(lhs - (rhs if sign == 1 else rhs.scale(-1)))
-    return out
-
-
 def _nabla_torsion_positions(conn: ConnectionField, t: HomForm, r: HomForm):
     """Yield (d, (i, j, k), t_get, R^i_{d,(k,j)}) for each component of
-    ``nabla_torsion_minus_curvature`` that the support of T, Gamma and R
-    can reach: d ascending, then (i, j, k) ascending; ``t_get(i, j, k)``
-    reads the torsion tensor T^i_{jk}."""
+    nabla T - sR that the support of T, Gamma and R can reach: d
+    ascending, then (i, j, k) ascending; ``t_get(i, j, k)`` reads the
+    torsion tensor T^i_{jk}, differentiated as a full (1,2)-tensor.  The
+    curvature paired with direction d and torsion slots (j, k) has form
+    pair (k, j) and value slot d, the arrangement that ``STRUCTURE_SIGN``
+    closes exactly; the opposite pairing agrees up to the sign instead."""
     # the support of the torsion tensor, keyed (i, j, k) as t_get reads it
     support = {(i, j, k) for (j,), i, k in t.components}
 
@@ -468,76 +450,44 @@ IDENTITIES = ("structure", "dtildeR", "bianchi", "nabla_torsion")
 
 
 class _Identities:
-    """The identities of ``IDENTITIES`` on one chart, each in two shapes.
+    """The identities of ``IDENTITIES`` on one chart, as term lists.
 
-    ``form(name)`` is its eager residual: a form, or for ``nabla_torsion``
-    a list of fields, built on first call and kept.  ``sums(name)`` lists
-    the terms (c, a, b) of each component (see ``RationalFunc.dot``),
-    gathered from the term emitters of the calculus without forming a
-    product or a sum, and ``vanishes(name)`` adds each list in one fused
-    sum: on the exact backend the identity holds exactly when every sum is
-    zero, which is when its eager form is the zero form.  A list holds no
-    term for a component that the eager form leaves out as a literal zero.
+    ``sums(name, sign)`` maps each component's key, in canonical order, to
+    its terms (c, a, b) (see ``RationalFunc.dot``), gathered from the term
+    emitters of the calculus without forming a product or a sum; ``sign``
+    is the s on R in the structure equation and in nabla T = sR, and a
+    component with no key is a literal zero.  ``fields`` folds each list
+    into one field with ``conn.zero.dot``, on either backend.
 
-    The operands: the torsion T, the curvature R and sR = ``sign`` R, their
-    eager wedges T^T and sR^T, and the connection."""
+    The operands: the torsion T, the curvature R and sR, their eager
+    wedges T^T and sR^T, and the connection."""
 
-    def __init__(self, conn: ConnectionField, sign: int, t: HomForm, r: HomForm, tt: HomForm,
+    def __init__(self, conn: ConnectionField, t: HomForm, r: HomForm, tt: HomForm,
                  sr: HomForm, sr_t: HomForm):
         self.conn = conn
-        self.sign = sign
         self.t, self.r, self.tt, self.sr, self.sr_t = t, r, tt, sr, sr_t
-        self._forms: dict = {}  # name (or "lhs", d~T + T^T) -> eager form
 
-    def structure(self, sign: int) -> HomForm:
-        """d~T + T^T - sign.R, from the d~T + T^T that both signs share."""
-        lhs = self._forms.get("lhs")
-        if lhs is None:
-            lhs = self._forms["lhs"] = d_tilde(self.conn, self.t) + self.tt
-        return lhs - self.r if sign == 1 else lhs + self.r
-
-    def form(self, name: str):
-        got = self._forms.get(name)
-        if got is None:
-            conn, t, sr = self.conn, self.t, self.sr
-            if name == "structure":
-                got = self.structure(self.sign)
-            elif name == "dtildeR":  # d~(sR) = (sR)^T - T^(sR)
-                got = d_tilde(conn, sr) - (self.sr_t - wedge(t, sr))
-            elif name == "bianchi":  # exterior-covariant closure of the curvature
-                got = d_lower(conn, sr)
-            else:
-                got = nabla_torsion_minus_curvature(conn, self.sign, t, self.r)
-            self._forms[name] = got
-        return got
-
-    def residual(self, name: str, points) -> float:
-        got = self.form(name)
-        if isinstance(got, HomForm):
-            return form_residual(got, points)
-        return scalars_residual(got, points)
-
-    def sums(self, name: str):
+    def sums(self, name: str, sign: int) -> Dict[tuple, list]:
         conn, t, sr = self.conn, self.t, self.sr
         if name == "structure":  # d~T, T^T and -sign.R
             out = _differential_sums(conn, t)
             _add_terms(out, self.tt, 1)
-            _add_terms(out, self.r, -self.sign)
-        elif name == "dtildeR":  # d~(sR), -(sR)^T and T^(sR), the last as products
+            _add_terms(out, self.r, -sign)
+        elif name == "dtildeR":  # d~(sR) = (sR)^T - T^(sR), T^(sR) as products
             out = _differential_sums(conn, sr)
             _add_terms(out, self.sr_t, -1)
             for key, terms in _wedge_sums(t, sr).items():
                 out.setdefault(key, []).extend(terms)
-        elif name == "bianchi":
+        elif name == "bianchi":  # d_lower(sR), the exterior-covariant closure of R
             out = _differential_sums(conn.transposed(), sr)
-        else:
-            return [[*dt_terms(conn, t_get, d, *value), (-self.sign, rhs, None)]
-                    for d, value, t_get, rhs in _nabla_torsion_positions(conn, t, self.r)]
-        return out.values()
+        else:  # nabla T - sign.R, keyed (d, i, j, k)
+            return {(d, *value): [*dt_terms(conn, t_get, d, *value), (-sign, rhs, None)]
+                    for d, value, t_get, rhs in _nabla_torsion_positions(conn, t, self.r)}
+        return {key: out[key] for key in sorted(out)}
 
-    def vanishes(self, name: str) -> bool:
+    def fields(self, name: str, sign: int) -> List[ScalarField]:
         zero = self.conn.zero
-        return all(zero.dot(terms).is_zero() for terms in self.sums(name))
+        return [zero.dot(terms) for terms in self.sums(name, sign).values()]
 
 
 def _add_terms(sums: Dict[tuple, list], form: HomForm, c: int) -> None:
@@ -550,15 +500,12 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
     """The one pipeline behind every report: the connection, torsion and
     curvature of the chart, each wedge built once, and the residual table.
 
-    On the numeric backend every form is built before the first grid
-    evaluation, so that a numeric node knows all its readers when it is
-    first computed and one that several forms read keeps its jet (see
-    ``NumericScalar``).  On the exact backend each identity of
-    ``IDENTITIES`` is first decided by its fused sums (``_Identities``),
-    and its eager form is built and evaluated only where a sum is not
-    zero; the residual is then the same either way.  R, R~, T, Gamma,
-    T^T, sR^T and the forms of the transgression are always built
-    eagerly.
+    The fields of every identity of ``IDENTITIES`` (its fused sums, see
+    ``_Identities``) are built before the first grid evaluation, so that a
+    numeric node knows all its readers when it is first computed and one
+    that several fields read keeps its jet (see ``NumericScalar``); an
+    exact identity that holds is zero fields, read with no grid.  R, R~, T,
+    Gamma, T^T, sR^T and the forms of the transgression are built eagerly.
 
     With ``full`` false it builds only what ``chern_simons_report`` prints:
     the structure residual (for ``STRUCTURE_SIGN``, which may raise
@@ -588,36 +535,30 @@ def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True
     # secondary transgression: d Tr(sR ^ T - T^3/3) = Tr(sR ^ sR)
     cs_primitive = trace_form(sr_t - t3.scale(Fraction(1, 3)))
     cs_identity = de_rham(cs_primitive) - trace_form(wedge(sr, sr, diagonal=True))
-    identities = _Identities(conn, sign, t, r, tt, sr, sr_t)
+    identities = _Identities(conn, t, r, tt, sr, sr_t)
+    fields = {name: identities.fields(name, sign)
+              for name in (IDENTITIES if full else ("structure",))}
     if full:
         rtilde = curvature_tilde_form(conn)
         cube_trace = None
     else:
         cube_trace = trace_form(t3)
-    if not exact:
-        for name in IDENTITIES if full else ("structure",):
-            identities.form(name)
-
-    def residual(name: str) -> float:
-        if exact and identities.vanishes(name):
-            return 0.0
-        return identities.residual(name, points)
 
     residuals = {}
     if full:
         residuals["rtilde"] = form_residual(rtilde, points)
-    res_structure = residuals["structure"] = residual("structure")
+    res_structure = residuals["structure"] = scalars_residual(fields["structure"], points)
     if res_structure > tol:
         # the structure sign fails here; the other one only fills the report
-        res_other = form_residual(identities.structure(-sign), points)
+        res_other = scalars_residual(identities.fields("structure", -sign), points)
         plus, minus = (res_structure, res_other) if sign == 1 else (res_other, res_structure)
         raise CalibrationError(chart.name, {"structure": plus}, {"structure": minus})
     if full:
-        residuals["dtildeR"] = residual("dtildeR")
-        residuals["bianchi"] = residual("bianchi")
+        residuals["dtildeR"] = scalars_residual(fields["dtildeR"], points)
+        residuals["bianchi"] = scalars_residual(fields["bianchi"], points)
     residuals["chern_simons"] = form_residual(cs_identity, points)
     if full:
-        residuals["nabla_torsion"] = residual("nabla_torsion")
+        residuals["nabla_torsion"] = scalars_residual(fields["nabla_torsion"], points)
 
     report = {"chart": chart.name, "backend": chart.backend, "sign": sign,
               "residuals": residuals}

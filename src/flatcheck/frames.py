@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations_with_replacement, product as iproduct
 from math import comb, factorial, isinf
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import MAX_DIM
 from .rational import Poly, RationalFunc, float_of, rf_matrix_inverse
@@ -184,8 +184,9 @@ class NumericScalar:
     on the same batch.  A leaf has no operands.  The operations are the
     module-level functions below: sums, differences and scalings act on
     whole jets, a product is truncated at the order asked (``jet_mul``),
-    and ``diff(r)`` asks its operand for one order more and shifts the
-    coefficients (``jet_diff``).  ``values`` is the row of order 0, and
+    ``dot`` is one node for a whole sum of such products, and ``diff(r)``
+    asks its operand for one order more and shifts the coefficients
+    (``jet_diff``).  ``values`` is the row of order 0, and
     ``eval_float`` a batch of one row.
 
     The entries of a numeric frame are fields too, built by the chart
@@ -311,6 +312,22 @@ class NumericScalar:
             return self if self.is_zero() else NumericScalar.const(self.n, 0)
         return NumericScalar(_derivative, self.n, self.reads, (self, r))
 
+    def dot(self, terms: Iterable[Tuple[int, NumericScalar, NumericScalar | None]]) -> NumericScalar:
+        """self + the sum of c * a * b over the (int c, a, b) triples of
+        ``terms``, b None standing for 1, as one node (see
+        ``RationalFunc.dot``).  A triple with c = 0 or a zero operand is
+        skipped; with none left, self is returned."""
+        operands, reads = [], self.reads
+        for c, a, b in terms:
+            if c and not a.is_zero() and (b is None or not b.is_zero()):
+                operands += (c, a, b)
+                reads = _union(reads, a.reads if b is None else _union(a.reads, b.reads))
+        if not operands:
+            return self
+        if not self.is_zero():
+            operands[:0] = (1, self, None)
+        return NumericScalar(_dot, self.n, reads, tuple(operands))
+
     def _jet(self, points: np.ndarray, key: bytes, order: int) -> np.ndarray:
         if self.readers == 1:
             return self.fn(points, key, order, *self.operands)
@@ -416,6 +433,17 @@ def _call(points, key, order, a: NumericScalar, cycle) -> np.ndarray:
 
 def _derivative(points, key, order, a: NumericScalar, r: int) -> np.ndarray:
     return jet_diff(a._jet(points, key, order + 1), a.n, order, r)
+
+
+def _dot(points, key, order, *triples) -> np.ndarray:
+    """The sum of c * a * b over the (c, a, b) triples laid out in a row."""
+    n, acc = points.shape[1], 0.0
+    for c, a, b in zip(*[iter(triples)] * 3):
+        term = a._jet(points, key, order)
+        if b is not None:
+            term = jet_mul(term, b._jet(points, key, order), n, order)
+        acc = acc + c * term
+    return acc
 
 
 ScalarField = RationalFunc | NumericScalar

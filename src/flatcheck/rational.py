@@ -52,10 +52,12 @@ triples, that adds every product's integer numerators into one dict over
 one common denominator and builds no polynomial per product or per sum.
 It keeps no schoolbook term order, so only callers whose results are
 compared by value or printed sorted may use it: the Spencer layer, and
-``RationalFunc.dot``, the same fused sum over rational functions, whose
-one caller (the report of ``forms``) only tests it for zero.  Every field
-that reaches ``RationalGrid``'s float sums is still built by the
-schoolbook arithmetic, so the exact chart path prints what it printed.
+``RationalFunc.dot``, the same fused sum over rational functions, with
+which the report of ``forms`` writes each residual identity.  A fused
+sum that is not zero, which only a failing identity (a calibration
+failure) gives, is read on the grid, and its floats may then differ from
+the schoolbook sum's in the last bits.  Every field that a report prints
+otherwise is still built by the schoolbook arithmetic.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 
 ``chern-simons`` runs the part of the identity pipeline that its answer
 needs, the curvature formulas compute one component per form pair, and a
-field differentiates in each direction once.  None of this may move a
-value: the reports are compared with the full pipeline and with fresh
-computations.
+field differentiates in each direction once.  A report reads each
+identity around R from its fused sums, never from the eager
+differentials, which stay here as the reference the sums are compared
+with component by component.  None of this may move a value: the
+reports are compared with the full pipeline and with fresh computations.
 """
 
 from __future__ import annotations
@@ -15,12 +17,17 @@ from math import comb
 
 import pytest
 
+import numpy as np
+
 from flatcheck import forms
 from flatcheck.catalog import CHART_FACTS, get_chart
+from flatcheck.charts_io import chart_from_json
 from flatcheck.frames import (
     FrameChart,
+    NumericScalar,
     curvature_components,
     curvature_tilde_components,
+    dt_scalar,
     gamma_from_frame,
 )
 from flatcheck.rational import Poly, RationalFunc
@@ -28,119 +35,120 @@ from flatcheck.rational import Poly, RationalFunc
 from conftest import make_sl2mix4, make_sl2rational, make_unipotent4
 from test_geometry_oracle import SEEDS, build
 
-SKIPPED = ("d_lower", "nabla_torsion_minus_curvature", "curvature_tilde_form")
+# the eager differentials: tests and the tracer use them, a report does not
+REFERENCES = ("d_tilde", "d_lower")
 
+BOTH_BACKENDS = {"sl2rational": make_sl2rational, "sl2mix4": make_sl2mix4,
+                 "affine-exp2": lambda: get_chart("affine-exp2"),
+                 "su2-euler": lambda: get_chart("su2-euler")}
 
-# --- chern-simons builds only what it prints ------------------------------------
 
 def _refuse(name):
     def refuse(*args, **kwargs):
-        raise AssertionError(f"chern_simons_report called {name}")
+        raise AssertionError(f"the report called {name}")
     return refuse
 
+
+def spy_on_sums(monkeypatch, forced=None) -> list:
+    """Record the name of each identity whose sums are gathered; the sums
+    of ``forced`` gain one more component, the constant 2^-30, which is
+    below every tolerance and above every residual of a valid chart."""
+    reached = []
+    original = forms._Identities.sums
+
+    def sums(self, name, sign):
+        reached.append(name)
+        out = original(self, name, sign)
+        if name == forced:
+            zero = self.conn.zero
+            tiny = (RationalFunc.const(zero.n, Fraction(1, 2**30)) if isinstance(zero, RationalFunc)
+                    else NumericScalar.const(zero.n, 2.0**-30))
+            out["forced"] = [(1, tiny, None)]
+        return out
+
+    monkeypatch.setattr(forms._Identities, "sums", sums)
+    return reached
+
+
+# --- chern-simons builds only what it prints ------------------------------------
 
 @pytest.mark.parametrize("chart", [make_sl2rational, lambda: get_chart("affine-exp2")],
                          ids=["sl2rational", "affine-exp2"])
 def test_chern_simons_skips_the_identities_it_does_not_print(chart, monkeypatch):
     expected = forms.chern_simons_report(chart(), grid_points=3)
-    for name in SKIPPED:
+    reached = spy_on_sums(monkeypatch)
+    for name in ("curvature_tilde_form", *REFERENCES):
         monkeypatch.setattr(forms, name, _refuse(name))
     assert forms.chern_simons_report(chart(), grid_points=3) == expected
+    assert reached == ["structure"]
     # the secondary class needs no more than the report does
     _, closed = forms.secondary_class_check(chart(), 1, grid_points=3)
     assert closed == expected["secondary_class_closed"]
+    assert reached == ["structure"] * 2
 
 
-@pytest.mark.parametrize("chart", [make_sl2rational, lambda: get_chart("affine-exp2")],
-                         ids=["sl2rational", "affine-exp2"])
-def test_identity_report_still_builds_every_identity(chart, monkeypatch):
-    if chart().backend == "exact":
-        # an exact report decides every identity by its fused sums instead
-        for forced in (None, *forms.IDENTITIES):
-            with monkeypatch.context() as patch:
-                check_every_fused_sum_is_reached(chart, forced, patch)
-        return
-    calls = []
-    for name in SKIPPED:
-        original = getattr(forms, name)
+# --- a report reads each identity from its fused sums -----------------------------
 
-        def spy(*args, name=name, original=original, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(forms, name, spy)
+@pytest.mark.parametrize("forced", [None, *forms.IDENTITIES])
+@pytest.mark.parametrize("name", BOTH_BACKENDS)
+def test_a_report_reads_each_identity_from_its_sums(name, forced, monkeypatch):
+    """Each identity's sums are gathered once, in the order of the table,
+    and never through the eager differentials; a sum forced nonzero moves
+    that identity's residual, and nothing else."""
+    chart = BOTH_BACKENDS[name]
+    expected = forms.identity_report(chart(), grid_points=3)
+    reached = spy_on_sums(monkeypatch, forced)
+    for ref in REFERENCES:
+        monkeypatch.setattr(forms, ref, _refuse(ref))
     report = forms.identity_report(chart(), grid_points=3)
-    assert sorted(set(calls)) == sorted(SKIPPED)
+    assert reached == list(forms.IDENTITIES)
     assert list(report["residuals"]) == ["rtilde", "structure", "dtildeR", "bianchi",
                                          "chern_simons", "nabla_torsion"]
     assert "max_R" in report
+    if forced is None:
+        assert report == expected
+        if report["backend"] == "exact":
+            assert all(report["residuals"][identity] == 0.0 for identity in forms.IDENTITIES)
+        return
+    assert expected["residuals"][forced] < 2.0**-30
+    want = {**expected, "residuals": {**expected["residuals"], forced: 2.0**-30}}
+    assert report == want
 
 
-# --- an exact report decides each identity by its fused sums -----------------------
+# --- the fused sums agree with the eager forms, component by component --------------
 
-# the builders of the eager identity forms: d~T for the structure equation,
-# d~(sR) (and T^sR) for dtildeR, d_lower for the Bianchi identity, and the
-# nabla T residual itself
-EAGER_BUILDERS = ("d_tilde", "d_lower", "nabla_torsion_minus_curvature")
-BUILDER_OF = {"structure": "d_tilde", "dtildeR": "d_tilde", "bianchi": "d_lower",
-              "nabla_torsion": "nabla_torsion_minus_curvature"}
-
-
-def spy_on(monkeypatch, owner, names, calls):
-    for name in names:
-        original = getattr(owner, name)
-
-        def spy(*args, name=name, original=original, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, spy)
-
-
-@pytest.mark.parametrize("chart", [make_sl2rational, make_sl2mix4], ids=["sl2rational", "sl2mix4"])
-def test_a_valid_exact_report_builds_no_eager_identity(chart, monkeypatch):
-    expected = forms.identity_report(chart(), grid_points=3)
-    calls = []
-    spy_on(monkeypatch, forms, EAGER_BUILDERS, calls)
-    spy_on(monkeypatch, forms._Identities, ["form", "structure", "residual"], calls)
-    report = forms.identity_report(chart(), grid_points=3)
-    assert calls == []
-    assert report == expected
-    assert all(report["residuals"][name] == 0.0 for name in forms.IDENTITIES)
-
-
-def check_every_fused_sum_is_reached(chart, forced, monkeypatch):
-    """Each identity reaches its fused sums, in the order of the table; a
-    sum ``forced`` to be nonzero builds that identity's eager form, and only
-    that one, whose residual (0.0: the identity holds) is printed."""
-    expected = forms.identity_report(chart(), grid_points=3)
-    reached, built = [], []
-    original_sums = forms._Identities.sums
-
-    def sums(self, name):
-        reached.append(name)
-        out = list(original_sums(self, name))
-        if name == forced:
-            out.append([(1, RationalFunc.const(self.conn.n, 1), None)])
-        return out
-
-    monkeypatch.setattr(forms._Identities, "sums", sums)
-    spy_on(monkeypatch, forms, EAGER_BUILDERS, built)
-    spy_on(monkeypatch, forms._Identities, ["residual"], built)
-    report = forms.identity_report(chart(), grid_points=3)
-    assert reached == list(forms.IDENTITIES), forced
-    assert built == ([] if forced is None else ["residual", BUILDER_OF[forced]])
-    assert report == expected, forced
-    # chern-simons decides the structure equation alone
-    reached.clear()
-    forms.chern_simons_report(chart(), grid_points=3)
-    assert reached == ["structure"], forced
-
-
-def identities_of(conn, sign: int) -> forms._Identities:
+def eager_identities(conn, sign: int) -> dict:
+    """identity -> {component key: field}: each identity of ``forms.IDENTITIES``
+    built by the eager calculus, the reference for the fused sums."""
+    n = conn.n
     t, r = forms.torsion_form(conn), forms.curvature_form(conn)
     sr = r if sign == 1 else r.scale(-1)
-    return forms._Identities(conn, sign, t, r, forms.wedge(t, t), sr, forms.wedge(sr, t))
+    nabla = {}
+    for d, i, j, k in iproduct(range(n), repeat=4):
+        rhs = r.comp((k, j), i, d)
+        nabla[d, i, j, k] = (dt_scalar(conn, lambda i, j, k: t.comp((j,), i, k), d, i, j, k)
+                             - (rhs if sign == 1 else rhs.scale(-1)))
+    return {"structure": (forms.d_tilde(conn, t) + forms.wedge(t, t) - sr).components,
+            "dtildeR": (forms.d_tilde(conn, sr)
+                        - (forms.wedge(sr, t) - forms.wedge(t, sr))).components,
+            "bianchi": forms.d_lower(conn, sr).components,
+            "nabla_torsion": nabla}
+
+
+def fused_identities(conn, sign: int) -> dict:
+    """identity -> {component key: field} from ``forms._Identities``."""
+    t, r = forms.torsion_form(conn), forms.curvature_form(conn)
+    sr = r if sign == 1 else r.scale(-1)
+    identities = forms._Identities(conn, t, r, forms.wedge(t, t), sr, forms.wedge(sr, t))
+    return {name: dict(zip(identities.sums(name, sign), identities.fields(name, sign)))
+            for name in forms.IDENTITIES}
+
+
+def component_pairs(fused: dict, eager: dict, zero):
+    """(key, fused field, eager field) over the keys of either, a missing
+    component being the zero."""
+    for key in sorted(fused.keys() | eager.keys()):
+        yield key, fused.get(key, zero), eager.get(key, zero)
 
 
 EXACT_CHARTS = {**{name: (lambda name=name: gamma_from_frame(get_chart(name)))
@@ -156,19 +164,40 @@ def test_fused_verdicts_agree_with_the_eager_forms(name):
     conn = EXACT_CHARTS[name]()
     curved = not forms.curvature_form(conn).is_exactly_zero()
     for sign in (forms.STRUCTURE_SIGN, -forms.STRUCTURE_SIGN):
-        identities = identities_of(conn, sign)
+        fused, eager = fused_identities(conn, sign), eager_identities(conn, sign)
         verdicts = {}
         for identity in forms.IDENTITIES:
-            form = identities.form(identity)
-            eager = (form.is_exactly_zero() if isinstance(form, forms.HomForm)
-                     else all(f.is_zero() for f in form))
-            verdicts[identity] = identities.vanishes(identity)
-            assert verdicts[identity] is eager, (sign, identity)
+            for key, got, want in component_pairs(fused[identity], eager[identity], conn.zero):
+                assert (got - want).is_zero(), (sign, identity, key)
+            verdicts[identity] = all(f.is_zero() for f in fused[identity].values())
         if sign == forms.STRUCTURE_SIGN:
             assert all(verdicts.values())
         elif curved:
-            # the wrong sign on R: the fast path sees the failure
+            # the wrong sign on R: the fused sums see the failure
             assert not verdicts["structure"] and not verdicts["nabla_torsion"]
+
+
+NUMERIC_CHARTS = {"affine-exp2": (lambda: get_chart("affine-exp2"), 5),
+                  "su2-euler": (lambda: get_chart("su2-euler"), 3),
+                  "deformed2-numeric": (lambda: chart_from_json({"builtin": "deformed2"},
+                                                                "numeric"), 5)}
+
+
+@pytest.mark.parametrize("name", NUMERIC_CHARTS)
+def test_numeric_fused_sums_agree_with_the_eager_forms(name):
+    make, grid_points = NUMERIC_CHARTS[name]
+    chart = make()
+    conn = gamma_from_frame(chart)
+    points = chart.grid(grid_points)
+    for sign in (forms.STRUCTURE_SIGN, -forms.STRUCTURE_SIGN):
+        fused, eager = fused_identities(conn, sign), eager_identities(conn, sign)
+        for identity in forms.IDENTITIES:
+            for key, got, want in component_pairs(fused[identity], eager[identity], conn.zero):
+                assert got.is_zero() is want.is_zero(), (sign, identity, key)
+                assert np.allclose(got.values(points), want.values(points),
+                                   rtol=1e-12, atol=1e-12), (sign, identity, key)
+    if name == "deformed2-numeric":  # curved: the wrong sign on R is seen
+        assert any(abs(f.values(points)).max() > 1e-3 for f in fused["structure"].values())
 
 
 def test_chern_simons_agrees_with_the_full_pipeline():

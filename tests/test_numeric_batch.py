@@ -292,3 +292,73 @@ def test_a_report_computes_each_node_once_per_batch_and_order(name, report, grid
     repeats = {node: times for (node, _, _), times in computed.items() if times > 1}
     assert set(repeats) <= entries
     assert all(times == 2 for times in repeats.values())
+
+
+# --- the fused sum: one node for self + sum c * a * b ---------------------------
+
+def _sequential(start: NumericScalar, terms) -> NumericScalar:
+    """The fold that ``dot`` replaces: + and * term by term, c by ``scale``."""
+    acc = start
+    for c, a, b in terms:
+        term = a if b is None else a * b
+        acc = acc + (term if c == 1 else term.scale(c))
+    return acc
+
+
+def test_dot_equals_the_sequential_fold_on_the_connection():
+    chart = get_chart("su2-euler")
+    conn = gamma_from_frame(chart)
+    live = [f for plane in conn.gamma for row in plane for f in row if not f.is_zero()]
+    assert len(live) >= 8
+    terms = [(1, live[0], live[1]), (-1, live[2], None), (1, live[3], live[3]),
+             (-1, live[4], live[5].diff(0)), (1, live[6].diff(2), None), (-1, live[7], live[0])]
+    points = np.array(chart.grid(3))
+    key = points.tobytes()
+    for start in (conn.zero, live[1]):
+        fused, folded = start.dot(terms), _sequential(start, terms)
+        for order in range(3):
+            got, want = fused._jet(points, key, order), folded._jet(points, key, order)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=1e-12, atol=0), (start, order)
+
+
+def test_dot_skips_dead_terms_and_returns_self_when_none_is_left():
+    zero, x, y = NumericScalar.const(2, 0), NumericScalar.var(2, 0), NumericScalar.var(2, 1)
+    assert x.dot([]) is x
+    assert zero.dot([]) is zero
+    assert x.dot([(0, y, y), (1, zero, y), (-1, y, zero), (1, zero, None)]) is x
+    points = np.array([[0.5, -2.0], [3.0, 0.25]])
+    # c = 0 and the zero operands add nothing; b None stands for 1
+    got = zero.dot([(0, x, x), (1, y, None), (1, zero, x), (-1, x, y)])
+    assert got.operands == (1, y, None, -1, x, y)
+    assert got.values(points).tolist() == [-2.0 - 0.5 * -2.0, 0.25 - 3.0 * 0.25]
+    # a nonzero self is the first term
+    assert x.dot([(1, y, None)]).operands == (1, x, None, 1, y, None)
+
+
+def test_dot_reads_what_its_operands_read():
+    n = 3
+    x0, x1, x2 = (NumericScalar.var(n, r) for r in range(n))
+    zero = NumericScalar.const(n, 0)
+    assert zero.dot([(1, x0, None)]).reads == {0}
+    assert zero.dot([(1, x1, x2)]).reads == {1, 2}
+    assert x0.dot([(1, x1, None), (0, x2, x2)]).reads == {0, 1}
+    assert x0.dot([(-1, x1, x2)]).reads == {0, 1, 2}
+    # a derivative along a coordinate that no operand reads is the zero
+    assert zero.dot([(1, x1, x2)]).diff(0).is_zero()
+    assert not zero.dot([(1, x1, x2)]).diff(2).is_zero()
+
+
+def test_an_operand_read_only_by_one_dot_keeps_no_jet():
+    x, y = NumericScalar.var(2, 0), NumericScalar.var(2, 1)
+    once, shared = x * y, x + y
+    elsewhere = shared.call("exp")
+    root = NumericScalar.const(2, 0).dot([(1, once, None), (-1, shared, x)])
+    # each occurrence of an operand counts as a reader
+    assert (once.readers, shared.readers, x.readers) == (1, 2, 3)
+    a = np.array([[0.1, 0.2], [0.3, -0.4]])
+    want = [p * q - (p + q) * p for p, q in a.tolist()]
+    assert close(root.values(a).tolist(), want)
+    elsewhere.values(a)
+    assert len(once._cache) == 0
+    assert len(shared._cache) == len(root._cache) == 1

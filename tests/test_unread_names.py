@@ -15,10 +15,12 @@ commands up by name.
 from __future__ import annotations
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flatcheck"
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
 
 ALLOWED = {
     "liepair.effective_check": "acceptance criteria use it",
@@ -39,6 +41,8 @@ ALLOWED = {
                                         "perfbench/tracer.py wraps it",
     "spencer.JetField.at_point": "tests compare the field bracket with the point reference through "
                                  "it: it gives a field's Taylor polynomials at a point",
+    "forms.d_tilde": "the tracer wraps it; tests compare the identity sums with it",
+    "forms.d_lower": "the tracer wraps it; tests compare the identity sums with it",
 }
 
 
@@ -101,6 +105,42 @@ def test_every_definition_is_read_by_the_package():
 def test_every_allowed_name_is_defined_and_unread():
     # an entry that gained a caller, or whose definition is gone, is stale
     assert sorted(set(ALLOWED) - set(unread_definitions(package_sources()))) == []
+
+
+def tracer_targets() -> list:
+    """``TARGETS`` of the benchmark's tracer, run from the top-level
+    statements of its source that build the list, without importing it."""
+    tree = ast.parse(TRACER.read_text())
+    body = [node for node in tree.body if isinstance(node, (ast.Assign, ast.For))
+            and any(isinstance(sub, ast.Name) and sub.id == "TARGETS" for sub in ast.walk(node))]
+    namespace: dict = {}
+    exec(compile(ast.Module(body=body, type_ignores=[]), str(TRACER), "exec"), namespace)
+    return namespace["TARGETS"]
+
+
+def _resolves(module_name: str, attr: str) -> bool:
+    """Whether the tracer finds ``attr`` in the module: a function or
+    class by name, a method in its class's own ``__dict__``."""
+    owner = importlib.import_module(module_name)
+    if "." in attr:
+        cls_name, method = attr.split(".")
+        return method in vars(getattr(owner, cls_name, object))
+    return hasattr(owner, attr)
+
+
+def test_every_traced_name_resolves():
+    # a traced name that is gone fails only the tracer's subprocess run otherwise
+    targets = [(module, attr) for module, attr, *_ in tracer_targets()]
+    assert len(targets) > 40 and ("flatcheck.forms", "d_tilde") in targets
+    missing = [f"{module}.{attr}" for module, attr in targets if not _resolves(module, attr)]
+    assert not missing, f"{missing[0]} is traced but not defined"
+
+
+def test_every_allowance_for_the_tracer_names_a_traced_name():
+    traced = {f"{module.removeprefix('flatcheck.')}.{attr}"
+              for module, attr, *_ in tracer_targets()}
+    cited = [name for name, reason in ALLOWED.items() if "tracer" in reason]
+    assert cited and [name for name in cited if name not in traced] == []
 
 
 def test_the_check_sees_each_kind_of_unread_definition():
