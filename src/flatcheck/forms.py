@@ -25,8 +25,14 @@ operations whose result the zero short cuts of the scalar fields (in
 ``+``, ``-``, ``*``, ``scale`` and ``diff``, the same on both backends)
 would have made the other operand, so every component is built by the
 same nonzero operations in the same order as by the full loops: the same
-terms in the same order, and the same floats on a grid.  The report's
-residual identities are fused sums of the same terms (``_Identities``).
+terms in the same order, and the same floats on a grid.
+
+Every report reads one ``Geometry`` of its chart's connection: T, R, sR
+and the wedges built once, the residual identities as fused sums of the
+terms above, and the transgression form.  A report validates its chart,
+builds every field it prints, and only then evaluates them on the grid:
+build every field before the first grid evaluation, so that a numeric
+node knows all its readers when it is first computed.
 
 The structure sign: the curvature, torsion and wedge conventions as
 transcribed here fix the sign s in the structure equation d~T + T^T = s.R
@@ -40,9 +46,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .frames import (
     ChartError,
@@ -168,20 +174,18 @@ class HomForm:
     def is_exactly_zero(self) -> bool:
         return not self.components
 
-    def max_abs(self, points: Sequence[Tuple[float, ...]]) -> float:
-        return _grid_max(self.components.values(), points)
-
     def __repr__(self):
         return f"HomForm(n={self.n}, degree={self.degree})"
 
 
-def _grid_max(fields, points) -> float:
+def scalars_residual(fields, points) -> float:
     """Max |f| over the grid: float points, or a ``RationalGrid`` for exact
     fields (plain points are wrapped in one); numeric fields are evaluated
     on the whole grid at once, and reduced together.  A value that is not
     finite is a ChartError naming the first point where it occurs, in
     field order and then point order: max() would drop a NaN and a
-    residual of inf says nothing.  A literal-zero field is skipped."""
+    residual of inf says nothing.  A literal-zero field is skipped, so
+    fields that are all literal zeros give 0.0 with no grid."""
     live = [f for f in fields if not f.is_zero()]
     if live and isinstance(live[0], NumericScalar):
         import numpy as np
@@ -407,8 +411,8 @@ def wedge_power(omega: HomForm, i: int) -> HomForm:
 # --- residual machinery -------------------------------------------------------
 
 def form_residual(form: HomForm, points) -> float:
-    """0.0 for a literal zero, else a grid max-abs."""
-    return 0.0 if form.is_exactly_zero() else form.max_abs(points)
+    """The grid max-abs of the form's components, 0.0 for a literal zero."""
+    return scalars_residual(form.components.values(), points)
 
 
 def _nabla_torsion_positions(conn: ConnectionField, t: HomForm, r: HomForm):
@@ -434,44 +438,56 @@ def _nabla_torsion_positions(conn: ConnectionField, t: HomForm, r: HomForm):
             yield d, (i, j, k), t_get, r.comp((k, j), i, d)
 
 
-def scalars_residual(fields: Sequence[ScalarField], points) -> float:
-    return 0.0 if all(f.is_zero() for f in fields) else _grid_max(fields, points)
-
-
-class _Geometry(NamedTuple):
-    report: dict
-    torsion: HomForm
-    torsion_cube_trace: HomForm | None  # Tr(T^3), built for the secondary class alone
-    points: Sequence
-
-
 # the identities around R in the report, in the order of its residual table
 IDENTITIES = ("structure", "dtildeR", "bianchi", "nabla_torsion")
 
 
-class _Identities:
-    """The identities of ``IDENTITIES`` on one chart, as term lists.
+class Geometry:
+    """The forms of one connection that every report reads, each built once.
 
-    ``sums(name, sign)`` maps each component's key, in canonical order, to
-    its terms (c, a, b) (see ``RationalFunc.dot``), gathered from the term
-    emitters of the calculus without forming a product or a sum; ``sign``
-    is the s on R in the structure equation and in nabla T = sR, and a
-    component with no key is a literal zero.  ``fields`` folds each list
-    into one field with ``conn.zero.dot``, on either backend.
+    T, R, sR with s = ``STRUCTURE_SIGN`` (held as ``sign``), T^T and the
+    diagonal of T^T^T are built with the object, and sR^T on first read; a
+    reader of the trace of sR^T alone hands its diagonal to ``transgression``.
 
-    The operands: the torsion T, the curvature R and sR, their eager
-    wedges T^T and sR^T, and the connection."""
+    The identities of ``IDENTITIES`` are term lists.  ``sums(name, sign)``
+    maps each component's key, in canonical order, to its terms (c, a, b)
+    (see ``RationalFunc.dot``), gathered from the term emitters of the
+    calculus without forming a product or a sum; a component with no key
+    is a literal zero.  ``sign`` is the s on R in the structure equation
+    and in nabla T = sR; the terms of d~T and T^T are gathered once for
+    either sign.  ``fields`` folds each list into one field with
+    ``conn.zero.dot``, on either backend.
 
-    def __init__(self, conn: ConnectionField, t: HomForm, r: HomForm, tt: HomForm,
-                 sr: HomForm, sr_t: HomForm):
+    The rule for every reader: build every field before the first grid
+    evaluation.  A numeric node then knows all its readers when it is
+    first computed, and one that several fields read keeps its jet (see
+    ``NumericScalar``).
+    """
+
+    def __init__(self, conn: ConnectionField):
         self.conn = conn
-        self.t, self.r, self.tt, self.sr, self.sr_t = t, r, tt, sr, sr_t
+        self.sign = STRUCTURE_SIGN
+        self.t = torsion_form(conn)
+        self.r = curvature_form(conn)
+        self.tt = wedge(self.t, self.t)
+        self.sr = self.r if self.sign == 1 else self.r.scale(-1)
+        self.t3 = wedge(self.tt, self.t, diagonal=True)
+
+    @cached_property
+    def sr_t(self) -> HomForm:
+        return wedge(self.sr, self.t)
+
+    @cached_property
+    def _torsion_terms(self) -> Dict[tuple, list]:
+        """The terms of d~T + T^T, which the structure sums of both signs share."""
+        out = _differential_sums(self.conn, self.t)
+        _add_terms(out, self.tt, 1)
+        return out
 
     def sums(self, name: str, sign: int) -> Dict[tuple, list]:
         conn, t, sr = self.conn, self.t, self.sr
         if name == "structure":  # d~T, T^T and -sign.R
-            out = _differential_sums(conn, t)
-            _add_terms(out, self.tt, 1)
+            out = {key: [*terms] for key, terms in self._torsion_terms.items()}
             _add_terms(out, self.r, -sign)
         elif name == "dtildeR":  # d~(sR) = (sR)^T - T^(sR), T^(sR) as products
             out = _differential_sums(conn, sr)
@@ -489,6 +505,24 @@ class _Identities:
         zero = self.conn.zero
         return [zero.dot(terms) for terms in self.sums(name, sign).values()]
 
+    def transgression(self, sr_t: HomForm) -> HomForm:
+        """d Tr(sR ^ T - T^3/3) - Tr(sR ^ sR), zero by the secondary
+        transgression; ``sr_t`` is sR^T or its diagonal, all the trace reads."""
+        primitive = trace_form(sr_t - self.t3.scale(Fraction(1, 3)))
+        return de_rham(primitive) - trace_form(wedge(self.sr, self.sr, diagonal=True))
+
+    def structure_residual(self, fields: List[ScalarField], points, tol: float,
+                           chart_name: str) -> float:
+        """The residual of ``fields``, the structure fields of ``sign``.  Past
+        ``tol`` that sign fails on this chart: ``CalibrationError`` carries
+        the residual of each sign, the other one read from the same terms."""
+        res = scalars_residual(fields, points)
+        if res > tol:
+            other = scalars_residual(self.fields("structure", -self.sign), points)
+            plus, minus = (res, other) if self.sign == 1 else (other, res)
+            raise CalibrationError(chart_name, {"structure": plus}, {"structure": minus})
+        return res
+
 
 def _add_terms(sums: Dict[tuple, list], form: HomForm, c: int) -> None:
     """Enter each stored component f of ``form`` as the term (c, f, None)."""
@@ -496,79 +530,16 @@ def _add_terms(sums: Dict[tuple, list], form: HomForm, c: int) -> None:
         sums.setdefault(key, []).append((c, f, None))
 
 
-def _geometry(chart: FrameChart, tol: float, grid_points: int, full: bool = True) -> _Geometry:
-    """The one pipeline behind every report: the connection, torsion and
-    curvature of the chart, each wedge built once, and the residual table.
-
-    The fields of every identity of ``IDENTITIES`` (its fused sums, see
-    ``_Identities``) are built before the first grid evaluation, so that a
-    numeric node knows all its readers when it is first computed and one
-    that several fields read keeps its jet (see ``NumericScalar``); an
-    exact identity that holds is zero fields, read with no grid.  R, R~, T,
-    Gamma, T^T, sR^T and the forms of the transgression are built eagerly.
-
-    With ``full`` false it builds only what ``chern_simons_report`` prints:
-    the structure residual (for ``STRUCTURE_SIGN``, which may raise
-    ``CalibrationError``), the transgression residual, the verdict and
-    Tr(T^3).  The residuals of R~, d~(sR), the Bianchi identity and nabla T
-    are then left out of the table, and so is ``max_R`` on the exact
-    backend, whose verdict needs no grid."""
+def _grid(chart: FrameChart, grid_points: int):
+    """Validate the chart on its grid and return the points every residual
+    of a report is evaluated on: a ``RationalGrid`` on the exact backend,
+    one array on the numeric one (each evaluation would convert a list)."""
     chart.validate_invertible(grid_points)
-    conn = gamma_from_frame(chart)
-    exact = chart.backend == "exact"
-    if exact:
-        points = RationalGrid(chart.rational_grid(grid_points))
-    else:
-        import numpy as np
+    if chart.backend == "exact":
+        return RationalGrid(chart.rational_grid(grid_points))
+    import numpy as np
 
-        # one array for every grid evaluation, which would convert a list again
-        points = np.array(chart.grid(grid_points))
-
-    sign = STRUCTURE_SIGN
-    t = torsion_form(conn)
-    r = curvature_form(conn)
-    tt = wedge(t, t)
-    sr = r if sign == 1 else r.scale(-1)
-    # chern-simons reads only the trace of sR^T; the report's d~(sR) reads all of it
-    sr_t = wedge(sr, t, diagonal=not full)
-    t3 = wedge(tt, t, diagonal=True)  # read only through trace_form
-    # secondary transgression: d Tr(sR ^ T - T^3/3) = Tr(sR ^ sR)
-    cs_primitive = trace_form(sr_t - t3.scale(Fraction(1, 3)))
-    cs_identity = de_rham(cs_primitive) - trace_form(wedge(sr, sr, diagonal=True))
-    identities = _Identities(conn, t, r, tt, sr, sr_t)
-    fields = {name: identities.fields(name, sign)
-              for name in (IDENTITIES if full else ("structure",))}
-    if full:
-        rtilde = curvature_tilde_form(conn)
-        cube_trace = None
-    else:
-        cube_trace = trace_form(t3)
-
-    residuals = {}
-    if full:
-        residuals["rtilde"] = form_residual(rtilde, points)
-    res_structure = residuals["structure"] = scalars_residual(fields["structure"], points)
-    if res_structure > tol:
-        # the structure sign fails here; the other one only fills the report
-        res_other = scalars_residual(identities.fields("structure", -sign), points)
-        plus, minus = (res_structure, res_other) if sign == 1 else (res_other, res_structure)
-        raise CalibrationError(chart.name, {"structure": plus}, {"structure": minus})
-    if full:
-        residuals["dtildeR"] = scalars_residual(fields["dtildeR"], points)
-        residuals["bianchi"] = scalars_residual(fields["bianchi"], points)
-    residuals["chern_simons"] = form_residual(cs_identity, points)
-    if full:
-        residuals["nabla_torsion"] = scalars_residual(fields["nabla_torsion"], points)
-
-    report = {"chart": chart.name, "backend": chart.backend, "sign": sign,
-              "residuals": residuals}
-    if full or not exact:
-        report["max_R"] = form_residual(r, points)
-    # exact: R is a normal form, so the verdict needs no grid and no tol
-    report["locally_homogeneous"] = r.is_exactly_zero() if exact else report["max_R"] <= tol
-    report["tolerance"] = tol
-    report["grid"] = [grid_points] * chart.n
-    return _Geometry(report, t, cube_trace, points)
+    return np.array(chart.grid(grid_points))
 
 
 def identity_report(chart: FrameChart, tol: float = 1e-6, grid_points: int = 5) -> dict:
@@ -583,7 +554,26 @@ def identity_report(chart: FrameChart, tol: float = 1e-6, grid_points: int = 5) 
     backend "max |R| on the grid is at most ``tol``".
     ``identity_residuals_pass`` gates the residuals.
     """
-    return _geometry(chart, tol, grid_points).report
+    points = _grid(chart, grid_points)
+    geo = Geometry(gamma_from_frame(chart))
+    fields = {name: geo.fields(name, geo.sign) for name in IDENTITIES}
+    transgression = geo.transgression(geo.sr_t)
+    rtilde = curvature_tilde_form(geo.conn)
+
+    residuals = {
+        "rtilde": form_residual(rtilde, points),
+        "structure": geo.structure_residual(fields["structure"], points, tol, chart.name),
+        "dtildeR": scalars_residual(fields["dtildeR"], points),
+        "bianchi": scalars_residual(fields["bianchi"], points),
+        "chern_simons": form_residual(transgression, points),
+        "nabla_torsion": scalars_residual(fields["nabla_torsion"], points),
+    }
+    max_r = form_residual(geo.r, points)
+    # exact: R is a normal form, so the verdict needs no grid and no tol
+    homogeneous = geo.r.is_exactly_zero() if chart.backend == "exact" else max_r <= tol
+    return {"chart": chart.name, "backend": chart.backend, "sign": geo.sign,
+            "residuals": residuals, "max_R": max_r, "locally_homogeneous": homogeneous,
+            "tolerance": tol, "grid": [grid_points] * chart.n}
 
 
 def identity_residuals_pass(report: dict, tol: float, tol2: float) -> bool:
@@ -601,25 +591,38 @@ def trace_powers(chart: FrameChart, max_i: int) -> dict:
     forms.  The curvature is taken with ``STRUCTURE_SIGN`` so that the
     traces are the ones whose closures the report verifies.
     """
-    conn = gamma_from_frame(chart)
-    t = torsion_form(conn)
-    r = curvature_form(conn)
-    if STRUCTURE_SIGN == -1:
-        r = r.scale(-1)
+    geo = Geometry(gamma_from_frame(chart))
     out = {"R": [], "T": []}
     for i in range(1, max_i + 1):
-        out["R"].append(trace_form(wedge_power(r, i)))
-        out["T"].append(trace_form(wedge_power(t, i)))
+        out["R"].append(trace_form(wedge_power(geo.sr, i)))
+        out["T"].append(trace_form(wedge_power(geo.t, i)))
     return out
 
 
-def _secondary_class(geo: _Geometry, i: int, tol2: float) -> tuple[HomForm, bool | None]:
-    form = geo.torsion_cube_trace if i == 1 else trace_form(wedge_power(geo.torsion, 2 * i + 1))
-    if not geo.report["locally_homogeneous"]:
-        return form, None
-    if geo.report["backend"] == "exact":
-        return form, de_rham(form).is_exactly_zero()
-    return form, form_residual(de_rham(form), geo.points) <= tol2
+def _secondary_report(chart: FrameChart, i: int, tol: float, tol2: float,
+                      grid_points: int) -> tuple[dict, HomForm]:
+    """The ``chern_simons_report`` of the secondary form Tr(T^{2i+1}), and
+    that form.  The structure residual is evaluated because it checks
+    ``STRUCTURE_SIGN`` on this chart; ``max_R`` only on the numeric
+    backend, whose verdict needs it."""
+    points = _grid(chart, grid_points)
+    geo = Geometry(gamma_from_frame(chart))
+    structure = geo.fields("structure", geo.sign)
+    transgression = geo.transgression(wedge(geo.sr, geo.t, diagonal=True))
+    form = trace_form(geo.t3 if i == 1 else wedge_power(geo.t, 2 * i + 1))
+    closure = de_rham(form)
+
+    geo.structure_residual(structure, points, tol, chart.name)
+    residual = form_residual(transgression, points)
+    exact = chart.backend == "exact"
+    homogeneous = geo.r.is_exactly_zero() if exact else form_residual(geo.r, points) <= tol
+    # the secondary forms are classes only where the curvature vanishes
+    closed = (None if not homogeneous else closure.is_exactly_zero() if exact
+              else form_residual(closure, points) <= tol2)
+    return {"chart": chart.name, "backend": chart.backend, "sign": geo.sign,
+            "chern_simons_residual": residual, "secondary_class_degree": form.degree,
+            "secondary_class_max_abs": form_residual(form, points),
+            "secondary_class_closed": closed, "locally_homogeneous": homogeneous}, form
 
 
 def secondary_class_check(chart: FrameChart, i: int, tol: float = 1e-6,
@@ -629,12 +632,13 @@ def secondary_class_check(chart: FrameChart, i: int, tol: float = 1e-6,
 
     On charts that are not locally homogeneous the form is still returned
     but the closedness flag stays unset (None): the secondary classes are
-    only classes when the curvature vanishes.  This runs the part of the
-    ``identity_report`` pipeline that the verdict and the closedness need
-    (validation, the structure residual, the transgression):
-    it raises what that part raises, ``CalibrationError`` included.
+    only classes when the curvature vanishes.  This runs the
+    ``chern_simons_report`` pipeline for this form (validation, the
+    structure residual, the transgression, the verdict): it raises what
+    that pipeline raises, ``CalibrationError`` included.
     """
-    return _secondary_class(_geometry(chart, tol, grid_points, full=False), i, tol2)
+    report, form = _secondary_report(chart, i, tol, tol2, grid_points)
+    return form, report["secondary_class_closed"]
 
 
 def chern_simons_report(chart: FrameChart, tol: float = 1e-6, tol2: float = 1e-4,
@@ -646,16 +650,4 @@ def chern_simons_report(chart: FrameChart, tol: float = 1e-6, tol2: float = 1e-4
     finite in them alone raises nothing here.  The structure residual is
     still evaluated, because it checks ``STRUCTURE_SIGN`` on this chart:
     ``CalibrationError`` is raised as in ``identity_report``."""
-    geo = _geometry(chart, tol, grid_points, full=False)
-    form, closed = _secondary_class(geo, 1, tol2)
-    report = geo.report
-    return {
-        "chart": chart.name,
-        "backend": report["backend"],
-        "sign": report["sign"],
-        "chern_simons_residual": report["residuals"]["chern_simons"],
-        "secondary_class_degree": form.degree,
-        "secondary_class_max_abs": form_residual(form, geo.points),
-        "secondary_class_closed": closed,
-        "locally_homogeneous": report["locally_homogeneous"],
-    }
+    return _secondary_report(chart, 1, tol, tol2, grid_points)[0]

@@ -28,6 +28,7 @@ from flatcheck.catalog import CHART_NAMES, get_chart, get_lie_pair
 from flatcheck.forms import (
     curvature_tilde_form,
     de_rham,
+    form_residual,
     identity_report,
     trace_form,
     trace_powers,
@@ -120,7 +121,7 @@ def test_criterion_03_flat_curvature_vanishes():
     for name in NUMERIC_CHARTS:
         chart = get_chart(name)
         rt = curvature_tilde_form(gamma_from_frame(chart))
-        worst = max(worst, rt.max_abs(chart.grid(5)))
+        worst = max(worst, form_residual(rt, chart.grid(5)))
     ok = ok and worst < 1e-7
     elapsed = time.perf_counter() - start
     assert report_line(3, "flat curvature: literal zero exact, < 1e-7 numeric",
@@ -178,7 +179,7 @@ def test_criterion_06_even_torsion_traces_vanish():
     for name in NUMERIC_CHARTS:
         chart = get_chart(name)
         powers = trace_powers(chart, max_i=2)
-        ok = ok and powers["T"][1].max_abs(chart.grid(3)) < 1e-8
+        ok = ok and form_residual(powers["T"][1], chart.grid(3)) < 1e-8
     assert report_line(6, "even torsion-power traces vanish", ok)
 
 
@@ -191,7 +192,7 @@ def test_criterion_07_secondary_class_closedness():
     chart = get_chart("su2-euler")
     form, closed = secondary_class_check(chart, 1)
     ok = ok and closed is True
-    ok = ok and de_rham(form).max_abs(chart.grid(3)) < 1e-4
+    ok = ok and form_residual(de_rham(form), chart.grid(3)) < 1e-4
     assert report_line(7, "odd torsion trace closed on homogeneous charts", ok)
 
 

@@ -1147,7 +1147,9 @@ def test_exact_commands_do_not_import_numpy():
     assert (lines[0], lines[-1]) == ("False", "False")
 
 
-def test_a_report_builds_one_connection():
+@pytest.mark.parametrize("command", [["geom", "report"], ["chern-simons"]],
+                         ids=["geom-report", "chern-simons"])
+def test_a_report_builds_one_connection(command):
     # the structure sign is a constant: a fresh process builds the
     # connection of the chart it reports on, and no other
     code = ("import sys, flatcheck.cli as cli, flatcheck.forms as forms\n"
@@ -1157,7 +1159,7 @@ def test_a_report_builds_one_connection():
             "    built.append(chart.name)\n"
             "    return real(chart)\n"
             "forms.gamma_from_frame = counted\n"
-            "assert cli.main(['geom', 'report', '--builtin', 'abelian2']) == 0\n"
+            f"assert cli.main({command + ['--builtin', 'abelian2']!r}) == 0\n"
             "print(built)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

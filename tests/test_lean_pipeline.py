@@ -54,7 +54,7 @@ def spy_on_sums(monkeypatch, forced=None) -> list:
     of ``forced`` gain one more component, the constant 2^-30, which is
     below every tolerance and above every residual of a valid chart."""
     reached = []
-    original = forms._Identities.sums
+    original = forms.Geometry.sums
 
     def sums(self, name, sign):
         reached.append(name)
@@ -66,7 +66,7 @@ def spy_on_sums(monkeypatch, forced=None) -> list:
             out["forced"] = [(1, tiny, None)]
         return out
 
-    monkeypatch.setattr(forms._Identities, "sums", sums)
+    monkeypatch.setattr(forms.Geometry, "sums", sums)
     return reached
 
 
@@ -85,6 +85,28 @@ def test_chern_simons_skips_the_identities_it_does_not_print(chart, monkeypatch)
     _, closed = forms.secondary_class_check(chart(), 1, grid_points=3)
     assert closed == expected["secondary_class_closed"]
     assert reached == ["structure"] * 2
+
+
+@pytest.mark.parametrize("report", [forms.identity_report, forms.chern_simons_report],
+                         ids=["identity_report", "chern_simons_report"])
+def test_a_calibration_failure_gathers_the_torsion_terms_once(report, monkeypatch):
+    # with the structure sign flipped the structure equation fails on the
+    # curved deformed2; the residual of the other sign reads the terms of
+    # d~T and T^T that the failing sign's sums gathered
+    gathered = []
+    original = forms._differential_sums
+
+    def spy(conn, omega):
+        gathered.append(omega.degree)
+        return original(conn, omega)
+
+    monkeypatch.setattr(forms, "_differential_sums", spy)
+    monkeypatch.setattr(forms, "STRUCTURE_SIGN", -forms.STRUCTURE_SIGN)
+    with pytest.raises(forms.CalibrationError) as info:
+        report(get_chart("deformed2"), grid_points=3)
+    residuals = (info.value.residual_plus["structure"], info.value.residual_minus["structure"])
+    assert 0.0 in residuals and max(residuals) > 0.0
+    assert gathered.count(1) == 1  # d~T; d~(sR) and d(sR) are 2-forms
 
 
 # --- a report reads each identity from its fused sums -----------------------------
@@ -136,11 +158,12 @@ def eager_identities(conn, sign: int) -> dict:
 
 
 def fused_identities(conn, sign: int) -> dict:
-    """identity -> {component key: field} from ``forms._Identities``."""
-    t, r = forms.torsion_form(conn), forms.curvature_form(conn)
-    sr = r if sign == 1 else r.scale(-1)
-    identities = forms._Identities(conn, t, r, forms.wedge(t, t), sr, forms.wedge(sr, t))
-    return {name: dict(zip(identities.sums(name, sign), identities.fields(name, sign)))
+    """identity -> {component key: field} from a ``forms.Geometry`` whose
+    sR is built with ``sign``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forms, "STRUCTURE_SIGN", sign)
+        geometry = forms.Geometry(conn)
+    return {name: dict(zip(geometry.sums(name, sign), geometry.fields(name, sign)))
             for name in forms.IDENTITIES}
 
 

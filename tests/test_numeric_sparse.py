@@ -20,7 +20,7 @@ import pytest
 from flatcheck.catalog import CHART_FACTS, chart_document, get_chart
 from flatcheck.charts_io import chart_from_json
 from flatcheck.cli import main
-from flatcheck.forms import _grid_max, chern_simons_report, identity_report
+from flatcheck.forms import chern_simons_report, identity_report, scalars_residual
 from flatcheck.frames import ChartError, NumericScalar, gamma_from_frame
 
 
@@ -126,12 +126,12 @@ def test_grid_max_names_the_first_point_that_is_not_finite(bad):
         return NumericScalar(fn, 2)
 
     finite = field([])
-    assert _grid_max([finite], points) == max(abs(math.cos(x)) for x, _ in points)
+    assert scalars_residual([finite], points) == max(abs(math.cos(x)) for x, _ in points)
     fields = [finite, field([4, 2]), field([1])]
     at = _loop_first_non_finite(fields, points)
     assert at == points[2]
     with pytest.raises(ChartError, match=rf"not finite at \({at[0]}, {at[1]}\)"):
-        _grid_max(fields, points)
+        scalars_residual(fields, points)
 
 
 @pytest.mark.parametrize("entry", ["2 + 0/x1", "2 + 0*(1/x1)", "2 + (1/x1)*0"])

@@ -23,7 +23,7 @@ import sympy
 from conftest import make_sl2mix4, make_sl2rational, make_unipotent4
 from flatcheck import rational
 from flatcheck.charts_io import load_chart_file
-from flatcheck.forms import _grid_max
+from flatcheck.forms import scalars_residual
 from flatcheck.frames import ChartError, curvature_components, gamma_from_frame
 from flatcheck.jetcore import TruncatedMap, TruncatedPoly, substitute
 from flatcheck.literals import parse_rational
@@ -629,8 +629,9 @@ def test_a_column_that_overflows_falls_back_point_by_point():
 
 def test_grid_max_names_the_first_point_that_is_not_finite():
     with pytest.raises(ChartError, match=r"not finite at \(1e-200,\)"):
-        _grid_max([overflowing_field()], RationalGrid(OVERFLOW_POINTS))
-    assert _grid_max([overflowing_field()], RationalGrid(OVERFLOW_POINTS[2:])) == 1 / 1.4 ** 2
+        scalars_residual([overflowing_field()], RationalGrid(OVERFLOW_POINTS))
+    assert (scalars_residual([overflowing_field()], RationalGrid(OVERFLOW_POINTS[2:]))
+            == 1 / 1.4 ** 2)
 
 
 def test_scaling_or_differentiating_a_zero_field_returns_it():

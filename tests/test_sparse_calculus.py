@@ -155,9 +155,10 @@ def dense_nabla_torsion(conn, sign, t, r) -> dict:
 
 def fused_nabla_torsion(conn, sign, t, r) -> dict:
     """(d, i, j, k) -> the fused field of nabla T - sR that the report reads."""
-    identities = forms._Identities(conn, t, r, None, None, None)  # only T and R enter
-    return dict(zip(identities.sums("nabla_torsion", sign),
-                    identities.fields("nabla_torsion", sign)))
+    geometry = forms.Geometry(conn)
+    geometry.t, geometry.r = t, r  # only T and R enter
+    return dict(zip(geometry.sums("nabla_torsion", sign),
+                    geometry.fields("nabla_torsion", sign)))
 
 
 def dense_gamma(chart) -> list:
