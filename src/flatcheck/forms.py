@@ -28,8 +28,8 @@ same nonzero operations in the same order as by the full loops: the same
 terms in the same order, and the same floats on a grid.
 
 Every report reads one ``Geometry`` of its chart's connection: T, R, sR
-and the wedges built once, the residual identities as fused sums of the
-terms above, and the transgression form.  A report validates its chart,
+and the wedges built once, and the residual identities, the transgression
+among them, as fused sums of the terms above.  A report validates its chart,
 builds every field it prints, and only then evaluates them on the grid:
 build every field before the first grid evaluation, so that a numeric
 node knows all its readers when it is first computed.
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import combinations
 from typing import Dict, List, Tuple
 
@@ -58,6 +58,7 @@ from .frames import (
     ScalarField,
     curvature_components,
     curvature_tilde_components,
+    curvature_tilde_terms,
     dt_reach,
     dt_scalar,
     dt_terms,
@@ -298,18 +299,35 @@ def _alternated_positions(conn, omega: HomForm, reach):
                                       if value in reached]
 
 
-def _differential_sums(conn, omega: HomForm) -> Dict[tuple, list]:
+def _differential_sums(conn, omega: HomForm, scalar_terms=dt_terms,
+                       reach=dt_reach) -> Dict[tuple, list]:
     """The terms (c, a, b) of each component of ``d_tilde(conn, omega)``:
-    those of ``dt_terms`` at each position m, times (-1)^m."""
+    those of ``scalar_terms`` (``dt_terms`` or a variant) at each position
+    m, times (-1)^m.  With ``_de_rham_terms`` and ``_exterior_reach`` they
+    are those of ``de_rham(omega)``."""
     return {key: [(-c if m % 2 else c, a, b) for m, r, get in positions
-                  for c, a, b in dt_terms(conn, get, r, *key[1:])]
-            for key, positions in _alternated_positions(conn, omega, dt_reach)}
+                  for c, a, b in scalar_terms(conn, get, r, *key[1:])]
+            for key, positions in _alternated_positions(conn, omega, reach)}
+
+
+def _exterior_reach(conn, r, support):
+    """A partial derivative reaches only the support itself."""
+    return support.keys()
+
+
+def _de_rham_terms(conn, get, r):
+    """The unreduced terms of the partial derivative in direction r."""
+    return get().diff_terms(r)
+
+
+# the terms of a covariant derivative whose own derivative is not reduced
+_unreduced_dt_terms = partial(dt_terms, reduced=False)
 
 
 def de_rham(phi: HomForm) -> HomForm:
     """Exterior derivative on plain forms, same alternation convention."""
     return _alternated_differential(None, phi, lambda conn, get, r: get().diff(r),
-                                    lambda conn, r, support: support.keys())
+                                    _exterior_reach)
 
 
 def _rows(form: HomForm) -> Dict[IndexTuple, Dict[int, list]]:
@@ -381,15 +399,16 @@ def _pieces(a_rows, b_rows, diagonal: bool):
                     yield i, j, fa, fb
 
 
-def _wedge_sums(a: HomForm, b: HomForm) -> Dict[tuple, list]:
-    """The terms (c, a^i_t, b^t_j) of each component of ``wedge(a, b)``, c
-    the sign of the shuffle."""
-    out: Dict[tuple, list] = {}
-    for out_idx, blocks in _wedge_blocks(a, b):
+def _add_wedge_terms(sums: Dict[tuple, list], a: HomForm, b: HomForm, c: int,
+                     trace: bool = False) -> None:
+    """Enter the terms (c * the sign of the shuffle, a^i_t, b^t_j) of each
+    component of ``wedge(a, b)`` into ``sums``, keyed as the wedge; with
+    ``trace`` only those of its diagonal, keyed as its ``trace_form``."""
+    for out_idx, blocks in _wedge_blocks(a, b, diagonal=trace):
         for sign, pieces in blocks:
             for i, j, fa, fb in pieces:
-                out.setdefault((out_idx, i, j), []).append((sign, fa, fb))
-    return out
+                sums.setdefault((out_idx,) if trace else (out_idx, i, j), []).append(
+                    (c * sign, fa, fb))
 
 
 def trace_form(omega: HomForm) -> HomForm:
@@ -438,25 +457,32 @@ def _nabla_torsion_positions(conn: ConnectionField, t: HomForm, r: HomForm):
             yield d, (i, j, k), t_get, r.comp((k, j), i, d)
 
 
-# the identities around R in the report, in the order of its residual table
-IDENTITIES = ("structure", "dtildeR", "bianchi", "nabla_torsion")
+# the identities of the report, in the order of its residual table
+IDENTITIES = ("rtilde", "structure", "dtildeR", "bianchi", "chern_simons", "nabla_torsion")
 
 
 class Geometry:
     """The forms of one connection that every report reads, each built once.
 
     T, R, sR with s = ``STRUCTURE_SIGN`` (held as ``sign``), T^T and the
-    diagonal of T^T^T are built with the object, and sR^T on first read; a
-    reader of the trace of sR^T alone hands its diagonal to ``transgression``.
+    diagonal of T^T^T are built with the object.
 
-    The identities of ``IDENTITIES`` are term lists.  ``sums(name, sign)``
-    maps each component's key, in canonical order, to its terms (c, a, b)
-    (see ``RationalFunc.dot``), gathered from the term emitters of the
-    calculus without forming a product or a sum; a component with no key
-    is a literal zero.  ``sign`` is the s on R in the structure equation
-    and in nabla T = sR; the terms of d~T and T^T are gathered once for
-    either sign.  ``fields`` folds each list into one field with
-    ``conn.zero.dot``, on either backend.
+    The identities of ``IDENTITIES`` are term lists: R~, the structure
+    equation, d~(sR), Bianchi, the transgression d Tr(sR^T - T^3/3) =
+    Tr(sR^sR) and nabla T = sR.  ``sums(name, sign)`` maps each
+    component's key, in canonical order, to its terms (c, a, b) (see
+    ``RationalFunc.dot``), gathered from the term emitters of the calculus
+    without forming a product or a sum; a component with no key is a
+    literal zero.  ``sign`` is the s on R in the structure equation and in
+    nabla T = sR; the terms of d~T and T^T are gathered once for either
+    sign.  ``fields`` folds each list into one field with ``conn.zero.dot``,
+    on either backend.  An exact identity is only tested for zero, so the
+    derivatives of sR and of the transgression primitive enter as the
+    unreduced quotient-rule terms of ``diff_terms``, and the wedges of sR
+    as their products; the primitive Tr(diagonal of sR^T - T^3/3) is
+    formed.  The derivatives of Gamma are those R reads, and those of T
+    stay the memoized ``diff``: a calibration failure prints the
+    structure residual, whose last bits the terms of a derivative move.
 
     The rule for every reader: build every field before the first grid
     evaluation.  A numeric node then knows all its readers when it is
@@ -474,10 +500,6 @@ class Geometry:
         self.t3 = wedge(self.tt, self.t, diagonal=True)
 
     @cached_property
-    def sr_t(self) -> HomForm:
-        return wedge(self.sr, self.t)
-
-    @cached_property
     def _torsion_terms(self) -> Dict[tuple, list]:
         """The terms of d~T + T^T, which the structure sums of both signs share."""
         out = _differential_sums(self.conn, self.t)
@@ -486,16 +508,22 @@ class Geometry:
 
     def sums(self, name: str, sign: int) -> Dict[tuple, list]:
         conn, t, sr = self.conn, self.t, self.sr
-        if name == "structure":  # d~T, T^T and -sign.R
+        if name == "rtilde":  # keyed as curvature_tilde_form
+            out = {((r, j), i, k): terms
+                   for (i, r, j, k), terms in curvature_tilde_terms(conn).items()}
+        elif name == "structure":  # d~T, T^T and -sign.R
             out = {key: [*terms] for key, terms in self._torsion_terms.items()}
             _add_terms(out, self.r, -sign)
-        elif name == "dtildeR":  # d~(sR) = (sR)^T - T^(sR), T^(sR) as products
-            out = _differential_sums(conn, sr)
-            _add_terms(out, self.sr_t, -1)
-            for key, terms in _wedge_sums(t, sr).items():
-                out.setdefault(key, []).extend(terms)
+        elif name == "dtildeR":  # d~(sR) = (sR)^T - T^(sR), both wedges as products
+            out = _differential_sums(conn, sr, _unreduced_dt_terms)
+            _add_wedge_terms(out, sr, t, -1)
+            _add_wedge_terms(out, t, sr, 1)
         elif name == "bianchi":  # d_lower(sR), the exterior-covariant closure of R
-            out = _differential_sums(conn.transposed(), sr)
+            out = _differential_sums(conn.transposed(), sr, _unreduced_dt_terms)
+        elif name == "chern_simons":  # d Tr(sR^T - T^3/3) - Tr(sR^sR), plain
+            primitive = trace_form(wedge(sr, t, diagonal=True) - self.t3.scale(Fraction(1, 3)))
+            out = _differential_sums(None, primitive, _de_rham_terms, _exterior_reach)
+            _add_wedge_terms(out, sr, sr, -1, trace=True)
         else:  # nabla T - sign.R, keyed (d, i, j, k)
             return {(d, *value): [*dt_terms(conn, t_get, d, *value), (-sign, rhs, None)]
                     for d, value, t_get, rhs in _nabla_torsion_positions(conn, t, self.r)}
@@ -504,12 +532,6 @@ class Geometry:
     def fields(self, name: str, sign: int) -> List[ScalarField]:
         zero = self.conn.zero
         return [zero.dot(terms) for terms in self.sums(name, sign).values()]
-
-    def transgression(self, sr_t: HomForm) -> HomForm:
-        """d Tr(sR ^ T - T^3/3) - Tr(sR ^ sR), zero by the secondary
-        transgression; ``sr_t`` is sR^T or its diagonal, all the trace reads."""
-        primitive = trace_form(sr_t - self.t3.scale(Fraction(1, 3)))
-        return de_rham(primitive) - trace_form(wedge(self.sr, self.sr, diagonal=True))
 
     def structure_residual(self, fields: List[ScalarField], points, tol: float,
                            chart_name: str) -> float:
@@ -530,18 +552,6 @@ def _add_terms(sums: Dict[tuple, list], form: HomForm, c: int) -> None:
         sums.setdefault(key, []).append((c, f, None))
 
 
-def _grid(chart: FrameChart, grid_points: int):
-    """Validate the chart on its grid and return the points every residual
-    of a report is evaluated on: a ``RationalGrid`` on the exact backend,
-    one array on the numeric one (each evaluation would convert a list)."""
-    chart.validate_invertible(grid_points)
-    if chart.backend == "exact":
-        return RationalGrid(chart.rational_grid(grid_points))
-    import numpy as np
-
-    return np.array(chart.grid(grid_points))
-
-
 def identity_report(chart: FrameChart, tol: float = 1e-6, grid_points: int = 5) -> dict:
     """Compute the full residual table for one chart.
 
@@ -554,20 +564,12 @@ def identity_report(chart: FrameChart, tol: float = 1e-6, grid_points: int = 5) 
     backend "max |R| on the grid is at most ``tol``".
     ``identity_residuals_pass`` gates the residuals.
     """
-    points = _grid(chart, grid_points)
+    points = chart.validate_invertible(grid_points)
     geo = Geometry(gamma_from_frame(chart))
     fields = {name: geo.fields(name, geo.sign) for name in IDENTITIES}
-    transgression = geo.transgression(geo.sr_t)
-    rtilde = curvature_tilde_form(geo.conn)
 
-    residuals = {
-        "rtilde": form_residual(rtilde, points),
-        "structure": geo.structure_residual(fields["structure"], points, tol, chart.name),
-        "dtildeR": scalars_residual(fields["dtildeR"], points),
-        "bianchi": scalars_residual(fields["bianchi"], points),
-        "chern_simons": form_residual(transgression, points),
-        "nabla_torsion": scalars_residual(fields["nabla_torsion"], points),
-    }
+    residuals = {name: (geo.structure_residual(f, points, tol, chart.name) if name == "structure"
+                        else scalars_residual(f, points)) for name, f in fields.items()}
     max_r = form_residual(geo.r, points)
     # exact: R is a normal form, so the verdict needs no grid and no tol
     homogeneous = geo.r.is_exactly_zero() if chart.backend == "exact" else max_r <= tol
@@ -605,15 +607,15 @@ def _secondary_report(chart: FrameChart, i: int, tol: float, tol2: float,
     that form.  The structure residual is evaluated because it checks
     ``STRUCTURE_SIGN`` on this chart; ``max_R`` only on the numeric
     backend, whose verdict needs it."""
-    points = _grid(chart, grid_points)
+    points = chart.validate_invertible(grid_points)
     geo = Geometry(gamma_from_frame(chart))
     structure = geo.fields("structure", geo.sign)
-    transgression = geo.transgression(wedge(geo.sr, geo.t, diagonal=True))
+    transgression = geo.fields("chern_simons", geo.sign)
     form = trace_form(geo.t3 if i == 1 else wedge_power(geo.t, 2 * i + 1))
     closure = de_rham(form)
 
     geo.structure_residual(structure, points, tol, chart.name)
-    residual = form_residual(transgression, points)
+    residual = scalars_residual(transgression, points)
     exact = chart.backend == "exact"
     homogeneous = geo.r.is_exactly_zero() if exact else form_residual(geo.r, points) <= tol
     # the secondary forms are classes only where the curvature vanishes

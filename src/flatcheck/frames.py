@@ -51,12 +51,12 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations_with_replacement, product as iproduct
+from itertools import combinations_with_replacement, product as iproduct, repeat
 from math import comb, factorial, isinf
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import MAX_DIM
-from .rational import Poly, RationalFunc, float_of, rf_matrix_inverse
+from .rational import Poly, RationalFunc, RationalGrid, float_of, rf_matrix_inverse
 
 if TYPE_CHECKING:  # numpy is imported by the numeric backend only
     import numpy as np
@@ -312,6 +312,10 @@ class NumericScalar:
             return self if self.is_zero() else NumericScalar.const(self.n, 0)
         return NumericScalar(_derivative, self.n, self.reads, (self, r))
 
+    def diff_terms(self, r: int) -> Tuple[Tuple[int, NumericScalar, None]]:
+        """``RationalFunc.diff_terms``: here the one term (1, ``diff(r)``, None)."""
+        return ((1, self.diff(r), None),)
+
     def dot(self, terms: Iterable[Tuple[int, NumericScalar, NumericScalar | None]]) -> NumericScalar:
         """self + the sum of c * a * b over the (int c, a, b) triples of
         ``terms``, b None standing for 1, as one node (see
@@ -496,48 +500,52 @@ class FrameChart:
                          for t in range(points_per_axis)])
         return [tuple(p) for p in iproduct(*axes)]
 
-    def validate_invertible(self, points_per_axis: int = 5) -> None:
+    def validate_invertible(self, points_per_axis: int = 5) -> RationalGrid | np.ndarray:
         """Check the evaluation grid is within bounds, and that e is finite
-        and invertible on it.  Exactly, when exact: e has a pole where a
-        denominator factor of its entries vanishes, and, where it has none,
-        is singular where one of e^-1 = adj(e) / det e does.  A report's fields are
-        built from e, e^-1 and their derivatives, so they divide by no
-        exact zero on a valid grid.  Numerically, e is evaluated on the
-        whole grid at once, and the first point where it is not finite (a
-        pole reads NaN) or is singular is named."""
+        and invertible on it; return the grid a report evaluates on, a
+        ``RationalGrid`` when exact and one float array when numeric.
+        Exactly, when exact: e has a pole where a denominator factor of its
+        entries vanishes (``RationalGrid.vanishes``), and, where it has
+        none, is singular where one of e^-1 = adj(e) / det e does.  A
+        report's fields are built from e, e^-1 and their derivatives, so
+        they divide by no exact zero on a valid grid.  Numerically, e is
+        evaluated on the whole grid at once, and the first point where it
+        is not finite (a pole reads NaN) or is singular is named."""
         if points_per_axis < 2:
             raise ChartError("need at least 2 grid points per axis")
         if points_per_axis ** self.n > MAX_GRID_POINTS:
             raise ChartError(f"a grid of {points_per_axis}^{self.n} points exceeds "
                              f"the limit of {MAX_GRID_POINTS}")
         if self.backend == "exact":
+            grid = RationalGrid(self.rational_grid(points_per_axis))
             poles = dict.fromkeys(f for row in self.entries for e in row for f in e.den)
             singular = dict.fromkeys(f for row in self.inverse for e in row for f in e.den
                                      if f not in poles)
-            for p in self.rational_grid(points_per_axis) if poles or singular else ():
-                if any(f.eval(p) == 0 for f in poles):
-                    problem = "has a pole"
-                elif any(f.eval(p) == 0 for f in singular):
-                    problem = "is singular"
-                else:
-                    continue
-                at = ", ".join(map(str, p))
-                raise ChartError(f"frame of chart '{self.name}' {problem} at ({at})")
-        else:
-            import numpy as np
+            # per kind of fault, whether some factor of that kind vanishes at each point
+            masks = [map(any, zip(*map(grid.vanishes, factors))) if factors else repeat(False)
+                     for factors in (poles, singular)]
+            for p, pole, sing in zip(grid.points, *masks):
+                if pole or sing:
+                    problem = "has a pole" if pole else "is singular"
+                    at = ", ".join(map(str, p))
+                    raise ChartError(f"frame of chart '{self.name}' {problem} at ({at})")
+            return grid
+        import numpy as np
 
-            grid = self.grid(points_per_axis)
-            e = self._jets(np.array(grid), 0)[0]
-            with np.errstate(all="ignore"):
-                # |det e| against Hadamard's bound, the product of the row
-                # norms: the ratio lies in [0, 1] whatever the scale of e
-                singular = abs(np.linalg.det(e)) <= 1e-12 * np.linalg.norm(e, axis=2).prod(axis=1)
-            # the first bad point is named, whatever is wrong there
-            for p, finite, sing in zip(grid, np.isfinite(e).all(axis=(1, 2)), singular):
-                if not finite:
-                    raise ChartError(f"frame of chart '{self.name}' is not finite at {p}")
-                if sing:
-                    raise ChartError(f"frame of chart '{self.name}' is singular at {p}")
+        grid = self.grid(points_per_axis)
+        points = np.array(grid)
+        e = self._jets(points, 0)[0]
+        with np.errstate(all="ignore"):
+            # |det e| against Hadamard's bound, the product of the row
+            # norms: the ratio lies in [0, 1] whatever the scale of e
+            singular = abs(np.linalg.det(e)) <= 1e-12 * np.linalg.norm(e, axis=2).prod(axis=1)
+        # the first bad point is named, whatever is wrong there
+        for p, finite, sing in zip(grid, np.isfinite(e).all(axis=(1, 2)), singular):
+            if not finite:
+                raise ChartError(f"frame of chart '{self.name}' is not finite at {p}")
+            if sing:
+                raise ChartError(f"frame of chart '{self.name}' is singular at {p}")
+        return points
 
     def _jets(self, points: np.ndarray, order: int) -> np.ndarray:
         """The numeric frame's jet of ``order`` at the rows of ``points``, a
@@ -658,6 +666,16 @@ def _gamma_component(points, key, order, tensor: NumericScalar, i: int, j: int,
 
 # --- covariant derivative and curvature components ---------------------------
 
+def fold_terms(terms: Iterable[Tuple[int, ScalarField, ScalarField | None]]) -> ScalarField:
+    """The sum of the terms (c, a, b), c = 1 or -1, in order: the first,
+    whose b is None, and then each c * a * b added or subtracted in turn."""
+    terms = iter(terms)
+    _, acc, _ = next(terms)
+    for c, a, b in terms:
+        acc = acc + a * b if c == 1 else acc - a * b
+    return acc
+
+
 def dt_scalar(conn: ConnectionField, get: Callable[..., ScalarField],
               r: int, i: int, *lower: int) -> ScalarField:
     """Covariant derivative in direction r of a tensor with one upper slot.
@@ -673,21 +691,18 @@ def dt_scalar(conn: ConnectionField, get: Callable[..., ScalarField],
     exactly on the invariant fields of the parallelism (the frame
     columns).  Form indices a caller keeps out of ``lower`` stay inert.
 
-    The terms are those of ``dt_terms``, added in its order: the
-    derivative first, then each product subtracted or added in turn.
+    The terms are those of ``dt_terms``, folded in its order.
     """
-    terms = dt_terms(conn, get, r, i, *lower)
-    _, acc, _ = next(terms)
-    for c, gamma, t in terms:
-        acc = acc + gamma * t if c == 1 else acc - gamma * t
-    return acc
+    return fold_terms(dt_terms(conn, get, r, i, *lower))
 
 
 def dt_terms(conn: ConnectionField, get: Callable[..., ScalarField],
-             r: int, i: int, *lower: int) -> Iterator[Tuple[int, ScalarField, ScalarField | None]]:
+             r: int, i: int, *lower: int,
+             reduced: bool = True) -> Iterator[Tuple[int, ScalarField, ScalarField | None]]:
     """The terms (c, a, b) of ``dt_scalar``, each standing for c * a * b (b
     None for 1): first (1, d_r t^i_{l_1..l_m}, None) through the memoized
-    ``diff``, then (-1, Gamma^i_{ra}, t^a_{..}) and (1, Gamma^a_{r l_s},
+    ``diff``, or, unless ``reduced``, the unreduced terms of ``diff_terms``,
+    then (-1, Gamma^i_{ra}, t^a_{..}) and (1, Gamma^a_{r l_s},
     t^i_{..a..}) in the order of the sums, a ascending and for each a the
     upper product before the slots.
 
@@ -696,7 +711,11 @@ def dt_terms(conn: ConnectionField, get: Callable[..., ScalarField],
     left out.  A sum or product with a literal-zero operand returns the
     other operand, so the terms that are left, added in order, give the
     same field as the full sum, term for term."""
-    yield 1, get(i, *lower).diff(r), None
+    t = get(i, *lower)
+    if reduced:
+        yield 1, t.diff(r), None
+    else:
+        yield from t.diff_terms(r)
     upper = conn.upper[i][r]
     slots = [(conn.lower[r][l], l, lower[:s], lower[s + 1:]) for s, l in enumerate(lower)]
     for a in range(conn.n):
@@ -742,6 +761,28 @@ def torsion_components(conn: ConnectionField) -> Dict[Tuple[int, int, int], Scal
     return out
 
 
+def _half_terms(conn: ConnectionField, i: int, rr: int, jj: int,
+                k: int) -> Iterator[Tuple[int, ScalarField, ScalarField | None]]:
+    """The terms of d_rr Gamma^i_{jj k} + Gamma^a_{rr k} Gamma^i_{jj a}: the
+    derivative, then a product for each a with both Gamma entries not a
+    literal zero, a ascending."""
+    yield 1, conn.comp(i, jj, k).diff(rr), None
+    upper = conn.upper[i][jj]
+    for a in conn.lower[rr][k]:
+        if a in upper:
+            yield 1, conn.comp(a, rr, k), conn.comp(i, jj, a)
+
+
+def curvature_tilde_terms(conn: ConnectionField) -> Dict[Tuple[int, int, int, int], list]:
+    """The terms (c, a, b) of each component (i, r, j, k) with r < j of
+    ``curvature_tilde_components``: those of its first half, then those of
+    its second half negated."""
+    n = conn.n
+    return {(i, r, j, k): [*_half_terms(conn, i, r, j, k),
+                           *((-c, a, b) for c, a, b in _half_terms(conn, i, j, r, k))]
+            for i, r, j, k in iproduct(range(n), repeat=4) if r < j}
+
+
 def curvature_tilde_components(conn: ConnectionField) -> Dict[Tuple[int, int, int, int], ScalarField]:
     """The always-flat curvature, keyed (i, r, j, k) with form pair (r, j).
 
@@ -749,32 +790,21 @@ def curvature_tilde_components(conn: ConnectionField) -> Dict[Tuple[int, int, in
     antisymmetrized in (r, j); identically zero for frame-derived
     connections, which is the convention-sensitive sanity anchor.
 
-    Only the pairs r < j are computed; (i, j, r, k) is the negative of
-    (i, r, j, k) and (i, r, r, k) is zero.  Every key is returned, in the
-    order (i, r, j, k) of the loops.
+    Only the pairs r < j are computed, each half folded from the terms of
+    ``_half_terms``; (i, j, r, k) is the negative of (i, r, j, k) and
+    (i, r, r, k) is zero.  Every key is returned, in the order (i, r, j, k)
+    of the loops.
     """
     n = conn.n
-
-    def half(i, rr, jj, k):
-        # the a with both Gamma^a_{rr k} and Gamma^i_{jj a} not a literal zero
-        acc = conn.comp(i, jj, k).diff(rr)
-        upper = conn.upper[i][jj]
-        for a in conn.lower[rr][k]:
-            if a in upper:
-                acc = acc + conn.comp(a, rr, k) * conn.comp(i, jj, a)
-        return acc
-
     out = {}
-    for i in range(n):
-        for r in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if r < j:
-                        out[(i, r, j, k)] = half(i, r, j, k) - half(i, j, r, k)
-                    elif r > j:
-                        out[(i, r, j, k)] = out[(i, j, r, k)].scale(-1)
-                    else:
-                        out[(i, r, j, k)] = conn.zero
+    for i, r, j, k in iproduct(range(n), repeat=4):
+        if r < j:
+            out[(i, r, j, k)] = (fold_terms(_half_terms(conn, i, r, j, k))
+                                 - fold_terms(_half_terms(conn, i, j, r, k)))
+        elif r > j:
+            out[(i, r, j, k)] = out[(i, j, r, k)].scale(-1)
+        else:
+            out[(i, r, j, k)] = conn.zero
     return out
 
 

@@ -53,7 +53,8 @@ one common denominator and builds no polynomial per product or per sum.
 It keeps no schoolbook term order, so only callers whose results are
 compared by value or printed sorted may use it: the Spencer layer, and
 ``RationalFunc.dot``, the same fused sum over rational functions, with
-which the report of ``forms`` writes each residual identity.  A fused
+which the report of ``forms`` writes each residual identity, some
+derivatives entering as the unreduced terms of ``diff_terms``.  A fused
 sum that is not zero, which only a failing identity (a calibration
 failure) gives, is read on the grid, and its floats may then differ from
 the schoolbook sum's in the last bits.  Every field that a report prints
@@ -70,7 +71,7 @@ from itertools import chain, repeat
 from math import gcd, lcm, prod
 from operator import add, getitem, mul, truediv
 from struct import Struct
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 PolyDict = Dict[Monomial, Fraction]
@@ -631,11 +632,7 @@ class RationalFunc:
         return RationalFunc(na + nb if sign == 1 else na - nb, common)
 
     def __neg__(self) -> RationalFunc:
-        res = RationalFunc.__new__(RationalFunc)
-        res.n = self.n
-        res.num = -self.num
-        res.den = dict(self.den)
-        return res
+        return _raw(-self.num, dict(self.den))
 
     def __sub__(self, other: RationalFunc) -> RationalFunc:
         if not other.num.terms:
@@ -723,11 +720,7 @@ class RationalFunc:
         if not c:
             return RationalFunc(Poly.zero(self.n))
         # no factor divides num, so none divides c * num: nothing to reduce
-        res = RationalFunc.__new__(RationalFunc)
-        res.n = self.n
-        res.num = self.num.scale(c)
-        res.den = dict(self.den)
-        return res
+        return _raw(self.num.scale(c), dict(self.den))
 
     def inverse(self) -> RationalFunc:
         """Reciprocal; the (monic) numerator becomes a new denominator atom."""
@@ -755,6 +748,18 @@ class RationalFunc:
         if got is None:
             got = memo[idx] = self._quotient_rule(idx)
         return got
+
+    def diff_terms(self, idx: int) -> Iterator[Tuple[int, RationalFunc, RationalFunc | None]]:
+        """The terms (c, a, b) of ``diff(idx)`` for ``dot``, none of them
+        reduced: with D = prod f^e, (1, dN / D, None), then (-e, N / (f D),
+        df) for each factor f with df not zero.  ``dot`` reduces their sum
+        once, and not at all when it is zero."""
+        num, den = self.num, self.den
+        yield 1, _raw(num.diff(idx), den), None
+        for f, e in den.items():
+            df = f.diff(idx)
+            if df.terms:
+                yield -e, _raw(num, {**den, f: e + 1}), _raw(df, {})
 
     def _quotient_rule(self, idx: int) -> RationalFunc:
         """Partial derivative via the quotient rule, factor by factor."""
@@ -786,6 +791,16 @@ class RationalFunc:
         if not self.den:
             return f"RationalFunc({self.num!r})"
         return f"RationalFunc({self.num!r} / {self.den!r})"
+
+
+def _raw(num: Poly, den: Dict[Poly, int]) -> RationalFunc:
+    """num / den as given, no factor cancelled: a normal form when no
+    factor of ``den`` divides ``num``, else only a term of a sum."""
+    res = RationalFunc.__new__(RationalFunc)
+    res.n = num.n
+    res.num = num
+    res.den = den
+    return res
 
 
 # A number past the largest float reads as an infinity of its sign, as a
@@ -841,28 +856,58 @@ class RationalGrid:
     holds them, so ids stay unique.  A column division that raises (an
     overflow of ``d ** e``, a factor that rounds to zero) is redone point
     by point for that factor, through ``_quotient`` and ``_power``.
+
+    ``vanishes(p)`` decides exactly where a polynomial is zero, on integer
+    columns and with no Fraction: with x_t = p_t / q_t and d_t the degree
+    of p in x_t, p(x) = 0 exactly when the sum of its numerators times the
+    products of p_t ** e_t * q_t ** (d_t - e_t) is 0.
     """
 
-    __slots__ = ("points", "_columns", "_factors")
+    __slots__ = ("points", "_columns", "_factors", "_ints")
 
     def __init__(self, points):
         self.points = [tuple(p) for p in points]
         self._columns: Dict[tuple, list] = {}  # (t, e) -> float(x_t ** e) by point
         self._factors: Dict[int, tuple] = {}  # id(factor) -> (factor, values by point)
+        self._ints: Dict[tuple, list] = {}  # (t, e, d) -> p_t ** e * q_t ** (d - e) by point
 
     def __iter__(self):
         return iter(self.points)
 
+    def _by_coordinate(self, t: int, fn) -> list:
+        """fn(x_t) at each point, computed once per distinct coordinate."""
+        xs = [p[t] for p in self.points]
+        values = {}  # id(x) -> fn(x)
+        for x in xs:
+            if id(x) not in values:
+                values[id(x)] = fn(x)
+        return list(map(values.__getitem__, map(id, xs)))
+
     def _column(self, t: int, e: int) -> list:
         col = self._columns.get((t, e))
         if col is None:
-            xs = [p[t] for p in self.points]
-            powers = {}  # id(x) -> float(x ** e)
-            for x in xs:
-                if id(x) not in powers:
-                    powers[id(x)] = _power(x, e)
-            col = self._columns[t, e] = list(map(powers.__getitem__, map(id, xs)))
+            col = self._columns[t, e] = self._by_coordinate(t, lambda x: _power(x, e))
         return col
+
+    def _int_column(self, t: int, e: int, d: int) -> list:
+        col = self._ints.get((t, e, d))
+        if col is None:
+            col = self._ints[t, e, d] = self._by_coordinate(
+                t, lambda x: x.numerator ** e * x.denominator ** (d - e))
+        return col
+
+    def vanishes(self, p: Poly) -> list:
+        """Whether p is zero at each point, exactly (see the class docstring)."""
+        size = len(self.points)
+        total = repeat(0, size)
+        degrees = p.shape()[3] if p.terms else ()
+        for mono, v in zip(p.monomials(), p.terms.values()):
+            term = repeat(v, size)
+            for t, (e, d) in enumerate(zip(mono, degrees)):
+                if d:
+                    term = map(mul, term, self._int_column(t, e, d))
+            total = list(map(add, total, term))
+        return [not v for v in total]
 
     def _poly_values(self, p: Poly) -> list:
         size = len(self.points)

@@ -80,11 +80,11 @@ def test_chern_simons_skips_the_identities_it_does_not_print(chart, monkeypatch)
     for name in ("curvature_tilde_form", *REFERENCES):
         monkeypatch.setattr(forms, name, _refuse(name))
     assert forms.chern_simons_report(chart(), grid_points=3) == expected
-    assert reached == ["structure"]
+    assert reached == ["structure", "chern_simons"]
     # the secondary class needs no more than the report does
     _, closed = forms.secondary_class_check(chart(), 1, grid_points=3)
     assert closed == expected["secondary_class_closed"]
-    assert reached == ["structure"] * 2
+    assert reached == ["structure", "chern_simons"] * 2
 
 
 @pytest.mark.parametrize("report", [forms.identity_report, forms.chern_simons_report],
@@ -96,9 +96,9 @@ def test_a_calibration_failure_gathers_the_torsion_terms_once(report, monkeypatc
     gathered = []
     original = forms._differential_sums
 
-    def spy(conn, omega):
+    def spy(conn, omega, *args):
         gathered.append(omega.degree)
-        return original(conn, omega)
+        return original(conn, omega, *args)
 
     monkeypatch.setattr(forms, "_differential_sums", spy)
     monkeypatch.setattr(forms, "STRUCTURE_SIGN", -forms.STRUCTURE_SIGN)
@@ -106,7 +106,8 @@ def test_a_calibration_failure_gathers_the_torsion_terms_once(report, monkeypatc
         report(get_chart("deformed2"), grid_points=3)
     residuals = (info.value.residual_plus["structure"], info.value.residual_minus["structure"])
     assert 0.0 in residuals and max(residuals) > 0.0
-    assert gathered.count(1) == 1  # d~T; d~(sR) and d(sR) are 2-forms
+    # d~T; d~(sR) and d(sR) are 2-forms, the transgression primitive a 3-form
+    assert gathered.count(1) == 1
 
 
 # --- a report reads each identity from its fused sums -----------------------------
@@ -145,15 +146,19 @@ def eager_identities(conn, sign: int) -> dict:
     n = conn.n
     t, r = forms.torsion_form(conn), forms.curvature_form(conn)
     sr = r if sign == 1 else r.scale(-1)
+    primitive = forms.trace_form(forms.wedge(sr, t) - forms.wedge_power(t, 3).scale(Fraction(1, 3)))
     nabla = {}
     for d, i, j, k in iproduct(range(n), repeat=4):
         rhs = r.comp((k, j), i, d)
         nabla[d, i, j, k] = (dt_scalar(conn, lambda i, j, k: t.comp((j,), i, k), d, i, j, k)
                              - (rhs if sign == 1 else rhs.scale(-1)))
-    return {"structure": (forms.d_tilde(conn, t) + forms.wedge(t, t) - sr).components,
+    return {"rtilde": forms.curvature_tilde_form(conn).components,
+            "structure": (forms.d_tilde(conn, t) + forms.wedge(t, t) - sr).components,
             "dtildeR": (forms.d_tilde(conn, sr)
                         - (forms.wedge(sr, t) - forms.wedge(t, sr))).components,
             "bianchi": forms.d_lower(conn, sr).components,
+            "chern_simons": (forms.de_rham(primitive)
+                             - forms.trace_form(forms.wedge(sr, sr))).components,
             "nabla_torsion": nabla}
 
 
@@ -250,7 +255,7 @@ def pieces(a: forms.HomForm, b: forms.HomForm, diagonal: bool) -> int:
     return count
 
 
-@pytest.mark.parametrize("report, trace_only", [(forms.chern_simons_report, 3),
+@pytest.mark.parametrize("report, trace_only", [(forms.chern_simons_report, 2),
                                                 (forms.identity_report, 2)])
 def test_a_trace_only_wedge_forms_no_off_diagonal_piece(report, trace_only, monkeypatch):
     products = []
@@ -276,7 +281,7 @@ def test_a_trace_only_wedge_forms_no_off_diagonal_piece(report, trace_only, monk
     monkeypatch.setattr(forms, "wedge", spy)
     report(make_sl2mix4(), grid_points=3)
     diagonal = [c for c in calls if c[0]]
-    # sR^sR, T^T^T, and in chern-simons sR^T
+    # T^T^T and sR^T; the transgression reads sR^sR as products
     assert len(diagonal) == trace_only
     assert all(formed == want for _, formed, want, _ in calls)
     assert sum(formed for _, formed, _, _ in diagonal) < sum(full for *_, full in diagonal)
@@ -367,6 +372,38 @@ def test_report_differentiates_each_field_once_per_direction(monkeypatch):
     pairs = [(id(f), idx) for f, idx in seen]
     assert pairs and len(pairs) == len(set(pairs))
     assert len(diffs) > len(pairs)
+
+
+def test_a_report_reduces_no_derivative_of_sr_or_the_transgression_primitive(monkeypatch):
+    # they are only tested for zero: their derivatives enter the sums as the
+    # unreduced terms of diff_terms
+    differentiated = []  # the fields are held here, so their ids stay unique
+    original = RationalFunc._quotient_rule
+
+    def counted(self, idx):
+        differentiated.append(self)
+        return original(self, idx)
+
+    geometries, primitives = [], []
+    original_init, original_trace = forms.Geometry.__init__, forms.trace_form
+
+    def init(self, conn):
+        original_init(self, conn)
+        geometries.append(self)
+
+    def trace(omega):
+        out = original_trace(omega)
+        primitives.append(out)
+        return out
+
+    monkeypatch.setattr(RationalFunc, "_quotient_rule", counted)
+    monkeypatch.setattr(forms.Geometry, "__init__", init)
+    monkeypatch.setattr(forms, "trace_form", trace)
+    forms.identity_report(make_sl2mix4(), grid_points=3)
+    (geo,), (primitive,) = geometries, primitives
+    assert geo.sr.components and primitive.components and differentiated
+    watched = {id(f) for form in (geo.sr, primitive) for f in form.components.values()}
+    assert not watched & {id(f) for f in differentiated}
 
 
 def test_zero_field_derivative_is_memoized():

@@ -43,6 +43,7 @@ ALLOWED = {
                                  "it: it gives a field's Taylor polynomials at a point",
     "forms.d_tilde": "the tracer wraps it; tests compare the identity sums with it",
     "forms.d_lower": "the tracer wraps it; tests compare the identity sums with it",
+    "forms.curvature_tilde_form": "acceptance criteria use it",
 }
 
 
