@@ -252,8 +252,8 @@ def chart_from_json(doc: dict, backend: str | None = None) -> FrameChart:
     return FrameChart(name, n, domain, entries)
 
 
-def load_chart_file(path: str, backend: str | None = None) -> FrameChart:
+def load_chart_file(path: str) -> FrameChart:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ChartError("chart document must be a JSON object")
-    return chart_from_json(doc, backend)
+    return chart_from_json(doc)

@@ -28,19 +28,22 @@ Two scalar-field backends implement the same operations:
   The entries of a numeric frame are numeric fields too, built by the
   chart interpreter of ``charts_io``: one field type serves the frame and
   the calculus.  A field is an operation node on its operand fields, and
-  it keeps its jet per batch only where it is read again: when no node,
-  or more than one, reads it.  A node that one node reads is asked again
-  only when that reader is computed again, for a higher order, so a
-  cache there would only hold memory.  Numeric evaluation is total,
-  as numpy's is: a value that cannot be computed, at a pole or past the
-  float range, is not finite at its point, the same failure rule as the
-  exact read-out's, so validation names the frame's first such point.
+  every sum, difference, product, scaling and negation is one kind of
+  node, a sum of products c * a * b.  A node keeps its jet per batch only
+  where it is read again: when no node, or more than one, reads it.  A
+  node that one node reads is asked again only when that reader is
+  computed again, for a higher order, so a cache there would only hold
+  memory.  Numeric evaluation is total, as numpy's is: a value that
+  cannot be computed, at a pole or past the float range, is not finite
+  at its point, the same failure rule as the exact read-out's, so
+  validation names the frame's first such point.
 
 Both backends have a literal zero, and the arithmetic of both takes the
-same zero short cuts.  A numeric field also knows the coordinates it
-reads: its derivative along any other one is the zero, and Gamma^i_{jk}
-is the zero where no frame entry of row i reads x_j.  So one sparse
-calculus, which forms only the products that can be nonzero, serves both.
+same zero short cuts; numeric negation, quotients, powers and calls take
+none.  A numeric field also knows the coordinates it reads: its
+derivative along any other one is the zero, and Gamma^i_{jk} is the zero
+where no frame entry of row i reads x_j.  So one sparse calculus, which
+forms only the products that can be nonzero, serves both.
 
 Charts are bounded: at most ``MAX_DIM`` dimensions, and at most
 ``MAX_GRID_POINTS`` points on an evaluation grid.
@@ -182,16 +185,18 @@ class NumericScalar:
     that order there (``jet_monomials``); ``key`` is the batch's
     ``tobytes()``, passed on to the operand fields that ``fn`` evaluates
     on the same batch.  A leaf has no operands.  The operations are the
-    module-level functions below: sums, differences and scalings act on
-    whole jets, a product is truncated at the order asked (``jet_mul``),
-    ``dot`` is one node for a whole sum of such products, and ``diff(r)``
-    asks its operand for one order more and shifts the coefficients
-    (``jet_diff``).  ``values`` is the row of order 0, and
+    module-level functions below.  One of them, ``_dot``, sums c * a * b
+    over a row of (c, a, b) triples, b None standing for 1: +, -, *,
+    ``scale`` and unary - each build a ``_dot`` node of one or two terms,
+    and ``dot`` one for a whole sum of products.  Its terms act on whole
+    jets, and a product is truncated at the order asked (``jet_mul``).
+    ``diff(r)`` asks its operand for one order more and shifts the
+    coefficients (``jet_diff``).  ``values`` is the row of order 0, and
     ``eval_float`` a batch of one row.
 
     The entries of a numeric frame are fields too, built by the chart
-    interpreter from ``var``, ``literal``, the arithmetic above, ``-``,
-    ``/``, ``power`` and ``call``.  A quotient multiplies by the series of
+    interpreter from ``var``, ``literal``, the arithmetic above, ``/``,
+    ``power`` and ``call``.  A quotient multiplies by the series of
     t^-1, a power composes with the series of t^p, and sin/cos/exp with
     their derivative cycles (``NUMERIC_FUNCS``), by
 
@@ -199,8 +204,8 @@ class NumericScalar:
 
     Evaluation never raises: where a divisor (or the base of a negative
     power) is 0, every row of the jet is NaN, and an overflow is inf, so
-    a value that cannot be computed is not finite at its point.  These
-    four operations take no zero short cuts.
+    a value that cannot be computed is not finite at its point.
+    Negation, ``/``, ``power`` and ``call`` take no zero short cuts.
 
     ``reads`` is the set of coordinates r whose x_r the field can depend
     on (every one unless given).  ``const(n, 0)`` is the literal zero, and
@@ -257,29 +262,28 @@ class NumericScalar:
     def is_zero(self) -> bool:
         return self.fn is _zeros
 
-    def _binary(self, other: NumericScalar, fn) -> NumericScalar:
-        return NumericScalar(fn, self.n, _union(self.reads, other.reads), (self, other))
-
     def __add__(self, other: NumericScalar) -> NumericScalar:
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        return self._binary(other, _add)
+        return NumericScalar(_dot, self.n, _union(self.reads, other.reads),
+                             (1, self, None, 1, other, None))
 
     def __sub__(self, other: NumericScalar) -> NumericScalar:
         if other.is_zero():
             return self
         if self.is_zero():
             return other.scale(-1)
-        return self._binary(other, _sub)
+        return NumericScalar(_dot, self.n, _union(self.reads, other.reads),
+                             (1, self, None, -1, other, None))
 
     def __mul__(self, other: NumericScalar) -> NumericScalar:
         if self.is_zero():
             return self
         if other.is_zero():
             return other
-        return self._binary(other, _mul)
+        return NumericScalar(_dot, self.n, _union(self.reads, other.reads), (1, self, other))
 
     def scale(self, value) -> NumericScalar:
         v = float(value)
@@ -287,7 +291,7 @@ class NumericScalar:
             return self
         if v == 0:
             return NumericScalar.const(self.n, 0)
-        return NumericScalar(_scaled, self.n, self.reads, (self, v))
+        return NumericScalar(_dot, self.n, self.reads, (v, self, None))
 
     @staticmethod
     def var(n: int, idx: int) -> NumericScalar:
@@ -295,10 +299,10 @@ class NumericScalar:
         return NumericScalar(_coordinate, n, frozenset({idx}), (idx,))
 
     def __neg__(self) -> NumericScalar:
-        return NumericScalar(_negated, self.n, self.reads, (self,))
+        return NumericScalar(_dot, self.n, self.reads, (-1, self, None))
 
     def __truediv__(self, other: NumericScalar) -> NumericScalar:
-        return self._binary(other, _quotient)
+        return NumericScalar(_quotient, self.n, _union(self.reads, other.reads), (self, other))
 
     def power(self, exp: int) -> NumericScalar:
         return NumericScalar(_power, self.n, self.reads, (self, exp))
@@ -395,26 +399,6 @@ def _coordinate(points: np.ndarray, key: bytes, order: int, idx: int) -> np.ndar
     return out
 
 
-def _add(points, key, order, a: NumericScalar, b: NumericScalar) -> np.ndarray:
-    return a._jet(points, key, order) + b._jet(points, key, order)
-
-
-def _sub(points, key, order, a: NumericScalar, b: NumericScalar) -> np.ndarray:
-    return a._jet(points, key, order) - b._jet(points, key, order)
-
-
-def _mul(points, key, order, a: NumericScalar, b: NumericScalar) -> np.ndarray:
-    return jet_mul(a._jet(points, key, order), b._jet(points, key, order), a.n, order)
-
-
-def _scaled(points, key, order, a: NumericScalar, v: float) -> np.ndarray:
-    return v * a._jet(points, key, order)
-
-
-def _negated(points, key, order, a: NumericScalar) -> np.ndarray:
-    return -a._jet(points, key, order)
-
-
 def _quotient(points, key, order, a: NumericScalar, b: NumericScalar) -> np.ndarray:
     n = a.n
     return jet_mul(a._jet(points, key, order),
@@ -440,13 +424,22 @@ def _derivative(points, key, order, a: NumericScalar, r: int) -> np.ndarray:
 
 
 def _dot(points, key, order, *triples) -> np.ndarray:
-    """The sum of c * a * b over the (c, a, b) triples laid out in a row."""
-    n, acc = points.shape[1], 0.0
+    """The sum of c * a * b over the (c, a, b) triples laid out in a row,
+    from the first term on: a c of 1 or -1 adds or subtracts its term, and
+    any other c multiplies it first.  Where the first term has c = 1 and b
+    None, the sum of one term is that operand's own jet, so no node
+    function may write into a jet that an operand returns."""
+    n, acc = points.shape[1], None
     for c, a, b in zip(*[iter(triples)] * 3):
         term = a._jet(points, key, order)
         if b is not None:
             term = jet_mul(term, b._jet(points, key, order), n, order)
-        acc = acc + c * term
+        if c == -1:
+            acc = -term if acc is None else acc - term
+        else:
+            if c != 1:
+                term = c * term
+            acc = term if acc is None else acc + term
     return acc
 
 

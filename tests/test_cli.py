@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -616,18 +617,31 @@ def _deep_entry(levels: int, calls: int) -> str:
     return "sin(" * calls + "+".join(["x1"] * (levels - 1 - calls)) + ")" * calls
 
 
-@pytest.mark.parametrize("calls", [0, 150, 199])
-def test_depth_limit_is_inclusive_on_both_backends(calls):
-    # nested calls cost numeric evaluation two frames per level
+def _divided_entry(levels: int) -> str:
+    """Right-nested divisions 1 + x1/(1 + x1/(...)) around a sum of x1s, an
+    entry whose syntax tree is ``levels`` deep: each 1 + x1/(...) is two
+    levels, and at MAX_DEPTH there are 199 of them around x1."""
+    nested = (levels - 2) // 2
+    return "1+x1/(" * nested + "+".join(["x1"] * (levels - 1 - 2 * nested)) + ")" * nested
+
+
+# nested calls and divisions cost numeric evaluation two frames per level
+DEEP_ENTRIES = {"0": partial(_deep_entry, calls=0), "150": partial(_deep_entry, calls=150),
+                "199": partial(_deep_entry, calls=199), "divisions": _divided_entry}
+
+
+@pytest.mark.parametrize("shape", list(DEEP_ENTRIES))
+def test_depth_limit_is_inclusive_on_both_backends(shape):
     from flatcheck.charts_io import MAX_DEPTH, chart_from_json
     from flatcheck.forms import chern_simons_report
     from flatcheck.frames import ChartError
+    deep_entry = DEEP_ENTRIES[shape]
     doc = {"name": "deep", "n": 2, "domain": [[1, 2], [1, 2]],
-           "frame": [[_deep_entry(MAX_DEPTH, calls), "0"], ["0", "1"]]}
+           "frame": [[deep_entry(MAX_DEPTH), "0"], ["0", "1"]]}
     for backend in ("auto", "numeric"):
         chart = chart_from_json(doc, backend)
         assert chern_simons_report(chart, grid_points=3)["locally_homogeneous"] is True
-    doc["frame"][0][0] = _deep_entry(MAX_DEPTH + 1, calls)
+    doc["frame"][0][0] = deep_entry(MAX_DEPTH + 1)
     for backend in ("auto", "numeric"):
         with pytest.raises(ChartError, match=f"more than {MAX_DEPTH} levels deep"):
             chart_from_json(doc, backend)

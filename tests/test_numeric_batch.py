@@ -14,6 +14,8 @@ entries.
 from __future__ import annotations
 
 import math
+import operator
+import random
 import re
 import tracemalloc
 
@@ -24,8 +26,8 @@ from conftest import dense_chart_document
 from flatcheck.catalog import get_chart
 from flatcheck.charts_io import _interpret, _NumericAlgebra, _parse, chart_from_json
 from flatcheck.forms import chern_simons_report, identity_report
-from flatcheck.frames import (ChartError, NumericScalar, curvature_components, gamma_from_frame,
-                              jet_constant)
+from flatcheck.frames import (ChartError, NumericScalar, _jet_power, curvature_components,
+                              gamma_from_frame, jet_constant, jet_mul)
 
 # su2-euler's frame times C = [[1, 2, 1], [0, 1, 1], [1, 2, 2]] (det 1)
 _SU2 = [["sin(x3)/sin(x2)", "cos(x3)/sin(x2)", "0"],
@@ -294,10 +296,65 @@ def test_a_report_computes_each_node_once_per_batch_and_order(name, report, grid
     assert all(times == 2 for times in repeats.values())
 
 
+# --- the arithmetic nodes, bit for bit -----------------------------------------
+
+def _random_nodes(rng: random.Random, n: int, count: int) -> list:
+    """The coordinates, a literal, and ``count`` nodes built from earlier
+    ones by the operations of an entry, drawn with ``rng``."""
+    pool = [NumericScalar.var(n, r) for r in range(n)]
+    pool.append(NumericScalar.literal(n, rng.uniform(-2, 2)))
+    builds = [operator.add, operator.sub, operator.mul, operator.truediv,
+              lambda a, b: a.call(rng.choice(["sin", "cos", "exp"])),
+              lambda a, b: a.power(rng.choice([-2, 2, 3])), lambda a, b: -a]
+    for _ in range(count):
+        pool.append(rng.choice(builds)(rng.choice(pool), rng.choice(pool)))
+    return pool
+
+
+def same_floats(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal as floats, NaN in the same places, and zeros of the same sign."""
+    finite = ~np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got[finite]), np.signbit(want[finite])))
+
+
+# each operation on nodes a and b, and its reference on their jets A and B
+ARITHMETIC = {
+    "+": (operator.add, lambda A, B, n, order: A + B),
+    "-": (operator.sub, lambda A, B, n, order: A - B),
+    "*": (operator.mul, jet_mul),
+    "scale-0.75": (lambda a, b: a.scale(-0.75), lambda A, B, n, order: -0.75 * A),
+    "scale1": (lambda a, b: a.scale(1), lambda A, B, n, order: 1.0 * A),
+    "scale-1": (lambda a, b: a.scale(-1), lambda A, B, n, order: -1.0 * A),
+    "neg": (lambda a, b: -a, lambda A, B, n, order: -A),
+    "/": (operator.truediv,
+          lambda A, B, n, order: jet_mul(A, _jet_power(B, -1, n, order), n, order)),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("op", sorted(ARITHMETIC))
+def test_arithmetic_nodes_give_the_jets_of_their_formulas(op, seed):
+    # x1 = 0.0 at the first point, so the first pair, (x1, x1), divides by
+    # zero there, and the jets hold zeros of both signs
+    n, rng = 2, random.Random(seed)
+    pool = _random_nodes(rng, n, 8)
+    points = np.array([[0.0, 0.5], [-1.25, 0.0], [0.75, -2.0]])
+    key = points.tobytes()
+    build, reference = ARITHMETIC[op]
+    with np.errstate(all="ignore"):
+        for a, b in [(pool[0], pool[0]), *((rng.choice(pool), rng.choice(pool)) for _ in range(6))]:
+            node = build(a, b)
+            for order in range(3):
+                want = reference(a._jet(points, key, order), b._jet(points, key, order), n, order)
+                assert same_floats(node._jet(points, key, order), want), order
+
+
 # --- the fused sum: one node for self + sum c * a * b ---------------------------
 
 def _sequential(start: NumericScalar, terms) -> NumericScalar:
-    """The fold that ``dot`` replaces: + and * term by term, c by ``scale``."""
+    """The fold that ``dot`` replaces: one ``_dot`` node per +, * and
+    ``scale``, term by term."""
     acc = start
     for c, a, b in terms:
         term = a if b is None else a * b
@@ -317,9 +374,9 @@ def test_dot_equals_the_sequential_fold_on_the_connection():
     for start in (conn.zero, live[1]):
         fused, folded = start.dot(terms), _sequential(start, terms)
         for order in range(3):
+            # the same float operations in the same order
             got, want = fused._jet(points, key, order), folded._jet(points, key, order)
-            assert got.shape == want.shape
-            assert np.allclose(got, want, rtol=1e-12, atol=0), (start, order)
+            assert same_floats(got, want), (start, order)
 
 
 def test_dot_skips_dead_terms_and_returns_self_when_none_is_left():
